@@ -10,9 +10,10 @@ then propagates it ``k`` hops through the normalized adjacency:
     features[c, k, (n, t)] = sum_{n'} P^k[n', n] * S_c(n', t).
 
 Only cells ``(n, t)`` where at least one event of any type occurred are
-materialized; the closed-form totals ``sum_{n,t} features[c, k]`` cover the
-integral term of the likelihood, so cost scales with the number of events,
-not with ``node_count * bin_count``.
+materialized, and the closed-form totals ``sum_{n,t} features[c, k]`` cover
+the integral term of the likelihood, so the cache's size scales with the
+number of events. Building it does not: the builder currently sweeps every
+bin, so its cost scales with ``node_count * bin_count``.
 
 The recursion is run blockwise with :func:`scipy.signal.lfilter` carrying
 filter state across blocks, and each block is propagated with one matrix

@@ -1,17 +1,26 @@
 """Discrete-time simulator and benchmark dataset generator.
 
-The simulator sweeps bins in order; at each bin it evaluates the model
-intensity from the history so far and draws independent Poisson counts
-``X[n, v, t] ~ Poisson(lam_v(n, t) * dt)`` for every (node, type) cell.
-This is exactly the generative model the likelihood scores, so fitted and
-generating parameters are directly comparable. Emitted timestamps sit at
-bin centers ``(t + 0.5) * dt``.
+The model draws independent Poisson counts
+``X[n, v, t] ~ Poisson(lam_v(n, t) * dt)`` for every (node, type) cell and
+bin, given the history so far. This is exactly the generative model the
+likelihood scores, so fitted and generating parameters are directly
+comparable. Emitted timestamps sit at bin centers ``(t + 0.5) * dt``, in
+(node, type) order within a bin.
 
-With an exponential kernel the excitation state is the O(1) recursive
-summary; other kernels keep a ring buffer of recent bin counts and apply
-the kernel weights as a window. A guard aborts with
-:class:`SimulationExplosionError` when any cell's expected count exceeds a
-threshold, which is how supercritical parameterizations surface.
+The simulator is event-driven: it visits only bins that hold an event. From
+the current bin it draws the number of empty bins ahead by inverting their
+total hazard against an ``Exp(1)`` draw (the time change of Ogata 1981 and
+Dassios & Zhao 2013, on the bin grid). With an exponential kernel that hazard
+has a closed form; Gaussian and uniform kernels have a finite window, so the
+excitation already due in each bin of the window is kept in a ring and the
+gap past the window is geometric on the background. In the occupied bin the
+total is a zero-truncated Poisson draw split multinomially across cells, and
+only the columns of the cells that fired update the excitation. The result
+has the same distribution as drawing every bin in turn.
+
+A guard aborts with :class:`SimulationExplosionError` at the first bin
+whose expected count exceeds a threshold in any cell, which is how
+supercritical parameterizations surface.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ class SimConfig:
 
     ``mu_range`` and ``alpha_range`` are uniform draw bounds; every
     (edge, hop) gets its own alpha draw. ``target_event_count`` stops the
-    sweep once reached; ``max_bins`` caps the horizon (hitting the cap emits
+    simulation once reached; ``max_bins`` caps the horizon (hitting the cap emits
     :class:`UnderGenerationWarning`).
     """
 
@@ -235,7 +244,133 @@ def _window_weights(kernel: DecayKernel, dt: float) -> np.ndarray:
     return weights
 
 
-def _sweep(
+class _ExponentialExcitation:
+    """Excitation under ``exp(-decay * t)``: one vector, scaled by ``r`` per bin.
+
+    ``exc`` is the excitation part of the expected counts of the current bin.
+    Between events the intensity only decays, so the guard needs checking
+    only at the current bin, and the total hazard of the next ``j`` bins is
+    ``H(j) = M*j + E*(1 - r^j)/(1 - r)`` with ``M`` the summed background and
+    ``E`` the summed excitation.
+    """
+
+    def __init__(self, kernel: ExponentialKernel, dt: float, spread, mu_dt):
+        self.rate = kernel.decay * dt  # -log(r); r^j = exp(-rate*j) underflows cleanly to 0
+        self.spread = spread
+        self.mu_dt = mu_dt
+        self.background = float(mu_dt.sum())
+        self.mu_peak = float(mu_dt.max())
+        self.exc = np.zeros_like(mu_dt)
+
+    def scan(self, tau: float, limit: int, guard: float):
+        """``(gap, breach)`` for the bins ahead; see :func:`_event_loop`."""
+        excited = float(self.exc.sum())
+        breach = None
+        if self.mu_peak + excited > guard:  # bounds max(mu_dt + exc)
+            peak = float((self.mu_dt + self.exc).max())
+            if peak > guard:
+                breach = (0, peak)
+        background = self.background
+        scale = excited / -math.expm1(-self.rate)
+
+        def hazard(j):
+            return background * j - scale * math.expm1(-self.rate * j)
+
+        if hazard(limit) <= tau:
+            return None, breach
+        # bisect for H(lo) <= tau < H(hi), bracketed by M*j <= H(j) <= M*j + scale
+        lo, hi = 0, limit
+        if background > 0:
+            if tau < background * limit:
+                hi = int(tau / background) + 1
+            lo = max(0, int((tau - scale) / background))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if hazard(mid) <= tau:
+                lo = mid
+            else:
+                hi = mid
+        return lo, breach
+
+    def advance(self, gap: int) -> np.ndarray:
+        """Skip ``gap`` empty bins; returns the expected counts of the next."""
+        self.exc *= math.exp(-self.rate * gap)
+        return self.mu_dt + self.exc
+
+    def fire(self, cells, counts) -> None:
+        """Add the events of the current bin and step to the next bin."""
+        self.exc += counts @ self.spread[cells]
+        self.exc *= math.exp(-self.rate)
+
+
+class _WindowExcitation:
+    """Excitation under a kernel with a finite window of ``W`` bins.
+
+    ``ring[(head + i) % W]`` holds the excitation already due ``i`` bins
+    after the current one from the events so far; past the window only the
+    background remains.
+    """
+
+    def __init__(self, kernel: DecayKernel, dt: float, spread, mu_dt):
+        self.weights = _window_weights(kernel, dt)
+        window = self.weights.shape[0]
+        self.spread = spread
+        self.mu_dt = mu_dt
+        self.background = float(mu_dt.sum())
+        self.ring = np.zeros((window, mu_dt.shape[0]))
+        self.lags = np.arange(window)
+        self.head = 0
+
+    def scan(self, tau: float, limit: int, guard: float):
+        """``(gap, breach)`` for the bins ahead; see :func:`_event_loop`."""
+        window = self.lags.shape[0]
+        due = self.ring[(self.head + self.lags) % window]
+        peaks = (self.mu_dt + due).max(axis=1)
+        over = np.flatnonzero(peaks > guard)
+        breach = (int(over[0]), float(peaks[over[0]])) if over.size else None
+        hazard = np.cumsum(self.background + due.sum(axis=1))
+        gap = int(np.searchsorted(hazard, tau, side="right"))
+        if gap == window:
+            # past the window the gap is geometric on the background alone
+            rest = (tau - hazard[-1]) / self.background if self.background > 0 else math.inf
+            if rest >= limit:
+                return None, breach
+            gap += int(rest)
+        return (gap if gap < limit else None), breach
+
+    def advance(self, gap: int) -> np.ndarray:
+        """Skip ``gap`` empty bins; returns the expected counts of the next."""
+        window = self.lags.shape[0]
+        if gap >= window:
+            self.ring[:] = 0.0
+        else:
+            self.ring[(self.head + self.lags[:gap]) % window] = 0.0
+        self.head = (self.head + gap) % window
+        return self.mu_dt + self.ring[self.head]
+
+    def fire(self, cells, counts) -> None:
+        """Add the events of the current bin and step to the next bin."""
+        window = self.lags.shape[0]
+        self.ring[self.head] = 0.0
+        added = counts @ self.spread[cells]
+        self.ring[(self.head + 1 + self.lags) % window] += np.outer(self.weights, added)
+        self.head = (self.head + 1) % window
+
+
+def _draw_occupied(lam_dt: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Independent Poisson counts of one bin, conditioned on at least one event.
+
+    The total is zero-truncated Poisson: the first arrival of the pooled
+    process, conditioned to fall in the bin, then a Poisson count for the
+    rest of the bin. The total is split multinomially across cells.
+    """
+    rate = float(lam_dt.sum())
+    first = -math.log1p(rng.random() * math.expm1(-rate)) / rate
+    total = 1 + int(rng.poisson(rate * (1.0 - first)))
+    return rng.multinomial(total, lam_dt / rate)
+
+
+def _event_loop(
     causal_graph: CausalGraph,
     topology: TopologyGraph,
     params: ThpParams,
@@ -247,71 +382,61 @@ def _sweep(
     stop_at_count: int | None,
     explosion_guard: float,
 ) -> tuple[list[EventRecord], int]:
-    """Run the per-bin Poisson sweep; shared by both public entry points."""
+    """Visit only the bins that hold an event; shared by both entry points.
+
+    At the current bin ``t`` an ``Exp(1)`` draw ``tau`` is inverted against
+    the total hazard of the bins ahead, given no further events, to get the
+    number of empty bins before the next occupied one. ``scan`` also returns
+    the first bin ahead whose expected count exceeds the guard (offset and
+    peak); it raises only if no event comes before it, as it would if every
+    bin were drawn in turn. Returns the records and the bins run.
+    """
     n_nodes = topology.node_count
     n_types = causal_graph.type_count
     dt = bin_width
     powers = topology.hop_matrices(params.max_hops)
     tensor = params.alpha_tensor()  # (src, dst, k)
-    # operator[dst*N+m, src*N+n] = sum_k alpha[src,dst,k] * P^k[n,m]
-    operator = (
-        np.einsum("sdk,knm->dmsn", tensor, powers).reshape(
-            n_types * n_nodes, n_types * n_nodes
+    # cells are node-major, f = node*T + type, so that the occupied cells of
+    # a bin come out in emission order; spread[n*T+s, m*T+d] =
+    # sum_k alpha[s,d,k] * P^k[n,m] * dt is what one event adds per unit kernel
+    spread = (
+        np.einsum("sdk,knm->nsmd", tensor, powers).reshape(
+            n_nodes * n_types, n_nodes * n_types
         )
         * dt
     )
-    mu_dt = np.repeat(params.mu, n_nodes) * dt
-    size = n_types * n_nodes
-
-    exponential = isinstance(kernel, ExponentialKernel)
-    if exponential:
-        decay_step = math.exp(-kernel.decay * dt)
-        state = np.zeros(size)
+    mu_dt = np.tile(params.mu, n_nodes) * dt
+    if isinstance(kernel, ExponentialKernel):
+        excitation = _ExponentialExcitation(kernel, dt, spread, mu_dt)
     else:
-        weights = _window_weights(kernel, dt)
-        window = weights.shape[0]
-        buffer = np.zeros((window, size))
+        excitation = _WindowExcitation(kernel, dt, spread, mu_dt)
+    if stop_at_count is not None and stop_at_count <= 0:
+        max_bins = min(max_bins, 1)  # the target is met after the first bin
 
     records: list[EventRecord] = []
     total = 0
-    bins_run = 0
-    for t in range(max_bins):
-        if exponential:
-            lam_dt = mu_dt + operator @ state
-        else:
-            depth = min(window, t)
-            if depth:
-                rows = (t - 1 - np.arange(depth)) % window
-                summary = weights[:depth] @ buffer[rows]
-                lam_dt = mu_dt + operator @ summary
-            else:
-                lam_dt = mu_dt.copy()
-        peak = lam_dt.max() if size else 0.0
-        if peak > explosion_guard:
-            raise SimulationExplosionError(t, float(peak), explosion_guard)
-        draws = rng.poisson(lam_dt)
-        bins_run = t + 1
-        if draws.any():
-            stamp = (t + 0.5) * dt
-            flat = np.flatnonzero(draws)
-            # emit in (node, type) order within the bin
-            flat = flat[np.lexsort((flat // n_nodes, flat % n_nodes))]
-            for f in flat.tolist():
-                count = int(draws[f])
-                rec = EventRecord(
-                    node=int(f % n_nodes),
-                    event_type=int(f // n_nodes),
-                    timestamp=stamp,
-                )
-                records.extend([rec] * count)
-                total += count
-        if exponential:
-            state = decay_step * (state + draws)
-        else:
-            buffer[t % window] = draws
+    t = 0
+    while t < max_bins:
+        gap, breach = excitation.scan(rng.exponential(), max_bins - t, explosion_guard)
+        if breach is not None and breach[0] < max_bins - t and (gap is None or gap >= breach[0]):
+            raise SimulationExplosionError(t + breach[0], breach[1], explosion_guard)
+        if gap is None:
+            t = max_bins
+            break
+        t += gap
+        draws = _draw_occupied(excitation.advance(gap), rng)
+        cells = draws.nonzero()[0]
+        counts = draws[cells]
+        excitation.fire(cells, counts)
+        stamp = (t + 0.5) * dt
+        for f, count in zip(cells.tolist(), counts.tolist()):
+            rec = EventRecord(node=f // n_types, event_type=f % n_types, timestamp=stamp)
+            records.extend([rec] * count)
+            total += count
+        t += 1
         if stop_at_count is not None and total >= stop_at_count:
             break
-    return records, bins_run
+    return records, t
 
 
 def simulate(
@@ -333,7 +458,7 @@ def simulate(
         raise InvalidInputError("bin_width must be positive")
     if not (explosion_guard > 0):
         raise InvalidInputError("explosion_guard must be positive")
-    records, _ = _sweep(
+    records, _ = _event_loop(
         causal_graph,
         topology,
         params,
@@ -350,11 +475,11 @@ def simulate(
 def generate_benchmark(config: SimConfig) -> BenchmarkData:
     """Draw topology, causal DAG, and parameters, then simulate to target.
 
-    The sweep extends the horizon until ``target_event_count`` is reached or
+    The simulation extends the horizon until ``target_event_count`` is reached or
     ``max_bins`` is hit (the latter warns with the shortfall).
     """
     root = np.random.SeedSequence(config.seed)
-    topo_seed, graph_seed, par_seed, sweep_seed = root.spawn(4)
+    topo_seed, graph_seed, par_seed, sim_seed = root.spawn(4)
     topology = random_topology(
         config.node_count,
         config.avg_topology_degree,
@@ -371,13 +496,13 @@ def generate_benchmark(config: SimConfig) -> BenchmarkData:
         config.alpha_range,
         np.random.default_rng(par_seed),
     )
-    records, bins_run = _sweep(
+    records, bins_run = _event_loop(
         causal_graph,
         topology,
         params,
         config.kernel,
         config.bin_width,
-        np.random.default_rng(sweep_seed),
+        np.random.default_rng(sim_seed),
         max_bins=config.max_bins,
         stop_at_count=config.target_event_count,
         explosion_guard=config.explosion_guard,

@@ -2,8 +2,9 @@
 
 Everything in here is a direct transcription of the model definitions,
 written with explicit Python loops over dense arrays. No code is shared
-with the package internals, so agreement between the two routes is
-meaningful evidence rather than a tautology.
+with the package internals (``oracle_sweep`` takes only the package's types
+and its kernel lag grid), so agreement between the two routes is meaningful
+evidence rather than a tautology.
 """
 
 from __future__ import annotations
@@ -11,6 +12,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from hawkesnet.errors import SimulationExplosionError
+from hawkesnet.events import EventRecord
+from hawkesnet.kernels import DecayKernel, ExponentialKernel
+from hawkesnet.likelihood import CausalGraph, ThpParams
+from hawkesnet.simulate import _window_weights
+from hawkesnet.topology import TopologyGraph
 
 
 def oracle_normalized_adjacency(adjacency) -> np.ndarray:
@@ -251,3 +259,87 @@ def oracle_m_step(
             vec[k] = num / denom if denom > 0 else 0.0
         new_alpha[(src, dst)] = vec
     return new_mu, new_alpha
+
+
+def oracle_sweep(
+    causal_graph: CausalGraph,
+    topology: TopologyGraph,
+    params: ThpParams,
+    kernel: DecayKernel,
+    bin_width: float,
+    rng: np.random.Generator,
+    *,
+    max_bins: int,
+    stop_at_count: int | None,
+    explosion_guard: float,
+) -> tuple[list[EventRecord], int]:
+    """Dense per-bin sweep: every cell of every bin drawn in turn.
+
+    The reference for the event-driven loop ``hawkesnet.simulate._event_loop``,
+    with the same signature and return value. It shares only the kernel's lag
+    grid (``_window_weights``) with the package.
+    """
+    n_nodes = topology.node_count
+    n_types = causal_graph.type_count
+    dt = bin_width
+    powers = topology.hop_matrices(params.max_hops)
+    tensor = params.alpha_tensor()  # (src, dst, k)
+    # operator[dst*N+m, src*N+n] = sum_k alpha[src,dst,k] * P^k[n,m]
+    operator = (
+        np.einsum("sdk,knm->dmsn", tensor, powers).reshape(
+            n_types * n_nodes, n_types * n_nodes
+        )
+        * dt
+    )
+    mu_dt = np.repeat(params.mu, n_nodes) * dt
+    size = n_types * n_nodes
+
+    exponential = isinstance(kernel, ExponentialKernel)
+    if exponential:
+        decay_step = math.exp(-kernel.decay * dt)
+        state = np.zeros(size)
+    else:
+        weights = _window_weights(kernel, dt)
+        window = weights.shape[0]
+        buffer = np.zeros((window, size))
+
+    records: list[EventRecord] = []
+    total = 0
+    bins_run = 0
+    for t in range(max_bins):
+        if exponential:
+            lam_dt = mu_dt + operator @ state
+        else:
+            depth = min(window, t)
+            if depth:
+                rows = (t - 1 - np.arange(depth)) % window
+                summary = weights[:depth] @ buffer[rows]
+                lam_dt = mu_dt + operator @ summary
+            else:
+                lam_dt = mu_dt.copy()
+        peak = lam_dt.max() if size else 0.0
+        if peak > explosion_guard:
+            raise SimulationExplosionError(t, float(peak), explosion_guard)
+        draws = rng.poisson(lam_dt)
+        bins_run = t + 1
+        if draws.any():
+            stamp = (t + 0.5) * dt
+            flat = np.flatnonzero(draws)
+            # emit in (node, type) order within the bin
+            flat = flat[np.lexsort((flat // n_nodes, flat % n_nodes))]
+            for f in flat.tolist():
+                count = int(draws[f])
+                rec = EventRecord(
+                    node=int(f % n_nodes),
+                    event_type=int(f // n_nodes),
+                    timestamp=stamp,
+                )
+                records.extend([rec] * count)
+                total += count
+        if exponential:
+            state = decay_step * (state + draws)
+        else:
+            buffer[t % window] = draws
+        if stop_at_count is not None and total >= stop_at_count:
+            break
+    return records, bins_run

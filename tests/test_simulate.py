@@ -1,11 +1,15 @@
-"""Simulator: random instances, Poisson sweep, explosion guard."""
+"""Simulator: random instances, Poisson statistics, agreement in distribution
+with the dense per-bin oracle, long horizons, explosion guard."""
 
 from __future__ import annotations
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hawkesnet.errors import (
     InvalidInputError,
@@ -18,6 +22,7 @@ from hawkesnet.likelihood import CausalGraph, ThpParams
 from hawkesnet.simulate import (
     BenchmarkData,
     SimConfig,
+    _event_loop,
     _window_weights,
     draw_params,
     generate_benchmark,
@@ -28,6 +33,7 @@ from hawkesnet.simulate import (
 from hawkesnet.topology import build_topology
 
 from .helpers import dataset_to_dense
+from .oracles import oracle_sweep
 
 RNG = np.random.default_rng
 
@@ -317,3 +323,160 @@ def test_sim_config_round_trip_and_validation():
         SimConfig(seed=-1)
     with pytest.raises(InvalidInputError):
         SimConfig(max_bins=0)
+
+
+# Agreement in distribution with the dense per-bin sweep. Both sides run
+# RUNS independent simulations of one small excited instance; totals,
+# per-type totals and the number of event pairs 1..LAGS bins apart (which
+# sees where the kernel puts its excitation) are compared with two-sample KS
+# tests, and the pooled per-cell occupancy {0, 1, >= 2} with a chi-squared
+# contingency test.
+RUNS = 150
+LEVEL = 1e-3
+LAGS = 8
+
+
+def _excited_setup():
+    topo = build_topology(3, [(0, 1), (1, 2)], max_hops=1)
+    graph = CausalGraph(2, [(0, 0), (0, 1), (1, 0)])
+    params = ThpParams(
+        mu=np.array([0.04, 0.02]),
+        alpha={
+            (0, 0): np.array([0.15, 0.05]),
+            (0, 1): np.array([0.20, 0.10]),
+            (1, 0): np.array([0.10, 0.05]),
+        },
+        max_hops=1,
+    )
+    return topo, graph, params
+
+
+def _cell_counts(records, n_types, n_nodes, bins, dt):
+    counts = np.zeros((n_types, n_nodes, bins), dtype=int)
+    for rec in records:
+        counts[rec.event_type, rec.node, int(rec.timestamp // dt)] += 1
+    return counts
+
+
+def _run_both(kernel, dt, bins, stop_at_count=None):
+    topo, graph, params = _excited_setup()
+    sides = []
+    for draw in (_event_loop, oracle_sweep):
+        runs = []
+        for i in range(RUNS):
+            runs.append(
+                draw(
+                    graph, topo, params, kernel, dt, RNG((2024, i, draw is oracle_sweep)),
+                    max_bins=bins, stop_at_count=stop_at_count, explosion_guard=1e6,
+                )
+            )
+        sides.append(runs)
+    return sides
+
+
+def _assert_same_distribution(kernel, dt, bins):
+    n_types, n_nodes = 2, 3
+    summaries = []
+    for runs in _run_both(kernel, dt, bins):
+        counts = np.stack(
+            [_cell_counts(records, n_types, n_nodes, bins, dt) for records, _ in runs]
+        )
+        flat = counts.ravel()
+        per_bin = counts.sum(axis=(1, 2))
+        summaries.append(
+            {
+                "total": counts.sum(axis=(1, 2, 3)),
+                "per_type": counts.sum(axis=(2, 3)),
+                "pairs": np.stack(
+                    [(per_bin[:, :-lag] * per_bin[:, lag:]).sum(axis=1) for lag in range(1, LAGS + 1)],
+                    axis=1,
+                ),
+                "occupancy": [(flat == 0).sum(), (flat == 1).sum(), (flat >= 2).sum()],
+            }
+        )
+    new, dense = summaries
+    assert new["total"].mean() > 50  # the instance is not trivially empty
+    assert stats.ks_2samp(new["total"], dense["total"]).pvalue > LEVEL
+    for v in range(n_types):
+        assert stats.ks_2samp(new["per_type"][:, v], dense["per_type"][:, v]).pvalue > LEVEL
+    for lag in range(LAGS):
+        assert stats.ks_2samp(new["pairs"][:, lag], dense["pairs"][:, lag]).pvalue > LEVEL
+    table = np.array([new["occupancy"], dense["occupancy"]])
+    assert table[:, 2].min() > 20  # the >= 2 category is populated
+    assert stats.chi2_contingency(table).pvalue > LEVEL
+
+
+def test_exponential_matches_dense_oracle_in_distribution():
+    _assert_same_distribution(ExponentialKernel(0.5), 1.0, 600)
+
+
+def test_gaussian_matches_dense_oracle_in_distribution():
+    _assert_same_distribution(GaussianKernel(3.0, 1.0), 1.0, 600)
+
+
+def test_uniform_matches_dense_oracle_in_distribution():
+    _assert_same_distribution(UniformKernel(1.5, 2.0), 0.5, 1200)
+
+
+def test_stop_at_count_horizon_matches_dense_oracle():
+    new, dense = _run_both(ExponentialKernel(0.5), 1.0, 5000, stop_at_count=40)
+    for runs in (new, dense):
+        assert all(len(records) >= 40 for records, _ in runs)
+    bins_new = [bins for _, bins in new]
+    bins_dense = [bins for _, bins in dense]
+    assert stats.ks_2samp(bins_new, bins_dense).pvalue > LEVEL
+    last_new = [records[-1].timestamp for records, _ in new]
+    # the run stops right after the bin that reaches the target
+    np.testing.assert_allclose(np.array(last_new) + 0.5, bins_new)
+
+
+@pytest.mark.parametrize("decay, alpha", [(1e-6, 4e-7), (50.0, 0.5)])
+def test_long_horizon_is_numerically_safe(decay, alpha):
+    # 1e7 bins: r = exp(-decay) is within 1e-6 of 1, or r^j underflows to 0
+    topo = build_topology(2, [(0, 1)], max_hops=1)
+    graph = CausalGraph(2, [(0, 0), (0, 1)])
+    params = ThpParams(
+        mu=np.array([1e-5, 1e-5]),
+        alpha={
+            (0, 0): np.array([alpha, alpha / 2]),
+            (0, 1): np.array([alpha, alpha / 2]),
+        },
+        max_hops=1,
+    )
+    bins = 10_000_000
+    started = time.perf_counter()
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        records = simulate(graph, topo, params, ExponentialKernel(decay), 1.0, bins, seed=5)
+    elapsed = time.perf_counter() - started
+    stamps = np.array([r.timestamp for r in records])
+    assert np.isfinite(stamps).all()
+    assert stamps.min() > 0 and stamps.max() < bins
+    background = 2 * 2 * 1e-5 * bins
+    # excitation only adds to the Poisson(400) background
+    assert len(records) >= background - 5 * math.sqrt(background)
+    if decay == 50.0:  # r = e^-50: excitation is negligible
+        assert len(records) <= background + 5 * math.sqrt(background)
+    assert elapsed < 10.0
+
+
+@pytest.mark.parametrize(
+    "kernel, lag",
+    [(ExponentialKernel(1.0), 1), (UniformKernel(0.5, 1.0), 1), (UniformKernel(4.5, 1.0), 5)],
+)
+def test_explosion_guard_reports_first_breaching_bin(kernel, lag):
+    # mu*dt = 50, so bin 0 is empty with probability e^-50; each of its
+    # events adds 10 * kernel(lag) to the expected count `lag` bins later
+    topo = build_topology(1, [], max_hops=0)
+    graph = CausalGraph(1, [(0, 0)])
+    params = ThpParams(mu=np.array([50.0]), alpha={(0, 0): np.array([10.0])}, max_hops=0)
+    step = 10.0 * evaluate(kernel, float(lag))
+    for guard, expected in ((50.0 + 0.5 * step, lag), (40.0, 0)):
+        for draw in (_event_loop, oracle_sweep):
+            with pytest.raises(SimulationExplosionError) as exc:
+                draw(
+                    graph, topo, params, kernel, 1.0, RNG(0),
+                    max_bins=100, stop_at_count=None, explosion_guard=guard,
+                )
+            assert exc.value.bin_index == expected
+            assert exc.value.expected_count > guard
