@@ -1,25 +1,36 @@
 """Excitation features: decayed event history propagated through the topology.
 
-For each cause type ``c`` the builder maintains the per-node decayed summary
+For each cause type ``c`` the per-node decayed summary is
 
-    S_c(n, t) = sum_{t' < t} kappa((t - t') * dt) * X[n, c, t']
+    S_c(n, t) = sum_{t' < t} r^(t - t') * X[n, c, t'],    r = e^{-decay*dt},
 
-via the exponential recursion ``S(t) = e^{-decay*dt} (S(t-dt) + X(t-dt))``,
-then propagates it ``k`` hops through the normalized adjacency:
+and ``k`` hops through the normalized adjacency give
 
     features[c, k, (n, t)] = sum_{n'} P^k[n', n] * S_c(n', t).
 
 Only cells ``(n, t)`` where at least one event of any type occurred are
-materialized, and the closed-form totals ``sum_{n,t} features[c, k]`` cover
-the integral term of the likelihood, so the cache's size scales with the
-number of events. Building it does not: the builder currently sweeps every
-bin, so its cost scales with ``node_count * bin_count``.
+materialized. The totals ``sum_{n,t} features[c, k]`` over the whole grid,
+which the likelihood's integral term needs, come from a closed form per
+event: an event at bin ``b`` adds ``r (1 - r^(B-1-b)) / (1 - r)`` to its
+node's summary summed over all ``B`` bins.
 
-The recursion is run blockwise with :func:`scipy.signal.lfilter` carrying
-filter state across blocks, and each block is propagated with one matrix
-product per hop. Everything here is independent of the causal graph and of
-the rate parameters, so one cache serves every candidate scored by the
-structure search.
+The build visits occupied bins only. The ``(type, node)`` state ``S`` is
+computed at every occupied bin at once, chunk by chunk: inside a chunk that
+starts at occupied bin ``u_s``, ``S(u_i) = r^(u_i - u_s) (S(u_s) +
+sum_{u_s <= u_j < u_i} r^(u_s - u_j) X(u_j))`` is one cumulative sum over
+rescaled counts. All terms are non-negative, so nothing cancels. A chunk ends
+before ``decay*dt*(u_i - u_s)`` reaches ``_MAX_SPAN_EXPONENT``, which keeps the
+rescaled counts far from overflow, or when its cells reach
+``_CHUNK_ELEMENTS`` state entries; the state at the next occupied bin carries
+into the next chunk. Each occupied cell's state row is then contracted with
+column ``n`` of every ``P^k``. The cost is
+``O(cells * type_count * node_count * (max_hops + 1))`` plus a Python step per
+chunk (at most one per occupied bin), independent of the number of empty
+bins.
+
+Everything here is independent of the causal graph and of the rate
+parameters, so one cache serves every candidate scored by the structure
+search.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidInputError, UnsupportedKernelError
 from .events import DiscreteDataset
@@ -138,18 +148,24 @@ class FeatureCache:
         )
 
 
+# Largest decay exponent decay*dt*(u_i - u_s) spanned by one chunk: counts
+# rescaled by up to e^512 ~ 2e222 leave ~1e85 of headroom before overflow,
+# and the rescaling back down by e^-512 stays clear of subnormals.
+_MAX_SPAN_EXPONENT = 512.0
+# Largest cells * type_count * node_count state entries held by one chunk.
+_CHUNK_ELEMENTS = 1 << 16
+
+
 def build_features(
     dataset: DiscreteDataset,
     topology: TopologyGraph,
     kernel: DecayKernel,
     max_hops: int,
-    *,
-    block_bins: int = 1 << 17,
 ) -> FeatureCache:
     """Build the :class:`FeatureCache` for a dataset on a topology.
 
     Only exponential kernels are supported here: the cache relies on the
-    semigroup recursion for O(events) cost.
+    semigroup property ``r^a r^b = r^(a+b)`` to skip empty bins.
     """
     if not isinstance(kernel, ExponentialKernel):
         raise UnsupportedKernelError(
@@ -161,15 +177,14 @@ def build_features(
         raise InvalidInputError(
             f"dataset has {dataset.node_count} nodes, topology {topology.node_count}"
         )
-    if block_bins < 1:
-        raise InvalidInputError("block_bins must be >= 1")
 
     n_nodes = dataset.node_count
     n_types = dataset.type_count
     n_bins = dataset.bin_count
     dt = dataset.bin_width
+    rate = kernel.decay * dt
     powers = topology.hop_matrices(max_hops)
-    # row_mass[k][n'] = sum_n P^k[n', n]; contracts the totals to one dot product
+    # row_mass[k][n'] = sum_n P^k[n', n]; contracts the totals to one product
     row_mass = powers.sum(axis=2)
 
     cell_keys = np.unique(dataset.bins * n_nodes + dataset.nodes)
@@ -185,42 +200,59 @@ def build_features(
         type_cells.append(np.searchsorted(cell_keys, keys).astype(np.int64))
         type_counts.append(dataset.counts[rows].astype(float))
 
-    decay_step = math.exp(-kernel.decay * dt)
-    filt_b = np.array([0.0, decay_step])
-    filt_a = np.array([1.0, -decay_step])
+    counts = dataset.counts.astype(float)
+    state_cols = dataset.types * n_nodes + dataset.nodes
+    width = n_types * n_nodes
+
+    # sum_{t=b+1}^{B-1} r^(t-b) for an event at bin b
+    tail = (
+        math.exp(-rate)
+        * -np.expm1(-rate * (n_bins - 1 - dataset.bins))
+        / -math.expm1(-rate)
+    )
+    summary = np.bincount(state_cols, weights=counts * tail, minlength=width)
+    totals = summary.reshape(n_types, n_nodes) @ row_mass.T
 
     values = np.zeros((n_types, max_hops + 1, n_cells))
-    totals = np.zeros((n_types, max_hops + 1))
+    occ_bins, cell_occ = np.unique(cell_bins, return_inverse=True)
+    n_occ = occ_bins.shape[0]
+    order = np.argsort(dataset.bins, kind="stable")
+    event_occ = np.searchsorted(occ_bins, dataset.bins[order])
+    event_cols = state_cols[order]
+    event_counts = counts[order]
+    hop_cols = [p.T for p in powers]  # hop_cols[k][n] = P^k[:, n]
+    span_bins = _MAX_SPAN_EXPONENT / rate
+    chunk_cells = max(1, _CHUNK_ELEMENTS // width)
 
-    for src in range(n_types):
-        rows = dataset.type_rows(src)
-        src_bins = dataset.bins[rows]
-        src_nodes = dataset.nodes[rows]
-        src_counts = dataset.counts[rows].astype(float)
-        state = np.zeros((n_nodes, 1))
-        summary_sum = np.zeros(n_nodes)
-        for b0 in range(0, n_bins, block_bins):
-            b1 = min(b0 + block_bins, n_bins)
-            block = np.zeros((n_nodes, b1 - b0))
-            lo = int(np.searchsorted(src_bins, b0))
-            hi = int(np.searchsorted(src_bins, b1))
-            if hi > lo:
-                np.add.at(
-                    block,
-                    (src_nodes[lo:hi], src_bins[lo:hi] - b0),
-                    src_counts[lo:hi],
-                )
-            summary, state = lfilter(filt_b, filt_a, block, axis=1, zi=state)
-            summary_sum += summary.sum(axis=1)
-            c0 = int(np.searchsorted(cell_bins, b0))
-            c1 = int(np.searchsorted(cell_bins, b1))
-            if c1 > c0:
-                cn = cell_nodes[c0:c1]
-                cb = cell_bins[c0:c1] - b0
-                for k in range(max_hops + 1):
-                    propagated = powers[k] @ summary
-                    values[src, k, c0:c1] = propagated[cn, cb]
-        totals[src] = row_mass @ summary_sum
+    carry = np.zeros(width)  # state at the chunk's first occupied bin
+    s = c0 = e0 = 0  # first occupied bin, cell and event of the chunk
+    while s < n_occ:
+        e = int(np.searchsorted(occ_bins, occ_bins[s] + span_bins, side="right"))
+        if c0 + chunk_cells < n_cells:
+            e = min(e, int(cell_occ[c0 + chunk_cells]))
+        e = max(e, s + 1)
+        c1 = int(np.searchsorted(cell_occ, e))
+        e1 = int(np.searchsorted(event_occ, e))
+
+        offset = rate * (occ_bins[s:e] - occ_bins[s])
+        rows = event_occ[e0:e1] - s
+        rescaled = np.zeros((e - s, width))
+        rescaled[rows, event_cols[e0:e1]] = event_counts[e0:e1] * np.exp(offset[rows])
+        np.cumsum(rescaled, axis=0, out=rescaled)
+        state = np.empty_like(rescaled)
+        state[0] = carry
+        np.add(rescaled[:-1], carry, out=state[1:])
+        decay_back = np.exp(-offset)
+        state *= decay_back[:, None]
+        if e < n_occ:
+            after_last = (carry + rescaled[-1]) * decay_back[-1]
+            carry = after_last * math.exp(-rate * (occ_bins[e] - occ_bins[e - 1]))
+
+        at_cells = state.reshape(e - s, n_types, n_nodes)[cell_occ[c0:c1] - s]
+        nodes = cell_nodes[c0:c1]
+        for k in range(max_hops + 1):
+            values[:, k, c0:c1] = np.einsum("ctn,cn->tc", at_cells, hop_cols[k][nodes])
+        s, c0, e0 = e, c1, e1
 
     return FeatureCache(
         node_count=n_nodes,

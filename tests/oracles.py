@@ -4,7 +4,9 @@ Everything in here is a direct transcription of the model definitions,
 written with explicit Python loops over dense arrays. No code is shared
 with the package internals (``oracle_sweep`` takes only the package's types
 and its kernel lag grid), so agreement between the two routes is meaningful
-evidence rather than a tautology.
+evidence rather than a tautology. ``oracle_blockwise_features`` is the
+exception in style: the earlier dense-sweep feature builder, vectorized with
+:func:`scipy.signal.lfilter` so that long horizons stay cheap to check.
 """
 
 from __future__ import annotations
@@ -12,9 +14,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.signal import lfilter
 
-from hawkesnet.errors import SimulationExplosionError
-from hawkesnet.events import EventRecord
+from hawkesnet.errors import (
+    InvalidInputError,
+    SimulationExplosionError,
+    UnsupportedKernelError,
+)
+from hawkesnet.events import DiscreteDataset, EventRecord
+from hawkesnet.features import FeatureCache
 from hawkesnet.kernels import DecayKernel, ExponentialKernel
 from hawkesnet.likelihood import CausalGraph, ThpParams
 from hawkesnet.simulate import _window_weights
@@ -106,6 +114,108 @@ def oracle_features(
                     values[src, k, node, t] = acc
     totals = values.sum(axis=(2, 3))
     return values, totals
+
+
+def oracle_blockwise_features(
+    dataset: DiscreteDataset,
+    topology: TopologyGraph,
+    kernel: DecayKernel,
+    max_hops: int,
+    *,
+    block_bins: int = 1 << 17,
+) -> FeatureCache:
+    """The previous production feature builder, kept as a reference.
+
+    Sweeps every bin: the decay recursion runs blockwise through
+    :func:`scipy.signal.lfilter`, carrying filter state across blocks of
+    ``block_bins`` bins, and each block is propagated with one matrix product
+    per hop. Its cost scales with ``node_count * bin_count``.
+    """
+    if not isinstance(kernel, ExponentialKernel):
+        raise UnsupportedKernelError(
+            f"feature cache requires an exponential kernel, got {type(kernel).__name__}"
+        )
+    if max_hops < 0:
+        raise InvalidInputError("max_hops must be >= 0")
+    if dataset.node_count != topology.node_count:
+        raise InvalidInputError(
+            f"dataset has {dataset.node_count} nodes, topology {topology.node_count}"
+        )
+    if block_bins < 1:
+        raise InvalidInputError("block_bins must be >= 1")
+
+    n_nodes = dataset.node_count
+    n_types = dataset.type_count
+    n_bins = dataset.bin_count
+    dt = dataset.bin_width
+    powers = topology.hop_matrices(max_hops)
+    # row_mass[k][n'] = sum_n P^k[n', n]; contracts the totals to one dot product
+    row_mass = powers.sum(axis=2)
+
+    cell_keys = np.unique(dataset.bins * n_nodes + dataset.nodes)
+    cell_bins = cell_keys // n_nodes
+    cell_nodes = cell_keys % n_nodes
+    n_cells = cell_keys.shape[0]
+
+    type_cells = []
+    type_counts = []
+    for v in range(n_types):
+        rows = dataset.type_rows(v)
+        keys = dataset.bins[rows] * n_nodes + dataset.nodes[rows]
+        type_cells.append(np.searchsorted(cell_keys, keys).astype(np.int64))
+        type_counts.append(dataset.counts[rows].astype(float))
+
+    decay_step = math.exp(-kernel.decay * dt)
+    filt_b = np.array([0.0, decay_step])
+    filt_a = np.array([1.0, -decay_step])
+
+    values = np.zeros((n_types, max_hops + 1, n_cells))
+    totals = np.zeros((n_types, max_hops + 1))
+
+    for src in range(n_types):
+        rows = dataset.type_rows(src)
+        src_bins = dataset.bins[rows]
+        src_nodes = dataset.nodes[rows]
+        src_counts = dataset.counts[rows].astype(float)
+        state = np.zeros((n_nodes, 1))
+        summary_sum = np.zeros(n_nodes)
+        for b0 in range(0, n_bins, block_bins):
+            b1 = min(b0 + block_bins, n_bins)
+            block = np.zeros((n_nodes, b1 - b0))
+            lo = int(np.searchsorted(src_bins, b0))
+            hi = int(np.searchsorted(src_bins, b1))
+            if hi > lo:
+                np.add.at(
+                    block,
+                    (src_nodes[lo:hi], src_bins[lo:hi] - b0),
+                    src_counts[lo:hi],
+                )
+            summary, state = lfilter(filt_b, filt_a, block, axis=1, zi=state)
+            summary_sum += summary.sum(axis=1)
+            c0 = int(np.searchsorted(cell_bins, b0))
+            c1 = int(np.searchsorted(cell_bins, b1))
+            if c1 > c0:
+                cn = cell_nodes[c0:c1]
+                cb = cell_bins[c0:c1] - b0
+                for k in range(max_hops + 1):
+                    propagated = powers[k] @ summary
+                    values[src, k, c0:c1] = propagated[cn, cb]
+        totals[src] = row_mass @ summary_sum
+
+    return FeatureCache(
+        node_count=n_nodes,
+        type_count=n_types,
+        bin_count=n_bins,
+        bin_width=dt,
+        max_hops=max_hops,
+        total_events=dataset.total_events,
+        cell_nodes=cell_nodes,
+        cell_bins=cell_bins,
+        values=values,
+        totals=totals,
+        type_cells=tuple(type_cells),
+        type_counts=tuple(type_counts),
+    )
 
 
 def oracle_intensity(

@@ -462,3 +462,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.signal alone took about 1.2 s of every CLI start-up
+    code = (
+        "import sys, hawkesnet.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

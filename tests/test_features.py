@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hawkesnet import features
 from hawkesnet.errors import InvalidInputError, UnsupportedKernelError
 from hawkesnet.events import EventRecord, discretize
 from hawkesnet.features import build_features
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel
 from hawkesnet.topology import build_topology
 
-from .helpers import dense_to_dataset, random_instance
-from .oracles import oracle_features
+from .helpers import dense_to_dataset, random_instance, random_symmetric_edges
+from .oracles import oracle_blockwise_features, oracle_features
 
 RNG = np.random.default_rng
 
@@ -107,19 +110,102 @@ def test_values_and_totals_match_loop_oracle(seed):
     np.testing.assert_allclose(cache.totals, dense_totals, rtol=1e-9, atol=1e-12)
 
 
-def test_blockwise_build_is_exact():
-    rng = RNG(42)
-    dense = rng.poisson(0.4, size=(3, 2, 50))
-    ds = dense_to_dataset(dense, 0.8)
+def _gapped_dataset(rng):
+    """Runs of bins at 1-100% occupancy, split by gaps longer than a chunk.
+
+    Each gap decays the history by more than ``_MAX_SPAN_EXPONENT``, so every
+    gap ends a chunk and the state has to carry across it.
+    """
+    nodes = int(rng.integers(1, 5))
+    types = int(rng.integers(1, 4))
+    # decay*dt >= 0.25 keeps gaps under ~2,500 bins: the reference multiplies
+    # by r once per bin, so its own rounding drift grows with the gap length
+    rate = float(np.exp(rng.uniform(math.log(0.25), math.log(20.0))))
+    occupancy = 10 ** rng.uniform(-2.0, 0.0)
+    records = []
+    start = 0
+    for _ in range(int(rng.integers(1, 4))):
+        run = int(rng.integers(1, 400))
+        occupied = np.flatnonzero(rng.random(run) < occupancy)
+        if occupied.size == 0:
+            occupied = rng.integers(run, size=1)
+        for b in start + occupied:
+            for _ in range(int(rng.integers(1, nodes * types + 1))):
+                records.append(
+                    EventRecord(int(rng.integers(nodes)), int(rng.integers(types)), b + 0.5)
+                )
+        gap = features._MAX_SPAN_EXPONENT * rng.uniform(1.0, 1.2) / rate
+        start += run + math.ceil(gap)
+    ds = discretize(records, 1.0, float(start), node_count=nodes, type_count=types)
+    return ds, ExponentialKernel(rate)
+
+
+@settings(max_examples=25)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_build_matches_blockwise_oracle(seed):
+    rng = RNG(seed)
+    ds, kernel = _gapped_dataset(rng)
+    hops = int(rng.integers(0, 3))
+    topo = build_topology(
+        ds.node_count, random_symmetric_edges(rng, ds.node_count), max_hops=hops
+    )
+    ref = oracle_blockwise_features(ds, topo, kernel, hops)
+    # the default chunk budget, then chunks of about three cells each
+    for elements in (features._CHUNK_ELEMENTS, 3 * ds.type_count * ds.node_count):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "_CHUNK_ELEMENTS", elements)
+            cache = build_features(ds, topo, kernel, hops)
+        np.testing.assert_array_equal(cache.cell_bins, ref.cell_bins)
+        np.testing.assert_array_equal(cache.cell_nodes, ref.cell_nodes)
+        # values deep in the gaps leave the normal range; below 1e-300 only
+        # the two routes' underflow differs
+        np.testing.assert_allclose(cache.values, ref.values, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(cache.totals, ref.totals, rtol=1e-12)
+
+
+@pytest.mark.parametrize("decay", [1e-6, 50.0])
+def test_long_horizon_is_numerically_safe(decay):
+    # 1e7 bins: r = exp(-decay) is within 1e-6 of 1, or r^j underflows to 0
+    bins = 10_000_000
+    rng = RNG(17)
     topo = build_topology(3, [(0, 1), (1, 2)], max_hops=2)
-    kernel = ExponentialKernel(0.3)
-    whole = build_features(ds, topo, kernel, 2)
-    for block in (1, 3, 7, 64):
-        split = build_features(ds, topo, kernel, 2, block_bins=block)
-        np.testing.assert_array_equal(split.values, whole.values)
-        # totals accumulate in a block-dependent order; only summation
-        # rounding may differ
-        np.testing.assert_allclose(split.totals, whole.totals, rtol=1e-13)
+    event_bins = np.sort(rng.integers(0, bins, size=5000))
+    event_nodes = rng.integers(0, 3, size=5000)
+    event_types = rng.integers(0, 2, size=5000)
+    records = [
+        EventRecord(int(n), int(v), b + 0.5)
+        for n, v, b in zip(event_nodes, event_types, event_bins)
+    ]
+    ds = discretize(records, 1.0, float(bins), node_count=3, type_count=2)
+    started = time.perf_counter()
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        cache = build_features(ds, topo, ExponentialKernel(decay), 2)
+    elapsed = time.perf_counter() - started
+    assert np.isfinite(cache.values).all()
+    assert np.isfinite(cache.totals).all()
+
+    # closed-form geometric tail of each event over the rest of the horizon
+    r = math.exp(-decay)
+    tail = [
+        r * math.expm1(-decay * (bins - 1 - b)) / math.expm1(-decay) for b in event_bins
+    ]
+    summary = np.zeros((2, 3))
+    for v in range(2):
+        for n in range(3):
+            mine = (event_types == v) & (event_nodes == n)
+            summary[v, n] = math.fsum(t for t, m in zip(tail, mine) if m)
+    expected = summary @ topo.powers.sum(axis=2).T
+    np.testing.assert_allclose(cache.totals, expected, rtol=1e-10)
+
+    # hop 0 is the node's own decayed history, summed directly
+    for i in rng.choice(cache.cell_count, size=20, replace=False):
+        node, t = int(cache.cell_nodes[i]), int(cache.cell_bins[i])
+        for v in range(2):
+            before = (event_types == v) & (event_nodes == node) & (event_bins < t)
+            direct = math.fsum(math.exp(-decay * (t - b)) for b in event_bins[before])
+            assert cache.values[v, 0, i] == pytest.approx(direct, rel=1e-10, abs=1e-300)
+    assert elapsed < 10.0
 
 
 def test_truncated_cache_equals_fresh_build():
