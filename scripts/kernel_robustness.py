@@ -60,8 +60,8 @@ def run_family(family: str, args):
             type_count=config.type_count,
         )
         cache = build_features(dataset, data.topology, fit_kernel, config.max_hops)
-        full = hill_climb(cache, dataset, em_config=EmConfig(), seed=seed)
-        flat = hill_climb(cache.truncated(0), dataset, em_config=EmConfig(), seed=seed)
+        full = hill_climb(cache, em_config=EmConfig(), seed=seed)
+        flat = hill_climb(cache.truncated(0), em_config=EmConfig(), seed=seed)
         scores.append(structure_metrics(full.graph, data.causal_graph).f1)
         flat_scores.append(structure_metrics(flat.graph, data.causal_graph).f1)
     return scores, flat_scores

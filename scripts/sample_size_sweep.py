@@ -47,7 +47,7 @@ def run_one(size: int, seed: int, args) -> float:
         type_count=config.type_count,
     )
     cache = build_features(dataset, data.topology, config.kernel, config.max_hops)
-    result = hill_climb(cache, dataset, em_config=EmConfig(), seed=seed)
+    result = hill_climb(cache, em_config=EmConfig(), seed=seed)
     return structure_metrics(result.graph, data.causal_graph).f1
 
 

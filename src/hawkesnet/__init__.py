@@ -35,7 +35,7 @@ from .likelihood import (
     log_likelihood,
     per_type_log_likelihood,
 )
-from .em import EmConfig, FitResult, Responsibilities, TypeFit, e_step, fit, fit_type, m_step
+from .em import EmConfig, FitResult, TypeFit, fit, fit_type
 from .metrics import StructureReport, alpha_mae, structure_metrics
 from .search import SearchResult, hill_climb, score_candidate, vicinity
 from .simulate import (
@@ -65,7 +65,6 @@ __all__ = [
     "GaussianKernel",
     "HawkesNetError",
     "InvalidInputError",
-    "Responsibilities",
     "SearchResult",
     "SimConfig",
     "SimulationExplosionError",
@@ -84,7 +83,6 @@ __all__ = [
     "build_topology",
     "discretize",
     "draw_params",
-    "e_step",
     "evaluate",
     "fit",
     "fit_type",
@@ -92,7 +90,6 @@ __all__ = [
     "hill_climb",
     "intensity",
     "log_likelihood",
-    "m_step",
     "normalized_adjacency",
     "per_type_log_likelihood",
     "random_causal_graph",

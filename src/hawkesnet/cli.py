@@ -9,6 +9,7 @@ models, 4 for I/O failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -159,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="restrict the search to acyclic graphs",
     )
-    learn.add_argument("--threads", type=int, help="parallel refits per round")
     learn.add_argument("--trace", metavar="PATH", help="write a JSONL search trace")
 
     ev = sub.add_parser("evaluate", help="compare a learned graph to a truth graph")
@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--nodes", type=int, help="node count")
     bench.add_argument("--types", type=int, help="event type count")
     bench.add_argument("--target-events", type=int, help="events per dataset")
-    bench.add_argument("--threads", type=int, help="parallel refits per round")
     return parser
 
 
@@ -261,7 +260,6 @@ def cmd_learn(args) -> int:
     delta = float(_pick(args.delta, section, "delta", DEFAULT_DELTA))
     bin_width = float(_pick(args.dt, section, "dt", DEFAULT_BIN_WIDTH))
     allow_cycles = bool(_pick(args.allow_cycles, section, "allow_cycles", True))
-    threads = int(_pick(args.threads, section, "threads", 1))
     k_sweep = bool(_pick(args.k_sweep, section, "k_sweep", False))
     horizon_end = _pick(args.horizon_end, section, "horizon_end", None)
     node_count = _pick(args.nodes, section, "nodes", None)
@@ -312,11 +310,9 @@ def cmd_learn(args) -> int:
     for hops in hop_orders:
         result = hill_climb(
             cache.truncated(hops),
-            dataset,
             em_config=em_config,
             seed=seed,
             allow_cycles=allow_cycles,
-            threads=threads,
             progress=lambda line: print(line, file=sys.stderr),
             trace_path=args.trace if hops == hop_orders[-1] else None,
         )
@@ -335,11 +331,7 @@ def cmd_learn(args) -> int:
         "no_topology": no_topology,
         "node_count": dataset.node_count,
         "type_count": dataset.type_count,
-        "em": {
-            "max_iterations": em_config.max_iterations,
-            "rel_tolerance": em_config.rel_tolerance,
-            "restarts": em_config.restarts,
-        },
+        "em": dataclasses.asdict(em_config),
     }
     save_graph_json(
         os.path.join(out, "learned_graph.json"),
@@ -368,6 +360,10 @@ def cmd_learn(args) -> int:
         },
     )
     print(f"search took {elapsed:.2f}s", file=sys.stderr)
+    unconverged = ", ".join(str(f.event_type) for f in best.type_fits if not f.converged)
+    if unconverged:
+        print(f"warning: EM did not converge within {em_config.max_iterations} "
+              f"iterations for types {unconverged}", file=sys.stderr)
     print(
         f"learned {best.graph.edge_count} edges in {best.rounds} rounds, "
         f"score {best.score:.6f} -> {out}"
@@ -428,10 +424,9 @@ def cmd_benchmark(args) -> int:
     runs = int(_pick(args.runs, section, "runs", 5))
     if runs < 1:
         raise InvalidInputError("--runs must be >= 1")
-    threads = int(_pick(args.threads, section, "threads", 1))
     em_config = _em_config(section)
     base = _sim_config(args, {k: v for k, v in section.items() if k not in
-                              ("runs", "threads", "em", "seed")})
+                              ("runs", "em", "seed")})
     base_seed = int(_pick(args.seed, section, "seed", 0))
     delta = (
         base.kernel.decay
@@ -454,13 +449,7 @@ def cmd_benchmark(args) -> int:
         kernel = ExponentialKernel(delta)
         cache = build_features(dataset, data.topology, kernel, config.max_hops)
         for label, hops in (("full", config.max_hops), ("no_topology", 0)):
-            result = hill_climb(
-                cache.truncated(hops),
-                dataset,
-                em_config=em_config,
-                seed=seed,
-                threads=threads,
-            )
+            result = hill_climb(cache.truncated(hops), em_config=em_config, seed=seed)
             report = structure_metrics(result.graph, data.causal_graph)
             mae = (
                 alpha_mae(result.params, data.params)

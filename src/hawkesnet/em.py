@@ -2,15 +2,16 @@
 
 Each event at an occupied cell is softly attributed to its possible origins:
 the background rate of its own type, or an (edge, hop) excitation channel.
-The E-step computes those responsibilities; the M-step turns the weighted
-counts into closed-form updates:
+Summed over cells, those responsibilities give closed-form updates:
 
     mu_v    <- sum_cells q_bg * X / (node_count * bin_count * dt)
     alpha_e <- sum_cells q_e  * X / (totals_e * dt)
 
-Because the responsibilities of all source events of a given (cause type,
-hop) channel enter only through their sum, the per-source attribution is
-never materialized; the aggregated weight is ``alpha * feature / lam``.
+The responsibilities are never materialized: ``q_bg = mu / lam`` and
+``q_e = alpha_e * feature_e / lam``, so both sums need only ``X / lam`` at
+the occupied cells. One iteration (``_em_iteration``) scores the current point
+with the shared per-type likelihood of :mod:`hawkesnet.likelihood` and
+returns the update; ``fit_type`` runs it to convergence.
 
 Event types are coupled only through shared features, never through shared
 parameters, so each type is fitted independently; a joint trajectory is the
@@ -25,18 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateModelError, InvalidInputError
-from .events import DiscreteDataset
 from .features import FeatureCache
-from .likelihood import CausalGraph, ThpParams, _check_dims
+from .likelihood import CausalGraph, ThpParams, TypeData, type_data, type_log_likelihood
 
 __all__ = [
     "EmConfig",
     "TypeFit",
     "FitResult",
-    "Responsibilities",
     "type_seed",
-    "e_step",
-    "m_step",
     "fit_type",
     "fit",
 ]
@@ -89,22 +86,6 @@ class FitResult:
     type_fits: tuple
 
 
-@dataclass(frozen=True)
-class Responsibilities:
-    """E-step soft attributions at every occupied cell.
-
-    ``background[v][i]`` is the probability the i-th occupied cell's events
-    of type ``v`` came from the background; ``excitation[v][i, j, k]`` the
-    aggregated weight of parent ``parents[v][j]`` at hop ``k``. For every
-    cell the background weight plus the excitation weights sum to 1.
-    """
-
-    graph: CausalGraph
-    background: tuple
-    excitation: tuple
-    parents: tuple
-
-
 def type_seed(seed: int, event_type: int, parents) -> np.random.SeedSequence:
     """Deterministic per-(type, parent-set) seed.
 
@@ -118,74 +99,31 @@ def type_seed(seed: int, event_type: int, parents) -> np.random.SeedSequence:
     )
 
 
-def e_step(
-    params: ThpParams,
-    graph: CausalGraph,
-    cache: FeatureCache,
-    dataset: DiscreteDataset,
-) -> Responsibilities:
-    """Compute responsibilities under the current parameters.
+def _em_iteration(mu, alpha: np.ndarray, data: TypeData) -> tuple[float, float, np.ndarray]:
+    """One EM iteration of one type: ``(log_lik of (mu, alpha), mu', alpha')``.
 
-    Raises :class:`DegenerateModelError` if any occupied cell has zero
-    intensity.
+    Raises :class:`DegenerateModelError` if an occupied cell has zero
+    intensity. Channels whose feature totals vanish keep ``alpha = 0``.
     """
-    _check_dims(params, graph, cache)
-    background = []
-    excitation = []
-    parent_lists = []
-    for v in range(graph.type_count):
-        parents = graph.parents(v)
-        feats, counts = cache.features_for(v, parents)
-        alpha = np.stack(
-            [params.alpha[(c, v)] for c in parents], axis=0
-        ) if parents else np.zeros((0, cache.max_hops + 1))
-        lam = params.mu[v] + np.einsum("ipk,pk->i", feats, alpha)
-        if np.any(lam[counts > 0] <= 0.0):
-            raise DegenerateModelError(
-                f"zero intensity at an occupied cell of type {v}"
-            )
-        safe = np.where(lam > 0, lam, 1.0)
-        background.append(np.where(lam > 0, params.mu[v] / safe, 0.0))
-        excitation.append(alpha[None, :, :] * feats / safe[:, None, None])
-        parent_lists.append(parents)
-    return Responsibilities(
-        graph=graph,
-        background=tuple(background),
-        excitation=tuple(excitation),
-        parents=tuple(parent_lists),
+    lam, log_lik = type_log_likelihood(mu, alpha, data)
+    if log_lik == float("-inf"):
+        raise DegenerateModelError(
+            f"zero intensity at an occupied cell of type {data.event_type}"
+        )
+    ratio = data.counts / lam
+    dt = data.bin_width
+    active = data.totals > 0
+    mu = mu * ratio.sum() / (data.grid_cells * dt)
+    alpha = np.where(
+        active, alpha * (data.flat.T @ ratio) / np.where(active, data.totals * dt, 1.0), 0.0
     )
-
-
-def m_step(
-    resp: Responsibilities,
-    cache: FeatureCache,
-    dataset: DiscreteDataset,
-) -> ThpParams:
-    """Closed-form parameter update from responsibilities."""
-    graph = resp.graph
-    dt = cache.bin_width
-    cells_total = cache.node_count * cache.bin_count
-    mu = np.zeros(graph.type_count)
-    alpha: dict = {}
-    for v in range(graph.type_count):
-        counts = cache.type_counts[v]
-        mu[v] = (resp.background[v] * counts).sum() / (cells_total * dt)
-        parents = resp.parents[v]
-        if not parents:
-            continue
-        weighted = np.einsum("ipk,i->pk", resp.excitation[v], counts)
-        denom = cache.totals_for(parents) * dt  # (P, K+1)
-        updated = np.where(denom > 0, weighted / np.where(denom > 0, denom, 1.0), 0.0)
-        for j, c in enumerate(parents):
-            alpha[(c, v)] = updated[j]
-    return ThpParams(mu=mu, alpha=alpha, max_hops=cache.max_hops)
+    return log_lik, mu, alpha
 
 
 def fit_type(
     event_type: int,
     parents,
     cache: FeatureCache,
-    dataset: DiscreteDataset,
     config: EmConfig = EmConfig(),
     seed=0,
 ) -> TypeFit:
@@ -195,15 +133,8 @@ def fit_type(
     multiple restarts the best final log-likelihood wins.
     """
     parents = tuple(sorted(int(p) for p in parents))
-    feats, counts = cache.features_for(event_type, parents)
-    n_cells = counts.shape[0]
-    n_dims = feats.shape[1] * feats.shape[2]
-    flat = feats.reshape(n_cells, n_dims)
-    tot = cache.totals_for(parents).reshape(-1)
-    dt = cache.bin_width
-    cells_total = cache.node_count * cache.bin_count
-
-    if n_cells == 0:
+    data = type_data(cache, event_type, parents)
+    if data.counts.shape[0] == 0:
         # no events of this type: rates collapse to zero, contribution 0
         return TypeFit(
             event_type=event_type,
@@ -216,50 +147,31 @@ def fit_type(
             converged=True,
         )
 
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(int(seed))
-    empirical_rate = counts.sum() / (cells_total * dt)
-    alpha_active = tot > 0
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    empirical_rate = data.counts.sum() / (data.grid_cells * data.bin_width)
 
     best: tuple | None = None
     for child in root.spawn(config.restarts):
         rng = np.random.default_rng(child)
         mu = rng.uniform(*_MU_INIT_RANGE) * empirical_rate
-        alpha = rng.uniform(*_ALPHA_INIT_RANGE, size=n_dims)
-        alpha[~alpha_active] = 0.0
+        alpha = rng.uniform(*_ALPHA_INIT_RANGE, size=data.totals.shape[0])
+        alpha[data.totals <= 0] = 0.0
 
         trajectory = []
-        converged = False
-        prev = None
         for _ in range(config.max_iterations):
-            lam = mu + flat @ alpha
-            if np.any(lam <= 0.0):
-                raise DegenerateModelError(
-                    f"zero intensity at an occupied cell of type {event_type}"
-                )
-            current = counts @ np.log(lam) - dt * (mu * cells_total + alpha @ tot)
-            trajectory.append(float(current))
-            if prev is not None and abs(current - prev) <= config.rel_tolerance * (
-                abs(prev) + 1.0
-            ):
-                converged = True
-                break
-            prev = current
-            ratio = counts / lam
-            mu = mu * ratio.sum() / (cells_total * dt)
-            alpha = np.where(
-                alpha_active, alpha * (flat.T @ ratio) / np.where(alpha_active, tot * dt, 1.0), 0.0
+            current, next_mu, next_alpha = _em_iteration(mu, alpha, data)
+            converged = bool(trajectory) and abs(current - trajectory[-1]) <= (
+                config.rel_tolerance * (abs(trajectory[-1]) + 1.0)
             )
+            trajectory.append(current)
+            if converged:
+                break
+            mu, alpha = next_mu, next_alpha
         else:
             # ran out of iterations after an update: score the final point
-            lam = mu + flat @ alpha
-            current = counts @ np.log(lam) - dt * (mu * cells_total + alpha @ tot)
-            trajectory.append(float(current))
-        candidate = (float(current), mu, alpha, trajectory, converged)
-        if best is None or candidate[0] > best[0]:
-            best = candidate
+            trajectory.append(type_log_likelihood(mu, alpha, data)[1])
+        if best is None or trajectory[-1] > best[0]:
+            best = (trajectory[-1], mu, alpha, trajectory, converged)
 
     final_ll, mu, alpha, trajectory, converged = best
     return TypeFit(
@@ -288,7 +200,6 @@ def assemble_params(type_fits, max_hops: int) -> ThpParams:
 def fit(
     graph: CausalGraph,
     cache: FeatureCache,
-    dataset: DiscreteDataset,
     config: EmConfig = EmConfig(),
     seed: int = 0,
 ) -> FitResult:
@@ -302,27 +213,19 @@ def fit(
             f"graph covers {graph.type_count} types, cache {cache.type_count}"
         )
     fits = [
-        fit_type(
-            v,
-            graph.parents(v),
-            cache,
-            dataset,
-            config,
-            type_seed(seed, v, graph.parents(v)),
-        )
+        fit_type(v, graph.parents(v), cache, config, type_seed(seed, v, graph.parents(v)))
         for v in range(graph.type_count)
     ]
-    length = max(f.iterations if f.iterations > 0 else 1 for f in fits)
-    joint = np.zeros(length)
+    joint = np.zeros(max(len(f.trajectory) for f in fits))
     for f in fits:
-        traj = np.asarray(f.trajectory if f.trajectory else (0.0,))
+        traj = np.asarray(f.trajectory)
         joint[: traj.shape[0]] += traj
         joint[traj.shape[0] :] += traj[-1]
     return FitResult(
         params=assemble_params(fits, cache.max_hops),
         log_lik=float(sum(f.log_lik for f in fits)),
         trajectory=tuple(float(x) for x in joint),
-        iterations=length,
+        iterations=joint.shape[0],
         converged=all(f.converged for f in fits),
         type_fits=tuple(fits),
     )

@@ -24,7 +24,8 @@ an impossible candidate as an ordinary worst-scoring one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,11 +37,15 @@ __all__ = [
     "CausalGraph",
     "ThpParams",
     "intensity",
+    "TypeData",
+    "type_data",
+    "type_log_likelihood",
     "intensities_for_type",
     "per_type_log_likelihood",
     "log_likelihood",
     "analytic_gradient",
     "bic_penalty",
+    "edge_count_penalty",
     "bic_score",
 ]
 
@@ -194,6 +199,59 @@ def _alpha_vector(params: ThpParams, event_type: int, parents) -> np.ndarray:
     return np.concatenate([params.alpha[(c, event_type)] for c in parents])
 
 
+class TypeData(NamedTuple):
+    """What one type's likelihood share needs from the feature cache.
+
+    ``flat[i]`` holds the features of the i-th occupied cell of the type,
+    ``(parent, hop)`` flattened; ``counts`` the events there; ``totals`` the
+    grid-wide feature sums in the same order; ``grid_cells`` is
+    ``node_count * bin_count``.
+    """
+
+    event_type: int
+    flat: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+    bin_width: float
+    grid_cells: int
+
+
+def type_data(cache: FeatureCache, event_type: int, parents) -> TypeData:
+    """The :class:`TypeData` of ``event_type`` with the given cause types."""
+    feats, counts = cache.features_for(event_type, parents)
+    return TypeData(
+        event_type=event_type,
+        flat=feats.reshape(feats.shape[0], feats.shape[1] * feats.shape[2]),
+        counts=counts,
+        totals=cache.totals_for(parents).reshape(-1),
+        bin_width=cache.bin_width,
+        grid_cells=cache.node_count * cache.bin_count,
+    )
+
+
+def type_log_likelihood(mu, alpha: np.ndarray, data: TypeData) -> tuple[np.ndarray, float]:
+    """Intensity at the type's occupied cells and its log-likelihood share.
+
+    The share is ``counts @ log(lam) - dt * (mu * grid_cells + alpha @
+    totals)``, or ``-inf`` if ``lam <= 0`` at some cell. Every cell holds
+    events of the type, so no cell is masked out.
+    """
+    lam = mu + data.flat @ alpha
+    if np.any(lam <= 0.0):
+        return lam, float("-inf")
+    integral = data.bin_width * (mu * data.grid_cells + alpha @ data.totals)
+    return lam, float(data.counts @ np.log(lam) - integral)
+
+
+def _type_share(params: ThpParams, graph: CausalGraph, cache: FeatureCache, event_type: int):
+    """``(data, lam, share)`` of one type under ``params``."""
+    _check_dims(params, graph, cache)
+    parents = graph.parents(event_type)
+    data = type_data(cache, event_type, parents)
+    alpha = _alpha_vector(params, event_type, parents)
+    return (data, *type_log_likelihood(params.mu[event_type], alpha, data))
+
+
 def intensities_for_type(
     params: ThpParams, graph: CausalGraph, cache: FeatureCache, event_type: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -201,13 +259,9 @@ def intensities_for_type(
 
     Returns ``(lam, counts)`` aligned with the cache's per-type cell list.
     """
-    _check_dims(params, graph, cache)
-    parents = graph.parents(event_type)
-    feats, counts = cache.features_for(event_type, parents)
-    alpha = _alpha_vector(params, event_type, parents)
-    flat = feats.reshape(feats.shape[0], feats.shape[1] * feats.shape[2])
-    lam = params.mu[event_type] + flat @ alpha
-    return lam, counts
+    data, lam, _ = _type_share(params, graph, cache, event_type)
+    return lam, data.counts
+
 
 def intensity(
     params: ThpParams,
@@ -235,17 +289,7 @@ def per_type_log_likelihood(
     event_type: int,
 ) -> float:
     """This type's additive share of the log-likelihood (``-inf`` allowed)."""
-    parents = graph.parents(event_type)
-    lam, counts = intensities_for_type(params, graph, cache, event_type)
-    alpha = _alpha_vector(params, event_type, parents)
-    tot = cache.totals_for(parents).reshape(-1)
-    dt = cache.bin_width
-    cells_total = cache.node_count * cache.bin_count
-    integral = dt * (params.mu[event_type] * cells_total + alpha @ tot)
-    if np.any(lam[counts > 0] <= 0.0):
-        return float("-inf")
-    occupied = counts > 0
-    return float(counts[occupied] @ np.log(lam[occupied]) - integral)
+    return _type_share(params, graph, cache, event_type)[2]
 
 
 def log_likelihood(
@@ -279,28 +323,18 @@ def analytic_gradient(
     ``params.alpha``. Requires strictly positive intensity at every occupied
     cell.
     """
-    _check_dims(params, graph, cache)
-    dt = cache.bin_width
-    cells_total = cache.node_count * cache.bin_count
     grad_mu = np.zeros(params.type_count)
     grad_alpha = {edge: np.zeros(params.max_hops + 1) for edge in params.alpha}
     for v in range(params.type_count):
+        data, lam, share = _type_share(params, graph, cache, v)
+        if share == float("-inf"):
+            raise DegenerateModelError(f"zero intensity at an occupied cell of type {v}")
+        ratio = data.counts / lam
+        grad_mu[v] = ratio.sum() - data.bin_width * data.grid_cells
         parents = graph.parents(v)
-        feats, counts = cache.features_for(v, parents)
-        alpha = _alpha_vector(params, v, parents)
-        flat = feats.reshape(feats.shape[0], feats.shape[1] * feats.shape[2])
-        lam = params.mu[v] + flat @ alpha
-        if np.any(lam[counts > 0] <= 0.0):
-            raise DegenerateModelError(
-                f"zero intensity at an occupied cell of type {v}"
-            )
-        ratio = np.where(counts > 0, counts / np.where(lam > 0, lam, 1.0), 0.0)
-        grad_mu[v] = -dt * cells_total + ratio.sum()
-        if parents:
-            tot = cache.totals_for(parents)  # (P, K+1)
-            weighted = np.einsum("i,ipk->pk", ratio, feats)
-            for j, c in enumerate(parents):
-                grad_alpha[(c, v)] = weighted[j] - dt * tot[j]
+        weighted = data.flat.T @ ratio - data.bin_width * data.totals
+        for parent, row in zip(parents, weighted.reshape(len(parents), params.max_hops + 1)):
+            grad_alpha[(parent, v)] = row
     return grad_mu, grad_alpha
 
 
@@ -320,12 +354,19 @@ def bic_penalty(
     At ``max_hops = 0`` the default makes the penalty edge-independent.
     ``total_events = 0`` yields penalty 0.
     """
+    per_edge = max_hops if alpha_per_edge is None else alpha_per_edge
+    return edge_count_penalty(graph.type_count, graph.edge_count, per_edge, total_events)
+
+
+def edge_count_penalty(
+    type_count: int, edge_count: int, per_edge: int, total_events: int
+) -> float:
+    """``bic_penalty`` from the counts alone, for search code that keeps no graph."""
     if total_events < 0:
         raise InvalidInputError("total_events must be >= 0")
     if total_events == 0:
         return 0.0
-    per_edge = max_hops if alpha_per_edge is None else alpha_per_edge
-    p = graph.type_count + per_edge * graph.edge_count
+    p = type_count + per_edge * edge_count
     return p * math.log(total_events) / 2.0
 
 

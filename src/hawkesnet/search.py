@@ -4,8 +4,11 @@ The penalized score decomposes over event types (each type's likelihood
 share depends only on its own parent set, and the penalty is linear in the
 edge count), so a move's score needs refits only for the types whose parent
 sets changed: one type for an edge addition or deletion, two for a reversal.
-Fits are memoized by (type, parent set); with deterministic per-(type,
-parent-set) EM seeds a cache hit is bit-identical to a fresh refit.
+The search state keeps the current graph as per-type parent tuples and
+fits; a move is scored from ``Move.changed_types`` alone, without building
+the candidate graph. Fits are memoized by (type, parent set); with
+deterministic per-(type, parent-set) EM seeds a cache hit is bit-identical
+to a fresh refit.
 
 The search starts from the empty graph and repeatedly applies the best
 strictly improving single move (add / delete / reverse); ties go to the
@@ -16,14 +19,13 @@ strictly improves the score.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .em import EmConfig, TypeFit, assemble_params, fit_type, type_seed
 from .errors import InvalidInputError
-from .events import DiscreteDataset
 from .features import FeatureCache
-from .likelihood import CausalGraph, ThpParams, bic_penalty
+from .likelihood import CausalGraph, ThpParams, edge_count_penalty
 
 __all__ = [
     "Move",
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 _KIND_ORDER = {"add": 0, "delete": 1, "reverse": 2}
+_EDGE_DELTA = {"add": 1, "delete": -1, "reverse": 0}
 
 
 @dataclass(frozen=True)
@@ -103,47 +106,74 @@ def vicinity(graph: CausalGraph, allow_cycles: bool = True) -> list[CausalGraph]
     return [apply_move(graph, m) for m in vicinity_moves(graph, allow_cycles)]
 
 
+def _parents_after(parents: list, move: Move, event_type: int) -> tuple[int, ...]:
+    """Sorted parents of a type the move changes, after the move."""
+    src, dst = move.edge
+    after = set(parents[event_type])
+    if move.kind == "add":
+        after.add(src)
+    elif move.kind == "delete" or event_type == dst:
+        after.discard(src)  # a reversal takes src from dst's parents ...
+    else:
+        after.add(dst)  # ... and gives dst to src's
+    return tuple(sorted(after))
+
+
 @dataclass
 class SearchState:
-    """Current graph, its per-type fits, and the fit memo shared by rounds."""
+    """The current graph as per-type parent tuples and fits, plus the fit memo.
 
-    graph: CausalGraph
-    score: float
-    fits: dict
-    memo: dict
+    ``fits[v]`` is the memoized fit of type ``v`` with parents ``parents[v]``.
+    """
+
     em_config: EmConfig
     seed: int
-    max_hops: int
+    parents: list
+    fits: list
+    edge_count: int = 0
+    memo: dict = field(default_factory=dict)
 
-    def fit_for(
-        self, event_type: int, parents, cache: FeatureCache, dataset: DiscreteDataset
-    ) -> TypeFit:
+    @classmethod
+    def empty(cls, cache: FeatureCache, em_config: EmConfig, seed: int) -> "SearchState":
+        """The state at the empty graph, every type fitted without parents."""
+        state = cls(em_config, seed, parents=[()] * cache.type_count, fits=[])
+        state.fits = [state.fit_for(v, (), cache) for v in range(cache.type_count)]
+        return state
+
+    def fit_for(self, event_type: int, parents, cache: FeatureCache) -> TypeFit:
         key = (event_type, tuple(parents))
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = fit_type(
-                event_type,
-                parents,
-                cache,
-                dataset,
-                self.em_config,
-                type_seed(self.seed, event_type, parents),
-            )
-            self.memo[key] = hit
-        return hit
+        if key not in self.memo:
+            seed = type_seed(self.seed, event_type, parents)
+            self.memo[key] = fit_type(event_type, parents, cache, self.em_config, seed)
+        return self.memo[key]
+
+    def apply(self, move: Move, cache: FeatureCache) -> None:
+        """Make the graph after ``move`` current (its fits are memo hits)."""
+        for v in move.changed_types():
+            self.parents[v] = _parents_after(self.parents, move, v)
+            self.fits[v] = self.fit_for(v, self.parents[v], cache)
+        self.edge_count += _EDGE_DELTA[move.kind]
 
 
-def score_candidate(
-    candidate: CausalGraph,
-    state: SearchState,
-    cache: FeatureCache,
-    dataset: DiscreteDataset,
-) -> float:
-    """Penalized score of a candidate graph, reusing memoized type fits."""
+def score_candidate(move: Move | None, state: SearchState, cache: FeatureCache) -> float:
+    """Penalized score of the current graph after ``move`` (``None``: as is).
+
+    Only the types the move changes get new shares, from the memo or a
+    refit. The shares are summed in type order, so the score is the same
+    float a full rescore of the candidate graph gives.
+    """
+    shares = [f.log_lik for f in state.fits]
+    edge_count = state.edge_count
+    if move is not None:
+        for v in move.changed_types():
+            shares[v] = state.fit_for(v, _parents_after(state.parents, move, v), cache).log_lik
+        edge_count += _EDGE_DELTA[move.kind]
     total = 0.0
-    for v in range(candidate.type_count):
-        total += state.fit_for(v, candidate.parents(v), cache, dataset).log_lik
-    return total - bic_penalty(candidate, state.max_hops, cache.total_events)
+    for share in shares:
+        total += share
+    return total - edge_count_penalty(
+        len(shares), edge_count, cache.max_hops, cache.total_events
+    )
 
 
 @dataclass(frozen=True)
@@ -160,116 +190,54 @@ class SearchResult:
 
 def hill_climb(
     cache: FeatureCache,
-    dataset: DiscreteDataset,
     *,
     em_config: EmConfig = EmConfig(),
     seed: int = 0,
     allow_cycles: bool = True,
-    threads: int = 1,
     progress=None,
     trace_path: str | None = None,
 ) -> SearchResult:
     """Greedy single-move ascent from the empty graph.
 
     ``progress`` is an optional callable taking one line of text per round;
-    ``trace_path`` appends one JSON object per round. ``threads`` > 1 scores
-    a round's un-memoized refits concurrently; results are identical to the
-    sequential run because every fit is a pure function of its key.
+    ``trace_path`` appends one JSON object per round.
     """
-    if threads < 1:
-        raise InvalidInputError("threads must be >= 1")
-    n_types = cache.type_count
-    state = SearchState(
-        graph=CausalGraph(n_types),
-        score=0.0,
-        fits={},
-        memo={},
-        em_config=em_config,
-        seed=seed,
-        max_hops=cache.max_hops,
-    )
-    for v in range(n_types):
-        state.fits[v] = state.fit_for(v, (), cache, dataset)
-    state.score = score_candidate(state.graph, state, cache, dataset)
+    state = SearchState.empty(cache, em_config, seed)
+    graph = CausalGraph(cache.type_count)
+    score = score_candidate(None, state, cache)
 
-    trace = open(trace_path, "w", encoding="utf-8") if trace_path else None
-    trajectory = [state.score]
+    trajectory = [score]
     rounds = 0
-    try:
+    with open(trace_path, "w", encoding="utf-8") if trace_path else nullcontext() as trace:
         while True:
-            moves = vicinity_moves(state.graph, allow_cycles)
-            if threads > 1:
-                needed = []
-                seen = set()
-                for move in moves:
-                    for v in move.changed_types():
-                        key = (v, apply_move(state.graph, move).parents(v))
-                        if key not in state.memo and key not in seen:
-                            seen.add(key)
-                            needed.append(key)
-                if needed:
-                    with ThreadPoolExecutor(max_workers=threads) as pool:
-                        fits = pool.map(
-                            lambda key: fit_type(
-                                key[0],
-                                key[1],
-                                cache,
-                                dataset,
-                                em_config,
-                                type_seed(seed, key[0], key[1]),
-                            ),
-                            needed,
-                        )
-                        for key, fitted in zip(needed, fits):
-                            state.memo[key] = fitted
-
             best_move = None
-            best_graph = None
-            best_score = state.score
-            for move in moves:
-                candidate = apply_move(state.graph, move)
-                score = score_candidate(candidate, state, cache, dataset)
-                if score > best_score:  # strict: ties keep the earlier move
-                    best_move, best_graph, best_score = move, candidate, score
+            best_score = score
+            for move in vicinity_moves(graph, allow_cycles):
+                candidate = score_candidate(move, state, cache)
+                if candidate > best_score:  # strict: ties keep the earlier move
+                    best_move, best_score = move, candidate
             if best_move is None:
                 break
             rounds += 1
-            state.graph = best_graph
-            state.score = best_score
-            for v in best_move.changed_types():
-                state.fits[v] = state.fit_for(
-                    v, best_graph.parents(v), cache, dataset
-                )
-            trajectory.append(best_score)
-            line = (
-                f"round={rounds} move={best_move.describe()} "
-                f"edges={best_graph.edge_count} score={best_score:.6f}"
-            )
+            graph = apply_move(graph, best_move)
+            state.apply(best_move, cache)
+            score = best_score
+            trajectory.append(score)
             if progress is not None:
-                progress(line)
-            if trace is not None:
-                trace.write(
-                    json.dumps(
-                        {
-                            "round": rounds,
-                            "move": best_move.kind,
-                            "edge": list(best_move.edge),
-                            "edges": best_graph.edge_count,
-                            "score": best_score,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
+                progress(
+                    f"round={rounds} move={best_move.describe()} "
+                    f"edges={graph.edge_count} score={score:.6f}"
                 )
-    finally:
-        if trace is not None:
-            trace.close()
+            if trace is not None:
+                entry = {"round": rounds, "move": best_move.kind, "edge": list(best_move.edge),
+                         "edges": graph.edge_count, "score": score}
+                trace.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    fits = tuple(state.fits[v] for v in range(n_types))
+    fits = tuple(state.fits)
     return SearchResult(
-        graph=state.graph,
+        graph=graph,
         params=assemble_params(fits, cache.max_hops),
-        score=state.score,
+        score=score,
         log_lik=float(sum(f.log_lik for f in fits)),
         rounds=rounds,
         trajectory=tuple(trajectory),

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hawkesnet.em import _em_iteration
 from hawkesnet.events import DiscreteDataset, EventRecord, discretize
 from hawkesnet.features import FeatureCache, build_features
 from hawkesnet.kernels import ExponentialKernel
-from hawkesnet.likelihood import CausalGraph, ThpParams
+from hawkesnet.likelihood import CausalGraph, ThpParams, _alpha_vector, type_data
 from hawkesnet.topology import TopologyGraph, build_topology
 
 
@@ -139,3 +140,26 @@ def random_instance(
         dataset=dataset,
         cache=cache,
     )
+
+
+def em_iteration(
+    params: ThpParams, graph: CausalGraph, cache: FeatureCache
+) -> tuple[ThpParams, np.ndarray]:
+    """One production EM iteration (the one ``fit_type`` loops) from ``params``.
+
+    Returns the updated parameters and, per type, the events the update
+    expects: ``dt * (mu' * node_count * bin_count + alpha' @ totals)``.
+    """
+    mu = np.zeros(graph.type_count)
+    alpha = {}
+    expected = np.zeros(graph.type_count)
+    for v in range(graph.type_count):
+        parents = graph.parents(v)
+        data = type_data(cache, v, parents)
+        _, mu[v], updated = _em_iteration(
+            params.mu[v], _alpha_vector(params, v, parents), data
+        )
+        expected[v] = data.bin_width * (mu[v] * data.grid_cells + updated @ data.totals)
+        for parent, row in zip(parents, updated.reshape(len(parents), cache.max_hops + 1)):
+            alpha[(parent, v)] = row
+    return ThpParams(mu=mu, alpha=alpha, max_hops=cache.max_hops), expected

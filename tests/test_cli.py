@@ -170,6 +170,31 @@ def test_learn_stdout_summary(sim_dir, tmp_path, capsys):
     assert "search took" in captured.err
 
 
+def test_learn_warns_on_unconverged_fits(sim_dir, tmp_path, capsys):
+    outputs = {}
+    for name, em in (("capped", {"max_iterations": 1}), ("default", {})):
+        config = _write_config(tmp_path / f"{name}.json", {"learn": {"em": em}})
+        code = main(
+            [
+                "learn",
+                "--config", config,
+                "--events", str(sim_dir / "events.csv"),
+                "--topology", str(sim_dir / "topology.txt"),
+                "--k", "1",
+                "--delta", "0.2",
+                "--out", str(tmp_path / name),
+            ]
+        )
+        assert code == 0
+        outputs[name] = capsys.readouterr()
+    capped, default = outputs["capped"], outputs["default"]
+    warnings = [line for line in capped.err.splitlines() if line.startswith("warning:")]
+    assert warnings == ["warning: EM did not converge within 1 iterations for types 0, 1"]
+    assert "warning" not in capped.out
+    assert re.fullmatch(r"learned \d+ edges in \d+ rounds, score -?\d+\.\d{6} -> .*", capped.out.strip())
+    assert "warning:" not in default.err
+
+
 def test_learn_byte_determinism(sim_dir, tmp_path):
     outs = []
     for sub in ("one", "two"):
@@ -422,6 +447,10 @@ def test_argparse_rejects_unknown_flags(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+    for command in ("learn", "benchmark"):  # --threads was removed
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--out", "x", "--threads", "2"])
+        assert excinfo.value.code == 2
 
 
 def test_explosive_config_exits_three(tmp_path, capsys):

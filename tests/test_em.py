@@ -1,4 +1,4 @@
-"""EM fitting: responsibilities, closed-form updates, convergence."""
+"""EM fitting: the production iteration, closed-form updates, convergence."""
 
 from __future__ import annotations
 
@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkesnet.em import (
-    EmConfig,
-    assemble_params,
-    e_step,
-    fit,
-    fit_type,
-    m_step,
-    type_seed,
-)
+from hawkesnet.em import EmConfig, assemble_params, fit, fit_type, type_seed
 from hawkesnet.errors import DegenerateModelError, InvalidInputError
 from hawkesnet.events import discretize
 from hawkesnet.features import build_features
@@ -28,7 +20,7 @@ from hawkesnet.likelihood import (
 )
 from hawkesnet.topology import build_topology
 
-from .helpers import dense_to_dataset, random_instance
+from .helpers import dense_to_dataset, em_iteration, random_instance
 from .oracles import oracle_m_step
 
 RNG = np.random.default_rng
@@ -39,11 +31,11 @@ RNG = np.random.default_rng
 def test_responsibilities_sum_to_one(seed):
     rng = RNG(seed)
     inst = random_instance(rng, max_nodes=4, max_types=3, max_bins=15, min_events=3)
-    resp = e_step(inst.params, inst.graph, inst.cache, inst.dataset)
-    for v in range(inst.graph.type_count):
-        total = resp.background[v] + resp.excitation[v].sum(axis=(1, 2))
-        # every occupied cell fully attributes its events
-        np.testing.assert_allclose(total, 1.0, atol=1e-10)
+    _, expected = em_iteration(inst.params, inst.graph, inst.cache)
+    # every event is fully attributed, so summed over cells the update's
+    # expected event count of each type equals its observed count
+    events = [inst.cache.type_counts[v].sum() for v in range(inst.graph.type_count)]
+    np.testing.assert_allclose(expected, events, rtol=1e-10, atol=0.0)
 
 
 def test_e_step_rejects_zero_intensity():
@@ -54,7 +46,7 @@ def test_e_step_rejects_zero_intensity():
     cache = build_features(ds, topo, ExponentialKernel(1.0), 0)
     params = ThpParams(mu=np.array([0.0]), alpha={}, max_hops=0)
     with pytest.raises(DegenerateModelError):
-        e_step(params, CausalGraph(1), cache, ds)
+        em_iteration(params, CausalGraph(1), cache)
 
 
 @settings(max_examples=10)
@@ -62,11 +54,7 @@ def test_e_step_rejects_zero_intensity():
 def test_one_em_step_matches_loop_oracle(seed):
     rng = RNG(seed)
     inst = random_instance(rng, max_nodes=3, max_types=3, max_bins=12, min_events=3)
-    updated = m_step(
-        e_step(inst.params, inst.graph, inst.cache, inst.dataset),
-        inst.cache,
-        inst.dataset,
-    )
+    updated, _ = em_iteration(inst.params, inst.graph, inst.cache)
     want_mu, want_alpha = oracle_m_step(
         inst.dense,
         inst.topology.propagation,
@@ -93,11 +81,7 @@ def test_em_step_never_decreases_likelihood():
         params = inst.params
         before = log_likelihood(params, inst.graph, inst.cache, inst.dataset)
         for _ in range(4):
-            params = m_step(
-                e_step(params, inst.graph, inst.cache, inst.dataset),
-                inst.cache,
-                inst.dataset,
-            )
+            params, _ = em_iteration(params, inst.graph, inst.cache)
             after = log_likelihood(params, inst.graph, inst.cache, inst.dataset)
             assert after >= before - 1e-9 * (1.0 + abs(before))
             before = after
@@ -109,7 +93,7 @@ def test_fit_trajectory_is_nondecreasing():
         inst = random_instance(
             rng, max_nodes=4, max_types=3, max_bins=20, min_events=5
         )
-        result = fit(inst.graph, inst.cache, inst.dataset, EmConfig(), seed=seed)
+        result = fit(inst.graph, inst.cache, EmConfig(), seed=seed)
         traj = np.asarray(result.trajectory)
         assert np.all(np.diff(traj) >= -1e-9 * (1.0 + np.abs(traj[:-1])))
         assert result.log_lik == pytest.approx(traj[-1], rel=1e-12)
@@ -123,15 +107,11 @@ def test_fit_reaches_a_fixed_point():
     rng = RNG(77)
     inst = random_instance(rng, max_nodes=4, max_types=2, max_bins=25, min_events=8)
     config = EmConfig(max_iterations=5000, rel_tolerance=1e-13)
-    result = fit(inst.graph, inst.cache, inst.dataset, config, seed=3)
+    result = fit(inst.graph, inst.cache, config, seed=3)
     assert result.converged
     # one more EM cycle barely moves the parameters
     params = result.params
-    again = m_step(
-        e_step(params, inst.graph, inst.cache, inst.dataset),
-        inst.cache,
-        inst.dataset,
-    )
+    again, _ = em_iteration(params, inst.graph, inst.cache)
     np.testing.assert_allclose(again.mu, params.mu, rtol=1e-4, atol=1e-12)
     for edge in inst.graph.edges:
         np.testing.assert_allclose(
@@ -152,7 +132,7 @@ def test_fit_type_zero_events_short_circuits():
     ds = dense_to_dataset(dense, 1.0)
     topo = build_topology(2, [(0, 1)], max_hops=1)
     cache = build_features(ds, topo, ExponentialKernel(0.5), 1)
-    result = fit_type(1, (0,), cache, ds)
+    result = fit_type(1, (0,), cache)
     assert result.mu == 0.0
     np.testing.assert_array_equal(result.alpha, np.zeros((1, 2)))
     assert result.log_lik == 0.0
@@ -168,7 +148,7 @@ def test_fit_type_dead_channel_alpha_stays_zero():
     ds = dense_to_dataset(dense, 1.0)
     topo = build_topology(2, [(0, 1)], max_hops=1)
     cache = build_features(ds, topo, ExponentialKernel(0.5), 1)
-    result = fit_type(1, (0,), cache, ds, EmConfig(), seed=5)
+    result = fit_type(1, (0,), cache, EmConfig(), seed=5)
     np.testing.assert_array_equal(result.alpha, np.zeros((1, 2)))
     assert result.mu > 0
 
@@ -177,13 +157,13 @@ def test_fit_determinism_and_seed_sensitivity():
     rng = RNG(9)
     inst = random_instance(rng, max_nodes=4, max_types=3, max_bins=20, min_events=6)
     config = EmConfig(max_iterations=40)
-    a = fit(inst.graph, inst.cache, inst.dataset, config, seed=1)
-    b = fit(inst.graph, inst.cache, inst.dataset, config, seed=1)
+    a = fit(inst.graph, inst.cache, config, seed=1)
+    b = fit(inst.graph, inst.cache, config, seed=1)
     np.testing.assert_array_equal(a.params.mu, b.params.mu)
     for edge in inst.graph.edges:
         np.testing.assert_array_equal(a.params.alpha[edge], b.params.alpha[edge])
     assert a.trajectory == b.trajectory
-    c = fit(inst.graph, inst.cache, inst.dataset, config, seed=2)
+    c = fit(inst.graph, inst.cache, config, seed=2)
     # different seed, different initialization; trajectories differ
     assert a.trajectory != c.trajectory
 
@@ -207,13 +187,13 @@ def test_restarts_pick_best_final_likelihood():
     v = 0
     parents = inst.graph.parents(v)
     config_many = EmConfig(max_iterations=3, restarts=6)
-    best = fit_type(v, parents, inst.cache, inst.dataset, config_many, seed=7)
+    best = fit_type(v, parents, inst.cache, config_many, seed=7)
     # every single-restart run is reachable; none may beat the reported best
     root = np.random.SeedSequence(7)
     singles = []
     for child in root.spawn(6):
         single = fit_type(
-            v, parents, inst.cache, inst.dataset,
+            v, parents, inst.cache,
             EmConfig(max_iterations=3, restarts=1), seed=child,
         )
         singles.append(single.log_lik)
@@ -224,7 +204,7 @@ def test_fit_empty_dataset():
     ds = discretize([], 1.0, 10.0, node_count=2, type_count=2)
     topo = build_topology(2, [(0, 1)], max_hops=1)
     cache = build_features(ds, topo, ExponentialKernel(1.0), 1)
-    result = fit(CausalGraph(2, [(0, 1)]), cache, ds)
+    result = fit(CausalGraph(2, [(0, 1)]), cache)
     np.testing.assert_array_equal(result.params.mu, [0.0, 0.0])
     np.testing.assert_array_equal(result.params.alpha[(0, 1)], [0.0, 0.0])
     assert result.log_lik == 0.0
@@ -235,7 +215,7 @@ def test_assemble_params_orders_types():
     rng = RNG(17)
     inst = random_instance(rng, max_nodes=3, max_types=3, max_bins=10, min_events=3)
     fits = [
-        fit_type(v, inst.graph.parents(v), inst.cache, inst.dataset, seed=v)
+        fit_type(v, inst.graph.parents(v), inst.cache, seed=v)
         for v in range(inst.graph.type_count)
     ]
     params = assemble_params(reversed(fits), inst.max_hops)
@@ -256,11 +236,11 @@ def test_config_validation():
 def test_convergence_flag_and_iteration_cap():
     rng = RNG(23)
     inst = random_instance(rng, max_nodes=4, max_types=2, max_bins=20, min_events=6)
-    capped = fit(inst.graph, inst.cache, inst.dataset, EmConfig(max_iterations=2))
+    capped = fit(inst.graph, inst.cache, EmConfig(max_iterations=2))
     assert not capped.converged
     assert capped.iterations <= 3  # 2 scored iterates plus the final rescore
     relaxed = fit(
-        inst.graph, inst.cache, inst.dataset,
+        inst.graph, inst.cache,
         EmConfig(max_iterations=500, rel_tolerance=1e-4),
     )
     assert relaxed.converged

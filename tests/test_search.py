@@ -15,6 +15,7 @@ from hawkesnet.kernels import ExponentialKernel
 from hawkesnet.likelihood import CausalGraph, bic_penalty
 from hawkesnet.search import (
     Move,
+    SearchState,
     apply_move,
     hill_climb,
     score_candidate,
@@ -126,26 +127,47 @@ def _tiny_search_setup(seed=0):
         type_count=config.type_count,
     )
     cache = build_features(ds, data.topology, config.kernel, config.max_hops)
-    return data, ds, cache
+    return data, cache
 
 
 def test_cached_scores_equal_fresh_refits():
-    _, ds, cache = _tiny_search_setup()
+    _, cache = _tiny_search_setup()
     em = EmConfig(max_iterations=30)
-    result = hill_climb(cache, ds, em_config=em, seed=11)
+    result = hill_climb(cache, em_config=em, seed=11)
     # recompute the winning graph's score from scratch, no memo involved
     total = 0.0
     for v in range(result.graph.type_count):
         parents = result.graph.parents(v)
-        fresh = fit_type(v, parents, cache, ds, em, type_seed(11, v, parents))
+        fresh = fit_type(v, parents, cache, em, type_seed(11, v, parents))
         total += fresh.log_lik
     total -= bic_penalty(result.graph, cache.max_hops, cache.total_events)
     assert result.score == total  # bit-identical, not merely close
 
 
+def test_move_scores_equal_full_rescores():
+    # every move kind, self-loops included, scored from the changed types
+    # must give the float a full rescore of the candidate graph gives
+    _, cache = _tiny_search_setup(seed=19)
+    em = EmConfig(max_iterations=20)
+    state = SearchState.empty(cache, em, seed=4)
+    graph = CausalGraph(cache.type_count)
+    for move in (Move("add", (0, 1)), Move("add", (1, 2)), Move("add", (2, 2))):
+        graph = apply_move(graph, move)
+        state.apply(move, cache)
+    moves = vicinity_moves(graph)
+    assert {m.kind for m in moves} == {"add", "delete", "reverse"}
+    for move in moves:
+        candidate = apply_move(graph, move)
+        total = 0.0
+        for v in range(candidate.type_count):
+            total += state.fit_for(v, candidate.parents(v), cache).log_lik
+        total -= bic_penalty(candidate, cache.max_hops, cache.total_events)
+        assert score_candidate(move, state, cache) == total, move
+
+
 def test_hill_climb_trajectory_strictly_improves():
-    _, ds, cache = _tiny_search_setup(seed=3)
-    result = hill_climb(cache, ds, em_config=EmConfig(max_iterations=30), seed=1)
+    _, cache = _tiny_search_setup(seed=3)
+    result = hill_climb(cache, em_config=EmConfig(max_iterations=30), seed=1)
     traj = list(result.trajectory)
     assert len(traj) == result.rounds + 1
     assert all(b > a for a, b in zip(traj, traj[1:]))
@@ -153,10 +175,10 @@ def test_hill_climb_trajectory_strictly_improves():
 
 
 def test_hill_climb_deterministic_across_runs():
-    _, ds, cache = _tiny_search_setup(seed=5)
+    _, cache = _tiny_search_setup(seed=5)
     em = EmConfig(max_iterations=25)
-    a = hill_climb(cache, ds, em_config=em, seed=2)
-    b = hill_climb(cache, ds, em_config=em, seed=2)
+    a = hill_climb(cache, em_config=em, seed=2)
+    b = hill_climb(cache, em_config=em, seed=2)
     assert a.graph.edges == b.graph.edges
     assert a.score == b.score
     assert a.trajectory == b.trajectory
@@ -165,32 +187,20 @@ def test_hill_climb_deterministic_across_runs():
         np.testing.assert_array_equal(a.params.alpha[edge], b.params.alpha[edge])
 
 
-def test_threaded_search_matches_sequential():
-    _, ds, cache = _tiny_search_setup(seed=7)
-    em = EmConfig(max_iterations=25)
-    seq = hill_climb(cache, ds, em_config=em, seed=4, threads=1)
-    par = hill_climb(cache, ds, em_config=em, seed=4, threads=3)
-    assert seq.graph.edges == par.graph.edges
-    assert seq.score == par.score
-    assert seq.trajectory == par.trajectory
-    np.testing.assert_array_equal(seq.params.mu, par.params.mu)
-
-
 def test_dag_mode_yields_acyclic_result():
-    _, ds, cache = _tiny_search_setup(seed=9)
+    _, cache = _tiny_search_setup(seed=9)
     result = hill_climb(
-        cache, ds, em_config=EmConfig(max_iterations=25), seed=0, allow_cycles=False
+        cache, em_config=EmConfig(max_iterations=25), seed=0, allow_cycles=False
     )
     assert not result.graph.has_cycle()
 
 
 def test_progress_and_trace_output(tmp_path):
-    _, ds, cache = _tiny_search_setup(seed=13)
+    _, cache = _tiny_search_setup(seed=13)
     lines = []
     trace_path = tmp_path / "trace.jsonl"
     result = hill_climb(
         cache,
-        ds,
         em_config=EmConfig(max_iterations=25),
         seed=0,
         progress=lines.append,
@@ -207,7 +217,7 @@ def test_progress_and_trace_output(tmp_path):
 
 
 def test_memoization_avoids_repeat_fits(monkeypatch):
-    _, ds, cache = _tiny_search_setup(seed=15)
+    _, cache = _tiny_search_setup(seed=15)
     calls = []
     import hawkesnet.search as search_mod
 
@@ -218,37 +228,61 @@ def test_memoization_avoids_repeat_fits(monkeypatch):
         return original(event_type, parents, *args, **kwargs)
 
     monkeypatch.setattr(search_mod, "fit_type", counting_fit_type)
-    result = hill_climb(cache, ds, em_config=EmConfig(max_iterations=20), seed=3)
+    result = hill_climb(cache, em_config=EmConfig(max_iterations=20), seed=3)
     assert len(calls) == len(set(calls))  # no key is ever fitted twice
     assert result.fit_evaluations == len(calls)
+
+
+@pytest.mark.parametrize("allow_cycles", [True, False])
+def test_score_candidate_called_once_per_legal_move(monkeypatch, tmp_path, allow_cycles):
+    # tracers count candidates by wrapping this module global
+    _, cache = _tiny_search_setup(seed=17)
+    import hawkesnet.search as search_mod
+
+    scored = []
+    original = search_mod.score_candidate
+
+    def counting_score_candidate(move, *args, **kwargs):
+        scored.append(move)
+        return original(move, *args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "score_candidate", counting_score_candidate)
+    trace_path = tmp_path / "trace.jsonl"
+    result = hill_climb(
+        cache,
+        em_config=EmConfig(max_iterations=20),
+        seed=1,
+        allow_cycles=allow_cycles,
+        trace_path=str(trace_path),
+    )
+    entries = [json.loads(s) for s in trace_path.read_text().splitlines()]
+    assert len(entries) == result.rounds >= 1
+    graph = CausalGraph(cache.type_count)
+    expected = [None]  # the starting graph's own score
+    for entry in entries:
+        expected += vicinity_moves(graph, allow_cycles)
+        graph = apply_move(graph, Move(entry["move"], tuple(entry["edge"])))
+    expected += vicinity_moves(graph, allow_cycles)  # the final, non-improving round
+    assert scored == expected
+    assert graph.edges == result.graph.edges
 
 
 def test_score_candidate_consistency():
     rng = RNG(19)
     inst = random_instance(rng, max_nodes=3, max_types=3, max_bins=25, min_events=8)
-    from hawkesnet.search import SearchState
-
-    state = SearchState(
-        graph=CausalGraph(inst.graph.type_count),
-        score=0.0,
-        fits={},
-        memo={},
-        em_config=EmConfig(max_iterations=20),
-        seed=0,
-        max_hops=inst.cache.max_hops,
-    )
+    state = SearchState.empty(inst.cache, EmConfig(max_iterations=20), seed=0)
     empty = CausalGraph(inst.graph.type_count)
-    s1 = score_candidate(empty, state, inst.cache, inst.dataset)
-    s2 = score_candidate(empty, state, inst.cache, inst.dataset)
+    s1 = score_candidate(None, state, inst.cache)
+    s2 = score_candidate(None, state, inst.cache)
     assert s1 == s2
     # adding an edge only changes the target type's share
     candidate = empty.with_edge((0, 0))
-    s3 = score_candidate(candidate, state, inst.cache, inst.dataset)
+    s3 = score_candidate(Move("add", (0, 0)), state, inst.cache)
     fits_before = dict(state.memo)
     assert (0, (0,)) in fits_before
     penalty_delta = bic_penalty(
-        candidate, state.max_hops, inst.cache.total_events
-    ) - bic_penalty(empty, state.max_hops, inst.cache.total_events)
+        candidate, inst.cache.max_hops, inst.cache.total_events
+    ) - bic_penalty(empty, inst.cache.max_hops, inst.cache.total_events)
     share_delta = (
         state.memo[(0, (0,))].log_lik - state.memo[(0, ())].log_lik
     )
@@ -257,7 +291,7 @@ def test_score_candidate_consistency():
 
 def test_exhaustive_search_agreement():
     # small enough to enumerate every directed graph exactly
-    _, ds, cache = _tiny_search_setup(seed=21)
+    _, cache = _tiny_search_setup(seed=21)
     em = EmConfig(max_iterations=40)
     seed = 6
     types = cache.type_count
@@ -268,7 +302,7 @@ def test_exhaustive_search_agreement():
         key = (v, tuple(sorted(parents)))
         if key not in memo:
             memo[key] = fit_type(
-                v, key[1], cache, ds, em, type_seed(seed, v, key[1])
+                v, key[1], cache, em, type_seed(seed, v, key[1])
             ).log_lik
         return memo[key]
 
@@ -281,23 +315,18 @@ def test_exhaustive_search_agreement():
         ) - bic_penalty(g, cache.max_hops, cache.total_events)
         if score > best_score:
             best_score = score
-    result = hill_climb(cache, ds, em_config=em, seed=seed)
+    result = hill_climb(cache, em_config=em, seed=seed)
     assert result.score <= best_score + 1e-9
     # the greedy optimum matches the exhaustive one on this instance
     assert result.score == pytest.approx(best_score, abs=1e-6)
 
 
 def test_recovers_planted_edge():
-    data, ds, cache = _tiny_search_setup(seed=2)
+    data, cache = _tiny_search_setup(seed=2)
     truth = data.causal_graph.edges
-    result = hill_climb(cache, ds, em_config=EmConfig(max_iterations=60), seed=0)
+    result = hill_climb(cache, em_config=EmConfig(max_iterations=60), seed=0)
     # the strongly excited edges should be found at this signal strength
     assert truth <= result.graph.edges or len(truth & result.graph.edges) >= max(
         1, len(truth) - 1
     )
 
-
-def test_threads_validation():
-    _, ds, cache = _tiny_search_setup(seed=23)
-    with pytest.raises(InvalidInputError):
-        hill_climb(cache, ds, threads=0)
