@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from hawkesnet.em import EmConfig
-from hawkesnet.events import discretize
 from hawkesnet.features import build_features
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel, UniformKernel
 from hawkesnet.metrics import structure_metrics
@@ -52,14 +51,7 @@ def run_family(family: str, args):
             seed=seed,
         )
         data = generate_benchmark(config)
-        dataset = discretize(
-            data.records,
-            config.bin_width,
-            data.horizon_bins * config.bin_width,
-            node_count=config.node_count,
-            type_count=config.type_count,
-        )
-        cache = build_features(dataset, data.topology, fit_kernel, config.max_hops)
+        cache = build_features(data.dataset(), data.topology, fit_kernel, config.max_hops)
         full = hill_climb(cache, em_config=EmConfig(), seed=seed)
         flat = hill_climb(cache.truncated(0), em_config=EmConfig(), seed=seed)
         scores.append(structure_metrics(full.graph, data.causal_graph).f1)

@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from hawkesnet.em import EmConfig
-from hawkesnet.events import discretize
 from hawkesnet.features import build_features
 from hawkesnet.kernels import ExponentialKernel
 from hawkesnet.metrics import structure_metrics
@@ -39,14 +38,7 @@ def run_one(size: int, seed: int, args) -> float:
         seed=seed,
     )
     data = generate_benchmark(config)
-    dataset = discretize(
-        data.records,
-        config.bin_width,
-        data.horizon_bins * config.bin_width,
-        node_count=config.node_count,
-        type_count=config.type_count,
-    )
-    cache = build_features(dataset, data.topology, config.kernel, config.max_hops)
+    cache = build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
     result = hill_climb(cache, em_config=EmConfig(), seed=seed)
     return structure_metrics(result.graph, data.causal_graph).f1
 

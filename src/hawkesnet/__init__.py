@@ -15,7 +15,7 @@ from .errors import (
     UnderGenerationWarning,
     UnsupportedKernelError,
 )
-from .events import DiscreteDataset, EventRecord, discretize
+from .events import DiscreteDataset, discretize, event_table
 from .features import FeatureCache, build_features
 from .kernels import (
     DecayKernel,
@@ -58,7 +58,6 @@ __all__ = [
     "DegenerateModelError",
     "DiscreteDataset",
     "EmConfig",
-    "EventRecord",
     "ExponentialKernel",
     "FeatureCache",
     "FitResult",
@@ -84,6 +83,7 @@ __all__ = [
     "discretize",
     "draw_params",
     "evaluate",
+    "event_table",
     "fit",
     "fit_type",
     "generate_benchmark",

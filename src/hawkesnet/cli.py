@@ -2,8 +2,8 @@
 
 Configuration comes from an optional JSON file (sections named after the
 subcommands) with command-line flags taking precedence. Exit codes: 0 on
-success, 2 for invalid input or configuration, 3 for degenerate or exploding
-models, 4 for I/O failures.
+success, 2 for invalid input or configuration (text that is not UTF-8
+included), 3 for degenerate or exploding models, 4 for I/O failures.
 """
 
 from __future__ import annotations
@@ -283,14 +283,14 @@ def cmd_learn(args) -> int:
         node_count = topology.node_count
     else:
         if node_count is None:
-            node_count = max((r.node for r in records), default=0) + 1
+            node_count = int(records.node.max(initial=0)) + 1
         topology = build_topology(int(node_count), [], max_hops=max_hops)
         node_count = topology.node_count
 
     if type_count is None:
-        type_count = max((r.event_type for r in records), default=0) + 1
+        type_count = int(records.event_type.max(initial=0)) + 1
     if horizon_end is None:
-        latest = max((r.timestamp for r in records), default=0.0)
+        latest = records.timestamp.max(initial=0.0)
         horizon_end = (np.floor(latest / bin_width) + 1.0) * bin_width
 
     dataset = discretize(
@@ -439,15 +439,8 @@ def cmd_benchmark(args) -> int:
         seed = base_seed + offset
         config = SimConfig.from_dict({**base.to_dict(), "seed": seed})
         data = generate_benchmark(config)
-        dataset = discretize(
-            data.records,
-            config.bin_width,
-            data.horizon_bins * config.bin_width,
-            node_count=config.node_count,
-            type_count=config.type_count,
-        )
         kernel = ExponentialKernel(delta)
-        cache = build_features(dataset, data.topology, kernel, config.max_hops)
+        cache = build_features(data.dataset(), data.topology, kernel, config.max_hops)
         for label, hops in (("full", config.max_hops), ("no_topology", 0)):
             result = hill_climb(cache.truncated(hops), em_config=em_config, seed=seed)
             report = structure_metrics(result.graph, data.causal_graph)
@@ -517,7 +510,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidInputError, UnsupportedKernelError) as exc:
+    except (InvalidInputError, UnsupportedKernelError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateModelError, SimulationExplosionError) as exc:

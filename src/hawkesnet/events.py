@@ -1,15 +1,17 @@
-"""Event records and their discretization into sparse per-bin counts.
+"""The event table and its discretization into sparse per-bin counts.
 
-Continuous-time event records ``(node, event_type, timestamp)`` are binned on
-a regular grid of width ``bin_width`` by flooring ``timestamp / bin_width``.
-Counts are stored sparsely as parallel arrays sorted by (type, bin, node);
-every downstream computation (features, likelihood, EM) touches only the
-occupied cells plus closed-form totals, so empty bins cost nothing.
+Events are one table, a numpy record array with columns ``node``,
+``event_type`` and ``timestamp``. :func:`discretize` bins it on a regular grid
+of width ``bin_width`` by flooring ``timestamp / bin_width``. Counts are
+stored sparsely as parallel arrays sorted by (type, bin, node); every
+downstream computation (features, likelihood, EM) touches only the occupied
+cells plus closed-form totals, so empty bins cost nothing.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = [
-    "EventRecord",
+    "EVENT_DTYPE",
+    "event_table",
     "DiscreteDataset",
     "discretize",
     "load_events_csv",
@@ -25,15 +28,12 @@ __all__ = [
 ]
 
 EVENTS_HEADER = ("node", "event_type", "timestamp")
+EVENT_DTYPE = np.dtype([("node", np.int64), ("event_type", np.int64), ("timestamp", np.float64)])
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One event: which node fired, which type, and when."""
-
-    node: int
-    event_type: int
-    timestamp: float
+def event_table(nodes, types, stamps) -> np.recarray:
+    """Event table from three equal-length columns, one row per event."""
+    return np.rec.fromarrays([nodes, types, stamps], dtype=EVENT_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,13 @@ def discretize(
     node_count: int | None = None,
     type_count: int | None = None,
 ) -> DiscreteDataset:
-    """Bin event records onto the regular grid.
+    """Bin an event table onto the regular grid.
 
     Parameters
     ----------
     records:
-        Iterable of :class:`EventRecord`. Order is irrelevant; permuting the
-        input produces an identical dataset.
+        Event table (:func:`event_table`, :func:`load_events_csv`). Row order
+        is irrelevant; permuting the rows produces an identical dataset.
     bin_width:
         Grid resolution, must be positive.
     horizon_end:
@@ -111,24 +111,15 @@ def discretize(
     Raises
     ------
     InvalidInputError
-        On non-positive ``bin_width``/``horizon_end``, out-of-window
+        On non-positive ``bin_width``/``horizon_end``, a grid of 2**62 cells
+        or more (an infinite horizon included), out-of-window or NaN
         timestamps, or node/type ids outside the declared dimensions.
     """
     if not (bin_width > 0):
         raise InvalidInputError(f"bin_width must be positive, got {bin_width}")
     if not (horizon_end > 0):
         raise InvalidInputError(f"horizon_end must be positive, got {horizon_end}")
-    records = list(records)
-    bin_count = int(np.ceil(horizon_end / bin_width - 1e-9))
-
-    if records:
-        nodes = np.array([r.node for r in records], dtype=np.int64)
-        types = np.array([r.event_type for r in records], dtype=np.int64)
-        stamps = np.array([r.timestamp for r in records], dtype=float)
-    else:
-        nodes = np.empty(0, dtype=np.int64)
-        types = np.empty(0, dtype=np.int64)
-        stamps = np.empty(0, dtype=float)
+    nodes, types, stamps = records.node, records.event_type, records.timestamp
 
     if node_count is None:
         node_count = int(nodes.max()) + 1 if nodes.size else 1
@@ -136,39 +127,38 @@ def discretize(
         type_count = int(types.max()) + 1 if types.size else 1
     if node_count < 1 or type_count < 1:
         raise InvalidInputError("node_count and type_count must be >= 1")
+    if not (horizon_end / bin_width * node_count * type_count < 2**62):
+        raise InvalidInputError(f"horizon_end {horizon_end} gives 2**62 cells or more")
+    bin_count = max(1, int(np.ceil(horizon_end / bin_width - 1e-9)))
 
-    if stamps.size:
-        bad = (stamps < 0) | (stamps >= horizon_end)
-        if np.any(bad):
-            t = float(stamps[bad][0])
-            raise InvalidInputError(
-                f"timestamp {t} outside observation window [0, {horizon_end})"
-            )
-        if nodes.min() < 0 or nodes.max() >= node_count:
-            raise InvalidInputError(f"node id outside 0..{node_count - 1}")
-        if types.min() < 0 or types.max() >= type_count:
-            raise InvalidInputError(f"event type outside 0..{type_count - 1}")
-
-    time_bins = np.minimum(
-        np.floor(stamps / bin_width).astype(np.int64), bin_count - 1
-    )
-
-    # collapse duplicate cells into counts, sorted by (type, bin, node)
-    order = np.lexsort((nodes, time_bins, types))
-    nodes, types, time_bins = nodes[order], types[order], time_bins[order]
-    if nodes.size:
-        key_changed = np.empty(nodes.shape[0], dtype=bool)
-        key_changed[0] = True
-        key_changed[1:] = (
-            (types[1:] != types[:-1])
-            | (time_bins[1:] != time_bins[:-1])
-            | (nodes[1:] != nodes[:-1])
+    bad = ~((stamps >= 0) & (stamps < horizon_end))  # NaN is outside too
+    if np.any(bad):
+        t = float(stamps[bad][0])
+        raise InvalidInputError(
+            f"timestamp {t} outside observation window [0, {horizon_end})"
         )
-        starts = np.flatnonzero(key_changed)
-        counts = np.diff(np.append(starts, nodes.shape[0])).astype(np.int64)
-        nodes, types, time_bins = nodes[starts], types[starts], time_bins[starts]
-    else:
-        counts = np.empty(0, dtype=np.int64)
+    if nodes.min(initial=0) < 0 or nodes.max(initial=0) >= node_count:
+        raise InvalidInputError(f"node id outside 0..{node_count - 1}")
+    if types.min(initial=0) < 0 or types.max(initial=0) >= type_count:
+        raise InvalidInputError(f"event type outside 0..{type_count - 1}")
+
+    # cell id (type * bin_count + bin) * node_count + node sorts as
+    # (type, bin, node); sorted in place, equal ids are one cell's events.
+    # In-place steps keep the peak near the table plus the result.
+    cells = np.floor(stamps / bin_width).astype(np.int64)
+    np.minimum(cells, bin_count - 1, out=cells)
+    cells += types * bin_count
+    cells *= node_count
+    cells += nodes
+    cells.sort()
+    first = np.diff(cells, prepend=-1) != 0  # ids are >= 0
+    counts = np.diff(np.flatnonzero(first), append=cells.shape[0])
+    cells = cells[first]
+    nodes = cells % node_count
+    cells //= node_count
+    time_bins = cells % bin_count
+    cells //= bin_count
+    types = cells
 
     return DiscreteDataset(
         node_count=node_count,
@@ -182,40 +172,37 @@ def discretize(
     )
 
 
-def load_events_csv(path: str) -> list[EventRecord]:
-    """Read an event CSV with header ``node,event_type,timestamp``."""
-    records: list[EventRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if header is None:
-                if tuple(cell.strip() for cell in row) != EVENTS_HEADER:
-                    raise InvalidInputError(
-                        f"{path}: expected header {','.join(EVENTS_HEADER)!r}, got {row!r}"
-                    )
-                header = row
-                continue
-            if len(row) != 3:
-                raise InvalidInputError(f"{path}: malformed event row {row!r}")
-            try:
-                records.append(
-                    EventRecord(int(row[0]), int(row[1]), float(row[2]))
-                )
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}: malformed event row {row!r}") from exc
-        if header is None and records == []:
-            # a completely empty file is a valid empty dataset
-            return records
-    return records
+def load_events_csv(path: str) -> np.recarray:
+    """Read an event CSV with header ``node,event_type,timestamp``.
+
+    Blank lines are skipped and fields may be quoted; ids must be decimal
+    int64 and timestamps finite. A file of blank lines is an empty table.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (line for line in fh if line.strip())
+        header = next(lines, None)
+        if header is None:
+            return event_table([], [], [])
+        names = next(csv.reader([header]))
+        if tuple(name.strip() for name in names) != EVENTS_HEADER:
+            raise InvalidInputError(
+                f"{path}: expected header {','.join(EVENTS_HEADER)!r}, got {header.rstrip()!r}"
+            )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header, no rows
+                table = np.loadtxt(lines, dtype=EVENT_DTYPE, delimiter=",",
+                                   comments=None, quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: malformed event rows ({exc})") from exc
+    if not np.isfinite(table["timestamp"]).all():
+        raise InvalidInputError(f"{path}: non-finite timestamp")
+    return table.view(np.recarray)
 
 
 def save_events_csv(path: str, records) -> None:
-    """Write events as ``node,event_type,timestamp`` rows."""
+    """Write an event table as CRLF-ended rows, timestamps as exact ``repr``."""
+    rows = zip(records.node.tolist(), records.event_type.tolist(), records.timestamp.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_HEADER)
-        for rec in records:
-            writer.writerow([rec.node, rec.event_type, repr(float(rec.timestamp))])
+        fh.write(",".join(EVENTS_HEADER) + "\r\n")
+        fh.writelines(f"{n},{v},{t!r}\r\n" for n, v, t in rows)

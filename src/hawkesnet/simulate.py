@@ -4,8 +4,8 @@ The model draws independent Poisson counts
 ``X[n, v, t] ~ Poisson(lam_v(n, t) * dt)`` for every (node, type) cell and
 bin, given the history so far. This is exactly the generative model the
 likelihood scores, so fitted and generating parameters are directly
-comparable. Emitted timestamps sit at bin centers ``(t + 0.5) * dt``, in
-(node, type) order within a bin.
+comparable. Events come out as an event table (:mod:`hawkesnet.events`) with
+timestamps at bin centers ``(t + 0.5) * dt``, in (node, type) order per bin.
 
 The simulator is event-driven: it visits only bins that hold an event. From
 the current bin it draws the number of empty bins ahead by inverting their
@@ -16,7 +16,8 @@ excitation already due in each bin of the window is kept in a ring and the
 gap past the window is geometric on the background. In the occupied bin the
 total is a zero-truncated Poisson draw split multinomially across cells, and
 only the columns of the cells that fired update the excitation. The result
-has the same distribution as drawing every bin in turn.
+has the same distribution as drawing every bin in turn. The table's columns
+are built once, from the cells and counts of every occupied bin.
 
 A guard aborts with :class:`SimulationExplosionError` at the first bin
 whose expected count exceeds a threshold in any cell, which is how
@@ -36,7 +37,7 @@ from .errors import (
     SimulationExplosionError,
     UnderGenerationWarning,
 )
-from .events import EventRecord
+from .events import DiscreteDataset, discretize, event_table
 from .kernels import (
     DecayKernel,
     ExponentialKernel,
@@ -142,18 +143,28 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class BenchmarkData:
-    """A generated dataset together with everything that produced it."""
+    """A generated event table together with everything that produced it."""
 
     config: SimConfig
     topology: TopologyGraph
     causal_graph: CausalGraph
     params: ThpParams
-    records: tuple
+    records: np.recarray
     horizon_bins: int
 
     @property
     def event_count(self) -> int:
         return len(self.records)
+
+    def dataset(self) -> DiscreteDataset:
+        """The records binned on the simulation grid."""
+        return discretize(
+            self.records,
+            self.config.bin_width,
+            self.horizon_bins * self.config.bin_width,
+            node_count=self.config.node_count,
+            type_count=self.config.type_count,
+        )
 
 
 def _rng_of(seed) -> np.random.Generator:
@@ -381,7 +392,7 @@ def _event_loop(
     max_bins: int,
     stop_at_count: int | None,
     explosion_guard: float,
-) -> tuple[list[EventRecord], int]:
+) -> tuple[np.recarray, int]:
     """Visit only the bins that hold an event; shared by both entry points.
 
     At the current bin ``t`` an ``Exp(1)`` draw ``tau`` is inverted against
@@ -389,7 +400,7 @@ def _event_loop(
     number of empty bins before the next occupied one. ``scan`` also returns
     the first bin ahead whose expected count exceeds the guard (offset and
     peak); it raises only if no event comes before it, as it would if every
-    bin were drawn in turn. Returns the records and the bins run.
+    bin were drawn in turn. Returns the event table and the bins run.
     """
     n_nodes = topology.node_count
     n_types = causal_graph.type_count
@@ -413,7 +424,9 @@ def _event_loop(
     if stop_at_count is not None and stop_at_count <= 0:
         max_bins = min(max_bins, 1)  # the target is met after the first bin
 
-    records: list[EventRecord] = []
+    # (bin, cells, counts) of each bin that holds an event; the empty first
+    # entry keeps the final concatenations valid and int64 when none fired
+    occupied = [(0, np.empty(0, np.int64), np.empty(0, np.int64))]
     total = 0
     t = 0
     while t < max_bins:
@@ -428,15 +441,16 @@ def _event_loop(
         cells = draws.nonzero()[0]
         counts = draws[cells]
         excitation.fire(cells, counts)
-        stamp = (t + 0.5) * dt
-        for f, count in zip(cells.tolist(), counts.tolist()):
-            rec = EventRecord(node=f // n_types, event_type=f % n_types, timestamp=stamp)
-            records.extend([rec] * count)
-            total += count
+        occupied.append((t, cells, counts))
+        total += int(counts.sum())
         t += 1
         if stop_at_count is not None and total >= stop_at_count:
             break
-    return records, t
+    bins, cells, counts = zip(*occupied)
+    counts = np.concatenate(counts)
+    flat = np.repeat(np.concatenate(cells), counts)
+    stamps = np.repeat((np.repeat(bins, [c.shape[0] for c in cells]) + 0.5) * dt, counts)
+    return event_table(flat // n_types, flat % n_types, stamps), t
 
 
 def simulate(
@@ -449,8 +463,8 @@ def simulate(
     seed,
     *,
     explosion_guard: float = 1e6,
-) -> list[EventRecord]:
-    """Simulate a fixed number of bins; returns bin-center event records."""
+) -> np.recarray:
+    """Simulate a fixed number of bins; returns the event table."""
     params.validate_for(causal_graph)
     if horizon_bins < 0:
         raise InvalidInputError("horizon_bins must be >= 0")
@@ -518,6 +532,6 @@ def generate_benchmark(config: SimConfig) -> BenchmarkData:
         topology=topology,
         causal_graph=causal_graph,
         params=params,
-        records=tuple(records),
+        records=records,
         horizon_bins=bins_run,
     )

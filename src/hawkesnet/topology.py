@@ -133,7 +133,10 @@ def build_topology(
     if node_count < 1:
         raise InvalidInputError("node_count must be >= 1")
     edge_set = _validate_edges(node_count, edges)
-    adjacency = np.zeros((node_count, node_count))
+    try:
+        adjacency = np.zeros((node_count, node_count))
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size outright
+        raise InvalidInputError(f"cannot allocate a dense topology of {node_count} nodes") from exc
     for a, b in edge_set:
         adjacency[a, b] = 1.0
         adjacency[b, a] = 1.0

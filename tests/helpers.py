@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hawkesnet.em import _em_iteration
-from hawkesnet.events import DiscreteDataset, EventRecord, discretize
+from hawkesnet.events import DiscreteDataset, discretize, event_table
 from hawkesnet.features import FeatureCache, build_features
 from hawkesnet.kernels import ExponentialKernel
 from hawkesnet.likelihood import CausalGraph, ThpParams, _alpha_vector, type_data
@@ -36,16 +36,21 @@ class TinyInstance:
         return ExponentialKernel(self.decay)
 
 
-def dense_to_records(dense: np.ndarray, bin_width: float) -> list[EventRecord]:
-    """Expand a count array into individual events at bin centers."""
-    records = []
+def rows_to_table(rows) -> np.recarray:
+    """Event table from ``(node, event_type, timestamp)`` tuples."""
+    rows = list(rows)
+    return event_table(*zip(*rows)) if rows else event_table([], [], [])
+
+
+def dense_to_records(dense: np.ndarray, bin_width: float) -> np.recarray:
+    """Expand a count array into an event table at bin centers."""
+    rows = []
     nodes, types, bins = dense.shape
     for n in range(nodes):
         for v in range(types):
             for t in range(bins):
-                for _ in range(int(dense[n, v, t])):
-                    records.append(EventRecord(n, v, (t + 0.5) * bin_width))
-    return records
+                rows.extend([(n, v, (t + 0.5) * bin_width)] * int(dense[n, v, t]))
+    return rows_to_table(rows)
 
 
 def dense_to_dataset(dense: np.ndarray, bin_width: float) -> DiscreteDataset:

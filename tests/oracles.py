@@ -21,7 +21,7 @@ from hawkesnet.errors import (
     SimulationExplosionError,
     UnsupportedKernelError,
 )
-from hawkesnet.events import DiscreteDataset, EventRecord
+from hawkesnet.events import DiscreteDataset, event_table
 from hawkesnet.features import FeatureCache
 from hawkesnet.kernels import DecayKernel, ExponentialKernel
 from hawkesnet.likelihood import CausalGraph, ThpParams
@@ -382,7 +382,7 @@ def oracle_sweep(
     max_bins: int,
     stop_at_count: int | None,
     explosion_guard: float,
-) -> tuple[list[EventRecord], int]:
+) -> tuple[np.recarray, int]:
     """Dense per-bin sweep: every cell of every bin drawn in turn.
 
     The reference for the event-driven loop ``hawkesnet.simulate._event_loop``,
@@ -413,7 +413,7 @@ def oracle_sweep(
         window = weights.shape[0]
         buffer = np.zeros((window, size))
 
-    records: list[EventRecord] = []
+    events: list[tuple] = []  # (node, event_type, timestamp), one per event
     total = 0
     bins_run = 0
     for t in range(max_bins):
@@ -439,12 +439,7 @@ def oracle_sweep(
             flat = flat[np.lexsort((flat // n_nodes, flat % n_nodes))]
             for f in flat.tolist():
                 count = int(draws[f])
-                rec = EventRecord(
-                    node=int(f % n_nodes),
-                    event_type=int(f // n_nodes),
-                    timestamp=stamp,
-                )
-                records.extend([rec] * count)
+                events.extend([(int(f % n_nodes), int(f // n_nodes), stamp)] * count)
                 total += count
         if exponential:
             state = decay_step * (state + draws)
@@ -452,4 +447,5 @@ def oracle_sweep(
             buffer[t % window] = draws
         if stop_at_count is not None and total >= stop_at_count:
             break
-    return records, bins_run
+    nodes, types, stamps = zip(*events) if events else ((), (), ())
+    return event_table(nodes, types, stamps), bins_run

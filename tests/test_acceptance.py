@@ -17,7 +17,6 @@ from scipy import stats
 
 from hawkesnet.cli import main as cli_main
 from hawkesnet.em import EmConfig, fit
-from hawkesnet.events import discretize
 from hawkesnet.features import build_features
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel, UniformKernel
 from hawkesnet.likelihood import (
@@ -66,14 +65,7 @@ def _desk_config(seed: int, **overrides) -> SimConfig:
 def _learn_run(config: SimConfig, fit_kernel: ExponentialKernel):
     """Simulate one dataset, learn with and without propagation, fit truth."""
     data = generate_benchmark(config)
-    dataset = discretize(
-        data.records,
-        config.bin_width,
-        data.horizon_bins * config.bin_width,
-        node_count=config.node_count,
-        type_count=config.type_count,
-    )
-    cache = build_features(dataset, data.topology, fit_kernel, config.max_hops)
+    cache = build_features(data.dataset(), data.topology, fit_kernel, config.max_hops)
     full = hill_climb(cache, em_config=EmConfig(), seed=config.seed)
     flat = hill_climb(cache.truncated(0), em_config=EmConfig(), seed=config.seed)
     return data, cache, full, flat
@@ -225,14 +217,7 @@ def test_criterion_04_hill_climb_matches_exhaustive():
         seed=11,
     )
     data = generate_benchmark(config)
-    dataset = discretize(
-        data.records,
-        config.bin_width,
-        data.horizon_bins * config.bin_width,
-        node_count=config.node_count,
-        type_count=config.type_count,
-    )
-    cache = build_features(dataset, data.topology, config.kernel, config.max_hops)
+    cache = build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
     greedy = hill_climb(cache, em_config=EmConfig(), seed=0)
 
     state = SearchState.empty(cache, EmConfig(), seed=0)

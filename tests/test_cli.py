@@ -440,6 +440,61 @@ def test_unknown_em_key_rejected(sim_dir, tmp_path, capsys):
     assert "unknown em config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "stamp, horizon", [("nan", ["--horizon-end", "10"]), ("nan", []), ("inf", [])]
+)
+def test_non_finite_timestamps_exit_two(tmp_path, capsys, stamp, horizon):
+    events = tmp_path / "events.csv"
+    events.write_text(f"node,event_type,timestamp\n0,0,1.5\n1,1,{stamp}\n")
+    out = tmp_path / "o"
+    code = main(["learn", "--events", str(events), "--no-topology", "--out", str(out), *horizon])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "learned_graph.json").exists()
+
+
+@pytest.mark.parametrize("target", ["events", "topology", "config"])
+def test_undecodable_input_exits_two(sim_dir, tmp_path, capsys, target):
+    paths = {
+        "events": str(sim_dir / "events.csv"),
+        "topology": str(sim_dir / "topology.txt"),
+        "config": str(_write_config(tmp_path / "c.json", {})),
+    }
+    bad = tmp_path / "bad"
+    with open(paths[target], "rb") as fh:
+        bad.write_bytes(fh.read() + b"\xff\n")
+    paths[target] = str(bad)
+    code = main(
+        [
+            "learn",
+            "--events", paths["events"],
+            "--topology", paths["topology"],
+            "--config", paths["config"],
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+# sizes numpy refuses at once: 10**10 nodes overflow the array size, 10**9
+# nodes would take 6.94 EiB
+@pytest.mark.parametrize("topology", ["# nodes: 10000000000\n0,1\n", "0,999999999\n"])
+def test_unallocatable_topology_exits_two(sim_dir, tmp_path, capsys, topology):
+    path = tmp_path / "topology.txt"
+    path.write_text(topology)
+    code = main(
+        [
+            "learn",
+            "--events", str(sim_dir / "events.csv"),
+            "--topology", str(path),
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == 2
+    assert "cannot allocate" in capsys.readouterr().err
+
+
 def test_argparse_rejects_unknown_flags(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--out", "x", "--bogus"])

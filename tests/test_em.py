@@ -20,7 +20,7 @@ from hawkesnet.likelihood import (
 )
 from hawkesnet.topology import build_topology
 
-from .helpers import dense_to_dataset, em_iteration, random_instance
+from .helpers import dense_to_dataset, em_iteration, random_instance, rows_to_table
 from .oracles import oracle_m_step
 
 RNG = np.random.default_rng
@@ -201,7 +201,7 @@ def test_restarts_pick_best_final_likelihood():
 
 
 def test_fit_empty_dataset():
-    ds = discretize([], 1.0, 10.0, node_count=2, type_count=2)
+    ds = discretize(rows_to_table([]), 1.0, 10.0, node_count=2, type_count=2)
     topo = build_topology(2, [(0, 1)], max_hops=1)
     cache = build_features(ds, topo, ExponentialKernel(1.0), 1)
     result = fit(CausalGraph(2, [(0, 1)]), cache)

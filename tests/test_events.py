@@ -1,4 +1,4 @@
-"""Discretization of event records and the CSV format."""
+"""Discretization of the event table and the CSV format."""
 
 from __future__ import annotations
 
@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.events import (
-    EventRecord,
     discretize,
     load_events_csv,
     save_events_csv,
 )
 
-from .helpers import dataset_to_dense
+from .helpers import dataset_to_dense, rows_to_table
 
 
 def test_floor_binning():
-    records = [EventRecord(0, 0, 0.4), EventRecord(0, 0, 0.6)]
+    records = rows_to_table([(0, 0, 0.4), (0, 0, 0.6)])
     ds = discretize(records, 0.5, 1.0, node_count=1, type_count=1)
     assert ds.bin_count == 2
     np.testing.assert_array_equal(ds.bins, [0, 1])
@@ -27,16 +26,22 @@ def test_floor_binning():
 
 
 def test_bin_count_rounds_partial_bins_up():
-    ds = discretize([], 1.0, 10.0, node_count=1, type_count=1)
+    ds = discretize(rows_to_table([]), 1.0, 10.0, node_count=1, type_count=1)
     assert ds.bin_count == 10
-    ds = discretize([], 1.0, 10.2, node_count=1, type_count=1)
+    ds = discretize(rows_to_table([]), 1.0, 10.2, node_count=1, type_count=1)
     assert ds.bin_count == 11
     assert ds.horizon_end == pytest.approx(11.0)
 
 
+def test_horizon_shorter_than_a_bin_is_one_bin():
+    ds = discretize(rows_to_table([(0, 0, 0.0)]), 1.0, 1e-10)
+    assert ds.bin_count == 1
+    assert ds.total_events == 1 and ds.bins.tolist() == [0]
+
+
 def test_events_in_final_partial_bin_are_kept():
     ds = discretize(
-        [EventRecord(0, 0, 10.1)], 1.0, 10.2, node_count=1, type_count=1
+        rows_to_table([(0, 0, 10.1)]), 1.0, 10.2, node_count=1, type_count=1
     )
     assert ds.total_events == 1
     assert ds.bins[0] == 10
@@ -44,33 +49,33 @@ def test_events_in_final_partial_bin_are_kept():
 
 def test_window_boundaries_rejected():
     with pytest.raises(InvalidInputError):
-        discretize([EventRecord(0, 0, 5.0)], 1.0, 5.0)
+        discretize(rows_to_table([(0, 0, 5.0)]), 1.0, 5.0)
     with pytest.raises(InvalidInputError):
-        discretize([EventRecord(0, 0, -0.1)], 1.0, 5.0)
+        discretize(rows_to_table([(0, 0, -0.1)]), 1.0, 5.0)
     # zero is inside the window
-    ds = discretize([EventRecord(0, 0, 0.0)], 1.0, 5.0)
+    ds = discretize(rows_to_table([(0, 0, 0.0)]), 1.0, 5.0)
     assert ds.bins[0] == 0
 
 
 def test_dimension_validation():
     with pytest.raises(InvalidInputError):
-        discretize([EventRecord(2, 0, 1.0)], 1.0, 5.0, node_count=2, type_count=1)
+        discretize(rows_to_table([(2, 0, 1.0)]), 1.0, 5.0, node_count=2, type_count=1)
     with pytest.raises(InvalidInputError):
-        discretize([EventRecord(0, 3, 1.0)], 1.0, 5.0, node_count=2, type_count=3)
+        discretize(rows_to_table([(0, 3, 1.0)]), 1.0, 5.0, node_count=2, type_count=3)
     with pytest.raises(InvalidInputError):
-        discretize([], 0.0, 5.0)
+        discretize(rows_to_table([]), 0.0, 5.0)
     with pytest.raises(InvalidInputError):
-        discretize([], 1.0, -1.0)
+        discretize(rows_to_table([]), 1.0, -1.0)
 
 
 def test_dimensions_inferred_from_records():
-    ds = discretize([EventRecord(3, 1, 0.5), EventRecord(0, 4, 1.5)], 1.0, 2.0)
+    ds = discretize(rows_to_table([(3, 1, 0.5), (0, 4, 1.5)]), 1.0, 2.0)
     assert ds.node_count == 4
     assert ds.type_count == 5
 
 
 def test_duplicate_cells_collapse():
-    records = [EventRecord(1, 0, 2.2), EventRecord(1, 0, 2.9), EventRecord(1, 0, 2.5)]
+    records = rows_to_table([(1, 0, 2.2), (1, 0, 2.9), (1, 0, 2.5)])
     ds = discretize(records, 1.0, 5.0, node_count=2, type_count=1)
     assert ds.counts.tolist() == [3]
     assert ds.count_at(1, 0, 2) == 3
@@ -79,12 +84,12 @@ def test_duplicate_cells_collapse():
 
 
 def test_rows_sorted_by_type_bin_node():
-    records = [
-        EventRecord(1, 1, 0.5),
-        EventRecord(0, 0, 3.5),
-        EventRecord(1, 0, 0.5),
-        EventRecord(0, 0, 0.5),
-    ]
+    records = rows_to_table([
+        (1, 1, 0.5),
+        (0, 0, 3.5),
+        (1, 0, 0.5),
+        (0, 0, 0.5),
+    ])
     ds = discretize(records, 1.0, 4.0, node_count=2, type_count=2)
     order = list(zip(ds.types.tolist(), ds.bins.tolist(), ds.nodes.tolist()))
     assert order == sorted(order)
@@ -93,14 +98,14 @@ def test_rows_sorted_by_type_bin_node():
 
 
 def test_events_per_type_and_totals():
-    records = [EventRecord(0, 0, 0.5)] * 3 + [EventRecord(0, 2, 1.5)]
+    records = rows_to_table([(0, 0, 0.5)] * 3 + [(0, 2, 1.5)])
     ds = discretize(records, 1.0, 2.0, node_count=1, type_count=3)
     np.testing.assert_array_equal(ds.events_per_type(), [3, 0, 1])
     assert ds.total_events == 4
 
 
 def test_empty_dataset():
-    ds = discretize([], 1.0, 5.0, node_count=3, type_count=2)
+    ds = discretize(rows_to_table([]), 1.0, 5.0, node_count=3, type_count=2)
     assert ds.total_events == 0
     assert ds.nodes.shape == (0,)
     np.testing.assert_array_equal(ds.events_per_type(), [0, 0])
@@ -118,18 +123,18 @@ record_lists = st.lists(
 
 @given(record_lists, st.randoms())
 def test_permutation_invariance(rows, shuffler):
-    records = [EventRecord(n, v, t) for (n, v, t) in rows]
+    records = rows_to_table(rows)
     ds1 = discretize(records, 0.7, 10.0, node_count=4, type_count=3)
-    shuffled = list(records)
+    shuffled = list(rows)
     shuffler.shuffle(shuffled)
-    ds2 = discretize(shuffled, 0.7, 10.0, node_count=4, type_count=3)
+    ds2 = discretize(rows_to_table(shuffled), 0.7, 10.0, node_count=4, type_count=3)
     for name in ("nodes", "types", "bins", "counts"):
         np.testing.assert_array_equal(getattr(ds1, name), getattr(ds2, name))
 
 
 @given(record_lists)
 def test_counts_match_histogram_oracle(rows):
-    records = [EventRecord(n, v, t) for (n, v, t) in rows]
+    records = rows_to_table(rows)
     ds = discretize(records, 0.7, 10.0, node_count=4, type_count=3)
     dense = dataset_to_dense(ds)
     expected = np.zeros_like(dense)
@@ -141,15 +146,15 @@ def test_counts_match_histogram_oracle(rows):
 
 
 def test_csv_round_trip(tmp_path):
-    records = [EventRecord(0, 1, 0.25), EventRecord(3, 0, 7.125)]
+    records = rows_to_table([(0, 1, 0.25), (3, 0, 7.125)])
     path = tmp_path / "events.csv"
     save_events_csv(path, records)
-    assert load_events_csv(path) == records
+    np.testing.assert_array_equal(load_events_csv(path), records)
 
 
 def test_csv_timestamps_survive_exactly(tmp_path):
     stamps = [0.1, 1.0 / 3.0, 123456.789012345]
-    records = [EventRecord(0, 0, t) for t in stamps]
+    records = rows_to_table((0, 0, t) for t in stamps)
     path = tmp_path / "events.csv"
     save_events_csv(path, records)
     loaded = load_events_csv(path)
@@ -176,6 +181,58 @@ def test_csv_malformed_rows(tmp_path):
 def test_csv_empty_file_is_empty_dataset(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("")
-    assert load_events_csv(path) == []
+    assert len(load_events_csv(path)) == 0
     path.write_text("node,event_type,timestamp\n")
-    assert load_events_csv(path) == []
+    assert len(load_events_csv(path)) == 0
+
+
+def test_nan_timestamp_is_outside_the_window():
+    with pytest.raises(InvalidInputError):
+        discretize(rows_to_table([(0, 0, float("nan"))]), 1.0, 5.0)
+
+
+def test_grid_beyond_int64_cell_ids_rejected():
+    # cell ids are (type * bins + bin) * nodes + node in int64
+    for horizon in (1e300, float("inf")):
+        with pytest.raises(InvalidInputError):
+            discretize(rows_to_table([]), 1.0, horizon)
+    with pytest.raises(InvalidInputError):
+        discretize(rows_to_table([]), 1.0, 1e18, node_count=3, type_count=2)
+    ds = discretize(rows_to_table([(2, 1, 5e16)]), 1.0, 1e17, node_count=3, type_count=2)
+    assert (ds.nodes[0], ds.types[0], ds.bins[0]) == (2, 1, 5 * 10**16)
+
+
+def test_csv_is_written_with_crlf_and_repr(tmp_path):
+    path = tmp_path / "events.csv"
+    save_events_csv(path, rows_to_table([(0, 1, 0.1), (3, 0, 2.0)]))
+    assert path.read_bytes() == b"node,event_type,timestamp\r\n0,1,0.1\r\n3,0,2.0\r\n"
+
+
+def test_csv_accepts_crlf_quotes_and_blank_lines(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(
+        b'\r\n"node", event_type ,timestamp\r\n"1","0","2.5"\r\n  \r\n0, 1,0.5\r\n\t\n'
+    )
+    table = load_events_csv(path)
+    assert table.node.tolist() == [1, 0]
+    assert table.event_type.tolist() == [0, 1]
+    assert table.timestamp.tolist() == [2.5, 0.5]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1_0,0,1.0",  # int() would read 10
+        "99999999999999999999,0,1.0",  # beyond int64
+        "1.0,0,1.0",
+        "0,0,nan",
+        "0,0,inf",
+        "0,0,-inf",
+        "0,0,1e400",  # overflows to inf
+    ],
+)
+def test_csv_rejects_bad_ids_and_non_finite_timestamps(tmp_path, row):
+    path = tmp_path / "events.csv"
+    path.write_text(f"node,event_type,timestamp\n0,0,0.5\n{row}\n")
+    with pytest.raises(InvalidInputError):
+        load_events_csv(path)

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from hawkesnet import features
 from hawkesnet.errors import InvalidInputError, UnsupportedKernelError
-from hawkesnet.events import EventRecord, discretize
+from hawkesnet.events import discretize, event_table
 from hawkesnet.features import build_features
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel
 from hawkesnet.topology import build_topology
 
-from .helpers import dense_to_dataset, random_instance, random_symmetric_edges
+from .helpers import dense_to_dataset, random_instance, random_symmetric_edges, rows_to_table
 from .oracles import oracle_blockwise_features, oracle_features
 
 RNG = np.random.default_rng
@@ -27,7 +27,7 @@ RNG = np.random.default_rng
 def _two_node_cache(max_hops=1):
     """One type-0 event at (node 0, bin 0), one type-1 event at (node 1, bin 1)."""
     topo = build_topology(2, [(0, 1)], max_hops=max_hops)
-    records = [EventRecord(0, 0, 0.5), EventRecord(1, 1, 1.5)]
+    records = rows_to_table([(0, 0, 0.5), (1, 1, 1.5)])
     ds = discretize(records, 1.0, 2.0, node_count=2, type_count=2)
     return build_features(ds, topo, ExponentialKernel(0.11), max_hops)
 
@@ -47,12 +47,12 @@ def test_one_hop_feature_worked_example():
 
 def test_hop_zero_is_own_node_history():
     topo = build_topology(3, [(0, 1), (1, 2)], max_hops=2)
-    records = [
-        EventRecord(0, 0, 0.5),
-        EventRecord(0, 0, 1.5),
-        EventRecord(0, 1, 2.5),
-        EventRecord(2, 0, 2.5),
-    ]
+    records = rows_to_table([
+        (0, 0, 0.5),
+        (0, 0, 1.5),
+        (0, 1, 2.5),
+        (2, 0, 2.5),
+    ])
     ds = discretize(records, 1.0, 4.0, node_count=3, type_count=2)
     cache = build_features(ds, topo, ExponentialKernel(0.5), 2)
     idx = cache.cell_index(0, 2)
@@ -131,12 +131,10 @@ def _gapped_dataset(rng):
             occupied = rng.integers(run, size=1)
         for b in start + occupied:
             for _ in range(int(rng.integers(1, nodes * types + 1))):
-                records.append(
-                    EventRecord(int(rng.integers(nodes)), int(rng.integers(types)), b + 0.5)
-                )
+                records.append((int(rng.integers(nodes)), int(rng.integers(types)), b + 0.5))
         gap = features._MAX_SPAN_EXPONENT * rng.uniform(1.0, 1.2) / rate
         start += run + math.ceil(gap)
-    ds = discretize(records, 1.0, float(start), node_count=nodes, type_count=types)
+    ds = discretize(rows_to_table(records), 1.0, float(start), node_count=nodes, type_count=types)
     return ds, ExponentialKernel(rate)
 
 
@@ -172,10 +170,7 @@ def test_long_horizon_is_numerically_safe(decay):
     event_bins = np.sort(rng.integers(0, bins, size=5000))
     event_nodes = rng.integers(0, 3, size=5000)
     event_types = rng.integers(0, 2, size=5000)
-    records = [
-        EventRecord(int(n), int(v), b + 0.5)
-        for n, v, b in zip(event_nodes, event_types, event_bins)
-    ]
+    records = event_table(event_nodes, event_types, event_bins + 0.5)
     ds = discretize(records, 1.0, float(bins), node_count=3, type_count=2)
     started = time.perf_counter()
     with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -230,7 +225,7 @@ def test_truncated_cache_equals_fresh_build():
 
 
 def test_empty_dataset_builds_empty_cache():
-    ds = discretize([], 1.0, 10.0, node_count=3, type_count=2)
+    ds = discretize(rows_to_table([]), 1.0, 10.0, node_count=3, type_count=2)
     topo = build_topology(3, [(0, 1)], max_hops=2)
     cache = build_features(ds, topo, ExponentialKernel(1.0), 2)
     assert cache.cell_count == 0
@@ -241,20 +236,20 @@ def test_empty_dataset_builds_empty_cache():
 
 
 def test_rejects_non_exponential_kernel():
-    ds = discretize([EventRecord(0, 0, 0.5)], 1.0, 2.0)
+    ds = discretize(rows_to_table([(0, 0, 0.5)]), 1.0, 2.0)
     topo = build_topology(1, [], max_hops=0)
     with pytest.raises(UnsupportedKernelError):
         build_features(ds, topo, GaussianKernel(10.0, 4.0), 0)
 
 
 def test_rejects_mismatched_dimensions():
-    ds = discretize([EventRecord(0, 0, 0.5)], 1.0, 2.0, node_count=2)
+    ds = discretize(rows_to_table([(0, 0, 0.5)]), 1.0, 2.0, node_count=2)
     topo = build_topology(3, [(0, 1)], max_hops=1)
     with pytest.raises(InvalidInputError):
         build_features(ds, topo, ExponentialKernel(1.0), 1)
     with pytest.raises(InvalidInputError):
         build_features(
-            discretize([], 1.0, 2.0, node_count=3),
+            discretize(rows_to_table([]), 1.0, 2.0, node_count=3),
             topo,
             ExponentialKernel(1.0),
             -1,
@@ -265,7 +260,7 @@ def test_totals_cover_all_cells_not_just_occupied():
     # a single early event radiates into every later bin; occupied cells
     # alone would massively undercount the integral term
     topo = build_topology(2, [(0, 1)], max_hops=1)
-    ds = discretize([EventRecord(0, 0, 0.5)], 1.0, 100.0, node_count=2, type_count=1)
+    ds = discretize(rows_to_table([(0, 0, 0.5)]), 1.0, 100.0, node_count=2, type_count=1)
     cache = build_features(ds, topo, ExponentialKernel(0.1), 1)
     r = math.exp(-0.1)
     expected = r * (1 - r**99) / (1 - r)  # geometric tail over bins 1..99

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkesnet.errors import DegenerateModelError, InvalidInputError
-from hawkesnet.events import EventRecord, discretize
+from hawkesnet.events import discretize
 from hawkesnet.features import build_features
 from hawkesnet.kernels import ExponentialKernel
 from hawkesnet.likelihood import (
@@ -26,7 +26,7 @@ from hawkesnet.likelihood import (
 )
 from hawkesnet.topology import build_topology
 
-from .helpers import dense_to_dataset, random_instance
+from .helpers import dense_to_dataset, random_instance, rows_to_table
 from .oracles import oracle_intensity, oracle_log_likelihood
 
 RNG = np.random.default_rng
@@ -34,7 +34,7 @@ RNG = np.random.default_rng
 
 def _two_node_setup():
     topo = build_topology(2, [(0, 1)], max_hops=1)
-    records = [EventRecord(0, 0, 0.5), EventRecord(1, 1, 1.5)]
+    records = rows_to_table([(0, 0, 0.5), (1, 1, 1.5)])
     ds = discretize(records, 1.0, 2.0, node_count=2, type_count=2)
     cache = build_features(ds, topo, ExponentialKernel(0.11), 1)
     graph = CausalGraph(2, [(0, 1)])
@@ -88,7 +88,7 @@ def test_alpha_zero_reduces_to_background():
 
 
 def test_empty_dataset_closed_form():
-    ds = discretize([], 1.0, 50.0, node_count=3, type_count=2)
+    ds = discretize(rows_to_table([]), 1.0, 50.0, node_count=3, type_count=2)
     topo = build_topology(3, [(0, 1)], max_hops=1)
     cache = build_features(ds, topo, ExponentialKernel(1.0), 1)
     graph = CausalGraph(2, [(0, 1)])
@@ -389,6 +389,6 @@ def test_mismatched_cache_dimensions_raise():
     )
     with pytest.raises(InvalidInputError):
         log_likelihood(wrong_hops, graph, cache, ds)
-    other_ds = discretize([], 1.0, 5.0, node_count=2, type_count=2)
+    other_ds = discretize(rows_to_table([]), 1.0, 5.0, node_count=2, type_count=2)
     with pytest.raises(InvalidInputError):
         log_likelihood(params, graph, cache, other_ds)

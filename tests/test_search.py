@@ -117,16 +117,7 @@ def _tiny_search_setup(seed=0):
         seed=seed,
     )
     data = generate_benchmark(config)
-    from hawkesnet.events import discretize
-
-    ds = discretize(
-        data.records,
-        config.bin_width,
-        data.horizon_bins * config.bin_width,
-        node_count=config.node_count,
-        type_count=config.type_count,
-    )
-    cache = build_features(ds, data.topology, config.kernel, config.max_hops)
+    cache = build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
     return data, cache
 
 
