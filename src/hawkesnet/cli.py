@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -28,6 +27,7 @@ from .events import discretize, load_events_csv, save_events_csv
 from .features import build_features
 from .fileio import (
     load_graph_json,
+    read_json,
     save_graph_json,
     sha256_file,
     write_json,
@@ -47,16 +47,7 @@ DEFAULT_BIN_WIDTH = 1.0
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(config, dict):
-        raise InvalidInputError(f"{path}: config root must be an object")
-    return config
+    return {} if path is None else read_json(path)
 
 
 def _section(config: dict, name: str) -> dict:
@@ -69,13 +60,19 @@ def _section(config: dict, name: str) -> dict:
     return merged
 
 
-def _pick(args_value, section: dict, key: str, default):
-    """Flag beats config file beats default."""
-    if args_value is not None:
-        return args_value
-    if key in section:
-        return section[key]
-    return default
+def _pick(args_value, section: dict, key: str, default, kind):
+    """Flag beats config file beats default, read as ``kind``; a null is unset."""
+    value = args_value if args_value is not None else section.get(key)
+    if value is None:
+        value = default
+    if value is None:
+        return None
+    if kind in (str, bool) and not isinstance(value, kind):  # bool("false") is True
+        raise InvalidInputError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"config key {key!r}: {value!r} is not a valid {kind.__name__}") from exc
 
 
 def _ensure_out(path: str) -> str:
@@ -92,9 +89,9 @@ def _em_config(section: dict) -> EmConfig:
     if unknown:
         raise InvalidInputError(f"unknown em config keys {sorted(unknown)}")
     return EmConfig(
-        max_iterations=int(em.get("max_iterations", 100)),
-        rel_tolerance=float(em.get("rel_tolerance", 1e-6)),
-        restarts=int(em.get("restarts", 1)),
+        max_iterations=_pick(None, em, "max_iterations", 100, int),
+        rel_tolerance=_pick(None, em, "rel_tolerance", 1e-6, float),
+        restarts=_pick(None, em, "restarts", 1, int),
     )
 
 
@@ -239,11 +236,11 @@ def cmd_simulate(args) -> int:
 
 
 def _learn_inputs(args, section: dict):
-    events_path = _pick(args.events, section, "events", None)
+    events_path = _pick(args.events, section, "events", None, str)
     if events_path is None:
         raise InvalidInputError("learn needs an event file (--events or config)")
-    topology_path = _pick(args.topology, section, "topology", None)
-    no_topology = bool(_pick(args.no_topology, section, "no_topology", False))
+    topology_path = _pick(args.topology, section, "topology", None, str)
+    no_topology = _pick(args.no_topology, section, "no_topology", False, bool)
     if topology_path is None and not no_topology:
         raise InvalidInputError(
             "learn needs a topology file unless --no-topology is set"
@@ -255,18 +252,20 @@ def cmd_learn(args) -> int:
     section = _section(_load_config(args.config), "learn")
     events_path, topology_path, no_topology = _learn_inputs(args, section)
 
-    seed = int(_pick(args.seed, section, "seed", 0))
-    max_hops = int(_pick(args.k, section, "k", DEFAULT_MAX_HOPS))
-    delta = float(_pick(args.delta, section, "delta", DEFAULT_DELTA))
-    bin_width = float(_pick(args.dt, section, "dt", DEFAULT_BIN_WIDTH))
-    allow_cycles = bool(_pick(args.allow_cycles, section, "allow_cycles", True))
-    k_sweep = bool(_pick(args.k_sweep, section, "k_sweep", False))
-    horizon_end = _pick(args.horizon_end, section, "horizon_end", None)
-    node_count = _pick(args.nodes, section, "nodes", None)
-    type_count = _pick(args.types, section, "types", None)
+    seed = _pick(args.seed, section, "seed", 0, int)
+    max_hops = _pick(args.k, section, "k", DEFAULT_MAX_HOPS, int)
+    delta = _pick(args.delta, section, "delta", DEFAULT_DELTA, float)
+    bin_width = _pick(args.dt, section, "dt", DEFAULT_BIN_WIDTH, float)
+    allow_cycles = _pick(args.allow_cycles, section, "allow_cycles", True, bool)
+    k_sweep = _pick(args.k_sweep, section, "k_sweep", False, bool)
+    horizon_end = _pick(args.horizon_end, section, "horizon_end", None, float)
+    node_count = _pick(args.nodes, section, "nodes", None, int)
+    type_count = _pick(args.types, section, "types", None, int)
     em_config = _em_config(section)
     if max_hops < 0:
         raise InvalidInputError("--k must be >= 0")
+    if seed < 0:
+        raise InvalidInputError("--seed must be >= 0")
     if no_topology:
         max_hops = 0
 
@@ -276,7 +275,7 @@ def cmd_learn(args) -> int:
     if topology_path is not None:
         topology = load_edge_list(
             topology_path,
-            node_count=int(node_count) if node_count is not None else None,
+            node_count=node_count,
             max_hops=max_hops,
         )
         inputs["topology"] = f"sha256:{sha256_file(topology_path)}"
@@ -284,21 +283,25 @@ def cmd_learn(args) -> int:
     else:
         if node_count is None:
             node_count = int(records.node.max(initial=0)) + 1
-        topology = build_topology(int(node_count), [], max_hops=max_hops)
+        topology = build_topology(node_count, [], max_hops=max_hops)
         node_count = topology.node_count
 
     if type_count is None:
         type_count = int(records.event_type.max(initial=0)) + 1
     if horizon_end is None:
+        # the window ends with the latest event's bin; from 2**53 bins on the
+        # next bin boundary can round back onto the latest timestamp, so the
+        # window then ends at the next float instead
         latest = records.timestamp.max(initial=0.0)
-        horizon_end = (np.floor(latest / bin_width) + 1.0) * bin_width
+        horizon_end = max((np.floor(latest / bin_width) + 1.0) * bin_width,
+                          np.nextafter(latest, np.inf))
 
     dataset = discretize(
         records,
         bin_width,
         float(horizon_end),
-        node_count=int(node_count),
-        type_count=int(type_count),
+        node_count=node_count,
+        type_count=type_count,
     )
     kernel = ExponentialKernel(delta)
 
@@ -373,8 +376,8 @@ def cmd_learn(args) -> int:
 
 def cmd_evaluate(args) -> int:
     section = _section(_load_config(args.config), "evaluate")
-    predicted_path = _pick(args.predicted, section, "predicted", None)
-    truth_path = _pick(args.truth, section, "truth", None)
+    predicted_path = _pick(args.predicted, section, "predicted", None, str)
+    truth_path = _pick(args.truth, section, "truth", None, str)
     if predicted_path is None or truth_path is None:
         raise InvalidInputError("evaluate needs --predicted and --truth")
     predicted = load_graph_json(predicted_path)
@@ -421,13 +424,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     section = _section(_load_config(args.config), "benchmark")
-    runs = int(_pick(args.runs, section, "runs", 5))
+    runs = _pick(args.runs, section, "runs", 5, int)
     if runs < 1:
         raise InvalidInputError("--runs must be >= 1")
     em_config = _em_config(section)
     base = _sim_config(args, {k: v for k, v in section.items() if k not in
                               ("runs", "em", "seed")})
-    base_seed = int(_pick(args.seed, section, "seed", 0))
+    base_seed = _pick(args.seed, section, "seed", 0, int)
     delta = (
         base.kernel.decay
         if isinstance(base.kernel, ExponentialKernel)

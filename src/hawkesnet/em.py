@@ -9,18 +9,49 @@ Summed over cells, those responsibilities give closed-form updates:
 
 The responsibilities are never materialized: ``q_bg = mu / lam`` and
 ``q_e = alpha_e * feature_e / lam``, so both sums need only ``X / lam`` at
-the occupied cells. One iteration (``_em_iteration``) scores the current point
+the occupied cells. One EM map (``_em_iteration``) scores the current point
 with the shared per-type likelihood of :mod:`hawkesnet.likelihood` and
-returns the update; ``fit_type`` runs it to convergence.
+returns the update.
+
+``fit_type`` accelerates that map with SQUAREM (Varadhan & Roland 2008,
+*Scand. J. Statist.* 35:335, scheme SqS3): from an accepted point ``x0``
+it takes two maps ``x1 = F(x0)``, ``x2 = F(x1)``, then jumps to
+``x0 - 2 s r + s^2 v`` with ``r = x1 - x0``, ``v = x2 - 2 x1 + x0`` and
+``s = -|r| / |v|`` clamped to ``[-step_max, -1]`` (``s = -1`` is ``x2``
+itself), projected onto ``mu, alpha >= 0``. The jump is scored once, by
+the map that continues from it; it is accepted if its log-likelihood is
+finite and at least that of ``x1``, and otherwise the fit falls back to the
+plain EM point ``x2``. ``step_max`` starts at 1 and adapts as in the
+SQUAREM package (Du & Varadhan 2020, *J. Stat. Softw.* 92(7)): times 4
+after an accepted jump at the bound, divided by 4 (not below 1) after a
+rejected one, so early, nearly straight stretches of the EM path do not
+waste maps on overshooting jumps. A unit step needs no jump map (it is the
+plain EM path), and no jump is tried when only one map is left, so a fit
+never ends on a rejected jump.
+
+Every type's objective is concave, so the fixed point of the EM map is its
+maximizer and extrapolating along the EM path reaches the same estimate in
+far fewer maps, so fits that plain EM left at the map cap now converge.
+``EmConfig.max_iterations`` caps the number of EM maps (``_em_iteration``
+calls), so no fit does more work than plain EM under the same cap. The fit
+stops when two consecutive accepted points differ in log-likelihood by at
+most ``rel_tolerance`` relative, or when the map from an accepted point
+gains at most that much once multiplied by the step length: for EM's linear
+rate ``rho`` the step estimates ``1 / (1 - rho)``, so the product estimates
+the gain still left along the path (Aitken's delta-squared estimate). Fast
+paths stop as soon as plain EM would; slow ones, where one map gains little
+but much remains, do not stop early.
 
 Event types are coupled only through shared features, never through shared
 parameters, so each type is fitted independently; a joint trajectory is the
-per-iteration sum. Per-iteration log-likelihood is nondecreasing (standard
-EM guarantee for this Poisson mixture).
+per-iteration sum. The log-likelihood of accepted points is nondecreasing:
+plain EM maps never lower it (standard EM guarantee for this Poisson
+mixture) and a jump is only accepted above ``x1``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +72,9 @@ __all__ = [
 # initialization draws: mu ~ U(0.5, 1.5) * empirical rate, alpha ~ U(0, 0.1)
 _MU_INIT_RANGE = (0.5, 1.5)
 _ALPHA_INIT_RANGE = (0.0, 0.1)
+# SQUAREM step bound: starts at 1 (plain EM), grows by this factor after an
+# accepted jump at the bound and shrinks by it after a rejected one
+_STEP_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -69,8 +103,8 @@ class TypeFit:
     mu: float
     alpha: np.ndarray = field(repr=False)  # (len(parents), max_hops + 1)
     log_lik: float
-    trajectory: tuple
-    iterations: int
+    trajectory: tuple  # log-likelihoods of the accepted points
+    iterations: int  # EM maps, plus the final rescore of a fit the cap stopped
     converged: bool
 
 
@@ -81,7 +115,7 @@ class FitResult:
     params: ThpParams
     log_lik: float
     trajectory: tuple
-    iterations: int
+    iterations: int  # of the type fit that took the most
     converged: bool
     type_fits: tuple
 
@@ -118,6 +152,90 @@ def _em_iteration(mu, alpha: np.ndarray, data: TypeData) -> tuple[float, float, 
         active, alpha * (data.flat.T @ ratio) / np.where(active, data.totals * dt, 1.0), 0.0
     )
     return log_lik, mu, alpha
+
+
+def _em_map(point: tuple, data: TypeData) -> tuple[float, tuple]:
+    """``_em_iteration`` on a point ``(mu, alpha)``: ``(log_lik of point, F(point))``."""
+    log_lik, mu, alpha = _em_iteration(point[0], point[1], data)
+    return log_lik, (mu, alpha)
+
+
+def _extrapolate(p0: tuple, p1: tuple, p2: tuple, step_max: float) -> tuple[tuple, float]:
+    """The SqS3 jump along the EM path ``p0 -> p1 -> p2``: ``(jump, step)``.
+
+    ``step = |r| / |v|`` clamped to ``[1, step_max]``, and the jump
+    ``p0 + 2 step r + step^2 v`` projected onto ``mu, alpha >= 0``; a unit
+    step is ``p2`` itself. Points are ``(mu, alpha)`` pairs, with ``mu``
+    the first coordinate of ``r`` and ``v``.
+    """
+    (mu0, alpha0), (mu1, alpha1), (mu2, alpha2) = p0, p1, p2
+    r_mu, r = mu1 - mu0, alpha1 - alpha0
+    v_mu, v = mu2 - mu1 - r_mu, alpha2 - alpha1 - r
+    v_norm = math.hypot(v_mu, *v.tolist())
+    step = min(max(math.hypot(r_mu, *r.tolist()) / v_norm, 1.0), step_max) if v_norm > 0.0 else 1.0
+    if step == 1.0:
+        return p2, step
+    mu = max(mu0 + 2.0 * step * r_mu + step * step * v_mu, 0.0)
+    alpha = alpha0 + (2.0 * step) * r + (step * step) * v
+    return (mu, np.maximum(alpha, 0.0, out=alpha)), step
+
+
+def _small(gain: float, log_lik: float, rel_tolerance: float) -> bool:
+    """The stopping test: a log-likelihood ``gain`` from ``log_lik`` within tolerance."""
+    return abs(gain) <= rel_tolerance * (abs(log_lik) + 1.0)
+
+
+@np.errstate(all="ignore")  # a jump may overflow or leave the domain; it is then rejected
+def _squarem(x: tuple, data: TypeData, config: EmConfig):
+    """SQUAREM from the point ``x``: ``(final point, trajectory, converged, evaluations)``.
+
+    The trajectory holds the log-likelihoods of the accepted points, plus
+    the rescore of the final point when the map cap ends the fit; it is
+    nondecreasing. ``evaluations`` counts EM maps plus that rescore, so a
+    capped fit costs at most ``max_iterations + 1`` likelihood evaluations.
+    """
+    log_lik, x1 = _em_map(x, data)
+    maps = 1
+    trajectory = [log_lik]
+    newest = x1  # the latest unscored point on the monotone path
+    step_max = 1.0
+    while maps < config.max_iterations:
+        ll1, x2 = _em_map(x1, data)
+        maps += 1
+        newest = x2
+        jump, step = _extrapolate(x, x1, x2, step_max)
+        # the map from x gained ll1 - log_lik; with EM's linear rate rho the
+        # path still holds about that gain times 1 / (1 - rho) ~ step
+        if _small(step * (ll1 - log_lik), log_lik, config.rel_tolerance):
+            trajectory.append(ll1)
+            return x1, trajectory, True, maps
+        if maps == config.max_iterations:
+            break
+        accepted = False
+        if step > 1.0 and maps + 1 < config.max_iterations:  # a rejected jump leaves a map for x2
+            maps += 1
+            try:
+                ll_jump, after_jump = _em_map(jump, data)
+                accepted = math.isfinite(ll_jump) and ll_jump >= ll1
+            except DegenerateModelError:
+                pass
+        if step == step_max:  # a unit step is x2, which EM always accepts
+            grow = accepted or step == 1.0
+            step_max = step_max * _STEP_FACTOR if grow else max(1.0, step_max / _STEP_FACTOR)
+        if accepted:
+            x, log_lik, x1 = jump, ll_jump, after_jump
+        else:
+            x = x2
+            log_lik, x1 = _em_map(x, data)
+            maps += 1
+        newest = x1
+        converged = _small(log_lik - trajectory[-1], trajectory[-1], config.rel_tolerance)
+        trajectory.append(log_lik)
+        if converged:
+            return x, trajectory, True, maps
+    # out of maps after an update: score the newest point
+    trajectory.append(type_log_likelihood(newest[0], newest[1], data)[1])
+    return newest, trajectory, False, maps + 1
 
 
 def fit_type(
@@ -157,23 +275,11 @@ def fit_type(
         alpha = rng.uniform(*_ALPHA_INIT_RANGE, size=data.totals.shape[0])
         alpha[data.totals <= 0] = 0.0
 
-        trajectory = []
-        for _ in range(config.max_iterations):
-            current, next_mu, next_alpha = _em_iteration(mu, alpha, data)
-            converged = bool(trajectory) and abs(current - trajectory[-1]) <= (
-                config.rel_tolerance * (abs(trajectory[-1]) + 1.0)
-            )
-            trajectory.append(current)
-            if converged:
-                break
-            mu, alpha = next_mu, next_alpha
-        else:
-            # ran out of iterations after an update: score the final point
-            trajectory.append(type_log_likelihood(mu, alpha, data)[1])
+        point, trajectory, converged, evaluations = _squarem((mu, alpha), data, config)
         if best is None or trajectory[-1] > best[0]:
-            best = (trajectory[-1], mu, alpha, trajectory, converged)
+            best = (trajectory[-1], point, trajectory, converged, evaluations)
 
-    final_ll, mu, alpha, trajectory, converged = best
+    final_ll, (mu, alpha), trajectory, converged, evaluations = best
     return TypeFit(
         event_type=event_type,
         parents=parents,
@@ -181,7 +287,7 @@ def fit_type(
         alpha=alpha.reshape(len(parents), cache.max_hops + 1),
         log_lik=final_ll,
         trajectory=tuple(trajectory),
-        iterations=len(trajectory),
+        iterations=evaluations,
         converged=converged,
     )
 
@@ -225,7 +331,7 @@ def fit(
         params=assemble_params(fits, cache.max_hops),
         log_lik=float(sum(f.log_lik for f in fits)),
         trajectory=tuple(float(x) for x in joint),
-        iterations=joint.shape[0],
+        iterations=max(f.iterations for f in fits),
         converged=all(f.converged for f in fits),
         type_fits=tuple(fits),
     )

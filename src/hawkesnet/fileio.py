@@ -57,11 +57,16 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def read_json(path: str) -> dict:
+    """The JSON object in ``path``; anything else is an :class:`InvalidInputError`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh)
+        # ValueError also covers integers past the digit limit, RecursionError deep nesting
+        except (ValueError, RecursionError) as exc:
             raise InvalidInputError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{path}: the JSON root must be an object")
+    return data
 
 
 def sha256_file(path: str) -> str:
@@ -116,6 +121,15 @@ def save_graph_json(
 
 def load_graph_json(path: str) -> GraphDocument:
     data = read_json(path)
+    try:
+        return _graph_document(path, data)
+    except InvalidInputError:
+        raise
+    except (TypeError, ValueError, OverflowError, IndexError) as exc:  # a field of the wrong shape
+        raise InvalidInputError(f"{path}: malformed graph document ({exc!r})") from exc
+
+
+def _graph_document(path: str, data: dict) -> GraphDocument:
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise InvalidInputError(

@@ -82,8 +82,8 @@ def apply_move(graph: CausalGraph, move: Move) -> CausalGraph:
 def vicinity_moves(graph: CausalGraph, allow_cycles: bool = True) -> list[Move]:
     """All legal single moves, in canonical (source, target, kind) order.
 
-    With ``allow_cycles=False`` moves whose result contains a directed cycle
-    (self-loops included) are dropped.
+    With ``allow_cycles=False`` the graph must be acyclic, and moves whose
+    result contains a directed cycle (self-loops included) are dropped.
     """
     moves: list[Move] = []
     n = graph.type_count
@@ -97,8 +97,42 @@ def vicinity_moves(graph: CausalGraph, allow_cycles: bool = True) -> list[Move]:
                 if src != dst and (dst, src) not in graph.edges:
                     moves.append(Move("reverse", edge))
     if not allow_cycles:
-        moves = [m for m in moves if not apply_move(graph, m).has_cycle()]
+        moves = _acyclic_moves(graph, moves)
     return moves
+
+
+def _acyclic_moves(graph: CausalGraph, moves: list[Move]) -> list[Move]:
+    """The moves that keep the acyclic ``graph`` acyclic, from reachability alone.
+
+    Adding ``c -> v`` closes a cycle iff ``c == v`` or ``v`` reaches ``c``;
+    reversing ``c -> v`` closes one iff ``c`` reaches ``v`` through another
+    child; deleting an edge never does.
+    """
+    children: list[list[int]] = [[] for _ in range(graph.type_count)]
+    for a, b in graph.edges:
+        children[a].append(b)
+    reach = []  # reach[a]: the types a path of one edge or more leads to from a
+    for root in range(graph.type_count):
+        seen: set = set()
+        stack = [root]
+        while stack:
+            for child in children[stack.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        reach.append(seen)
+    if any(v in reach[v] for v in range(graph.type_count)):
+        raise InvalidInputError("an acyclic vicinity needs an acyclic graph")
+
+    def keeps_acyclic(move: Move) -> bool:
+        src, dst = move.edge
+        if move.kind == "add":
+            return src != dst and src not in reach[dst]
+        if move.kind == "reverse":  # dst is not in reach[dst]: the edge itself never counts
+            return not any(dst in reach[w] for w in children[src])
+        return True
+
+    return [m for m in moves if keeps_acyclic(m)]
 
 
 def vicinity(graph: CausalGraph, allow_cycles: bool = True) -> list[CausalGraph]:

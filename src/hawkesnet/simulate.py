@@ -94,13 +94,13 @@ class SimConfig:
             raise InvalidInputError("target_event_count must be >= 0")
         for name in ("mu_range", "alpha_range"):
             lo, hi = getattr(self, name)
-            if not (0 <= lo <= hi):
-                raise InvalidInputError(f"{name} must satisfy 0 <= lo <= hi")
+            if not (0 <= lo <= hi < math.inf):
+                raise InvalidInputError(f"{name} must satisfy 0 <= lo <= hi < inf")
             object.__setattr__(self, name, (float(lo), float(hi)))
         if self.max_hops < 0:
             raise InvalidInputError("max_hops must be >= 0")
-        if not (self.bin_width > 0):
-            raise InvalidInputError("bin_width must be positive")
+        if not (0 < self.bin_width < math.inf):
+            raise InvalidInputError("bin_width must be positive and finite")
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0")
         if not (self.explosion_guard > 0):
@@ -132,13 +132,22 @@ class SimConfig:
         if unknown:
             raise InvalidInputError(f"unknown simulate config keys {sorted(unknown)}")
         kwargs = dict(data)
-        if "kernel" in kwargs and isinstance(kwargs["kernel"], dict):
-            kwargs["kernel"] = kernel_from_config(kwargs["kernel"])
-        if "mu_range" in kwargs:
-            kwargs["mu_range"] = tuple(kwargs["mu_range"])
-        if "alpha_range" in kwargs:
-            kwargs["alpha_range"] = tuple(kwargs["alpha_range"])
-        return cls(**kwargs)
+        try:
+            for name, value in data.items():
+                default = getattr(cls, name)
+                if name == "kernel":
+                    if isinstance(value, dict):
+                        kwargs[name] = kernel_from_config(value)
+                elif isinstance(default, tuple):
+                    lo, hi = value
+                    kwargs[name] = (float(lo), float(hi))
+                else:  # int and float fields take their default's type
+                    kwargs[name] = type(default)(value)
+            return cls(**kwargs)
+        except InvalidInputError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong shape
+            raise InvalidInputError(f"invalid simulate config ({exc})") from exc
 
 
 @dataclass(frozen=True)

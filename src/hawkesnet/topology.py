@@ -93,7 +93,10 @@ def adjacency_powers(propagation: np.ndarray, max_hops: int) -> np.ndarray:
     if max_hops < 0:
         raise InvalidInputError("max_hops must be >= 0")
     n = propagation.shape[0]
-    powers = np.empty((max_hops + 1, n, n))
+    try:
+        powers = np.empty((max_hops + 1, n, n))
+    except (ValueError, MemoryError, OverflowError) as exc:  # numpy refuses the size outright
+        raise InvalidInputError(f"cannot allocate {max_hops} propagation hops") from exc
     powers[0] = np.eye(n)
     for k in range(1, max_hops + 1):
         powers[k] = powers[k - 1] @ propagation
@@ -171,7 +174,10 @@ def load_edge_list(
             if line.startswith("#"):
                 match = _NODES_HINT.match(line)
                 if match:
-                    hinted = int(match.group(1))
+                    try:
+                        hinted = int(match.group(1))
+                    except ValueError as exc:  # past Python's integer digit limit
+                        raise InvalidInputError(f"{path}:{lineno}: node count hint too long") from exc
                 continue
             if not line:
                 continue

@@ -150,7 +150,7 @@ def random_instance(
 def em_iteration(
     params: ThpParams, graph: CausalGraph, cache: FeatureCache
 ) -> tuple[ThpParams, np.ndarray]:
-    """One production EM iteration (the one ``fit_type`` loops) from ``params``.
+    """One production EM map (the one ``fit_type`` accelerates) from ``params``.
 
     Returns the updated parameters and, per type, the events the update
     expects: ``dt * (mu' * node_count * bin_count + alpha' @ totals)``.

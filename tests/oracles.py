@@ -7,6 +7,9 @@ and its kernel lag grid), so agreement between the two routes is meaningful
 evidence rather than a tautology. ``oracle_blockwise_features`` is the
 exception in style: the earlier dense-sweep feature builder, vectorized with
 :func:`scipy.signal.lfilter` so that long horizons stay cheap to check.
+``oracle_plain_em`` is the other exception: the plain EM loop around the
+package's own EM map, the reference the accelerated ``fit_type`` must never
+score below.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
+from hawkesnet.em import EmConfig, TypeFit, _em_iteration
 from hawkesnet.errors import (
     InvalidInputError,
     SimulationExplosionError,
@@ -24,7 +28,7 @@ from hawkesnet.errors import (
 from hawkesnet.events import DiscreteDataset, event_table
 from hawkesnet.features import FeatureCache
 from hawkesnet.kernels import DecayKernel, ExponentialKernel
-from hawkesnet.likelihood import CausalGraph, ThpParams
+from hawkesnet.likelihood import CausalGraph, ThpParams, type_data, type_log_likelihood
 from hawkesnet.simulate import _window_weights
 from hawkesnet.topology import TopologyGraph
 
@@ -449,3 +453,56 @@ def oracle_sweep(
             break
     nodes, types, stamps = zip(*events) if events else ((), (), ())
     return event_table(nodes, types, stamps), bins_run
+
+
+def oracle_plain_em(
+    event_type: int,
+    parents,
+    cache: FeatureCache,
+    config: EmConfig = EmConfig(),
+    seed=0,
+) -> TypeFit:
+    """``fit_type`` without acceleration: ``_em_iteration`` looped until two
+    consecutive log-likelihoods agree to ``rel_tolerance`` or the map cap.
+
+    Same initialization draws as ``fit_type``; ``iterations`` counts the
+    likelihood evaluations (maps plus the final rescore of a capped fit).
+    """
+    parents = tuple(sorted(int(p) for p in parents))
+    data = type_data(cache, event_type, parents)
+    if data.counts.shape[0] == 0:
+        zeros = np.zeros((len(parents), cache.max_hops + 1))
+        return TypeFit(event_type, parents, 0.0, zeros, 0.0, (0.0,), 0, True)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    empirical_rate = data.counts.sum() / (data.grid_cells * data.bin_width)
+    best = None
+    for child in root.spawn(config.restarts):
+        rng = np.random.default_rng(child)
+        mu = rng.uniform(0.5, 1.5) * empirical_rate
+        alpha = rng.uniform(0.0, 0.1, size=data.totals.shape[0])
+        alpha[data.totals <= 0] = 0.0
+        trajectory = []
+        for _ in range(config.max_iterations):
+            current, next_mu, next_alpha = _em_iteration(mu, alpha, data)
+            converged = bool(trajectory) and abs(current - trajectory[-1]) <= (
+                config.rel_tolerance * (abs(trajectory[-1]) + 1.0)
+            )
+            trajectory.append(current)
+            if converged:
+                break
+            mu, alpha = next_mu, next_alpha
+        else:
+            trajectory.append(type_log_likelihood(mu, alpha, data)[1])
+        if best is None or trajectory[-1] > best[0]:
+            best = (trajectory[-1], mu, alpha, trajectory, converged)
+    final_ll, mu, alpha, trajectory, converged = best
+    return TypeFit(
+        event_type=event_type,
+        parents=parents,
+        mu=float(mu),
+        alpha=alpha.reshape(len(parents), cache.max_hops + 1),
+        log_lik=final_ll,
+        trajectory=tuple(trajectory),
+        iterations=len(trajectory),
+        converged=converged,
+    )

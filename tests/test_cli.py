@@ -237,6 +237,34 @@ def test_learn_horizon_end_matches_inference(sim_dir, tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("latest", ["9007199254740993.0", "1.2345678901234567e+16"])
+def test_learn_infers_a_window_past_2_pow_53_bins(tmp_path, capsys, latest):
+    # from 2**53 bins on, the boundary after the latest event's bin rounds
+    # back onto the latest timestamp; the inferred window must still hold it
+    events = tmp_path / "events.csv"
+    events.write_text(f"node,event_type,timestamp\n0,0,0.5\n0,0,{latest}\n")
+    out = tmp_path / "o"
+    assert main(["learn", "--events", str(events), "--no-topology", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["events"] == 2
+    assert report["bins"] > float(latest)
+
+
+@pytest.mark.parametrize("learn", [
+    {"allow_cycles": "false"}, {"no_topology": 0}, {"events": 0}, {"k": "two"},
+    {"em": {"max_iterations": "many"}},
+])
+def test_learn_rejects_config_values_of_the_wrong_type(sim_dir, tmp_path, capsys, learn):
+    config = _write_config(tmp_path / "c.json", {"learn": learn})
+    code = main([
+        "learn", "--config", config, "--topology", str(sim_dir / "topology.txt"),
+        *([] if "events" in learn else ["--events", str(sim_dir / "events.csv")]),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "config key" in capsys.readouterr().err
+
+
 def test_learn_no_topology(sim_dir, tmp_path):
     out = tmp_path / "fit"
     code = main(

@@ -1,4 +1,4 @@
-"""EM fitting: the production iteration, closed-form updates, convergence."""
+"""EM fitting: the production map, closed-form updates, SQUAREM convergence."""
 
 from __future__ import annotations
 
@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkesnet.em import EmConfig, assemble_params, fit, fit_type, type_seed
+import hawkesnet.em as em_mod
+from hawkesnet.em import (
+    EmConfig,
+    _em_iteration,
+    assemble_params,
+    fit,
+    fit_type,
+    type_seed,
+)
 from hawkesnet.errors import DegenerateModelError, InvalidInputError
 from hawkesnet.events import discretize
 from hawkesnet.features import build_features
@@ -17,11 +25,13 @@ from hawkesnet.likelihood import (
     ThpParams,
     analytic_gradient,
     log_likelihood,
+    type_data,
 )
+from hawkesnet.simulate import SimConfig, generate_benchmark
 from hawkesnet.topology import build_topology
 
 from .helpers import dense_to_dataset, em_iteration, random_instance, rows_to_table
-from .oracles import oracle_m_step
+from .oracles import oracle_m_step, oracle_plain_em
 
 RNG = np.random.default_rng
 
@@ -244,3 +254,99 @@ def test_convergence_flag_and_iteration_cap():
         EmConfig(max_iterations=500, rel_tolerance=1e-4),
     )
     assert relaxed.converged
+
+
+@pytest.fixture(scope="module")
+def dense():
+    """A ``dense-learn``-shaped instance: 10 nodes, 5 types, nearly every bin
+    occupied (mu in [0.05, 0.1], delta 0.2, K=2), about 2,200 bins.
+
+    Returns the feature cache and, per type, the true parent set and the
+    true parents plus the lowest-numbered wrong parent.
+    """
+    config = SimConfig(
+        node_count=10, type_count=5, causal_avg_indegree=1.5, mu_range=(0.05, 0.1),
+        kernel=ExponentialKernel(0.2), target_event_count=15_000, seed=0,
+    )
+    data = generate_benchmark(config)
+    cache = build_features(data.dataset(), data.topology, ExponentialKernel(0.2), 2)
+    parent_sets = []
+    for v in range(5):
+        truth = data.causal_graph.parents(v)
+        wrong = min(c for c in range(5) if c not in truth)
+        parent_sets.append((v, truth, tuple(sorted(truth + (wrong,)))))
+    return cache, parent_sets
+
+
+def test_accelerated_fit_ends_at_a_fixed_point(dense):
+    cache, parent_sets = dense
+    tol = 1e-12
+    for v, truth, _ in parent_sets:
+        result = fit_type(v, truth, cache, EmConfig(max_iterations=10_000, rel_tolerance=tol),
+                          type_seed(0, v, truth))
+        assert result.converged
+        data = type_data(cache, v, truth)
+        log_lik, mu, alpha = _em_iteration(result.mu, result.alpha.ravel(), data)
+        assert log_lik == result.log_lik
+        again, _, _ = _em_iteration(mu, alpha, data)
+        assert abs(again - log_lik) <= tol * (abs(log_lik) + 1.0)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 5, 10, 20, 100])
+def test_accelerated_fit_never_below_plain_em(dense, cap):
+    cache, parent_sets = dense
+    config = EmConfig(max_iterations=cap)
+    for v, truth, padded in parent_sets:
+        for parents in (truth, padded):
+            fast = fit_type(v, parents, cache, config, type_seed(0, v, parents))
+            plain = oracle_plain_em(v, parents, cache, config, type_seed(0, v, parents))
+            assert fast.log_lik >= plain.log_lik - 1e-9 * (abs(plain.log_lik) + 1.0)
+            assert fast.iterations <= cap + 1
+
+
+def test_default_fits_of_true_parents_converge(dense):
+    cache, parent_sets = dense
+    for v, truth, _ in parent_sets:
+        result = fit_type(v, truth, cache, EmConfig(), type_seed(0, v, truth))
+        assert result.converged
+        assert result.iterations < EmConfig().max_iterations
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 7, 100])
+def test_max_iterations_caps_em_maps(dense, monkeypatch, cap):
+    cache, parent_sets = dense
+    calls = []
+    original = em_mod._em_iteration
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(em_mod, "_em_iteration", counting)
+    v, _, padded = parent_sets[1]
+    result = fit_type(v, padded, cache, EmConfig(max_iterations=cap), type_seed(0, v, padded))
+    assert len(calls) <= cap
+    # iterations counts maps, plus the rescore of a fit the cap stopped
+    assert result.iterations == len(calls) + (not result.converged)
+    traj = np.asarray(result.trajectory)
+    assert np.all(np.diff(traj) >= -1e-9 * (1.0 + np.abs(traj[:-1])))
+    assert result.log_lik == traj[-1]
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_rejected_jumps_fall_back_to_plain_em(dense, monkeypatch, bad):
+    # a jump to zero rates is degenerate, one to nan or inf is non-finite:
+    # every cycle falls back to x2, so the fit is plain EM minus one map in three
+    cache, parent_sets = dense
+    monkeypatch.setattr(
+        em_mod, "_extrapolate", lambda p0, p1, p2, step_max: ((bad, np.full_like(p0[1], bad)), 2.0)
+    )
+    v, truth, _ = parent_sets[1]
+    config = EmConfig(max_iterations=30)
+    result = fit_type(v, truth, cache, config, type_seed(0, v, truth))
+    traj = np.asarray(result.trajectory)
+    assert np.isfinite(traj).all()
+    assert np.all(np.diff(traj) >= -1e-9 * (1.0 + np.abs(traj[:-1])))
+    assert result.mu > 0 and np.isfinite(result.alpha).all()
+    plain = oracle_plain_em(v, truth, cache, EmConfig(max_iterations=20), type_seed(0, v, truth))
+    assert result.log_lik >= plain.log_lik - 1e-9 * (abs(plain.log_lik) + 1.0)

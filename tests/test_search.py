@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hawkesnet.em import EmConfig, fit_type, type_seed
 from hawkesnet.errors import InvalidInputError
@@ -93,6 +95,30 @@ def test_dag_mode_filters_cycle_creating_moves():
         assert not apply_move(g, m).has_cycle()
     neighbors = vicinity(g, allow_cycles=False)
     assert all(not n.has_cycle() for n in neighbors)
+
+
+@st.composite
+def dags(draw):
+    """A random DAG: edges a -> b with a before b in a random type order."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return CausalGraph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@given(dags())
+def test_dag_mode_filter_equals_building_every_neighbor(graph):
+    every = vicinity_moves(graph)
+    want = [m for m in every if not apply_move(graph, m).has_cycle()]
+    assert vicinity_moves(graph, allow_cycles=False) == want
+
+
+def test_dag_mode_rejects_a_cyclic_graph():
+    for graph in (CausalGraph(3, [(0, 1), (1, 2), (2, 0)]), CausalGraph(2, [(1, 1)])):
+        with pytest.raises(InvalidInputError):
+            vicinity_moves(graph, allow_cycles=False)
+        assert vicinity_moves(graph)  # the cyclic search takes any graph
 
 
 def test_changed_types():
