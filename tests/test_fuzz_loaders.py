@@ -75,10 +75,9 @@ def json_documents(draw, base: dict) -> bytes:
     root = draw(st.sampled_from(["doc", "doc", "doc", "list", "nested", "scalar"]))
     if root == "list":
         doc = [doc]
-    elif root == "nested":
-        doc = json.loads("[" * 50 + "1" + "]" * 50) if draw(st.booleans()) else None
-        text = "[" * 100_000 + "]" * 100_000 if doc is None else json.dumps(doc)
-        return _mangle(draw, text.encode())
+    elif root == "nested":  # past json's recursion limit, or not
+        depth = draw(st.sampled_from([50, 100_000]))
+        return _mangle(draw, ("[" * depth + "]" * depth).encode())
     elif root == "scalar":
         doc = draw(json_values)
     return _mangle(draw, json.dumps(doc).encode("utf-8"))
