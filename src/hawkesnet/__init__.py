@@ -35,9 +35,9 @@ from .likelihood import (
     log_likelihood,
     per_type_log_likelihood,
 )
-from .em import EmConfig, FitResult, TypeFit, fit, fit_type
+from .em import EmConfig, FitResult, TypeFit, fit, fit_batch, fit_type
 from .metrics import StructureReport, alpha_mae, structure_metrics
-from .search import SearchResult, hill_climb, score_candidate, vicinity
+from .search import SearchResult, hill_climb, score_candidate
 from .simulate import (
     BenchmarkData,
     SimConfig,
@@ -85,6 +85,7 @@ __all__ = [
     "evaluate",
     "event_table",
     "fit",
+    "fit_batch",
     "fit_type",
     "generate_benchmark",
     "hill_climb",
@@ -98,5 +99,4 @@ __all__ = [
     "simulate",
     "structure_metrics",
     "temporal_summary_step",
-    "vicinity",
 ]

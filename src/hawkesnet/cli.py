@@ -310,6 +310,7 @@ def cmd_learn(args) -> int:
     hop_orders = list(range(max_hops + 1)) if k_sweep else [max_hops]
     best = None
     best_hops = None
+    fits = maps = nonconverged = 0
     for hops in hop_orders:
         result = hill_climb(
             cache.truncated(hops),
@@ -319,6 +320,9 @@ def cmd_learn(args) -> int:
             progress=lambda line: print(line, file=sys.stderr),
             trace_path=args.trace if hops == hop_orders[-1] else None,
         )
+        fits += result.fit_evaluations
+        maps += result.em_maps
+        nonconverged += result.nonconverged_fits
         if best is None or result.score > best.score:
             best, best_hops = result, hops
     elapsed = time.monotonic() - started
@@ -362,7 +366,8 @@ def cmd_learn(args) -> int:
             "config": config_echo,
         },
     )
-    print(f"search took {elapsed:.2f}s", file=sys.stderr)
+    print(f"search took {elapsed:.2f}s fits={fits} maps={maps} nonconverged={nonconverged}",
+          file=sys.stderr)
     unconverged = ", ".join(str(f.event_type) for f in best.type_fits if not f.converged)
     if unconverged:
         print(f"warning: EM did not converge within {em_config.max_iterations} "

@@ -9,11 +9,11 @@ Summed over cells, those responsibilities give closed-form updates:
 
 The responsibilities are never materialized: ``q_bg = mu / lam`` and
 ``q_e = alpha_e * feature_e / lam``, so both sums need only ``X / lam`` at
-the occupied cells. One EM map (``_em_iteration``) scores the current point
-with the shared per-type likelihood of :mod:`hawkesnet.likelihood` and
-returns the update.
+the occupied cells. One EM map (``_em_iteration``) scores points with
+the shared per-type likelihood of :mod:`hawkesnet.likelihood` and returns
+their updates.
 
-``fit_type`` accelerates that map with SQUAREM (Varadhan & Roland 2008,
+``fit_batch`` accelerates that map with SQUAREM (Varadhan & Roland 2008,
 *Scand. J. Statist.* 35:335, scheme SqS3): from an accepted point ``x0``
 it takes two maps ``x1 = F(x0)``, ``x2 = F(x1)``, then jumps to
 ``x0 - 2 s r + s^2 v`` with ``r = x1 - x0``, ``v = x2 - 2 x1 + x0`` and
@@ -32,8 +32,9 @@ never ends on a rejected jump.
 Every type's objective is concave, so the fixed point of the EM map is its
 maximizer and extrapolating along the EM path reaches the same estimate in
 far fewer maps, so fits that plain EM left at the map cap now converge.
-``EmConfig.max_iterations`` caps the number of EM maps (``_em_iteration``
-calls), so no fit does more work than plain EM under the same cap. The fit
+``EmConfig.max_iterations`` caps the number of EM maps each fit takes
+(a fit fitted alone makes one ``_em_iteration`` call per map), so no fit
+does more work than plain EM under the same cap. The fit
 stops when two consecutive accepted points differ in log-likelihood by at
 most ``rel_tolerance`` relative, or when the map from an accepted point
 gains at most that much once multiplied by the step length: for EM's linear
@@ -41,6 +42,19 @@ rate ``rho`` the step estimates ``1 / (1 - rho)``, so the product estimates
 the gain still left along the path (Aitken's delta-squared estimate). Fast
 paths stop as soon as plain EM would; slow ones, where one map gains little
 but much remains, do not stop early.
+
+``fit_batch`` fits several parent sets of one event type, and all their
+restarts, together. Each fit runs the SQUAREM cycle above as a generator
+that yields the next point it needs mapped; every pass gathers those points
+from all running fits and applies ``_em_iteration`` to them in one call, so
+the numpy call overhead of a map is paid once per pass instead of once per
+fit, and each fit follows exactly the path it follows alone. ``fit_type`` is
+a batch of one. A fit does not depend on its batch: each parent set's
+feature block starts at a 64-byte-aligned address (see
+:class:`hawkesnet.likelihood.TypeBatch`), and every product and sum of a
+point is a BLAS call or a row reduction of its own, so no float depends on
+the batch size or on the point's position in it. A memoized fit therefore
+equals a fresh one bit for bit.
 
 Event types are coupled only through shared features, never through shared
 parameters, so each type is fitted independently; a joint trajectory is the
@@ -58,13 +72,22 @@ import numpy as np
 
 from .errors import DegenerateModelError, InvalidInputError
 from .features import FeatureCache
-from .likelihood import CausalGraph, ThpParams, TypeData, type_data, type_log_likelihood
+from .likelihood import (
+    CausalGraph,
+    ThpParams,
+    TypeBatch,
+    TypeData,
+    batch_log_likelihood,
+    batch_of_one,
+    type_batch,
+)
 
 __all__ = [
     "EmConfig",
     "TypeFit",
     "FitResult",
     "type_seed",
+    "fit_batch",
     "fit_type",
     "fit",
 ]
@@ -133,31 +156,36 @@ def type_seed(seed: int, event_type: int, parents) -> np.random.SeedSequence:
     )
 
 
-def _em_iteration(mu, alpha: np.ndarray, data: TypeData) -> tuple[float, float, np.ndarray]:
-    """One EM iteration of one type: ``(log_lik of (mu, alpha), mu', alpha')``.
+def _em_iteration(mu, alpha, data, blocks=None):
+    """One EM iteration of each point: ``(log_lik of (mu, alpha), mu', alpha')``.
 
-    Raises :class:`DegenerateModelError` if an occupied cell has zero
-    intensity. Channels whose feature totals vanish keep ``alpha = 0``.
+    ``data`` is a :class:`TypeBatch` and ``(mu[j], alpha[j])`` a point on
+    its parent set ``blocks[j]``; a point with zero intensity at an occupied
+    cell scores ``-inf``. Channels whose feature totals vanish keep
+    ``alpha = 0``. ``data`` may also be one :class:`TypeData`, with a scalar
+    ``mu`` and a vector ``alpha``: the same map on a batch of one, which
+    raises :class:`DegenerateModelError` where a batch scores ``-inf``.
     """
-    lam, log_lik = type_log_likelihood(mu, alpha, data)
-    if log_lik == float("-inf"):
-        raise DegenerateModelError(
-            f"zero intensity at an occupied cell of type {data.event_type}"
-        )
-    ratio = data.counts / lam
-    dt = data.bin_width
-    active = data.totals > 0
-    mu = mu * ratio.sum() / (data.grid_cells * dt)
-    alpha = np.where(
-        active, alpha * (data.flat.T @ ratio) / np.where(active, data.totals * dt, 1.0), 0.0
-    )
+    if isinstance(data, TypeData):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_lik, mu, alpha = _em_iteration(
+                np.array([mu], dtype=float), np.asarray(alpha, dtype=float)[None, :],
+                batch_of_one(data), [0],
+            )
+        if log_lik[0] == float("-inf"):
+            raise DegenerateModelError(
+                f"zero intensity at an occupied cell of type {data.event_type}"
+            )
+        return float(log_lik[0]), float(mu[0]), alpha[0]
+    lam, log_lik = batch_log_likelihood(mu, alpha, data, blocks)
+    ratio = np.divide(data.counts, lam, out=lam)
+    weighted = data.width_rows[: len(blocks)]  # flat.T @ ratio, one row per point
+    for j, b in enumerate(blocks):
+        np.matmul(data.flat[b].T, ratio[j], out=weighted[j])
+    mu = mu * ratio.sum(axis=1) / (data.grid_cells * data.bin_width)
+    active = data.totals.take(blocks, axis=0) > 0
+    alpha = np.where(active, alpha * weighted / data.charges.take(blocks, axis=0), 0.0)
     return log_lik, mu, alpha
-
-
-def _em_map(point: tuple, data: TypeData) -> tuple[float, tuple]:
-    """``_em_iteration`` on a point ``(mu, alpha)``: ``(log_lik of point, F(point))``."""
-    log_lik, mu, alpha = _em_iteration(point[0], point[1], data)
-    return log_lik, (mu, alpha)
 
 
 def _extrapolate(p0: tuple, p1: tuple, p2: tuple, step_max: float) -> tuple[tuple, float]:
@@ -185,22 +213,31 @@ def _small(gain: float, log_lik: float, rel_tolerance: float) -> bool:
     return abs(gain) <= rel_tolerance * (abs(log_lik) + 1.0)
 
 
-@np.errstate(all="ignore")  # a jump may overflow or leave the domain; it is then rejected
-def _squarem(x: tuple, data: TypeData, config: EmConfig):
-    """SQUAREM from the point ``x``: ``(final point, trajectory, converged, evaluations)``.
+def _scored(mapped: tuple, event_type: int) -> tuple:
+    """``mapped``, a ``(log_lik, F(point))`` pair, unless the point is degenerate."""
+    if mapped[0] == float("-inf"):
+        raise DegenerateModelError(f"zero intensity at an occupied cell of type {event_type}")
+    return mapped
 
-    The trajectory holds the log-likelihoods of the accepted points, plus
-    the rescore of the final point when the map cap ends the fit; it is
-    nondecreasing. ``evaluations`` counts EM maps plus that rescore, so a
-    capped fit costs at most ``max_iterations + 1`` likelihood evaluations.
+
+def _squarem(x: tuple, config: EmConfig, event_type: int):
+    """SQUAREM from the point ``x``, one EM map at a time.
+
+    A generator: it yields each point it needs mapped and is sent back
+    ``(log_lik of the point, F(point))``, ``-inf`` for a point with zero
+    intensity at an occupied cell. It returns ``(final point, trajectory,
+    converged, maps)``. The trajectory holds the log-likelihoods of the
+    accepted points and is nondecreasing; when the map cap ends the fit the
+    caller appends the rescore of the final point, so a capped fit costs at
+    most ``max_iterations + 1`` likelihood evaluations.
     """
-    log_lik, x1 = _em_map(x, data)
+    log_lik, x1 = _scored((yield x), event_type)
     maps = 1
     trajectory = [log_lik]
     newest = x1  # the latest unscored point on the monotone path
     step_max = 1.0
     while maps < config.max_iterations:
-        ll1, x2 = _em_map(x1, data)
+        ll1, x2 = _scored((yield x1), event_type)
         maps += 1
         newest = x2
         jump, step = _extrapolate(x, x1, x2, step_max)
@@ -214,11 +251,8 @@ def _squarem(x: tuple, data: TypeData, config: EmConfig):
         accepted = False
         if step > 1.0 and maps + 1 < config.max_iterations:  # a rejected jump leaves a map for x2
             maps += 1
-            try:
-                ll_jump, after_jump = _em_map(jump, data)
-                accepted = math.isfinite(ll_jump) and ll_jump >= ll1
-            except DegenerateModelError:
-                pass
+            ll_jump, after_jump = yield jump
+            accepted = math.isfinite(ll_jump) and ll_jump >= ll1
         if step == step_max:  # a unit step is x2, which EM always accepts
             grow = accepted or step == 1.0
             step_max = step_max * _STEP_FACTOR if grow else max(1.0, step_max / _STEP_FACTOR)
@@ -226,16 +260,126 @@ def _squarem(x: tuple, data: TypeData, config: EmConfig):
             x, log_lik, x1 = jump, ll_jump, after_jump
         else:
             x = x2
-            log_lik, x1 = _em_map(x, data)
+            log_lik, x1 = _scored((yield x), event_type)
             maps += 1
         newest = x1
         converged = _small(log_lik - trajectory[-1], trajectory[-1], config.rel_tolerance)
         trajectory.append(log_lik)
         if converged:
             return x, trajectory, True, maps
-    # out of maps after an update: score the newest point
-    trajectory.append(type_log_likelihood(newest[0], newest[1], data)[1])
-    return newest, trajectory, False, maps + 1
+    # out of maps after an update: the caller scores the newest point
+    return newest, trajectory, False, maps
+
+
+@np.errstate(all="ignore")  # a jump may overflow or leave the domain; it is then rejected
+def _fit_points(starts: list, data: TypeBatch, blocks: list, config: EmConfig) -> list:
+    """Run :func:`_squarem` from each start, start ``j`` on parent set ``blocks[j]``.
+
+    Every pass maps the point each running fit needs next, all in one
+    :func:`_em_iteration` call, so each fit takes the path it takes alone.
+    Returns ``(point, trajectory, converged, evaluations)`` per start,
+    ``evaluations`` counting EM maps plus the rescore of a capped fit.
+    """
+    fits = [_squarem(x, config, data.event_type) for x in starts]
+    pending = {j: fit.send(None) for j, fit in enumerate(fits)}
+    results = [None] * len(fits)
+    while pending:
+        live = list(pending)
+        log_lik, mu, alpha = _em_iteration(
+            np.array([pending[j][0] for j in live]),
+            np.array([pending[j][1] for j in live]),
+            data,
+            [blocks[j] for j in live],
+        )
+        for j, ll, mu_j, alpha_j in zip(live, log_lik.tolist(), mu.tolist(), alpha):
+            try:
+                pending[j] = fits[j].send((ll, (mu_j, alpha_j)))
+            except StopIteration as stop:
+                del pending[j]
+                results[j] = stop.value
+    capped = [j for j, result in enumerate(results) if not result[2]]
+    if capped:
+        _, rescored = batch_log_likelihood(
+            np.array([results[j][0][0] for j in capped]),
+            np.array([results[j][0][1] for j in capped]),
+            data,
+            [blocks[j] for j in capped],
+        )
+        for j, value in zip(capped, rescored.tolist()):
+            results[j][1].append(value)
+    return [(point, trajectory, converged, maps + (not converged))
+            for point, trajectory, converged, maps in results]
+
+
+def _restart_seed(seed, restart: int) -> np.random.SeedSequence:
+    """Child ``restart`` of ``seed``, as ``spawn`` makes it from a fresh one.
+
+    ``seed`` (an int or a :class:`numpy.random.SeedSequence`) is not
+    modified, so fitting twice with one seed object draws the same points.
+    """
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    return np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key + (restart,), pool_size=root.pool_size
+    )
+
+
+def fit_batch(
+    event_type: int,
+    parent_sets,
+    cache: FeatureCache,
+    config: EmConfig = EmConfig(),
+    seeds=None,
+) -> list[TypeFit]:
+    """Fit ``mu`` and the incoming ``alpha`` of one event type, per parent set.
+
+    The parent sets all have the same number of parents; ``seeds[i]`` (an
+    int or a :class:`numpy.random.SeedSequence`, default 0) seeds the
+    restarts of set ``i``, and the best final log-likelihood wins, ties to
+    the first restart. All restarts of all sets are fitted together, and
+    each fit is bit for bit the :func:`fit_type` of its set and seed.
+    """
+    parent_sets = [tuple(sorted(int(p) for p in parents)) for parents in parent_sets]
+    seeds = [0] * len(parent_sets) if seeds is None else list(seeds)
+    hops = cache.max_hops + 1
+    if cache.type_counts[event_type].shape[0] == 0:
+        # no events of this type: rates collapse to zero, contribution 0
+        return [
+            TypeFit(event_type=event_type, parents=parents, mu=0.0,
+                    alpha=np.zeros((len(parents), hops)), log_lik=0.0, trajectory=(0.0,),
+                    iterations=0, converged=True)
+            for parents in parent_sets
+        ]
+
+    restarts = config.restarts
+    data = type_batch(cache, event_type, parent_sets, len(parent_sets) * restarts)
+    blocks = [b for b in range(len(parent_sets)) for _ in range(restarts)]
+    empirical_rate = data.counts.sum() / (data.grid_cells * data.bin_width)
+    starts = []
+    for j, b in enumerate(blocks):
+        rng = np.random.default_rng(_restart_seed(seeds[b], j - b * restarts))
+        mu = rng.uniform(*_MU_INIT_RANGE) * empirical_rate
+        alpha = rng.uniform(*_ALPHA_INIT_RANGE, size=data.totals.shape[1])
+        alpha[data.totals[b] <= 0] = 0.0
+        starts.append((mu, alpha))
+
+    results = _fit_points(starts, data, blocks, config)
+    fits = []
+    for b, parents in enumerate(parent_sets):
+        # the best final log-likelihood wins, ties to the first restart
+        (mu, alpha), trajectory, converged, evaluations = max(
+            results[b * restarts : (b + 1) * restarts], key=lambda result: result[1][-1]
+        )
+        fits.append(TypeFit(
+            event_type=event_type,
+            parents=parents,
+            mu=float(mu),
+            alpha=alpha.reshape(len(parents), hops).copy(),  # not a view of the batch's rows
+            log_lik=trajectory[-1],
+            trajectory=tuple(trajectory),
+            iterations=evaluations,
+            converged=converged,
+        ))
+    return fits
 
 
 def fit_type(
@@ -247,49 +391,11 @@ def fit_type(
 ) -> TypeFit:
     """Fit ``mu`` and the incoming ``alpha`` of one event type.
 
-    ``seed`` may be an int or a :class:`numpy.random.SeedSequence`. With
-    multiple restarts the best final log-likelihood wins.
+    :func:`fit_batch` with one parent set. ``seed`` may be an int or a
+    :class:`numpy.random.SeedSequence`; with multiple restarts the best
+    final log-likelihood wins.
     """
-    parents = tuple(sorted(int(p) for p in parents))
-    data = type_data(cache, event_type, parents)
-    if data.counts.shape[0] == 0:
-        # no events of this type: rates collapse to zero, contribution 0
-        return TypeFit(
-            event_type=event_type,
-            parents=parents,
-            mu=0.0,
-            alpha=np.zeros((len(parents), cache.max_hops + 1)),
-            log_lik=0.0,
-            trajectory=(0.0,),
-            iterations=0,
-            converged=True,
-        )
-
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    empirical_rate = data.counts.sum() / (data.grid_cells * data.bin_width)
-
-    best: tuple | None = None
-    for child in root.spawn(config.restarts):
-        rng = np.random.default_rng(child)
-        mu = rng.uniform(*_MU_INIT_RANGE) * empirical_rate
-        alpha = rng.uniform(*_ALPHA_INIT_RANGE, size=data.totals.shape[0])
-        alpha[data.totals <= 0] = 0.0
-
-        point, trajectory, converged, evaluations = _squarem((mu, alpha), data, config)
-        if best is None or trajectory[-1] > best[0]:
-            best = (trajectory[-1], point, trajectory, converged, evaluations)
-
-    final_ll, (mu, alpha), trajectory, converged, evaluations = best
-    return TypeFit(
-        event_type=event_type,
-        parents=parents,
-        mu=float(mu),
-        alpha=alpha.reshape(len(parents), cache.max_hops + 1),
-        log_lik=final_ll,
-        trajectory=tuple(trajectory),
-        iterations=evaluations,
-        converged=converged,
-    )
+    return fit_batch(event_type, [parents], cache, config, [seed])[0]
 
 
 def assemble_params(type_fits, max_hops: int) -> ThpParams:

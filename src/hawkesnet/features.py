@@ -120,7 +120,7 @@ class FeatureCache:
         return self.totals[parents]
 
     def truncated(self, max_hops: int) -> "FeatureCache":
-        """A view of this cache restricted to hops ``0..max_hops``.
+        """This cache restricted to hops ``0..max_hops``.
 
         Hop features are independent across k, so dropping the higher hops
         yields exactly the cache that a fresh build at the smaller order
@@ -141,7 +141,8 @@ class FeatureCache:
             total_events=self.total_events,
             cell_nodes=self.cell_nodes,
             cell_bins=self.cell_bins,
-            values=self.values[:, : max_hops + 1],
+            # contiguous, so batched fits gather from it without another copy
+            values=np.ascontiguousarray(self.values[:, : max_hops + 1]),
             totals=self.totals[:, : max_hops + 1],
             type_cells=self.type_cells,
             type_counts=self.type_counts,

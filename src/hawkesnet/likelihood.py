@@ -19,6 +19,11 @@ models on the same dataset are unaffected.
 ``log_likelihood`` returns ``-inf`` (rather than raising) when the model
 puts zero intensity on a cell that holds events, so search code can treat
 an impossible candidate as an ordinary worst-scoring one.
+
+One function computes a type's share: ``batch_log_likelihood`` scores many
+points of one type at once, each on one of several parent sets stacked in a
+:class:`TypeBatch`, and every single-type score is that function on a batch
+of one.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ __all__ = [
     "intensity",
     "TypeData",
     "type_data",
+    "TypeBatch",
+    "type_batch",
+    "batch_of_one",
+    "batch_log_likelihood",
     "type_log_likelihood",
     "intensities_for_type",
     "per_type_log_likelihood",
@@ -229,18 +238,135 @@ def type_data(cache: FeatureCache, event_type: int, parents) -> TypeData:
     )
 
 
+def _aligned_rows(rows: int, width: int) -> np.ndarray:
+    """An uninitialized ``(rows, width)`` float array, each row 64-byte aligned.
+
+    Rows are padded to a multiple of 64 bytes, so a row's address and
+    layout do not depend on how many rows the array holds, or where it sits.
+    """
+    stride = max(8, -(-width // 8) * 8)
+    buf = np.empty(rows * stride + 8)
+    start = (-buf.__array_interface__["data"][0] % 64) // 8
+    return buf[start : start + rows * stride].reshape(rows, stride)[:, :width]
+
+
+class TypeBatch(NamedTuple):
+    """Several parent sets of one type, stacked for batched scoring.
+
+    ``flat[b]`` is :attr:`TypeData.flat` of the ``b``-th parent set, in the
+    same C order; every set has the same number of parents, and each block
+    starts at a 64-byte-aligned address. ``counts`` (shared) and
+    ``grid_cells`` are as in :class:`TypeData`, ``totals[b]`` is
+    ``TypeData.totals`` of set ``b``, and ``charges[b]`` the EM update's
+    denominators ``totals * bin_width``, 1 where a total vanishes.
+    ``cell_rows`` and ``width_rows`` are aligned work rows, one per point a
+    call may score.
+    """
+
+    event_type: int
+    flat: np.ndarray  # (sets, cells, width)
+    counts: np.ndarray
+    totals: np.ndarray  # (sets, width)
+    charges: np.ndarray  # (sets, width)
+    bin_width: float
+    grid_cells: int
+    cell_rows: np.ndarray  # (points, cells)
+    width_rows: np.ndarray  # (points, width)
+
+
+def _batch(event_type, flat, counts, totals, bin_width, grid_cells, points) -> TypeBatch:
+    """A :class:`TypeBatch` on aligned ``(sets, cells * width)`` feature rows."""
+    cells, width = counts.shape[0], totals.shape[1]
+    return TypeBatch(
+        event_type=event_type,
+        flat=flat.reshape(flat.shape[0], cells, width),
+        counts=counts,
+        totals=totals,
+        charges=np.where(totals > 0, totals * bin_width, 1.0),
+        bin_width=bin_width,
+        grid_cells=grid_cells,
+        cell_rows=_aligned_rows(points, cells),
+        width_rows=_aligned_rows(points, width),
+    )
+
+
+def type_batch(cache: FeatureCache, event_type: int, parent_sets, points: int = 0) -> TypeBatch:
+    """The :class:`TypeBatch` of ``event_type`` with equally long ``parent_sets``.
+
+    It has work rows for ``points`` points (default: one per set).
+    """
+    sizes = {len(parents) for parents in parent_sets}
+    if len(sizes) != 1:
+        raise InvalidInputError("a batch needs parent sets of one size")
+    size, hops = sizes.pop(), cache.max_hops + 1
+    cells = cache.type_cells[event_type]
+    values = cache.values.reshape(-1)  # a view: caches keep their values contiguous
+    hop_starts = np.arange(hops) * cache.cell_count
+    flat = _aligned_rows(len(parent_sets), cells.shape[0] * size * hops)
+    totals = np.empty((len(parent_sets), size * hops))
+    for block, row, parents in zip(flat, totals, parent_sets):
+        starts = np.array(parents, dtype=np.intp)[:, None] * (hops * cache.cell_count) + hop_starts
+        # gathered cell by cell straight into the block, which keeps its aligned address
+        values.take(cells[:, None, None] + starts, out=block.reshape(cells.shape[0], size, hops),
+                    mode="clip")
+        row[:] = cache.totals[list(parents)].reshape(-1)
+    return _batch(event_type, flat, cache.type_counts[event_type], totals, cache.bin_width,
+                  cache.node_count * cache.bin_count, points or len(parent_sets))
+
+
+def batch_of_one(data: TypeData) -> TypeBatch:
+    """``data`` as a batch holding one parent set."""
+    flat = _aligned_rows(1, data.flat.size)
+    flat.reshape(data.flat.shape)[...] = data.flat
+    return _batch(data.event_type, flat, data.counts, data.totals[None, :], data.bin_width,
+                  data.grid_cells, 1)
+
+
+def batch_log_likelihood(
+    mu: np.ndarray, alpha: np.ndarray, batch: TypeBatch, blocks: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Intensities and log-likelihood shares of the points ``(mu[j], alpha[j])``.
+
+    Point ``j`` is scored on the parent set ``blocks[j]`` of ``batch``: its
+    share is ``counts @ log(lam) - dt * (mu * grid_cells + alpha @
+    totals)``, or ``-inf`` if ``lam <= 0`` at some cell. Every cell holds
+    events of the type, so no cell is masked out. Each of a point's products
+    and dot products is a BLAS call of its own, and its matrix-vector
+    products run on a 64-byte-aligned feature block and work rows, so its
+    results do not depend on the other points or on the batch size. Returns
+    ``lam`` (in the batch's work rows) and the shares; callers silence the
+    floating-point warnings of rows that score ``-inf`` or ``nan``.
+    """
+    lam = batch.cell_rows[: len(blocks)]
+    point = batch.width_rows[: len(blocks)]
+    point[...] = alpha
+    for j, b in enumerate(blocks):
+        np.matmul(batch.flat[b], point[j], out=lam[j])
+    lam += mu[:, None]
+    # one dot product per point: matmul over stacks of row @ column
+    counted = np.matmul(np.log(lam)[:, None, :], batch.counts[:, None])[:, 0, 0]
+    charged = np.matmul(point[:, None, :], batch.totals.take(blocks, axis=0)[:, :, None])[:, 0, 0]
+    share = counted - batch.bin_width * (mu * batch.grid_cells + charged)
+    # lam <= 0 at a cell makes its log -inf or nan, so only such rows are checked
+    suspect = ~np.isfinite(counted)
+    if suspect.any():
+        suspect[suspect] = (lam[suspect] <= 0.0).any(axis=1)
+        share[suspect] = -np.inf
+    return lam, share
+
+
 def type_log_likelihood(mu, alpha: np.ndarray, data: TypeData) -> tuple[np.ndarray, float]:
     """Intensity at the type's occupied cells and its log-likelihood share.
 
-    The share is ``counts @ log(lam) - dt * (mu * grid_cells + alpha @
-    totals)``, or ``-inf`` if ``lam <= 0`` at some cell. Every cell holds
-    events of the type, so no cell is masked out.
+    :func:`batch_log_likelihood` on a batch of one, so a single share is
+    the same float a batched fit computes.
     """
-    lam = mu + data.flat @ alpha
-    if np.any(lam <= 0.0):
-        return lam, float("-inf")
-    integral = data.bin_width * (mu * data.grid_cells + alpha @ data.totals)
-    return lam, float(data.counts @ np.log(lam) - integral)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam, share = batch_log_likelihood(
+            np.array([mu], dtype=float), np.asarray(alpha, dtype=float)[None, :],
+            batch_of_one(data), [0],
+        )
+    return lam[0], float(share[0])
 
 
 def _type_share(params: ThpParams, graph: CausalGraph, cache: FeatureCache, event_type: int):

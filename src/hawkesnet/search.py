@@ -10,6 +10,14 @@ the candidate graph. Fits are memoized by (type, parent set); with
 deterministic per-(type, parent-set) EM seeds a cache hit is bit-identical
 to a fresh refit.
 
+Each round first collects the (type, parent set) keys its moves miss in the
+memo and fits them with :func:`hawkesnet.em.fit_batch`, grouped by type and
+parent count, in chunks of at most ``_BATCH_CELLS`` occupied cells (counted
+once per EM restart). A fit does not depend on the batch it lands in, so the
+grouping changes no score. Then every move's row of per-type shares is
+summed left to right in type order, all rows in one ``cumsum``: the same
+float as summing the candidate graph's shares one by one.
+
 The search starts from the empty graph and repeatedly applies the best
 strictly improving single move (add / delete / reverse); ties go to the
 first move in canonical (source, target, kind) order. It stops when no move
@@ -22,7 +30,9 @@ import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from .em import EmConfig, TypeFit, assemble_params, fit_type, type_seed
+import numpy as np
+
+from .em import EmConfig, TypeFit, assemble_params, fit_batch, fit_type, type_seed
 from .errors import InvalidInputError
 from .features import FeatureCache
 from .likelihood import CausalGraph, ThpParams, edge_count_penalty
@@ -32,7 +42,6 @@ __all__ = [
     "SearchState",
     "SearchResult",
     "vicinity_moves",
-    "vicinity",
     "apply_move",
     "score_candidate",
     "hill_climb",
@@ -40,6 +49,12 @@ __all__ = [
 
 _KIND_ORDER = {"add": 0, "delete": 1, "reverse": 2}
 _EDGE_DELTA = {"add": 1, "delete": -1, "reverse": 0}
+# Largest number of occupied cells, counted once per EM restart, that one
+# batched fit holds. A batch's feature blocks take cells * parents * (K+1)
+# doubles, about 2.4 MB here at 3 parents and K=2, which keeps a pass's
+# working set near the L2 cache while letting README-shaped types (about
+# 100-200 cells) fit a whole round in one batch.
+_BATCH_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -135,29 +150,24 @@ def _acyclic_moves(graph: CausalGraph, moves: list[Move]) -> list[Move]:
     return [m for m in moves if keeps_acyclic(m)]
 
 
-def vicinity(graph: CausalGraph, allow_cycles: bool = True) -> list[CausalGraph]:
-    """Neighbor graphs reachable by one move, in canonical move order."""
-    return [apply_move(graph, m) for m in vicinity_moves(graph, allow_cycles)]
-
-
 def _parents_after(parents: list, move: Move, event_type: int) -> tuple[int, ...]:
     """Sorted parents of a type the move changes, after the move."""
     src, dst = move.edge
-    after = set(parents[event_type])
+    before = parents[event_type]
     if move.kind == "add":
-        after.add(src)
-    elif move.kind == "delete" or event_type == dst:
-        after.discard(src)  # a reversal takes src from dst's parents ...
-    else:
-        after.add(dst)  # ... and gives dst to src's
-    return tuple(sorted(after))
+        return tuple(sorted(before + (src,)))
+    if move.kind == "delete" or event_type == dst:
+        # a reversal takes src from dst's parents ...
+        return tuple(p for p in before if p != src)
+    return tuple(sorted(before + (dst,)))  # ... and gives dst to src's
 
 
 @dataclass
 class SearchState:
     """The current graph as per-type parent tuples and fits, plus the fit memo.
 
-    ``fits[v]`` is the memoized fit of type ``v`` with parents ``parents[v]``.
+    ``fits[v]`` is the memoized fit of type ``v`` with parents ``parents[v]``;
+    ``batches`` counts the batched fits made so far.
     """
 
     em_config: EmConfig
@@ -166,19 +176,45 @@ class SearchState:
     fits: list
     edge_count: int = 0
     memo: dict = field(default_factory=dict)
+    batches: int = 0
 
     @classmethod
     def empty(cls, cache: FeatureCache, em_config: EmConfig, seed: int) -> "SearchState":
         """The state at the empty graph, every type fitted without parents."""
         state = cls(em_config, seed, parents=[()] * cache.type_count, fits=[])
-        state.fits = [state.fit_for(v, (), cache) for v in range(cache.type_count)]
+        keys = [(v, ()) for v in range(cache.type_count)]
+        state.fit_missing(keys, cache)
+        state.fits = [state.memo[key] for key in keys]
         return state
+
+    def fit_missing(self, keys, cache: FeatureCache) -> None:
+        """Fit the ``(type, parents)`` keys the memo lacks, batch by batch.
+
+        A batch holds parent sets of one type and one size, as many as fit
+        in ``_BATCH_CELLS`` occupied cells counted once per restart.
+        """
+        groups: dict = {}
+        for key in keys:
+            if key not in self.memo:
+                groups.setdefault((key[0], len(key[1])), {})[key[1]] = None
+        for (event_type, _), sets in groups.items():
+            cells = cache.type_counts[event_type].shape[0] * self.em_config.restarts
+            size = max(1, _BATCH_CELLS // max(cells, 1))
+            sets = list(sets)
+            for start in range(0, len(sets), size):
+                chunk = sets[start : start + size]
+                seeds = [type_seed(self.seed, event_type, parents) for parents in chunk]
+                fits = fit_batch(event_type, chunk, cache, self.em_config, seeds)
+                self.batches += 1
+                for parents, fit in zip(chunk, fits):
+                    self.memo[(event_type, parents)] = fit
 
     def fit_for(self, event_type: int, parents, cache: FeatureCache) -> TypeFit:
         key = (event_type, tuple(parents))
         if key not in self.memo:
             seed = type_seed(self.seed, event_type, parents)
             self.memo[key] = fit_type(event_type, parents, cache, self.em_config, seed)
+            self.batches += 1
         return self.memo[key]
 
     def apply(self, move: Move, cache: FeatureCache) -> None:
@@ -189,25 +225,42 @@ class SearchState:
         self.edge_count += _EDGE_DELTA[move.kind]
 
 
+def _move_scores(moves: list, state: SearchState, cache: FeatureCache) -> np.ndarray:
+    """Penalized score of the current graph after each move (``None``: as is).
+
+    The shares the moves change are fitted first, in batches; then each
+    move's row of per-type shares is summed left to right in type order,
+    all rows in one reduction, so every score is the same float a full
+    rescore of the candidate graph gives.
+    """
+    changed = [
+        (row, (v, _parents_after(state.parents, move, v)))
+        for row, move in enumerate(moves)
+        if move is not None
+        for v in move.changed_types()
+    ]
+    keys = [key for _, key in changed]
+    state.fit_missing(keys, cache)
+    shares = np.tile([f.log_lik for f in state.fits], (len(moves), 1))
+    rows, types = [row for row, _ in changed], [v for v, _ in keys]
+    shares[rows, types] = [state.memo[key].log_lik for key in keys]
+    deltas = [0 if move is None else _EDGE_DELTA[move.kind] for move in moves]
+    penalty = {
+        delta: edge_count_penalty(
+            cache.type_count, state.edge_count + delta, cache.max_hops, cache.total_events
+        )
+        for delta in set(deltas)
+    }
+    return np.cumsum(shares, axis=1)[:, -1] - np.array([penalty[d] for d in deltas])
+
+
 def score_candidate(move: Move | None, state: SearchState, cache: FeatureCache) -> float:
     """Penalized score of the current graph after ``move`` (``None``: as is).
 
-    Only the types the move changes get new shares, from the memo or a
-    refit. The shares are summed in type order, so the score is the same
-    float a full rescore of the candidate graph gives.
+    The round's reduction applied to one move: only the types the move
+    changes get new shares, from the memo or a refit.
     """
-    shares = [f.log_lik for f in state.fits]
-    edge_count = state.edge_count
-    if move is not None:
-        for v in move.changed_types():
-            shares[v] = state.fit_for(v, _parents_after(state.parents, move, v), cache).log_lik
-        edge_count += _EDGE_DELTA[move.kind]
-    total = 0.0
-    for share in shares:
-        total += share
-    return total - edge_count_penalty(
-        len(shares), edge_count, cache.max_hops, cache.total_events
-    )
+    return float(_move_scores([move], state, cache)[0])
 
 
 @dataclass(frozen=True)
@@ -220,6 +273,8 @@ class SearchResult:
     trajectory: tuple
     fit_evaluations: int
     type_fits: tuple = field(repr=False)
+    em_maps: int  # EM maps of the memoized fits
+    nonconverged_fits: int  # memoized fits the map cap stopped
 
 
 def hill_climb(
@@ -233,8 +288,9 @@ def hill_climb(
 ) -> SearchResult:
     """Greedy single-move ascent from the empty graph.
 
-    ``progress`` is an optional callable taking one line of text per round;
-    ``trace_path`` appends one JSON object per round.
+    ``progress`` is an optional callable taking one line of text per round,
+    with the fits and batches that round made; ``trace_path`` appends one
+    JSON object per round.
     """
     state = SearchState.empty(cache, em_config, seed)
     graph = CausalGraph(cache.type_count)
@@ -244,23 +300,23 @@ def hill_climb(
     rounds = 0
     with open(trace_path, "w", encoding="utf-8") if trace_path else nullcontext() as trace:
         while True:
-            best_move = None
-            best_score = score
-            for move in vicinity_moves(graph, allow_cycles):
-                candidate = score_candidate(move, state, cache)
-                if candidate > best_score:  # strict: ties keep the earlier move
-                    best_move, best_score = move, candidate
-            if best_move is None:
+            fits, batches = len(state.memo), state.batches
+            moves = vicinity_moves(graph, allow_cycles)
+            scores = _move_scores(moves, state, cache)
+            better = np.flatnonzero(scores > score)
+            if better.size == 0:
                 break
+            best = better[np.argmax(scores[better])]  # ties keep the earlier move
+            best_move, score = moves[best], float(scores[best])
             rounds += 1
             graph = apply_move(graph, best_move)
             state.apply(best_move, cache)
-            score = best_score
             trajectory.append(score)
             if progress is not None:
                 progress(
                     f"round={rounds} move={best_move.describe()} "
-                    f"edges={graph.edge_count} score={score:.6f}"
+                    f"edges={graph.edge_count} score={score:.6f} "
+                    f"fits={len(state.memo) - fits} batches={state.batches - batches}"
                 )
             if trace is not None:
                 entry = {"round": rounds, "move": best_move.kind, "edge": list(best_move.edge),
@@ -277,4 +333,6 @@ def hill_climb(
         trajectory=tuple(trajectory),
         fit_evaluations=len(state.memo),
         type_fits=fits,
+        em_maps=sum(f.iterations - (not f.converged) for f in state.memo.values()),
+        nonconverged_fits=sum(not f.converged for f in state.memo.values()),
     )

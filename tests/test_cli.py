@@ -168,6 +168,8 @@ def test_learn_stdout_summary(sim_dir, tmp_path, capsys):
     )
     # Progress and timing stay on stderr so stdout is machine-friendly.
     assert "search took" in captured.err
+    assert re.search(r"^search took \d+\.\d\ds fits=[1-9]\d* maps=[1-9]\d* nonconverged=\d+$",
+                     captured.err, re.MULTILINE)
 
 
 def test_learn_warns_on_unconverged_fits(sim_dir, tmp_path, capsys):

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkesnet.em import EmConfig, fit_type, type_seed
@@ -18,10 +18,10 @@ from hawkesnet.likelihood import CausalGraph, bic_penalty
 from hawkesnet.search import (
     Move,
     SearchState,
+    _move_scores,
     apply_move,
     hill_climb,
     score_candidate,
-    vicinity,
     vicinity_moves,
 )
 from hawkesnet.simulate import SimConfig, generate_benchmark
@@ -91,9 +91,7 @@ def test_dag_mode_filters_cycle_creating_moves():
     assert (2, 0) not in edges_added
     assert (1, 0) not in edges_added
     assert (0, 2) in edges_added
-    for m in moves:
-        assert not apply_move(g, m).has_cycle()
-    neighbors = vicinity(g, allow_cycles=False)
+    neighbors = [apply_move(g, m) for m in moves]
     assert all(not n.has_cycle() for n in neighbors)
 
 
@@ -224,8 +222,15 @@ def test_progress_and_trace_output(tmp_path):
         trace_path=str(trace_path),
     )
     assert len(lines) == result.rounds
+    fits = 0
     for i, line in enumerate(lines, start=1):
         assert line.startswith(f"round={i} move=")
+        fields = dict(field.split("=") for field in line.split(" ")[3:])
+        assert set(fields) == {"edges", "score", "fits", "batches"}
+        assert int(fields["batches"]) <= int(fields["fits"])  # no batch is empty
+        fits += int(fields["fits"])
+    # the empty graph's fits and the last, non-improving round print no line
+    assert fits < result.fit_evaluations
     entries = [json.loads(s) for s in trace_path.read_text().splitlines()]
     assert len(entries) == result.rounds
     assert [e["round"] for e in entries] == list(range(1, result.rounds + 1))
@@ -236,34 +241,36 @@ def test_progress_and_trace_output(tmp_path):
 def test_memoization_avoids_repeat_fits(monkeypatch):
     _, cache = _tiny_search_setup(seed=15)
     calls = []
+    batches = []
     import hawkesnet.search as search_mod
 
-    original = search_mod.fit_type
+    original = search_mod.fit_batch
 
-    def counting_fit_type(event_type, parents, *args, **kwargs):
-        calls.append((event_type, tuple(parents)))
-        return original(event_type, parents, *args, **kwargs)
+    def counting_fit_batch(event_type, parent_sets, *args, **kwargs):
+        batches.append(len(parent_sets))
+        calls.extend((event_type, tuple(parents)) for parents in parent_sets)
+        return original(event_type, parent_sets, *args, **kwargs)
 
-    monkeypatch.setattr(search_mod, "fit_type", counting_fit_type)
+    monkeypatch.setattr(search_mod, "fit_batch", counting_fit_batch)
     result = hill_climb(cache, em_config=EmConfig(max_iterations=20), seed=3)
     assert len(calls) == len(set(calls))  # no key is ever fitted twice
     assert result.fit_evaluations == len(calls)
+    assert max(batches) > 1  # a round's moves are fitted together
 
 
 @pytest.mark.parametrize("allow_cycles", [True, False])
-def test_score_candidate_called_once_per_legal_move(monkeypatch, tmp_path, allow_cycles):
-    # tracers count candidates by wrapping this module global
+def test_each_round_scores_every_legal_move_once(monkeypatch, tmp_path, allow_cycles):
     _, cache = _tiny_search_setup(seed=17)
     import hawkesnet.search as search_mod
 
-    scored = []
-    original = search_mod.score_candidate
+    rounds = []
+    original = search_mod._move_scores
 
-    def counting_score_candidate(move, *args, **kwargs):
-        scored.append(move)
-        return original(move, *args, **kwargs)
+    def recording_move_scores(moves, *args, **kwargs):
+        rounds.append(list(moves))
+        return original(moves, *args, **kwargs)
 
-    monkeypatch.setattr(search_mod, "score_candidate", counting_score_candidate)
+    monkeypatch.setattr(search_mod, "_move_scores", recording_move_scores)
     trace_path = tmp_path / "trace.jsonl"
     result = hill_climb(
         cache,
@@ -275,13 +282,35 @@ def test_score_candidate_called_once_per_legal_move(monkeypatch, tmp_path, allow
     entries = [json.loads(s) for s in trace_path.read_text().splitlines()]
     assert len(entries) == result.rounds >= 1
     graph = CausalGraph(cache.type_count)
-    expected = [None]  # the starting graph's own score
+    expected = [[None]]  # the starting graph's own score
     for entry in entries:
-        expected += vicinity_moves(graph, allow_cycles)
+        expected.append(vicinity_moves(graph, allow_cycles))
         graph = apply_move(graph, Move(entry["move"], tuple(entry["edge"])))
-    expected += vicinity_moves(graph, allow_cycles)  # the final, non-improving round
-    assert scored == expected
+    expected.append(vicinity_moves(graph, allow_cycles))  # the final, non-improving round
+    assert rounds == expected
     assert graph.edges == result.graph.edges
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 10**6), max_size=4))
+def test_round_scores_equal_score_candidate(seed, picks):
+    # the round fits its missing shares in batches; score_candidate fits
+    # each move's shares alone, on a state that walked the same moves
+    inst = random_instance(RNG(seed), max_nodes=3, max_types=3, max_bins=25, min_events=8)
+    em = EmConfig(max_iterations=15)
+    batched = SearchState.empty(inst.cache, em, seed)
+    alone = SearchState.empty(inst.cache, em, seed)
+    graph = CausalGraph(inst.cache.type_count)
+    for pick in picks:
+        moves = vicinity_moves(graph)
+        move = moves[pick % len(moves)]
+        graph = apply_move(graph, move)
+        batched.apply(move, inst.cache)
+        alone.apply(move, inst.cache)
+    moves = vicinity_moves(graph)
+    scores = _move_scores(moves, batched, inst.cache)
+    for move, score in zip(moves, scores.tolist()):
+        assert score == score_candidate(move, alone, inst.cache), move
 
 
 def test_score_candidate_consistency():
