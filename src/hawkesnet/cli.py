@@ -4,27 +4,30 @@ Configuration comes from an optional JSON file (sections named after the
 subcommands) with command-line flags taking precedence. Exit codes: 0 on
 success, 2 for invalid input or configuration (text that is not UTF-8
 included), 3 for degenerate or exploding models, 4 for I/O failures.
+
+Each subcommand imports only the layers it runs: ``evaluate`` needs none
+beyond graph files and metrics, so its start-up is the interpreter and numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import os
 import sys
 import time
+import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .em import EmConfig
 from .errors import (
     DegenerateModelError,
     InvalidInputError,
     SimulationExplosionError,
     UnsupportedKernelError,
 )
-from .events import discretize, load_events_csv, save_events_csv
-from .features import build_features
 from .fileio import (
     load_graph_json,
     read_json,
@@ -33,17 +36,39 @@ from .fileio import (
     write_json,
     write_manifest,
 )
-from .kernels import ExponentialKernel
 from .metrics import alpha_mae, structure_metrics
-from .search import hill_climb
-from .simulate import SimConfig, generate_benchmark
-from .topology import build_topology, load_edge_list, save_edge_list
+
+if TYPE_CHECKING:
+    from .em import EmConfig
+    from .simulate import SimConfig
 
 __all__ = ["main", "build_parser"]
 
 DEFAULT_MAX_HOPS = 2
 DEFAULT_DELTA = 1.0
 DEFAULT_BIN_WIDTH = 1.0
+
+
+def _deferred(module: str, name: str):
+    """``hawkesnet.<module>.<name>``, imported on its first call.
+
+    Each subcommand thus loads only the layers it runs, and the name stays an
+    attribute of this module that the commands look up when they call it.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    return call
+
+
+generate_benchmark = _deferred("simulate", "generate_benchmark")
+load_events_csv = _deferred("events", "load_events_csv")
+save_events_csv = _deferred("events", "save_events_csv")
+discretize = _deferred("events", "discretize")
+build_features = _deferred("features", "build_features")
+hill_climb = _deferred("search", "hill_climb")
+save_edge_list = _deferred("topology", "save_edge_list")
 
 
 def _load_config(path: str | None) -> dict:
@@ -81,6 +106,8 @@ def _ensure_out(path: str) -> str:
 
 
 def _em_config(section: dict) -> EmConfig:
+    from .em import EmConfig
+
     em = section.get("em", {})
     if not isinstance(em, dict):
         raise InvalidInputError("config key 'em' must be an object")
@@ -180,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sim_config(args, section: dict) -> SimConfig:
+    from .simulate import SimConfig
+
     data = dict(section)
     overrides = {
         "seed": args.seed,
@@ -199,9 +228,15 @@ def _sim_config(args, section: dict) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
+    from .kernels import ExponentialKernel
+
     section = _section(_load_config(args.config), "simulate")
     sim_config = _sim_config(args, section)
-    data = generate_benchmark(sim_config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        data = generate_benchmark(sim_config)
+    for caught_warning in caught:  # one line, without the source path Python's format adds
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
     out = _ensure_out(args.out)
     config_echo = sim_config.to_dict()
 
@@ -249,6 +284,9 @@ def _learn_inputs(args, section: dict):
 
 
 def cmd_learn(args) -> int:
+    from .kernels import ExponentialKernel
+    from .topology import build_topology, load_edge_list
+
     section = _section(_load_config(args.config), "learn")
     events_path, topology_path, no_topology = _learn_inputs(args, section)
 
@@ -307,6 +345,9 @@ def cmd_learn(args) -> int:
 
     started = time.monotonic()
     cache = build_features(dataset, topology, kernel, max_hops)
+    features_elapsed = time.monotonic() - started
+
+    started = time.monotonic()
     hop_orders = list(range(max_hops + 1)) if k_sweep else [max_hops]
     best = None
     best_hops = None
@@ -366,6 +407,7 @@ def cmd_learn(args) -> int:
             "config": config_echo,
         },
     )
+    print(f"features took {features_elapsed:.2f}s cells={cache.cell_count}", file=sys.stderr)
     print(f"search took {elapsed:.2f}s fits={fits} maps={maps} nonconverged={nonconverged}",
           file=sys.stderr)
     unconverged = ", ".join(str(f.event_type) for f in best.type_fits if not f.converged)
@@ -428,6 +470,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from .kernels import ExponentialKernel
+    from .simulate import SimConfig
+
     section = _section(_load_config(args.config), "benchmark")
     runs = _pick(args.runs, section, "runs", 5, int)
     if runs < 1:

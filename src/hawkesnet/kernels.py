@@ -1,9 +1,9 @@
 """Time-decay kernels for event excitation.
 
 All kernels are causal: ``evaluate(kernel, t)`` is 0 for ``t <= 0``. Only the
-exponential family supports the O(1) recursive summary update used by the
-feature builder and the fitting path; Gaussian and uniform kernels exist for
-generating mismatched data in robustness experiments.
+exponential family is supported by the feature builder and the fitting path;
+Gaussian and uniform kernels exist for generating mismatched data in
+robustness experiments.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "UniformKernel",
     "DecayKernel",
     "evaluate",
-    "temporal_summary_step",
     "kernel_from_config",
     "kernel_to_config",
 ]
@@ -91,22 +90,6 @@ def evaluate(kernel: DecayKernel, t) -> np.ndarray | float:
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
-
-
-def temporal_summary_step(kernel: DecayKernel, prev, prev_count, dt: float):
-    """One step of the exponential summary recursion.
-
-    ``S(t) = exp(-decay*dt) * (S(t-dt) + X(t-dt))`` with ``S(0) = 0``; this is
-    exact for the exponential kernel because of its semigroup property and is
-    the only kernel the fitting path supports.
-    """
-    if not isinstance(kernel, ExponentialKernel):
-        raise UnsupportedKernelError(
-            f"recursive summary update requires an exponential kernel, got {type(kernel).__name__}"
-        )
-    if not (dt > 0):
-        raise InvalidInputError(f"dt must be positive, got {dt}")
-    return math.exp(-kernel.decay * dt) * (np.asarray(prev, dtype=float) + prev_count)
 
 
 _KERNEL_TYPES = {

@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateModelError, InvalidInputError
-from .events import DiscreteDataset
-from .features import FeatureCache
+
+if TYPE_CHECKING:  # annotations only, so graph files load without the feature layer
+    from .events import DiscreteDataset
+    from .features import FeatureCache
 
 __all__ = [
     "CausalGraph",

@@ -6,12 +6,16 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+import hawkesnet.cli as cli
 from hawkesnet.cli import main
+from hawkesnet.errors import UnderGenerationWarning
 from hawkesnet.events import load_events_csv
 from hawkesnet.fileio import load_graph_json, sha256_file
+from hawkesnet.simulate import SimConfig, generate_benchmark
 from hawkesnet.topology import load_edge_list
 
 SIM_SECTION = {
@@ -97,6 +101,21 @@ def test_simulate_stdout_summary(tmp_path, capsys):
     assert re.fullmatch(r"simulated \d+ events over \d+ bins \(seed 7\) -> .*", line)
 
 
+def test_simulate_reports_under_generation_in_one_line(tmp_path, capsys):
+    section = {**SIM_SECTION, "max_bins": 50}
+    config = _write_config(tmp_path / "c.json", {"simulate": section})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    captured = capsys.readouterr()
+    events = load_events_csv(tmp_path / "o" / "events.csv")
+    assert captured.err.splitlines() == [
+        f"warning: hit max_bins=50 with {len(events)} events, target was 400"
+    ]
+    assert (tmp_path / "o" / "manifest.json").exists()
+    # the library still warns
+    with pytest.warns(UnderGenerationWarning, match="hit max_bins=50"):
+        generate_benchmark(SimConfig.from_dict(section))
+
+
 def test_simulate_byte_determinism(tmp_path):
     config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
     for sub in ("one", "two"):
@@ -169,6 +188,9 @@ def test_learn_stdout_summary(sim_dir, tmp_path, capsys):
     # Progress and timing stay on stderr so stdout is machine-friendly.
     assert "search took" in captured.err
     assert re.search(r"^search took \d+\.\d\ds fits=[1-9]\d* maps=[1-9]\d* nonconverged=\d+$",
+                     captured.err, re.MULTILINE)
+    # feature time has its own line, right before the search line
+    assert re.search(r"^features took \d+\.\d\ds cells=[1-9]\d*\nsearch took ",
                      captured.err, re.MULTILINE)
 
 
@@ -587,3 +609,93 @@ def test_cli_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the layers beyond graph files and metrics; a CLI call imports only those
+# its subcommand runs, since each costs start-up time
+LAYERS = {"events", "kernels", "topology", "features", "em", "search", "simulate"}
+_LOADED_LAYERS = """
+import json, runpy, sys
+code = 0
+if len(sys.argv) > 1:  # as python -m hawkesnet.cli <argv>
+    sys.argv[0] = "hawkesnet"
+    try:
+        runpy.run_module("hawkesnet.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import hawkesnet.cli
+print(json.dumps([code, [m.split(".", 1)[1] for m in sys.modules if m.startswith("hawkesnet.")]]))
+"""
+
+
+def _loaded_layers(*argv) -> set:
+    proc = subprocess.run([sys.executable, "-c", _LOADED_LAYERS, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules) & LAYERS
+
+
+def test_each_subcommand_loads_only_the_layers_it_runs(sim_dir, learn_dir, tmp_path):
+    assert _loaded_layers() == set()
+    assert _loaded_layers(
+        "evaluate",
+        "--predicted", str(learn_dir / "learned_graph.json"),
+        "--truth", str(sim_dir / "ground_truth.json"),
+        "--out", str(tmp_path / "eval"),
+    ) == set()
+    config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
+    assert _loaded_layers(
+        "simulate", "--config", config, "--out", str(tmp_path / "sim")
+    ) == {"events", "kernels", "topology", "simulate"}
+    assert _loaded_layers(
+        "learn",
+        "--events", str(sim_dir / "events.csv"),
+        "--topology", str(sim_dir / "topology.txt"),
+        "--k", "0",
+        "--out", str(tmp_path / "fit"),
+    ) == LAYERS - {"simulate"}
+
+
+# perfbench/tracing.py times each layer by replacing these attributes of
+# hawkesnet.cli, so the commands must look them up there at call time
+TRACED_NAMES = (
+    "generate_benchmark", "load_events_csv", "discretize", "build_features", "hill_climb",
+    "save_events_csv", "save_edge_list", "save_graph_json", "write_json", "write_manifest",
+)
+
+
+def test_commands_call_the_traced_names_of_the_cli_module(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in TRACED_NAMES:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
+    data, fit = tmp_path / "data", tmp_path / "fit"
+    assert main(["simulate", "--config", config, "--out", str(data)]) == 0
+    assert main(
+        [
+            "learn",
+            "--events", str(data / "events.csv"),
+            "--topology", str(data / "topology.txt"),
+            "--k", "1",
+            "--out", str(fit),
+        ]
+    ) == 0
+    assert main(
+        [
+            "evaluate",
+            "--predicted", str(fit / "learned_graph.json"),
+            "--truth", str(data / "ground_truth.json"),
+            "--out", str(tmp_path / "eval"),
+        ]
+    ) == 0
+    assert set(calls) == set(TRACED_NAMES)

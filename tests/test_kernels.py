@@ -1,4 +1,4 @@
-"""Decay kernels and the exponential summary recursion."""
+"""Decay kernels: values, parameter checks and the config round trip."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hawkesnet.errors import InvalidInputError, UnsupportedKernelError
+from hawkesnet.errors import InvalidInputError
 from hawkesnet.kernels import (
     ExponentialKernel,
     GaussianKernel,
@@ -17,7 +17,6 @@ from hawkesnet.kernels import (
     evaluate,
     kernel_from_config,
     kernel_to_config,
-    temporal_summary_step,
 )
 
 from .oracles import oracle_kernel
@@ -102,42 +101,6 @@ def test_vectorized_evaluate():
     np.testing.assert_allclose(
         got, [0.0, 0.0, math.exp(-0.5), math.exp(-1.0)], atol=1e-15
     )
-
-
-def test_summary_step_single_event():
-    kernel = ExponentialKernel(0.11)
-    summary = temporal_summary_step(kernel, 0.0, 1, 1.0)
-    assert summary == pytest.approx(0.895834, abs=1e-6)
-    # nothing new: pure decay
-    summary = temporal_summary_step(kernel, summary, 0, 1.0)
-    assert summary == pytest.approx(math.exp(-0.22), abs=1e-12)
-
-
-@given(
-    st.floats(min_value=0.05, max_value=2.0),
-    st.floats(min_value=0.25, max_value=3.0),
-    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=25),
-)
-def test_summary_recursion_equals_direct_sum(decay, bin_width, counts):
-    kernel = ExponentialKernel(decay)
-    summary = 0.0
-    history: list[int] = []
-    for count in counts:
-        summary = temporal_summary_step(kernel, summary, count, bin_width)
-        history.append(count)
-        t = len(history)
-        direct = sum(
-            math.exp(-decay * (t - past) * bin_width) * history[past]
-            for past in range(t)
-        )
-        assert summary == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-
-def test_summary_step_rejects_non_exponential():
-    with pytest.raises(UnsupportedKernelError):
-        temporal_summary_step(GaussianKernel(10.0, 4.0), 0.0, 1, 1.0)
-    with pytest.raises(UnsupportedKernelError):
-        temporal_summary_step(UniformKernel(10.0, 4.0), 0.0, 1, 1.0)
 
 
 def test_kernel_parameter_validation():
