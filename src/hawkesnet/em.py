@@ -72,15 +72,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, InvalidInputError
 from .features import FeatureCache
-from .likelihood import (
-    CausalGraph,
-    ThpParams,
-    TypeBatch,
-    TypeData,
-    batch_log_likelihood,
-    batch_of_one,
-    type_batch,
-)
+from .likelihood import CausalGraph, ThpParams, TypeBatch, batch_log_likelihood, type_batch
 
 __all__ = [
     "EmConfig",
@@ -156,27 +148,14 @@ def type_seed(seed: int, event_type: int, parents) -> np.random.SeedSequence:
     )
 
 
-def _em_iteration(mu, alpha, data, blocks=None):
+def _em_iteration(mu, alpha, data, blocks):
     """One EM iteration of each point: ``(log_lik of (mu, alpha), mu', alpha')``.
 
     ``data`` is a :class:`TypeBatch` and ``(mu[j], alpha[j])`` a point on
     its parent set ``blocks[j]``; a point with zero intensity at an occupied
     cell scores ``-inf``. Channels whose feature totals vanish keep
-    ``alpha = 0``. ``data`` may also be one :class:`TypeData`, with a scalar
-    ``mu`` and a vector ``alpha``: the same map on a batch of one, which
-    raises :class:`DegenerateModelError` where a batch scores ``-inf``.
+    ``alpha = 0``.
     """
-    if isinstance(data, TypeData):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_lik, mu, alpha = _em_iteration(
-                np.array([mu], dtype=float), np.asarray(alpha, dtype=float)[None, :],
-                batch_of_one(data), [0],
-            )
-        if log_lik[0] == float("-inf"):
-            raise DegenerateModelError(
-                f"zero intensity at an occupied cell of type {data.event_type}"
-            )
-        return float(log_lik[0]), float(mu[0]), alpha[0]
     lam, log_lik = batch_log_likelihood(mu, alpha, data, blocks)
     ratio = np.divide(data.counts, lam, out=lam)
     weighted = data.width_rows[: len(blocks)]  # flat.T @ ratio, one row per point
@@ -336,12 +315,15 @@ def fit_batch(
     int or a :class:`numpy.random.SeedSequence`, default 0) seeds the
     restarts of set ``i``, and the best final log-likelihood wins, ties to
     the first restart. All restarts of all sets are fitted together, and
-    each fit is bit for bit the :func:`fit_type` of its set and seed.
+    each fit is bit for bit the :func:`fit_type` of its set and seed. A type
+    id outside ``[0, type_count)`` raises :class:`InvalidInputError`.
     """
     parent_sets = [tuple(sorted(int(p) for p in parents)) for parents in parent_sets]
     seeds = [0] * len(parent_sets) if seeds is None else list(seeds)
     hops = cache.max_hops + 1
-    if cache.type_counts[event_type].shape[0] == 0:
+    restarts = config.restarts
+    data = type_batch(cache, event_type, parent_sets, len(parent_sets) * restarts)
+    if data.counts.shape[0] == 0:
         # no events of this type: rates collapse to zero, contribution 0
         return [
             TypeFit(event_type=event_type, parents=parents, mu=0.0,
@@ -350,8 +332,6 @@ def fit_batch(
             for parents in parent_sets
         ]
 
-    restarts = config.restarts
-    data = type_batch(cache, event_type, parent_sets, len(parent_sets) * restarts)
     blocks = [b for b in range(len(parent_sets)) for _ in range(restarts)]
     empirical_rate = data.counts.sum() / (data.grid_cells * data.bin_width)
     starts = []

@@ -86,39 +86,6 @@ class FeatureCache:
     def cell_count(self) -> int:
         return self.cell_nodes.shape[0]
 
-    def cell_index(self, node: int, time_bin: int) -> int:
-        """Index of an occupied cell; raises if the cell is not cached."""
-        keys = self.cell_bins * self.node_count + self.cell_nodes
-        key = time_bin * self.node_count + node
-        idx = int(np.searchsorted(keys, key))
-        if idx < keys.shape[0] and keys[idx] == key:
-            return idx
-        raise InvalidInputError(
-            f"cell (node={node}, bin={time_bin}) holds no events and is not cached"
-        )
-
-    def features_for(self, event_type: int, parents) -> tuple[np.ndarray, np.ndarray]:
-        """Feature block and event counts for one target type.
-
-        Returns ``(F, counts)`` where ``F`` has shape
-        ``(n_cells_of_type, len(parents), max_hops + 1)`` and ``counts`` the
-        event counts at those cells.
-        """
-        idx = self.type_cells[event_type]
-        counts = self.type_counts[event_type]
-        parents = list(parents)
-        if not parents:
-            return np.zeros((idx.shape[0], 0, self.max_hops + 1)), counts
-        block = self.values[parents][:, :, idx]  # (P, K+1, n)
-        return np.moveaxis(block, 2, 0), counts
-
-    def totals_for(self, parents) -> np.ndarray:
-        """``totals`` rows for the given cause types, shape ``(P, max_hops+1)``."""
-        parents = list(parents)
-        if not parents:
-            return np.zeros((0, self.max_hops + 1))
-        return self.totals[parents]
-
     def truncated(self, max_hops: int) -> "FeatureCache":
         """This cache restricted to hops ``0..max_hops``.
 

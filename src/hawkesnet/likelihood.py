@@ -16,10 +16,6 @@ second touches occupied cells only. The data-only constant
 ``sum (X log dt - log X!)`` is dropped throughout: differences between
 models on the same dataset are unaffected.
 
-``log_likelihood`` returns ``-inf`` (rather than raising) when the model
-puts zero intensity on a cell that holds events, so search code can treat
-an impossible candidate as an ordinary worst-scoring one.
-
 One function computes a type's share: ``batch_log_likelihood`` scores many
 points of one type at once, each on one of several parent sets stacked in a
 :class:`TypeBatch`, and every single-type score is that function on a batch
@@ -34,30 +30,18 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateModelError, InvalidInputError
+from .errors import InvalidInputError
 
 if TYPE_CHECKING:  # annotations only, so graph files load without the feature layer
-    from .events import DiscreteDataset
     from .features import FeatureCache
 
 __all__ = [
     "CausalGraph",
     "ThpParams",
-    "intensity",
-    "TypeData",
-    "type_data",
     "TypeBatch",
     "type_batch",
-    "batch_of_one",
     "batch_log_likelihood",
-    "type_log_likelihood",
-    "intensities_for_type",
-    "per_type_log_likelihood",
-    "log_likelihood",
-    "analytic_gradient",
     "bic_penalty",
-    "edge_count_penalty",
-    "bic_score",
 ]
 
 
@@ -191,55 +175,6 @@ class ThpParams:
             )
 
 
-def _check_dims(params: ThpParams, graph: CausalGraph, cache: FeatureCache) -> None:
-    params.validate_for(graph)
-    if graph.type_count != cache.type_count:
-        raise InvalidInputError(
-            f"graph covers {graph.type_count} types, cache {cache.type_count}"
-        )
-    if params.max_hops != cache.max_hops:
-        raise InvalidInputError(
-            f"params use max_hops={params.max_hops}, cache has {cache.max_hops}"
-        )
-
-
-def _alpha_vector(params: ThpParams, event_type: int, parents) -> np.ndarray:
-    """Alpha entries for one target type, flattened in (parent, hop) order."""
-    if not parents:
-        return np.zeros(0)
-    return np.concatenate([params.alpha[(c, event_type)] for c in parents])
-
-
-class TypeData(NamedTuple):
-    """What one type's likelihood share needs from the feature cache.
-
-    ``flat[i]`` holds the features of the i-th occupied cell of the type,
-    ``(parent, hop)`` flattened; ``counts`` the events there; ``totals`` the
-    grid-wide feature sums in the same order; ``grid_cells`` is
-    ``node_count * bin_count``.
-    """
-
-    event_type: int
-    flat: np.ndarray
-    counts: np.ndarray
-    totals: np.ndarray
-    bin_width: float
-    grid_cells: int
-
-
-def type_data(cache: FeatureCache, event_type: int, parents) -> TypeData:
-    """The :class:`TypeData` of ``event_type`` with the given cause types."""
-    feats, counts = cache.features_for(event_type, parents)
-    return TypeData(
-        event_type=event_type,
-        flat=feats.reshape(feats.shape[0], feats.shape[1] * feats.shape[2]),
-        counts=counts,
-        totals=cache.totals_for(parents).reshape(-1),
-        bin_width=cache.bin_width,
-        grid_cells=cache.node_count * cache.bin_count,
-    )
-
-
 def _aligned_rows(rows: int, width: int) -> np.ndarray:
     """An uninitialized ``(rows, width)`` float array, each row 64-byte aligned.
 
@@ -255,14 +190,15 @@ def _aligned_rows(rows: int, width: int) -> np.ndarray:
 class TypeBatch(NamedTuple):
     """Several parent sets of one type, stacked for batched scoring.
 
-    ``flat[b]`` is :attr:`TypeData.flat` of the ``b``-th parent set, in the
-    same C order; every set has the same number of parents, and each block
-    starts at a 64-byte-aligned address. ``counts`` (shared) and
-    ``grid_cells`` are as in :class:`TypeData`, ``totals[b]`` is
-    ``TypeData.totals`` of set ``b``, and ``charges[b]`` the EM update's
-    denominators ``totals * bin_width``, 1 where a total vanishes.
-    ``cell_rows`` and ``width_rows`` are aligned work rows, one per point a
-    call may score.
+    ``flat[b, i]`` holds the features of the i-th occupied cell of the type
+    under the ``b``-th parent set, ``(parent, hop)`` flattened in C order;
+    every set has the same number of parents, and each block starts at a
+    64-byte-aligned address. ``counts`` (shared) holds the events at those
+    cells, ``grid_cells`` is ``node_count * bin_count``, ``totals[b]`` the
+    grid-wide feature sums of set ``b`` in the same order, and ``charges[b]``
+    the EM update's denominators ``totals * bin_width``, 1 where a total
+    vanishes. ``cell_rows`` and ``width_rows`` are aligned work rows, one per
+    point a call may score.
     """
 
     event_type: int
@@ -276,52 +212,44 @@ class TypeBatch(NamedTuple):
     width_rows: np.ndarray  # (points, width)
 
 
-def _batch(event_type, flat, counts, totals, bin_width, grid_cells, points) -> TypeBatch:
-    """A :class:`TypeBatch` on aligned ``(sets, cells * width)`` feature rows."""
-    cells, width = counts.shape[0], totals.shape[1]
-    return TypeBatch(
-        event_type=event_type,
-        flat=flat.reshape(flat.shape[0], cells, width),
-        counts=counts,
-        totals=totals,
-        charges=np.where(totals > 0, totals * bin_width, 1.0),
-        bin_width=bin_width,
-        grid_cells=grid_cells,
-        cell_rows=_aligned_rows(points, cells),
-        width_rows=_aligned_rows(points, width),
-    )
-
-
 def type_batch(cache: FeatureCache, event_type: int, parent_sets, points: int = 0) -> TypeBatch:
     """The :class:`TypeBatch` of ``event_type`` with equally long ``parent_sets``.
 
-    It has work rows for ``points`` points (default: one per set).
+    It has work rows for ``points`` points (default: one per set). Raises
+    :class:`InvalidInputError` if the sets differ in size or name a type
+    outside ``[0, type_count)``.
     """
     sizes = {len(parents) for parents in parent_sets}
     if len(sizes) != 1:
         raise InvalidInputError("a batch needs parent sets of one size")
+    for c in (event_type, *(c for parents in parent_sets for c in parents)):
+        if not 0 <= c < cache.type_count:
+            raise InvalidInputError(f"type {c} out of range for {cache.type_count} types")
     size, hops = sizes.pop(), cache.max_hops + 1
-    cells = cache.type_cells[event_type]
+    cells, width = cache.type_cells[event_type], size * hops
     values = cache.values.reshape(-1)  # a view: caches keep their values contiguous
     hop_starts = np.arange(hops) * cache.cell_count
-    flat = _aligned_rows(len(parent_sets), cells.shape[0] * size * hops)
-    totals = np.empty((len(parent_sets), size * hops))
+    flat = _aligned_rows(len(parent_sets), cells.shape[0] * width)
+    totals = np.empty((len(parent_sets), width))
     for block, row, parents in zip(flat, totals, parent_sets):
         starts = np.array(parents, dtype=np.intp)[:, None] * (hops * cache.cell_count) + hop_starts
         # gathered cell by cell straight into the block, which keeps its aligned address
+        # ("clip" does not buffer ``out``; the ids are checked above)
         values.take(cells[:, None, None] + starts, out=block.reshape(cells.shape[0], size, hops),
                     mode="clip")
         row[:] = cache.totals[list(parents)].reshape(-1)
-    return _batch(event_type, flat, cache.type_counts[event_type], totals, cache.bin_width,
-                  cache.node_count * cache.bin_count, points or len(parent_sets))
-
-
-def batch_of_one(data: TypeData) -> TypeBatch:
-    """``data`` as a batch holding one parent set."""
-    flat = _aligned_rows(1, data.flat.size)
-    flat.reshape(data.flat.shape)[...] = data.flat
-    return _batch(data.event_type, flat, data.counts, data.totals[None, :], data.bin_width,
-                  data.grid_cells, 1)
+    points = points or len(parent_sets)
+    return TypeBatch(
+        event_type=event_type,
+        flat=flat.reshape(len(parent_sets), cells.shape[0], width),
+        counts=cache.type_counts[event_type],
+        totals=totals,
+        charges=np.where(totals > 0, totals * cache.bin_width, 1.0),
+        bin_width=cache.bin_width,
+        grid_cells=cache.node_count * cache.bin_count,
+        cell_rows=_aligned_rows(points, cells.shape[0]),
+        width_rows=_aligned_rows(points, width),
+    )
 
 
 def batch_log_likelihood(
@@ -357,156 +285,16 @@ def batch_log_likelihood(
     return lam, share
 
 
-def type_log_likelihood(mu, alpha: np.ndarray, data: TypeData) -> tuple[np.ndarray, float]:
-    """Intensity at the type's occupied cells and its log-likelihood share.
+def bic_penalty(type_count: int, edge_count: int, per_edge: int, total_events: int) -> float:
+    """Complexity penalty ``p * log(m) / 2`` with ``p = type_count + per_edge * edge_count``.
 
-    :func:`batch_log_likelihood` on a batch of one, so a single share is
-    the same float a batched fit computes.
+    The conventional count is ``per_edge = max_hops``, although each edge
+    actually carries ``max_hops + 1`` alpha values; at ``max_hops = 0`` it
+    makes the penalty edge-independent. ``total_events = 0`` yields penalty 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam, share = batch_log_likelihood(
-            np.array([mu], dtype=float), np.asarray(alpha, dtype=float)[None, :],
-            batch_of_one(data), [0],
-        )
-    return lam[0], float(share[0])
-
-
-def _type_share(params: ThpParams, graph: CausalGraph, cache: FeatureCache, event_type: int):
-    """``(data, lam, share)`` of one type under ``params``."""
-    _check_dims(params, graph, cache)
-    parents = graph.parents(event_type)
-    data = type_data(cache, event_type, parents)
-    alpha = _alpha_vector(params, event_type, parents)
-    return (data, *type_log_likelihood(params.mu[event_type], alpha, data))
-
-
-def intensities_for_type(
-    params: ThpParams, graph: CausalGraph, cache: FeatureCache, event_type: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Intensities at the occupied cells of one type.
-
-    Returns ``(lam, counts)`` aligned with the cache's per-type cell list.
-    """
-    data, lam, _ = _type_share(params, graph, cache, event_type)
-    return lam, data.counts
-
-
-def intensity(
-    params: ThpParams,
-    graph: CausalGraph,
-    cache: FeatureCache,
-    node: int,
-    event_type: int,
-    time_bin: int,
-) -> float:
-    """Intensity of one cell. With parents, the cell must be cached."""
-    _check_dims(params, graph, cache)
-    parents = graph.parents(event_type)
-    if not parents:
-        return float(params.mu[event_type])
-    idx = cache.cell_index(node, time_bin)
-    feats = cache.values[list(parents)][:, :, idx].reshape(-1)
-    alpha = _alpha_vector(params, event_type, parents)
-    return float(params.mu[event_type] + feats @ alpha)
-
-
-def per_type_log_likelihood(
-    params: ThpParams,
-    graph: CausalGraph,
-    cache: FeatureCache,
-    event_type: int,
-) -> float:
-    """This type's additive share of the log-likelihood (``-inf`` allowed)."""
-    return _type_share(params, graph, cache, event_type)[2]
-
-
-def log_likelihood(
-    params: ThpParams,
-    graph: CausalGraph,
-    cache: FeatureCache,
-    dataset: DiscreteDataset,
-) -> float:
-    """Full log-likelihood up to the data-only constant; ``-inf`` if the
-    model assigns zero intensity to any occupied cell."""
-    _check_dims(params, graph, cache)
-    if dataset.type_count != cache.type_count or dataset.bin_count != cache.bin_count:
-        raise InvalidInputError("dataset does not match the feature cache")
-    total = 0.0
-    for v in range(graph.type_count):
-        contribution = per_type_log_likelihood(params, graph, cache, v)
-        if math.isinf(contribution):
-            return float("-inf")
-        total += contribution
-    return total
-
-
-def analytic_gradient(
-    params: ThpParams,
-    graph: CausalGraph,
-    cache: FeatureCache,
-) -> tuple[np.ndarray, dict]:
-    """Gradient of the log-likelihood in ``(mu, alpha)``.
-
-    Returns ``(grad_mu, grad_alpha)`` with ``grad_alpha`` keyed like
-    ``params.alpha``. Requires strictly positive intensity at every occupied
-    cell.
-    """
-    grad_mu = np.zeros(params.type_count)
-    grad_alpha = {edge: np.zeros(params.max_hops + 1) for edge in params.alpha}
-    for v in range(params.type_count):
-        data, lam, share = _type_share(params, graph, cache, v)
-        if share == float("-inf"):
-            raise DegenerateModelError(f"zero intensity at an occupied cell of type {v}")
-        ratio = data.counts / lam
-        grad_mu[v] = ratio.sum() - data.bin_width * data.grid_cells
-        parents = graph.parents(v)
-        weighted = data.flat.T @ ratio - data.bin_width * data.totals
-        for parent, row in zip(parents, weighted.reshape(len(parents), params.max_hops + 1)):
-            grad_alpha[(parent, v)] = row
-    return grad_mu, grad_alpha
-
-
-def bic_penalty(
-    graph: CausalGraph,
-    max_hops: int,
-    total_events: int,
-    *,
-    alpha_per_edge: int | None = None,
-) -> float:
-    """Complexity penalty ``p * log(m) / 2``.
-
-    The parameter count is ``type_count + max_hops * edge_count``. Note the
-    hop factor: each edge actually carries ``max_hops + 1`` alpha values, but
-    the conventional count uses ``max_hops``; pass ``alpha_per_edge`` to use
-    a different per-edge count (e.g. ``max_hops + 1`` for the literal one).
-    At ``max_hops = 0`` the default makes the penalty edge-independent.
-    ``total_events = 0`` yields penalty 0.
-    """
-    per_edge = max_hops if alpha_per_edge is None else alpha_per_edge
-    return edge_count_penalty(graph.type_count, graph.edge_count, per_edge, total_events)
-
-
-def edge_count_penalty(
-    type_count: int, edge_count: int, per_edge: int, total_events: int
-) -> float:
-    """``bic_penalty`` from the counts alone, for search code that keeps no graph."""
     if total_events < 0:
         raise InvalidInputError("total_events must be >= 0")
     if total_events == 0:
         return 0.0
     p = type_count + per_edge * edge_count
     return p * math.log(total_events) / 2.0
-
-
-def bic_score(
-    log_lik: float,
-    graph: CausalGraph,
-    max_hops: int,
-    total_events: int,
-    *,
-    alpha_per_edge: int | None = None,
-) -> float:
-    """Penalized score ``log_lik - bic_penalty(...)``; higher is better."""
-    return log_lik - bic_penalty(
-        graph, max_hops, total_events, alpha_per_edge=alpha_per_edge
-    )

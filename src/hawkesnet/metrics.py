@@ -22,7 +22,6 @@ class StructureReport:
     precision: float
     recall: float
     f1: float
-    alpha_mae: float | None = None
 
 
 def _edge_set(graph) -> set:

@@ -35,7 +35,7 @@ import numpy as np
 from .em import EmConfig, TypeFit, assemble_params, fit_batch, fit_type, type_seed
 from .errors import InvalidInputError
 from .features import FeatureCache
-from .likelihood import CausalGraph, ThpParams, edge_count_penalty
+from .likelihood import CausalGraph, ThpParams, bic_penalty
 
 __all__ = [
     "Move",
@@ -246,7 +246,7 @@ def _move_scores(moves: list, state: SearchState, cache: FeatureCache) -> np.nda
     shares[rows, types] = [state.memo[key].log_lik for key in keys]
     deltas = [0 if move is None else _EDGE_DELTA[move.kind] for move in moves]
     penalty = {
-        delta: edge_count_penalty(
+        delta: bic_penalty(
             cache.type_count, state.edge_count + delta, cache.max_hops, cache.total_events
         )
         for delta in set(deltas)

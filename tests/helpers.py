@@ -15,7 +15,7 @@ from hawkesnet.em import _em_iteration
 from hawkesnet.events import DiscreteDataset, discretize, event_table
 from hawkesnet.features import FeatureCache, build_features
 from hawkesnet.kernels import ExponentialKernel
-from hawkesnet.likelihood import CausalGraph, ThpParams, _alpha_vector, type_data
+from hawkesnet.likelihood import CausalGraph, ThpParams, batch_log_likelihood, type_batch
 from hawkesnet.topology import TopologyGraph, build_topology
 
 
@@ -147,6 +147,42 @@ def random_instance(
     )
 
 
+def type_point(params: ThpParams, graph: CausalGraph, cache: FeatureCache, event_type: int):
+    """``(batch, mu, alpha)``: one type's production batch and its point under ``params``.
+
+    ``mu`` and ``alpha`` are one-row arrays, ``alpha`` flattened in the
+    batch's ``(parent, hop)`` order.
+    """
+    params.validate_for(graph)
+    parents = graph.parents(event_type)
+    alpha = np.concatenate([params.alpha[(c, event_type)] for c in parents] + [np.zeros(0)])
+    return type_batch(cache, event_type, [parents]), params.mu[[event_type]], alpha[None, :]
+
+
+def type_intensities(
+    params: ThpParams, graph: CausalGraph, cache: FeatureCache, event_type: int
+) -> np.ndarray:
+    """The production intensity of one type at its cells, ``cache.type_cells[event_type]``."""
+    batch, mu, alpha = type_point(params, graph, cache, event_type)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam, _ = batch_log_likelihood(mu, alpha, batch, [0])
+    return lam[0].copy()
+
+
+def log_likelihood(params: ThpParams, graph: CausalGraph, cache: FeatureCache) -> float:
+    """The production log-likelihood: each type's ``batch_log_likelihood`` share, summed.
+
+    ``-inf`` if the model puts zero intensity on a cell that holds events.
+    """
+    total = 0.0
+    for v in range(graph.type_count):
+        batch, mu, alpha = type_point(params, graph, cache, v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, share = batch_log_likelihood(mu, alpha, batch, [0])
+        total += float(share[0])
+    return total
+
+
 def em_iteration(
     params: ThpParams, graph: CausalGraph, cache: FeatureCache
 ) -> tuple[ThpParams, np.ndarray]:
@@ -159,12 +195,64 @@ def em_iteration(
     alpha = {}
     expected = np.zeros(graph.type_count)
     for v in range(graph.type_count):
+        batch, mu_v, alpha_v = type_point(params, graph, cache, v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, mu_v, alpha_v = _em_iteration(mu_v, alpha_v, batch, [0])
+        mu[v], updated = mu_v[0], alpha_v[0]
+        expected[v] = batch.bin_width * (mu[v] * batch.grid_cells + updated @ batch.totals[0])
         parents = graph.parents(v)
-        data = type_data(cache, v, parents)
-        _, mu[v], updated = _em_iteration(
-            params.mu[v], _alpha_vector(params, v, parents), data
-        )
-        expected[v] = data.bin_width * (mu[v] * data.grid_cells + updated @ data.totals)
         for parent, row in zip(parents, updated.reshape(len(parents), cache.max_hops + 1)):
             alpha[(parent, v)] = row
     return ThpParams(mu=mu, alpha=alpha, max_hops=cache.max_hops), expected
+
+
+def em_gradient(
+    params: ThpParams, graph: CausalGraph, cache: FeatureCache
+) -> tuple[np.ndarray, dict]:
+    """The log-likelihood gradient that the production EM map implies.
+
+    The map's multiplicative updates ``mu' = mu * sum(X / lam) / (dt *
+    grid_cells)`` and ``alpha' = alpha * F^T (X / lam) / (dt * totals)``
+    give ``dL/dmu = dt * grid_cells * (mu' / mu - 1)`` and ``dL/dalpha = dt
+    * totals * (alpha' / alpha - 1)``. Needs ``mu, alpha > 0``. Returns
+    ``(grad_mu, grad_alpha)`` with ``grad_alpha`` keyed like ``params.alpha``.
+    """
+    updated, _ = em_iteration(params, graph, cache)
+    charge = cache.bin_width * cache.node_count * cache.bin_count
+    grad_mu = charge * (updated.mu / params.mu - 1.0)
+    grad_alpha = {
+        (c, v): cache.bin_width * cache.totals[c] * (updated.alpha[(c, v)] / a - 1.0)
+        for (c, v), a in params.alpha.items()
+    }
+    return grad_mu, grad_alpha
+
+
+def finite_difference(
+    params: ThpParams, graph: CausalGraph, cache: FeatureCache, rel_step: float = 1e-6
+) -> tuple[np.ndarray, dict]:
+    """Central finite differences of :func:`log_likelihood`, shaped like :func:`em_gradient`."""
+
+    def central(mu_up, mu_down, alpha_up, alpha_down, h):
+        up = log_likelihood(ThpParams(mu_up, alpha_up, params.max_hops), graph, cache)
+        down = log_likelihood(ThpParams(mu_down, alpha_down, params.max_hops), graph, cache)
+        return (up - down) / (2 * h)
+
+    grad_mu = np.zeros_like(params.mu)
+    for v in range(params.type_count):
+        h = rel_step * max(params.mu[v], 1e-3)
+        up, down = params.mu.copy(), params.mu.copy()
+        up[v] += h
+        down[v] -= h
+        grad_mu[v] = central(up, down, params.alpha, params.alpha, h)
+    grad_alpha = {}
+    for edge in params.alpha:
+        vec = np.zeros(params.max_hops + 1)
+        for k in range(params.max_hops + 1):
+            h = rel_step * max(params.alpha[edge][k], 1e-3)
+            up = {e: a.copy() for e, a in params.alpha.items()}
+            up[edge][k] += h
+            down = {e: a.copy() for e, a in params.alpha.items()}
+            down[edge][k] -= h
+            vec[k] = central(params.mu, params.mu, up, down, h)
+        grad_alpha[edge] = vec
+    return grad_mu, grad_alpha

@@ -21,6 +21,7 @@ from scipy.signal import lfilter
 
 from hawkesnet.em import EmConfig, TypeFit, _em_iteration
 from hawkesnet.errors import (
+    DegenerateModelError,
     InvalidInputError,
     SimulationExplosionError,
     UnsupportedKernelError,
@@ -28,7 +29,7 @@ from hawkesnet.errors import (
 from hawkesnet.events import DiscreteDataset, event_table
 from hawkesnet.features import FeatureCache
 from hawkesnet.kernels import DecayKernel, ExponentialKernel
-from hawkesnet.likelihood import CausalGraph, ThpParams, type_data, type_log_likelihood
+from hawkesnet.likelihood import CausalGraph, ThpParams, batch_log_likelihood, type_batch
 from hawkesnet.simulate import _window_weights
 from hawkesnet.topology import TopologyGraph
 
@@ -469,7 +470,7 @@ def oracle_plain_em(
     likelihood evaluations (maps plus the final rescore of a capped fit).
     """
     parents = tuple(sorted(int(p) for p in parents))
-    data = type_data(cache, event_type, parents)
+    data = type_batch(cache, event_type, [parents])
     if data.counts.shape[0] == 0:
         zeros = np.zeros((len(parents), cache.max_hops + 1))
         return TypeFit(event_type, parents, 0.0, zeros, 0.0, (0.0,), 0, True)
@@ -478,12 +479,19 @@ def oracle_plain_em(
     best = None
     for child in root.spawn(config.restarts):
         rng = np.random.default_rng(child)
-        mu = rng.uniform(0.5, 1.5) * empirical_rate
-        alpha = rng.uniform(0.0, 0.1, size=data.totals.shape[0])
-        alpha[data.totals <= 0] = 0.0
+        mu = np.array([rng.uniform(0.5, 1.5) * empirical_rate])
+        alpha = rng.uniform(0.0, 0.1, size=data.totals.shape[1])
+        alpha[data.totals[0] <= 0] = 0.0
+        alpha = alpha[None, :]
         trajectory = []
         for _ in range(config.max_iterations):
-            current, next_mu, next_alpha = _em_iteration(mu, alpha, data)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                current, next_mu, next_alpha = _em_iteration(mu, alpha, data, [0])
+            current = float(current[0])
+            if current == float("-inf"):
+                raise DegenerateModelError(
+                    f"zero intensity at an occupied cell of type {event_type}"
+                )
             converged = bool(trajectory) and abs(current - trajectory[-1]) <= (
                 config.rel_tolerance * (abs(trajectory[-1]) + 1.0)
             )
@@ -492,9 +500,9 @@ def oracle_plain_em(
                 break
             mu, alpha = next_mu, next_alpha
         else:
-            trajectory.append(type_log_likelihood(mu, alpha, data)[1])
+            trajectory.append(float(batch_log_likelihood(mu, alpha, data, [0])[1][0]))
         if best is None or trajectory[-1] > best[0]:
-            best = (trajectory[-1], mu, alpha, trajectory, converged)
+            best = (trajectory[-1], mu[0], alpha[0], trajectory, converged)
     final_ll, mu, alpha, trajectory, converged = best
     return TypeFit(
         event_type=event_type,

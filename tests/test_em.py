@@ -19,22 +19,22 @@ from hawkesnet.em import (
     fit_type,
     type_seed,
 )
-from hawkesnet.errors import DegenerateModelError, InvalidInputError
+from hawkesnet.errors import InvalidInputError
 from hawkesnet.events import discretize
 from hawkesnet.features import build_features
 from hawkesnet.kernels import ExponentialKernel
-from hawkesnet.likelihood import (
-    CausalGraph,
-    ThpParams,
-    analytic_gradient,
-    log_likelihood,
-    type_batch,
-    type_data,
-)
+from hawkesnet.likelihood import CausalGraph, ThpParams, type_batch
 from hawkesnet.simulate import SimConfig, generate_benchmark
 from hawkesnet.topology import build_topology
 
-from .helpers import dense_to_dataset, em_iteration, random_instance, rows_to_table
+from .helpers import (
+    dense_to_dataset,
+    em_iteration,
+    log_likelihood,
+    random_instance,
+    rows_to_table,
+    type_point,
+)
 from .oracles import oracle_m_step, oracle_plain_em
 
 RNG = np.random.default_rng
@@ -59,8 +59,10 @@ def test_e_step_rejects_zero_intensity():
     topo = build_topology(1, [], max_hops=0)
     cache = build_features(ds, topo, ExponentialKernel(1.0), 0)
     params = ThpParams(mu=np.array([0.0]), alpha={}, max_hops=0)
-    with pytest.raises(DegenerateModelError):
-        em_iteration(params, CausalGraph(1), cache)
+    batch, mu, alpha = type_point(params, CausalGraph(1), cache, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_lik, _, _ = _em_iteration(mu, alpha, batch, [0])
+    assert log_lik[0] == float("-inf")
 
 
 @settings(max_examples=10)
@@ -93,10 +95,10 @@ def test_em_step_never_decreases_likelihood():
             rng, max_nodes=4, max_types=3, max_bins=15, min_events=4
         )
         params = inst.params
-        before = log_likelihood(params, inst.graph, inst.cache, inst.dataset)
+        before = log_likelihood(params, inst.graph, inst.cache)
         for _ in range(4):
             params, _ = em_iteration(params, inst.graph, inst.cache)
-            after = log_likelihood(params, inst.graph, inst.cache, inst.dataset)
+            after = log_likelihood(params, inst.graph, inst.cache)
             assert after >= before - 1e-9 * (1.0 + abs(before))
             before = after
 
@@ -112,7 +114,7 @@ def test_fit_trajectory_is_nondecreasing():
         assert np.all(np.diff(traj) >= -1e-9 * (1.0 + np.abs(traj[:-1])))
         assert result.log_lik == pytest.approx(traj[-1], rel=1e-12)
         assert result.log_lik == pytest.approx(
-            log_likelihood(result.params, inst.graph, inst.cache, inst.dataset),
+            log_likelihood(result.params, inst.graph, inst.cache),
             rel=1e-9,
         )
 
@@ -131,13 +133,17 @@ def test_fit_reaches_a_fixed_point():
         np.testing.assert_allclose(
             again.alpha[edge], params.alpha[edge], rtol=1e-3, atol=1e-10
         )
-    # stationarity: active coordinates have (near) zero scaled gradient
-    grad_mu, grad_alpha = analytic_gradient(params, inst.graph, inst.cache)
+    # stationarity: active coordinates have (near) zero scaled gradient, which
+    # the map gives as mu * dL/dmu = dt * grid_cells * (mu' - mu) and
+    # alpha * dL/dalpha = dt * totals * (alpha' - alpha)
+    cache = inst.cache
     scale = 1.0 + abs(result.log_lik)
+    charge = cache.bin_width * cache.node_count * cache.bin_count
     for v in range(params.type_count):
-        assert abs(params.mu[v] * grad_mu[v]) <= 1e-4 * scale
-    for edge, vec in params.alpha.items():
-        assert np.all(np.abs(vec * grad_alpha[edge]) <= 1e-4 * scale)
+        assert abs(charge * (again.mu[v] - params.mu[v])) <= 1e-4 * scale
+    for (c, v), vec in params.alpha.items():
+        scaled = cache.bin_width * cache.totals[c] * (again.alpha[(c, v)] - vec)
+        assert np.all(np.abs(scaled) <= 1e-4 * scale)
 
 
 def test_fit_type_zero_events_short_circuits():
@@ -289,11 +295,12 @@ def test_accelerated_fit_ends_at_a_fixed_point(dense):
         result = fit_type(v, truth, cache, EmConfig(max_iterations=10_000, rel_tolerance=tol),
                           type_seed(0, v, truth))
         assert result.converged
-        data = type_data(cache, v, truth)
-        log_lik, mu, alpha = _em_iteration(result.mu, result.alpha.ravel(), data)
-        assert log_lik == result.log_lik
-        again, _, _ = _em_iteration(mu, alpha, data)
-        assert abs(again - log_lik) <= tol * (abs(log_lik) + 1.0)
+        data = type_batch(cache, v, [truth])
+        log_lik, mu, alpha = _em_iteration(np.array([result.mu]), result.alpha.reshape(1, -1),
+                                           data, [0])
+        assert log_lik[0] == result.log_lik
+        again, _, _ = _em_iteration(mu, alpha, data, [0])
+        assert abs(again[0] - log_lik[0]) <= tol * (abs(log_lik[0]) + 1.0)
 
 
 @pytest.mark.parametrize("cap", [2, 3, 5, 10, 20, 100])
@@ -415,11 +422,13 @@ def test_batch_blocks_are_aligned_copies_of_type_data(dense):
     cache, _ = dense
     sets = [(0, 4), (2, 3), (1, 2)]
     batch = type_batch(cache, 1, sets, points=5)
+    cells = cache.type_cells[1]
     for block, totals, parents in zip(batch.flat, batch.totals, sets):
-        data = type_data(cache, 1, parents)
         assert block.ctypes.data % 64 == 0
-        np.testing.assert_array_equal(block, data.flat)
-        np.testing.assert_array_equal(totals, data.totals)
+        # cell i's row holds the (parent, hop) features of the type's i-th cell
+        want = np.moveaxis(cache.values[:, :, cells][list(parents)], 2, 0)
+        np.testing.assert_array_equal(block, want.reshape(cells.shape[0], -1))
+        np.testing.assert_array_equal(totals, cache.totals[list(parents)].reshape(-1))
     assert batch.cell_rows.shape[0] == batch.width_rows.shape[0] == 5
     for rows in (batch.cell_rows, batch.width_rows):
         assert all(row.ctypes.data % 64 == 0 for row in rows)

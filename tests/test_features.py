@@ -16,6 +16,7 @@ from hawkesnet.errors import InvalidInputError, UnsupportedKernelError
 from hawkesnet.events import discretize, event_table
 from hawkesnet.features import build_features
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel
+from hawkesnet.likelihood import type_batch
 from hawkesnet.topology import build_topology
 
 from .helpers import dense_to_dataset, random_instance, random_symmetric_edges, rows_to_table
@@ -32,15 +33,21 @@ def _two_node_cache(max_hops=1):
     return build_features(ds, topo, ExponentialKernel(0.11), max_hops)
 
 
+def _cell(cache, node, time_bin):
+    """Index of the occupied cell ``(node, time_bin)``."""
+    (idx,) = np.flatnonzero((cache.cell_nodes == node) & (cache.cell_bins == time_bin))
+    return int(idx)
+
+
 def test_one_hop_feature_worked_example():
     cache = _two_node_cache()
-    idx = cache.cell_index(1, 1)
+    idx = _cell(cache, 1, 1)
     # the neighbor's decayed history, one bin back
     assert cache.values[0, 1, idx] == pytest.approx(0.895834, abs=1e-6)
     # hop 0 sees nothing: node 1 had no earlier type-0 events
     assert cache.values[0, 0, idx] == 0.0
     # the source cell itself has no history at bin 0
-    idx0 = cache.cell_index(0, 0)
+    idx0 = _cell(cache, 0, 0)
     assert cache.values[0, 0, idx0] == 0.0
     assert cache.values[0, 1, idx0] == 0.0
 
@@ -55,7 +62,7 @@ def test_hop_zero_is_own_node_history():
     ])
     ds = discretize(records, 1.0, 4.0, node_count=3, type_count=2)
     cache = build_features(ds, topo, ExponentialKernel(0.5), 2)
-    idx = cache.cell_index(0, 2)
+    idx = _cell(cache, 0, 2)
     expected = math.exp(-0.5 * 2) + math.exp(-0.5 * 1)
     assert cache.values[0, 0, idx] == pytest.approx(expected, rel=1e-12)
 
@@ -68,26 +75,24 @@ def test_cell_bookkeeping():
     np.testing.assert_array_equal(cache.type_cells[0], [0])
     np.testing.assert_array_equal(cache.type_cells[1], [1])
     np.testing.assert_array_equal(cache.type_counts[0], [1.0])
-    with pytest.raises(InvalidInputError):
-        cache.cell_index(0, 1)
+    # a cell without events is not cached
+    assert not ((cache.cell_nodes == 0) & (cache.cell_bins == 1)).any()
 
 
 def test_features_for_slices_match_values():
+    # a type's likelihood batch gathers its features straight from the cache
     rng = RNG(7)
     inst = random_instance(rng, max_nodes=4, max_types=3, max_bins=12, min_events=5)
     cache = inst.cache
     for v in range(cache.type_count):
-        feats, counts = cache.features_for(v, [0])
+        batch = type_batch(cache, v, [(0,)])
         idx = cache.type_cells[v]
-        np.testing.assert_array_equal(counts, cache.type_counts[v])
-        np.testing.assert_array_equal(feats[:, 0, :], cache.values[0][:, idx].T)
-    feats, _ = cache.features_for(0, [])
-    assert feats.shape == (cache.type_cells[0].shape[0], 0, cache.max_hops + 1)
+        np.testing.assert_array_equal(batch.counts, cache.type_counts[v])
+        np.testing.assert_array_equal(batch.flat[0], cache.values[0][:, idx].T)
+        assert type_batch(cache, v, [()]).flat.shape == (1, idx.shape[0], 0)
     last = cache.type_count - 1
-    np.testing.assert_array_equal(
-        cache.totals_for([last, 0]), cache.totals[[last, 0]]
-    )
-    assert cache.totals_for([]).shape == (0, cache.max_hops + 1)
+    batch = type_batch(cache, 0, [(last, 0)])
+    np.testing.assert_array_equal(batch.totals[0], cache.totals[[last, 0]].reshape(-1))
 
 
 @settings(max_examples=15)
@@ -230,9 +235,9 @@ def test_empty_dataset_builds_empty_cache():
     cache = build_features(ds, topo, ExponentialKernel(1.0), 2)
     assert cache.cell_count == 0
     np.testing.assert_array_equal(cache.totals, np.zeros((2, 3)))
-    feats, counts = cache.features_for(0, [0, 1])
-    assert feats.shape == (0, 2, 3)
-    assert counts.shape == (0,)
+    batch = type_batch(cache, 0, [(0, 1)])
+    assert batch.flat.shape == (1, 0, 6)
+    assert batch.counts.shape == (0,)
 
 
 def test_rejects_non_exponential_kernel():

@@ -1,32 +1,45 @@
-"""Intensity, Poisson log-likelihood, analytic gradient, and BIC."""
+"""Intensity, Poisson log-likelihood, the gradient the EM map implies, and BIC.
+
+Every likelihood here is the production per-type path: ``type_batch`` and
+``batch_log_likelihood``, through the helpers in :mod:`tests.helpers`.
+"""
 
 from __future__ import annotations
 
 import math
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkesnet.errors import DegenerateModelError, InvalidInputError
+from hawkesnet import likelihood
+from hawkesnet.em import EmConfig, fit, fit_type
+from hawkesnet.errors import InvalidInputError
 from hawkesnet.events import discretize
 from hawkesnet.features import build_features
 from hawkesnet.kernels import ExponentialKernel
 from hawkesnet.likelihood import (
     CausalGraph,
     ThpParams,
-    analytic_gradient,
+    batch_log_likelihood,
     bic_penalty,
-    bic_score,
-    intensities_for_type,
-    intensity,
-    log_likelihood,
-    per_type_log_likelihood,
+    type_batch,
 )
 from hawkesnet.topology import build_topology
 
-from .helpers import dense_to_dataset, random_instance, rows_to_table
+from .helpers import (
+    dense_to_dataset,
+    em_gradient,
+    finite_difference,
+    log_likelihood,
+    random_instance,
+    rows_to_table,
+    type_intensities,
+    type_point,
+)
 from .oracles import oracle_intensity, oracle_log_likelihood
 
 RNG = np.random.default_rng
@@ -48,27 +61,25 @@ def _two_node_setup():
 
 def test_intensity_worked_example():
     ds, cache, graph, params = _two_node_setup()
-    lam = intensity(params, graph, cache, node=1, event_type=1, time_bin=1)
+    # type 1's one event sits at node 1, bin 1
+    (lam,) = type_intensities(params, graph, cache, 1)
     assert lam == pytest.approx(0.04489171, abs=1e-6)
     assert lam == pytest.approx(1e-4 + 0.05 * math.exp(-0.11), rel=1e-12)
-    # type 0 has no parents: base rate everywhere, cached cell or not
-    assert intensity(params, graph, cache, 0, 0, 1) == pytest.approx(1e-4)
+    # type 0 has no parents: the base rate
+    np.testing.assert_array_equal(type_intensities(params, graph, cache, 0), [1e-4])
 
 
 def test_intensities_for_type_vectorizes_single_cells():
-    ds, cache, graph, params = _two_node_setup()
-    lam, counts = intensities_for_type(params, graph, cache, 1)
-    assert lam.shape == counts.shape == (1,)
-    assert lam[0] == pytest.approx(
-        intensity(params, graph, cache, 1, 1, 1), rel=1e-15
-    )
-    np.testing.assert_array_equal(counts, [1.0])
-
-
-def test_uncached_cell_with_parents_raises():
-    ds, cache, graph, params = _two_node_setup()
-    with pytest.raises(InvalidInputError):
-        intensity(params, graph, cache, node=0, event_type=1, time_bin=1)
+    inst = random_instance(RNG(41), max_nodes=4, max_types=3, max_bins=12, min_events=5)
+    cache, params = inst.cache, inst.params
+    for v in range(inst.graph.type_count):
+        lam = type_intensities(params, inst.graph, cache, v)
+        assert lam.shape == cache.type_counts[v].shape
+        for got, cell in zip(lam, cache.type_cells[v]):
+            want = params.mu[v] + sum(
+                params.alpha[(c, v)] @ cache.values[c, :, cell] for c in inst.graph.parents(v)
+            )
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_alpha_zero_reduces_to_background():
@@ -77,14 +88,13 @@ def test_alpha_zero_reduces_to_background():
     zeros = {e: np.zeros(inst.max_hops + 1) for e in inst.graph.edges}
     params = ThpParams(mu=inst.params.mu, alpha=zeros, max_hops=inst.max_hops)
     for v in range(inst.graph.type_count):
-        lam, _ = intensities_for_type(params, inst.graph, inst.cache, v)
+        lam = type_intensities(params, inst.graph, inst.cache, v)
         np.testing.assert_allclose(lam, inst.params.mu[v], rtol=1e-15)
     base = CausalGraph(inst.graph.type_count)
     bare = ThpParams(mu=inst.params.mu, alpha={}, max_hops=inst.max_hops)
-    assert log_likelihood(params, inst.graph, inst.cache, inst.dataset) == \
-        pytest.approx(
-            log_likelihood(bare, base, inst.cache, inst.dataset), rel=1e-12
-        )
+    assert log_likelihood(params, inst.graph, inst.cache) == pytest.approx(
+        log_likelihood(bare, base, inst.cache), rel=1e-12
+    )
 
 
 def test_empty_dataset_closed_form():
@@ -98,7 +108,7 @@ def test_empty_dataset_closed_form():
         max_hops=1,
     )
     expected = -1.0 * 3 * 50 * (0.3 + 0.7)
-    assert log_likelihood(params, graph, cache, ds) == pytest.approx(
+    assert log_likelihood(params, graph, cache) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -115,7 +125,7 @@ def test_pure_poisson_closed_form():
     mu = 1.2
     params = ThpParams(mu=np.array([mu]), alpha={}, max_hops=0)
     expected = -mu * dt * 40 + dense.sum() * math.log(mu)
-    assert log_likelihood(params, graph, cache, ds) == pytest.approx(
+    assert log_likelihood(params, graph, cache) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -125,7 +135,7 @@ def test_pure_poisson_closed_form():
 def test_log_likelihood_matches_loop_oracle(seed):
     rng = RNG(seed)
     inst = random_instance(rng, max_nodes=4, max_types=3, max_bins=15, min_events=2)
-    got = log_likelihood(inst.params, inst.graph, inst.cache, inst.dataset)
+    got = log_likelihood(inst.params, inst.graph, inst.cache)
     want = oracle_log_likelihood(
         inst.dense,
         inst.topology.propagation,
@@ -145,10 +155,10 @@ def test_intensity_matches_loop_oracle(seed):
     rng = RNG(seed)
     inst = random_instance(rng, max_nodes=4, max_types=2, max_bins=10, min_events=2)
     cache = inst.cache
-    for i in range(cache.cell_count):
-        node, t = int(cache.cell_nodes[i]), int(cache.cell_bins[i])
-        for v in range(inst.graph.type_count):
-            got = intensity(inst.params, inst.graph, cache, node, v, t)
+    for v in range(inst.graph.type_count):
+        lam = type_intensities(inst.params, inst.graph, cache, v)
+        for got, i in zip(lam, cache.type_cells[v]):
+            node, t = int(cache.cell_nodes[i]), int(cache.cell_bins[i])
             want = oracle_intensity(
                 inst.dense,
                 inst.topology.propagation,
@@ -166,14 +176,17 @@ def test_intensity_matches_loop_oracle(seed):
 
 
 def test_per_type_contributions_sum_to_total():
+    # a fit's per-type shares are the production shares at its parameters
     rng = RNG(21)
     inst = random_instance(rng, max_nodes=4, max_types=3, max_bins=20, min_events=4)
-    total = log_likelihood(inst.params, inst.graph, inst.cache, inst.dataset)
-    parts = sum(
-        per_type_log_likelihood(inst.params, inst.graph, inst.cache, v)
-        for v in range(inst.graph.type_count)
-    )
-    assert total == pytest.approx(parts, rel=1e-12)
+    result = fit(inst.graph, inst.cache, EmConfig(max_iterations=20), seed=2)
+    shares = []
+    for type_fit in result.type_fits:
+        batch, mu, alpha = type_point(result.params, inst.graph, inst.cache, type_fit.event_type)
+        shares.append(float(batch_log_likelihood(mu, alpha, batch, [0])[1][0]))
+        assert shares[-1] == type_fit.log_lik
+    assert log_likelihood(result.params, inst.graph, inst.cache) == sum(shares)
+    assert result.log_lik == pytest.approx(sum(shares), rel=1e-12)
 
 
 def test_zero_intensity_on_occupied_cell_is_neg_inf():
@@ -184,8 +197,12 @@ def test_zero_intensity_on_occupied_cell_is_neg_inf():
     cache = build_features(ds, topo, ExponentialKernel(1.0), 0)
     graph = CausalGraph(1)
     params = ThpParams(mu=np.array([0.0]), alpha={}, max_hops=0)
-    assert log_likelihood(params, graph, cache, ds) == float("-inf")
-    assert per_type_log_likelihood(params, graph, cache, 0) == float("-inf")
+    assert log_likelihood(params, graph, cache) == float("-inf")
+    batch, mu, alpha = type_point(params, graph, cache, 0)
+    with np.errstate(divide="ignore"):
+        lam, share = batch_log_likelihood(mu, alpha, batch, [0])
+    np.testing.assert_array_equal(lam[0], [0.0])
+    assert share[0] == float("-inf")
 
 
 def test_edge_with_zero_alpha_equals_no_edge():
@@ -205,8 +222,8 @@ def test_edge_with_zero_alpha_equals_no_edge():
     mu = rng.uniform(0.2, 0.6, size=types)
     p_with = ThpParams(mu=mu, alpha={(0, 1): np.zeros(2)}, max_hops=1)
     p_without = ThpParams(mu=mu, alpha={}, max_hops=1)
-    assert log_likelihood(p_with, with_edge, cache, ds) == pytest.approx(
-        log_likelihood(p_without, without, cache, ds), rel=1e-12
+    assert log_likelihood(p_with, with_edge, cache) == pytest.approx(
+        log_likelihood(p_without, without, cache), rel=1e-12
     )
 
 
@@ -231,45 +248,10 @@ def test_concavity_along_segments(seed):
         alpha={e: (a.alpha[e] + b.alpha[e]) / 2 for e in inst.graph.edges},
         max_hops=inst.max_hops,
     )
-    la = log_likelihood(a, inst.graph, inst.cache, inst.dataset)
-    lb = log_likelihood(b, inst.graph, inst.cache, inst.dataset)
-    lm = log_likelihood(mid, inst.graph, inst.cache, inst.dataset)
+    la = log_likelihood(a, inst.graph, inst.cache)
+    lb = log_likelihood(b, inst.graph, inst.cache)
+    lm = log_likelihood(mid, inst.graph, inst.cache)
     assert lm >= (la + lb) / 2 - 1e-9 * (1 + abs(la) + abs(lb))
-
-
-def _finite_difference(params, graph, cache, dataset, rel_step=1e-6):
-    grad_mu = np.zeros_like(params.mu)
-    for v in range(params.type_count):
-        h = rel_step * max(params.mu[v], 1e-3)
-        up = params.mu.copy()
-        up[v] += h
-        down = params.mu.copy()
-        down[v] -= h
-        lu = log_likelihood(
-            ThpParams(up, params.alpha, params.max_hops), graph, cache, dataset
-        )
-        ld = log_likelihood(
-            ThpParams(down, params.alpha, params.max_hops), graph, cache, dataset
-        )
-        grad_mu[v] = (lu - ld) / (2 * h)
-    grad_alpha = {}
-    for edge in params.alpha:
-        vec = np.zeros(params.max_hops + 1)
-        for k in range(params.max_hops + 1):
-            h = rel_step * max(params.alpha[edge][k], 1e-3)
-            up = {e: a.copy() for e, a in params.alpha.items()}
-            up[edge][k] += h
-            down = {e: a.copy() for e, a in params.alpha.items()}
-            down[edge][k] -= h
-            lu = log_likelihood(
-                ThpParams(params.mu, up, params.max_hops), graph, cache, dataset
-            )
-            ld = log_likelihood(
-                ThpParams(params.mu, down, params.max_hops), graph, cache, dataset
-            )
-            vec[k] = (lu - ld) / (2 * h)
-        grad_alpha[edge] = vec
-    return grad_mu, grad_alpha
 
 
 def test_gradient_matches_finite_differences():
@@ -278,10 +260,8 @@ def test_gradient_matches_finite_differences():
         inst = random_instance(
             rng, max_nodes=3, max_types=3, max_bins=15, min_events=4
         )
-        gm, ga = analytic_gradient(inst.params, inst.graph, inst.cache)
-        fm, fa = _finite_difference(
-            inst.params, inst.graph, inst.cache, inst.dataset
-        )
+        gm, ga = em_gradient(inst.params, inst.graph, inst.cache)
+        fm, fa = finite_difference(inst.params, inst.graph, inst.cache)
         scale = np.maximum(1.0, np.maximum(np.abs(gm), np.abs(fm)))
         np.testing.assert_array_less(np.abs(gm - fm) / scale, 1e-5)
         for edge in inst.graph.edges:
@@ -289,47 +269,28 @@ def test_gradient_matches_finite_differences():
             np.testing.assert_array_less(np.abs(ga[edge] - fa[edge]) / s, 1e-5)
 
 
-def test_gradient_rejects_degenerate_params():
-    dense = np.zeros((1, 1, 3), dtype=int)
-    dense[0, 0, 1] = 1
-    ds = dense_to_dataset(dense, 1.0)
-    topo = build_topology(1, [], max_hops=0)
-    cache = build_features(ds, topo, ExponentialKernel(1.0), 0)
-    params = ThpParams(mu=np.array([0.0]), alpha={}, max_hops=0)
-    with pytest.raises(DegenerateModelError):
-        analytic_gradient(params, CausalGraph(1), cache)
-
-
 def test_bic_penalty_worked_examples():
-    empty = CausalGraph(20)
-    assert bic_penalty(empty, 2, 20_000) == pytest.approx(
+    # 20 types, max_hops = 2 alpha values charged per edge, 20,000 events
+    assert bic_penalty(20, 0, 2, 20_000) == pytest.approx(
         20 * math.log(20_000) / 2, rel=1e-12
     )
-    assert bic_penalty(empty, 2, 20_000) == pytest.approx(99.0348755, abs=1e-6)
-    one_edge = CausalGraph(20, [(0, 1)])
-    delta = bic_penalty(one_edge, 2, 20_000) - bic_penalty(empty, 2, 20_000)
+    assert bic_penalty(20, 0, 2, 20_000) == pytest.approx(99.0348755, abs=1e-6)
+    delta = bic_penalty(20, 1, 2, 20_000) - bic_penalty(20, 0, 2, 20_000)
     assert delta == pytest.approx(2 * math.log(20_000) / 2, rel=1e-12)
     assert delta == pytest.approx(9.9034876, abs=1e-6)
 
 
 def test_bic_penalty_conventions():
-    g = CausalGraph(3, [(0, 1), (1, 2)])
+    # 3 types, 2 edges
     # no events: no penalty
-    assert bic_penalty(g, 2, 0) == 0.0
-    # the hop-count convention is overridable
-    strict = bic_penalty(g, 2, 1000, alpha_per_edge=3)
+    assert bic_penalty(3, 2, 2, 0) == 0.0
+    # the per-edge count is a parameter: max_hops + 1 charges every alpha value
+    strict = bic_penalty(3, 2, 3, 1000)
     assert strict == pytest.approx((3 + 3 * 2) * math.log(1000) / 2, rel=1e-12)
-    # at max_hops=0 the default penalty ignores edges entirely
-    assert bic_penalty(g, 0, 1000) == bic_penalty(CausalGraph(3), 0, 1000)
+    # at max_hops = 0 the conventional count ignores edges entirely
+    assert bic_penalty(3, 2, 0, 1000) == bic_penalty(3, 0, 0, 1000)
     with pytest.raises(InvalidInputError):
-        bic_penalty(g, 2, -1)
-
-
-def test_bic_score_is_penalized_likelihood():
-    g = CausalGraph(4, [(0, 1)])
-    assert bic_score(-120.0, g, 2, 500) == pytest.approx(
-        -120.0 - bic_penalty(g, 2, 500), rel=1e-15
-    )
+        bic_penalty(3, 2, 2, -1)
 
 
 def test_causal_graph_operations():
@@ -383,12 +344,30 @@ def test_params_validation():
 
 
 def test_mismatched_cache_dimensions_raise():
+    # a graph over other types than the cache's, or a type id outside them
     ds, cache, graph, params = _two_node_setup()
-    wrong_hops = ThpParams(
-        mu=params.mu, alpha={(0, 1): np.array([0.0, 0.05, 0.0])}, max_hops=2
-    )
     with pytest.raises(InvalidInputError):
-        log_likelihood(wrong_hops, graph, cache, ds)
-    other_ds = discretize(rows_to_table([]), 1.0, 5.0, node_count=2, type_count=2)
+        fit(CausalGraph(3, [(0, 1)]), cache)
     with pytest.raises(InvalidInputError):
-        log_likelihood(params, graph, cache, other_ds)
+        fit(CausalGraph(1), cache)
+    for bad in (-1, cache.type_count):
+        with pytest.raises(InvalidInputError):
+            fit_type(0, [bad], cache)
+        with pytest.raises(InvalidInputError):
+            fit_type(bad, [0], cache)
+        with pytest.raises(InvalidInputError):
+            type_batch(cache, 1, [(0,), (bad,)])
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # a public name only tests call is a second path for the oracles to
+    # certify instead of the code that runs; names in docstrings and
+    # comments do not count
+    package = Path(likelihood.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "likelihood.py":
+            with path.open("rb") as source:
+                used.update(tok.string for tok in tokenize.tokenize(source.readline)
+                            if tok.type == tokenize.NAME)
+    assert [name for name in likelihood.__all__ if name not in used] == []

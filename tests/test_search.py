@@ -155,7 +155,9 @@ def test_cached_scores_equal_fresh_refits():
         parents = result.graph.parents(v)
         fresh = fit_type(v, parents, cache, em, type_seed(11, v, parents))
         total += fresh.log_lik
-    total -= bic_penalty(result.graph, cache.max_hops, cache.total_events)
+    total -= bic_penalty(
+        cache.type_count, result.graph.edge_count, cache.max_hops, cache.total_events
+    )
     assert result.score == total  # bit-identical, not merely close
 
 
@@ -176,7 +178,9 @@ def test_move_scores_equal_full_rescores():
         total = 0.0
         for v in range(candidate.type_count):
             total += state.fit_for(v, candidate.parents(v), cache).log_lik
-        total -= bic_penalty(candidate, cache.max_hops, cache.total_events)
+        total -= bic_penalty(
+            cache.type_count, candidate.edge_count, cache.max_hops, cache.total_events
+        )
         assert score_candidate(move, state, cache) == total, move
 
 
@@ -326,9 +330,10 @@ def test_score_candidate_consistency():
     s3 = score_candidate(Move("add", (0, 0)), state, inst.cache)
     fits_before = dict(state.memo)
     assert (0, (0,)) in fits_before
-    penalty_delta = bic_penalty(
-        candidate, inst.cache.max_hops, inst.cache.total_events
-    ) - bic_penalty(empty, inst.cache.max_hops, inst.cache.total_events)
+    types, hops, events = inst.cache.type_count, inst.cache.max_hops, inst.cache.total_events
+    penalty_delta = bic_penalty(types, candidate.edge_count, hops, events) - bic_penalty(
+        types, empty.edge_count, hops, events
+    )
     share_delta = (
         state.memo[(0, (0,))].log_lik - state.memo[(0, ())].log_lik
     )
@@ -358,7 +363,7 @@ def test_exhaustive_search_agreement():
         g = CausalGraph(types, edges)
         score = sum(
             type_share(v, g.parents(v)) for v in range(types)
-        ) - bic_penalty(g, cache.max_hops, cache.total_events)
+        ) - bic_penalty(types, g.edge_count, cache.max_hops, cache.total_events)
         if score > best_score:
             best_score = score
     result = hill_climb(cache, em_config=em, seed=seed)
