@@ -6,7 +6,8 @@ success, 2 for invalid input or configuration (text that is not UTF-8
 included), 3 for degenerate or exploding models, 4 for I/O failures.
 
 Each subcommand imports only the layers it runs: ``evaluate`` needs none
-beyond graph files and metrics, so its start-up is the interpreter and numpy.
+beyond graph files and metrics, which use no numpy, so its start-up is the
+interpreter and the standard library.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib
+import math
 import os
 import sys
 import time
 import warnings
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import (
     DegenerateModelError,
@@ -329,10 +329,14 @@ def cmd_learn(args) -> int:
     if horizon_end is None:
         # the window ends with the latest event's bin; from 2**53 bins on the
         # next bin boundary can round back onto the latest timestamp, so the
-        # window then ends at the next float instead
-        latest = records.timestamp.max(initial=0.0)
-        horizon_end = max((np.floor(latest / bin_width) + 1.0) * bin_width,
-                          np.nextafter(latest, np.inf))
+        # window then ends at the next float instead. discretize rejects a
+        # width that is not positive, and an infinite or NaN window.
+        latest = float(records.timestamp.max(initial=0.0))
+        horizon_end = latest
+        if bin_width > 0:
+            bins = latest / bin_width
+            bins = math.floor(bins) if math.isfinite(bins) else bins
+            horizon_end = max((bins + 1.0) * bin_width, math.nextafter(latest, math.inf))
 
     dataset = discretize(
         records,
@@ -470,6 +474,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    import numpy as np
+
     from .kernels import ExponentialKernel
     from .simulate import SimConfig
 

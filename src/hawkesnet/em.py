@@ -72,7 +72,8 @@ import numpy as np
 
 from .errors import DegenerateModelError, InvalidInputError
 from .features import FeatureCache
-from .likelihood import CausalGraph, ThpParams, TypeBatch, batch_log_likelihood, type_batch
+from .graph import CausalGraph, ThpParams
+from .likelihood import TypeBatch, batch_log_likelihood, type_batch
 
 __all__ = [
     "EmConfig",
@@ -381,7 +382,7 @@ def fit_type(
 def assemble_params(type_fits, max_hops: int) -> ThpParams:
     """Combine per-type fits into one :class:`ThpParams`."""
     fits = sorted(type_fits, key=lambda f: f.event_type)
-    mu = np.array([f.mu for f in fits])
+    mu = [f.mu for f in fits]
     alpha = {}
     for f in fits:
         for j, c in enumerate(f.parents):

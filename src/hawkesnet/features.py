@@ -155,7 +155,10 @@ def build_features(
     # row_mass[k][n'] = sum_n P^k[n', n]; contracts the totals to one product
     row_mass = powers.sum(axis=2)
 
-    cell_keys = np.unique(dataset.bins * n_nodes + dataset.nodes)
+    # sorted, and deduplicated by mask: np.unique would import numpy.ma
+    cell_keys = dataset.bins * n_nodes + dataset.nodes
+    cell_keys.sort()
+    cell_keys = cell_keys[np.diff(cell_keys, prepend=-1) != 0]  # keys are >= 0
     cell_bins = cell_keys // n_nodes
     cell_nodes = cell_keys % n_nodes
     n_cells = cell_keys.shape[0]

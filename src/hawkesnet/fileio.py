@@ -14,10 +14,8 @@ import json
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInputError
-from .likelihood import CausalGraph, ThpParams
+from .graph import CausalGraph, ThpParams, as_rates
 
 __all__ = [
     "GraphDocument",
@@ -33,19 +31,17 @@ FORMAT_VERSION = 1
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and tuples for json.dump."""
+    """Recursively convert tuples, and numpy scalars and arrays, for json.dump.
+
+    Anything with a ``tolist`` method (every numpy scalar and array) becomes
+    its Python value, so this module never imports numpy.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if hasattr(obj, "tolist"):
+        return jsonable(obj.tolist())
     return obj
 
 
@@ -147,8 +143,8 @@ def _graph_document(path: str, data: dict) -> GraphDocument:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"{path}: malformed edge entry {entry!r}") from exc
         edges.append(edge)
-        if "alpha" in entry:
-            alpha[edge] = np.asarray(entry["alpha"], dtype=float)
+        if "alpha" in entry:  # checked even where the document holds no params
+            alpha[edge] = as_rates(entry["alpha"], f"{path}: alpha of edge {edge}")
         else:
             have_alpha = False
     graph = CausalGraph(type_count, frozenset(edges))
@@ -156,15 +152,11 @@ def _graph_document(path: str, data: dict) -> GraphDocument:
     if data.get("mu") is not None and have_alpha:
         max_hops = data.get("k")
         if max_hops is None:
-            lengths = {a.shape[0] for a in alpha.values()}
+            lengths = {len(a) for a in alpha.values()}
             if len(lengths) > 1:
                 raise InvalidInputError(f"{path}: inconsistent alpha lengths")
             max_hops = (lengths.pop() - 1) if lengths else 0
-        params = ThpParams(
-            mu=np.asarray(data["mu"], dtype=float),
-            alpha=alpha,
-            max_hops=int(max_hops),
-        )
+        params = ThpParams(mu=data["mu"], alpha=alpha, max_hops=int(max_hops))
         params.validate_for(graph)
     meta = {
         k: data.get(k)

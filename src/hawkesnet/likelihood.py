@@ -25,154 +25,19 @@ of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-if TYPE_CHECKING:  # annotations only, so graph files load without the feature layer
-    from .features import FeatureCache
+from .features import FeatureCache
 
 __all__ = [
-    "CausalGraph",
-    "ThpParams",
     "TypeBatch",
     "type_batch",
     "batch_log_likelihood",
     "bic_penalty",
 ]
-
-
-@dataclass(frozen=True)
-class CausalGraph:
-    """Directed graph over event types; an edge ``(c, v)`` means c excites v.
-
-    Self-loops are allowed (a type exciting itself). ``edges`` is a frozenset
-    of ordered pairs.
-    """
-
-    type_count: int
-    edges: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.type_count < 1:
-            raise InvalidInputError("type_count must be >= 1")
-        edges = frozenset((int(a), int(b)) for a, b in self.edges)
-        for a, b in edges:
-            if not (0 <= a < self.type_count and 0 <= b < self.type_count):
-                raise InvalidInputError(
-                    f"edge ({a}, {b}) out of range for {self.type_count} types"
-                )
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def parents(self, event_type: int) -> tuple[int, ...]:
-        """Cause types of ``event_type``, sorted ascending."""
-        return tuple(sorted(c for (c, v) in self.edges if v == event_type))
-
-    def with_edge(self, edge: tuple[int, int]) -> "CausalGraph":
-        return CausalGraph(self.type_count, self.edges | {tuple(edge)})
-
-    def without_edge(self, edge: tuple[int, int]) -> "CausalGraph":
-        return CausalGraph(self.type_count, self.edges - {tuple(edge)})
-
-    def with_reversed(self, edge: tuple[int, int]) -> "CausalGraph":
-        a, b = edge
-        if (a, b) not in self.edges:
-            raise InvalidInputError(f"edge {edge} not present")
-        return CausalGraph(self.type_count, (self.edges - {(a, b)}) | {(b, a)})
-
-    def has_cycle(self) -> bool:
-        """True if the directed graph contains a cycle (self-loops count)."""
-        children: dict[int, list[int]] = {v: [] for v in range(self.type_count)}
-        for a, b in self.edges:
-            if a == b:
-                return True
-            children[a].append(b)
-        state = [0] * self.type_count  # 0 unseen, 1 on stack, 2 done
-        for root in range(self.type_count):
-            if state[root]:
-                continue
-            stack: list[tuple[int, int]] = [(root, 0)]
-            state[root] = 1
-            while stack:
-                node, i = stack[-1]
-                if i < len(children[node]):
-                    stack[-1] = (node, i + 1)
-                    nxt = children[node][i]
-                    if state[nxt] == 1:
-                        return True
-                    if state[nxt] == 0:
-                        state[nxt] = 1
-                        stack.append((nxt, 0))
-                else:
-                    state[node] = 2
-                    stack.pop()
-        return False
-
-
-@dataclass(frozen=True)
-class ThpParams:
-    """Rate parameters: background ``mu`` per type, ``alpha`` per edge and hop.
-
-    ``alpha`` maps each directed edge ``(cause, effect)`` to an array of
-    ``max_hops + 1`` nonnegative weights, one per hop order.
-    """
-
-    mu: np.ndarray
-    alpha: dict
-    max_hops: int
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        if mu.ndim != 1:
-            raise InvalidInputError("mu must be a 1-d array")
-        if np.any(~np.isfinite(mu)) or np.any(mu < 0):
-            raise InvalidInputError("mu must be finite and nonnegative")
-        if self.max_hops < 0:
-            raise InvalidInputError("max_hops must be >= 0")
-        alpha = {}
-        for edge, arr in self.alpha.items():
-            a = np.asarray(arr, dtype=float)
-            if a.shape != (self.max_hops + 1,):
-                raise InvalidInputError(
-                    f"alpha[{edge}] must have length max_hops+1 = {self.max_hops + 1}"
-                )
-            if np.any(~np.isfinite(a)) or np.any(a < 0):
-                raise InvalidInputError(f"alpha[{edge}] must be finite and nonnegative")
-            alpha[(int(edge[0]), int(edge[1]))] = a
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def type_count(self) -> int:
-        return self.mu.shape[0]
-
-    def alpha_tensor(self) -> np.ndarray:
-        """Dense ``(type_count, type_count, max_hops+1)`` array, zeros off-edge."""
-        out = np.zeros((self.type_count, self.type_count, self.max_hops + 1))
-        for (c, v), arr in self.alpha.items():
-            out[c, v] = arr
-        return out
-
-    def validate_for(self, graph: CausalGraph) -> None:
-        """Check that alpha keys are exactly the graph's edges."""
-        if graph.type_count != self.type_count:
-            raise InvalidInputError(
-                f"params cover {self.type_count} types, graph {graph.type_count}"
-            )
-        if set(self.alpha.keys()) != set(graph.edges):
-            missing = set(graph.edges) - set(self.alpha.keys())
-            extra = set(self.alpha.keys()) - set(graph.edges)
-            raise InvalidInputError(
-                f"alpha keys do not match graph edges (missing {sorted(missing)}, "
-                f"extra {sorted(extra)})"
-            )
 
 
 def _aligned_rows(rows: int, width: int) -> np.ndarray:

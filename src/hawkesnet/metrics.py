@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInputError
-from .likelihood import CausalGraph, ThpParams
+from .graph import CausalGraph, ThpParams
 
 __all__ = ["StructureReport", "structure_metrics", "alpha_mae"]
 
@@ -67,7 +66,8 @@ def alpha_mae(estimated: ThpParams, truth: ThpParams) -> float:
     (absent edges contribute their counterpart's magnitude) and divides by
     ``max_hops * type_count**2``. Note the normalizer uses ``max_hops``
     although the hop sum has ``max_hops + 1`` terms; at ``max_hops = 0`` the
-    divisor falls back to ``type_count**2``.
+    divisor falls back to ``type_count**2``. The sum runs over the edges of
+    either graph and is correctly rounded, so edge order does not matter.
     """
     if estimated.type_count != truth.type_count:
         raise InvalidInputError(
@@ -77,6 +77,11 @@ def alpha_mae(estimated: ThpParams, truth: ThpParams) -> float:
         raise InvalidInputError(
             f"max_hops differ: {estimated.max_hops} vs {truth.max_hops}"
         )
-    diff = np.abs(estimated.alpha_tensor() - truth.alpha_tensor()).sum()
+    absent = (0.0,) * (truth.max_hops + 1)
+    diff = math.fsum(
+        abs(a - b)
+        for edge in estimated.alpha.keys() | truth.alpha.keys()
+        for a, b in zip(estimated.alpha.get(edge, absent), truth.alpha.get(edge, absent))
+    )
     hops_factor = truth.max_hops if truth.max_hops > 0 else 1
-    return float(diff / (hops_factor * truth.type_count**2))
+    return diff / (hops_factor * truth.type_count**2)

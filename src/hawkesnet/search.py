@@ -35,7 +35,8 @@ import numpy as np
 from .em import EmConfig, TypeFit, assemble_params, fit_batch, fit_type, type_seed
 from .errors import InvalidInputError
 from .features import FeatureCache
-from .likelihood import CausalGraph, ThpParams, bic_penalty
+from .graph import CausalGraph, ThpParams
+from .likelihood import bic_penalty
 
 __all__ = [
     "Move",

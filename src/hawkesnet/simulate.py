@@ -47,7 +47,7 @@ from .kernels import (
     kernel_from_config,
     kernel_to_config,
 )
-from .likelihood import CausalGraph, ThpParams
+from .graph import CausalGraph, ThpParams
 from .topology import TopologyGraph, build_topology
 
 __all__ = [
@@ -415,7 +415,9 @@ def _event_loop(
     n_types = causal_graph.type_count
     dt = bin_width
     powers = topology.hop_matrices(params.max_hops)
-    tensor = params.alpha_tensor()  # (src, dst, k)
+    tensor = np.zeros((n_types, n_types, params.max_hops + 1))  # (src, dst, k)
+    for (c, v), weights in params.alpha.items():
+        tensor[c, v] = weights
     # cells are node-major, f = node*T + type, so that the occupied cells of
     # a bin come out in emission order; spread[n*T+s, m*T+d] =
     # sum_k alpha[s,d,k] * P^k[n,m] * dt is what one event adds per unit kernel

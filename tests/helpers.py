@@ -14,8 +14,9 @@ import numpy as np
 from hawkesnet.em import _em_iteration
 from hawkesnet.events import DiscreteDataset, discretize, event_table
 from hawkesnet.features import FeatureCache, build_features
+from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import ExponentialKernel
-from hawkesnet.likelihood import CausalGraph, ThpParams, batch_log_likelihood, type_batch
+from hawkesnet.likelihood import batch_log_likelihood, type_batch
 from hawkesnet.topology import TopologyGraph, build_topology
 
 
@@ -147,6 +148,19 @@ def random_instance(
     )
 
 
+def param_arrays(params: ThpParams) -> tuple[np.ndarray, dict]:
+    """``params.mu`` and each edge's ``params.alpha`` as float arrays, fresh copies."""
+    return np.array(params.mu), {edge: np.array(a) for edge, a in params.alpha.items()}
+
+
+def alpha_tensor(params: ThpParams) -> np.ndarray:
+    """Dense ``(type_count, type_count, max_hops+1)`` array of ``params.alpha``, zeros off-edge."""
+    out = np.zeros((params.type_count, params.type_count, params.max_hops + 1))
+    for (c, v), weights in params.alpha.items():
+        out[c, v] = weights
+    return out
+
+
 def type_point(params: ThpParams, graph: CausalGraph, cache: FeatureCache, event_type: int):
     """``(batch, mu, alpha)``: one type's production batch and its point under ``params``.
 
@@ -156,7 +170,7 @@ def type_point(params: ThpParams, graph: CausalGraph, cache: FeatureCache, event
     params.validate_for(graph)
     parents = graph.parents(event_type)
     alpha = np.concatenate([params.alpha[(c, event_type)] for c in parents] + [np.zeros(0)])
-    return type_batch(cache, event_type, [parents]), params.mu[[event_type]], alpha[None, :]
+    return type_batch(cache, event_type, [parents]), np.array(params.mu)[[event_type]], alpha[None, :]
 
 
 def type_intensities(
@@ -219,10 +233,11 @@ def em_gradient(
     """
     updated, _ = em_iteration(params, graph, cache)
     charge = cache.bin_width * cache.node_count * cache.bin_count
-    grad_mu = charge * (updated.mu / params.mu - 1.0)
+    (mu, alpha), (new_mu, new_alpha) = param_arrays(params), param_arrays(updated)
+    grad_mu = charge * (new_mu / mu - 1.0)
     grad_alpha = {
-        (c, v): cache.bin_width * cache.totals[c] * (updated.alpha[(c, v)] / a - 1.0)
-        for (c, v), a in params.alpha.items()
+        (c, v): cache.bin_width * cache.totals[c] * (new_alpha[(c, v)] / a - 1.0)
+        for (c, v), a in alpha.items()
     }
     return grad_mu, grad_alpha
 
@@ -237,22 +252,23 @@ def finite_difference(
         down = log_likelihood(ThpParams(mu_down, alpha_down, params.max_hops), graph, cache)
         return (up - down) / (2 * h)
 
-    grad_mu = np.zeros_like(params.mu)
+    mu, alpha = param_arrays(params)
+    grad_mu = np.zeros_like(mu)
     for v in range(params.type_count):
-        h = rel_step * max(params.mu[v], 1e-3)
-        up, down = params.mu.copy(), params.mu.copy()
+        h = rel_step * max(mu[v], 1e-3)
+        up, down = mu.copy(), mu.copy()
         up[v] += h
         down[v] -= h
-        grad_mu[v] = central(up, down, params.alpha, params.alpha, h)
+        grad_mu[v] = central(up, down, alpha, alpha, h)
     grad_alpha = {}
-    for edge in params.alpha:
+    for edge in alpha:
         vec = np.zeros(params.max_hops + 1)
         for k in range(params.max_hops + 1):
-            h = rel_step * max(params.alpha[edge][k], 1e-3)
-            up = {e: a.copy() for e, a in params.alpha.items()}
+            h = rel_step * max(alpha[edge][k], 1e-3)
+            up = {e: a.copy() for e, a in alpha.items()}
             up[edge][k] += h
-            down = {e: a.copy() for e, a in params.alpha.items()}
+            down = {e: a.copy() for e, a in alpha.items()}
             down[edge][k] -= h
-            vec[k] = central(params.mu, params.mu, up, down, h)
+            vec[k] = central(mu, mu, up, down, h)
         grad_alpha[edge] = vec
     return grad_mu, grad_alpha

@@ -28,10 +28,28 @@ from hawkesnet.errors import (
 )
 from hawkesnet.events import DiscreteDataset, event_table
 from hawkesnet.features import FeatureCache
+from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import DecayKernel, ExponentialKernel
-from hawkesnet.likelihood import CausalGraph, ThpParams, batch_log_likelihood, type_batch
+from hawkesnet.likelihood import batch_log_likelihood, type_batch
 from hawkesnet.simulate import _window_weights
 from hawkesnet.topology import TopologyGraph
+
+from .helpers import alpha_tensor
+
+
+def has_cycle(graph: CausalGraph) -> bool:
+    """True if the directed graph contains a cycle (self-loops count).
+
+    Kahn's peeling: an acyclic graph loses every type by repeatedly removing
+    the types that no remaining edge enters.
+    """
+    edges, left = set(graph.edges), set(range(graph.type_count))
+    while True:
+        sources = left - {v for _, v in edges}
+        if not sources:
+            return bool(left)
+        left -= sources
+        edges = {(c, v) for c, v in edges if c in left}
 
 
 def oracle_normalized_adjacency(adjacency) -> np.ndarray:
@@ -398,7 +416,7 @@ def oracle_sweep(
     n_types = causal_graph.type_count
     dt = bin_width
     powers = topology.hop_matrices(params.max_hops)
-    tensor = params.alpha_tensor()  # (src, dst, k)
+    tensor = alpha_tensor(params)  # (src, dst, k)
     # operator[dst*N+m, src*N+n] = sum_k alpha[src,dst,k] * P^k[n,m]
     operator = (
         np.einsum("sdk,knm->dmsn", tensor, powers).reshape(

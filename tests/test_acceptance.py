@@ -18,8 +18,9 @@ from scipy import stats
 from hawkesnet.cli import main as cli_main
 from hawkesnet.em import EmConfig, fit
 from hawkesnet.features import build_features
+from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel, UniformKernel
-from hawkesnet.likelihood import CausalGraph, ThpParams, bic_penalty
+from hawkesnet.likelihood import bic_penalty
 from hawkesnet.metrics import alpha_mae, structure_metrics
 from hawkesnet.search import SearchState, hill_climb
 from hawkesnet.simulate import SimConfig, generate_benchmark, simulate

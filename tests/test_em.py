@@ -22,8 +22,9 @@ from hawkesnet.em import (
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.events import discretize
 from hawkesnet.features import build_features
+from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import ExponentialKernel
-from hawkesnet.likelihood import CausalGraph, ThpParams, type_batch
+from hawkesnet.likelihood import type_batch
 from hawkesnet.simulate import SimConfig, generate_benchmark
 from hawkesnet.topology import build_topology
 
@@ -31,6 +32,7 @@ from .helpers import (
     dense_to_dataset,
     em_iteration,
     log_likelihood,
+    param_arrays,
     random_instance,
     rows_to_table,
     type_point,
@@ -128,10 +130,11 @@ def test_fit_reaches_a_fixed_point():
     # one more EM cycle barely moves the parameters
     params = result.params
     again, _ = em_iteration(params, inst.graph, inst.cache)
-    np.testing.assert_allclose(again.mu, params.mu, rtol=1e-4, atol=1e-12)
+    (mu, alpha), (mu_again, alpha_again) = param_arrays(params), param_arrays(again)
+    np.testing.assert_allclose(mu_again, mu, rtol=1e-4, atol=1e-12)
     for edge in inst.graph.edges:
         np.testing.assert_allclose(
-            again.alpha[edge], params.alpha[edge], rtol=1e-3, atol=1e-10
+            alpha_again[edge], alpha[edge], rtol=1e-3, atol=1e-10
         )
     # stationarity: active coordinates have (near) zero scaled gradient, which
     # the map gives as mu * dL/dmu = dt * grid_cells * (mu' - mu) and
@@ -140,9 +143,9 @@ def test_fit_reaches_a_fixed_point():
     scale = 1.0 + abs(result.log_lik)
     charge = cache.bin_width * cache.node_count * cache.bin_count
     for v in range(params.type_count):
-        assert abs(charge * (again.mu[v] - params.mu[v])) <= 1e-4 * scale
-    for (c, v), vec in params.alpha.items():
-        scaled = cache.bin_width * cache.totals[c] * (again.alpha[(c, v)] - vec)
+        assert abs(charge * (mu_again[v] - mu[v])) <= 1e-4 * scale
+    for (c, v), vec in alpha.items():
+        scaled = cache.bin_width * cache.totals[c] * (alpha_again[(c, v)] - vec)
         assert np.all(np.abs(scaled) <= 1e-4 * scale)
 
 

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from hawkesnet.cli import main
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.fileio import (
     FORMAT_VERSION,
@@ -20,7 +21,7 @@ from hawkesnet.fileio import (
     write_json,
     write_manifest,
 )
-from hawkesnet.likelihood import CausalGraph, ThpParams
+from hawkesnet.graph import CausalGraph, ThpParams
 
 
 def _sample():
@@ -181,6 +182,40 @@ def test_graph_json_validation(tmp_path):
     )
     with pytest.raises(InvalidInputError):
         load_graph_json(path)
+    # without mu the document holds no params, but its alpha must still be rates
+    path.write_text(json.dumps({"format_version": 1, "type_count": 2,
+                                "edges": [{"from": 0, "to": 1, "alpha": "12"}]}))
+    with pytest.raises(InvalidInputError):
+        load_graph_json(path)
+
+
+# none is a list of two finite, nonnegative numbers; "12" must not read as the rates 1 and 2
+MALFORMED_RATES = [
+    0.5, "12", "0.1", {"a": 1}, [[0.1, 0.2]], [0.1], [0.1, 0.2, 0.3], ["0.1", "0.2"],
+    [-0.1, 0.2], [float("nan"), 0.2], [float("inf"), 0.2],
+]
+
+
+@pytest.mark.parametrize("with_k", [True, False])
+@pytest.mark.parametrize("field", ["mu", "alpha"])
+@pytest.mark.parametrize("value", MALFORMED_RATES, ids=repr)
+def test_evaluate_exits_two_on_malformed_rates(tmp_path, capsys, value, field, with_k):
+    # without k, the second edge's alpha fixes the hop count
+    good = {"format_version": 1, "type_count": 2, "k": 1, "mu": [0.1, 0.2],
+            "edges": [{"from": 0, "to": 1, "alpha": [0.1, 0.2]},
+                      {"from": 1, "to": 0, "alpha": [0.3, 0.4]}]}
+    bad = json.loads(json.dumps(good))
+    if field == "mu":
+        bad["mu"] = value
+    else:
+        bad["edges"][0]["alpha"] = value
+    if not with_k:
+        del bad["k"]
+    (tmp_path / "good.json").write_text(json.dumps(good))
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    argv = ["evaluate", "--predicted", str(tmp_path / "bad.json"), "--truth", str(tmp_path / "good.json")]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_manifest_digests(tmp_path):

@@ -20,10 +20,9 @@ from hawkesnet.em import EmConfig, fit, fit_type
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.events import discretize
 from hawkesnet.features import build_features
+from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import ExponentialKernel
 from hawkesnet.likelihood import (
-    CausalGraph,
-    ThpParams,
     batch_log_likelihood,
     bic_penalty,
     type_batch,
@@ -31,16 +30,18 @@ from hawkesnet.likelihood import (
 from hawkesnet.topology import build_topology
 
 from .helpers import (
+    alpha_tensor,
     dense_to_dataset,
     em_gradient,
     finite_difference,
     log_likelihood,
+    param_arrays,
     random_instance,
     rows_to_table,
     type_intensities,
     type_point,
 )
-from .oracles import oracle_intensity, oracle_log_likelihood
+from .oracles import has_cycle, oracle_intensity, oracle_log_likelihood
 
 RNG = np.random.default_rng
 
@@ -243,9 +244,10 @@ def test_concavity_along_segments(seed):
         return ThpParams(mu=mu, alpha=alpha, max_hops=inst.max_hops)
 
     a, b = draw(), draw()
+    (mu_a, alpha_a), (mu_b, alpha_b) = param_arrays(a), param_arrays(b)
     mid = ThpParams(
-        mu=(a.mu + b.mu) / 2,
-        alpha={e: (a.alpha[e] + b.alpha[e]) / 2 for e in inst.graph.edges},
+        mu=(mu_a + mu_b) / 2,
+        alpha={e: (alpha_a[e] + alpha_b[e]) / 2 for e in inst.graph.edges},
         max_hops=inst.max_hops,
     )
     la = log_likelihood(a, inst.graph, inst.cache)
@@ -311,12 +313,12 @@ def test_causal_graph_operations():
 
 
 def test_cycle_detection():
-    assert not CausalGraph(3, [(0, 1), (1, 2)]).has_cycle()
-    assert CausalGraph(3, [(0, 1), (1, 0)]).has_cycle()
-    assert CausalGraph(3, [(1, 1)]).has_cycle()
-    assert CausalGraph(4, [(0, 1), (1, 2), (2, 3), (3, 1)]).has_cycle()
-    assert not CausalGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).has_cycle()
-    assert not CausalGraph(1).has_cycle()
+    assert not has_cycle(CausalGraph(3, [(0, 1), (1, 2)]))
+    assert has_cycle(CausalGraph(3, [(0, 1), (1, 0)]))
+    assert has_cycle(CausalGraph(3, [(1, 1)]))
+    assert has_cycle(CausalGraph(4, [(0, 1), (1, 2), (2, 3), (3, 1)]))
+    assert not has_cycle(CausalGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    assert not has_cycle(CausalGraph(1))
 
 
 def test_params_validation():
@@ -337,7 +339,7 @@ def test_params_validation():
         params.validate_for(CausalGraph(2))
     with pytest.raises(InvalidInputError):
         params.validate_for(CausalGraph(3, [(0, 1)]))
-    tensor = params.alpha_tensor()
+    tensor = alpha_tensor(params)
     assert tensor.shape == (2, 2, 1)
     assert tensor[0, 1, 0] == 0.3
     assert tensor.sum() == pytest.approx(0.3)

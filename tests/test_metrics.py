@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hawkesnet.errors import InvalidInputError
-from hawkesnet.likelihood import CausalGraph, ThpParams
+from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.metrics import alpha_mae, structure_metrics
+
+from .helpers import alpha_tensor
 
 
 def test_partial_recovery_worked_example():
@@ -110,6 +112,29 @@ def test_alpha_mae_identical_params_is_zero():
         mu=np.zeros(2), alpha={(0, 0): np.array([0.1, 0.2, 0.3])}, max_hops=2
     )
     assert alpha_mae(params, params) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_alpha_mae_matches_the_dense_formula_in_any_edge_order(seed):
+    rng = np.random.default_rng(seed)
+    types, hops = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+
+    def draw():
+        edges = [(c, v) for c in range(types) for v in range(types) if rng.random() < 0.6]
+        return {edge: rng.uniform(0.0, 0.2, size=hops + 1) for edge in edges}
+
+    est_alpha, true_alpha = draw(), draw()
+    est, truth = (ThpParams(np.zeros(types), alpha, hops) for alpha in (est_alpha, true_alpha))
+    # the dense formula alpha_mae implemented before it summed over edges
+    want = np.abs(alpha_tensor(est) - alpha_tensor(truth)).sum() / (max(hops, 1) * types**2)
+    assert alpha_mae(est, truth) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def shuffled(alpha):
+        edges = list(alpha)
+        return ThpParams(np.zeros(types), {edges[i]: alpha[edges[i]]
+                                           for i in rng.permutation(len(edges))}, hops)
+
+    assert alpha_mae(shuffled(est_alpha), shuffled(true_alpha)) == alpha_mae(est, truth)
 
 
 def test_alpha_mae_dimension_mismatch():

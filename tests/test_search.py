@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hawkesnet.em import EmConfig, fit_type, type_seed
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.features import build_features
+from hawkesnet.graph import CausalGraph
 from hawkesnet.kernels import ExponentialKernel
-from hawkesnet.likelihood import CausalGraph, bic_penalty
+from hawkesnet.likelihood import bic_penalty
 from hawkesnet.search import (
     Move,
     SearchState,
@@ -27,6 +28,7 @@ from hawkesnet.search import (
 from hawkesnet.simulate import SimConfig, generate_benchmark
 
 from .helpers import random_instance
+from .oracles import has_cycle
 
 RNG = np.random.default_rng
 
@@ -92,7 +94,7 @@ def test_dag_mode_filters_cycle_creating_moves():
     assert (1, 0) not in edges_added
     assert (0, 2) in edges_added
     neighbors = [apply_move(g, m) for m in moves]
-    assert all(not n.has_cycle() for n in neighbors)
+    assert all(not has_cycle(n) for n in neighbors)
 
 
 @st.composite
@@ -108,7 +110,7 @@ def dags(draw):
 @given(dags())
 def test_dag_mode_filter_equals_building_every_neighbor(graph):
     every = vicinity_moves(graph)
-    want = [m for m in every if not apply_move(graph, m).has_cycle()]
+    want = [m for m in every if not has_cycle(apply_move(graph, m))]
     assert vicinity_moves(graph, allow_cycles=False) == want
 
 
@@ -206,12 +208,23 @@ def test_hill_climb_deterministic_across_runs():
         np.testing.assert_array_equal(a.params.alpha[edge], b.params.alpha[edge])
 
 
+def test_result_params_share_no_memory_with_the_type_fits():
+    _, cache = _tiny_search_setup(seed=5)
+    result = hill_climb(cache, em_config=EmConfig(max_iterations=25), seed=2)
+    assert result.graph.edges
+    before = {edge: tuple(a) for edge, a in result.params.alpha.items()}
+    for f in result.type_fits:
+        assert not any(np.shares_memory(f.alpha, a) for a in result.params.alpha.values())
+        f.alpha[...] = 7.0  # the memo's fits stay private to the search result
+    assert {edge: tuple(a) for edge, a in result.params.alpha.items()} == before
+
+
 def test_dag_mode_yields_acyclic_result():
     _, cache = _tiny_search_setup(seed=9)
     result = hill_climb(
         cache, em_config=EmConfig(max_iterations=25), seed=0, allow_cycles=False
     )
-    assert not result.graph.has_cycle()
+    assert not has_cycle(result.graph)
 
 
 def test_progress_and_trace_output(tmp_path):
