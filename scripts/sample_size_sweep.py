@@ -39,7 +39,7 @@ def run_one(size: int, seed: int, args) -> float:
     )
     data = generate_benchmark(config)
     cache = build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
-    result = hill_climb(cache, em_config=EmConfig(), seed=seed)
+    result = hill_climb(cache, em_config=EmConfig())
     return structure_metrics(result.graph, data.causal_graph).f1
 
 

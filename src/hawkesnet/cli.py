@@ -111,14 +111,13 @@ def _em_config(section: dict) -> EmConfig:
     em = section.get("em", {})
     if not isinstance(em, dict):
         raise InvalidInputError("config key 'em' must be an object")
-    known = {"max_iterations", "rel_tolerance", "restarts"}
+    known = {"max_iterations", "rel_tolerance"}
     unknown = set(em) - known
     if unknown:
         raise InvalidInputError(f"unknown em config keys {sorted(unknown)}")
     return EmConfig(
         max_iterations=_pick(None, em, "max_iterations", 100, int),
         rel_tolerance=_pick(None, em, "rel_tolerance", 1e-6, float),
-        restarts=_pick(None, em, "restarts", 1, int),
     )
 
 
@@ -129,9 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, out_required: bool) -> None:
+    def common(p: argparse.ArgumentParser, *, out_required: bool,
+               seed_help: str = "random seed (default 0)") -> None:
         p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
+        p.add_argument("--seed", type=int, help=seed_help)
         p.add_argument(
             "--out",
             metavar="DIR",
@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--target-events", type=int, help="stop after this many events")
 
     learn = sub.add_parser("learn", help="fit a causal graph to event data")
-    common(learn, out_required=True)
+    common(learn, out_required=True,
+           seed_help="recorded in the outputs; the fit does not depend on it (default 0)")
     learn.add_argument("--events", metavar="PATH", help="event CSV file")
     learn.add_argument("--topology", metavar="PATH", help="topology edge list file")
     learn.add_argument("--nodes", type=int, help="node count override")
@@ -360,7 +361,6 @@ def cmd_learn(args) -> int:
         result = hill_climb(
             cache.truncated(hops),
             em_config=em_config,
-            seed=seed,
             allow_cycles=allow_cycles,
             progress=lambda line: print(line, file=sys.stderr),
             trace_path=args.trace if hops == hop_orders[-1] else None,
@@ -501,7 +501,7 @@ def cmd_benchmark(args) -> int:
         kernel = ExponentialKernel(delta)
         cache = build_features(data.dataset(), data.topology, kernel, config.max_hops)
         for label, hops in (("full", config.max_hops), ("no_topology", 0)):
-            result = hill_climb(cache.truncated(hops), em_config=em_config, seed=seed)
+            result = hill_climb(cache.truncated(hops), em_config=em_config)
             report = structure_metrics(result.graph, data.causal_graph)
             mae = (
                 alpha_mae(result.params, data.params)

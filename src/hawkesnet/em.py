@@ -43,12 +43,18 @@ the gain still left along the path (Aitken's delta-squared estimate). Fast
 paths stop as soon as plain EM would; slow ones, where one map gains little
 but much remains, do not stop early.
 
-``fit_batch`` fits several parent sets of one event type, and all their
-restarts, together. Each fit runs the SQUAREM cycle above as a generator
-that yields the next point it needs mapped; every pass gathers those points
-from all running fits and applies ``_em_iteration`` to them in one call, so
-the numpy call overhead of a map is paid once per pass instead of once per
-fit, and each fit follows exactly the path it follows alone. ``fit_type`` is
+Every fit starts from one interior point that depends on the data alone:
+``mu`` is the type's empirical rate ``N / (grid_cells * dt)``, and ``alpha``
+is ``_ALPHA_START`` on every channel whose feature total is positive and 0
+elsewhere. The objective is concave, so the start only sets the path, and a
+fit is a pure function of (data, type, parents).
+
+``fit_batch`` fits several parent sets of one event type together. Each fit
+runs the SQUAREM cycle above as a generator that yields the next point it
+needs mapped; every pass gathers those points from all running fits and
+applies ``_em_iteration`` to them in one call, so the numpy call overhead of
+a map is paid once per pass instead of once per fit, and each fit follows
+exactly the path it follows alone. ``fit_type`` is
 a batch of one. A fit does not depend on its batch: each parent set's
 feature block starts at a 64-byte-aligned address (see
 :class:`hawkesnet.likelihood.TypeBatch`), and every product and sum of a
@@ -79,15 +85,13 @@ __all__ = [
     "EmConfig",
     "TypeFit",
     "FitResult",
-    "type_seed",
     "fit_batch",
     "fit_type",
     "fit",
 ]
 
-# initialization draws: mu ~ U(0.5, 1.5) * empirical rate, alpha ~ U(0, 0.1)
-_MU_INIT_RANGE = (0.5, 1.5)
-_ALPHA_INIT_RANGE = (0.0, 0.1)
+# the start's alpha on every channel with a positive feature total
+_ALPHA_START = 0.05
 # SQUAREM step bound: starts at 1 (plain EM), grows by this factor after an
 # accepted jump at the bound and shrinks by it after a rejected one
 _STEP_FACTOR = 4.0
@@ -95,19 +99,16 @@ _STEP_FACTOR = 4.0
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Stopping and restart policy for the EM loop."""
+    """Stopping policy for the EM loop."""
 
     max_iterations: int = 100
     rel_tolerance: float = 1e-6
-    restarts: int = 1
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
         if not (self.rel_tolerance >= 0):
             raise InvalidInputError("rel_tolerance must be >= 0")
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,19 +135,6 @@ class FitResult:
     iterations: int  # of the type fit that took the most
     converged: bool
     type_fits: tuple
-
-
-def type_seed(seed: int, event_type: int, parents) -> np.random.SeedSequence:
-    """Deterministic per-(type, parent-set) seed.
-
-    A fit is a pure function of (data, type, parents, seed): the same parent
-    set always draws the same initialization, so cached scores and fresh
-    refits agree bit for bit.
-    """
-    parents = tuple(int(p) for p in parents)
-    return np.random.SeedSequence(
-        entropy=(int(seed), int(event_type), len(parents)) + parents
-    )
 
 
 def _em_iteration(mu, alpha, data, blocks):
@@ -252,8 +240,8 @@ def _squarem(x: tuple, config: EmConfig, event_type: int):
 
 
 @np.errstate(all="ignore")  # a jump may overflow or leave the domain; it is then rejected
-def _fit_points(starts: list, data: TypeBatch, blocks: list, config: EmConfig) -> list:
-    """Run :func:`_squarem` from each start, start ``j`` on parent set ``blocks[j]``.
+def _fit_points(starts: list, data: TypeBatch, config: EmConfig) -> list:
+    """Run :func:`_squarem` from each start, start ``j`` on parent set ``j``.
 
     Every pass maps the point each running fit needs next, all in one
     :func:`_em_iteration` call, so each fit takes the path it takes alone.
@@ -269,7 +257,7 @@ def _fit_points(starts: list, data: TypeBatch, blocks: list, config: EmConfig) -
             np.array([pending[j][0] for j in live]),
             np.array([pending[j][1] for j in live]),
             data,
-            [blocks[j] for j in live],
+            live,
         )
         for j, ll, mu_j, alpha_j in zip(live, log_lik.tolist(), mu.tolist(), alpha):
             try:
@@ -283,7 +271,7 @@ def _fit_points(starts: list, data: TypeBatch, blocks: list, config: EmConfig) -
             np.array([results[j][0][0] for j in capped]),
             np.array([results[j][0][1] for j in capped]),
             data,
-            [blocks[j] for j in capped],
+            capped,
         )
         for j, value in zip(capped, rescored.tolist()):
             results[j][1].append(value)
@@ -291,39 +279,21 @@ def _fit_points(starts: list, data: TypeBatch, blocks: list, config: EmConfig) -
             for point, trajectory, converged, maps in results]
 
 
-def _restart_seed(seed, restart: int) -> np.random.SeedSequence:
-    """Child ``restart`` of ``seed``, as ``spawn`` makes it from a fresh one.
-
-    ``seed`` (an int or a :class:`numpy.random.SeedSequence`) is not
-    modified, so fitting twice with one seed object draws the same points.
-    """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    return np.random.SeedSequence(
-        root.entropy, spawn_key=root.spawn_key + (restart,), pool_size=root.pool_size
-    )
-
-
 def fit_batch(
     event_type: int,
     parent_sets,
     cache: FeatureCache,
     config: EmConfig = EmConfig(),
-    seeds=None,
 ) -> list[TypeFit]:
     """Fit ``mu`` and the incoming ``alpha`` of one event type, per parent set.
 
-    The parent sets all have the same number of parents; ``seeds[i]`` (an
-    int or a :class:`numpy.random.SeedSequence`, default 0) seeds the
-    restarts of set ``i``, and the best final log-likelihood wins, ties to
-    the first restart. All restarts of all sets are fitted together, and
-    each fit is bit for bit the :func:`fit_type` of its set and seed. A type
-    id outside ``[0, type_count)`` raises :class:`InvalidInputError`.
+    The parent sets all have the same number of parents. All sets are fitted
+    together, and each fit is bit for bit the :func:`fit_type` of its set. A
+    type id outside ``[0, type_count)`` raises :class:`InvalidInputError`.
     """
     parent_sets = [tuple(sorted(int(p) for p in parents)) for parents in parent_sets]
-    seeds = [0] * len(parent_sets) if seeds is None else list(seeds)
     hops = cache.max_hops + 1
-    restarts = config.restarts
-    data = type_batch(cache, event_type, parent_sets, len(parent_sets) * restarts)
+    data = type_batch(cache, event_type, parent_sets)
     if data.counts.shape[0] == 0:
         # no events of this type: rates collapse to zero, contribution 0
         return [
@@ -333,24 +303,11 @@ def fit_batch(
             for parents in parent_sets
         ]
 
-    blocks = [b for b in range(len(parent_sets)) for _ in range(restarts)]
     empirical_rate = data.counts.sum() / (data.grid_cells * data.bin_width)
-    starts = []
-    for j, b in enumerate(blocks):
-        rng = np.random.default_rng(_restart_seed(seeds[b], j - b * restarts))
-        mu = rng.uniform(*_MU_INIT_RANGE) * empirical_rate
-        alpha = rng.uniform(*_ALPHA_INIT_RANGE, size=data.totals.shape[1])
-        alpha[data.totals[b] <= 0] = 0.0
-        starts.append((mu, alpha))
-
-    results = _fit_points(starts, data, blocks, config)
-    fits = []
-    for b, parents in enumerate(parent_sets):
-        # the best final log-likelihood wins, ties to the first restart
-        (mu, alpha), trajectory, converged, evaluations = max(
-            results[b * restarts : (b + 1) * restarts], key=lambda result: result[1][-1]
-        )
-        fits.append(TypeFit(
+    starts = [(empirical_rate, np.where(totals > 0, _ALPHA_START, 0.0)) for totals in data.totals]
+    results = _fit_points(starts, data, config)
+    return [
+        TypeFit(
             event_type=event_type,
             parents=parents,
             mu=float(mu),
@@ -359,8 +316,9 @@ def fit_batch(
             trajectory=tuple(trajectory),
             iterations=evaluations,
             converged=converged,
-        ))
-    return fits
+        )
+        for parents, ((mu, alpha), trajectory, converged, evaluations) in zip(parent_sets, results)
+    ]
 
 
 def fit_type(
@@ -368,15 +326,10 @@ def fit_type(
     parents,
     cache: FeatureCache,
     config: EmConfig = EmConfig(),
-    seed=0,
 ) -> TypeFit:
-    """Fit ``mu`` and the incoming ``alpha`` of one event type.
-
-    :func:`fit_batch` with one parent set. ``seed`` may be an int or a
-    :class:`numpy.random.SeedSequence`; with multiple restarts the best
-    final log-likelihood wins.
-    """
-    return fit_batch(event_type, [parents], cache, config, [seed])[0]
+    """Fit ``mu`` and the incoming ``alpha`` of one event type: :func:`fit_batch`
+    with one parent set."""
+    return fit_batch(event_type, [parents], cache, config)[0]
 
 
 def assemble_params(type_fits, max_hops: int) -> ThpParams:
@@ -394,7 +347,6 @@ def fit(
     graph: CausalGraph,
     cache: FeatureCache,
     config: EmConfig = EmConfig(),
-    seed: int = 0,
 ) -> FitResult:
     """Fit all types of a fixed graph; trajectory is the per-iteration sum.
 
@@ -405,10 +357,7 @@ def fit(
         raise InvalidInputError(
             f"graph covers {graph.type_count} types, cache {cache.type_count}"
         )
-    fits = [
-        fit_type(v, graph.parents(v), cache, config, type_seed(seed, v, graph.parents(v)))
-        for v in range(graph.type_count)
-    ]
+    fits = [fit_type(v, graph.parents(v), cache, config) for v in range(graph.type_count)]
     joint = np.zeros(max(len(f.trajectory) for f in fits))
     for f in fits:
         traj = np.asarray(f.trajectory)

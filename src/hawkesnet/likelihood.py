@@ -63,7 +63,7 @@ class TypeBatch(NamedTuple):
     grid-wide feature sums of set ``b`` in the same order, and ``charges[b]``
     the EM update's denominators ``totals * bin_width``, 1 where a total
     vanishes. ``cell_rows`` and ``width_rows`` are aligned work rows, one per
-    point a call may score.
+    set, so a call scores at most as many points as the batch has sets.
     """
 
     event_type: int
@@ -73,16 +73,15 @@ class TypeBatch(NamedTuple):
     charges: np.ndarray  # (sets, width)
     bin_width: float
     grid_cells: int
-    cell_rows: np.ndarray  # (points, cells)
-    width_rows: np.ndarray  # (points, width)
+    cell_rows: np.ndarray  # (sets, cells)
+    width_rows: np.ndarray  # (sets, width)
 
 
-def type_batch(cache: FeatureCache, event_type: int, parent_sets, points: int = 0) -> TypeBatch:
+def type_batch(cache: FeatureCache, event_type: int, parent_sets) -> TypeBatch:
     """The :class:`TypeBatch` of ``event_type`` with equally long ``parent_sets``.
 
-    It has work rows for ``points`` points (default: one per set). Raises
-    :class:`InvalidInputError` if the sets differ in size or name a type
-    outside ``[0, type_count)``.
+    Raises :class:`InvalidInputError` if the sets differ in size or name a
+    type outside ``[0, type_count)``.
     """
     sizes = {len(parents) for parents in parent_sets}
     if len(sizes) != 1:
@@ -103,7 +102,6 @@ def type_batch(cache: FeatureCache, event_type: int, parent_sets, points: int = 
         values.take(cells[:, None, None] + starts, out=block.reshape(cells.shape[0], size, hops),
                     mode="clip")
         row[:] = cache.totals[list(parents)].reshape(-1)
-    points = points or len(parent_sets)
     return TypeBatch(
         event_type=event_type,
         flat=flat.reshape(len(parent_sets), cells.shape[0], width),
@@ -112,8 +110,8 @@ def type_batch(cache: FeatureCache, event_type: int, parent_sets, points: int = 
         charges=np.where(totals > 0, totals * cache.bin_width, 1.0),
         bin_width=cache.bin_width,
         grid_cells=cache.node_count * cache.bin_count,
-        cell_rows=_aligned_rows(points, cells.shape[0]),
-        width_rows=_aligned_rows(points, width),
+        cell_rows=_aligned_rows(len(parent_sets), cells.shape[0]),
+        width_rows=_aligned_rows(len(parent_sets), width),
     )
 
 

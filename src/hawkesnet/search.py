@@ -6,17 +6,17 @@ edge count), so a move's score needs refits only for the types whose parent
 sets changed: one type for an edge addition or deletion, two for a reversal.
 The search state keeps the current graph as per-type parent tuples and
 fits; a move is scored from ``Move.changed_types`` alone, without building
-the candidate graph. Fits are memoized by (type, parent set); with
-deterministic per-(type, parent-set) EM seeds a cache hit is bit-identical
-to a fresh refit.
+the candidate graph. Fits are memoized by (type, parent set); a fit is a
+pure function of (data, type, parents), so a cache hit is bit-identical to a
+fresh refit.
 
 Each round first collects the (type, parent set) keys its moves miss in the
 memo and fits them with :func:`hawkesnet.em.fit_batch`, grouped by type and
-parent count, in chunks of at most ``_BATCH_CELLS`` occupied cells (counted
-once per EM restart). A fit does not depend on the batch it lands in, so the
-grouping changes no score. Then every move's row of per-type shares is
-summed left to right in type order, all rows in one ``cumsum``: the same
-float as summing the candidate graph's shares one by one.
+parent count, in chunks of at most ``_BATCH_CELLS`` occupied cells. A fit
+does not depend on the batch it lands in, so the grouping changes no score.
+Then every move's row of per-type shares is summed left to right in type
+order, all rows in one ``cumsum``: the same float as summing the candidate
+graph's shares one by one.
 
 The search starts from the empty graph and repeatedly applies the best
 strictly improving single move (add / delete / reverse); ties go to the
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import EmConfig, TypeFit, assemble_params, fit_batch, fit_type, type_seed
+from .em import EmConfig, TypeFit, assemble_params, fit_batch, fit_type
 from .errors import InvalidInputError
 from .features import FeatureCache
 from .graph import CausalGraph, ThpParams
@@ -50,7 +50,7 @@ __all__ = [
 
 _KIND_ORDER = {"add": 0, "delete": 1, "reverse": 2}
 _EDGE_DELTA = {"add": 1, "delete": -1, "reverse": 0}
-# Largest number of occupied cells, counted once per EM restart, that one
+# Largest number of occupied cells, summed over its parent sets, that one
 # batched fit holds. A batch's feature blocks take cells * parents * (K+1)
 # doubles, about 2.4 MB here at 3 parents and K=2, which keeps a pass's
 # working set near the L2 cache while letting README-shaped types (about
@@ -172,7 +172,6 @@ class SearchState:
     """
 
     em_config: EmConfig
-    seed: int
     parents: list
     fits: list
     edge_count: int = 0
@@ -180,9 +179,9 @@ class SearchState:
     batches: int = 0
 
     @classmethod
-    def empty(cls, cache: FeatureCache, em_config: EmConfig, seed: int) -> "SearchState":
+    def empty(cls, cache: FeatureCache, em_config: EmConfig) -> "SearchState":
         """The state at the empty graph, every type fitted without parents."""
-        state = cls(em_config, seed, parents=[()] * cache.type_count, fits=[])
+        state = cls(em_config, parents=[()] * cache.type_count, fits=[])
         keys = [(v, ()) for v in range(cache.type_count)]
         state.fit_missing(keys, cache)
         state.fits = [state.memo[key] for key in keys]
@@ -192,20 +191,19 @@ class SearchState:
         """Fit the ``(type, parents)`` keys the memo lacks, batch by batch.
 
         A batch holds parent sets of one type and one size, as many as fit
-        in ``_BATCH_CELLS`` occupied cells counted once per restart.
+        in ``_BATCH_CELLS`` occupied cells.
         """
         groups: dict = {}
         for key in keys:
             if key not in self.memo:
                 groups.setdefault((key[0], len(key[1])), {})[key[1]] = None
         for (event_type, _), sets in groups.items():
-            cells = cache.type_counts[event_type].shape[0] * self.em_config.restarts
+            cells = cache.type_counts[event_type].shape[0]
             size = max(1, _BATCH_CELLS // max(cells, 1))
             sets = list(sets)
             for start in range(0, len(sets), size):
                 chunk = sets[start : start + size]
-                seeds = [type_seed(self.seed, event_type, parents) for parents in chunk]
-                fits = fit_batch(event_type, chunk, cache, self.em_config, seeds)
+                fits = fit_batch(event_type, chunk, cache, self.em_config)
                 self.batches += 1
                 for parents, fit in zip(chunk, fits):
                     self.memo[(event_type, parents)] = fit
@@ -213,8 +211,7 @@ class SearchState:
     def fit_for(self, event_type: int, parents, cache: FeatureCache) -> TypeFit:
         key = (event_type, tuple(parents))
         if key not in self.memo:
-            seed = type_seed(self.seed, event_type, parents)
-            self.memo[key] = fit_type(event_type, parents, cache, self.em_config, seed)
+            self.memo[key] = fit_type(event_type, parents, cache, self.em_config)
             self.batches += 1
         return self.memo[key]
 
@@ -282,7 +279,6 @@ def hill_climb(
     cache: FeatureCache,
     *,
     em_config: EmConfig = EmConfig(),
-    seed: int = 0,
     allow_cycles: bool = True,
     progress=None,
     trace_path: str | None = None,
@@ -293,7 +289,7 @@ def hill_climb(
     with the fits and batches that round made; ``trace_path`` appends one
     JSON object per round.
     """
-    state = SearchState.empty(cache, em_config, seed)
+    state = SearchState.empty(cache, em_config)
     graph = CausalGraph(cache.type_count)
     score = score_candidate(None, state, cache)
 

@@ -479,12 +479,12 @@ def oracle_plain_em(
     parents,
     cache: FeatureCache,
     config: EmConfig = EmConfig(),
-    seed=0,
 ) -> TypeFit:
     """``fit_type`` without acceleration: ``_em_iteration`` looped until two
     consecutive log-likelihoods agree to ``rel_tolerance`` or the map cap.
 
-    Same initialization draws as ``fit_type``; ``iterations`` counts the
+    Same start as ``fit_type``: ``mu`` the empirical rate, ``alpha`` 0.05 on
+    every channel with a positive feature total; ``iterations`` counts the
     likelihood evaluations (maps plus the final rescore of a capped fit).
     """
     parents = tuple(sorted(int(p) for p in parents))
@@ -492,42 +492,32 @@ def oracle_plain_em(
     if data.counts.shape[0] == 0:
         zeros = np.zeros((len(parents), cache.max_hops + 1))
         return TypeFit(event_type, parents, 0.0, zeros, 0.0, (0.0,), 0, True)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    empirical_rate = data.counts.sum() / (data.grid_cells * data.bin_width)
-    best = None
-    for child in root.spawn(config.restarts):
-        rng = np.random.default_rng(child)
-        mu = np.array([rng.uniform(0.5, 1.5) * empirical_rate])
-        alpha = rng.uniform(0.0, 0.1, size=data.totals.shape[1])
-        alpha[data.totals[0] <= 0] = 0.0
-        alpha = alpha[None, :]
-        trajectory = []
-        for _ in range(config.max_iterations):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                current, next_mu, next_alpha = _em_iteration(mu, alpha, data, [0])
-            current = float(current[0])
-            if current == float("-inf"):
-                raise DegenerateModelError(
-                    f"zero intensity at an occupied cell of type {event_type}"
-                )
-            converged = bool(trajectory) and abs(current - trajectory[-1]) <= (
-                config.rel_tolerance * (abs(trajectory[-1]) + 1.0)
+    mu = np.array([data.counts.sum() / (data.grid_cells * data.bin_width)])
+    alpha = np.where(data.totals > 0, 0.05, 0.0)
+    trajectory = []
+    for _ in range(config.max_iterations):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            current, next_mu, next_alpha = _em_iteration(mu, alpha, data, [0])
+        current = float(current[0])
+        if current == float("-inf"):
+            raise DegenerateModelError(
+                f"zero intensity at an occupied cell of type {event_type}"
             )
-            trajectory.append(current)
-            if converged:
-                break
-            mu, alpha = next_mu, next_alpha
-        else:
-            trajectory.append(float(batch_log_likelihood(mu, alpha, data, [0])[1][0]))
-        if best is None or trajectory[-1] > best[0]:
-            best = (trajectory[-1], mu[0], alpha[0], trajectory, converged)
-    final_ll, mu, alpha, trajectory, converged = best
+        converged = bool(trajectory) and abs(current - trajectory[-1]) <= (
+            config.rel_tolerance * (abs(trajectory[-1]) + 1.0)
+        )
+        trajectory.append(current)
+        if converged:
+            break
+        mu, alpha = next_mu, next_alpha
+    else:
+        trajectory.append(float(batch_log_likelihood(mu, alpha, data, [0])[1][0]))
     return TypeFit(
         event_type=event_type,
         parents=parents,
-        mu=float(mu),
-        alpha=alpha.reshape(len(parents), cache.max_hops + 1),
-        log_lik=final_ll,
+        mu=float(mu[0]),
+        alpha=alpha[0].reshape(len(parents), cache.max_hops + 1),
+        log_lik=trajectory[-1],
         trajectory=tuple(trajectory),
         iterations=len(trajectory),
         converged=converged,

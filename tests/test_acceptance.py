@@ -60,8 +60,8 @@ def _learn_run(config: SimConfig, fit_kernel: ExponentialKernel):
     """Simulate one dataset, learn with and without propagation, fit truth."""
     data = generate_benchmark(config)
     cache = build_features(data.dataset(), data.topology, fit_kernel, config.max_hops)
-    full = hill_climb(cache, em_config=EmConfig(), seed=config.seed)
-    flat = hill_climb(cache.truncated(0), em_config=EmConfig(), seed=config.seed)
+    full = hill_climb(cache, em_config=EmConfig())
+    flat = hill_climb(cache.truncated(0), em_config=EmConfig())
     return data, cache, full, flat
 
 
@@ -77,7 +77,7 @@ def desk_runs():
         config = _desk_config(seed)
         data, cache, full, flat = _learn_run(config, fit_kernel)
         recovery_seconds += time.monotonic() - t0
-        truth_fit = fit(data.causal_graph, cache, EmConfig(), seed)
+        truth_fit = fit(data.causal_graph, cache, EmConfig())
         runs.append(
             {
                 "seed": seed,
@@ -157,7 +157,7 @@ def test_criterion_02_em_contract():
                 float(np.abs(updated.alpha[edge] - want_alpha[edge]).max()),
             )
 
-        result = fit(inst.graph, inst.cache, EmConfig(), seed=0)
+        result = fit(inst.graph, inst.cache, EmConfig())
         traj = np.asarray(result.trajectory)
         if traj.size > 1:
             drops = np.diff(traj) < -1e-9 * (1.0 + np.abs(traj[:-1]))
@@ -213,9 +213,9 @@ def test_criterion_04_hill_climb_matches_exhaustive():
     )
     data = generate_benchmark(config)
     cache = build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
-    greedy = hill_climb(cache, em_config=EmConfig(), seed=0)
+    greedy = hill_climb(cache, em_config=EmConfig())
 
-    state = SearchState.empty(cache, EmConfig(), seed=0)
+    state = SearchState.empty(cache, EmConfig())
     pairs = list(itertools.product(range(3), repeat=2))
     best = -np.inf
     for mask in range(2 ** len(pairs)):

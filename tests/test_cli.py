@@ -54,7 +54,7 @@ def learn_dir(tmp_path_factory, sim_dir):
     root = tmp_path_factory.mktemp("learn")
     config = _write_config(
         root / "config.json",
-        {"learn": {"em": {"max_iterations": 40, "restarts": 1}}},
+        {"learn": {"em": {"max_iterations": 40}}},
     )
     out = root / "fit"
     code = main(
@@ -240,6 +240,34 @@ def test_learn_byte_determinism(sim_dir, tmp_path):
         outs.append(out)
     for name in ("learned_graph.json", "report.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_learn_seed_is_only_recorded(sim_dir, tmp_path):
+    # --seed is echoed as provenance; the fit does not depend on it
+    outs = {}
+    for seed in ("0", "9"):
+        out = tmp_path / seed
+        code = main(
+            [
+                "learn",
+                "--events", str(sim_dir / "events.csv"),
+                "--topology", str(sim_dir / "topology.txt"),
+                "--k", "1",
+                "--delta", "0.2",
+                "--seed", seed,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        outs[seed] = out
+    graph = json.loads((outs["9"] / "learned_graph.json").read_text())
+    report = json.loads((outs["9"] / "report.json").read_text())
+    assert graph["seed"] == graph["config"]["seed"] == 9
+    assert report["config"]["seed"] == 9
+    for name in ("learned_graph.json", "report.json"):
+        nine = (outs["9"] / name).read_bytes()
+        assert b'"seed": 9' in nine
+        assert (outs["0"] / name).read_bytes() == nine.replace(b'"seed": 9', b'"seed": 0'), name
 
 
 def test_learn_horizon_end_matches_inference(sim_dir, tmp_path):
@@ -478,20 +506,20 @@ def test_invalid_config_json(tmp_path, capsys):
 
 
 def test_unknown_em_key_rejected(sim_dir, tmp_path, capsys):
-    config = _write_config(
-        tmp_path / "c.json", {"learn": {"em": {"iterations": 5}}}
-    )
-    code = main(
-        [
-            "learn",
-            "--config", config,
-            "--events", str(sim_dir / "events.csv"),
-            "--no-topology",
-            "--out", str(tmp_path / "o"),
-        ]
-    )
-    assert code == 2
-    assert "unknown em config keys" in capsys.readouterr().err
+    # every fit starts from one fixed point, so there are no restarts to set
+    for key, value in (("iterations", 5), ("restarts", 1)):
+        config = _write_config(tmp_path / "c.json", {"learn": {"em": {key: value}}})
+        code = main(
+            [
+                "learn",
+                "--config", config,
+                "--events", str(sim_dir / "events.csv"),
+                "--no-topology",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        assert f"unknown em config keys ['{key}']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

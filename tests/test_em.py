@@ -17,14 +17,13 @@ from hawkesnet.em import (
     fit,
     fit_batch,
     fit_type,
-    type_seed,
 )
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.events import discretize
 from hawkesnet.features import build_features
 from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import ExponentialKernel
-from hawkesnet.likelihood import type_batch
+from hawkesnet.likelihood import batch_log_likelihood, type_batch
 from hawkesnet.simulate import SimConfig, generate_benchmark
 from hawkesnet.topology import build_topology
 
@@ -111,7 +110,7 @@ def test_fit_trajectory_is_nondecreasing():
         inst = random_instance(
             rng, max_nodes=4, max_types=3, max_bins=20, min_events=5
         )
-        result = fit(inst.graph, inst.cache, EmConfig(), seed=seed)
+        result = fit(inst.graph, inst.cache, EmConfig())
         traj = np.asarray(result.trajectory)
         assert np.all(np.diff(traj) >= -1e-9 * (1.0 + np.abs(traj[:-1])))
         assert result.log_lik == pytest.approx(traj[-1], rel=1e-12)
@@ -125,7 +124,7 @@ def test_fit_reaches_a_fixed_point():
     rng = RNG(77)
     inst = random_instance(rng, max_nodes=4, max_types=2, max_bins=25, min_events=8)
     config = EmConfig(max_iterations=5000, rel_tolerance=1e-13)
-    result = fit(inst.graph, inst.cache, config, seed=3)
+    result = fit(inst.graph, inst.cache, config)
     assert result.converged
     # one more EM cycle barely moves the parameters
     params = result.params
@@ -171,56 +170,36 @@ def test_fit_type_dead_channel_alpha_stays_zero():
     ds = dense_to_dataset(dense, 1.0)
     topo = build_topology(2, [(0, 1)], max_hops=1)
     cache = build_features(ds, topo, ExponentialKernel(0.5), 1)
-    result = fit_type(1, (0,), cache, EmConfig(), seed=5)
+    result = fit_type(1, (0,), cache, EmConfig())
     np.testing.assert_array_equal(result.alpha, np.zeros((1, 2)))
     assert result.mu > 0
 
 
-def test_fit_determinism_and_seed_sensitivity():
+def test_fit_determinism():
     rng = RNG(9)
     inst = random_instance(rng, max_nodes=4, max_types=3, max_bins=20, min_events=6)
     config = EmConfig(max_iterations=40)
-    a = fit(inst.graph, inst.cache, config, seed=1)
-    b = fit(inst.graph, inst.cache, config, seed=1)
+    a = fit(inst.graph, inst.cache, config)
+    b = fit(inst.graph, inst.cache, config)
     np.testing.assert_array_equal(a.params.mu, b.params.mu)
     for edge in inst.graph.edges:
         np.testing.assert_array_equal(a.params.alpha[edge], b.params.alpha[edge])
     assert a.trajectory == b.trajectory
-    c = fit(inst.graph, inst.cache, config, seed=2)
-    # different seed, different initialization; trajectories differ
-    assert a.trajectory != c.trajectory
 
 
-def test_type_seed_depends_on_parent_set():
-    s1 = type_seed(0, 1, (0, 2))
-    s2 = type_seed(0, 1, (0, 2))
-    s3 = type_seed(0, 1, (0,))
-    s4 = type_seed(0, 2, (0, 2))
-    s5 = type_seed(1, 1, (0, 2))
-    assert s1.entropy == s2.entropy
-    assert len({s1.entropy, s3.entropy, s4.entropy, s5.entropy}) == 4
-    rng1 = np.random.default_rng(s1)
-    rng2 = np.random.default_rng(type_seed(0, 1, (0, 2)))
-    assert rng1.uniform() == rng2.uniform()
-
-
-def test_restarts_pick_best_final_likelihood():
-    rng = RNG(13)
-    inst = random_instance(rng, max_nodes=4, max_types=2, max_bins=20, min_events=6)
-    v = 0
-    parents = inst.graph.parents(v)
-    config_many = EmConfig(max_iterations=3, restarts=6)
-    best = fit_type(v, parents, inst.cache, config_many, seed=7)
-    # every single-restart run is reachable; none may beat the reported best
-    root = np.random.SeedSequence(7)
-    singles = []
-    for child in root.spawn(6):
-        single = fit_type(
-            v, parents, inst.cache,
-            EmConfig(max_iterations=3, restarts=1), seed=child,
-        )
-        singles.append(single.log_lik)
-    assert best.log_lik == pytest.approx(max(singles), rel=1e-12)
+def test_fit_starts_at_the_empirical_rate():
+    # mu = N / (grid_cells * dt), alpha = 0.05 on channels with positive totals
+    dense = np.zeros((2, 3, 8), dtype=int)
+    dense[0, 0, 1] = dense[1, 1, 3] = dense[0, 1, 5] = dense[1, 1, 6] = 1
+    ds = dense_to_dataset(dense, 2.0)
+    cache = build_features(ds, build_topology(2, [(0, 1)], max_hops=1), ExponentialKernel(0.5), 1)
+    v, parents = 1, (0, 2)  # type 2 never fires: its channels start at 0
+    result = fit_type(v, parents, cache, EmConfig(max_iterations=1))
+    rate = cache.type_counts[v].sum() / (cache.node_count * cache.bin_count * cache.bin_width)
+    alpha = np.where(cache.totals[list(parents)].reshape(1, -1) > 0, 0.05, 0.0)
+    assert alpha[0].tolist() == [0.05, 0.05, 0.0, 0.0]
+    _, start = batch_log_likelihood(np.array([rate]), alpha, type_batch(cache, v, [parents]), [0])
+    assert result.trajectory[0] == start[0]
 
 
 def test_fit_empty_dataset():
@@ -238,7 +217,7 @@ def test_assemble_params_orders_types():
     rng = RNG(17)
     inst = random_instance(rng, max_nodes=3, max_types=3, max_bins=10, min_events=3)
     fits = [
-        fit_type(v, inst.graph.parents(v), inst.cache, seed=v)
+        fit_type(v, inst.graph.parents(v), inst.cache)
         for v in range(inst.graph.type_count)
     ]
     params = assemble_params(reversed(fits), inst.max_hops)
@@ -252,8 +231,6 @@ def test_config_validation():
         EmConfig(max_iterations=0)
     with pytest.raises(InvalidInputError):
         EmConfig(rel_tolerance=-1e-6)
-    with pytest.raises(InvalidInputError):
-        EmConfig(restarts=0)
 
 
 def test_convergence_flag_and_iteration_cap():
@@ -295,8 +272,7 @@ def test_accelerated_fit_ends_at_a_fixed_point(dense):
     cache, parent_sets = dense
     tol = 1e-12
     for v, truth, _ in parent_sets:
-        result = fit_type(v, truth, cache, EmConfig(max_iterations=10_000, rel_tolerance=tol),
-                          type_seed(0, v, truth))
+        result = fit_type(v, truth, cache, EmConfig(max_iterations=10_000, rel_tolerance=tol))
         assert result.converged
         data = type_batch(cache, v, [truth])
         log_lik, mu, alpha = _em_iteration(np.array([result.mu]), result.alpha.reshape(1, -1),
@@ -312,8 +288,8 @@ def test_accelerated_fit_never_below_plain_em(dense, cap):
     config = EmConfig(max_iterations=cap)
     for v, truth, padded in parent_sets:
         for parents in (truth, padded):
-            fast = fit_type(v, parents, cache, config, type_seed(0, v, parents))
-            plain = oracle_plain_em(v, parents, cache, config, type_seed(0, v, parents))
+            fast = fit_type(v, parents, cache, config)
+            plain = oracle_plain_em(v, parents, cache, config)
             assert fast.log_lik >= plain.log_lik - 1e-9 * (abs(plain.log_lik) + 1.0)
             assert fast.iterations <= cap + 1
 
@@ -321,7 +297,7 @@ def test_accelerated_fit_never_below_plain_em(dense, cap):
 def test_default_fits_of_true_parents_converge(dense):
     cache, parent_sets = dense
     for v, truth, _ in parent_sets:
-        result = fit_type(v, truth, cache, EmConfig(), type_seed(0, v, truth))
+        result = fit_type(v, truth, cache, EmConfig())
         assert result.converged
         assert result.iterations < EmConfig().max_iterations
 
@@ -338,7 +314,7 @@ def test_max_iterations_caps_em_maps(dense, monkeypatch, cap):
 
     monkeypatch.setattr(em_mod, "_em_iteration", counting)
     v, _, padded = parent_sets[1]
-    result = fit_type(v, padded, cache, EmConfig(max_iterations=cap), type_seed(0, v, padded))
+    result = fit_type(v, padded, cache, EmConfig(max_iterations=cap))
     assert len(calls) <= cap
     # iterations counts maps, plus the rescore of a fit the cap stopped
     assert result.iterations == len(calls) + (not result.converged)
@@ -357,12 +333,12 @@ def test_rejected_jumps_fall_back_to_plain_em(dense, monkeypatch, bad):
     )
     v, truth, _ = parent_sets[1]
     config = EmConfig(max_iterations=30)
-    result = fit_type(v, truth, cache, config, type_seed(0, v, truth))
+    result = fit_type(v, truth, cache, config)
     traj = np.asarray(result.trajectory)
     assert np.isfinite(traj).all()
     assert np.all(np.diff(traj) >= -1e-9 * (1.0 + np.abs(traj[:-1])))
     assert result.mu > 0 and np.isfinite(result.alpha).all()
-    plain = oracle_plain_em(v, truth, cache, EmConfig(max_iterations=20), type_seed(0, v, truth))
+    plain = oracle_plain_em(v, truth, cache, EmConfig(max_iterations=20))
     assert result.log_lik >= plain.log_lik - 1e-9 * (abs(plain.log_lik) + 1.0)
 
 
@@ -373,20 +349,10 @@ def _assert_same_fit(a, b):
     assert (a.trajectory, a.iterations, a.converged) == (b.trajectory, b.iterations, b.converged)
 
 
-def test_fitting_twice_with_one_seed_object_gives_equal_fits():
-    # the restarts' seeds derive from the seed without advancing it
-    inst = random_instance(RNG(13), max_nodes=4, max_types=2, max_bins=20, min_events=6)
-    seed = type_seed(0, 0, (0, 1))
-    config = EmConfig(max_iterations=3, restarts=2)
-    first = fit_type(0, (0, 1), inst.cache, config, seed)
-    _assert_same_fit(first, fit_type(0, (0, 1), inst.cache, config, seed))
-    assert seed.n_children_spawned == 0
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batched_fits_equal_lone_fits(data):
-    """A fit does not depend on its batch: size, order, position, restarts."""
+    """A fit does not depend on its batch: size, order, position."""
     inst = random_instance(RNG(data.draw(st.integers(0, 10_000))), max_nodes=4, max_types=4,
                            max_bins=30, min_events=3)
     types = inst.graph.type_count
@@ -399,10 +365,7 @@ def test_batched_fits_equal_lone_fits(data):
                                inst.kernel, inst.max_hops)
     sets = list(itertools.combinations(range(types), data.draw(st.integers(0, types))))
     chosen = data.draw(st.lists(st.sampled_from(sets), min_size=1, max_size=6))
-    seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=len(chosen),
-                               max_size=len(chosen)))
-    config = EmConfig(max_iterations=data.draw(st.integers(1, 40)),
-                      restarts=data.draw(st.integers(1, 3)))
+    config = EmConfig(max_iterations=data.draw(st.integers(1, 40)))
     with pytest.MonkeyPatch.context() as patch:
         if data.draw(st.booleans(), label="jumps that leave the domain"):
             # some jumps, picked by the path alone, land on negative rates:
@@ -416,15 +379,15 @@ def test_batched_fits_equal_lone_fits(data):
                 return jump, step
 
             patch.setattr(em_mod, "_extrapolate", leaving)
-        batched = fit_batch(v, chosen, cache, config, seeds)
-        for parents, seed, fit_ in zip(chosen, seeds, batched):
-            _assert_same_fit(fit_, fit_type(v, parents, cache, config, seed))
+        batched = fit_batch(v, chosen, cache, config)
+        for parents, fit_ in zip(chosen, batched):
+            _assert_same_fit(fit_, fit_type(v, parents, cache, config))
 
 
 def test_batch_blocks_are_aligned_copies_of_type_data(dense):
     cache, _ = dense
     sets = [(0, 4), (2, 3), (1, 2)]
-    batch = type_batch(cache, 1, sets, points=5)
+    batch = type_batch(cache, 1, sets)
     cells = cache.type_cells[1]
     for block, totals, parents in zip(batch.flat, batch.totals, sets):
         assert block.ctypes.data % 64 == 0
@@ -432,7 +395,7 @@ def test_batch_blocks_are_aligned_copies_of_type_data(dense):
         want = np.moveaxis(cache.values[:, :, cells][list(parents)], 2, 0)
         np.testing.assert_array_equal(block, want.reshape(cells.shape[0], -1))
         np.testing.assert_array_equal(totals, cache.totals[list(parents)].reshape(-1))
-    assert batch.cell_rows.shape[0] == batch.width_rows.shape[0] == 5
+    assert batch.cell_rows.shape[0] == batch.width_rows.shape[0] == 3
     for rows in (batch.cell_rows, batch.width_rows):
         assert all(row.ctypes.data % 64 == 0 for row in rows)
     with pytest.raises(InvalidInputError):

@@ -4,8 +4,7 @@ Any input must end in exit 0, 2 (invalid input) or 4 (I/O), never in a
 traceback. Sizes (node ids and count hints, hop orders, type counts,
 horizons) are drawn small or past what numpy can index (2**32 nodes, 2**64
 otherwise), never in between: a valid mid-sized value asks for real work,
-not a parse error. EM restarts and iteration caps stay small for the same
-reason.
+not a parse error. EM iteration caps stay small for the same reason.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ LEARN_CONFIG = {
     "learn": {
         "k": 1, "delta": 0.5, "dt": 1.0, "allow_cycles": True, "k_sweep": False,
         "horizon_end": 12.0, "nodes": 3, "types": 2, "no_topology": False,
-        "em": {"max_iterations": 20, "rel_tolerance": 1e-6, "restarts": 1},
+        "em": {"max_iterations": 20, "rel_tolerance": 1e-6},
     },
     "evaluate": {},
 }
@@ -116,8 +115,8 @@ def configs(draw) -> bytes:
     for key in draw(st.lists(st.sampled_from(sorted(section)), max_size=4)):
         section[key] = draw(json_values)
     if isinstance(section.get("em"), dict):
-        for key in draw(st.lists(st.sampled_from(["max_iterations", "rel_tolerance",
-                                                  "restarts", "bogus"]), max_size=2)):
+        for key in draw(st.lists(st.sampled_from(["max_iterations", "rel_tolerance", "bogus"]),
+                                 max_size=2)):
             section["em"][key] = draw(small_values)
     for key in draw(st.lists(st.sampled_from(["events", "topology"]), max_size=2)):
         section[key] = draw(json_values)

@@ -180,7 +180,7 @@ def test_per_type_contributions_sum_to_total():
     # a fit's per-type shares are the production shares at its parameters
     rng = RNG(21)
     inst = random_instance(rng, max_nodes=4, max_types=3, max_bins=20, min_events=4)
-    result = fit(inst.graph, inst.cache, EmConfig(max_iterations=20), seed=2)
+    result = fit(inst.graph, inst.cache, EmConfig(max_iterations=20))
     shares = []
     for type_fit in result.type_fits:
         batch, mu, alpha = type_point(result.params, inst.graph, inst.cache, type_fit.event_type)

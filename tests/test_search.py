@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkesnet.em import EmConfig, fit_type, type_seed
+from hawkesnet.em import EmConfig, fit_type
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.features import build_features
 from hawkesnet.graph import CausalGraph
@@ -150,12 +150,12 @@ def _tiny_search_setup(seed=0):
 def test_cached_scores_equal_fresh_refits():
     _, cache = _tiny_search_setup()
     em = EmConfig(max_iterations=30)
-    result = hill_climb(cache, em_config=em, seed=11)
+    result = hill_climb(cache, em_config=em)
     # recompute the winning graph's score from scratch, no memo involved
     total = 0.0
     for v in range(result.graph.type_count):
         parents = result.graph.parents(v)
-        fresh = fit_type(v, parents, cache, em, type_seed(11, v, parents))
+        fresh = fit_type(v, parents, cache, em)
         total += fresh.log_lik
     total -= bic_penalty(
         cache.type_count, result.graph.edge_count, cache.max_hops, cache.total_events
@@ -168,7 +168,7 @@ def test_move_scores_equal_full_rescores():
     # must give the float a full rescore of the candidate graph gives
     _, cache = _tiny_search_setup(seed=19)
     em = EmConfig(max_iterations=20)
-    state = SearchState.empty(cache, em, seed=4)
+    state = SearchState.empty(cache, em)
     graph = CausalGraph(cache.type_count)
     for move in (Move("add", (0, 1)), Move("add", (1, 2)), Move("add", (2, 2))):
         graph = apply_move(graph, move)
@@ -188,7 +188,7 @@ def test_move_scores_equal_full_rescores():
 
 def test_hill_climb_trajectory_strictly_improves():
     _, cache = _tiny_search_setup(seed=3)
-    result = hill_climb(cache, em_config=EmConfig(max_iterations=30), seed=1)
+    result = hill_climb(cache, em_config=EmConfig(max_iterations=30))
     traj = list(result.trajectory)
     assert len(traj) == result.rounds + 1
     assert all(b > a for a, b in zip(traj, traj[1:]))
@@ -198,8 +198,8 @@ def test_hill_climb_trajectory_strictly_improves():
 def test_hill_climb_deterministic_across_runs():
     _, cache = _tiny_search_setup(seed=5)
     em = EmConfig(max_iterations=25)
-    a = hill_climb(cache, em_config=em, seed=2)
-    b = hill_climb(cache, em_config=em, seed=2)
+    a = hill_climb(cache, em_config=em)
+    b = hill_climb(cache, em_config=em)
     assert a.graph.edges == b.graph.edges
     assert a.score == b.score
     assert a.trajectory == b.trajectory
@@ -210,7 +210,7 @@ def test_hill_climb_deterministic_across_runs():
 
 def test_result_params_share_no_memory_with_the_type_fits():
     _, cache = _tiny_search_setup(seed=5)
-    result = hill_climb(cache, em_config=EmConfig(max_iterations=25), seed=2)
+    result = hill_climb(cache, em_config=EmConfig(max_iterations=25))
     assert result.graph.edges
     before = {edge: tuple(a) for edge, a in result.params.alpha.items()}
     for f in result.type_fits:
@@ -222,7 +222,7 @@ def test_result_params_share_no_memory_with_the_type_fits():
 def test_dag_mode_yields_acyclic_result():
     _, cache = _tiny_search_setup(seed=9)
     result = hill_climb(
-        cache, em_config=EmConfig(max_iterations=25), seed=0, allow_cycles=False
+        cache, em_config=EmConfig(max_iterations=25), allow_cycles=False
     )
     assert not has_cycle(result.graph)
 
@@ -234,7 +234,6 @@ def test_progress_and_trace_output(tmp_path):
     result = hill_climb(
         cache,
         em_config=EmConfig(max_iterations=25),
-        seed=0,
         progress=lines.append,
         trace_path=str(trace_path),
     )
@@ -269,7 +268,7 @@ def test_memoization_avoids_repeat_fits(monkeypatch):
         return original(event_type, parent_sets, *args, **kwargs)
 
     monkeypatch.setattr(search_mod, "fit_batch", counting_fit_batch)
-    result = hill_climb(cache, em_config=EmConfig(max_iterations=20), seed=3)
+    result = hill_climb(cache, em_config=EmConfig(max_iterations=20))
     assert len(calls) == len(set(calls))  # no key is ever fitted twice
     assert result.fit_evaluations == len(calls)
     assert max(batches) > 1  # a round's moves are fitted together
@@ -292,7 +291,6 @@ def test_each_round_scores_every_legal_move_once(monkeypatch, tmp_path, allow_cy
     result = hill_climb(
         cache,
         em_config=EmConfig(max_iterations=20),
-        seed=1,
         allow_cycles=allow_cycles,
         trace_path=str(trace_path),
     )
@@ -315,8 +313,8 @@ def test_round_scores_equal_score_candidate(seed, picks):
     # each move's shares alone, on a state that walked the same moves
     inst = random_instance(RNG(seed), max_nodes=3, max_types=3, max_bins=25, min_events=8)
     em = EmConfig(max_iterations=15)
-    batched = SearchState.empty(inst.cache, em, seed)
-    alone = SearchState.empty(inst.cache, em, seed)
+    batched = SearchState.empty(inst.cache, em)
+    alone = SearchState.empty(inst.cache, em)
     graph = CausalGraph(inst.cache.type_count)
     for pick in picks:
         moves = vicinity_moves(graph)
@@ -333,7 +331,7 @@ def test_round_scores_equal_score_candidate(seed, picks):
 def test_score_candidate_consistency():
     rng = RNG(19)
     inst = random_instance(rng, max_nodes=3, max_types=3, max_bins=25, min_events=8)
-    state = SearchState.empty(inst.cache, EmConfig(max_iterations=20), seed=0)
+    state = SearchState.empty(inst.cache, EmConfig(max_iterations=20))
     empty = CausalGraph(inst.graph.type_count)
     s1 = score_candidate(None, state, inst.cache)
     s2 = score_candidate(None, state, inst.cache)
@@ -357,7 +355,6 @@ def test_exhaustive_search_agreement():
     # small enough to enumerate every directed graph exactly
     _, cache = _tiny_search_setup(seed=21)
     em = EmConfig(max_iterations=40)
-    seed = 6
     types = cache.type_count
     all_edges = list(itertools.product(range(types), repeat=2))
     memo = {}
@@ -365,9 +362,7 @@ def test_exhaustive_search_agreement():
     def type_share(v, parents):
         key = (v, tuple(sorted(parents)))
         if key not in memo:
-            memo[key] = fit_type(
-                v, key[1], cache, em, type_seed(seed, v, key[1])
-            ).log_lik
+            memo[key] = fit_type(v, key[1], cache, em).log_lik
         return memo[key]
 
     best_score = -np.inf
@@ -379,7 +374,7 @@ def test_exhaustive_search_agreement():
         ) - bic_penalty(types, g.edge_count, cache.max_hops, cache.total_events)
         if score > best_score:
             best_score = score
-    result = hill_climb(cache, em_config=em, seed=seed)
+    result = hill_climb(cache, em_config=em)
     assert result.score <= best_score + 1e-9
     # the greedy optimum matches the exhaustive one on this instance
     assert result.score == pytest.approx(best_score, abs=1e-6)
@@ -388,7 +383,7 @@ def test_exhaustive_search_agreement():
 def test_recovers_planted_edge():
     data, cache = _tiny_search_setup(seed=2)
     truth = data.causal_graph.edges
-    result = hill_climb(cache, em_config=EmConfig(max_iterations=60), seed=0)
+    result = hill_climb(cache, em_config=EmConfig(max_iterations=60))
     # the strongly excited edges should be found at this signal strength
     assert truth <= result.graph.edges or len(truth & result.graph.edges) >= max(
         1, len(truth) - 1
