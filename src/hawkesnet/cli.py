@@ -356,7 +356,7 @@ def cmd_learn(args) -> int:
     hop_orders = list(range(max_hops + 1)) if k_sweep else [max_hops]
     best = None
     best_hops = None
-    fits = maps = nonconverged = 0
+    fits = maps = screened = nonconverged = 0
     for hops in hop_orders:
         result = hill_climb(
             cache.truncated(hops),
@@ -367,6 +367,7 @@ def cmd_learn(args) -> int:
         )
         fits += result.fit_evaluations
         maps += result.em_maps
+        screened += result.screened_moves
         nonconverged += result.nonconverged_fits
         if best is None or result.score > best.score:
             best, best_hops = result, hops
@@ -404,6 +405,8 @@ def cmd_learn(args) -> int:
             "log_lik": best.log_lik,
             "rounds": best.rounds,
             "fit_evaluations": best.fit_evaluations,
+            "screened_moves": best.screened_moves,
+            "fit_gaps": list(best.fit_gaps),
             "edge_count": best.graph.edge_count,
             "events": dataset.total_events,
             "bins": dataset.bin_count,
@@ -412,8 +415,8 @@ def cmd_learn(args) -> int:
         },
     )
     print(f"features took {features_elapsed:.2f}s cells={cache.cell_count}", file=sys.stderr)
-    print(f"search took {elapsed:.2f}s fits={fits} maps={maps} nonconverged={nonconverged}",
-          file=sys.stderr)
+    print(f"search took {elapsed:.2f}s fits={fits} maps={maps} screened={screened} "
+          f"nonconverged={nonconverged}", file=sys.stderr)
     unconverged = ", ".join(str(f.event_type) for f in best.type_fits if not f.converged)
     if unconverged:
         print(f"warning: EM did not converge within {em_config.max_iterations} "

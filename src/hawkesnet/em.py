@@ -85,6 +85,7 @@ __all__ = [
     "EmConfig",
     "TypeFit",
     "FitResult",
+    "duality_gap",
     "fit_batch",
     "fit_type",
     "fit",
@@ -154,6 +155,51 @@ def _em_iteration(mu, alpha, data, blocks):
     active = data.totals.take(blocks, axis=0) > 0
     alpha = np.where(active, alpha * weighted / data.charges.take(blocks, axis=0), 0.0)
     return log_lik, mu, alpha
+
+
+def duality_gap(fit: TypeFit, cache: FeatureCache) -> tuple[float, np.ndarray]:
+    """Cover's bound on how far ``fit``'s share lies below an optimum:
+    ``(gap, added)``.
+
+    At the fit's point ``x``, with ``q = X / lam`` at the type's occupied
+    cells, the ratios of :func:`_em_iteration` are ``r_mu = sum(q) /
+    (grid_cells * dt)`` and ``r_alpha = flat.T q / (dt * totals)``. The
+    share is concave, and Jensen's inequality bounds its optimum ``f*`` over
+    the fit's parent set:
+
+        f* - f(x) <= gap = N ln max(r) + c.x - N,
+
+    where N is the type's event count, ``c.x = dt (mu grid_cells + alpha .
+    totals)``, and the max runs over ``mu`` and the channels whose total is
+    positive (Cover 1984, *IEEE Trans. Inf. Theory* 30:369). The gap
+    vanishes at the optimum.
+
+    ``added[c]`` is the same bound with type ``c``'s channels in the max as
+    well. It caps the optimum of the parent set with ``c`` added over the
+    same share, since ``x`` with ``c``'s channels at 0 scores exactly that
+    share. One matrix-vector product covers every ``c``. A type without
+    events has gap 0.
+    """
+    cells, counts = cache.type_cells[fit.event_type], cache.type_counts[fit.event_type]
+    if cells.shape[0] == 0:
+        return 0.0, np.zeros(cache.type_count)
+    hops, dt = cache.max_hops + 1, cache.bin_width
+    # one row per (type, hop) channel, one column per cell of the type
+    features = cache.values.reshape(-1, cache.cell_count).take(cells, axis=1)
+    rows = [c * hops + k for c in fit.parents for k in range(hops)]
+    alpha = np.zeros(features.shape[0])  # the fit's alpha on every channel, 0 off its parents
+    alpha[rows] = fit.alpha.reshape(-1)
+    ratio = counts / (alpha @ features + fit.mu)
+    charges = dt * cache.totals.reshape(-1)
+    weighted = features @ ratio
+    r_alpha = np.divide(weighted, charges, out=np.zeros_like(weighted), where=charges > 0)
+    grid_cells = cache.node_count * cache.bin_count
+    best = max(ratio.sum() / (grid_cells * dt), r_alpha[rows].max(initial=0.0))
+    spent = dt * (fit.mu * grid_cells) + alpha @ charges
+    events = float(counts.sum())
+    added = np.maximum(best, r_alpha.reshape(-1, hops).max(axis=1))
+    return (float(events * math.log(best) + spent - events),
+            events * np.log(added) + spent - events)
 
 
 def _extrapolate(p0: tuple, p1: tuple, p2: tuple, step_max: float) -> tuple[tuple, float]:

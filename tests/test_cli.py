@@ -162,11 +162,45 @@ def test_learn_outputs(sim_dir, learn_dir, capsys):
     assert report["edge_count"] == doc.graph.edge_count
     assert report["rounds"] >= 1
     assert report["fit_evaluations"] >= report["rounds"]
+    assert isinstance(report["screened_moves"], int) and report["screened_moves"] >= 0
+    # one certificate per type: how far its final fit may lie below its optimum
+    assert len(report["fit_gaps"]) == 2
+    assert all(-1e-9 < gap < 1.0 for gap in report["fit_gaps"])
     assert report["events"] >= 400
     assert report["inputs"]["events"] == f"sha256:{sha256_file(sim_dir / 'events.csv')}"
     assert report["inputs"]["topology"] == (
         f"sha256:{sha256_file(sim_dir / 'topology.txt')}"
     )
+
+
+def test_report_counts_the_screen_and_certifies_the_final_fits(sim_dir, tmp_path, monkeypatch):
+    from hawkesnet.em import duality_gap
+
+    searches = []
+    original = cli.hill_climb
+
+    def recording(cache, **kwargs):
+        searches.append((cache, original(cache, **kwargs)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(cli, "hill_climb", recording)
+    out = tmp_path / "fit"
+    code = main(
+        [
+            "learn",
+            "--events", str(sim_dir / "events.csv"),
+            "--topology", str(sim_dir / "topology.txt"),
+            "--k", "1",
+            "--delta", "0.2",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    ((cache, result),) = searches
+    assert report["fit_evaluations"] == result.fit_evaluations
+    assert report["screened_moves"] == result.screened_moves
+    assert report["fit_gaps"] == [duality_gap(f, cache)[0] for f in result.type_fits]
 
 
 def test_learn_stdout_summary(sim_dir, tmp_path, capsys):
@@ -189,8 +223,11 @@ def test_learn_stdout_summary(sim_dir, tmp_path, capsys):
     )
     # Progress and timing stay on stderr so stdout is machine-friendly.
     assert "search took" in captured.err
-    assert re.search(r"^search took \d+\.\d\ds fits=[1-9]\d* maps=[1-9]\d* nonconverged=\d+$",
-                     captured.err, re.MULTILINE)
+    # at K=0 an edge costs nothing, so the screen rules out no move
+    assert re.search(
+        r"^search took \d+\.\d\ds fits=[1-9]\d* maps=[1-9]\d* screened=0 nonconverged=\d+$",
+        captured.err, re.MULTILINE,
+    )
     # feature time has its own line, right before the search line
     assert re.search(r"^features took \d+\.\d\ds cells=[1-9]\d*\nsearch took ",
                      captured.err, re.MULTILINE)

@@ -14,6 +14,7 @@ from hawkesnet.em import (
     EmConfig,
     _em_iteration,
     assemble_params,
+    duality_gap,
     fit,
     fit_batch,
     fit_type,
@@ -340,6 +341,35 @@ def test_rejected_jumps_fall_back_to_plain_em(dense, monkeypatch, bad):
     assert result.mu > 0 and np.isfinite(result.alpha).all()
     plain = oracle_plain_em(v, truth, cache, EmConfig(max_iterations=20))
     assert result.log_lik >= plain.log_lik - 1e-9 * (abs(plain.log_lik) + 1.0)
+
+
+def test_duality_gap_bounds_the_distance_to_the_optimum(dense):
+    # a long plain EM run stands in for the optimum: the gap at each point
+    # of a shorter run caps what that point leaves, and vanishes at the end
+    cache, parent_sets = dense
+    exact = EmConfig(max_iterations=20_000, rel_tolerance=0.0)
+    checked = 0
+    for v, truth, padded in parent_sets:
+        if not truth:
+            continue
+        best = oracle_plain_em(v, truth, cache, exact)
+        for cap in (1, 3, 10, 30, 100):
+            capped = EmConfig(max_iterations=cap, rel_tolerance=0.0)
+            point = oracle_plain_em(v, truth, cache, capped)
+            gap, _ = duality_gap(point, cache)
+            assert gap >= 0.0
+            assert gap >= best.log_lik - point.log_lik, (v, cap)
+        assert duality_gap(best, cache)[0] <= 1e-3
+        # with a new parent's channels at 0 the fit keeps its share, so the
+        # new-parent bound caps the optimum of the enlarged set
+        (wrong,) = set(padded) - set(truth)
+        start = fit_type(v, truth, cache)
+        gap, bound = duality_gap(start, cache)
+        assert bound.shape == (cache.type_count,) and (bound >= gap - 1e-9).all()
+        enlarged = oracle_plain_em(v, padded, cache, exact)
+        assert enlarged.log_lik <= start.log_lik + bound[wrong] + 1e-9 * (abs(start.log_lik) + 1.0)
+        checked += 1
+    assert checked >= 2
 
 
 def _assert_same_fit(a, b):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkesnet.em import EmConfig, fit_type
+from hawkesnet.em import EmConfig, duality_gap, fit_type
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.features import build_features
 from hawkesnet.graph import CausalGraph
@@ -19,6 +19,7 @@ from hawkesnet.likelihood import bic_penalty
 from hawkesnet.search import (
     Move,
     SearchState,
+    _SCREEN_MARGIN,
     _move_scores,
     apply_move,
     hill_climb,
@@ -279,13 +280,19 @@ def test_each_round_scores_every_legal_move_once(monkeypatch, tmp_path, allow_cy
     _, cache = _tiny_search_setup(seed=17)
     import hawkesnet.search as search_mod
 
-    rounds = []
-    original = search_mod._move_scores
+    rounds, scored = [], []
+    original_screen, original_scores = search_mod._unscreened, search_mod._move_scores
+
+    def recording_screen(moves, *args):
+        kept = original_screen(moves, *args)
+        rounds.append((list(moves), [moves[i] for i in kept]))
+        return kept
 
     def recording_move_scores(moves, *args, **kwargs):
-        rounds.append(list(moves))
-        return original(moves, *args, **kwargs)
+        scored.append(list(moves))
+        return original_scores(moves, *args, **kwargs)
 
+    monkeypatch.setattr(search_mod, "_unscreened", recording_screen)
     monkeypatch.setattr(search_mod, "_move_scores", recording_move_scores)
     trace_path = tmp_path / "trace.jsonl"
     result = hill_climb(
@@ -297,12 +304,14 @@ def test_each_round_scores_every_legal_move_once(monkeypatch, tmp_path, allow_cy
     entries = [json.loads(s) for s in trace_path.read_text().splitlines()]
     assert len(entries) == result.rounds >= 1
     graph = CausalGraph(cache.type_count)
-    expected = [[None]]  # the starting graph's own score
+    expected = []
     for entry in entries:
         expected.append(vicinity_moves(graph, allow_cycles))
         graph = apply_move(graph, Move(entry["move"], tuple(entry["edge"])))
     expected.append(vicinity_moves(graph, allow_cycles))  # the final, non-improving round
-    assert rounds == expected
+    # every legal move is screened or scored, once; the first call scores the empty graph
+    assert [moves for moves, _ in rounds] == expected
+    assert scored == [[None]] + [kept for _, kept in rounds]
     assert graph.edges == result.graph.edges
 
 
@@ -389,3 +398,89 @@ def test_recovers_planted_edge():
         1, len(truth) - 1
     )
 
+
+def _desk_cache():
+    """The acceptance desk config at seed 0: 10 nodes, 5 types, ~6000 events, K=2."""
+    config = SimConfig(
+        node_count=10,
+        avg_topology_degree=1.5,
+        type_count=5,
+        causal_avg_indegree=1.0,
+        target_event_count=6000,
+        mu_range=(5e-5, 1e-4),
+        alpha_range=(0.03, 0.05),
+        kernel=ExponentialKernel(0.2),
+        max_hops=2,
+        bin_width=5.0,
+        seed=0,
+    )
+    data = generate_benchmark(config)
+    return build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
+
+
+def _climb_recording_screen(monkeypatch, cache, em):
+    """``hill_climb``, plus each screened move with a copy of the state it was screened in."""
+    import hawkesnet.search as search_mod
+
+    original = search_mod._unscreened
+    screened = []
+
+    def recording(moves, state, *args):
+        kept = original(moves, state, *args)
+        copy = SearchState(state.em_config, list(state.parents), list(state.fits), state.edge_count)
+        screened.extend((moves[i], copy) for i in sorted(set(range(len(moves))) - set(kept)))
+        return kept
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search_mod, "_unscreened", recording)
+        result = hill_climb(cache, em_config=em)
+    return result, screened
+
+
+@pytest.mark.parametrize("setup", ["tiny", "desk"])
+def test_screened_moves_cannot_improve_and_change_nothing(monkeypatch, setup):
+    cache = _tiny_search_setup(seed=3)[1] if setup == "tiny" else _desk_cache()
+    em = EmConfig()
+    result, screened = _climb_recording_screen(monkeypatch, cache, em)
+    assert screened and result.screened_moves == len(screened)
+    shares = {}
+    for move, state in screened:
+        src, dst = move.edge
+        current = state.fits[dst]
+        parents = tuple(sorted(current.parents + (src,)))
+        if (dst, parents) not in shares:
+            shares[dst, parents] = fit_type(dst, parents, cache, em).log_lik
+        # the fitted share stays under the bound the screen used ...
+        gap = duality_gap(current, cache)[1][src]
+        margin = _SCREEN_MARGIN * (abs(current.log_lik) + 1.0)
+        assert shares[dst, parents] <= current.log_lik + gap + margin, move
+        # ... so the move never strictly improves, and scoring it still fits it
+        now = score_candidate(None, state, cache)
+        fitted = score_candidate(move, state, cache)
+        total = sum(
+            shares[dst, parents] if v == dst else f.log_lik for v, f in enumerate(state.fits)
+        )
+        total -= bic_penalty(
+            cache.type_count, state.edge_count + 1, cache.max_hops, cache.total_events
+        )
+        assert fitted == total and not fitted > now, move
+
+    # the search without the screen: the same climb, bit for bit, with more fits
+    import hawkesnet.search as search_mod
+
+    monkeypatch.setattr(search_mod, "_unscreened", lambda moves, *args: list(range(len(moves))))
+    plain = hill_climb(cache, em_config=em)
+    assert plain.screened_moves == 0
+    assert plain.graph.edges == result.graph.edges
+    assert (plain.score, plain.log_lik, plain.trajectory) == (
+        result.score, result.log_lik, result.trajectory
+    )
+    assert plain.fit_gaps == result.fit_gaps
+    assert result.fit_gaps == tuple(duality_gap(f, cache)[0] for f in result.type_fits)
+    assert plain.fit_evaluations > result.fit_evaluations
+
+
+def test_nothing_is_screened_when_an_edge_costs_nothing():
+    # at K=0 the paper's penalty charges nothing per edge
+    result = hill_climb(_desk_cache().truncated(0))
+    assert result.rounds >= 1 and result.screened_moves == 0
