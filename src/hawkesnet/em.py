@@ -35,13 +35,15 @@ far fewer maps, so fits that plain EM left at the map cap now converge.
 ``EmConfig.max_iterations`` caps the number of EM maps each fit takes
 (a fit fitted alone makes one ``_em_iteration`` call per map), so no fit
 does more work than plain EM under the same cap. The fit
-stops when two consecutive accepted points differ in log-likelihood by at
-most ``rel_tolerance`` relative, or when the map from an accepted point
-gains at most that much once multiplied by the step length: for EM's linear
-rate ``rho`` the step estimates ``1 / (1 - rho)``, so the product estimates
-the gain still left along the path (Aitken's delta-squared estimate). Fast
-paths stop as soon as plain EM would; slow ones, where one map gains little
-but much remains, do not stop early.
+stops when a plain EM step ``x0 -> x2`` gains at most ``rel_tolerance``
+relative in log-likelihood, or when the map from an accepted point gains at
+most that much once multiplied by the step length: for EM's linear rate
+``rho`` the step estimates ``1 / (1 - rho)``, so the product estimates the
+gain still left along the path (Aitken's delta-squared estimate). A small
+gain onto an accepted jump does not stop the fit: the jump may land beside
+the maximizer, and the map from it can still gain more than the jump did.
+Fast paths stop as soon as plain EM would; slow ones, where one map gains
+little but much remains, do not stop early.
 
 Every fit starts from one interior point that depends on the data alone:
 ``mu`` is the type's empirical rate ``N / (grid_cells * dt)``, and ``alpha``
@@ -277,7 +279,7 @@ def _squarem(x: tuple, config: EmConfig, event_type: int):
             log_lik, x1 = _scored((yield x), event_type)
             maps += 1
         newest = x1
-        converged = _small(log_lik - trajectory[-1], trajectory[-1], config.rel_tolerance)
+        converged = not accepted and _small(log_lik - trajectory[-1], trajectory[-1], config.rel_tolerance)
         trajectory.append(log_lik)
         if converged:
             return x, trajectory, True, maps

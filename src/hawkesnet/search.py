@@ -27,8 +27,11 @@ nats. The screen is thus exact: the climb, its scores and its trajectory
 are those of the unscreened search bit for bit, and only the fits fall. One
 matrix-vector product per (type, current parent set) bounds every candidate
 parent at once; the same call gives the type's own gap, so the result's
-``fit_gaps`` certify the final fits at no extra cost. Deletions and
-reversals, types without events, and every move at K=0 (where an edge costs
+``fit_gaps`` certify the final fits at no extra cost. Reversing ``v -> c``
+gives ``v`` the same new parent ``c`` on top of deleting ``v -> c``, at the
+deletion's edge count, so the same bound screens it: it then scores below
+that deletion, which the round scores, and cannot be the best move either.
+Deletions, types without events, and every move at K=0 (where an edge costs
 nothing) are never screened. ``score_candidate`` and ``_move_scores``
 always fit.
 
@@ -293,8 +296,9 @@ def _unscreened(moves: list, state: SearchState, cache: FeatureCache) -> list:
     An add move ``c -> v`` is screened when its bound at ``v``'s current fit
     (``added[c]`` of :func:`hawkesnet.em.duality_gap`), plus the rounding
     margin, stays below one edge's charge: no fit of the enlarged set can
-    then raise the score. ``state.gap`` computes the bounds once per (type,
-    current parents). Types without events are never screened.
+    then raise the score. A reversal ``v -> c`` is screened on the same
+    bound. ``state.gap`` computes the bounds once per (type, current
+    parents). Types without events are never screened.
     """
     penalty = [
         bic_penalty(cache.type_count, state.edge_count + d, cache.max_hops, cache.total_events)
@@ -304,14 +308,15 @@ def _unscreened(moves: list, state: SearchState, cache: FeatureCache) -> list:
     ruled_out = {}  # per target type: whether the screen rules out each new parent
     kept = []
     for i, move in enumerate(moves):
-        src, dst = move.edge
-        if move.kind == "add":
-            if dst not in ruled_out:
-                _, added = state.gap(dst, cache)
-                margin = _SCREEN_MARGIN * (abs(state.fits[dst].log_lik) + 1.0)
-                screens = cache.type_counts[dst].shape[0] > 0
-                ruled_out[dst] = (screens & (added + margin < charge)).tolist()
-            if ruled_out[dst][src]:
+        if move.kind != "delete":
+            # the type that gains a parent, and that parent
+            parent, gains = move.edge if move.kind == "add" else move.edge[::-1]
+            if gains not in ruled_out:
+                _, added = state.gap(gains, cache)
+                margin = _SCREEN_MARGIN * (abs(state.fits[gains].log_lik) + 1.0)
+                screens = cache.type_counts[gains].shape[0] > 0
+                ruled_out[gains] = (screens & (added + margin < charge)).tolist()
+            if ruled_out[gains][parent]:
                 continue
         kept.append(i)
     return kept

@@ -2,26 +2,30 @@
 
 The model draws independent Poisson counts
 ``X[n, v, t] ~ Poisson(lam_v(n, t) * dt)`` for every (node, type) cell and
-bin, given the history so far. This is exactly the generative model the
-likelihood scores, so fitted and generating parameters are directly
-comparable. Events come out as an event table (:mod:`hawkesnet.events`) with
-timestamps at bin centers ``(t + 0.5) * dt``, in (node, type) order per bin.
+bin, given the history so far: the generative model the likelihood scores.
+Events come out as an event table (:mod:`hawkesnet.events`) stamped at bin
+centers ``(t + 0.5) * dt``, in (bin, node, type) order.
 
-The simulator is event-driven: it visits only bins that hold an event. From
-the current bin it draws the number of empty bins ahead by inverting their
-total hazard against an ``Exp(1)`` draw (the time change of Ogata 1981 and
-Dassios & Zhao 2013, on the bin grid). With an exponential kernel that hazard
-has a closed form; Gaussian and uniform kernels have a finite window, so the
-excitation already due in each bin of the window is kept in a ring and the
-gap past the window is geometric on the background. In the occupied bin the
-total is a zero-truncated Poisson draw split multinomially across cells, and
-only the columns of the cells that fired update the excitation. The result
-has the same distribution as drawing every bin in turn. The table's columns
-are built once, from the cells and counts of every occupied bin.
+The model is a Poisson cluster process (Hawkes & Oakes 1974; Moller &
+Rasmussen 2005), drawn as one at a cost that grows with the events, not the
+bins. Each cell gets ``Poisson(mu_v * dt * H)`` immigrants in uniform bins
+of ``H``. An event at ``(n', c)`` has ``Poisson(dt * sum_k alpha[c, v, k] *
+P^k[n', n] * W)`` children at each ``(n, v)``, ``n`` within K hops (CSR
+lists from the nonzeros of the hop matrices), each ``j >= 1`` bins later
+with weight the kernel at ``j * dt``, ``W`` the weights' sum: for
+``exp(-delta t)`` a ``Geometric(1 - r)`` lag, ``r = exp(-delta dt)``, and
+``W = r / (1 - r)``, both through ``expm1``; else the table of lag weights.
+Generations follow until one is empty.
 
-A guard aborts with :class:`SimulationExplosionError` at the first bin
-whose expected count exceeds a threshold in any cell, which is how
-supercritical parameterizations surface.
+Blocks of bins are drawn in turn, children past a block waiting for the
+next; with a target count each block spans the bins the rate so far needs,
+and the run stops right after the bin where the count reaches the target.
+A block whose children would pass a budget ends early, and events are held
+as counts per (bin, cell), so memory stays bounded. A guard raises
+:class:`SimulationExplosionError` at the first bin whose expected count
+exceeds a threshold in any cell, as supercritical parameters do. That bin
+depends only on earlier events, so each block is checked when complete: a
+scalar bound first, exact per-cell counts only where it passes the guard.
 """
 
 from __future__ import annotations
@@ -264,130 +268,117 @@ def _window_weights(kernel: DecayKernel, dt: float) -> np.ndarray:
     return weights
 
 
-class _ExponentialExcitation:
-    """Excitation under ``exp(-decay * t)``: one vector, scaled by ``r`` per bin.
+# the children of one generation of a block, and those drawn one by one at a
+# time, stay near this many, so a supercritical run meets the guard in bounded memory
+_BUDGET = 1 << 16
+_NONE = (np.empty(0, np.int64), np.empty(0, np.int64))  # no (keys, counts) rows
 
-    ``exc`` is the excitation part of the expected counts of the current bin.
-    Between events the intensity only decays, so the guard needs checking
-    only at the current bin, and the total hazard of the next ``j`` bins is
-    ``H(j) = M*j + E*(1 - r^j)/(1 - r)`` with ``M`` the summed background and
-    ``E`` the summed excitation.
+
+class _Offspring:
+    """Neighbour lists and lag law of the children of one event.
+
+    An event's key is ``bin * cells + node * T + type``. CSR row ``n'*T + c``
+    lists the cells ``n*T + v`` of each causal edge ``(c, v)`` and each ``n``
+    within K hops of ``n'``, with ``unit = dt * sum_k alpha[c, v, k] *
+    P^k[n', n]``: what the event adds to the cell's expected count per unit
+    of kernel weight.
     """
 
-    def __init__(self, kernel: ExponentialKernel, dt: float, spread, mu_dt):
-        self.rate = kernel.decay * dt  # -log(r); r^j = exp(-rate*j) underflows cleanly to 0
-        self.spread = spread
-        self.mu_dt = mu_dt
-        self.background = float(mu_dt.sum())
-        self.mu_peak = float(mu_dt.max())
-        self.exc = np.zeros_like(mu_dt)
-
-    def scan(self, tau: float, limit: int, guard: float):
-        """``(gap, breach)`` for the bins ahead; see :func:`_event_loop`."""
-        excited = float(self.exc.sum())
-        breach = None
-        if self.mu_peak + excited > guard:  # bounds max(mu_dt + exc)
-            peak = float((self.mu_dt + self.exc).max())
-            if peak > guard:
-                breach = (0, peak)
-        background = self.background
-        scale = excited / -math.expm1(-self.rate)
-
-        def hazard(j):
-            return background * j - scale * math.expm1(-self.rate * j)
-
-        if hazard(limit) <= tau:
-            return None, breach
-        # bisect for H(lo) <= tau < H(hi), bracketed by M*j <= H(j) <= M*j + scale
-        lo, hi = 0, limit
-        if background > 0:
-            if tau < background * limit:
-                hi = int(tau / background) + 1
-            lo = max(0, int((tau - scale) / background))
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if hazard(mid) <= tau:
-                lo = mid
-            else:
-                hi = mid
-        return lo, breach
-
-    def advance(self, gap: int) -> np.ndarray:
-        """Skip ``gap`` empty bins; returns the expected counts of the next."""
-        self.exc *= math.exp(-self.rate * gap)
-        return self.mu_dt + self.exc
-
-    def fire(self, cells, counts) -> None:
-        """Add the events of the current bin and step to the next bin."""
-        self.exc += counts @ self.spread[cells]
-        self.exc *= math.exp(-self.rate)
-
-
-class _WindowExcitation:
-    """Excitation under a kernel with a finite window of ``W`` bins.
-
-    ``ring[(head + i) % W]`` holds the excitation already due ``i`` bins
-    after the current one from the events so far; past the window only the
-    background remains.
-    """
-
-    def __init__(self, kernel: DecayKernel, dt: float, spread, mu_dt):
-        self.weights = _window_weights(kernel, dt)
-        window = self.weights.shape[0]
-        self.spread = spread
-        self.mu_dt = mu_dt
-        self.background = float(mu_dt.sum())
-        self.ring = np.zeros((window, mu_dt.shape[0]))
-        self.lags = np.arange(window)
-        self.head = 0
-
-    def scan(self, tau: float, limit: int, guard: float):
-        """``(gap, breach)`` for the bins ahead; see :func:`_event_loop`."""
-        window = self.lags.shape[0]
-        due = self.ring[(self.head + self.lags) % window]
-        peaks = (self.mu_dt + due).max(axis=1)
-        over = np.flatnonzero(peaks > guard)
-        breach = (int(over[0]), float(peaks[over[0]])) if over.size else None
-        hazard = np.cumsum(self.background + due.sum(axis=1))
-        gap = int(np.searchsorted(hazard, tau, side="right"))
-        if gap == window:
-            # past the window the gap is geometric on the background alone
-            rest = (tau - hazard[-1]) / self.background if self.background > 0 else math.inf
-            if rest >= limit:
-                return None, breach
-            gap += int(rest)
-        return (gap if gap < limit else None), breach
-
-    def advance(self, gap: int) -> np.ndarray:
-        """Skip ``gap`` empty bins; returns the expected counts of the next."""
-        window = self.lags.shape[0]
-        if gap >= window:
-            self.ring[:] = 0.0
+    def __init__(self, causal_graph, topology, params, kernel, dt):
+        n_types = causal_graph.type_count
+        self.cells = topology.node_count * n_types
+        powers = topology.hop_matrices(params.max_hops)
+        near, far = np.nonzero(powers.any(axis=0))
+        edges = sorted(params.alpha)
+        alpha = np.array([params.alpha[e] for e in edges]).reshape(len(edges), params.max_hops + 1)
+        unit = alpha @ powers[:, near, far] * dt  # (edge, node pair)
+        sources = near * n_types + np.array([c for c, _ in edges], dtype=np.int64)[:, None]
+        targets = far * n_types + np.array([v for _, v in edges], dtype=np.int64)[:, None]
+        keep = unit > 0
+        order = np.argsort(sources[keep], kind="stable")
+        self.sources, self.targets, self.unit = (a[keep][order] for a in (sources, targets, unit))
+        sources = self.sources
+        self.ptr = np.concatenate([[0], np.cumsum(np.bincount(sources, minlength=self.cells))])
+        row_unit = np.bincount(sources, weights=self.unit, minlength=self.cells)
+        # shares[i] = f + (share of row f's weight up to entry i): u in [0, 1)
+        # picks the entry of row f with the first share above f + u
+        cum = np.cumsum(self.unit)
+        self.shares = sources + (cum - np.append(0.0, cum)[self.ptr[:-1]][sources]) / row_unit[sources]
+        self.peak = np.zeros(self.cells)  # the largest unit of each row
+        np.maximum.at(self.peak, sources, self.unit)
+        if isinstance(kernel, ExponentialKernel):
+            # r = exp(-rate): lags are Geometric(1 - r) and the weights r^j
+            # sum to r / (1 - r); the expm1 forms stay exact as r -> 1 or 0
+            self.rate, self.weights = kernel.decay * dt, None
+            self.top, weight = math.exp(-self.rate), 1.0 / math.expm1(self.rate)
         else:
-            self.ring[(self.head + self.lags[:gap]) % window] = 0.0
-        self.head = (self.head + gap) % window
-        return self.mu_dt + self.ring[self.head]
+            self.weights = _window_weights(kernel, dt)
+            self.cdf = np.cumsum(self.weights)  # of the lags, unnormalized
+            self.top, weight = float(self.weights.max()), float(self.cdf[-1])
+        self.mean = row_unit * weight  # expected children of one event per cell
 
-    def fire(self, cells, counts) -> None:
-        """Add the events of the current bin and step to the next bin."""
-        window = self.lags.shape[0]
-        self.ring[self.head] = 0.0
-        added = counts @ self.spread[cells]
-        self.ring[(self.head + 1 + self.lags) % window] += np.outer(self.weights, added)
-        self.head = (self.head + 1) % window
+    def children(self, rng, keys, counts, limit: int):
+        """``(keys, counts)`` of the children before bin ``limit``, drawn one
+        by one ``_BUDGET`` at a time and counted per key."""
+        ends = np.cumsum(rng.poisson(counts * self.mean[keys % self.cells]))
+        total, parts = int(ends[-1]), [_NONE]
+        for lo in range(0, total, _BUDGET):
+            parent = keys[np.searchsorted(ends, np.arange(lo, min(lo + _BUDGET, total)), side="right")]
+            src = parent % self.cells
+            entry = np.searchsorted(self.shares, src + rng.random(src.shape[0]), side="right")
+            if self.weights is None:
+                lags = rng.geometric(-math.expm1(-self.rate), size=src.shape[0])
+            else:
+                drawn = np.searchsorted(self.cdf, self.cdf[-1] * rng.random(len(src)), "right")
+                lags = np.minimum(drawn, self.weights.shape[0] - 1) + 1
+            start = parent - src  # the parent's bin times cells
+            kids = start + lags * self.cells + self.targets[np.minimum(entry, self.ptr[src + 1] - 1)]
+            parts.append(np.unique(kids[lags < limit - start // self.cells], return_counts=True))
+        return _join(*parts)
+
+    def first_breach(self, keys, counts, start: int, end: int, mu_dt, guard: float):
+        """``(bin, peak)`` of the first bin in ``[start, end)`` whose expected
+        count passes ``guard`` in some cell, or None; the sorted rows hold
+        every event before ``end``. Only a bin after an event can pass first
+        (for the exponential kernel, right after). A scalar bound on those
+        bins picks the ones whose exact per-cell counts are computed.
+        """
+        bins, cells = keys // self.cells, keys % self.cells
+        first = np.flatnonzero(np.diff(bins, prepend=-1))
+        occupied, mass = bins[first], np.add.reduceat(self.peak[cells] * counts, first)
+        if self.weights is None:
+            candidates = occupied + 1
+            # sum_{j <= i} mass_j r^(o_i + 1 - o_j), summed in log space
+            offset = self.rate * (occupied - occupied[0])
+            with np.errstate(divide="ignore"):
+                bound = np.exp(np.logaddexp.accumulate(np.log(mass) + offset) - offset - self.rate)
+        else:  # top times the mass of the window before each bin
+            window = self.weights.shape[0]
+            candidates = np.unique((occupied[:, None] + np.arange(1, window + 1)).ravel())
+            cum = np.concatenate([[0.0], np.cumsum(mass)])
+            before = cum[np.searchsorted(occupied, candidates - window)]
+            bound = self.top * (cum[np.searchsorted(occupied, candidates)] - before)
+        flagged = (candidates >= start) & (candidates < end) & (mu_dt.max() + bound * (1 + 1e-6) > guard)
+        for at in candidates[flagged].tolist():
+            i, j = np.searchsorted(bins, [0 if self.weights is None else at - self.weights.shape[0], at])
+            lag = at - bins[i:j]
+            decay = np.exp(-self.rate * lag) if self.weights is None else self.weights[lag - 1]
+            per_source = np.bincount(cells[i:j], counts[i:j] * decay, minlength=self.cells)
+            added = np.bincount(self.targets, self.unit * per_source[self.sources], minlength=self.cells)
+            peak = float((mu_dt + added).max())
+            if peak > guard:
+                return at, peak
+        return None
 
 
-def _draw_occupied(lam_dt: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Independent Poisson counts of one bin, conditioned on at least one event.
+def _split(rows, end: int):
+    """The rows with keys below ``end`` and the rest."""
+    inside = rows[0] < end
+    return (rows[0][inside], rows[1][inside]), (rows[0][~inside], rows[1][~inside])
 
-    The total is zero-truncated Poisson: the first arrival of the pooled
-    process, conditioned to fall in the bin, then a Poisson count for the
-    rest of the bin. The total is split multinomially across cells.
-    """
-    rate = float(lam_dt.sum())
-    first = -math.log1p(rng.random() * math.expm1(-rate)) / rate
-    total = 1 + int(rng.poisson(rate * (1.0 - first)))
-    return rng.multinomial(total, lam_dt / rate)
+
+def _join(*parts):
+    return np.concatenate([keys for keys, _ in parts]), np.concatenate([counts for _, counts in parts])
 
 
 def _event_loop(
@@ -402,66 +393,73 @@ def _event_loop(
     stop_at_count: int | None,
     explosion_guard: float,
 ) -> tuple[np.recarray, int]:
-    """Visit only the bins that hold an event; shared by both entry points.
+    """Draw the cluster process block by block, holding events as (key,
+    count) rows; returns the event table and the bins run."""
+    offspring = _Offspring(causal_graph, topology, params, kernel, bin_width)
+    cells = offspring.cells
+    mu_dt = np.tile(params.mu, topology.node_count) * bin_width
+    mu_peak, background = float(mu_dt.max()), float(mu_dt.sum())
+    limit = max_bins if stop_at_count is None or stop_at_count > 0 else min(max_bins, 1)
+    if limit * cells >= 2**62:
+        raise InvalidInputError(f"{limit} bins of {cells} cells do not fit 64-bit event keys")
+    if limit > 0 and mu_peak > explosion_guard:
+        raise SimulationExplosionError(0, mu_peak, explosion_guard)
 
-    At the current bin ``t`` an ``Exp(1)`` draw ``tau`` is inverted against
-    the total hazard of the bins ahead, given no further events, to get the
-    number of empty bins before the next occupied one. ``scan`` also returns
-    the first bin ahead whose expected count exceeds the guard (offset and
-    peak); it raises only if no event comes before it, as it would if every
-    bin were drawn in turn. Returns the event table and the bins run.
-    """
-    n_nodes = topology.node_count
-    n_types = causal_graph.type_count
-    dt = bin_width
-    powers = topology.hop_matrices(params.max_hops)
-    tensor = np.zeros((n_types, n_types, params.max_hops + 1))  # (src, dst, k)
-    for (c, v), weights in params.alpha.items():
-        tensor[c, v] = weights
-    # cells are node-major, f = node*T + type, so that the occupied cells of
-    # a bin come out in emission order; spread[n*T+s, m*T+d] =
-    # sum_k alpha[s,d,k] * P^k[n,m] * dt is what one event adds per unit kernel
-    spread = (
-        np.einsum("sdk,knm->nsmd", tensor, powers).reshape(
-            n_nodes * n_types, n_nodes * n_types
-        )
-        * dt
-    )
-    mu_dt = np.tile(params.mu, n_nodes) * dt
-    if isinstance(kernel, ExponentialKernel):
-        excitation = _ExponentialExcitation(kernel, dt, spread, mu_dt)
-    else:
-        excitation = _WindowExcitation(kernel, dt, spread, mu_dt)
-    if stop_at_count is not None and stop_at_count <= 0:
-        max_bins = min(max_bins, 1)  # the target is met after the first bin
+    waiting = settled = _NONE  # rows at or past `start`, without / with their children drawn
+    done = [_NONE]  # finished blocks, each sorted
+    total = start = drawn_to = 0
+    mass = 0.0  # summed peak of the events so far; times `top` it bounds any excitation
+    while start < limit:
+        remaining = None if stop_at_count is None else stop_at_count - total
+        # the next block: about _BUDGET immigrants, and with a target only the
+        # bins the rate so far needs for the rest of it, and a tenth
+        span = _BUDGET / background if background > 0 else math.inf
+        if remaining is not None and background > 0:
+            span = min(span, 1.1 * remaining / max(background, total / start if start else 0.0) + 1)
+        end = limit if span >= limit - start else start + max(1, math.ceil(span))
+        if end > drawn_to:
+            keys = np.repeat(np.arange(cells), rng.poisson(mu_dt * (end - drawn_to)))
+            keys += rng.integers(drawn_to, end, size=keys.shape[0]) * cells
+            waiting = _join(waiting, np.unique(keys, return_counts=True))
+            drawn_to = end
+        frontier, waiting = _split(waiting, end * cells)
+        block, settled = _split(settled, end * cells)
+        block = [block]
+        while frontier[0].size:
+            expected = frontier[1] * offspring.mean[frontier[0] % cells]
+            if expected.sum() > _BUDGET:
+                # the block now ends at the first bin whose children pass the
+                # budget, or after the earliest bin
+                order = np.argsort(frontier[0])
+                bins = frontier[0][order] // cells
+                over = np.searchsorted(np.cumsum(expected[order]), _BUDGET, side="right")
+                end = max(int(bins[min(over, bins.shape[0] - 1)]), int(bins[0]) + 1)
+                frontier, later = _split(frontier, end * cells)
+                inside, past = _split(_join(*block), end * cells)
+                block, waiting, settled = [inside], _join(waiting, later), _join(settled, past)
+            block.append(frontier)
+            frontier, later = _split(offspring.children(rng, *frontier, limit), end * cells)
+            waiting = _join(waiting, later)
 
-    # (bin, cells, counts) of each bin that holds an event; the empty first
-    # entry keeps the final concatenations valid and int64 when none fired
-    occupied = [(0, np.empty(0, np.int64), np.empty(0, np.int64))]
-    total = 0
-    t = 0
-    while t < max_bins:
-        gap, breach = excitation.scan(rng.exponential(), max_bins - t, explosion_guard)
-        if breach is not None and breach[0] < max_bins - t and (gap is None or gap >= breach[0]):
-            raise SimulationExplosionError(t + breach[0], breach[1], explosion_guard)
-        if gap is None:
-            t = max_bins
-            break
-        t += gap
-        draws = _draw_occupied(excitation.advance(gap), rng)
-        cells = draws.nonzero()[0]
-        counts = draws[cells]
-        excitation.fire(cells, counts)
-        occupied.append((t, cells, counts))
+        keys, counts = _join(*block)
+        order = np.argsort(keys)
+        keys, counts = keys[order], counts[order]
+        running = np.cumsum(counts)
+        if remaining is not None and running.size and running[-1] >= remaining:
+            # the run ends right after the bin where the count reaches the target
+            end = limit = int(keys[np.searchsorted(running, remaining)]) // cells + 1
+            keys, counts = _split((keys, counts), end * cells)[0]
+        mass += float(offspring.peak[keys % cells] @ counts)
+        done.append((keys, counts))
+        if mu_peak + offspring.top * mass * (1 + 1e-6) > explosion_guard:
+            breach = offspring.first_breach(*_join(*done), start, end, mu_dt, explosion_guard)
+            if breach is not None:
+                raise SimulationExplosionError(*breach, explosion_guard)
         total += int(counts.sum())
-        t += 1
-        if stop_at_count is not None and total >= stop_at_count:
-            break
-    bins, cells, counts = zip(*occupied)
-    counts = np.concatenate(counts)
-    flat = np.repeat(np.concatenate(cells), counts)
-    stamps = np.repeat((np.repeat(bins, [c.shape[0] for c in cells]) + 0.5) * dt, counts)
-    return event_table(flat // n_types, flat % n_types, stamps), t
+        start = end
+    keys = np.repeat(*_join(*done))
+    found, n_types = keys % cells, causal_graph.type_count
+    return event_table(found // n_types, found % n_types, (keys // cells + 0.5) * bin_width), start
 
 
 def simulate(

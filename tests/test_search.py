@@ -21,6 +21,7 @@ from hawkesnet.search import (
     SearchState,
     _SCREEN_MARGIN,
     _move_scores,
+    _parents_after,
     apply_move,
     hill_climb,
     score_candidate,
@@ -445,25 +446,31 @@ def test_screened_moves_cannot_improve_and_change_nothing(monkeypatch, setup):
     assert screened and result.screened_moves == len(screened)
     shares = {}
     for move, state in screened:
-        src, dst = move.edge
-        current = state.fits[dst]
-        parents = tuple(sorted(current.parents + (src,)))
-        if (dst, parents) not in shares:
-            shares[dst, parents] = fit_type(dst, parents, cache, em).log_lik
+        # an add c -> v gives v the parent c; reversing v -> c gives it too,
+        # on top of the deletion of v -> c
+        parent, gains = move.edge if move.kind == "add" else move.edge[::-1]
+        current = state.fits[gains]
+        parents = tuple(sorted(current.parents + (parent,)))
+        if (gains, parents) not in shares:
+            shares[gains, parents] = fit_type(gains, parents, cache, em).log_lik
         # the fitted share stays under the bound the screen used ...
-        gap = duality_gap(current, cache)[1][src]
+        gap = duality_gap(current, cache)[1][parent]
         margin = _SCREEN_MARGIN * (abs(current.log_lik) + 1.0)
-        assert shares[dst, parents] <= current.log_lik + gap + margin, move
-        # ... so the move never strictly improves, and scoring it still fits it
-        now = score_candidate(None, state, cache)
+        assert shares[gains, parents] <= current.log_lik + gap + margin, move
+        # ... so the move never beats keeping the graph (an add) or deleting
+        # the edge (a reversal), and scoring it still fits it
+        rival = None if move.kind == "add" else Move("delete", move.edge)
+        kept = score_candidate(rival, state, cache)
         fitted = score_candidate(move, state, cache)
-        total = sum(
-            shares[dst, parents] if v == dst else f.log_lik for v, f in enumerate(state.fits)
-        )
+        after = {gains: shares[gains, parents]}
+        if rival is not None:
+            after[parent] = state.fit_for(parent, _parents_after(state.parents, rival, parent), cache).log_lik
+        total = sum(after.get(v, f.log_lik) for v, f in enumerate(state.fits))
         total -= bic_penalty(
-            cache.type_count, state.edge_count + 1, cache.max_hops, cache.total_events
+            cache.type_count, state.edge_count + (move.kind == "add"), cache.max_hops,
+            cache.total_events,
         )
-        assert fitted == total and not fitted > now, move
+        assert fitted == total and not fitted > kept, move
 
     # the search without the screen: the same climb, bit for bit, with more fits
     import hawkesnet.search as search_mod

@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from hawkesnet.errors import (
@@ -19,6 +22,7 @@ from hawkesnet.errors import (
 from hawkesnet.events import discretize
 from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel, UniformKernel, evaluate
+import hawkesnet.simulate as simulate_module
 from hawkesnet.simulate import (
     BenchmarkData,
     SimConfig,
@@ -481,3 +485,110 @@ def test_explosion_guard_reports_first_breaching_bin(kernel, lag):
                 )
             assert exc.value.bin_index == expected
             assert exc.value.expected_count > guard
+
+
+def test_stop_at_count_extends_short_horizons_like_the_dense_oracle(monkeypatch):
+    # a budget of one event holds each block to ceil(1 / 0.18) = 6 bins at a
+    # background of 0.18 events per bin, so a run of more than 12 bins has
+    # extended its horizon at least twice, carrying children past each old end
+    monkeypatch.setattr(simulate_module, "_BUDGET", 1)
+    new, dense = _run_both(ExponentialKernel(0.5), 1.0, 5000, stop_at_count=40)
+    assert min(bins for _, bins in new) > 12
+    for runs in (new, dense):
+        assert all(len(records) >= 40 for records, _ in runs)
+    for stat in (lambda run: run[1], lambda run: len(run[0])):  # bins run, event totals
+        assert stats.ks_2samp([stat(r) for r in new], [stat(r) for r in dense]).pvalue > LEVEL
+
+
+def test_blocks_cut_by_the_budget_match_dense_oracle_in_distribution(monkeypatch):
+    # a budget of 4 children ends nearly every block early, after its first
+    # generations, and draws children four at a time
+    monkeypatch.setattr(simulate_module, "_BUDGET", 4)
+    _assert_same_distribution(ExponentialKernel(0.5), 1.0, 600)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.sampled_from([0.1, 0.3, 1.0, 7.3]),
+    kernel=st.sampled_from([ExponentialKernel(0.5), GaussianKernel(3.0, 1.0), UniformKernel(1.5, 2.0)]),
+    bins=st.integers(1, 400),
+)
+def test_rows_come_out_sorted_at_bin_centers_and_rebin_to_the_drawn_counts(seed, dt, kernel, bins):
+    topo, graph, params = _excited_setup()
+    joins = []
+
+    def recording(*parts):
+        joins.append(join(*parts))
+        return joins[-1]
+
+    join = simulate_module._join
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate_module, "_join", recording)
+        records, _ = _event_loop(
+            graph, topo, params, kernel, dt, RNG(seed),
+            max_bins=bins, stop_at_count=None, explosion_guard=1e6,
+        )
+    keys, counts = joins[-1]  # the drawn (bin * cells + node * T + type, count) rows
+    cells = 3 * 2
+    order = np.lexsort((records.event_type, records.node, records.timestamp))
+    assert np.array_equal(order, np.arange(len(records)))
+    bin_of = np.repeat(keys // cells, counts)
+    np.testing.assert_array_equal(records.timestamp, (bin_of + 0.5) * dt)
+    ds = discretize(records, dt, bins * dt, node_count=3, type_count=2)
+    drawn = np.zeros((3, 2, bins), dtype=int)
+    np.add.at(drawn, ((keys % cells) // 2, keys % 2, keys // cells), counts)
+    rebinned = np.zeros_like(drawn)
+    rebinned[ds.nodes, ds.types, ds.bins] = ds.counts
+    assert np.array_equal(rebinned, drawn)
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_topology_simulates_in_little_memory():
+    # 400 nodes, 20 types: a dense (T*N)^2 one-event spread matrix alone takes 512 MB
+    topo = random_topology(400, 1.5, seed=1, max_hops=2)
+    graph = random_causal_graph(20, 1.5, seed=2)
+    params = draw_params(graph, 2, (5e-4, 1e-3), (0.03, 0.05), seed=3)
+    drawn = []
+    peak = _peak_bytes(
+        lambda: drawn.append(simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, 300, seed=4))
+    )
+    assert len(drawn[0]) > 1000
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # the CLI's exit-3 config: one causal edge with ~6 children per event
+        SimConfig(
+            node_count=2, type_count=2, target_event_count=100_000, mu_range=(2.0, 2.0),
+            alpha_range=(10.0, 10.0), causal_avg_indegree=1.0, avg_topology_degree=1.0,
+            kernel=ExponentialKernel(1.0), max_hops=0, bin_width=1.0, seed=0, explosion_guard=5.0,
+        ),
+        # a self-excited type (1.75 children per event) run up to the default guard
+        SimConfig(
+            node_count=2, type_count=1, target_event_count=10**9, mu_range=(1.0, 1.0),
+            alpha_range=(3.0, 3.0), avg_topology_degree=1.0, kernel=ExponentialKernel(1.0),
+            max_hops=0, bin_width=1.0, seed=0,
+        ),
+    ],
+)
+def test_supercritical_configs_raise_in_little_memory(config, monkeypatch):
+    if config.type_count == 1:  # random_causal_graph draws no self-loops
+        monkeypatch.setattr(
+            simulate_module, "random_causal_graph", lambda *args: CausalGraph(1, [(0, 0)])
+        )
+
+    def run():
+        with pytest.raises(SimulationExplosionError):
+            generate_benchmark(config)
+
+    assert _peak_bytes(run) < 64 * 2**20
