@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib
+import json
 import math
 import os
 import sys
@@ -312,17 +313,13 @@ def cmd_learn(args) -> int:
     inputs = {"events": f"sha256:{sha256_file(events_path)}"}
 
     if topology_path is not None:
-        topology = load_edge_list(
-            topology_path,
-            node_count=node_count,
-            max_hops=max_hops,
-        )
+        topology = load_edge_list(topology_path, node_count=node_count)
         inputs["topology"] = f"sha256:{sha256_file(topology_path)}"
         node_count = topology.node_count
     else:
         if node_count is None:
             node_count = int(records.node.max(initial=0)) + 1
-        topology = build_topology(node_count, [], max_hops=max_hops)
+        topology = build_topology(node_count, [])
         node_count = topology.node_count
 
     if type_count is None:
@@ -363,7 +360,6 @@ def cmd_learn(args) -> int:
             em_config=em_config,
             allow_cycles=allow_cycles,
             progress=lambda line: print(line, file=sys.stderr),
-            trace_path=args.trace if hops == hop_orders[-1] else None,
         )
         fits += result.fit_evaluations
         maps += result.em_maps
@@ -373,6 +369,9 @@ def cmd_learn(args) -> int:
             best, best_hops = result, hops
     elapsed = time.monotonic() - started
 
+    if args.trace:  # first, so a bad path leaves no learned graph behind
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in best.trace)
     out = _ensure_out(args.out)
     config_echo = {
         "seed": seed,

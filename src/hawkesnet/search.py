@@ -51,8 +51,6 @@ strictly improves the score.
 
 from __future__ import annotations
 
-import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,6 +343,7 @@ class SearchResult:
     nonconverged_fits: int  # memoized fits the map cap stopped
     screened_moves: int  # add moves the screen ruled out, summed over rounds
     fit_gaps: tuple  # duality_gap of each final type fit: how far below its optimum
+    trace: tuple = field(repr=False)  # one dict per round, as ``learn --trace`` writes it
 
 
 def hill_climb(
@@ -353,47 +352,45 @@ def hill_climb(
     em_config: EmConfig = EmConfig(),
     allow_cycles: bool = True,
     progress=None,
-    trace_path: str | None = None,
 ) -> SearchResult:
     """Greedy single-move ascent from the empty graph.
 
     ``progress`` is an optional callable taking one line of text per round,
-    with the fits and batches that round made; ``trace_path`` appends one
-    JSON object per round.
+    with the fits and batches that round made. The result's ``trace`` holds
+    one JSON-ready entry per round: its number, the move's kind and edge,
+    and the edge count and score after it.
     """
     state = SearchState.empty(cache, em_config)
     graph = CausalGraph(cache.type_count)
     score = score_candidate(None, state, cache)
 
     trajectory = [score]
+    trace = []
     rounds = screened = 0
-    with open(trace_path, "w", encoding="utf-8") if trace_path else nullcontext() as trace:
-        while True:
-            fits, batches = len(state.memo), state.batches
-            moves = vicinity_moves(graph, allow_cycles)
-            kept = _unscreened(moves, state, cache)
-            screened += len(moves) - len(kept)
-            scores = np.full(len(moves), -np.inf)
-            scores[kept] = _move_scores([moves[i] for i in kept], state, cache)
-            better = np.flatnonzero(scores > score)
-            if better.size == 0:
-                break
-            best = better[np.argmax(scores[better])]  # ties keep the earlier move
-            best_move, score = moves[best], float(scores[best])
-            rounds += 1
-            graph = apply_move(graph, best_move)
-            state.apply(best_move, cache)
-            trajectory.append(score)
-            if progress is not None:
-                progress(
-                    f"round={rounds} move={best_move.describe()} "
-                    f"edges={graph.edge_count} score={score:.6f} "
-                    f"fits={len(state.memo) - fits} batches={state.batches - batches}"
-                )
-            if trace is not None:
-                entry = {"round": rounds, "move": best_move.kind, "edge": list(best_move.edge),
-                         "edges": graph.edge_count, "score": score}
-                trace.write(json.dumps(entry, sort_keys=True) + "\n")
+    while True:
+        fits, batches = len(state.memo), state.batches
+        moves = vicinity_moves(graph, allow_cycles)
+        kept = _unscreened(moves, state, cache)
+        screened += len(moves) - len(kept)
+        scores = np.full(len(moves), -np.inf)
+        scores[kept] = _move_scores([moves[i] for i in kept], state, cache)
+        better = np.flatnonzero(scores > score)
+        if better.size == 0:
+            break
+        best = better[np.argmax(scores[better])]  # ties keep the earlier move
+        best_move, score = moves[best], float(scores[best])
+        rounds += 1
+        graph = apply_move(graph, best_move)
+        state.apply(best_move, cache)
+        trajectory.append(score)
+        trace.append({"round": rounds, "move": best_move.kind, "edge": list(best_move.edge),
+                      "edges": graph.edge_count, "score": score})
+        if progress is not None:
+            progress(
+                f"round={rounds} move={best_move.describe()} "
+                f"edges={graph.edge_count} score={score:.6f} "
+                f"fits={len(state.memo) - fits} batches={state.batches - batches}"
+            )
 
     fits = tuple(state.fits)
     return SearchResult(
@@ -409,4 +406,5 @@ def hill_climb(
         nonconverged_fits=sum(not f.converged for f in state.memo.values()),
         screened_moves=screened,
         fit_gaps=tuple(state.gap(v, cache)[0] for v in range(cache.type_count)),
+        trace=tuple(trace),
     )

@@ -186,12 +186,7 @@ def _rng_of(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_topology(
-    node_count: int,
-    avg_degree: float,
-    seed,
-    max_hops: int = 0,
-) -> TopologyGraph:
+def random_topology(node_count: int, avg_degree: float, seed) -> TopologyGraph:
     """Erdos-Renyi undirected topology with expected degree ``avg_degree``."""
     if node_count < 1:
         raise InvalidInputError("node_count must be >= 1")
@@ -204,7 +199,7 @@ def random_topology(
         rows, cols = np.triu_indices(node_count, k=1)
         keep = rng.random(rows.shape[0]) < prob
         edges = list(zip(rows[keep].tolist(), cols[keep].tolist()))
-    return build_topology(node_count, edges, max_hops=max_hops)
+    return build_topology(node_count, edges)
 
 
 def random_causal_graph(type_count: int, avg_indegree: float, seed) -> CausalGraph:
@@ -504,10 +499,7 @@ def generate_benchmark(config: SimConfig) -> BenchmarkData:
     root = np.random.SeedSequence(config.seed)
     topo_seed, graph_seed, par_seed, sim_seed = root.spawn(4)
     topology = random_topology(
-        config.node_count,
-        config.avg_topology_degree,
-        np.random.default_rng(topo_seed),
-        max_hops=config.max_hops,
+        config.node_count, config.avg_topology_degree, np.random.default_rng(topo_seed)
     )
     causal_graph = random_causal_graph(
         config.type_count, config.causal_avg_indegree, np.random.default_rng(graph_seed)

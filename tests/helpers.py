@@ -109,9 +109,7 @@ def random_instance(
     bin_width = float(rng.choice(bin_widths))
     decay = float(rng.choice(decays))
 
-    topology = build_topology(
-        nodes, random_symmetric_edges(rng, nodes, 0.5), max_hops=hops
-    )
+    topology = build_topology(nodes, random_symmetric_edges(rng, nodes, 0.5))
 
     causal_edges = []
     for src in range(types):

@@ -105,7 +105,7 @@ def test_criterion_01_likelihood_matches_bruteforce():
         got = log_likelihood(inst.params, inst.graph, inst.cache)
         want = oracle_log_likelihood(
             inst.dense,
-            inst.topology.propagation,
+            inst.topology.hop_matrices(1)[1],
             sorted(inst.graph.edges),
             inst.params.mu,
             inst.params.alpha,
@@ -142,7 +142,7 @@ def test_criterion_02_em_contract():
 
         want_mu, want_alpha = oracle_m_step(
             inst.dense,
-            inst.topology.propagation,
+            inst.topology.hop_matrices(1)[1],
             sorted(inst.graph.edges),
             inst.params.mu,
             inst.params.alpha,
@@ -276,7 +276,7 @@ def test_criterion_08_simulator_poisson_statistics():
     params = ThpParams(
         mu=np.full(type_count, 1e-4), alpha={}, max_hops=2
     )
-    topology = build_topology(node_count, [], max_hops=2)
+    topology = build_topology(node_count, [])
     kernel = ExponentialKernel(1.0)
     totals = np.zeros(type_count)
     for seed in range(5):
@@ -292,7 +292,7 @@ def test_criterion_08_simulator_poisson_statistics():
     lam = 0.05
     cells_graph = CausalGraph(type_count, [])
     cells_params = ThpParams(mu=np.full(type_count, lam), alpha={}, max_hops=0)
-    cells_topology = build_topology(node_count, [], max_hops=0)
+    cells_topology = build_topology(node_count, [])
     bins = 1000
     p0 = np.exp(-lam)
     expected = np.array([p0, lam * p0, 1.0 - p0 - lam * p0])

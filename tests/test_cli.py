@@ -460,6 +460,22 @@ def test_learn_trace_file(sim_dir, tmp_path):
         assert set(entry) == {"round", "move", "edge", "edges", "score"}
 
 
+def test_k_sweep_trace_describes_the_kept_order(tmp_path):
+    # data simulated at k=0, so a k=2 sweep keeps an order below the largest
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--k", "0", "--nodes", "10", "--types", "5",
+                 "--target-events", "4000", "--seed", "1", "--out", str(sim)]) == 0
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "fit"
+    assert main(["learn", "--events", str(sim / "events.csv"),
+                 "--topology", str(sim / "topology.txt"), "--k", "2", "--k-sweep",
+                 "--trace", str(trace), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["k"] < 2
+    entries = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(entries) == report["rounds"]
+    assert entries[-1]["score"] == report["score"]
+
+
 def test_evaluate_against_truth(sim_dir, learn_dir, tmp_path, capsys):
     out = tmp_path / "eval"
     code = main(

@@ -58,7 +58,7 @@ def test_e_step_rejects_zero_intensity():
     dense = np.zeros((1, 1, 4), dtype=int)
     dense[0, 0, 2] = 1
     ds = dense_to_dataset(dense, 1.0)
-    topo = build_topology(1, [], max_hops=0)
+    topo = build_topology(1, [])
     cache = build_features(ds, topo, ExponentialKernel(1.0), 0)
     params = ThpParams(mu=np.array([0.0]), alpha={}, max_hops=0)
     batch, mu, alpha = type_point(params, CausalGraph(1), cache, 0)
@@ -75,7 +75,7 @@ def test_one_em_step_matches_loop_oracle(seed):
     updated, _ = em_iteration(inst.params, inst.graph, inst.cache)
     want_mu, want_alpha = oracle_m_step(
         inst.dense,
-        inst.topology.propagation,
+        inst.topology.hop_matrices(1)[1],
         sorted(inst.graph.edges),
         inst.params.mu,
         inst.params.alpha,
@@ -153,7 +153,7 @@ def test_fit_type_zero_events_short_circuits():
     dense = np.zeros((2, 2, 5), dtype=int)
     dense[0, 0, 1] = 2  # type 0 has events, type 1 none
     ds = dense_to_dataset(dense, 1.0)
-    topo = build_topology(2, [(0, 1)], max_hops=1)
+    topo = build_topology(2, [(0, 1)])
     cache = build_features(ds, topo, ExponentialKernel(0.5), 1)
     result = fit_type(1, (0,), cache)
     assert result.mu == 0.0
@@ -169,7 +169,7 @@ def test_fit_type_dead_channel_alpha_stays_zero():
     dense[0, 1, 2] = 1
     dense[1, 1, 4] = 2
     ds = dense_to_dataset(dense, 1.0)
-    topo = build_topology(2, [(0, 1)], max_hops=1)
+    topo = build_topology(2, [(0, 1)])
     cache = build_features(ds, topo, ExponentialKernel(0.5), 1)
     result = fit_type(1, (0,), cache, EmConfig())
     np.testing.assert_array_equal(result.alpha, np.zeros((1, 2)))
@@ -193,7 +193,7 @@ def test_fit_starts_at_the_empirical_rate():
     dense = np.zeros((2, 3, 8), dtype=int)
     dense[0, 0, 1] = dense[1, 1, 3] = dense[0, 1, 5] = dense[1, 1, 6] = 1
     ds = dense_to_dataset(dense, 2.0)
-    cache = build_features(ds, build_topology(2, [(0, 1)], max_hops=1), ExponentialKernel(0.5), 1)
+    cache = build_features(ds, build_topology(2, [(0, 1)]), ExponentialKernel(0.5), 1)
     v, parents = 1, (0, 2)  # type 2 never fires: its channels start at 0
     result = fit_type(v, parents, cache, EmConfig(max_iterations=1))
     rate = cache.type_counts[v].sum() / (cache.node_count * cache.bin_count * cache.bin_width)
@@ -205,7 +205,7 @@ def test_fit_starts_at_the_empirical_rate():
 
 def test_fit_empty_dataset():
     ds = discretize(rows_to_table([]), 1.0, 10.0, node_count=2, type_count=2)
-    topo = build_topology(2, [(0, 1)], max_hops=1)
+    topo = build_topology(2, [(0, 1)])
     cache = build_features(ds, topo, ExponentialKernel(1.0), 1)
     result = fit(CausalGraph(2, [(0, 1)]), cache)
     np.testing.assert_array_equal(result.params.mu, [0.0, 0.0])

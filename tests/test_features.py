@@ -27,7 +27,7 @@ RNG = np.random.default_rng
 
 def _two_node_cache(max_hops=1):
     """One type-0 event at (node 0, bin 0), one type-1 event at (node 1, bin 1)."""
-    topo = build_topology(2, [(0, 1)], max_hops=max_hops)
+    topo = build_topology(2, [(0, 1)])
     records = rows_to_table([(0, 0, 0.5), (1, 1, 1.5)])
     ds = discretize(records, 1.0, 2.0, node_count=2, type_count=2)
     return build_features(ds, topo, ExponentialKernel(0.11), max_hops)
@@ -53,7 +53,7 @@ def test_one_hop_feature_worked_example():
 
 
 def test_hop_zero_is_own_node_history():
-    topo = build_topology(3, [(0, 1), (1, 2)], max_hops=2)
+    topo = build_topology(3, [(0, 1), (1, 2)])
     records = rows_to_table([
         (0, 0, 0.5),
         (0, 0, 1.5),
@@ -102,7 +102,7 @@ def test_values_and_totals_match_loop_oracle(seed):
     inst = random_instance(rng, max_nodes=4, max_types=3, max_bins=15, min_events=2)
     cache = inst.cache
     dense_values, dense_totals = oracle_features(
-        inst.dense, inst.topology.propagation, inst.max_hops, inst.bin_width, inst.decay
+        inst.dense, inst.topology.hop_matrices(1)[1], inst.max_hops, inst.bin_width, inst.decay
     )
     for i in range(cache.cell_count):
         node, t = int(cache.cell_nodes[i]), int(cache.cell_bins[i])
@@ -149,9 +149,7 @@ def test_build_matches_blockwise_oracle(seed):
     rng = RNG(seed)
     ds, kernel = _gapped_dataset(rng)
     hops = int(rng.integers(0, 3))
-    topo = build_topology(
-        ds.node_count, random_symmetric_edges(rng, ds.node_count), max_hops=hops
-    )
+    topo = build_topology(ds.node_count, random_symmetric_edges(rng, ds.node_count))
     ref = oracle_blockwise_features(ds, topo, kernel, hops)
     # the default chunk budget, then chunks of about three cells each
     for elements in (features._CHUNK_ELEMENTS, 3 * ds.type_count * ds.node_count):
@@ -171,7 +169,7 @@ def test_long_horizon_is_numerically_safe(decay):
     # 1e7 bins: r = exp(-decay) is within 1e-6 of 1, or r^j underflows to 0
     bins = 10_000_000
     rng = RNG(17)
-    topo = build_topology(3, [(0, 1), (1, 2)], max_hops=2)
+    topo = build_topology(3, [(0, 1), (1, 2)])
     event_bins = np.sort(rng.integers(0, bins, size=5000))
     event_nodes = rng.integers(0, 3, size=5000)
     event_types = rng.integers(0, 2, size=5000)
@@ -195,7 +193,7 @@ def test_long_horizon_is_numerically_safe(decay):
         for n in range(3):
             mine = (event_types == v) & (event_nodes == n)
             summary[v, n] = math.fsum(t for t, m in zip(tail, mine) if m)
-    expected = summary @ topo.powers.sum(axis=2).T
+    expected = summary @ topo.hop_matrices(2).sum(axis=2).T
     np.testing.assert_allclose(cache.totals, expected, rtol=1e-10)
 
     # hop 0 is the node's own decayed history, summed directly
@@ -212,7 +210,7 @@ def test_truncated_cache_equals_fresh_build():
     rng = RNG(3)
     dense = rng.poisson(0.3, size=(4, 3, 20))
     ds = dense_to_dataset(dense, 1.0)
-    topo = build_topology(4, [(0, 1), (1, 2), (2, 3)], max_hops=3)
+    topo = build_topology(4, [(0, 1), (1, 2), (2, 3)])
     kernel = ExponentialKernel(0.2)
     full = build_features(ds, topo, kernel, 3)
     for hops in (0, 1, 2):
@@ -231,7 +229,7 @@ def test_truncated_cache_equals_fresh_build():
 
 def test_empty_dataset_builds_empty_cache():
     ds = discretize(rows_to_table([]), 1.0, 10.0, node_count=3, type_count=2)
-    topo = build_topology(3, [(0, 1)], max_hops=2)
+    topo = build_topology(3, [(0, 1)])
     cache = build_features(ds, topo, ExponentialKernel(1.0), 2)
     assert cache.cell_count == 0
     np.testing.assert_array_equal(cache.totals, np.zeros((2, 3)))
@@ -242,14 +240,14 @@ def test_empty_dataset_builds_empty_cache():
 
 def test_rejects_non_exponential_kernel():
     ds = discretize(rows_to_table([(0, 0, 0.5)]), 1.0, 2.0)
-    topo = build_topology(1, [], max_hops=0)
+    topo = build_topology(1, [])
     with pytest.raises(UnsupportedKernelError):
         build_features(ds, topo, GaussianKernel(10.0, 4.0), 0)
 
 
 def test_rejects_mismatched_dimensions():
     ds = discretize(rows_to_table([(0, 0, 0.5)]), 1.0, 2.0, node_count=2)
-    topo = build_topology(3, [(0, 1)], max_hops=1)
+    topo = build_topology(3, [(0, 1)])
     with pytest.raises(InvalidInputError):
         build_features(ds, topo, ExponentialKernel(1.0), 1)
     with pytest.raises(InvalidInputError):
@@ -264,7 +262,7 @@ def test_rejects_mismatched_dimensions():
 def test_totals_cover_all_cells_not_just_occupied():
     # a single early event radiates into every later bin; occupied cells
     # alone would massively undercount the integral term
-    topo = build_topology(2, [(0, 1)], max_hops=1)
+    topo = build_topology(2, [(0, 1)])
     ds = discretize(rows_to_table([(0, 0, 0.5)]), 1.0, 100.0, node_count=2, type_count=1)
     cache = build_features(ds, topo, ExponentialKernel(0.1), 1)
     r = math.exp(-0.1)

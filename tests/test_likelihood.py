@@ -47,7 +47,7 @@ RNG = np.random.default_rng
 
 
 def _two_node_setup():
-    topo = build_topology(2, [(0, 1)], max_hops=1)
+    topo = build_topology(2, [(0, 1)])
     records = rows_to_table([(0, 0, 0.5), (1, 1, 1.5)])
     ds = discretize(records, 1.0, 2.0, node_count=2, type_count=2)
     cache = build_features(ds, topo, ExponentialKernel(0.11), 1)
@@ -100,7 +100,7 @@ def test_alpha_zero_reduces_to_background():
 
 def test_empty_dataset_closed_form():
     ds = discretize(rows_to_table([]), 1.0, 50.0, node_count=3, type_count=2)
-    topo = build_topology(3, [(0, 1)], max_hops=1)
+    topo = build_topology(3, [(0, 1)])
     cache = build_features(ds, topo, ExponentialKernel(1.0), 1)
     graph = CausalGraph(2, [(0, 1)])
     params = ThpParams(
@@ -120,7 +120,7 @@ def test_pure_poisson_closed_form():
     dense = rng.poisson(0.6, size=(1, 1, 40))
     dt = 0.5
     ds = dense_to_dataset(dense, dt)
-    topo = build_topology(1, [], max_hops=0)
+    topo = build_topology(1, [])
     cache = build_features(ds, topo, ExponentialKernel(1.0), 0)
     graph = CausalGraph(1)
     mu = 1.2
@@ -139,7 +139,7 @@ def test_log_likelihood_matches_loop_oracle(seed):
     got = log_likelihood(inst.params, inst.graph, inst.cache)
     want = oracle_log_likelihood(
         inst.dense,
-        inst.topology.propagation,
+        inst.topology.hop_matrices(1)[1],
         sorted(inst.graph.edges),
         inst.params.mu,
         inst.params.alpha,
@@ -162,7 +162,7 @@ def test_intensity_matches_loop_oracle(seed):
             node, t = int(cache.cell_nodes[i]), int(cache.cell_bins[i])
             want = oracle_intensity(
                 inst.dense,
-                inst.topology.propagation,
+                inst.topology.hop_matrices(1)[1],
                 sorted(inst.graph.edges),
                 inst.params.mu,
                 inst.params.alpha,
@@ -194,7 +194,7 @@ def test_zero_intensity_on_occupied_cell_is_neg_inf():
     dense = np.zeros((1, 1, 3), dtype=int)
     dense[0, 0, 1] = 2
     ds = dense_to_dataset(dense, 1.0)
-    topo = build_topology(1, [], max_hops=0)
+    topo = build_topology(1, [])
     cache = build_features(ds, topo, ExponentialKernel(1.0), 0)
     graph = CausalGraph(1)
     params = ThpParams(mu=np.array([0.0]), alpha={}, max_hops=0)
@@ -216,7 +216,7 @@ def test_edge_with_zero_alpha_equals_no_edge():
         types = 2
     dense = rng.poisson(0.4, size=(2, types, 12))
     ds = dense_to_dataset(dense, 1.0)
-    topo = build_topology(2, [(0, 1)], max_hops=1)
+    topo = build_topology(2, [(0, 1)])
     cache = build_features(ds, topo, ExponentialKernel(0.5), 1)
     with_edge = CausalGraph(types, [(0, 1)])
     without = CausalGraph(types)

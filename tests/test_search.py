@@ -229,15 +229,13 @@ def test_dag_mode_yields_acyclic_result():
     assert not has_cycle(result.graph)
 
 
-def test_progress_and_trace_output(tmp_path):
+def test_progress_and_trace_output():
     _, cache = _tiny_search_setup(seed=13)
     lines = []
-    trace_path = tmp_path / "trace.jsonl"
     result = hill_climb(
         cache,
         em_config=EmConfig(max_iterations=25),
         progress=lines.append,
-        trace_path=str(trace_path),
     )
     assert len(lines) == result.rounds
     fits = 0
@@ -249,10 +247,12 @@ def test_progress_and_trace_output(tmp_path):
         fits += int(fields["fits"])
     # the empty graph's fits and the last, non-improving round print no line
     assert fits < result.fit_evaluations
-    entries = [json.loads(s) for s in trace_path.read_text().splitlines()]
+    entries = [json.loads(json.dumps(e)) for e in result.trace]  # JSON-ready as is
+    assert entries == list(result.trace)
     assert len(entries) == result.rounds
     assert [e["round"] for e in entries] == list(range(1, result.rounds + 1))
     assert entries[-1]["score"] == pytest.approx(result.score)
+    assert [e["score"] for e in entries] == list(result.trajectory[1:])
     assert set(entries[0]) == {"round", "move", "edge", "edges", "score"}
 
 
@@ -277,7 +277,7 @@ def test_memoization_avoids_repeat_fits(monkeypatch):
 
 
 @pytest.mark.parametrize("allow_cycles", [True, False])
-def test_each_round_scores_every_legal_move_once(monkeypatch, tmp_path, allow_cycles):
+def test_each_round_scores_every_legal_move_once(monkeypatch, allow_cycles):
     _, cache = _tiny_search_setup(seed=17)
     import hawkesnet.search as search_mod
 
@@ -295,14 +295,12 @@ def test_each_round_scores_every_legal_move_once(monkeypatch, tmp_path, allow_cy
 
     monkeypatch.setattr(search_mod, "_unscreened", recording_screen)
     monkeypatch.setattr(search_mod, "_move_scores", recording_move_scores)
-    trace_path = tmp_path / "trace.jsonl"
     result = hill_climb(
         cache,
         em_config=EmConfig(max_iterations=20),
         allow_cycles=allow_cycles,
-        trace_path=str(trace_path),
     )
-    entries = [json.loads(s) for s in trace_path.read_text().splitlines()]
+    entries = result.trace
     assert len(entries) == result.rounds >= 1
     graph = CausalGraph(cache.type_count)
     expected = []

@@ -43,11 +43,11 @@ RNG = np.random.default_rng
 
 
 def test_random_topology_shape_and_determinism():
-    a = random_topology(12, 2.0, seed=5, max_hops=2)
-    b = random_topology(12, 2.0, seed=5, max_hops=2)
+    a = random_topology(12, 2.0, seed=5)
+    b = random_topology(12, 2.0, seed=5)
     assert a.edges == b.edges
     assert a.node_count == 12
-    assert a.max_hops == 2
+    assert a == b
     c = random_topology(12, 2.0, seed=6)
     assert a.edges != c.edges
 
@@ -118,7 +118,7 @@ def test_window_weights_match_kernel_on_lag_grid():
 
 
 def _fixed_point_setup():
-    topo = build_topology(3, [(0, 1), (1, 2)], max_hops=1)
+    topo = build_topology(3, [(0, 1), (1, 2)])
     graph = CausalGraph(2, [(0, 0), (0, 1)])
     params = ThpParams(
         mu=np.array([0.10, 0.05]),
@@ -159,7 +159,7 @@ def test_poisson_sweep_matches_stationary_rates():
 
 def test_pure_background_is_poisson():
     graph = CausalGraph(2)
-    topo = build_topology(4, [(0, 1), (2, 3)], max_hops=0)
+    topo = build_topology(4, [(0, 1), (2, 3)])
     mu = np.array([0.02, 0.04])
     params = ThpParams(mu=mu, alpha={}, max_hops=0)
     bins = 30_000
@@ -192,7 +192,7 @@ def test_timestamps_sit_at_bin_centers():
 
 
 def test_explosion_guard_trips():
-    topo = build_topology(2, [(0, 1)], max_hops=0)
+    topo = build_topology(2, [(0, 1)])
     graph = CausalGraph(1, [(0, 0)])
     params = ThpParams(
         mu=np.array([1.0]), alpha={(0, 0): np.array([3.0])}, max_hops=0
@@ -208,7 +208,7 @@ def test_explosion_guard_trips():
 
 
 def test_zero_rates_produce_no_events():
-    topo = build_topology(2, [], max_hops=0)
+    topo = build_topology(2, [])
     graph = CausalGraph(1)
     params = ThpParams(mu=np.array([0.0]), alpha={}, max_hops=0)
     assert len(simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, 100, seed=0)) == 0
@@ -228,7 +228,7 @@ def test_simulate_validates_inputs():
 
 def test_uniform_kernel_ring_buffer_path():
     # same-shape run through the windowed path; alpha=0 degenerates to Poisson
-    topo = build_topology(2, [(0, 1)], max_hops=1)
+    topo = build_topology(2, [(0, 1)])
     graph = CausalGraph(1, [(0, 0)])
     params = ThpParams(
         mu=np.array([0.05]), alpha={(0, 0): np.array([0.0, 0.0])}, max_hops=1
@@ -247,7 +247,7 @@ def test_uniform_kernel_ring_buffer_path():
 
 
 def test_gaussian_kernel_sweep_runs():
-    topo = build_topology(3, [(0, 1), (1, 2)], max_hops=1)
+    topo = build_topology(3, [(0, 1), (1, 2)])
     graph = CausalGraph(2, [(0, 1)])
     params = ThpParams(
         mu=np.array([0.02, 0.01]),
@@ -342,7 +342,7 @@ LAGS = 8
 
 
 def _excited_setup():
-    topo = build_topology(3, [(0, 1), (1, 2)], max_hops=1)
+    topo = build_topology(3, [(0, 1), (1, 2)])
     graph = CausalGraph(2, [(0, 0), (0, 1), (1, 0)])
     params = ThpParams(
         mu=np.array([0.04, 0.02]),
@@ -438,7 +438,7 @@ def test_stop_at_count_horizon_matches_dense_oracle():
 @pytest.mark.parametrize("decay, alpha", [(1e-6, 4e-7), (50.0, 0.5)])
 def test_long_horizon_is_numerically_safe(decay, alpha):
     # 1e7 bins: r = exp(-decay) is within 1e-6 of 1, or r^j underflows to 0
-    topo = build_topology(2, [(0, 1)], max_hops=1)
+    topo = build_topology(2, [(0, 1)])
     graph = CausalGraph(2, [(0, 0), (0, 1)])
     params = ThpParams(
         mu=np.array([1e-5, 1e-5]),
@@ -472,7 +472,7 @@ def test_long_horizon_is_numerically_safe(decay, alpha):
 def test_explosion_guard_reports_first_breaching_bin(kernel, lag):
     # mu*dt = 50, so bin 0 is empty with probability e^-50; each of its
     # events adds 10 * kernel(lag) to the expected count `lag` bins later
-    topo = build_topology(1, [], max_hops=0)
+    topo = build_topology(1, [])
     graph = CausalGraph(1, [(0, 0)])
     params = ThpParams(mu=np.array([50.0]), alpha={(0, 0): np.array([10.0])}, max_hops=0)
     step = 10.0 * evaluate(kernel, float(lag))
@@ -553,7 +553,7 @@ def _peak_bytes(run):
 
 def test_wide_topology_simulates_in_little_memory():
     # 400 nodes, 20 types: a dense (T*N)^2 one-event spread matrix alone takes 512 MB
-    topo = random_topology(400, 1.5, seed=1, max_hops=2)
+    topo = random_topology(400, 1.5, seed=1)
     graph = random_causal_graph(20, 1.5, seed=2)
     params = draw_params(graph, 2, (5e-4, 1e-3), (0.03, 0.05), seed=3)
     drawn = []

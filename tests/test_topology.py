@@ -2,65 +2,80 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hawkesnet import topology
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.topology import (
     TopologyGraph,
-    adjacency_powers,
     build_topology,
     load_edge_list,
-    normalized_adjacency,
     save_edge_list,
 )
 
 from .oracles import oracle_normalized_adjacency, oracle_powers
 
 
+def _dense_adjacency(topo: TopologyGraph) -> np.ndarray:
+    adjacency = np.zeros((topo.node_count, topo.node_count))
+    for a, b in topo.edges:
+        adjacency[a, b] = adjacency[b, a] = 1.0
+    return adjacency
+
+
 def test_path_graph_normalization():
-    topo = build_topology(3, [(0, 1), (1, 2)], max_hops=2)
-    prop = topo.propagation
+    powers = build_topology(3, [(0, 1), (1, 2)]).hop_matrices(2)
+    prop = powers[1]
     assert prop[0, 1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
     assert prop[1, 0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
     assert prop[0, 2] == 0.0
     # two-hop mass reaches the far end of the path
-    assert topo.powers[2][0, 2] == pytest.approx(0.5, abs=1e-12)
+    assert powers[2][0, 2] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_triangle_normalization():
-    topo = build_topology(3, [(0, 1), (1, 2), (0, 2)], max_hops=1)
+    topo = build_topology(3, [(0, 1), (1, 2), (0, 2)])
     expected = np.full((3, 3), 0.5)
     np.fill_diagonal(expected, 0.0)
-    np.testing.assert_allclose(topo.propagation, expected, atol=1e-12)
+    np.testing.assert_allclose(topo.hop_matrices(1)[1], expected, atol=1e-12)
 
 
 def test_isolated_node_rows_are_zero():
-    topo = build_topology(4, [(0, 1)], max_hops=2)
-    np.testing.assert_array_equal(topo.propagation[2], np.zeros(4))
-    np.testing.assert_array_equal(topo.propagation[:, 3], np.zeros(4))
+    powers = build_topology(4, [(0, 1)]).hop_matrices(2)
+    np.testing.assert_array_equal(powers[1][2], np.zeros(4))
+    np.testing.assert_array_equal(powers[1][:, 3], np.zeros(4))
     # isolated nodes stay unreachable at every positive hop
     for k in (1, 2):
-        np.testing.assert_array_equal(topo.powers[k][2], np.zeros(4))
+        np.testing.assert_array_equal(powers[k][2], np.zeros(4))
+        np.testing.assert_array_equal(powers[k][:, 3], np.zeros(4))
 
 
 def test_zero_hop_matrix_is_identity():
-    topo = build_topology(5, [(0, 1), (2, 3)], max_hops=0)
-    np.testing.assert_array_equal(topo.powers[0], np.eye(5))
+    powers = build_topology(5, [(0, 1), (2, 3)]).hop_matrices(0)
+    assert powers.shape == (1, 5, 5)
+    np.testing.assert_array_equal(powers[0], np.eye(5))
 
 
 def test_empty_graph_normalization():
-    topo = build_topology(3, [], max_hops=2)
-    np.testing.assert_array_equal(topo.adjacency, np.zeros((3, 3)))
-    np.testing.assert_array_equal(topo.powers[1], np.zeros((3, 3)))
-    np.testing.assert_array_equal(topo.powers[0], np.eye(3))
+    topo = build_topology(3, [])
+    assert topo.edges == frozenset()
+    powers = topo.hop_matrices(2)
+    np.testing.assert_array_equal(powers[1], np.zeros((3, 3)))
+    np.testing.assert_array_equal(powers[2], np.zeros((3, 3)))
+    np.testing.assert_array_equal(powers[0], np.eye(3))
 
 
 def test_duplicate_and_reversed_edges_collapse():
-    topo = build_topology(3, [(0, 1), (1, 0), (0, 1)], max_hops=0)
+    topo = build_topology(3, [(0, 1), (1, 0), (0, 1)])
     assert topo.edges == frozenset({(0, 1)})
+    assert topo == build_topology(3, [(0, 1)])
 
 
 def test_build_rejects_bad_edges():
@@ -70,15 +85,6 @@ def test_build_rejects_bad_edges():
         build_topology(3, [(0, 3)])
     with pytest.raises(InvalidInputError):
         build_topology(0, [])
-
-
-def test_normalized_adjacency_input_validation():
-    with pytest.raises(InvalidInputError):
-        normalized_adjacency(np.array([[0.0, 1.0], [0.0, 0.0]]))  # asymmetric
-    with pytest.raises(InvalidInputError):
-        normalized_adjacency(np.array([[0.0, 2.0], [2.0, 0.0]]))  # non-binary
-    with pytest.raises(InvalidInputError):
-        normalized_adjacency(np.array([[1.0, 0.0], [0.0, 0.0]]))  # self-loop
 
 
 @st.composite
@@ -92,10 +98,10 @@ def edge_sets(draw, max_nodes=7):
 @given(edge_sets())
 def test_normalization_matches_oracle(case):
     n, edges = case
-    topo = build_topology(n, edges, max_hops=0)
+    topo = build_topology(n, edges)
     np.testing.assert_allclose(
-        topo.propagation,
-        oracle_normalized_adjacency(topo.adjacency),
+        topo.hop_matrices(1)[1],
+        oracle_normalized_adjacency(_dense_adjacency(topo)),
         atol=1e-12,
     )
 
@@ -103,51 +109,80 @@ def test_normalization_matches_oracle(case):
 @given(edge_sets(), st.integers(min_value=0, max_value=4))
 def test_powers_match_dense_matrix_power(case, max_hops):
     n, edges = case
-    topo = build_topology(n, edges, max_hops=max_hops)
-    expected = oracle_powers(topo.propagation, max_hops)
+    topo = build_topology(n, edges)
+    powers = topo.hop_matrices(max_hops)
+    assert powers.shape == (max_hops + 1, n, n)
+    expected = oracle_powers(oracle_normalized_adjacency(_dense_adjacency(topo)), max_hops)
     for k in range(max_hops + 1):
-        np.testing.assert_allclose(topo.powers[k], expected[k], atol=1e-10)
+        np.testing.assert_allclose(powers[k], expected[k], atol=1e-10)
 
 
 @given(edge_sets())
 def test_propagation_symmetric_with_bounded_spectrum(case):
     n, edges = case
-    topo = build_topology(n, edges, max_hops=3)
-    np.testing.assert_allclose(topo.propagation, topo.propagation.T, atol=0)
-    eigenvalues = np.linalg.eigvalsh(topo.propagation)
+    powers = build_topology(n, edges).hop_matrices(3)
+    np.testing.assert_allclose(powers[1], powers[1].T, atol=0)
+    eigenvalues = np.linalg.eigvalsh(powers[1])
     assert np.max(np.abs(eigenvalues)) <= 1.0 + 1e-9
     for k in range(4):
-        np.testing.assert_allclose(topo.powers[k], topo.powers[k].T, atol=1e-10)
+        np.testing.assert_allclose(powers[k], powers[k].T, atol=1e-10)
 
 
-def test_hop_matrices_slice_or_extend():
-    topo = build_topology(4, [(0, 1), (1, 2), (2, 3)], max_hops=3)
-    short = topo.hop_matrices(1)
-    assert short.shape == (2, 4, 4)
-    np.testing.assert_array_equal(short, topo.powers[:2])
-    longer = topo.hop_matrices(5)
-    assert longer.shape == (6, 4, 4)
+def test_hop_matrices_five_hops_match_matrix_power():
+    topo = build_topology(4, [(0, 1), (1, 2), (2, 3)])
+    powers = topo.hop_matrices(5)
+    assert powers.shape == (6, 4, 4)
+    np.testing.assert_array_equal(powers[:2], topo.hop_matrices(1))
     np.testing.assert_allclose(
-        longer[5], np.linalg.matrix_power(topo.propagation, 5), atol=1e-10
+        powers[5], np.linalg.matrix_power(powers[1], 5), atol=1e-10
     )
 
 
-def test_adjacency_powers_standalone():
-    prop = normalized_adjacency(
-        np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-    )
-    powers = adjacency_powers(prop, 2)
-    assert powers.shape == (3, 3, 3)
-    np.testing.assert_allclose(powers[2], prop @ prop, atol=1e-12)
+def test_hop_matrices_shape_and_negative_order():
+    topo = build_topology(3, [(0, 1)])
+    assert topo.hop_matrices(4).shape == (5, 3, 3)
+    with pytest.raises(InvalidInputError):
+        topo.hop_matrices(-1)
+
+
+def test_hop_matrices_are_fresh_arrays():
+    topo = build_topology(3, [(0, 1), (1, 2)])
+    first = topo.hop_matrices(2)
+    expected = first.copy()
+    first[:] = -1.0
+    np.testing.assert_array_equal(topo.hop_matrices(2), expected)
+
+
+def test_topology_holds_only_its_edges():
+    topo = build_topology(3, [(0, 1)])
+    assert [f.name for f in dataclasses.fields(TopologyGraph)] == ["node_count", "edges"]
+    assert topo == TopologyGraph(3, frozenset({(0, 1)}))
+    assert topo != build_topology(4, [(0, 1)])
+    assert hash(topo) == hash(build_topology(3, [(1, 0)]))
+
+
+def test_public_names_are_pinned_and_called():
+    assert sorted(topology.__all__) == [
+        "TopologyGraph", "build_topology", "load_edge_list", "save_edge_list",
+    ]
+    package = Path(topology.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "topology.py":
+            with path.open("rb") as source:
+                used.update(tok.string for tok in tokenize.tokenize(source.readline)
+                            if tok.type == tokenize.NAME)
+    assert [name for name in topology.__all__ if name not in used] == []
 
 
 def test_edge_list_round_trip(tmp_path):
-    topo = build_topology(5, [(0, 1), (2, 4)], max_hops=0)
+    topo = build_topology(5, [(0, 1), (2, 4)])
     path = tmp_path / "topo.txt"
     save_edge_list(path, topo)
-    loaded = load_edge_list(path, max_hops=0)
+    loaded = load_edge_list(path)
     assert loaded.node_count == 5
     assert loaded.edges == topo.edges
+    assert loaded == topo
 
 
 def test_edge_list_node_hint_preserves_isolated_tail(tmp_path):
@@ -179,12 +214,3 @@ def test_edge_list_malformed_lines(tmp_path):
     with pytest.raises(InvalidInputError):
         load_edge_list(empty)
     assert load_edge_list(empty, node_count=3).edges == frozenset()
-
-
-def test_max_hops_property_tracks_power_stack():
-    topo = build_topology(3, [(0, 1)], max_hops=4)
-    assert isinstance(topo, TopologyGraph)
-    assert topo.max_hops == 4
-    assert topo.powers.shape == (5, 3, 3)
-    with pytest.raises(InvalidInputError):
-        topo.hop_matrices(-1)
