@@ -127,9 +127,12 @@ def discretize(
         type_count = int(types.max()) + 1 if types.size else 1
     if node_count < 1 or type_count < 1:
         raise InvalidInputError("node_count and type_count must be >= 1")
-    if not (horizon_end / bin_width * node_count * type_count < 2**62):
+    # exact integer product: a node count from an edge list can exceed a float
+    if not (horizon_end / bin_width < 2**62):
         raise InvalidInputError(f"horizon_end {horizon_end} gives 2**62 cells or more")
     bin_count = max(1, int(np.ceil(horizon_end / bin_width - 1e-9)))
+    if bin_count * node_count * type_count >= 2**62:
+        raise InvalidInputError(f"horizon_end {horizon_end} gives 2**62 cells or more")
 
     bad = ~((stamps >= 0) & (stamps < horizon_end))  # NaN is outside too
     if np.any(bad):

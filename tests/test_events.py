@@ -198,6 +198,8 @@ def test_grid_beyond_int64_cell_ids_rejected():
             discretize(rows_to_table([]), 1.0, horizon)
     with pytest.raises(InvalidInputError):
         discretize(rows_to_table([]), 1.0, 1e18, node_count=3, type_count=2)
+    with pytest.raises(InvalidInputError):  # exceeds a float, not only int64
+        discretize(rows_to_table([]), 1.0, 10.0, node_count=10**400)
     ds = discretize(rows_to_table([(2, 1, 5e16)]), 1.0, 1e17, node_count=3, type_count=2)
     assert (ds.nodes[0], ds.types[0], ds.bins[0]) == (2, 1, 5 * 10**16)
 

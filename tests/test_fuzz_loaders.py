@@ -158,6 +158,7 @@ def _run(tmp: str, files: dict, argv: list) -> int:
 
 @given(edge_lists())
 @example(b"# nodes: " + b"9" * 5000 + b"\n0,1\n")  # past Python's integer digit limit
+@example(b"0,1\n0," + b"9" * 300 + b"\n")  # a node count too large for a float
 def test_learn_on_fuzzed_edge_lists_exits_zero_or_two(data):
     with tempfile.TemporaryDirectory() as tmp:
         code = _run(tmp, {"events.csv": EVENTS, "topology.txt": data}, [
