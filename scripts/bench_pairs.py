@@ -1,0 +1,138 @@
+"""Alternating before/after pairs of the perfbench end-to-end benchmark.
+
+Runs ``python3 perfbench/run.py --workload all --seed S --seconds N`` in two
+checkouts, a parent and a change, and writes one JSON record of every
+end-to-end metric: per seed and workload, the median and quartiles
+(inclusive method) of each side, every run in pair order, the number of
+pairs the change won (strictly; ties count for neither side) and the
+relative change of the medians. Even pairs run the parent first, odd pairs
+the change first, and the seeds are interleaved, because a run's position
+moves its timings by several percent.
+
+Usage::
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --seeds 23 5 --pairs 10
+
+The record goes to ``--out``, by default ``BENCH_<parent commit>.json`` in
+the working directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+# metrics where a larger value is better; every other metric is lower-better
+HIGHER_BETTER = {"f1"}
+
+
+def run_bench(checkout: str, seed: int, seconds: float, scale: float) -> dict:
+    """One perfbench run in ``checkout``: its environment line and result JSON."""
+    argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "all",
+            "--seed", str(seed), "--seconds", repr(seconds), "--scale", repr(scale)]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"error: perfbench failed in {checkout}:\n{done.stderr}")
+    env = next((json.loads(line[len("env:"):]) for line in lines if line.startswith("env:")), {})
+    return {"env": env, "result": json.loads(lines[-1])}
+
+
+def summary(values: list) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(name: str, parent: list, change: list) -> dict:
+    """Both sides' summaries, the pairs the change won and the median's relative move."""
+    higher = name in HIGHER_BETTER
+    won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    before, after = summary(parent), summary(change)
+    return {
+        "parent": before,
+        "change": after,
+        "parent_runs": parent,
+        "change_runs": change,
+        "pairs": len(parent),
+        "change_better_pairs": won,
+        "change_vs_parent": after["median"] / before["median"] - 1.0 if before["median"] else 0.0,
+    }
+
+
+def commit_of(checkout: str) -> str | None:
+    done = subprocess.run(["git", "-C", checkout, "rev-parse", "--short=7", "HEAD"],
+                          capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() or None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="alternating perfbench pairs of two checkouts")
+    parser.add_argument("parent", help="checkout root of the parent commit")
+    parser.add_argument("change", help="checkout root of the change")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[23, 5])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--scale", type=float, default=1.0,
+                        help="perfbench --scale (smoke tests use a small value)")
+    parser.add_argument("--out", help="default: BENCH_<parent commit>.json")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    parent_commit = commit_of(args.parent)
+    out = args.out or (parent_commit and f"BENCH_{parent_commit}.json")
+    if out is None:
+        parser.error("the parent is not a git checkout; name the record with --out")
+
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {(side, seed): [] for side in sides for seed in args.seeds}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for seed in args.seeds:
+            for side in order:
+                runs[side, seed].append(run_bench(sides[side], seed, args.seconds, args.scale))
+                print(f"pair {pair + 1}/{args.pairs} seed {seed} {side} done", file=sys.stderr)
+
+    end_to_end, checks = {}, {}
+    for seed in args.seeds:
+        results = {side: [run["result"] for run in runs[side, seed]] for side in sides}
+        per_workload = {}
+        for name in results["parent"][0]["metrics"]:
+            workload, metric = name.split(".", 1) if "." in name else ("all", name)
+            values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in sides}
+            per_workload.setdefault(workload, {})[metric] = compare(metric, values["parent"], values["change"])
+        end_to_end[f"seed {seed}"] = per_workload
+        checks[f"seed {seed}"] = {
+            "attempted": {side: sum(r["attempted"] for r in results[side]) for side in sides},
+            "failed": {side: sum(r["failed"] for r in results[side]) for side in sides},
+            "correct": all(r["correct"] for side in sides for r in results[side]),
+        }
+    env = runs["change", args.seeds[0]][0]["env"]
+    record = {
+        "parent_commit": parent_commit,
+        "description": (
+            f"end_to_end: medians and quartiles (inclusive method) over {args.pairs} alternating pairs "
+            f"of `python3 perfbench/run.py --workload all --seed S --seconds {args.seconds:g}` per seed, "
+            "even pairs parent first, odd pairs change first, seeds interleaved; *_runs list every run "
+            "in pair order; change_better_pairs counts strict wins (ties count for neither)."
+        ),
+        "machine": {key: env.get(key) for key in ("nproc", "python", "numpy", "blas", "threads")},
+        "end_to_end": end_to_end,
+        "checks": checks,
+    }
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

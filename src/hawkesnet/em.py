@@ -58,10 +58,11 @@ applies ``_em_iteration`` to them in one call, so the numpy call overhead of
 a map is paid once per pass instead of once per fit, and each fit follows
 exactly the path it follows alone. ``fit_type`` is
 a batch of one. A fit does not depend on its batch: each parent set's
-feature block starts at a 64-byte-aligned address (see
-:class:`hawkesnet.likelihood.TypeBatch`), and every product and sum of a
-point is a BLAS call or a row reduction of its own, so no float depends on
-the batch size or on the point's position in it. A memoized fit therefore
+feature block is ``width x cells``, one row per channel, with every row at
+a 64-byte-aligned address (see :class:`hawkesnet.likelihood.TypeBatch`);
+and every product and sum of a point is a BLAS call or a row reduction of
+its own, so no float depends on the batch size or on the point's position
+in it. A memoized fit therefore
 equals a fresh one bit for bit.
 
 Event types are coupled only through shared features, never through shared
@@ -150,9 +151,9 @@ def _em_iteration(mu, alpha, data, blocks):
     """
     lam, log_lik = batch_log_likelihood(mu, alpha, data, blocks)
     ratio = np.divide(data.counts, lam, out=lam)
-    weighted = data.width_rows[: len(blocks)]  # flat.T @ ratio, one row per point
+    weighted = data.width_rows[: len(blocks)]  # flat @ ratio, one row per point
     for j, b in enumerate(blocks):
-        np.matmul(data.flat[b].T, ratio[j], out=weighted[j])
+        np.matmul(data.flat[b], ratio[j], out=weighted[j])
     mu = mu * ratio.sum(axis=1) / (data.grid_cells * data.bin_width)
     active = data.totals.take(blocks, axis=0) > 0
     alpha = np.where(active, alpha * weighted / data.charges.take(blocks, axis=0), 0.0)
@@ -165,7 +166,7 @@ def duality_gap(fit: TypeFit, cache: FeatureCache) -> tuple[float, np.ndarray]:
 
     At the fit's point ``x``, with ``q = X / lam`` at the type's occupied
     cells, the ratios of :func:`_em_iteration` are ``r_mu = sum(q) /
-    (grid_cells * dt)`` and ``r_alpha = flat.T q / (dt * totals)``. The
+    (grid_cells * dt)`` and ``r_alpha = flat q / (dt * totals)``. The
     share is concave, and Jensen's inequality bounds its optimum ``f*`` over
     the fit's parent set:
 
@@ -182,12 +183,11 @@ def duality_gap(fit: TypeFit, cache: FeatureCache) -> tuple[float, np.ndarray]:
     share. One matrix-vector product covers every ``c``. A type without
     events has gap 0.
     """
-    cells, counts = cache.type_cells[fit.event_type], cache.type_counts[fit.event_type]
-    if cells.shape[0] == 0:
+    # one row per (type, hop) channel, one column per cell of the type
+    features, counts = cache.type_values[fit.event_type], cache.type_counts[fit.event_type]
+    if features.shape[1] == 0:
         return 0.0, np.zeros(cache.type_count)
     hops, dt = cache.max_hops + 1, cache.bin_width
-    # one row per (type, hop) channel, one column per cell of the type
-    features = cache.values.reshape(-1, cache.cell_count).take(cells, axis=1)
     rows = [c * hops + k for c in fit.parents for k in range(hops)]
     alpha = np.zeros(features.shape[0])  # the fit's alpha on every channel, 0 off its parents
     alpha[rows] = fit.alpha.reshape(-1)

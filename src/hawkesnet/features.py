@@ -9,10 +9,13 @@ and ``k`` hops through the normalized adjacency give
     features[c, k, (n, t)] = sum_{n'} P^k[n', n] * S_c(n', t).
 
 Only cells ``(n, t)`` where at least one event of any type occurred are
-materialized. The totals ``sum_{n,t} features[c, k]`` over the whole grid,
-which the likelihood's integral term needs, come from a closed form per
-event: an event at bin ``b`` adds ``r (1 - r^(B-1-b)) / (1 - r)`` to its
-node's summary summed over all ``B`` bins.
+materialized, and each event type keeps the features of every cause type at
+its own cells only: the likelihood of type ``v`` reads features nowhere
+else, so its EM maps run on rows that need no gather. The totals
+``sum_{n,t} features[c, k]`` over the whole grid, which the likelihood's
+integral term needs, come from a closed form per event: an event at bin
+``b`` adds ``r (1 - r^(B-1-b)) / (1 - r)`` to its node's summary summed
+over all ``B`` bins.
 
 The build visits occupied bins only. The ``(type, node)`` state ``S`` is
 computed at every occupied bin at once, chunk by chunk: inside a chunk that
@@ -26,7 +29,9 @@ into the next chunk. Each occupied cell's state row is then contracted with
 column ``n`` of every ``P^k``. The cost is
 ``O(cells * type_count * node_count * (max_hops + 1))`` plus a Python step per
 chunk (at most one per occupied bin), independent of the number of empty
-bins.
+bins. Each chunk's features are scattered straight into the rows of the
+types with events at its cells, so no array over all cells and channels is
+ever held.
 
 Everything here is independent of the causal graph and of the rate
 parameters, so one cache serves every candidate scored by the structure
@@ -54,19 +59,23 @@ class FeatureCache:
 
     Attributes
     ----------
-    values:
-        Array of shape ``(type_count, max_hops + 1, cell_count)``;
-        ``values[c, k, i]`` is the k-hop feature of cause type ``c`` at the
-        i-th occupied cell.
+    type_values:
+        Per event type ``v``, an array of shape ``(type_count * (max_hops +
+        1), n_v)`` over the ``n_v`` cells that hold events of ``v``, in the
+        dataset's order (the cells of ``dataset.type_rows(v)``);
+        ``type_values[v][c * (max_hops + 1) + k, i]`` is the k-hop feature of
+        cause type ``c`` at the i-th cell of ``v``. Rows are contiguous, so
+        the hops of one cause type are one run of rows; the likelihood of
+        ``v`` reads features nowhere else.
     totals:
         ``(type_count, max_hops + 1)``; ``totals[c, k]`` sums the k-hop
         feature of cause type ``c`` over *all* cells of the grid.
     cell_nodes, cell_bins:
         Coordinates of the occupied cells, sorted by (bin, node). A cell is
         occupied if any event of any type fell into it.
-    type_cells, type_counts:
-        Per event type: indices into the cell arrays and the event counts at
-        those cells.
+    type_counts:
+        Per event type ``v``: the event counts at the cells of
+        ``type_values[v]``.
     """
 
     node_count: int
@@ -77,9 +86,8 @@ class FeatureCache:
     total_events: int
     cell_nodes: np.ndarray = field(repr=False)
     cell_bins: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
+    type_values: tuple = field(repr=False)
     totals: np.ndarray = field(repr=False)
-    type_cells: tuple = field(repr=False)
     type_counts: tuple = field(repr=False)
 
     @property
@@ -99,6 +107,7 @@ class FeatureCache:
             raise InvalidInputError(
                 f"cannot truncate a max_hops={self.max_hops} cache to {max_hops}"
             )
+        hops = self.max_hops + 1
         return FeatureCache(
             node_count=self.node_count,
             type_count=self.type_count,
@@ -108,10 +117,14 @@ class FeatureCache:
             total_events=self.total_events,
             cell_nodes=self.cell_nodes,
             cell_bins=self.cell_bins,
-            # contiguous, so batched fits gather from it without another copy
-            values=np.ascontiguousarray(self.values[:, : max_hops + 1]),
+            # contiguous, so batches copy each parent's hops as one run of rows
+            type_values=tuple(
+                np.ascontiguousarray(
+                    values.reshape(self.type_count, hops, values.shape[1])[:, : max_hops + 1]
+                ).reshape(self.type_count * (max_hops + 1), values.shape[1])
+                for values in self.type_values
+            ),
             totals=self.totals[:, : max_hops + 1],
-            type_cells=self.type_cells,
             type_counts=self.type_counts,
         )
 
@@ -163,15 +176,9 @@ def build_features(
     cell_nodes = cell_keys % n_nodes
     n_cells = cell_keys.shape[0]
 
-    type_cells = []
-    type_counts = []
-    for v in range(n_types):
-        rows = dataset.type_rows(v)
-        keys = dataset.bins[rows] * n_nodes + dataset.nodes[rows]
-        type_cells.append(np.searchsorted(cell_keys, keys).astype(np.int64))
-        type_counts.append(dataset.counts[rows].astype(float))
-
     counts = dataset.counts.astype(float)
+    type_starts = np.searchsorted(dataset.types, np.arange(n_types + 1))
+    type_sizes = np.diff(type_starts)
     state_cols = dataset.types * n_nodes + dataset.nodes
     width = n_types * n_nodes
 
@@ -184,7 +191,17 @@ def build_features(
     summary = np.bincount(state_cols, weights=counts * tail, minlength=width)
     totals = summary.reshape(n_types, n_nodes) @ row_mass.T
 
-    values = np.zeros((n_types, max_hops + 1, n_cells))
+    # Dataset rows are sorted by (type, bin, node), so type v owns rows
+    # type_starts[v]:type_starts[v + 1]. Its (channels, type_sizes[v]) rows
+    # start at channels * type_starts[v] of one buffer, so channel r at the
+    # cell of row j sits at j + (channels - 1) * type_starts[v] + r *
+    # type_sizes[v]. by_cell lists the rows in cell order.
+    channels = n_types * (max_hops + 1)
+    buffer = np.empty(channels * dataset.types.shape[0])
+    row_cells = np.searchsorted(cell_keys, dataset.bins * n_nodes + dataset.nodes)
+    by_cell = np.argsort(row_cells, kind="stable")
+    row_cells = row_cells[by_cell]
+    channel_steps = np.arange(channels)[:, None]
     occ_bins, cell_occ = np.unique(cell_bins, return_inverse=True)
     n_occ = occ_bins.shape[0]
     order = np.argsort(dataset.bins, kind="stable")
@@ -196,7 +213,7 @@ def build_features(
     chunk_cells = max(1, _CHUNK_ELEMENTS // width)
 
     carry = np.zeros(width)  # state at the chunk's first occupied bin
-    s = c0 = e0 = 0  # first occupied bin, cell and event of the chunk
+    s = c0 = e0 = r0 = 0  # first occupied bin, cell, event and row by cell of the chunk
     while s < n_occ:
         e = int(np.searchsorted(occ_bins, occ_bins[s] + span_bins, side="right"))
         if c0 + chunk_cells < n_cells:
@@ -221,9 +238,16 @@ def build_features(
 
         at_cells = state.reshape(e - s, n_types, n_nodes)[cell_occ[c0:c1] - s]
         nodes = cell_nodes[c0:c1]
+        values = np.empty((n_types, max_hops + 1, c1 - c0))
         for k in range(max_hops + 1):
-            values[:, k, c0:c1] = np.einsum("ctn,cn->tc", at_cells, hop_cols[k][nodes])
-        s, c0, e0 = e, c1, e1
+            values[:, k] = np.einsum("ctn,cn->tc", at_cells, hop_cols[k][nodes])
+        # scattered straight into the rows of every type with a cell here
+        r1 = int(np.searchsorted(row_cells, c1))
+        hits = by_cell[r0:r1]
+        owners = dataset.types[hits]
+        at = hits + (channels - 1) * type_starts[owners] + channel_steps * type_sizes[owners]
+        buffer[at] = values.reshape(channels, c1 - c0)[:, row_cells[r0:r1] - c0]
+        s, c0, e0, r0 = e, c1, e1, r1
 
     return FeatureCache(
         node_count=n_nodes,
@@ -234,8 +258,10 @@ def build_features(
         total_events=dataset.total_events,
         cell_nodes=cell_nodes,
         cell_bins=cell_bins,
-        values=values,
+        type_values=tuple(
+            buffer[channels * lo : channels * hi].reshape(channels, hi - lo)
+            for lo, hi in zip(type_starts[:-1], type_starts[1:])
+        ),
         totals=totals,
-        type_cells=tuple(type_cells),
-        type_counts=tuple(type_counts),
+        type_counts=tuple(counts[lo:hi].copy() for lo, hi in zip(type_starts[:-1], type_starts[1:])),
     )

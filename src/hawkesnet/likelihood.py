@@ -55,9 +55,9 @@ def _aligned_rows(rows: int, width: int) -> np.ndarray:
 class TypeBatch(NamedTuple):
     """Several parent sets of one type, stacked for batched scoring.
 
-    ``flat[b, i]`` holds the features of the i-th occupied cell of the type
-    under the ``b``-th parent set, ``(parent, hop)`` flattened in C order;
-    every set has the same number of parents, and each block starts at a
+    ``flat[b, r]`` holds channel ``r`` of the ``b``-th parent set at the
+    type's occupied cells, channels ``(parent, hop)`` in C order; every set
+    has the same number of parents, and every row starts at a
     64-byte-aligned address. ``counts`` (shared) holds the events at those
     cells, ``grid_cells`` is ``node_count * bin_count``, ``totals[b]`` the
     grid-wide feature sums of set ``b`` in the same order, and ``charges[b]``
@@ -67,7 +67,7 @@ class TypeBatch(NamedTuple):
     """
 
     event_type: int
-    flat: np.ndarray  # (sets, cells, width)
+    flat: np.ndarray  # (sets, width, cells)
     counts: np.ndarray
     totals: np.ndarray  # (sets, width)
     charges: np.ndarray  # (sets, width)
@@ -90,28 +90,26 @@ def type_batch(cache: FeatureCache, event_type: int, parent_sets) -> TypeBatch:
         if not 0 <= c < cache.type_count:
             raise InvalidInputError(f"type {c} out of range for {cache.type_count} types")
     size, hops = sizes.pop(), cache.max_hops + 1
-    cells, width = cache.type_cells[event_type], size * hops
-    values = cache.values.reshape(-1)  # a view: caches keep their values contiguous
-    hop_starts = np.arange(hops) * cache.cell_count
-    flat = _aligned_rows(len(parent_sets), cells.shape[0] * width)
-    totals = np.empty((len(parent_sets), width))
-    for block, row, parents in zip(flat, totals, parent_sets):
-        starts = np.array(parents, dtype=np.intp)[:, None] * (hops * cache.cell_count) + hop_starts
-        # gathered cell by cell straight into the block, which keeps its aligned address
-        # ("clip" does not buffer ``out``; the ids are checked above)
-        values.take(cells[:, None, None] + starts, out=block.reshape(cells.shape[0], size, hops),
-                    mode="clip")
-        row[:] = cache.totals[list(parents)].reshape(-1)
+    values = cache.type_values[event_type]
+    sets, width, cells = len(parent_sets), size * hops, values.shape[1]
+    flat = _aligned_rows(sets * width, cells)
+    totals = np.empty((sets, width))
+    for j, parents in enumerate(parent_sets):
+        # each parent's hops are one run of rows, copied into aligned rows
+        for i, c in enumerate(parents):
+            row = j * width + i * hops
+            flat[row : row + hops] = values[c * hops : (c + 1) * hops]
+        totals[j] = cache.totals[list(parents)].reshape(-1)
     return TypeBatch(
         event_type=event_type,
-        flat=flat.reshape(len(parent_sets), cells.shape[0], width),
+        flat=flat.reshape(sets, width, cells),
         counts=cache.type_counts[event_type],
         totals=totals,
         charges=np.where(totals > 0, totals * cache.bin_width, 1.0),
         bin_width=cache.bin_width,
         grid_cells=cache.node_count * cache.bin_count,
-        cell_rows=_aligned_rows(len(parent_sets), cells.shape[0]),
-        width_rows=_aligned_rows(len(parent_sets), width),
+        cell_rows=_aligned_rows(sets, cells),
+        width_rows=_aligned_rows(sets, width),
     )
 
 
@@ -125,8 +123,9 @@ def batch_log_likelihood(
     totals)``, or ``-inf`` if ``lam <= 0`` at some cell. Every cell holds
     events of the type, so no cell is masked out. Each of a point's products
     and dot products is a BLAS call of its own, and its matrix-vector
-    products run on a 64-byte-aligned feature block and work rows, so its
-    results do not depend on the other points or on the batch size. Returns
+    product runs along the cells of a feature block and work rows whose
+    every row starts at a 64-byte-aligned address, so its results do not
+    depend on the other points or on the batch size. Returns
     ``lam`` (in the batch's work rows) and the shares; callers silence the
     floating-point warnings of rows that score ``-inf`` or ``nan``.
     """
@@ -134,7 +133,7 @@ def batch_log_likelihood(
     point = batch.width_rows[: len(blocks)]
     point[...] = alpha
     for j, b in enumerate(blocks):
-        np.matmul(batch.flat[b], point[j], out=lam[j])
+        np.matmul(point[j], batch.flat[b], out=lam[j])
     lam += mu[:, None]
     # one dot product per point: matmul over stacks of row @ column
     counted = np.matmul(np.log(lam)[:, None, :], batch.counts[:, None])[:, 0, 0]

@@ -196,8 +196,11 @@ def random_topology(node_count: int, avg_degree: float, seed) -> TopologyGraph:
     edges = []
     if node_count > 1:
         prob = min(1.0, avg_degree / (node_count - 1))
-        rows, cols = np.triu_indices(node_count, k=1)
-        keep = rng.random(rows.shape[0]) < prob
+        try:
+            rows, cols = np.triu_indices(node_count, k=1)
+            keep = rng.random(rows.shape[0]) < prob
+        except (ValueError, MemoryError, OverflowError) as exc:  # numpy refuses the size outright
+            raise InvalidInputError(f"cannot allocate the node pairs of {node_count} nodes") from exc
         edges = list(zip(rows[keep].tolist(), cols[keep].tolist()))
     return build_topology(node_count, edges)
 

@@ -77,6 +77,12 @@ def dataset_to_dense(dataset: DiscreteDataset) -> np.ndarray:
     return dense
 
 
+def type_cell_coords(dataset: DiscreteDataset, event_type: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(nodes, bins)`` of the cells behind the columns of ``type_values[event_type]``."""
+    rows = dataset.type_rows(event_type)
+    return dataset.nodes[rows], dataset.bins[rows]
+
+
 def random_symmetric_edges(rng: np.random.Generator, nodes: int, prob: float = 0.5):
     edges = []
     for a in range(nodes):
@@ -174,7 +180,7 @@ def type_point(params: ThpParams, graph: CausalGraph, cache: FeatureCache, event
 def type_intensities(
     params: ThpParams, graph: CausalGraph, cache: FeatureCache, event_type: int
 ) -> np.ndarray:
-    """The production intensity of one type at its cells, ``cache.type_cells[event_type]``."""
+    """The production intensity of one type at its cells, in ``type_cell_coords`` order."""
     batch, mu, alpha = type_point(params, graph, cache, event_type)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam, _ = batch_log_likelihood(mu, alpha, batch, [0])

@@ -234,9 +234,11 @@ def oracle_blockwise_features(
         total_events=dataset.total_events,
         cell_nodes=cell_nodes,
         cell_bins=cell_bins,
-        values=values,
+        type_values=tuple(
+            values.reshape(n_types * (max_hops + 1), n_cells).take(cells, axis=1)
+            for cells in type_cells
+        ),
         totals=totals,
-        type_cells=tuple(type_cells),
         type_counts=tuple(type_counts),
     )
 

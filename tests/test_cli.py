@@ -630,6 +630,13 @@ def test_unallocatable_topology_exits_two(sim_dir, tmp_path, capsys, topology):
     assert "cannot allocate" in capsys.readouterr().err
 
 
+def test_unallocatable_simulate_nodes_exit_two(tmp_path, capsys):
+    # numpy refuses the 10**10-node pair arrays at once
+    code = main(["simulate", "--nodes", "10000000000", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "cannot allocate" in capsys.readouterr().err
+
+
 def test_argparse_rejects_unknown_flags(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--out", "x", "--bogus"])

@@ -19,37 +19,45 @@ from hawkesnet.kernels import ExponentialKernel, GaussianKernel
 from hawkesnet.likelihood import type_batch
 from hawkesnet.topology import build_topology
 
-from .helpers import dense_to_dataset, random_instance, random_symmetric_edges, rows_to_table
+from .helpers import (
+    dense_to_dataset,
+    random_instance,
+    random_symmetric_edges,
+    rows_to_table,
+    type_cell_coords,
+)
 from .oracles import oracle_blockwise_features, oracle_features
 
 RNG = np.random.default_rng
 
 
 def _two_node_cache(max_hops=1):
-    """One type-0 event at (node 0, bin 0), one type-1 event at (node 1, bin 1)."""
+    """One type-0 event at (node 0, bin 0), one type-1 event at (node 1, bin 1).
+
+    Returns the dataset and its cache.
+    """
     topo = build_topology(2, [(0, 1)])
     records = rows_to_table([(0, 0, 0.5), (1, 1, 1.5)])
     ds = discretize(records, 1.0, 2.0, node_count=2, type_count=2)
-    return build_features(ds, topo, ExponentialKernel(0.11), max_hops)
+    return ds, build_features(ds, topo, ExponentialKernel(0.11), max_hops)
 
 
-def _cell(cache, node, time_bin):
-    """Index of the occupied cell ``(node, time_bin)``."""
-    (idx,) = np.flatnonzero((cache.cell_nodes == node) & (cache.cell_bins == time_bin))
-    return int(idx)
+def _feature(ds, cache, event_type, cause, hop, node, time_bin):
+    """The hop feature of ``cause`` at ``event_type``'s cell ``(node, time_bin)``."""
+    nodes, bins = type_cell_coords(ds, event_type)
+    (i,) = np.flatnonzero((nodes == node) & (bins == time_bin))
+    return cache.type_values[event_type][cause * (cache.max_hops + 1) + hop, i]
 
 
 def test_one_hop_feature_worked_example():
-    cache = _two_node_cache()
-    idx = _cell(cache, 1, 1)
-    # the neighbor's decayed history, one bin back
-    assert cache.values[0, 1, idx] == pytest.approx(0.895834, abs=1e-6)
+    ds, cache = _two_node_cache()
+    # the neighbor's decayed history, one bin back, at type 1's cell
+    assert _feature(ds, cache, 1, 0, 1, 1, 1) == pytest.approx(0.895834, abs=1e-6)
     # hop 0 sees nothing: node 1 had no earlier type-0 events
-    assert cache.values[0, 0, idx] == 0.0
+    assert _feature(ds, cache, 1, 0, 0, 1, 1) == 0.0
     # the source cell itself has no history at bin 0
-    idx0 = _cell(cache, 0, 0)
-    assert cache.values[0, 0, idx0] == 0.0
-    assert cache.values[0, 1, idx0] == 0.0
+    assert _feature(ds, cache, 0, 0, 0, 0, 0) == 0.0
+    assert _feature(ds, cache, 0, 0, 1, 0, 0) == 0.0
 
 
 def test_hop_zero_is_own_node_history():
@@ -62,34 +70,37 @@ def test_hop_zero_is_own_node_history():
     ])
     ds = discretize(records, 1.0, 4.0, node_count=3, type_count=2)
     cache = build_features(ds, topo, ExponentialKernel(0.5), 2)
-    idx = _cell(cache, 0, 2)
     expected = math.exp(-0.5 * 2) + math.exp(-0.5 * 1)
-    assert cache.values[0, 0, idx] == pytest.approx(expected, rel=1e-12)
+    assert _feature(ds, cache, 1, 0, 0, 0, 2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cell_bookkeeping():
-    cache = _two_node_cache()
+    _, cache = _two_node_cache()
     assert cache.cell_count == 2
     np.testing.assert_array_equal(cache.cell_bins, [0, 1])
     np.testing.assert_array_equal(cache.cell_nodes, [0, 1])
-    np.testing.assert_array_equal(cache.type_cells[0], [0])
-    np.testing.assert_array_equal(cache.type_cells[1], [1])
+    # each type keeps its own cell only
+    assert [values.shape for values in cache.type_values] == [(4, 1), (4, 1)]
     np.testing.assert_array_equal(cache.type_counts[0], [1.0])
+    np.testing.assert_array_equal(cache.type_counts[1], [1.0])
     # a cell without events is not cached
     assert not ((cache.cell_nodes == 0) & (cache.cell_bins == 1)).any()
 
 
 def test_features_for_slices_match_values():
-    # a type's likelihood batch gathers its features straight from the cache
+    # a type's likelihood batch copies its rows straight from the cache
     rng = RNG(7)
     inst = random_instance(rng, max_nodes=4, max_types=3, max_bins=12, min_events=5)
     cache = inst.cache
+    hops = cache.max_hops + 1
     for v in range(cache.type_count):
         batch = type_batch(cache, v, [(0,)])
-        idx = cache.type_cells[v]
+        cells = cache.type_counts[v].shape[0]
+        assert cache.type_values[v].shape == (cache.type_count * hops, cells)
         np.testing.assert_array_equal(batch.counts, cache.type_counts[v])
-        np.testing.assert_array_equal(batch.flat[0], cache.values[0][:, idx].T)
-        assert type_batch(cache, v, [()]).flat.shape == (1, idx.shape[0], 0)
+        np.testing.assert_array_equal(batch.flat[0], cache.type_values[v][:hops])
+        assert all(row.ctypes.data % 64 == 0 for row in batch.flat[0])
+        assert type_batch(cache, v, [()]).flat.shape == (1, 0, cells)
     last = cache.type_count - 1
     batch = type_batch(cache, 0, [(last, 0)])
     np.testing.assert_array_equal(batch.totals[0], cache.totals[[last, 0]].reshape(-1))
@@ -104,14 +115,14 @@ def test_values_and_totals_match_loop_oracle(seed):
     dense_values, dense_totals = oracle_features(
         inst.dense, inst.topology.hop_matrices(1)[1], inst.max_hops, inst.bin_width, inst.decay
     )
-    for i in range(cache.cell_count):
-        node, t = int(cache.cell_nodes[i]), int(cache.cell_bins[i])
-        np.testing.assert_allclose(
-            cache.values[:, :, i],
-            dense_values[:, :, node, t],
-            rtol=1e-9,
-            atol=1e-12,
-        )
+    for v in range(cache.type_count):
+        for i, (node, t) in enumerate(zip(*type_cell_coords(inst.dataset, v))):
+            np.testing.assert_allclose(
+                cache.type_values[v][:, i].reshape(cache.type_count, -1),
+                dense_values[:, :, node, t],
+                rtol=1e-9,
+                atol=1e-12,
+            )
     np.testing.assert_allclose(cache.totals, dense_totals, rtol=1e-9, atol=1e-12)
 
 
@@ -160,7 +171,8 @@ def test_build_matches_blockwise_oracle(seed):
         np.testing.assert_array_equal(cache.cell_nodes, ref.cell_nodes)
         # values deep in the gaps leave the normal range; below 1e-300 only
         # the two routes' underflow differs
-        np.testing.assert_allclose(cache.values, ref.values, rtol=1e-12, atol=1e-300)
+        for values, expected in zip(cache.type_values, ref.type_values, strict=True):
+            np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-300)
         np.testing.assert_allclose(cache.totals, ref.totals, rtol=1e-12)
 
 
@@ -180,7 +192,7 @@ def test_long_horizon_is_numerically_safe(decay):
         warnings.simplefilter("error")
         cache = build_features(ds, topo, ExponentialKernel(decay), 2)
     elapsed = time.perf_counter() - started
-    assert np.isfinite(cache.values).all()
+    assert all(np.isfinite(values).all() for values in cache.type_values)
     assert np.isfinite(cache.totals).all()
 
     # closed-form geometric tail of each event over the rest of the horizon
@@ -197,12 +209,15 @@ def test_long_horizon_is_numerically_safe(decay):
     np.testing.assert_allclose(cache.totals, expected, rtol=1e-10)
 
     # hop 0 is the node's own decayed history, summed directly
-    for i in rng.choice(cache.cell_count, size=20, replace=False):
-        node, t = int(cache.cell_nodes[i]), int(cache.cell_bins[i])
-        for v in range(2):
-            before = (event_types == v) & (event_nodes == node) & (event_bins < t)
-            direct = math.fsum(math.exp(-decay * (t - b)) for b in event_bins[before])
-            assert cache.values[v, 0, i] == pytest.approx(direct, rel=1e-10, abs=1e-300)
+    for w in range(2):
+        cell_nodes, cell_bins = type_cell_coords(ds, w)
+        for i in rng.choice(cell_nodes.shape[0], size=10, replace=False):
+            node, t = int(cell_nodes[i]), int(cell_bins[i])
+            for v in range(2):
+                before = (event_types == v) & (event_nodes == node) & (event_bins < t)
+                direct = math.fsum(math.exp(-decay * (t - b)) for b in event_bins[before])
+                got = cache.type_values[w][v * (cache.max_hops + 1), i]
+                assert got == pytest.approx(direct, rel=1e-10, abs=1e-300)
     assert elapsed < 10.0
 
 
@@ -217,7 +232,10 @@ def test_truncated_cache_equals_fresh_build():
         fresh = build_features(ds, topo, kernel, hops)
         view = full.truncated(hops)
         assert view.max_hops == hops
-        np.testing.assert_array_equal(view.values, fresh.values)
+        # contiguous, and byte for byte the fresh build's rows
+        for got, want in zip(view.type_values, fresh.type_values, strict=True):
+            assert got.flags.c_contiguous
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
         # the totals contraction is shape-dependent inside BLAS; one ulp slack
         np.testing.assert_allclose(view.totals, fresh.totals, rtol=1e-13)
     assert full.truncated(3) is full
@@ -233,8 +251,9 @@ def test_empty_dataset_builds_empty_cache():
     cache = build_features(ds, topo, ExponentialKernel(1.0), 2)
     assert cache.cell_count == 0
     np.testing.assert_array_equal(cache.totals, np.zeros((2, 3)))
+    assert [values.shape for values in cache.type_values] == [(6, 0), (6, 0)]
     batch = type_batch(cache, 0, [(0, 1)])
-    assert batch.flat.shape == (1, 0, 6)
+    assert batch.flat.shape == (1, 6, 0)
     assert batch.counts.shape == (0,)
 
 

@@ -38,6 +38,7 @@ from .helpers import (
     param_arrays,
     random_instance,
     rows_to_table,
+    type_cell_coords,
     type_intensities,
     type_point,
 )
@@ -73,12 +74,14 @@ def test_intensity_worked_example():
 def test_intensities_for_type_vectorizes_single_cells():
     inst = random_instance(RNG(41), max_nodes=4, max_types=3, max_bins=12, min_events=5)
     cache, params = inst.cache, inst.params
+    hops = cache.max_hops + 1
     for v in range(inst.graph.type_count):
         lam = type_intensities(params, inst.graph, cache, v)
         assert lam.shape == cache.type_counts[v].shape
-        for got, cell in zip(lam, cache.type_cells[v]):
+        for i, got in enumerate(lam):
             want = params.mu[v] + sum(
-                params.alpha[(c, v)] @ cache.values[c, :, cell] for c in inst.graph.parents(v)
+                params.alpha[(c, v)] @ cache.type_values[v][c * hops : (c + 1) * hops, i]
+                for c in inst.graph.parents(v)
             )
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -158,8 +161,7 @@ def test_intensity_matches_loop_oracle(seed):
     cache = inst.cache
     for v in range(inst.graph.type_count):
         lam = type_intensities(inst.params, inst.graph, cache, v)
-        for got, i in zip(lam, cache.type_cells[v]):
-            node, t = int(cache.cell_nodes[i]), int(cache.cell_bins[i])
+        for got, node, t in zip(lam, *type_cell_coords(inst.dataset, v), strict=True):
             want = oracle_intensity(
                 inst.dense,
                 inst.topology.hop_matrices(1)[1],
