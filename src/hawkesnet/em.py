@@ -51,23 +51,25 @@ is ``_ALPHA_START`` on every channel whose feature total is positive and 0
 elsewhere. The objective is concave, so the start only sets the path, and a
 fit is a pure function of (data, type, parents).
 
-``fit_batch`` fits several parent sets of one event type together. Each fit
-runs the SQUAREM cycle above as a generator that yields the next point it
-needs mapped; every pass gathers those points from all running fits and
-applies ``_em_iteration`` to them in one call, so the numpy call overhead of
-a map is paid once per pass instead of once per fit, and each fit follows
-exactly the path it follows alone. ``fit_type`` is
-a batch of one. A fit does not depend on its batch: each parent set's
-feature block is ``width x cells``, one row per channel, with every row at
-a 64-byte-aligned address (see :class:`hawkesnet.likelihood.TypeBatch`);
-and every product and sum of a point is a BLAS call or a row reduction of
-its own, so no float depends on the batch size or on the point's position
-in it. A memoized fit therefore
-equals a fresh one bit for bit.
+``fit_batch`` fits several parent sets of one event type together. The
+running fits are rows of state lists (accepted point, its maps, their
+log-likelihoods, step bound, maps, phase of the cycle, trajectory), points
+held as Python floats: every pass maps the next point of each running row
+in one ``_em_iteration`` call, so the numpy call overhead of a map is paid
+once per pass instead of once per fit, then moves each row one step along
+its cycle; finished rows leave the pass. The jump's step norm is
+``math.hypot`` over a row's coordinates, so every step, jump, acceptance and
+stop is the float of a fit run alone. ``fit_type`` is a batch of one. A fit
+does not depend on its batch: each parent set's feature block is ``width x
+cells``, one row per channel, with every row at a 64-byte-aligned address
+(see :class:`hawkesnet.likelihood.TypeBatch`); and every product and sum of
+a point is a BLAS call or a row reduction of its own, so no float depends
+on the batch size or on the point's position in it. A memoized fit
+therefore equals a fresh one bit for bit.
 
 Event types are coupled only through shared features, never through shared
-parameters, so each type is fitted independently; a joint trajectory is the
-per-iteration sum. The log-likelihood of accepted points is nondecreasing:
+parameters, so each type is fitted independently. The log-likelihood of
+accepted points is nondecreasing:
 plain EM maps never lower it (standard EM guarantee for this Poisson
 mixture) and a jump is only accepted above ``x1``.
 """
@@ -81,17 +83,15 @@ import numpy as np
 
 from .errors import DegenerateModelError, InvalidInputError
 from .features import FeatureCache
-from .graph import CausalGraph, ThpParams
+from .graph import ThpParams
 from .likelihood import TypeBatch, batch_log_likelihood, type_batch
 
 __all__ = [
     "EmConfig",
     "TypeFit",
-    "FitResult",
     "duality_gap",
     "fit_batch",
     "fit_type",
-    "fit",
 ]
 
 # the start's alpha on every channel with a positive feature total
@@ -127,18 +127,6 @@ class TypeFit:
     trajectory: tuple  # log-likelihoods of the accepted points
     iterations: int  # EM maps, plus the final rescore of a fit the cap stopped
     converged: bool
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Joint fit over all types."""
-
-    params: ThpParams
-    log_lik: float
-    trajectory: tuple
-    iterations: int  # of the type fit that took the most
-    converged: bool
-    type_fits: tuple
 
 
 def _em_iteration(mu, alpha, data, blocks):
@@ -210,18 +198,23 @@ def _extrapolate(p0: tuple, p1: tuple, p2: tuple, step_max: float) -> tuple[tupl
     ``step = |r| / |v|`` clamped to ``[1, step_max]``, and the jump
     ``p0 + 2 step r + step^2 v`` projected onto ``mu, alpha >= 0``; a unit
     step is ``p2`` itself. Points are ``(mu, alpha)`` pairs, with ``mu``
-    the first coordinate of ``r`` and ``v``.
+    the first coordinate of ``r`` and ``v``. The arithmetic runs per
+    coordinate on Python floats, in the order of the numpy expressions it
+    stands for, so every coordinate is their float; ``math.hypot`` takes all
+    coordinates at once.
     """
     (mu0, alpha0), (mu1, alpha1), (mu2, alpha2) = p0, p1, p2
-    r_mu, r = mu1 - mu0, alpha1 - alpha0
-    v_mu, v = mu2 - mu1 - r_mu, alpha2 - alpha1 - r
-    v_norm = math.hypot(v_mu, *v.tolist())
-    step = min(max(math.hypot(r_mu, *r.tolist()) / v_norm, 1.0), step_max) if v_norm > 0.0 else 1.0
+    x0, x1 = (mu0, *alpha0), (mu1, *alpha1)
+    r = [b - a for a, b in zip(x0, x1)]
+    v = [c - b - d for b, c, d in zip(x1, (mu2, *alpha2), r)]
+    v_norm = math.hypot(*v)
+    step = min(max(math.hypot(*r) / v_norm, 1.0), step_max) if v_norm > 0.0 else 1.0
     if step == 1.0:
         return p2, step
-    mu = max(mu0 + 2.0 * step * r_mu + step * step * v_mu, 0.0)
-    alpha = alpha0 + (2.0 * step) * r + (step * step) * v
-    return (mu, np.maximum(alpha, 0.0, out=alpha)), step
+    twice, square = 2.0 * step, step * step
+    # max() keeps a nan, which then scores nan and is rejected
+    jump = [max(a + twice * b + square * c, 0.0) for a, b, c in zip(x0, r, v)]
+    return (jump[0], jump[1:]), step
 
 
 def _small(gain: float, log_lik: float, rel_tolerance: float) -> bool:
@@ -229,102 +222,83 @@ def _small(gain: float, log_lik: float, rel_tolerance: float) -> bool:
     return abs(gain) <= rel_tolerance * (abs(log_lik) + 1.0)
 
 
-def _scored(mapped: tuple, event_type: int) -> tuple:
-    """``mapped``, a ``(log_lik, F(point))`` pair, unless the point is degenerate."""
-    if mapped[0] == float("-inf"):
-        raise DegenerateModelError(f"zero intensity at an occupied cell of type {event_type}")
-    return mapped
-
-
-def _squarem(x: tuple, config: EmConfig, event_type: int):
-    """SQUAREM from the point ``x``, one EM map at a time.
-
-    A generator: it yields each point it needs mapped and is sent back
-    ``(log_lik of the point, F(point))``, ``-inf`` for a point with zero
-    intensity at an occupied cell. It returns ``(final point, trajectory,
-    converged, maps)``. The trajectory holds the log-likelihoods of the
-    accepted points and is nondecreasing; when the map cap ends the fit the
-    caller appends the rescore of the final point, so a capped fit costs at
-    most ``max_iterations + 1`` likelihood evaluations.
-    """
-    log_lik, x1 = _scored((yield x), event_type)
-    maps = 1
-    trajectory = [log_lik]
-    newest = x1  # the latest unscored point on the monotone path
-    step_max = 1.0
-    while maps < config.max_iterations:
-        ll1, x2 = _scored((yield x1), event_type)
-        maps += 1
-        newest = x2
-        jump, step = _extrapolate(x, x1, x2, step_max)
-        # the map from x gained ll1 - log_lik; with EM's linear rate rho the
-        # path still holds about that gain times 1 / (1 - rho) ~ step
-        if _small(step * (ll1 - log_lik), log_lik, config.rel_tolerance):
-            trajectory.append(ll1)
-            return x1, trajectory, True, maps
-        if maps == config.max_iterations:
-            break
-        accepted = False
-        if step > 1.0 and maps + 1 < config.max_iterations:  # a rejected jump leaves a map for x2
-            maps += 1
-            ll_jump, after_jump = yield jump
-            accepted = math.isfinite(ll_jump) and ll_jump >= ll1
-        if step == step_max:  # a unit step is x2, which EM always accepts
-            grow = accepted or step == 1.0
-            step_max = step_max * _STEP_FACTOR if grow else max(1.0, step_max / _STEP_FACTOR)
-        if accepted:
-            x, log_lik, x1 = jump, ll_jump, after_jump
-        else:
-            x = x2
-            log_lik, x1 = _scored((yield x), event_type)
-            maps += 1
-        newest = x1
-        converged = not accepted and _small(log_lik - trajectory[-1], trajectory[-1], config.rel_tolerance)
-        trajectory.append(log_lik)
-        if converged:
-            return x, trajectory, True, maps
-    # out of maps after an update: the caller scores the newest point
-    return newest, trajectory, False, maps
+def _points(points: list) -> tuple:
+    """``(mu, alpha)`` arrays of ``(mu, alpha)`` pairs."""
+    return np.array([mu for mu, _ in points]), np.array([alpha for _, alpha in points])
 
 
 @np.errstate(all="ignore")  # a jump may overflow or leave the domain; it is then rejected
 def _fit_points(starts: list, data: TypeBatch, config: EmConfig) -> list:
-    """Run :func:`_squarem` from each start, start ``j`` on parent set ``j``.
+    """SQUAREM from each start ``(mu, alpha)``, start ``j`` on parent set ``j``.
 
-    Every pass maps the point each running fit needs next, all in one
-    :func:`_em_iteration` call, so each fit takes the path it takes alone.
-    Returns ``(point, trajectory, converged, evaluations)`` per start,
+    Fit ``j`` is row ``j`` of the state lists: its accepted point ``x``,
+    ``x1 = F(x)``, ``x2 = F(x1)``, the point it needs mapped next, their
+    log-likelihoods, the step and its bound, its maps, phase and trajectory;
+    points are ``(mu, alpha)`` pairs of Python floats. Every pass maps the
+    next point of each running row in one :func:`_em_iteration` call, then
+    advances each row by one step of the cycle, so each row takes the path
+    it takes alone; a finished row leaves the running list. Returns
+    ``(point, trajectory, converged, evaluations)`` per start,
     ``evaluations`` counting EM maps plus the rescore of a capped fit.
     """
-    fits = [_squarem(x, config, data.event_type) for x in starts]
-    pending = {j: fit.send(None) for j, fit in enumerate(fits)}
-    results = [None] * len(fits)
-    while pending:
-        live = list(pending)
-        log_lik, mu, alpha = _em_iteration(
-            np.array([pending[j][0] for j in live]),
-            np.array([pending[j][1] for j in live]),
-            data,
-            live,
-        )
-        for j, ll, mu_j, alpha_j in zip(live, log_lik.tolist(), mu.tolist(), alpha):
-            try:
-                pending[j] = fits[j].send((ll, (mu_j, alpha_j)))
-            except StopIteration as stop:
-                del pending[j]
-                results[j] = stop.value
-    capped = [j for j, result in enumerate(results) if not result[2]]
+    n, cap, tol = len(starts), config.max_iterations, config.rel_tolerance
+    x, pending, x1, x2 = list(starts), list(starts), [None] * n, [None] * n
+    ll_x, ll_1, step, step_max, maps = [0.0] * n, [0.0] * n, [1.0] * n, [1.0] * n, [0] * n
+    phase = [0] * n  # 0 maps x, 1 maps x1, 2 maps the jump; 3 done, pending is the result
+    trajectories, converged = [[] for _ in range(n)], [False] * n
+    running = list(range(n))
+    while running:
+        log_lik, mu, alpha = _em_iteration(*_points([pending[j] for j in running]), data, running)
+        for j, value, image in zip(running, log_lik.tolist(), zip(mu.tolist(), alpha.tolist())):
+            maps[j] += 1
+            trajectory = trajectories[j]
+            if phase[j] < 2 and value == -math.inf:
+                raise DegenerateModelError(f"zero intensity at an occupied cell of type {data.event_type}")
+            if phase[j] == 1:  # x1 scored: stop, jump, or step on to x2
+                x2[j], ll_1[j] = image, value
+                jump, step[j] = _extrapolate(x[j], x1[j], image, step_max[j])
+                # the map from x gained value - ll_x; with EM's linear rate rho
+                # the path still holds about that gain times 1 / (1 - rho) ~ step
+                if _small(step[j] * (value - ll_x[j]), ll_x[j], tol):
+                    trajectory.append(value)
+                    pending[j], phase[j], converged[j] = x1[j], 3, True
+                elif maps[j] == cap:
+                    pending[j], phase[j] = image, 3
+                elif step[j] > 1.0 and maps[j] + 1 < cap:  # a rejected jump leaves a map for x2
+                    pending[j], phase[j] = jump, 2
+                else:
+                    if step[j] == step_max[j]:  # a unit step is x2, which EM always accepts
+                        step_max[j] = step_max[j] * _STEP_FACTOR if step[j] == 1.0 else max(
+                            1.0, step_max[j] / _STEP_FACTOR)
+                    x[j] = pending[j] = image
+                    phase[j] = 0
+                continue
+            if phase[j] == 2:  # the jump scored: keep it if finite and at least x1's
+                accepted = math.isfinite(value) and value >= ll_1[j]
+                if step[j] == step_max[j]:
+                    step_max[j] = step_max[j] * _STEP_FACTOR if accepted else max(
+                        1.0, step_max[j] / _STEP_FACTOR)
+                if not accepted:  # fall back to x2, which is not yet scored
+                    x[j] = pending[j] = x2[j]
+                    phase[j] = 0
+                    continue
+                x[j] = pending[j]
+                done = False
+            else:  # x scored: the start, or x2 after a rejected or skipped jump
+                done = bool(trajectory) and _small(value - trajectory[-1], trajectory[-1], tol)
+            trajectory.append(value)
+            ll_x[j], x1[j] = value, image
+            if done:
+                pending[j], phase[j], converged[j] = x[j], 3, True
+            else:  # map x1 next; out of maps, x1 (the newest point) is the result
+                pending[j], phase[j] = image, 1 if maps[j] < cap else 3
+        running = [j for j in running if phase[j] < 3]
+    capped = [j for j in range(n) if not converged[j]]
     if capped:
-        _, rescored = batch_log_likelihood(
-            np.array([results[j][0][0] for j in capped]),
-            np.array([results[j][0][1] for j in capped]),
-            data,
-            capped,
-        )
+        _, rescored = batch_log_likelihood(*_points([pending[j] for j in capped]), data, capped)
         for j, value in zip(capped, rescored.tolist()):
-            results[j][1].append(value)
-    return [(point, trajectory, converged, maps + (not converged))
-            for point, trajectory, converged, maps in results]
+            trajectories[j].append(value)
+    return [(pending[j], trajectories[j], converged[j], maps[j] + (not converged[j])) for j in range(n)]
 
 
 def fit_batch(
@@ -351,21 +325,21 @@ def fit_batch(
             for parents in parent_sets
         ]
 
-    empirical_rate = data.counts.sum() / (data.grid_cells * data.bin_width)
-    starts = [(empirical_rate, np.where(totals > 0, _ALPHA_START, 0.0)) for totals in data.totals]
-    results = _fit_points(starts, data, config)
+    empirical_rate = float(data.counts.sum() / (data.grid_cells * data.bin_width))
+    starts = [(empirical_rate, np.where(totals > 0, _ALPHA_START, 0.0).tolist()) for totals in data.totals]
     return [
         TypeFit(
             event_type=event_type,
             parents=parents,
             mu=float(mu),
-            alpha=alpha.reshape(len(parents), hops).copy(),  # not a view of the batch's rows
+            alpha=np.array(alpha, dtype=float).reshape(len(parents), hops),
             log_lik=trajectory[-1],
             trajectory=tuple(trajectory),
             iterations=evaluations,
             converged=converged,
         )
-        for parents, ((mu, alpha), trajectory, converged, evaluations) in zip(parent_sets, results)
+        for parents, ((mu, alpha), trajectory, converged, evaluations) in zip(
+            parent_sets, _fit_points(starts, data, config))
     ]
 
 
@@ -390,32 +364,3 @@ def assemble_params(type_fits, max_hops: int) -> ThpParams:
             alpha[(c, f.event_type)] = f.alpha[j]
     return ThpParams(mu=mu, alpha=alpha, max_hops=max_hops)
 
-
-def fit(
-    graph: CausalGraph,
-    cache: FeatureCache,
-    config: EmConfig = EmConfig(),
-) -> FitResult:
-    """Fit all types of a fixed graph; trajectory is the per-iteration sum.
-
-    Shorter per-type trajectories are padded with their final value, so the
-    summed trajectory keeps the nondecreasing property.
-    """
-    if graph.type_count != cache.type_count:
-        raise InvalidInputError(
-            f"graph covers {graph.type_count} types, cache {cache.type_count}"
-        )
-    fits = [fit_type(v, graph.parents(v), cache, config) for v in range(graph.type_count)]
-    joint = np.zeros(max(len(f.trajectory) for f in fits))
-    for f in fits:
-        traj = np.asarray(f.trajectory)
-        joint[: traj.shape[0]] += traj
-        joint[traj.shape[0] :] += traj[-1]
-    return FitResult(
-        params=assemble_params(fits, cache.max_hops),
-        log_lik=float(sum(f.log_lik for f in fits)),
-        trajectory=tuple(float(x) for x in joint),
-        iterations=max(f.iterations for f in fits),
-        converged=all(f.converged for f in fits),
-        type_fits=tuple(fits),
-    )

@@ -5,10 +5,10 @@ share depends only on its own parent set, and the penalty is linear in the
 edge count), so a move's score needs refits only for the types whose parent
 sets changed: one type for an edge addition or deletion, two for a reversal.
 The search state keeps the current graph as per-type parent tuples and
-fits; a move is scored from ``Move.changed_types`` alone, without building
-the candidate graph. Fits are memoized by (type, parent set); a fit is a
-pure function of (data, type, parents), so a cache hit is bit-identical to a
-fresh refit.
+fits; a move, the pair ``(kind, (source, target))``, is scored from the
+types it changes alone, without building the candidate graph. Fits are
+memoized by (type, parent set); a fit is a pure function of (data, type,
+parents), so a cache hit is bit-identical to a fresh refit.
 
 Each round first screens its add moves (safe screening in the sense of
 El Ghaoui, Viallon & Rabbani 2012, *Pacific J. Optim.* 8:667). Type
@@ -20,28 +20,38 @@ far the enlarged set's optimum, and so any fit of it, can rise above the
 current share. When that bound plus a rounding margin of ``1e-9 * (|share|
 + 1)`` stays below one edge's charge ``K ln(m) / 2``, the move ``c -> v``
 cannot raise the score, so it can never be the round's best strictly
-improving move: it scores ``-inf`` and is not fitted. The margin is
-needed: when ``c`` has no feature mass at ``v``'s cells the bound is tight,
-and on README-shaped inputs the computed gain exceeded it by up to 2.6e-13
-nats. The screen is thus exact: the climb, its scores and its trajectory
-are those of the unscreened search bit for bit, and only the fits fall. One
-matrix-vector product per (type, current parent set) bounds every candidate
-parent at once; the same call gives the type's own gap, so the result's
-``fit_gaps`` certify the final fits at no extra cost. Reversing ``v -> c``
-gives ``v`` the same new parent ``c`` on top of deleting ``v -> c``, at the
-deletion's edge count, so the same bound screens it: it then scores below
-that deletion, which the round scores, and cannot be the best move either.
-Deletions, types without events, and every move at K=0 (where an edge costs
-nothing) are never screened. ``score_candidate`` and ``_move_scores``
-always fit.
+improving move: it is not fitted. The margin is needed: when ``c`` has no
+feature mass at ``v``'s cells the bound is tight, and on README-shaped
+inputs the computed gain exceeded it by up to 2.6e-13 nats. The screen is
+thus exact: the climb, its scores and its trajectory are those of the
+unscreened search bit for bit, and only the fits fall. One matrix-vector
+product per (type, current parent set) bounds every candidate parent at
+once; the same call gives the type's own gap, so the result's ``fit_gaps``
+certify the final fits at no extra cost. Reversing ``v -> c`` gives ``v``
+the same new parent ``c`` on top of deleting ``v -> c``, at the deletion's
+edge count, so the same bound screens it: it then scores below that
+deletion, which the round scores, and cannot be the best move either.
+Deletions, types without events, and every move when an edge costs nothing
+(K=0) are never screened. ``score_candidate`` always fits.
 
-Then the round collects the (type, parent set) keys its other moves miss in
-the memo and fits them with :func:`hawkesnet.em.fit_batch`, grouped by type
-and parent count, in chunks of at most ``_BATCH_CELLS`` occupied cells. A
-fit does not depend on the batch it lands in, so the grouping changes no
-score. Then every move's row of per-type shares is summed left to right in
-type order, all rows in one ``cumsum``: the same float as summing the
-candidate graph's shares one by one.
+Rounds are incremental, after the score-delta cache of greedy network
+search (Chickering 2002, *JMLR* 3:507). The search keeps every move's share
+gain (the changed types' new shares minus their current ones) in a
+``(source, target, kind)`` array across rounds; a move changes only its
+target's parent set, and a reversal its source's too, so after a move only
+the gains of moves touching a type it changed go stale. Each round
+recomputes the legal and screened masks (reachability too, for an acyclic
+search), fits the parent sets of the stale or newly open gains in batches
+with :func:`hawkesnet.em.fit_batch`, grouped by type and parent count, in
+chunks of at most ``_BATCH_CELLS`` occupied cells (a fit does not depend on
+its batch, so the grouping changes no score), and takes the best gain net
+of the penalty change with one ``argmax``. A gain sums the shares in
+another order than the candidate graph's score does, so every move whose
+approximate score lies within a rounding margin of the best one is scored
+exactly: its row of per-type shares is summed left to right in type order,
+all rows in one ``cumsum``, the same float as summing the candidate graph's
+shares one by one. The exact best is among them, so the pick is that of
+scoring every move.
 
 The search starts from the empty graph and repeatedly applies the best
 strictly improving single move (add / delete / reverse); ties go to the
@@ -55,23 +65,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import EmConfig, TypeFit, assemble_params, duality_gap, fit_batch, fit_type
-from .errors import InvalidInputError
+# fit_type stays importable here: the benchmark's tracer (perfbench/tracing.py) wraps it by name
+from .em import EmConfig, assemble_params, duality_gap, fit_batch, fit_type  # noqa: F401
 from .features import FeatureCache
 from .graph import CausalGraph, ThpParams
 from .likelihood import bic_penalty
 
 __all__ = [
-    "Move",
     "SearchState",
     "SearchResult",
-    "vicinity_moves",
-    "apply_move",
     "score_candidate",
     "hill_climb",
 ]
 
-_KIND_ORDER = {"add": 0, "delete": 1, "reverse": 2}
+# move kinds in canonical order, and the edge count each adds
+_KINDS = ("add", "delete", "reverse")
 _EDGE_DELTA = {"add": 1, "delete": -1, "reverse": 0}
 # Largest number of occupied cells, summed over its parent sets, that one
 # batched fit holds. A batch's feature blocks take cells * parents * (K+1)
@@ -81,113 +89,22 @@ _EDGE_DELTA = {"add": 1, "delete": -1, "reverse": 0}
 _BATCH_CELLS = 1 << 15
 # Rounding margin of the screen: a move is screened only if its bound plus
 # _SCREEN_MARGIN * (|share| + 1), with the target type's current share,
-# stays below one edge's charge.
+# stays below one edge's charge. A round scores exactly every move whose
+# approximate score is within _SCREEN_MARGIN * (sum |shares| + |best gain| +
+# penalty + 1) of the best, far above the 2^-53 * types relative error of
+# either way of summing.
 _SCREEN_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class Move:
-    """A single edit: add or delete ``edge``, or replace it by its reverse."""
-
-    kind: str
-    edge: tuple
-
-    def __post_init__(self):
-        if self.kind not in _KIND_ORDER:
-            raise InvalidInputError(f"unknown move kind {self.kind!r}")
-
-    def changed_types(self) -> tuple[int, ...]:
-        src, dst = self.edge
-        if self.kind == "reverse":
-            return (dst, src) if dst != src else (dst,)
-        return (dst,)
-
-    def describe(self) -> str:
-        src, dst = self.edge
-        return f"{self.kind} {src}->{dst}"
-
-
-def apply_move(graph: CausalGraph, move: Move) -> CausalGraph:
-    src, dst = move.edge
-    if move.kind == "add":
-        if (src, dst) in graph.edges:
-            raise InvalidInputError(f"cannot add existing edge {move.edge}")
-        return graph.with_edge((src, dst))
-    if move.kind == "delete":
-        if (src, dst) not in graph.edges:
-            raise InvalidInputError(f"cannot delete absent edge {move.edge}")
-        return graph.without_edge((src, dst))
-    if (src, dst) not in graph.edges or src == dst or (dst, src) in graph.edges:
-        raise InvalidInputError(f"cannot reverse edge {move.edge}")
-    return graph.with_reversed((src, dst))
-
-
-def vicinity_moves(graph: CausalGraph, allow_cycles: bool = True) -> list[Move]:
-    """All legal single moves, in canonical (source, target, kind) order.
-
-    With ``allow_cycles=False`` the graph must be acyclic, and moves whose
-    result contains a directed cycle (self-loops included) are dropped.
-    """
-    moves: list[Move] = []
-    n = graph.type_count
-    for src in range(n):
-        for dst in range(n):
-            edge = (src, dst)
-            if edge not in graph.edges:
-                moves.append(Move("add", edge))
-            else:
-                moves.append(Move("delete", edge))
-                if src != dst and (dst, src) not in graph.edges:
-                    moves.append(Move("reverse", edge))
-    if not allow_cycles:
-        moves = _acyclic_moves(graph, moves)
-    return moves
-
-
-def _acyclic_moves(graph: CausalGraph, moves: list[Move]) -> list[Move]:
-    """The moves that keep the acyclic ``graph`` acyclic, from reachability alone.
-
-    Adding ``c -> v`` closes a cycle iff ``c == v`` or ``v`` reaches ``c``;
-    reversing ``c -> v`` closes one iff ``c`` reaches ``v`` through another
-    child; deleting an edge never does.
-    """
-    children: list[list[int]] = [[] for _ in range(graph.type_count)]
-    for a, b in graph.edges:
-        children[a].append(b)
-    reach = []  # reach[a]: the types a path of one edge or more leads to from a
-    for root in range(graph.type_count):
-        seen: set = set()
-        stack = [root]
-        while stack:
-            for child in children[stack.pop()]:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        reach.append(seen)
-    if any(v in reach[v] for v in range(graph.type_count)):
-        raise InvalidInputError("an acyclic vicinity needs an acyclic graph")
-
-    def keeps_acyclic(move: Move) -> bool:
-        src, dst = move.edge
-        if move.kind == "add":
-            return src != dst and src not in reach[dst]
-        if move.kind == "reverse":  # dst is not in reach[dst]: the edge itself never counts
-            return not any(dst in reach[w] for w in children[src])
-        return True
-
-    return [m for m in moves if keeps_acyclic(m)]
-
-
-def _parents_after(parents: list, move: Move, event_type: int) -> tuple[int, ...]:
-    """Sorted parents of a type the move changes, after the move."""
-    src, dst = move.edge
-    before = parents[event_type]
-    if move.kind == "add":
-        return tuple(sorted(before + (src,)))
-    if move.kind == "delete" or event_type == dst:
-        # a reversal takes src from dst's parents ...
-        return tuple(p for p in before if p != src)
-    return tuple(sorted(before + (dst,)))  # ... and gives dst to src's
+def _changed(parents: list, move) -> tuple:
+    """``(type, sorted parents after)`` of each type ``move`` changes."""
+    kind, (src, dst) = move
+    if kind == "add":
+        return ((dst, tuple(sorted(parents[dst] + (src,)))),)
+    dropped = (dst, tuple(p for p in parents[dst] if p != src))
+    if kind == "delete":
+        return (dropped,)
+    return dropped, (src, tuple(sorted(parents[src] + (dst,))))
 
 
 @dataclass
@@ -237,13 +154,6 @@ class SearchState:
                 for parents, fit in zip(chunk, fits):
                     self.memo[(event_type, parents)] = fit
 
-    def fit_for(self, event_type: int, parents, cache: FeatureCache) -> TypeFit:
-        key = (event_type, tuple(parents))
-        if key not in self.memo:
-            self.memo[key] = fit_type(event_type, parents, cache, self.em_config)
-            self.batches += 1
-        return self.memo[key]
-
     def gap(self, event_type: int, cache: FeatureCache) -> tuple:
         """``duality_gap`` of the type's current fit: ``(gap, added)``."""
         key = (event_type, self.parents[event_type])
@@ -251,34 +161,35 @@ class SearchState:
             self.gaps[key] = duality_gap(self.fits[event_type], cache)
         return self.gaps[key]
 
-    def apply(self, move: Move, cache: FeatureCache) -> None:
-        """Make the graph after ``move`` current (its fits are memo hits)."""
-        for v in move.changed_types():
-            self.parents[v] = _parents_after(self.parents, move, v)
-            self.fits[v] = self.fit_for(v, self.parents[v], cache)
-        self.edge_count += _EDGE_DELTA[move.kind]
+    def apply(self, move) -> tuple:
+        """Make the graph after ``move`` current (its fits must be memoized);
+        returns the types it changed."""
+        changed = _changed(self.parents, move)
+        for v, parents in changed:
+            self.parents[v], self.fits[v] = parents, self.memo[(v, parents)]
+        kind, _ = move
+        self.edge_count += _EDGE_DELTA[kind]
+        return tuple(v for v, _ in changed)
 
 
-def _move_scores(moves: list, state: SearchState, cache: FeatureCache) -> np.ndarray:
+def _exact_scores(moves: list, state: SearchState, cache: FeatureCache) -> np.ndarray:
     """Penalized score of the current graph after each move (``None``: as is).
 
-    The shares the moves change are fitted first, in batches; then each
-    move's row of per-type shares is summed left to right in type order,
-    all rows in one reduction, so every score is the same float a full
-    rescore of the candidate graph gives.
+    Every changed share must be memoized. Each move's row of per-type
+    shares is summed left to right in type order, all rows in one
+    reduction, so every score is the same float a full rescore of the
+    candidate graph gives.
     """
-    changed = [
-        (row, (v, _parents_after(state.parents, move, v)))
-        for row, move in enumerate(moves)
-        if move is not None
-        for v in move.changed_types()
-    ]
-    keys = [key for _, key in changed]
-    state.fit_missing(keys, cache)
     shares = np.tile([f.log_lik for f in state.fits], (len(moves), 1))
-    rows, types = [row for row, _ in changed], [v for v, _ in keys]
-    shares[rows, types] = [state.memo[key].log_lik for key in keys]
-    deltas = [0 if move is None else _EDGE_DELTA[move.kind] for move in moves]
+    deltas = []
+    for row, move in enumerate(moves):
+        if move is None:
+            deltas.append(0)
+            continue
+        kind, _ = move
+        deltas.append(_EDGE_DELTA[kind])
+        for v, parents in _changed(state.parents, move):
+            shares[row, v] = state.memo[(v, parents)].log_lik
     penalty = {
         delta: bic_penalty(
             cache.type_count, state.edge_count + delta, cache.max_hops, cache.total_events
@@ -288,45 +199,90 @@ def _move_scores(moves: list, state: SearchState, cache: FeatureCache) -> np.nda
     return np.cumsum(shares, axis=1)[:, -1] - np.array([penalty[d] for d in deltas])
 
 
-def _unscreened(moves: list, state: SearchState, cache: FeatureCache) -> list:
-    """Indices of the ``moves`` left to fit and score after the screen.
-
-    An add move ``c -> v`` is screened when its bound at ``v``'s current fit
-    (``added[c]`` of :func:`hawkesnet.em.duality_gap`), plus the rounding
-    margin, stays below one edge's charge: no fit of the enlarged set can
-    then raise the score. A reversal ``v -> c`` is screened on the same
-    bound. ``state.gap`` computes the bounds once per (type, current
-    parents). Types without events are never screened.
-    """
-    penalty = [
-        bic_penalty(cache.type_count, state.edge_count + d, cache.max_hops, cache.total_events)
-        for d in (0, 1)
-    ]
-    charge = penalty[1] - penalty[0]
-    ruled_out = {}  # per target type: whether the screen rules out each new parent
-    kept = []
-    for i, move in enumerate(moves):
-        if move.kind != "delete":
-            # the type that gains a parent, and that parent
-            parent, gains = move.edge if move.kind == "add" else move.edge[::-1]
-            if gains not in ruled_out:
-                _, added = state.gap(gains, cache)
-                margin = _SCREEN_MARGIN * (abs(state.fits[gains].log_lik) + 1.0)
-                screens = cache.type_counts[gains].shape[0] > 0
-                ruled_out[gains] = (screens & (added + margin < charge)).tolist()
-            if ruled_out[gains][parent]:
-                continue
-        kept.append(i)
-    return kept
-
-
-def score_candidate(move: Move | None, state: SearchState, cache: FeatureCache) -> float:
+def score_candidate(move, state: SearchState, cache: FeatureCache) -> float:
     """Penalized score of the current graph after ``move`` (``None``: as is).
 
-    The round's reduction applied to one move: only the types the move
-    changes get new shares, from the memo or a refit.
+    The round's exact reduction applied to one move: only the types the
+    move changes get new shares, from the memo or a refit.
     """
-    return float(_move_scores([move], state, cache)[0])
+    changed = () if move is None else _changed(state.parents, move)
+    state.fit_missing(changed, cache)
+    return float(_exact_scores([move], state, cache)[0])
+
+
+def _legal(edges: np.ndarray, allow_cycles: bool) -> np.ndarray:
+    """Which ``(source, target, kind)`` moves are legal on the graph ``edges``.
+
+    With ``allow_cycles=False`` the graph is acyclic, and a move is legal
+    only if its result is too: adding ``c -> v`` closes a cycle iff
+    ``c == v`` or ``v`` reaches ``c``; reversing ``c -> v`` closes one iff
+    ``c`` reaches ``v`` through another child; deleting never does.
+    """
+    n = edges.shape[0]
+    other = ~np.eye(n, dtype=bool)
+    add, reverse = ~edges, edges & ~edges.T & other
+    if not allow_cycles:
+        reach = edges.copy()  # reach[a, b]: a path of one edge or more leads from a to b
+        for _ in range(max(n - 1, 1).bit_length()):
+            reach |= reach @ reach
+        add = add & other & ~reach.T
+        reverse = reverse & ~(edges @ reach)
+    return np.stack((add, edges, reverse), axis=-1)
+
+
+class _Gains:
+    """Each move's share gain, kept across rounds, and the screen's bounds.
+
+    ``gains[c, v, k]`` is the new shares minus the current ones of the types
+    that move ``(kind k, (c, v))`` changes, current where ``known``;
+    ``bounds[v]`` is the screen's bound on giving ``v`` each new parent, plus
+    the rounding margin, current where ``bounded``.
+    """
+
+    def __init__(self, type_count: int):
+        n = type_count
+        self.gains = np.zeros((n, n, len(_KINDS)))
+        self.known = np.zeros((n, n, len(_KINDS)), dtype=bool)
+        self.bounds = np.full((n, n), np.inf)
+        self.bounded = np.zeros(n, dtype=bool)
+
+    def forget(self, types) -> None:
+        """Mark stale what depends on the parents of ``types``."""
+        for v in types:
+            self.known[:, v] = self.known[v, :, 2] = self.bounded[v] = False
+
+    def net(self, state: SearchState, cache: FeatureCache, legal: np.ndarray) -> tuple:
+        """``(net, screened, updated)``: each move's score change net of the
+        penalty change, flat in canonical order and ``-inf`` where the move is
+        illegal or screened; the legal moves screened; the gains recomputed.
+        """
+        n = cache.type_count
+        current = bic_penalty(n, state.edge_count, cache.max_hops, cache.total_events)
+        charges = np.array([
+            bic_penalty(n, state.edge_count + _EDGE_DELTA[kind], cache.max_hops, cache.total_events)
+            for kind in _KINDS
+        ]) - current
+        ruled = np.zeros((n, n), dtype=bool)  # ruled[v, c]: no fit of v with the parent c can pay
+        if charges[0] > 0.0:  # an edge that costs nothing screens nothing
+            gainers = legal[:, :, 0].any(axis=0) | legal[:, :, 2].any(axis=1)
+            for v in np.flatnonzero(gainers & ~self.bounded).tolist():
+                if cache.type_counts[v].shape[0] > 0:
+                    margin = _SCREEN_MARGIN * (abs(state.fits[v].log_lik) + 1.0)
+                    self.bounds[v] = state.gap(v, cache)[1] + margin
+                self.bounded[v] = True
+            ruled = self.bounds < charges[0]
+        # an add c -> v gives v the parent c, a reversal of c -> v gives c the parent v
+        closed = np.stack((ruled.T, np.zeros_like(ruled), ruled), axis=-1) & legal
+        open_ = legal & ~closed
+        stale = np.argwhere(open_ & ~self.known)
+        changed = [_changed(state.parents, (_KINDS[k], (c, v))) for c, v, k in stale.tolist()]
+        state.fit_missing([key for keys in changed for key in keys], cache)
+        index = tuple(stale.T)
+        self.gains[index] = [sum(state.memo[key].log_lik - state.fits[key[0]].log_lik for key in keys)
+                             for keys in changed]
+        self.known[index] = True
+        net = np.where(open_, self.gains - charges, -np.inf).reshape(-1)
+        return net, int(closed.sum()), len(stale)
 
 
 @dataclass(frozen=True)
@@ -356,45 +312,56 @@ def hill_climb(
     """Greedy single-move ascent from the empty graph.
 
     ``progress`` is an optional callable taking one line of text per round,
-    with the fits and batches that round made. The result's ``trace`` holds
-    one JSON-ready entry per round: its number, the move's kind and edge,
-    and the edge count and score after it.
+    with the fits and batches that round made, the gains it recomputed and
+    the moves it scored exactly. The result's ``trace`` holds one JSON-ready
+    entry per round: its number, the move's kind and edge, and the edge
+    count and score after it.
     """
+    n = cache.type_count
     state = SearchState.empty(cache, em_config)
-    graph = CausalGraph(cache.type_count)
     score = score_candidate(None, state, cache)
-
+    gains = _Gains(n)
+    edges = np.zeros((n, n), dtype=bool)  # edges[c, v]: the edge c -> v
     trajectory = [score]
     trace = []
     rounds = screened = 0
     while True:
         fits, batches = len(state.memo), state.batches
-        moves = vicinity_moves(graph, allow_cycles)
-        kept = _unscreened(moves, state, cache)
-        screened += len(moves) - len(kept)
-        scores = np.full(len(moves), -np.inf)
-        scores[kept] = _move_scores([moves[i] for i in kept], state, cache)
-        better = np.flatnonzero(scores > score)
+        net, ruled_out, updated = gains.net(state, cache, _legal(edges, allow_cycles))
+        screened += ruled_out
+        best = net.max(initial=-np.inf)
+        if best == -np.inf:
+            break
+        current = bic_penalty(n, state.edge_count, cache.max_hops, cache.total_events)
+        margin = _SCREEN_MARGIN * (sum(abs(f.log_lik) for f in state.fits) + abs(best) + current + 1.0)
+        near = np.flatnonzero(net >= best - margin)
+        moves = [(_KINDS[i % 3], divmod(i // 3, n)) for i in near.tolist()]
+        exact = _exact_scores(moves, state, cache)
+        better = np.flatnonzero(exact > score)
         if better.size == 0:
             break
-        best = better[np.argmax(scores[better])]  # ties keep the earlier move
-        best_move, score = moves[best], float(scores[best])
+        pick = better[np.argmax(exact[better])]  # ties keep the earlier move
+        best_move, score = moves[pick], float(exact[pick])
         rounds += 1
-        graph = apply_move(graph, best_move)
-        state.apply(best_move, cache)
+        gains.forget(state.apply(best_move))
+        kind, (src, dst) = best_move
+        edges[src, dst] = kind == "add"
+        if kind == "reverse":
+            edges[dst, src] = True
         trajectory.append(score)
-        trace.append({"round": rounds, "move": best_move.kind, "edge": list(best_move.edge),
-                      "edges": graph.edge_count, "score": score})
+        trace.append({"round": rounds, "move": kind, "edge": [src, dst],
+                      "edges": state.edge_count, "score": score})
         if progress is not None:
             progress(
-                f"round={rounds} move={best_move.describe()} "
-                f"edges={graph.edge_count} score={score:.6f} "
-                f"fits={len(state.memo) - fits} batches={state.batches - batches}"
+                f"round={rounds} move={kind} {src}->{dst} "
+                f"edges={state.edge_count} score={score:.6f} "
+                f"fits={len(state.memo) - fits} batches={state.batches - batches} "
+                f"updated={updated} rescored={len(moves)}"
             )
 
     fits = tuple(state.fits)
     return SearchResult(
-        graph=graph,
+        graph=CausalGraph(n, [tuple(e) for e in np.argwhere(edges).tolist()]),
         params=assemble_params(fits, cache.max_hops),
         score=score,
         log_lik=float(sum(f.log_lik for f in fits)),

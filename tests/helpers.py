@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hawkesnet.em import _em_iteration
+from hawkesnet.em import EmConfig, _em_iteration, assemble_params, fit_type
+from hawkesnet.errors import InvalidInputError
 from hawkesnet.events import DiscreteDataset, discretize, event_table
 from hawkesnet.features import FeatureCache, build_features
 from hawkesnet.graph import CausalGraph, ThpParams
@@ -276,3 +277,39 @@ def finite_difference(
             vec[k] = central(mu, mu, up, down, h)
         grad_alpha[edge] = vec
     return grad_mu, grad_alpha
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """Joint fit over all types."""
+
+    params: ThpParams
+    log_lik: float
+    trajectory: tuple
+    iterations: int  # of the type fit that took the most
+    converged: bool
+    type_fits: tuple
+
+
+def fit(graph: CausalGraph, cache: FeatureCache, config: EmConfig = EmConfig()) -> FitResult:
+    """Fit all types of a fixed graph with ``fit_type``; trajectory is the per-iteration sum.
+
+    Shorter per-type trajectories are padded with their final value, so the
+    summed trajectory keeps the nondecreasing property.
+    """
+    if graph.type_count != cache.type_count:
+        raise InvalidInputError(f"graph covers {graph.type_count} types, cache {cache.type_count}")
+    fits = [fit_type(v, graph.parents(v), cache, config) for v in range(graph.type_count)]
+    joint = np.zeros(max(len(f.trajectory) for f in fits))
+    for f in fits:
+        traj = np.asarray(f.trajectory)
+        joint[: traj.shape[0]] += traj
+        joint[traj.shape[0] :] += traj[-1]
+    return FitResult(
+        params=assemble_params(fits, cache.max_hops),
+        log_lik=float(sum(f.log_lik for f in fits)),
+        trajectory=tuple(float(x) for x in joint),
+        iterations=max(f.iterations for f in fits),
+        converged=all(f.converged for f in fits),
+        type_fits=tuple(fits),
+    )

@@ -7,18 +7,26 @@ and its kernel lag grid), so agreement between the two routes is meaningful
 evidence rather than a tautology. ``oracle_blockwise_features`` is the
 exception in style: the earlier dense-sweep feature builder, vectorized with
 :func:`scipy.signal.lfilter` so that long horizons stay cheap to check.
-``oracle_plain_em`` is the other exception: the plain EM loop around the
-package's own EM map, the reference the accelerated ``fit_type`` must never
-score below.
+``oracle_plain_em`` is another: the plain EM loop around the package's own
+EM map, the reference the accelerated ``fit_type`` must never score below.
+The last ones keep earlier designs of the package as references for the
+ones that replaced them, bit for bit: ``oracle_squarem`` runs SQUAREM as
+one generator per fit around the package's map and jump, where ``fit_batch``
+advances a batch's fits as rows; ``oracle_extrapolate`` is that jump in
+numpy arithmetic; and ``oracle_hill_climb`` lists, screens and scores every
+legal move each round (``Move``, ``vicinity_moves``, ``apply_move``), where
+``hill_climb`` keeps each move's gain across rounds.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
+import hawkesnet.em as em_mod
 from hawkesnet.em import EmConfig, TypeFit, _em_iteration
 from hawkesnet.errors import (
     DegenerateModelError,
@@ -30,7 +38,7 @@ from hawkesnet.events import DiscreteDataset, event_table
 from hawkesnet.features import FeatureCache
 from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import DecayKernel, ExponentialKernel
-from hawkesnet.likelihood import batch_log_likelihood, type_batch
+from hawkesnet.likelihood import batch_log_likelihood, bic_penalty, type_batch
 from hawkesnet.simulate import _window_weights
 from hawkesnet.topology import TopologyGraph
 
@@ -523,4 +531,335 @@ def oracle_plain_em(
         trajectory=tuple(trajectory),
         iterations=len(trajectory),
         converged=converged,
+    )
+
+
+def oracle_extrapolate(p0: tuple, p1: tuple, p2: tuple, step_max: float) -> tuple:
+    """The SqS3 jump of ``hawkesnet.em._extrapolate``, in numpy array arithmetic.
+
+    ``p = (mu, alpha)``; ``step = |r| / |v|`` clamped to ``[1, step_max]``,
+    the jump ``p0 + 2 step r + step^2 v`` projected onto ``mu, alpha >= 0``,
+    and ``p2`` itself for a unit step. Returns ``(jump, step)``.
+    """
+    (mu0, alpha0), (mu1, alpha1), (mu2, alpha2) = p0, p1, p2
+    alpha0, alpha1, alpha2 = (np.asarray(a, dtype=float) for a in (alpha0, alpha1, alpha2))
+    r_mu, r = mu1 - mu0, alpha1 - alpha0
+    v_mu, v = mu2 - mu1 - r_mu, alpha2 - alpha1 - r
+    v_norm = math.hypot(v_mu, *v.tolist())
+    step = min(max(math.hypot(r_mu, *r.tolist()) / v_norm, 1.0), step_max) if v_norm > 0.0 else 1.0
+    if step == 1.0:
+        return p2, step
+    mu = max(mu0 + 2.0 * step * r_mu + step * step * v_mu, 0.0)
+    alpha = alpha0 + (2.0 * step) * r + (step * step) * v
+    return (mu, np.maximum(alpha, 0.0, out=alpha)), step
+
+
+def _squarem_path(x: tuple, config: EmConfig, event_type: int):
+    """SQUAREM from the point ``x = (mu, alpha)``, one EM map at a time.
+
+    A generator: it yields each point it needs mapped and is sent back
+    ``(log_lik of the point, F(point))``. It returns ``(final point,
+    trajectory, converged, maps)``; when the map cap ends the fit the
+    caller appends the rescore of the final point.
+    """
+
+    def scored(mapped):
+        if mapped[0] == float("-inf"):
+            raise DegenerateModelError(f"zero intensity at an occupied cell of type {event_type}")
+        return mapped
+
+    def small(gain, log_lik):
+        return abs(gain) <= config.rel_tolerance * (abs(log_lik) + 1.0)
+
+    log_lik, x1 = scored((yield x))
+    maps = 1
+    trajectory = [log_lik]
+    newest = x1  # the latest unscored point on the monotone path
+    step_max = 1.0
+    while maps < config.max_iterations:
+        ll1, x2 = scored((yield x1))
+        maps += 1
+        newest = x2
+        jump, step = em_mod._extrapolate(x, x1, x2, step_max)
+        if small(step * (ll1 - log_lik), log_lik):
+            trajectory.append(ll1)
+            return x1, trajectory, True, maps
+        if maps == config.max_iterations:
+            break
+        accepted = False
+        if step > 1.0 and maps + 1 < config.max_iterations:
+            maps += 1
+            ll_jump, after_jump = yield jump
+            accepted = math.isfinite(ll_jump) and ll_jump >= ll1
+        if step == step_max:
+            grow = accepted or step == 1.0
+            step_max = step_max * 4.0 if grow else max(1.0, step_max / 4.0)
+        if accepted:
+            x, log_lik, x1 = jump, ll_jump, after_jump
+        else:
+            x = x2
+            log_lik, x1 = scored((yield x))
+            maps += 1
+        newest = x1
+        converged = not accepted and small(log_lik - trajectory[-1], trajectory[-1])
+        trajectory.append(log_lik)
+        if converged:
+            return x, trajectory, True, maps
+    return newest, trajectory, False, maps
+
+
+def oracle_squarem(event_type: int, parent_sets, cache: FeatureCache, config: EmConfig = EmConfig()) -> list:
+    """``fit_batch`` as one generator per fit (:func:`_squarem_path`).
+
+    Every pass gathers the point each running generator yields, maps them in
+    one ``_em_iteration`` call and sends each its result back. The jump is
+    ``hawkesnet.em._extrapolate``, looked up at each step, so a test that
+    patches it patches both routes.
+    """
+    parent_sets = [tuple(sorted(int(p) for p in parents)) for parents in parent_sets]
+    hops = cache.max_hops + 1
+    data = type_batch(cache, event_type, parent_sets)
+    if data.counts.shape[0] == 0:
+        return [TypeFit(event_type, parents, 0.0, np.zeros((len(parents), hops)), 0.0, (0.0,), 0, True)
+                for parents in parent_sets]
+    rate = data.counts.sum() / (data.grid_cells * data.bin_width)
+    fits = [_squarem_path((rate, np.where(totals > 0, 0.05, 0.0)), config, event_type)
+            for totals in data.totals]
+    pending = {j: fit.send(None) for j, fit in enumerate(fits)}
+    results = [None] * len(fits)
+    with np.errstate(all="ignore"):
+        while pending:
+            live = list(pending)
+            log_lik, mu, alpha = _em_iteration(
+                np.array([pending[j][0] for j in live]),
+                np.array([np.asarray(pending[j][1], dtype=float) for j in live]),
+                data,
+                live,
+            )
+            for j, ll, mu_j, alpha_j in zip(live, log_lik.tolist(), mu.tolist(), alpha):
+                try:
+                    pending[j] = fits[j].send((ll, (mu_j, alpha_j)))
+                except StopIteration as stop:
+                    del pending[j]
+                    results[j] = stop.value
+        capped = [j for j, result in enumerate(results) if not result[2]]
+        if capped:
+            _, rescored = batch_log_likelihood(
+                np.array([results[j][0][0] for j in capped]),
+                np.array([np.asarray(results[j][0][1], dtype=float) for j in capped]),
+                data,
+                capped,
+            )
+            for j, value in zip(capped, rescored.tolist()):
+                results[j][1].append(value)
+    return [
+        TypeFit(event_type, parents, float(mu), np.array(alpha, dtype=float).reshape(len(parents), hops),
+                trajectory[-1], tuple(trajectory), maps + (not converged), converged)
+        for parents, ((mu, alpha), trajectory, converged, maps) in zip(parent_sets, results)
+    ]
+
+
+_KIND_ORDER = {"add": 0, "delete": 1, "reverse": 2}
+_EDGE_DELTA = {"add": 1, "delete": -1, "reverse": 0}
+
+
+@dataclass(frozen=True)
+class Move:
+    """A single edit: add or delete ``edge``, or replace it by its reverse.
+
+    Unpacks as the package's ``(kind, edge)`` move pair.
+    """
+
+    kind: str
+    edge: tuple
+
+    def __post_init__(self):
+        if self.kind not in _KIND_ORDER:
+            raise InvalidInputError(f"unknown move kind {self.kind!r}")
+
+    def __iter__(self):
+        return iter((self.kind, self.edge))
+
+    def changed_types(self) -> tuple:
+        src, dst = self.edge
+        if self.kind == "reverse":
+            return (dst, src) if dst != src else (dst,)
+        return (dst,)
+
+    def describe(self) -> str:
+        src, dst = self.edge
+        return f"{self.kind} {src}->{dst}"
+
+
+def apply_move(graph: CausalGraph, move: Move) -> CausalGraph:
+    src, dst = move.edge
+    if move.kind == "add":
+        if (src, dst) in graph.edges:
+            raise InvalidInputError(f"cannot add existing edge {move.edge}")
+        return graph.with_edge((src, dst))
+    if move.kind == "delete":
+        if (src, dst) not in graph.edges:
+            raise InvalidInputError(f"cannot delete absent edge {move.edge}")
+        return graph.without_edge((src, dst))
+    if (src, dst) not in graph.edges or src == dst or (dst, src) in graph.edges:
+        raise InvalidInputError(f"cannot reverse edge {move.edge}")
+    return graph.with_reversed((src, dst))
+
+
+def vicinity_moves(graph: CausalGraph, allow_cycles: bool = True) -> list:
+    """All legal single moves, in canonical (source, target, kind) order.
+
+    With ``allow_cycles=False`` the graph must be acyclic, and moves whose
+    result contains a directed cycle (self-loops included) are dropped:
+    adding ``c -> v`` closes one iff ``c == v`` or ``v`` reaches ``c``,
+    reversing ``c -> v`` iff ``c`` reaches ``v`` through another child.
+    """
+    moves = []
+    n = graph.type_count
+    for src in range(n):
+        for dst in range(n):
+            edge = (src, dst)
+            if edge not in graph.edges:
+                moves.append(Move("add", edge))
+            else:
+                moves.append(Move("delete", edge))
+                if src != dst and (dst, src) not in graph.edges:
+                    moves.append(Move("reverse", edge))
+    if allow_cycles:
+        return moves
+    children = [[] for _ in range(n)]
+    for a, b in graph.edges:
+        children[a].append(b)
+    reach = []  # reach[a]: the types a path of one edge or more leads to from a
+    for root in range(n):
+        seen = set()
+        stack = [root]
+        while stack:
+            for child in children[stack.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        reach.append(seen)
+    if any(v in reach[v] for v in range(n)):
+        raise InvalidInputError("an acyclic vicinity needs an acyclic graph")
+
+    def keeps_acyclic(move: Move) -> bool:
+        src, dst = move.edge
+        if move.kind == "add":
+            return src != dst and src not in reach[dst]
+        if move.kind == "reverse":  # dst is not in reach[dst]: the edge itself never counts
+            return not any(dst in reach[w] for w in children[src])
+        return True
+
+    return [m for m in moves if keeps_acyclic(m)]
+
+
+def parents_after(parents: list, move: Move, event_type: int) -> tuple:
+    """Sorted parents of a type the move changes, after the move."""
+    src, dst = move.edge
+    before = parents[event_type]
+    if move.kind == "add":
+        return tuple(sorted(before + (src,)))
+    if move.kind == "delete" or event_type == dst:
+        return tuple(p for p in before if p != src)
+    return tuple(sorted(before + (dst,)))
+
+
+def oracle_move_scores(moves: list, state, cache: FeatureCache) -> np.ndarray:
+    """Penalized score after each move (``None``: as is), every move's shares
+    fitted and its row of per-type shares summed left to right."""
+    changed = [
+        (row, (v, parents_after(state.parents, move, v)))
+        for row, move in enumerate(moves)
+        if move is not None
+        for v in move.changed_types()
+    ]
+    keys = [key for _, key in changed]
+    state.fit_missing(keys, cache)
+    shares = np.tile([f.log_lik for f in state.fits], (len(moves), 1))
+    rows, types = [row for row, _ in changed], [v for v, _ in keys]
+    shares[rows, types] = [state.memo[key].log_lik for key in keys]
+    deltas = [0 if move is None else _EDGE_DELTA[move.kind] for move in moves]
+    penalty = {
+        delta: bic_penalty(cache.type_count, state.edge_count + delta, cache.max_hops, cache.total_events)
+        for delta in set(deltas)
+    }
+    return np.cumsum(shares, axis=1)[:, -1] - np.array([penalty[d] for d in deltas])
+
+
+def oracle_unscreened(moves: list, state, cache: FeatureCache) -> list:
+    """Indices of the ``moves`` the safe screen keeps: every move but the adds
+    (and reversals) whose new parent's Cover bound, plus the rounding margin,
+    stays below one edge's charge at a target type with events."""
+    penalty = [
+        bic_penalty(cache.type_count, state.edge_count + d, cache.max_hops, cache.total_events)
+        for d in (0, 1)
+    ]
+    charge = penalty[1] - penalty[0]
+    ruled_out = {}
+    kept = []
+    for i, move in enumerate(moves):
+        if move.kind != "delete":
+            parent, gains = move.edge if move.kind == "add" else move.edge[::-1]
+            if gains not in ruled_out:
+                _, added = state.gap(gains, cache)
+                margin = 1e-9 * (abs(state.fits[gains].log_lik) + 1.0)
+                screens = cache.type_counts[gains].shape[0] > 0
+                ruled_out[gains] = (screens & (added + margin < charge)).tolist()
+            if ruled_out[gains][parent]:
+                continue
+        kept.append(i)
+    return kept
+
+
+def oracle_hill_climb(cache: FeatureCache, *, em_config: EmConfig = EmConfig(), allow_cycles: bool = True,
+                      screen=oracle_unscreened):
+    """The full-round greedy climb, as a ``hawkesnet.search.SearchResult``.
+
+    Every round lists every legal move, screens them with ``screen`` and
+    scores the rest, then applies the best strictly improving one (ties to
+    the first in canonical order). Fits go through the package's
+    ``SearchState`` memo.
+    """
+    from hawkesnet.search import SearchResult, SearchState
+
+    state = SearchState.empty(cache, em_config)
+    graph = CausalGraph(cache.type_count)
+    score = float(oracle_move_scores([None], state, cache)[0])
+    trajectory, trace = [score], []
+    screened = 0
+    while True:
+        moves = vicinity_moves(graph, allow_cycles)
+        kept = screen(moves, state, cache)
+        screened += len(moves) - len(kept)
+        scores = np.full(len(moves), -np.inf)
+        scores[kept] = oracle_move_scores([moves[i] for i in kept], state, cache)
+        better = np.flatnonzero(scores > score)
+        if better.size == 0:
+            break
+        best = better[np.argmax(scores[better])]
+        move, score = moves[best], float(scores[best])
+        graph = apply_move(graph, move)
+        for v in move.changed_types():
+            state.parents[v] = parents_after(state.parents, move, v)
+            state.fits[v] = state.memo[(v, state.parents[v])]
+        state.edge_count += _EDGE_DELTA[move.kind]
+        trajectory.append(score)
+        trace.append({"round": len(trace) + 1, "move": move.kind, "edge": list(move.edge),
+                      "edges": graph.edge_count, "score": score})
+    fits = tuple(state.fits)
+    return SearchResult(
+        graph=graph,
+        params=em_mod.assemble_params(fits, cache.max_hops),
+        score=score,
+        log_lik=float(sum(f.log_lik for f in fits)),
+        rounds=len(trace),
+        trajectory=tuple(trajectory),
+        fit_evaluations=len(state.memo),
+        type_fits=fits,
+        em_maps=sum(f.iterations - (not f.converged) for f in state.memo.values()),
+        nonconverged_fits=sum(not f.converged for f in state.memo.values()),
+        screened_moves=screened,
+        fit_gaps=tuple(state.gap(v, cache)[0] for v in range(cache.type_count)),
+        trace=tuple(trace),
     )

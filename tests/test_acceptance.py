@@ -16,17 +16,17 @@ import pytest
 from scipy import stats
 
 from hawkesnet.cli import main as cli_main
-from hawkesnet.em import EmConfig, fit
+from hawkesnet.em import EmConfig, fit_type
 from hawkesnet.features import build_features
 from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel, UniformKernel
 from hawkesnet.likelihood import bic_penalty
 from hawkesnet.metrics import alpha_mae, structure_metrics
-from hawkesnet.search import SearchState, hill_climb
+from hawkesnet.search import hill_climb
 from hawkesnet.simulate import SimConfig, generate_benchmark, simulate
 from hawkesnet.topology import build_topology
 
-from .helpers import em_gradient, em_iteration, finite_difference, log_likelihood, random_instance
+from .helpers import em_gradient, em_iteration, finite_difference, fit, log_likelihood, random_instance
 from .oracles import oracle_log_likelihood, oracle_m_step
 
 RNG = np.random.default_rng
@@ -215,16 +215,19 @@ def test_criterion_04_hill_climb_matches_exhaustive():
     cache = build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
     greedy = hill_climb(cache, em_config=EmConfig())
 
-    state = SearchState.empty(cache, EmConfig())
+    memo = {}
+
+    def share(v, parents):
+        if (v, parents) not in memo:
+            memo[v, parents] = fit_type(v, parents, cache, EmConfig()).log_lik
+        return memo[v, parents]
+
     pairs = list(itertools.product(range(3), repeat=2))
     best = -np.inf
     for mask in range(2 ** len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         graph = CausalGraph(3, edges)
-        log_lik = sum(
-            state.fit_for(v, graph.parents(v), cache).log_lik
-            for v in range(3)
-        )
+        log_lik = sum(share(v, graph.parents(v)) for v in range(3))
         penalty = bic_penalty(3, graph.edge_count, cache.max_hops, cache.total_events)
         best = max(best, log_lik - penalty)
     elapsed = time.monotonic() - started

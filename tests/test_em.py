@@ -15,7 +15,6 @@ from hawkesnet.em import (
     _em_iteration,
     assemble_params,
     duality_gap,
-    fit,
     fit_batch,
     fit_type,
 )
@@ -31,13 +30,14 @@ from hawkesnet.topology import build_topology
 from .helpers import (
     dense_to_dataset,
     em_iteration,
+    fit,
     log_likelihood,
     param_arrays,
     random_instance,
     rows_to_table,
     type_point,
 )
-from .oracles import oracle_m_step, oracle_plain_em
+from .oracles import oracle_extrapolate, oracle_m_step, oracle_plain_em, oracle_squarem
 
 RNG = np.random.default_rng
 
@@ -439,3 +439,53 @@ def test_batch_blocks_are_aligned_copies_of_type_data(dense):
         assert all(row.ctypes.data % 64 == 0 for row in rows)
     with pytest.raises(InvalidInputError):
         fit_batch(1, [(0,), (0, 2)], cache)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fit_batch_equals_oracle_squarem(dense, data):
+    """The batch's rows take the generator route's path: point, trajectory,
+    convergence and evaluations, bit for bit, at any batch size and position."""
+    if data.draw(st.booleans(), label="dense-learn-shaped instance"):
+        cache = dense[0]
+    else:
+        cache = random_instance(RNG(data.draw(st.integers(0, 10_000))), max_nodes=4, max_types=4,
+                                max_bins=30, min_events=3).cache
+    types = cache.type_count
+    v = data.draw(st.integers(0, types - 1))
+    sets = list(itertools.combinations(range(types), data.draw(st.integers(0, types))))
+    chosen = data.draw(st.lists(st.sampled_from(sets), min_size=1, max_size=8))
+    config = EmConfig(max_iterations=data.draw(st.integers(1, 40)))
+    with pytest.MonkeyPatch.context() as patch:
+        if data.draw(st.booleans(), label="jumps that leave the domain"):
+            original = em_mod._extrapolate
+
+            def leaving(p0, p1, p2, step_max):
+                jump, step = original(p0, p1, p2, step_max)
+                if step > 1.0 and int(p1[0] * 1e12) % 2:
+                    jump = (-jump[0] - 1.0, jump[1])
+                return jump, step
+
+            patch.setattr(em_mod, "_extrapolate", leaving)
+        for fit_, want in zip(fit_batch(v, chosen, cache, config), oracle_squarem(v, chosen, cache, config)):
+            _assert_same_fit(fit_, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 4.0, 16.0, 256.0]),
+       st.sampled_from(["plain", "huge", "nan", "flat"]))
+def test_extrapolate_matches_numpy_arithmetic(width, seed, step_max, kind):
+    rng = RNG(seed)
+    points = [(float(rng.uniform(0, 2)), rng.uniform(0, 1, width) * rng.integers(0, 2, width))
+              for _ in range(3)]
+    if kind == "huge":  # the jump overflows
+        points[2] = (1e300, np.full(width, -1e300))
+    elif kind == "nan":
+        points[1] = (float("nan"), points[1][1])
+    elif kind == "flat":  # v = 0: a unit step
+        points[2] = (2 * points[1][0] - points[0][0], 2 * points[1][1] - points[0][1])
+    with np.errstate(all="ignore"):
+        (mu, alpha), step = em_mod._extrapolate(*points, step_max)
+        (want_mu, want_alpha), want_step = oracle_extrapolate(*points, step_max)
+    assert np.array_equal([step, mu], [want_step, want_mu], equal_nan=True)
+    assert np.array(alpha, dtype=float).tobytes() == np.asarray(want_alpha, dtype=float).tobytes()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkesnet import likelihood
-from hawkesnet.em import EmConfig, fit, fit_type
+from hawkesnet.em import EmConfig, fit_type
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.events import discretize
 from hawkesnet.features import build_features
@@ -34,6 +34,7 @@ from .helpers import (
     dense_to_dataset,
     em_gradient,
     finite_difference,
+    fit,
     log_likelihood,
     param_arrays,
     random_instance,

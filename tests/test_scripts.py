@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,30 +39,63 @@ def test_script_runs(script, args, rows):
     assert [line.split()[0] for line in lines[1:]] == rows
 
 
+# a stand-in for ``perfbench/run.py``: logs its side and seed, then prints the
+# ``env:`` line and the last-line result JSON that perfbench documents; the
+# change side reads faster and scores a higher F1 on every workload
+STUB_RUN = """
+import argparse, json, os
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--scale"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+side = os.path.basename(os.getcwd())
+with open(os.environ["STUB_LOG"], "a", encoding="utf-8") as fh:
+    fh.write(f"{side} {args.seed}\\n")
+print("env:", json.dumps({"nproc": 1, "python": "3", "numpy": "2", "blas": "stub", "threads": {}}))
+scale = 1.0 if side == "parent" else 0.5
+metrics = {}
+for workload in ("desk-pipeline", "readme-learn", "dense-learn"):
+    for name in ("setup_s", "pipeline_s", "learn_s", "evaluate_s", "peak_rss_mb"):
+        metrics[f"{workload}.{name}"] = {"value": scale * (1.0 + int(args.seed)), "unit": "s"}
+    metrics[f"{workload}.f1"] = {"value": 1.0 - scale / 4, "unit": "ratio"}
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+"""
+
+
 def test_bench_pairs_records_both_sides(tmp_path):
-    # two copies of this checkout, one tiny pair
+    # two stub checkouts, two pairs at two seeds
     for side in ("parent", "change"):
-        for part in ("src", "perfbench"):
-            shutil.copytree(ROOT / part, tmp_path / side / part,
-                            ignore=shutil.ignore_patterns("__pycache__", "results"))
-    out = tmp_path / "bench.json"
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
+    log, out = tmp_path / "calls.log", tmp_path / "bench.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(tmp_path / "parent"),
-         str(tmp_path / "change"), "--seeds", "3", "--pairs", "1", "--seconds", "0",
-         "--scale", "0.01", "--out", str(out)],
+         str(tmp_path / "change"), "--seeds", "3", "4", "--pairs", "2", "--seconds", "0",
+         "--out", str(out)],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=60,
+        env=dict(os.environ, STUB_LOG=str(log)),
     )
     assert proc.returncode == 0, proc.stderr
+    # even pairs run the parent first, odd pairs the change; seeds interleave
+    assert log.read_text().split("\n")[:-1] == [
+        "parent 3", "change 3", "parent 4", "change 4",
+        "change 3", "parent 3", "change 4", "parent 4",
+    ]
     record = json.loads(out.read_text())
-    assert record["checks"]["seed 3"]["correct"]
-    workloads = record["end_to_end"]["seed 3"]
-    assert sorted(workloads) == ["dense-learn", "desk-pipeline", "readme-learn"]
-    for metrics in workloads.values():
-        assert sorted(metrics) == sorted(["setup_s", "pipeline_s", "learn_s", "evaluate_s",
-                                          "peak_rss_mb", "f1"])
-        for entry in metrics.values():
-            assert entry["pairs"] == 1 and len(entry["parent_runs"]) == len(entry["change_runs"]) == 1
-            assert entry["parent"]["q1"] <= entry["parent"]["median"] <= entry["parent"]["q3"]
-            assert 0 <= entry["change_better_pairs"] <= 1
+    assert record["machine"]["blas"] == "stub"
+    for seed in (3, 4):
+        checks = record["checks"][f"seed {seed}"]
+        assert checks["correct"] and checks["attempted"] == {"parent": 6, "change": 6}
+        workloads = record["end_to_end"][f"seed {seed}"]
+        assert sorted(workloads) == ["dense-learn", "desk-pipeline", "readme-learn"]
+        for metrics in workloads.values():
+            assert sorted(metrics) == sorted(["setup_s", "pipeline_s", "learn_s", "evaluate_s",
+                                              "peak_rss_mb", "f1"])
+            for name, entry in metrics.items():
+                assert entry["pairs"] == 2 and len(entry["parent_runs"]) == len(entry["change_runs"]) == 2
+                assert entry["parent"]["q1"] <= entry["parent"]["median"] <= entry["parent"]["q3"]
+                assert entry["change_better_pairs"] == 2, name
+            assert metrics["learn_s"]["parent_runs"] == [1.0 + seed] * 2
+            assert metrics["learn_s"]["change_vs_parent"] == -0.5

@@ -16,21 +16,27 @@ from hawkesnet.features import build_features
 from hawkesnet.graph import CausalGraph
 from hawkesnet.kernels import ExponentialKernel
 from hawkesnet.likelihood import bic_penalty
+import hawkesnet.search as search_mod
 from hawkesnet.search import (
-    Move,
     SearchState,
     _SCREEN_MARGIN,
-    _move_scores,
-    _parents_after,
-    apply_move,
+    _exact_scores,
+    _legal,
     hill_climb,
     score_candidate,
-    vicinity_moves,
 )
 from hawkesnet.simulate import SimConfig, generate_benchmark
 
 from .helpers import random_instance
-from .oracles import has_cycle
+from .oracles import (
+    Move,
+    apply_move,
+    has_cycle,
+    oracle_hill_climb,
+    oracle_unscreened,
+    parents_after,
+    vicinity_moves,
+)
 
 RNG = np.random.default_rng
 
@@ -109,11 +115,29 @@ def dags(draw):
     return CausalGraph(n, [p for p, k in zip(pairs, keep) if k])
 
 
+def _mask_moves(graph: CausalGraph, allow_cycles: bool) -> list:
+    """The moves ``hill_climb``'s legal mask allows, in canonical order."""
+    edges = np.zeros((graph.type_count, graph.type_count), dtype=bool)
+    for a, b in graph.edges:
+        edges[a, b] = True
+    legal = _legal(edges, allow_cycles)
+    return [Move(("add", "delete", "reverse")[k], (c, v)) for c, v, k in np.argwhere(legal).tolist()]
+
+
 @given(dags())
 def test_dag_mode_filter_equals_building_every_neighbor(graph):
     every = vicinity_moves(graph)
     want = [m for m in every if not has_cycle(apply_move(graph, m))]
     assert vicinity_moves(graph, allow_cycles=False) == want
+    assert _mask_moves(graph, False) == want and _mask_moves(graph, True) == every
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+def test_legal_mask_equals_vicinity_moves(drawn):
+    # any graph, self-loops and two-cycles included
+    graph = CausalGraph(*drawn)
+    assert _mask_moves(graph, True) == vicinity_moves(graph)
 
 
 def test_dag_mode_rejects_a_cyclic_graph():
@@ -173,15 +197,20 @@ def test_move_scores_equal_full_rescores():
     state = SearchState.empty(cache, em)
     graph = CausalGraph(cache.type_count)
     for move in (Move("add", (0, 1)), Move("add", (1, 2)), Move("add", (2, 2))):
+        score_candidate(move, state, cache)  # fits the move's shares
         graph = apply_move(graph, move)
-        state.apply(move, cache)
+        state.apply(move)
     moves = vicinity_moves(graph)
     assert {m.kind for m in moves} == {"add", "delete", "reverse"}
+    shares = {}
     for move in moves:
         candidate = apply_move(graph, move)
         total = 0.0
         for v in range(candidate.type_count):
-            total += state.fit_for(v, candidate.parents(v), cache).log_lik
+            key = (v, candidate.parents(v))
+            if key not in shares:
+                shares[key] = fit_type(*key, cache, em).log_lik
+            total += shares[key]
         total -= bic_penalty(
             cache.type_count, candidate.edge_count, cache.max_hops, cache.total_events
         )
@@ -242,8 +271,9 @@ def test_progress_and_trace_output():
     for i, line in enumerate(lines, start=1):
         assert line.startswith(f"round={i} move=")
         fields = dict(field.split("=") for field in line.split(" ")[3:])
-        assert set(fields) == {"edges", "score", "fits", "batches"}
+        assert set(fields) == {"edges", "score", "fits", "batches", "updated", "rescored"}
         assert int(fields["batches"]) <= int(fields["fits"])  # no batch is empty
+        assert int(fields["rescored"]) >= 1  # the applied move was scored exactly
         fits += int(fields["fits"])
     # the empty graph's fits and the last, non-improving round print no line
     assert fits < result.fit_evaluations
@@ -276,41 +306,46 @@ def test_memoization_avoids_repeat_fits(monkeypatch):
     assert max(batches) > 1  # a round's moves are fitted together
 
 
+def _state_copy(state: SearchState) -> SearchState:
+    return SearchState(state.em_config, list(state.parents), list(state.fits), state.edge_count,
+                       dict(state.memo), state.batches, dict(state.gaps))
+
+
 @pytest.mark.parametrize("allow_cycles", [True, False])
-def test_each_round_scores_every_legal_move_once(monkeypatch, allow_cycles):
+def test_each_round_keeps_the_gain_of_every_legal_move(monkeypatch, allow_cycles):
+    # a round recomputes only the gains the last move made stale, yet every
+    # legal move must carry its current gain or be one the screen rules out
     _, cache = _tiny_search_setup(seed=17)
-    import hawkesnet.search as search_mod
+    rounds = []
+    original = search_mod._Gains.net
 
-    rounds, scored = [], []
-    original_screen, original_scores = search_mod._unscreened, search_mod._move_scores
+    def recording(self, state, cache_, legal):
+        net, screened, updated = original(self, state, cache_, legal)
+        rounds.append((net.copy(), _state_copy(state), screened))
+        return net, screened, updated
 
-    def recording_screen(moves, *args):
-        kept = original_screen(moves, *args)
-        rounds.append((list(moves), [moves[i] for i in kept]))
-        return kept
-
-    def recording_move_scores(moves, *args, **kwargs):
-        scored.append(list(moves))
-        return original_scores(moves, *args, **kwargs)
-
-    monkeypatch.setattr(search_mod, "_unscreened", recording_screen)
-    monkeypatch.setattr(search_mod, "_move_scores", recording_move_scores)
-    result = hill_climb(
-        cache,
-        em_config=EmConfig(max_iterations=20),
-        allow_cycles=allow_cycles,
-    )
-    entries = result.trace
-    assert len(entries) == result.rounds >= 1
+    monkeypatch.setattr(search_mod._Gains, "net", recording)
+    result = hill_climb(cache, em_config=EmConfig(max_iterations=20), allow_cycles=allow_cycles)
+    assert len(rounds) == result.rounds + 1 >= 2  # the last round finds no improving move
     graph = CausalGraph(cache.type_count)
-    expected = []
-    for entry in entries:
-        expected.append(vicinity_moves(graph, allow_cycles))
-        graph = apply_move(graph, Move(entry["move"], tuple(entry["edge"])))
-    expected.append(vicinity_moves(graph, allow_cycles))  # the final, non-improving round
-    # every legal move is screened or scored, once; the first call scores the empty graph
-    assert [moves for moves, _ in rounds] == expected
-    assert scored == [[None]] + [kept for _, kept in rounds]
+    n = cache.type_count
+    for i, (net, state, screened) in enumerate(rounds):
+        moves = vicinity_moves(graph, allow_cycles)
+        kept = set(oracle_unscreened(moves, state, cache))
+        score = result.trajectory[i]
+        flat = [(m.edge[0] * n + m.edge[1]) * 3 + ("add", "delete", "reverse").index(m.kind) for m in moves]
+        for j, (move, index) in enumerate(zip(moves, flat)):
+            if j not in kept:  # skipped: the screen rules it out
+                assert net[index] == -np.inf, move
+                continue
+            fresh = score_candidate(move, state, cache)
+            margin = _SCREEN_MARGIN * (sum(abs(f.log_lik) for f in state.fits) + abs(fresh) + 1.0)
+            assert abs(net[index] - (fresh - score)) <= margin, move
+        assert screened == len(moves) - len(kept)
+        assert np.isneginf(np.delete(net, flat)).all()  # no illegal move is open
+        if i < result.rounds:
+            entry = result.trace[i]
+            graph = apply_move(graph, Move(entry["move"], tuple(entry["edge"])))
     assert graph.edges == result.graph.edges
 
 
@@ -328,10 +363,13 @@ def test_round_scores_equal_score_candidate(seed, picks):
         moves = vicinity_moves(graph)
         move = moves[pick % len(moves)]
         graph = apply_move(graph, move)
-        batched.apply(move, inst.cache)
-        alone.apply(move, inst.cache)
+        for state in (batched, alone):
+            score_candidate(move, state, inst.cache)
+            state.apply(move)
     moves = vicinity_moves(graph)
-    scores = _move_scores(moves, batched, inst.cache)
+    batched.fit_missing([key for move in moves for key in search_mod._changed(batched.parents, move)],
+                        inst.cache)
+    scores = _exact_scores(moves, batched, inst.cache)
     for move, score in zip(moves, scores.tolist()):
         assert score == score_candidate(move, alone, inst.cache), move
 
@@ -417,31 +455,26 @@ def _desk_cache():
     return build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
 
 
-def _climb_recording_screen(monkeypatch, cache, em):
-    """``hill_climb``, plus each screened move with a copy of the state it was screened in."""
-    import hawkesnet.search as search_mod
-
-    original = search_mod._unscreened
+def _climb_recording_screen(cache, em):
+    """``oracle_hill_climb``, plus each screened move with a copy of the state it was screened in."""
     screened = []
 
-    def recording(moves, state, *args):
-        kept = original(moves, state, *args)
+    def recording(moves, state, cache_):
+        kept = oracle_unscreened(moves, state, cache_)
         copy = SearchState(state.em_config, list(state.parents), list(state.fits), state.edge_count)
         screened.extend((moves[i], copy) for i in sorted(set(range(len(moves))) - set(kept)))
         return kept
 
-    with monkeypatch.context() as patch:
-        patch.setattr(search_mod, "_unscreened", recording)
-        result = hill_climb(cache, em_config=em)
-    return result, screened
+    return oracle_hill_climb(cache, em_config=em, screen=recording), screened
 
 
 @pytest.mark.parametrize("setup", ["tiny", "desk"])
-def test_screened_moves_cannot_improve_and_change_nothing(monkeypatch, setup):
+def test_screened_moves_cannot_improve_and_change_nothing(setup):
     cache = _tiny_search_setup(seed=3)[1] if setup == "tiny" else _desk_cache()
     em = EmConfig()
-    result, screened = _climb_recording_screen(monkeypatch, cache, em)
-    assert screened and result.screened_moves == len(screened)
+    result = hill_climb(cache, em_config=em)
+    oracle, screened = _climb_recording_screen(cache, em)
+    assert screened and result.screened_moves == oracle.screened_moves == len(screened)
     shares = {}
     for move, state in screened:
         # an add c -> v gives v the parent c; reversing v -> c gives it too,
@@ -462,7 +495,7 @@ def test_screened_moves_cannot_improve_and_change_nothing(monkeypatch, setup):
         fitted = score_candidate(move, state, cache)
         after = {gains: shares[gains, parents]}
         if rival is not None:
-            after[parent] = state.fit_for(parent, _parents_after(state.parents, rival, parent), cache).log_lik
+            after[parent] = fit_type(parent, parents_after(state.parents, rival, parent), cache, em).log_lik
         total = sum(after.get(v, f.log_lik) for v, f in enumerate(state.fits))
         total -= bic_penalty(
             cache.type_count, state.edge_count + (move.kind == "add"), cache.max_hops,
@@ -471,10 +504,7 @@ def test_screened_moves_cannot_improve_and_change_nothing(monkeypatch, setup):
         assert fitted == total and not fitted > kept, move
 
     # the search without the screen: the same climb, bit for bit, with more fits
-    import hawkesnet.search as search_mod
-
-    monkeypatch.setattr(search_mod, "_unscreened", lambda moves, *args: list(range(len(moves))))
-    plain = hill_climb(cache, em_config=em)
+    plain = oracle_hill_climb(cache, em_config=em, screen=lambda moves, *args: list(range(len(moves))))
     assert plain.screened_moves == 0
     assert plain.graph.edges == result.graph.edges
     assert (plain.score, plain.log_lik, plain.trajectory) == (
@@ -489,3 +519,33 @@ def test_nothing_is_screened_when_an_edge_costs_nothing():
     # at K=0 the paper's penalty charges nothing per edge
     result = hill_climb(_desk_cache().truncated(0))
     assert result.rounds >= 1 and result.screened_moves == 0
+
+
+def _assert_same_climb(a, b):
+    """Every field of two search results equal, floats bit for bit."""
+    assert a.graph.edges == b.graph.edges
+    assert (a.score, a.log_lik, a.rounds, a.trajectory, a.trace) == (
+        b.score, b.log_lik, b.rounds, b.trajectory, b.trace)
+    assert (a.fit_evaluations, a.em_maps, a.nonconverged_fits, a.screened_moves, a.fit_gaps) == (
+        b.fit_evaluations, b.em_maps, b.nonconverged_fits, b.screened_moves, b.fit_gaps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.booleans(), st.integers(1, 40))
+def test_hill_climb_equals_oracle_hill_climb(seed, allow_cycles, flat, cap):
+    # the incremental climb against the one that scores every legal move each
+    # round: same graph, scores, trace, fits, maps, screen and gaps
+    inst = random_instance(RNG(seed), max_nodes=4, max_types=4, max_bins=30, min_events=8,
+                           event_rate=0.5)
+    cache = inst.cache.truncated(0) if flat else inst.cache
+    em = EmConfig(max_iterations=cap)
+    _assert_same_climb(hill_climb(cache, em_config=em, allow_cycles=allow_cycles),
+                       oracle_hill_climb(cache, em_config=em, allow_cycles=allow_cycles))
+
+
+@pytest.mark.parametrize("allow_cycles", [True, False])
+@pytest.mark.parametrize("hops", [2, 0])
+def test_desk_climb_equals_oracle_hill_climb(allow_cycles, hops):
+    cache = _desk_cache().truncated(hops)
+    _assert_same_climb(hill_climb(cache, allow_cycles=allow_cycles),
+                       oracle_hill_climb(cache, allow_cycles=allow_cycles))
