@@ -7,7 +7,8 @@ included), 3 for degenerate or exploding models, 4 for I/O failures.
 
 Each subcommand imports only the layers it runs: ``evaluate`` needs none
 beyond graph files and metrics, which use no numpy, so its start-up is the
-interpreter and the standard library.
+interpreter and the standard library. A process enters through ``run``,
+which ends it once stdout and stderr are flushed, skipping teardown.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ if TYPE_CHECKING:
     from .em import EmConfig
     from .simulate import SimConfig
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 DEFAULT_MAX_HOPS = 2
 DEFAULT_DELTA = 1.0
@@ -582,5 +583,20 @@ def main(argv=None) -> int:
         return 4
 
 
+def run(argv=None):
+    """``main``, then flush stdout and stderr (exit 4 if that fails) and end at once.
+
+    Freeing every module at exit costs tens of ms and saves no output: every
+    file is written inside a ``with`` block and nothing registers ``atexit``.
+    """
+    code = main(argv)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = 4
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

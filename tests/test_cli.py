@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -650,44 +651,142 @@ def test_argparse_rejects_unknown_flags(capsys):
         assert excinfo.value.code == 2
 
 
+# a supercritical simulate section: the explosion guard ends it with exit 3
+EXPLOSIVE_SECTION = {
+    "node_count": 2,
+    "type_count": 2,
+    "target_event_count": 100000,
+    "mu_range": [2.0, 2.0],
+    "alpha_range": [10.0, 10.0],
+    "causal_avg_indegree": 1.0,
+    "avg_topology_degree": 1.0,
+    "kernel": {"type": "exponential", "delta": 1.0},
+    "max_hops": 0,
+    "bin_width": 1.0,
+    "seed": 0,
+    "explosion_guard": 5.0,
+}
+
+
 def test_explosive_config_exits_three(tmp_path, capsys):
-    config = _write_config(
-        tmp_path / "c.json",
-        {
-            "simulate": {
-                "node_count": 2,
-                "type_count": 2,
-                "target_event_count": 100000,
-                "mu_range": [2.0, 2.0],
-                "alpha_range": [10.0, 10.0],
-                "causal_avg_indegree": 1.0,
-                "avg_topology_degree": 1.0,
-                "kernel": {"type": "exponential", "delta": 1.0},
-                "max_hops": 0,
-                "bin_width": 1.0,
-                "seed": 0,
-                "explosion_guard": 5.0,
-            }
-        },
-    )
+    config = _write_config(tmp_path / "c.json", {"simulate": EXPLOSIVE_SECTION})
     code = main(["simulate", "--config", config, "--out", str(tmp_path / "o")])
     assert code == 3
     assert "exploding" in capsys.readouterr().err
 
 
-def test_module_entry_point(tmp_path):
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({"simulate": SIM_SECTION}))
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "hawkesnet.cli",
-            "simulate", "--config", str(config), "--out", str(tmp_path / "o"),
-        ],
-        capture_output=True,
-        text=True,
+def _module_entry(*argv):
+    """``python -m hawkesnet.cli <argv>`` with stdout and stderr piped and
+    block-buffered, where an exit that skipped the flush would lose text."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "hawkesnet.cli", *argv], capture_output=True, text=True, env=env
     )
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "o" / "manifest.json").exists()
+
+
+def _masked_lines(text):
+    return re.sub(r"took \d+\.\d+s", "took <t>s", text).splitlines()
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _pipeline(root, config):
+    data, fit = root / "data", root / "fit"
+    return [
+        ["simulate", "--config", config, "--out", str(data)],
+        [
+            "learn",
+            "--events", str(data / "events.csv"),
+            "--topology", str(data / "topology.txt"),
+            "--k", "1",
+            "--delta", "0.2",
+            "--trace", str(root / "trace.jsonl"),
+            "--out", str(fit),
+        ],
+        [
+            "evaluate",
+            "--predicted", str(fit / "learned_graph.json"),
+            "--truth", str(data / "ground_truth.json"),
+            "--out", str(root / "eval"),
+        ],
+    ]
+
+
+def test_module_entry_point(tmp_path, capsys):
+    config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
+    work = tmp_path / "work"
+    printed = []
+    for argv in _pipeline(work, config):
+        proc = _module_entry(*argv)
+        assert proc.returncode == 0, proc.stderr
+        printed.append((_masked_lines(proc.stdout), _masked_lines(proc.stderr)))
+    written = _files(work)
+    assert {"data/events.csv", "fit/learned_graph.json", "trace.jsonl", "eval/report.json"} <= set(written)
+    assert all(out for out, _ in printed) and any(err for _, err in printed)
+    # the same argv in process, writing to the same paths
+    work.rename(tmp_path / "through_module")
+    for argv, (out, err) in zip(_pipeline(work, config), printed):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert _masked_lines(captured.out) == out
+        assert _masked_lines(captured.err) == err
+    assert _files(work) == written
+
+
+def test_module_entry_point_exit_codes(sim_dir, learn_dir, tmp_path):
+    malformed = tmp_path / "events.csv"
+    malformed.write_text("node,event_type,timestamp\n0,0,1.5\n1,one,2.5\n")
+    explosive = _write_config(tmp_path / "c.json", {"simulate": EXPLOSIVE_SECTION})
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    for code, argv in (
+        (2, ["learn", "--events", str(malformed), "--no-topology", "--out", str(tmp_path / "fit")]),
+        (3, ["simulate", "--config", explosive, "--out", str(tmp_path / "sim")]),
+        (
+            4,
+            [
+                "evaluate",
+                "--predicted", str(learn_dir / "learned_graph.json"),
+                "--truth", str(sim_dir / "ground_truth.json"),
+                "--out", str(not_a_dir / "eval"),
+            ],
+        ),
+    ):
+        proc = _module_entry(*argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+# run() with a stdout whose final flush fails, as on a full disk
+_FAILING_FLUSH = """
+import sys
+from hawkesnet.cli import run
+
+class FailingFlush:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+sys.stdout = FailingFlush()
+run(sys.argv[1:])
+"""
+
+
+def test_run_exits_four_without_traceback_when_the_flush_fails(sim_dir, learn_dir, tmp_path):
+    argv = [
+        "evaluate",
+        "--predicted", str(learn_dir / "learned_graph.json"),
+        "--truth", str(sim_dir / "ground_truth.json"),
+        "--out", str(tmp_path / "eval"),
+    ]
+    proc = subprocess.run([sys.executable, "-c", _FAILING_FLUSH, *argv], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr == ""
+    assert (tmp_path / "eval" / "report.json").exists()
 
 
 def test_cli_import_does_not_load_scipy():
@@ -707,10 +806,15 @@ def test_cli_import_does_not_load_scipy():
 # numpy.ma (about 15 ms), so no subcommand may load it.
 LAYERS = {"events", "kernels", "topology", "features", "em", "search", "simulate", "numpy"}
 _LOADED_LAYERS = """
-import json, runpy, sys
+import json, os, runpy, sys
 code = 0
 if len(sys.argv) > 1:  # as python -m hawkesnet.cli <argv>
     sys.argv[0] = "hawkesnet"
+
+    def _exit(status):  # run() ends the process; end only the module run
+        raise SystemExit(status)
+
+    os._exit = _exit
     try:
         runpy.run_module("hawkesnet.cli", run_name="__main__", alter_sys=True)
     except SystemExit as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -39,18 +40,19 @@ def test_script_runs(script, args, rows):
     assert [line.split()[0] for line in lines[1:]] == rows
 
 
-# a stand-in for ``perfbench/run.py``: logs its side and seed, then prints the
-# ``env:`` line and the last-line result JSON that perfbench documents; the
-# change side reads faster and scores a higher F1 on every workload
+# a stand-in for ``perfbench/run.py``: logs its side, seed, bytecode prefix
+# and whether it may write bytecode, then prints the ``env:`` line and the
+# last-line result JSON that perfbench documents; the change side reads
+# faster and scores a higher F1 on every workload
 STUB_RUN = """
-import argparse, json, os
+import argparse, json, os, sys
 parser = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--scale"):
     parser.add_argument(flag)
 args = parser.parse_args()
 side = os.path.basename(os.getcwd())
 with open(os.environ["STUB_LOG"], "a", encoding="utf-8") as fh:
-    fh.write(f"{side} {args.seed}\\n")
+    fh.write(json.dumps([side, int(args.seed), sys.pycache_prefix, sys.dont_write_bytecode]) + "\\n")
 print("env:", json.dumps({"nproc": 1, "python": "3", "numpy": "2", "blas": "stub", "threads": {}}))
 scale = 1.0 if side == "parent" else 0.5
 metrics = {}
@@ -62,27 +64,40 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metri
 """
 
 
-def test_bench_pairs_records_both_sides(tmp_path):
+def test_bench_pairs_records_both_sides(tmp_path, monkeypatch):
     # two stub checkouts, two pairs at two seeds
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
     log, out = tmp_path / "calls.log", tmp_path / "bench.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), str(tmp_path / "parent"),
-         str(tmp_path / "change"), "--seeds", "3", "4", "--pairs", "2", "--seconds", "0",
-         "--out", str(out)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=dict(os.environ, STUB_LOG=str(log)),
-    )
-    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setenv("STUB_LOG", str(log))
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    real_run, prefixes = subprocess.run, []
+
+    def recording_run(argv, **kwargs):  # each run's bytecode prefix, as its run starts
+        prefix = kwargs.get("env", {}).get("PYTHONPYCACHEPREFIX")
+        if prefix is not None:
+            prefixes.append((prefix, os.listdir(prefix)))
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recording_run)
+    assert bench_pairs.main(
+        [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "3", "4", "--pairs", "2",
+         "--seconds", "0", "--out", str(out)]
+    ) == 0
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
     # even pairs run the parent first, odd pairs the change; seeds interleave
-    assert log.read_text().split("\n")[:-1] == [
+    assert [f"{side} {seed}" for side, seed, _, _ in calls] == [
         "parent 3", "change 3", "parent 4", "change 4",
         "change 3", "parent 3", "change 4", "parent 4",
     ]
+    # every run writes bytecode to a fresh, empty prefix of its own, outside both checkouts
+    assert [(prefix, []) for _, _, prefix, _ in calls] == prefixes
+    assert len({prefix for prefix, _ in prefixes}) == len(calls)
+    assert not any(writes_off for _, _, _, writes_off in calls)
+    for prefix, _ in prefixes:
+        assert not os.path.exists(prefix) and not prefix.startswith(str(tmp_path))
     record = json.loads(out.read_text())
     assert record["machine"]["blas"] == "stub"
     for seed in (3, 4):
