@@ -5,16 +5,17 @@ subcommands) with command-line flags taking precedence. Exit codes: 0 on
 success, 2 for invalid input or configuration (text that is not UTF-8
 included), 3 for degenerate or exploding models, 4 for I/O failures.
 
-Each subcommand imports only the layers it runs: ``evaluate`` needs none
-beyond graph files and metrics, which use no numpy, so its start-up is the
-interpreter and the standard library. A process enters through ``run``,
-which ends it once stdout and stderr are flushed, skipping teardown.
+Each subcommand imports only the layers it runs. ``evaluate`` loads this
+module, ``errors``, ``values``, ``fileio``, ``graph`` and ``metrics``, and
+from the standard library ``argparse``, ``json``, ``hashlib`` and
+``numbers``: no numpy, and no ``dataclasses`` or ``inspect``, since the
+package's record types are not dataclasses. A process enters through
+``run``, which ends it once stdout and stderr are flushed, skipping teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import json
 import math
@@ -39,6 +40,7 @@ from .fileio import (
     write_manifest,
 )
 from .metrics import alpha_mae, structure_metrics
+from .values import as_number
 
 if TYPE_CHECKING:
     from .em import EmConfig
@@ -94,12 +96,11 @@ def _pick(args_value, section: dict, key: str, default, kind):
         value = default
     if value is None:
         return None
-    if kind in (str, bool) and not isinstance(value, kind):  # bool("false") is True
+    if kind in (int, float):
+        return as_number(value, f"config key {key!r}", integer=kind is int)
+    if not isinstance(value, kind):  # bool("false") is True
         raise InvalidInputError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"config key {key!r}: {value!r} is not a valid {kind.__name__}") from exc
+    return value
 
 
 def _ensure_out(path: str) -> str:
@@ -230,16 +231,22 @@ def _sim_config(args, section: dict) -> SimConfig:
     return SimConfig.from_dict(data)
 
 
+def _generate(sim_config: SimConfig):
+    """``generate_benchmark(sim_config)``, each warning it raises printed as one line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        data = generate_benchmark(sim_config)
+    for caught_warning in caught:  # without the source path and line Python's format adds
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
+    return data
+
+
 def cmd_simulate(args) -> int:
     from .kernels import ExponentialKernel
 
     section = _section(_load_config(args.config), "simulate")
     sim_config = _sim_config(args, section)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        data = generate_benchmark(sim_config)
-    for caught_warning in caught:  # one line, without the source path Python's format adds
-        print(f"warning: {caught_warning.message}", file=sys.stderr)
+    data = _generate(sim_config)
     out = _ensure_out(args.out)
     config_echo = sim_config.to_dict()
 
@@ -384,7 +391,7 @@ def cmd_learn(args) -> int:
         "no_topology": no_topology,
         "node_count": dataset.node_count,
         "type_count": dataset.type_count,
-        "em": dataclasses.asdict(em_config),
+        "em": em_config._asdict(),
     }
     save_graph_json(
         os.path.join(out, "learned_graph.json"),
@@ -500,7 +507,7 @@ def cmd_benchmark(args) -> int:
     for offset in range(runs):
         seed = base_seed + offset
         config = SimConfig.from_dict({**base.to_dict(), "seed": seed})
-        data = generate_benchmark(config)
+        data = _generate(config)
         kernel = ExponentialKernel(delta)
         cache = build_features(data.dataset(), data.topology, kernel, config.max_hops)
         for label, hops in (("full", config.max_hops), ("no_topology", 0)):

@@ -77,7 +77,7 @@ mixture) and a jump is only accepted above ``x1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +85,7 @@ from .errors import DegenerateModelError, InvalidInputError
 from .features import FeatureCache
 from .graph import ThpParams
 from .likelihood import TypeBatch, batch_log_likelihood, type_batch
+from .values import Frozen
 
 __all__ = [
     "EmConfig",
@@ -101,28 +102,26 @@ _ALPHA_START = 0.05
 _STEP_FACTOR = 4.0
 
 
-@dataclass(frozen=True)
-class EmConfig:
+class EmConfig(Frozen):
     """Stopping policy for the EM loop."""
 
-    max_iterations: int = 100
-    rel_tolerance: float = 1e-6
+    __slots__ = ("max_iterations", "rel_tolerance")
 
-    def __post_init__(self):
-        if self.max_iterations < 1:
+    def __init__(self, max_iterations: int = 100, rel_tolerance: float = 1e-6):
+        if max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
-        if not (self.rel_tolerance >= 0):
+        if not (rel_tolerance >= 0):
             raise InvalidInputError("rel_tolerance must be >= 0")
+        self._set(max_iterations=max_iterations, rel_tolerance=rel_tolerance)
 
 
-@dataclass(frozen=True)
-class TypeFit:
+class TypeFit(NamedTuple):
     """Fitted parameters and likelihood share of a single event type."""
 
     event_type: int
     parents: tuple
     mu: float
-    alpha: np.ndarray = field(repr=False)  # (len(parents), max_hops + 1)
+    alpha: np.ndarray  # (len(parents), max_hops + 1)
     log_lik: float
     trajectory: tuple  # log-likelihoods of the accepted points
     iterations: int  # EM maps, plus the final rescore of a fit the cap stopped

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ def event_table(nodes, types, stamps) -> np.recarray:
     return np.rec.fromarrays([nodes, types, stamps], dtype=EVENT_DTYPE)
 
 
-@dataclass(frozen=True)
-class DiscreteDataset:
+class DiscreteDataset(NamedTuple):
     """Sparse per-bin event counts on a fixed (node, type, bin) grid.
 
     ``nodes``, ``types``, ``bins`` and ``counts`` are parallel arrays, one row
@@ -49,10 +48,10 @@ class DiscreteDataset:
     type_count: int
     bin_count: int
     bin_width: float
-    nodes: np.ndarray = field(repr=False)
-    types: np.ndarray = field(repr=False)
-    bins: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
+    nodes: np.ndarray
+    types: np.ndarray
+    bins: np.ndarray
+    counts: np.ndarray
 
     @property
     def total_events(self) -> int:

@@ -41,7 +41,7 @@ search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ from .topology import TopologyGraph
 __all__ = ["FeatureCache", "build_features"]
 
 
-@dataclass(frozen=True)
-class FeatureCache:
+class FeatureCache(NamedTuple):
     """Propagated excitation features at occupied cells, plus their totals.
 
     Attributes
@@ -84,11 +83,11 @@ class FeatureCache:
     bin_width: float
     max_hops: int
     total_events: int
-    cell_nodes: np.ndarray = field(repr=False)
-    cell_bins: np.ndarray = field(repr=False)
-    type_values: tuple = field(repr=False)
-    totals: np.ndarray = field(repr=False)
-    type_counts: tuple = field(repr=False)
+    cell_nodes: np.ndarray
+    cell_bins: np.ndarray
+    type_values: tuple
+    totals: np.ndarray
+    type_counts: tuple
 
     @property
     def cell_count(self) -> int:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .graph import CausalGraph, ThpParams, as_rates
+from .values import as_number
 
 __all__ = [
     "GraphDocument",
@@ -73,8 +74,7 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(NamedTuple):
     """A parsed graph JSON file."""
 
     graph: CausalGraph
@@ -133,15 +133,15 @@ def _graph_document(path: str, data: dict) -> GraphDocument:
         )
     if "type_count" not in data or "edges" not in data:
         raise InvalidInputError(f"{path}: missing type_count or edges")
-    type_count = int(data["type_count"])
+    type_count = as_number(data["type_count"], f"{path}: type_count", integer=True)
     edges = []
     alpha = {}
     have_alpha = True
     for entry in data["edges"]:
         try:
-            edge = (int(entry["from"]), int(entry["to"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"{path}: malformed edge entry {entry!r}") from exc
+            edge = tuple(as_number(entry[end], end, integer=True) for end in ("from", "to"))
+        except (KeyError, TypeError, InvalidInputError) as exc:
+            raise InvalidInputError(f"{path}: malformed edge entry {entry!r} ({exc})") from exc
         edges.append(edge)
         if "alpha" in entry:  # checked even where the document holds no params
             alpha[edge] = as_rates(entry["alpha"], f"{path}: alpha of edge {edge}")
@@ -156,7 +156,9 @@ def _graph_document(path: str, data: dict) -> GraphDocument:
             if len(lengths) > 1:
                 raise InvalidInputError(f"{path}: inconsistent alpha lengths")
             max_hops = (lengths.pop() - 1) if lengths else 0
-        params = ThpParams(mu=data["mu"], alpha=alpha, max_hops=int(max_hops))
+        else:
+            max_hops = as_number(max_hops, f"{path}: k", integer=True)
+        params = ThpParams(mu=data["mu"], alpha=alpha, max_hops=max_hops)
         params.validate_for(graph)
     meta = {
         k: data.get(k)

@@ -8,35 +8,32 @@ layers, and params never share memory with the arrays they were built from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from numbers import Real
 
 from .errors import InvalidInputError
+from .values import Frozen, as_number
 
 __all__ = ["CausalGraph", "ThpParams", "as_rates"]
 
 
-@dataclass(frozen=True)
-class CausalGraph:
+class CausalGraph(Frozen):
     """Directed graph over event types; an edge ``(c, v)`` means c excites v.
 
     Self-loops are allowed (a type exciting itself). ``edges`` is a frozenset
     of ordered pairs.
     """
 
-    type_count: int
-    edges: frozenset = frozenset()
+    __slots__ = ("type_count", "edges")
 
-    def __post_init__(self):
-        if self.type_count < 1:
+    def __init__(self, type_count: int, edges=frozenset()):
+        if type_count < 1:
             raise InvalidInputError("type_count must be >= 1")
-        edges = frozenset((int(a), int(b)) for a, b in self.edges)
+        edges = frozenset((int(a), int(b)) for a, b in edges)
         for a, b in edges:
-            if not (0 <= a < self.type_count and 0 <= b < self.type_count):
+            if not (0 <= a < type_count and 0 <= b < type_count):
                 raise InvalidInputError(
-                    f"edge ({a}, {b}) out of range for {self.type_count} types"
+                    f"edge ({a}, {b}) out of range for {type_count} types"
                 )
-        object.__setattr__(self, "edges", edges)
+        self._set(type_count=type_count, edges=edges)
 
     @property
     def edge_count(self) -> int:
@@ -64,18 +61,16 @@ def as_rates(values, name: str) -> tuple[float, ...]:
     if hasattr(values, "tolist"):  # a numpy array, read without importing numpy
         values = values.tolist()
     # a string or a mapping would iterate into characters or keys
-    if not isinstance(values, (list, tuple)) or not all(
-        isinstance(x, Real) for x in values
-    ):
+    if not isinstance(values, (list, tuple)):
         raise InvalidInputError(f"{name} must be a 1-d sequence of numbers")
-    rates = tuple(float(x) for x in values)
+    each = f"each of {name}"
+    rates = tuple(as_number(x, each) for x in values)
     if not all(math.isfinite(x) and x >= 0 for x in rates):
         raise InvalidInputError(f"{name} must be finite and nonnegative")
     return rates
 
 
-@dataclass(frozen=True)
-class ThpParams:
+class ThpParams(Frozen):
     """Rate parameters: background ``mu`` per type, ``alpha`` per edge and hop.
 
     ``mu`` is a tuple of floats, and ``alpha`` maps each directed edge
@@ -83,24 +78,21 @@ class ThpParams:
     one per hop order. Both are copied from the values passed in.
     """
 
-    mu: tuple
-    alpha: dict
-    max_hops: int
+    __slots__ = ("mu", "alpha", "max_hops")
 
-    def __post_init__(self):
-        mu = as_rates(self.mu, "mu")
-        if self.max_hops < 0:
+    def __init__(self, mu, alpha: dict, max_hops: int):
+        mu = as_rates(mu, "mu")
+        if max_hops < 0:
             raise InvalidInputError("max_hops must be >= 0")
-        alpha = {}
-        for edge, values in self.alpha.items():
+        rates = {}
+        for edge, values in alpha.items():
             a = as_rates(values, f"alpha[{edge}]")
-            if len(a) != self.max_hops + 1:
+            if len(a) != max_hops + 1:
                 raise InvalidInputError(
-                    f"alpha[{edge}] must have length max_hops+1 = {self.max_hops + 1}"
+                    f"alpha[{edge}] must have length max_hops+1 = {max_hops + 1}"
                 )
-            alpha[(int(edge[0]), int(edge[1]))] = a
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "alpha", alpha)
+            rates[(int(edge[0]), int(edge[1]))] = a
+        self._set(mu=mu, alpha=rates, max_hops=max_hops)
 
     @property
     def type_count(self) -> int:

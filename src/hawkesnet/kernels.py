@@ -9,12 +9,12 @@ robustness experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedKernelError
+from .values import Frozen, as_number
 
 __all__ = [
     "ExponentialKernel",
@@ -27,43 +27,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExponentialKernel:
+class ExponentialKernel(Frozen):
     """``exp(-decay * t)`` for ``t > 0``."""
 
-    decay: float
+    __slots__ = ("decay",)
 
-    def __post_init__(self):
-        if not (self.decay > 0):
-            raise InvalidInputError(f"decay must be positive, got {self.decay}")
+    def __init__(self, decay: float):
+        if not (decay > 0):
+            raise InvalidInputError(f"decay must be positive, got {decay}")
+        self._set(decay=decay)
 
 
-@dataclass(frozen=True)
-class GaussianKernel:
+class GaussianKernel(Frozen):
     """Gaussian bump centered at ``mean``, full-density normalizer.
 
     The normalizer is that of the untruncated density; mass at ``t <= 0`` is
     cut, not redistributed.
     """
 
-    mean: float
-    std: float = 4.0
+    __slots__ = ("mean", "std")
 
-    def __post_init__(self):
-        if not (self.std > 0):
-            raise InvalidInputError(f"std must be positive, got {self.std}")
+    def __init__(self, mean: float, std: float = 4.0):
+        if not (std > 0):
+            raise InvalidInputError(f"std must be positive, got {std}")
+        self._set(mean=mean, std=std)
 
 
-@dataclass(frozen=True)
-class UniformKernel:
+class UniformKernel(Frozen):
     """``1/scale`` on the open interval ``(start, start + scale)``."""
 
-    start: float
-    scale: float = 4.0
+    __slots__ = ("start", "scale")
 
-    def __post_init__(self):
-        if not (self.scale > 0):
-            raise InvalidInputError(f"scale must be positive, got {self.scale}")
+    def __init__(self, start: float, scale: float = 4.0):
+        if not (scale > 0):
+            raise InvalidInputError(f"scale must be positive, got {scale}")
+        self._set(start=start, scale=scale)
 
 
 DecayKernel = Union[ExponentialKernel, GaussianKernel, UniformKernel]
@@ -111,15 +109,17 @@ def kernel_from_config(config: dict) -> DecayKernel:
             params["decay"] = params.pop("delta")
         if set(params) != {"decay"}:
             raise InvalidInputError(f"exponential kernel takes 'delta', got {sorted(params)}")
-        return ExponentialKernel(float(params["decay"]))
+        return ExponentialKernel(as_number(params["decay"], "exponential kernel delta"))
     if name == "gaussian":
         if not set(params) <= {"mean", "std"} or "mean" not in params:
             raise InvalidInputError(f"gaussian kernel takes 'mean' and 'std', got {sorted(params)}")
-        return GaussianKernel(float(params["mean"]), float(params.get("std", 4.0)))
+        return GaussianKernel(as_number(params["mean"], "gaussian kernel mean"),
+                              as_number(params.get("std", 4.0), "gaussian kernel std"))
     if name == "uniform":
         if not set(params) <= {"start", "scale"} or "start" not in params:
             raise InvalidInputError(f"uniform kernel takes 'start' and 'scale', got {sorted(params)}")
-        return UniformKernel(float(params["start"]), float(params.get("scale", 4.0)))
+        return UniformKernel(as_number(params["start"], "uniform kernel start"),
+                             as_number(params.get("scale", 4.0), "uniform kernel scale"))
     raise InvalidInputError(f"unknown kernel type {name!r}")
 
 

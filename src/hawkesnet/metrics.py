@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .graph import CausalGraph, ThpParams
@@ -11,8 +11,7 @@ from .graph import CausalGraph, ThpParams
 __all__ = ["StructureReport", "structure_metrics", "alpha_mae"]
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Directed-edge precision/recall/F1 plus raw counts."""
 
     true_positives: int

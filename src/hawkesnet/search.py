@@ -61,7 +61,7 @@ strictly improves the score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,7 +107,6 @@ def _changed(parents: list, move) -> tuple:
     return dropped, (src, tuple(sorted(parents[src] + (dst,))))
 
 
-@dataclass
 class SearchState:
     """The current graph as per-type parent tuples and fits, plus the fit memo.
 
@@ -116,13 +115,15 @@ class SearchState:
     :func:`hawkesnet.em.duality_gap` of the fits by (type, parents).
     """
 
-    em_config: EmConfig
-    parents: list
-    fits: list
-    edge_count: int = 0
-    memo: dict = field(default_factory=dict)
-    batches: int = 0
-    gaps: dict = field(default_factory=dict)
+    def __init__(self, em_config: EmConfig, parents: list, fits: list, edge_count: int = 0,
+                 memo: dict | None = None, batches: int = 0, gaps: dict | None = None):
+        self.em_config = em_config
+        self.parents = parents
+        self.fits = fits
+        self.edge_count = edge_count
+        self.memo = {} if memo is None else memo
+        self.batches = batches
+        self.gaps = {} if gaps is None else gaps
 
     @classmethod
     def empty(cls, cache: FeatureCache, em_config: EmConfig) -> "SearchState":
@@ -285,8 +286,7 @@ class _Gains:
         return net, int(closed.sum()), len(stale)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     graph: CausalGraph
     params: ThpParams
     score: float
@@ -294,12 +294,12 @@ class SearchResult:
     rounds: int
     trajectory: tuple
     fit_evaluations: int
-    type_fits: tuple = field(repr=False)
+    type_fits: tuple
     em_maps: int  # EM maps of the memoized fits
     nonconverged_fits: int  # memoized fits the map cap stopped
     screened_moves: int  # add moves the screen ruled out, summed over rounds
     fit_gaps: tuple  # duality_gap of each final type fit: how far below its optimum
-    trace: tuple = field(repr=False)  # one dict per round, as ``learn --trace`` writes it
+    trace: tuple  # one dict per round, as ``learn --trace`` writes it
 
 
 def hill_climb(

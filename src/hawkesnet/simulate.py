@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .kernels import (
 )
 from .graph import CausalGraph, ThpParams
 from .topology import TopologyGraph, build_topology
+from .values import Frozen, as_number
 
 __all__ = [
     "SimConfig",
@@ -65,8 +66,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimConfig:
+# the config fields that hold counts; the rest of the numbers are floats
+_INT_FIELDS = frozenset(
+    ("node_count", "type_count", "target_event_count", "max_hops", "seed", "max_bins")
+)
+
+
+class SimConfig(Frozen):
     """Benchmark generation settings.
 
     ``mu_range`` and ``alpha_range`` are uniform draw bounds; every
@@ -75,42 +81,56 @@ class SimConfig:
     :class:`UnderGenerationWarning`).
     """
 
-    node_count: int = 40
-    avg_topology_degree: float = 1.5
-    type_count: int = 20
-    causal_avg_indegree: float = 1.5
-    target_event_count: int = 20000
-    mu_range: tuple = (5e-5, 1e-4)
-    alpha_range: tuple = (0.03, 0.05)
-    kernel: DecayKernel = ExponentialKernel(1.0)
-    max_hops: int = 2
-    bin_width: float = 1.0
-    seed: int = 0
-    explosion_guard: float = 1e6
-    max_bins: int = 10_000_000
+    __slots__ = (
+        "node_count", "avg_topology_degree", "type_count", "causal_avg_indegree",
+        "target_event_count", "mu_range", "alpha_range", "kernel", "max_hops",
+        "bin_width", "seed", "explosion_guard", "max_bins",
+    )
 
-    def __post_init__(self):
-        if self.node_count < 1 or self.type_count < 1:
+    def __init__(
+        self,
+        node_count: int = 40,
+        avg_topology_degree: float = 1.5,
+        type_count: int = 20,
+        causal_avg_indegree: float = 1.5,
+        target_event_count: int = 20000,
+        mu_range: tuple = (5e-5, 1e-4),
+        alpha_range: tuple = (0.03, 0.05),
+        kernel: DecayKernel = ExponentialKernel(1.0),
+        max_hops: int = 2,
+        bin_width: float = 1.0,
+        seed: int = 0,
+        explosion_guard: float = 1e6,
+        max_bins: int = 10_000_000,
+    ):
+        if node_count < 1 or type_count < 1:
             raise InvalidInputError("node_count and type_count must be >= 1")
-        if self.avg_topology_degree < 0 or self.causal_avg_indegree < 0:
+        if avg_topology_degree < 0 or causal_avg_indegree < 0:
             raise InvalidInputError("average degrees must be >= 0")
-        if self.target_event_count < 0:
+        if target_event_count < 0:
             raise InvalidInputError("target_event_count must be >= 0")
-        for name in ("mu_range", "alpha_range"):
-            lo, hi = getattr(self, name)
+        ranges = {}
+        for name, (lo, hi) in (("mu_range", mu_range), ("alpha_range", alpha_range)):
             if not (0 <= lo <= hi < math.inf):
                 raise InvalidInputError(f"{name} must satisfy 0 <= lo <= hi < inf")
-            object.__setattr__(self, name, (float(lo), float(hi)))
-        if self.max_hops < 0:
+            ranges[name] = (float(lo), float(hi))
+        if max_hops < 0:
             raise InvalidInputError("max_hops must be >= 0")
-        if not (0 < self.bin_width < math.inf):
+        if not (0 < bin_width < math.inf):
             raise InvalidInputError("bin_width must be positive and finite")
-        if self.seed < 0:
+        if seed < 0:
             raise InvalidInputError("seed must be >= 0")
-        if not (self.explosion_guard > 0):
+        if not (explosion_guard > 0):
             raise InvalidInputError("explosion_guard must be positive")
-        if self.max_bins < 1:
+        if max_bins < 1:
             raise InvalidInputError("max_bins must be >= 1")
+        self._set(
+            node_count=node_count, avg_topology_degree=avg_topology_degree,
+            type_count=type_count, causal_avg_indegree=causal_avg_indegree,
+            target_event_count=target_event_count, **ranges, kernel=kernel,
+            max_hops=max_hops, bin_width=bin_width, seed=seed,
+            explosion_guard=explosion_guard, max_bins=max_bins,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -131,31 +151,25 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__slots__)
         if unknown:
             raise InvalidInputError(f"unknown simulate config keys {sorted(unknown)}")
         kwargs = dict(data)
-        try:
-            for name, value in data.items():
-                default = getattr(cls, name)
-                if name == "kernel":
-                    if isinstance(value, dict):
-                        kwargs[name] = kernel_from_config(value)
-                elif isinstance(default, tuple):
-                    lo, hi = value
-                    kwargs[name] = (float(lo), float(hi))
-                else:  # int and float fields take their default's type
-                    kwargs[name] = type(default)(value)
-            return cls(**kwargs)
-        except InvalidInputError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong shape
-            raise InvalidInputError(f"invalid simulate config ({exc})") from exc
+        for name, value in data.items():
+            what = f"simulate config key {name!r}"
+            if name == "kernel":
+                if isinstance(value, dict):
+                    kwargs[name] = kernel_from_config(value)
+            elif name in ("mu_range", "alpha_range"):
+                if not isinstance(value, (list, tuple)) or len(value) != 2:
+                    raise InvalidInputError(f"{what} must be a pair of numbers, got {value!r}")
+                kwargs[name] = tuple(as_number(bound, what) for bound in value)
+            else:
+                kwargs[name] = as_number(value, what, integer=name in _INT_FIELDS)
+        return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class BenchmarkData:
+class BenchmarkData(NamedTuple):
     """A generated event table together with everything that produced it."""
 
     config: SimConfig

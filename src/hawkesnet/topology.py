@@ -12,7 +12,7 @@ request; nothing is cached.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ __all__ = ["TopologyGraph", "build_topology", "load_edge_list", "save_edge_list"
 _NODES_HINT = re.compile(r"#\s*nodes\s*[:=]\s*(\d+)")
 
 
-@dataclass(frozen=True)
-class TopologyGraph:
+class TopologyGraph(NamedTuple):
     """Immutable undirected topology.
 
     Attributes

@@ -119,6 +119,28 @@ def test_simulate_reports_under_generation_in_one_line(tmp_path, capsys):
         generate_benchmark(SimConfig.from_dict(section))
 
 
+@pytest.mark.parametrize("override", [
+    {"type_count": 5.9}, {"node_count": "4"}, {"seed": True}, {"max_hops": 1.5},
+    {"bin_width": "1.0"}, {"avg_topology_degree": False}, {"mu_range": ["0.005", 0.01]},
+    {"alpha_range": [0.03]}, {"alpha_range": "ab"}, {"max_bins": float("inf")},
+    {"kernel": {"type": "exponential", "delta": "0.2"}},
+    {"kernel": {"type": "gaussian", "mean": 2.0, "std": True}},
+])
+def test_simulate_rejects_config_values_of_the_wrong_type(tmp_path, capsys, override):
+    config = _write_config(tmp_path / "c.json", {"simulate": {**SIM_SECTION, **override}})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_reads_integral_floats_as_counts(tmp_path):
+    config = _write_config(tmp_path / "c.json", {"simulate": {**SIM_SECTION, "type_count": 2.0}})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    truth = load_graph_json(tmp_path / "o" / "ground_truth.json")
+    assert truth.graph.type_count == 2 and truth.meta["config"]["type_count"] == 2
+
+
 def test_simulate_byte_determinism(tmp_path):
     config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
     for sub in ("one", "two"):
@@ -345,6 +367,9 @@ def test_learn_infers_a_window_past_2_pow_53_bins(tmp_path, capsys, latest):
 @pytest.mark.parametrize("learn", [
     {"allow_cycles": "false"}, {"no_topology": 0}, {"events": 0}, {"k": "two"},
     {"em": {"max_iterations": "many"}},
+    # numbers are JSON numbers: no strings or booleans, and no fractions where an int belongs
+    {"k": "1"}, {"dt": "5.0"}, {"k": 1.5}, {"k": True}, {"seed": 0.5}, {"delta": False},
+    {"em": {"rel_tolerance": "0.1"}}, {"em": {"max_iterations": 20.5}},
 ])
 def test_learn_rejects_config_values_of_the_wrong_type(sim_dir, tmp_path, capsys, learn):
     config = _write_config(tmp_path / "c.json", {"learn": learn})
@@ -536,6 +561,19 @@ def test_benchmark_small(tmp_path, capsys):
     assert payload["results"]["full"]["runs"] == 1
     for label in ("full", "no_topology"):
         assert 0.0 <= payload["results"][label]["f1_mean"] <= 1.0
+
+
+def test_benchmark_reports_under_generation_in_one_line(tmp_path):
+    section = {**SIM_SECTION, "max_bins": 2000, "em": {"max_iterations": 30}}
+    section.pop("seed")
+    config = _write_config(tmp_path / "c.json", {"benchmark": section})
+    proc = _module_entry("benchmark", "--config", config, "--runs", "1")
+    assert proc.returncode == 0, proc.stderr
+    warned = [line for line in proc.stderr.splitlines() if "max_bins" in line]
+    assert len(warned) == 1, proc.stderr
+    assert re.fullmatch(r"warning: hit max_bins=2000 with \d+ events, target was 400", warned[0])
+    # without the source path and line of Python's own warning format
+    assert "Warning" not in proc.stderr and "simulate.py" not in proc.stderr
 
 
 def test_missing_events_file_is_io_error(tmp_path, capsys):
@@ -822,19 +860,24 @@ if len(sys.argv) > 1:  # as python -m hawkesnet.cli <argv>
 else:
     import hawkesnet.cli
 print(json.dumps([code, [m.removeprefix("hawkesnet.") for m in sys.modules
-                         if m.startswith("hawkesnet.") or m in ("numpy", "numpy.ma")]]))
+                         if m.startswith("hawkesnet.") or m in ("numpy", "numpy.ma", *GENERATED)]]))
 """
+# the standard library's dataclass code generation and the inspect module it
+# loads: no command needs either, and numpy alone loads inspect
+GENERATED = ("dataclasses", "inspect")
 
 
 def _loaded_layers(*argv) -> set:
-    proc = subprocess.run([sys.executable, "-c", _LOADED_LAYERS, *argv], capture_output=True, text=True)
+    probe = f"GENERATED = {GENERATED!r}\n{_LOADED_LAYERS}"
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
-    return set(modules) & (LAYERS | {"numpy.ma"})
+    return set(modules) & (LAYERS | {"numpy.ma", *GENERATED})
 
 
 def test_each_subcommand_loads_only_the_layers_it_runs(sim_dir, learn_dir, tmp_path):
+    # neither import hawkesnet.cli nor evaluate loads numpy, dataclasses or inspect
     assert _loaded_layers() == set()
     assert _loaded_layers(
         "evaluate",
@@ -845,14 +888,18 @@ def test_each_subcommand_loads_only_the_layers_it_runs(sim_dir, learn_dir, tmp_p
     config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
     assert _loaded_layers(
         "simulate", "--config", config, "--out", str(tmp_path / "sim")
-    ) == {"events", "kernels", "topology", "simulate", "numpy"}
+    ) - {"inspect"} == {"events", "kernels", "topology", "simulate", "numpy"}
     assert _loaded_layers(
         "learn",
         "--events", str(sim_dir / "events.csv"),
         "--topology", str(sim_dir / "topology.txt"),
         "--k", "0",
         "--out", str(tmp_path / "fit"),
-    ) == LAYERS - {"simulate"}
+    ) - {"inspect"} == LAYERS - {"simulate"}
+    bench = {**SIM_SECTION, "target_event_count": 100, "em": {"max_iterations": 10}}
+    bench.pop("seed")
+    config = _write_config(tmp_path / "b.json", {"benchmark": bench})
+    assert "dataclasses" not in _loaded_layers("benchmark", "--config", config, "--runs", "1")
 
 
 # perfbench/tracing.py times each layer by replacing these attributes of

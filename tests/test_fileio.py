@@ -187,6 +187,24 @@ def test_graph_json_validation(tmp_path):
                                 "edges": [{"from": 0, "to": 1, "alpha": "12"}]}))
     with pytest.raises(InvalidInputError):
         load_graph_json(path)
+    # integer fields take JSON integers: no strings, booleans or fractions
+    for bad in (
+        {"type_count": "3", "edges": []},
+        {"type_count": True, "edges": []},
+        {"type_count": 2.5, "edges": []},
+        {"type_count": 2, "edges": [{"from": "0", "to": 1}]},
+        {"type_count": 2, "edges": [{"from": 0.9, "to": 1}]},
+        {"type_count": 2, "edges": [{"from": False, "to": True}]},
+        {"type_count": 2, "k": "0", "mu": [0.1, 0.1], "edges": [{"from": 0, "to": 1, "alpha": [0.1]}]},
+        {"type_count": 2, "k": 0.5, "mu": [0.1, 0.1], "edges": [{"from": 0, "to": 1, "alpha": [0.1]}]},
+        {"type_count": 2, "mu": [True, 0.1], "edges": []},
+    ):
+        path.write_text(json.dumps({"format_version": 1, **bad}))
+        with pytest.raises(InvalidInputError):
+            load_graph_json(path)
+    path.write_text(json.dumps({"format_version": 1, "type_count": 2.0, "edges": [{"from": 1.0, "to": 0}]}))
+    doc = load_graph_json(path)
+    assert doc.graph.type_count == 2 and doc.graph.edges == frozenset({(1, 0)})
 
 
 # none is a list of two finite, nonnegative numbers; "12" must not read as the rates 1 and 2

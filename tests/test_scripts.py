@@ -1,10 +1,12 @@
-"""Smoke runs of the experiment scripts under ``scripts/`` at tiny sizes."""
+"""Smoke runs of the experiment scripts under ``scripts/`` at tiny sizes, and
+of the README's library example."""
 
 from __future__ import annotations
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,3 +116,16 @@ def test_bench_pairs_records_both_sides(tmp_path, monkeypatch):
                 assert entry["change_better_pairs"] == 2, name
             assert metrics["learn_s"]["parent_runs"] == [1.0 + seed] * 2
             assert metrics["learn_s"]["change_vs_parent"] == -0.5
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    number = r"\d+(\.\d+)?"
+    assert re.fullmatch(
+        rf"StructureReport\(true_positives=\d+, false_positives=\d+, false_negatives=\d+, "
+        rf"precision={number}, recall={number}, f1={number}\)\n",
+        printed,
+    ), printed
