@@ -1,6 +1,6 @@
 """Alternating before/after pairs of the perfbench end-to-end benchmark.
 
-Runs ``python3 perfbench/run.py --workload all --seed S --seconds N`` in two
+Runs ``python3 perfbench/run.py --workload W --seed S --seconds N`` in two
 checkouts, a parent and a change, and writes one JSON record of every
 end-to-end metric: per seed and workload, the median and quartiles
 (inclusive method) of each side, every run in pair order, the number of
@@ -22,8 +22,10 @@ Usage::
 
     python3 scripts/bench_pairs.py PARENT CHANGE --seeds 23 5 --pairs 10
 
-The record goes to ``--out``, by default ``BENCH_<parent commit>.json`` in
-the working directory.
+``--workload NAME`` runs one perfbench workload instead of ``all``, to
+iterate on one claim quickly; a final record runs ``all``. The record goes
+to ``--out``, by default ``BENCH_<parent commit>.json`` in the working
+directory.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ import tempfile
 HIGHER_BETTER = {"f1"}
 
 
-def run_bench(checkout: str, seed: int, seconds: float, scale: float) -> dict:
+def run_bench(checkout: str, workload: str, seed: int, seconds: float, scale: float) -> dict:
     """One perfbench run in ``checkout``: its environment line and result JSON."""
-    argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "all",
+    argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", repr(seconds), "--scale", repr(scale)]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
@@ -90,6 +92,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="alternating perfbench pairs of two checkouts")
     parser.add_argument("parent", help="checkout root of the parent commit")
     parser.add_argument("change", help="checkout root of the change")
+    parser.add_argument("--workload", default="all", help="perfbench workload (default all)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[23, 5])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -110,7 +113,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for seed in args.seeds:
             for side in order:
-                runs[side, seed].append(run_bench(sides[side], seed, args.seconds, args.scale))
+                runs[side, seed].append(run_bench(sides[side], args.workload, seed, args.seconds, args.scale))
                 print(f"pair {pair + 1}/{args.pairs} seed {seed} {side} done", file=sys.stderr)
 
     end_to_end, checks = {}, {}
@@ -132,9 +135,9 @@ def main(argv=None) -> int:
         "parent_commit": parent_commit,
         "description": (
             f"end_to_end: medians and quartiles (inclusive method) over {args.pairs} alternating pairs "
-            f"of `python3 perfbench/run.py --workload all --seed S --seconds {args.seconds:g}` per seed, "
-            "even pairs parent first, odd pairs change first, seeds interleaved; *_runs list every run "
-            "in pair order; change_better_pairs counts strict wins (ties count for neither); "
+            f"of `python3 perfbench/run.py --workload {args.workload} --seed S "
+            f"--seconds {args.seconds:g}` per seed, even pairs parent first, odd pairs change first, "
+            "seeds interleaved; *_runs list every run in pair order; change_better_pairs counts strict wins (ties count for neither); "
             "each run with bytecode written to a fresh, empty PYTHONPYCACHEPREFIX of its own."
         ),
         "machine": {key: env.get(key) for key in ("nproc", "python", "numpy", "blas", "threads")},

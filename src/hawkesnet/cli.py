@@ -7,10 +7,11 @@ included), 3 for degenerate or exploding models, 4 for I/O failures.
 
 Each subcommand imports only the layers it runs. ``evaluate`` loads this
 module, ``errors``, ``values``, ``fileio``, ``graph`` and ``metrics``, and
-from the standard library ``argparse``, ``json``, ``hashlib`` and
-``numbers``: no numpy, and no ``dataclasses`` or ``inspect``, since the
-package's record types are not dataclasses. A process enters through
-``run``, which ends it once stdout and stderr are flushed, skipping teardown.
+from the standard library ``argparse``, ``json``, ``hashlib`` (which
+``fileio`` imports only to hash a file) and ``numbers``: no numpy, and no
+``dataclasses`` or ``inspect``, since the package's record types are not
+dataclasses. A process enters through ``run``, which ends it once stdout
+and stderr are flushed, skipping teardown.
 """
 
 from __future__ import annotations
@@ -317,7 +318,9 @@ def cmd_learn(args) -> int:
     if no_topology:
         max_hops = 0
 
+    started = time.monotonic()
     records = load_events_csv(events_path)
+    ingest_elapsed = time.monotonic() - started
     inputs = {"events": f"sha256:{sha256_file(events_path)}"}
 
     if topology_path is not None:
@@ -344,6 +347,7 @@ def cmd_learn(args) -> int:
             bins = math.floor(bins) if math.isfinite(bins) else bins
             horizon_end = max((bins + 1.0) * bin_width, math.nextafter(latest, math.inf))
 
+    started = time.monotonic()
     dataset = discretize(
         records,
         bin_width,
@@ -351,6 +355,7 @@ def cmd_learn(args) -> int:
         node_count=node_count,
         type_count=type_count,
     )
+    ingest_elapsed += time.monotonic() - started
     kernel = ExponentialKernel(delta)
 
     started = time.monotonic()
@@ -421,6 +426,7 @@ def cmd_learn(args) -> int:
             "config": config_echo,
         },
     )
+    print(f"ingest took {ingest_elapsed:.2f}s events={dataset.total_events}", file=sys.stderr)
     print(f"features took {features_elapsed:.2f}s cells={cache.cell_count}", file=sys.stderr)
     print(f"search took {elapsed:.2f}s fits={fits} maps={maps} screened={screened} "
           f"nonconverged={nonconverged}", file=sys.stderr)

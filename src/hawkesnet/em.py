@@ -57,9 +57,16 @@ log-likelihoods, step bound, maps, phase of the cycle, trajectory), points
 held as Python floats: every pass maps the next point of each running row
 in one ``_em_iteration`` call, so the numpy call overhead of a map is paid
 once per pass instead of once per fit, then moves each row one step along
-its cycle; finished rows leave the pass. The jump's step norm is
-``math.hypot`` over a row's coordinates, so every step, jump, acceptance and
-stop is the float of a fit run alone. ``fit_type`` is a batch of one. A fit
+its cycle; finished rows leave the pass. Past copying the points into
+work rows, a pass calls numpy for its cell-sized work only: per point the
+two matrix-vector products, and over all points ``+ mu``, ``log``, the
+stacked dot products, the divide and the row sums. Each share, ``mu'`` and
+``alpha'`` is then Python float arithmetic on those results, in the order
+of the numpy expressions it stands for, and the totals the dot products
+read are stacked once per set of running rows, not once per pass. The
+jump's step norm is ``math.hypot`` over a row's coordinates, so every step,
+jump, acceptance and stop is the float of a fit run alone. ``fit_type`` is
+a batch of one. A fit
 does not depend on its batch: each parent set's feature block is ``width x
 cells``, one row per channel, with every row at a 64-byte-aligned address
 (see :class:`hawkesnet.likelihood.TypeBatch`); and every product and sum of
@@ -134,16 +141,26 @@ def _em_iteration(mu, alpha, data, blocks):
     ``data`` is a :class:`TypeBatch` and ``(mu[j], alpha[j])`` a point on
     its parent set ``blocks[j]``; a point with zero intensity at an occupied
     cell scores ``-inf``. Channels whose feature totals vanish keep
-    ``alpha = 0``.
+    ``alpha = 0``. Points may come in as any sequences of numbers and go out
+    as lists of Python floats. Past the cell-sized products of
+    :func:`~hawkesnet.likelihood.batch_log_likelihood` and ``flat @ ratio``,
+    the updates are Python float arithmetic in the order of
+    ``mu * sum(ratio) / (grid_cells * dt)`` and ``alpha * weighted /
+    charges``, so each coordinate is the float numpy would compute.
     """
     lam, log_lik = batch_log_likelihood(mu, alpha, data, blocks)
     ratio = np.divide(data.counts, lam, out=lam)
     weighted = data.width_rows[: len(blocks)]  # flat @ ratio, one row per point
     for j, b in enumerate(blocks):
         np.matmul(data.flat[b], ratio[j], out=weighted[j])
-    mu = mu * ratio.sum(axis=1) / (data.grid_cells * data.bin_width)
-    active = data.totals.take(blocks, axis=0) > 0
-    alpha = np.where(active, alpha * weighted / data.charges.take(blocks, axis=0), 0.0)
+    scale = data.grid_cells * data.bin_width
+    mu = [rate * total / scale for rate, total in zip(mu, ratio.sum(axis=1).tolist())]
+    # a charge that underflowed to 0 gives numpy's inf or nan, not an error
+    alpha = [
+        [0.0 if c is None else a * w / c if c else a * w * math.inf
+         for a, w, c in zip(point, row, data.charges[b])]
+        for point, row, b in zip(alpha, weighted.tolist(), blocks)
+    ]
     return log_lik, mu, alpha
 
 
@@ -221,11 +238,6 @@ def _small(gain: float, log_lik: float, rel_tolerance: float) -> bool:
     return abs(gain) <= rel_tolerance * (abs(log_lik) + 1.0)
 
 
-def _points(points: list) -> tuple:
-    """``(mu, alpha)`` arrays of ``(mu, alpha)`` pairs."""
-    return np.array([mu for mu, _ in points]), np.array([alpha for _, alpha in points])
-
-
 @np.errstate(all="ignore")  # a jump may overflow or leave the domain; it is then rejected
 def _fit_points(starts: list, data: TypeBatch, config: EmConfig) -> list:
     """SQUAREM from each start ``(mu, alpha)``, start ``j`` on parent set ``j``.
@@ -247,8 +259,8 @@ def _fit_points(starts: list, data: TypeBatch, config: EmConfig) -> list:
     trajectories, converged = [[] for _ in range(n)], [False] * n
     running = list(range(n))
     while running:
-        log_lik, mu, alpha = _em_iteration(*_points([pending[j] for j in running]), data, running)
-        for j, value, image in zip(running, log_lik.tolist(), zip(mu.tolist(), alpha.tolist())):
+        log_lik, mu, alpha = _em_iteration(*zip(*(pending[j] for j in running)), data, running)
+        for j, value, image in zip(running, log_lik, zip(mu, alpha)):
             maps[j] += 1
             trajectory = trajectories[j]
             if phase[j] < 2 and value == -math.inf:
@@ -294,8 +306,8 @@ def _fit_points(starts: list, data: TypeBatch, config: EmConfig) -> list:
         running = [j for j in running if phase[j] < 3]
     capped = [j for j in range(n) if not converged[j]]
     if capped:
-        _, rescored = batch_log_likelihood(*_points([pending[j] for j in capped]), data, capped)
-        for j, value in zip(capped, rescored.tolist()):
+        _, rescored = batch_log_likelihood(*zip(*(pending[j] for j in capped)), data, capped)
+        for j, value in zip(capped, rescored):
             trajectories[j].append(value)
     return [(pending[j], trajectories[j], converged[j], maps[j] + (not converged[j])) for j in range(n)]
 

@@ -67,21 +67,6 @@ class DiscreteDataset(NamedTuple):
         hi = int(np.searchsorted(self.types, event_type, side="right"))
         return slice(lo, hi)
 
-    def events_per_type(self) -> np.ndarray:
-        """Total event count of each type, shape ``(type_count,)``."""
-        totals = np.zeros(self.type_count, dtype=np.int64)
-        np.add.at(totals, self.types, self.counts)
-        return totals
-
-    def count_at(self, node: int, event_type: int, time_bin: int) -> int:
-        """Events in one cell; 0 when the cell is unoccupied."""
-        rows = self.type_rows(event_type)
-        key = self.bins[rows] * self.node_count + self.nodes[rows]
-        idx = np.searchsorted(key, time_bin * self.node_count + node)
-        if idx < key.shape[0] and key[idx] == time_bin * self.node_count + node:
-            return int(self.counts[rows][idx])
-        return 0
-
 
 def discretize(
     records,
@@ -179,27 +164,45 @@ def load_events_csv(path: str) -> np.recarray:
 
     Blank lines are skipped and fields may be quoted; ids must be decimal
     int64 and timestamps finite. A file of blank lines is an empty table.
+
+    ``np.loadtxt`` parses the file itself, in blocks, from the line after
+    the header; it skips empty lines on its own. Only if that parse fails is
+    the file read again line by line, with every line that holds nothing
+    but whitespace dropped first: this second parse accepts such lines, and
+    for a malformed file it names the offending row.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = (line for line in fh if line.strip())
-        header = next(lines, None)
-        if header is None:
+        for through_header, header in enumerate(fh, start=1):
+            if header.strip():
+                break
+        else:
             return event_table([], [], [])
-        names = next(csv.reader([header]))
-        if tuple(name.strip() for name in names) != EVENTS_HEADER:
-            raise InvalidInputError(
-                f"{path}: expected header {','.join(EVENTS_HEADER)!r}, got {header.rstrip()!r}"
-            )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # header, no rows
-                table = np.loadtxt(lines, dtype=EVENT_DTYPE, delimiter=",",
-                                   comments=None, quotechar='"', ndmin=1)
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: malformed event rows ({exc})") from exc
+    names = next(csv.reader([header]))
+    if tuple(name.strip() for name in names) != EVENTS_HEADER:
+        raise InvalidInputError(
+            f"{path}: expected header {','.join(EVENTS_HEADER)!r}, got {header.rstrip()!r}"
+        )
+    try:
+        table = _parse_rows(path, skiprows=through_header, encoding="utf-8")
+    except Exception:  # a malformed row, or a name numpy reads as compressed (.gz, .xz)
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = (line for line in fh if line.strip())
+            next(lines)  # the header
+            try:
+                table = _parse_rows(lines)
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}: malformed event rows ({exc})") from exc
     if not np.isfinite(table["timestamp"]).all():
         raise InvalidInputError(f"{path}: non-finite timestamp")
     return table.view(np.recarray)
+
+
+def _parse_rows(source, **options) -> np.ndarray:
+    """The event rows of a file path or of an iterable of lines."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # header, no rows
+        return np.loadtxt(source, dtype=EVENT_DTYPE, delimiter=",", comments=None,
+                          quotechar='"', ndmin=1, **options)
 
 
 def save_events_csv(path: str, records) -> None:

@@ -29,9 +29,12 @@ into the next chunk. Each occupied cell's state row is then contracted with
 column ``n`` of every ``P^k``. The cost is
 ``O(cells * type_count * node_count * (max_hops + 1))`` plus a Python step per
 chunk (at most one per occupied bin), independent of the number of empty
-bins. Each chunk's features are scattered straight into the rows of the
-types with events at its cells, so no array over all cells and channels is
-ever held.
+bins. Chunks write their features into a stage of about
+``_CHUNK_ELEMENTS`` entries; when the next chunk would overflow it, the
+stage is copied out into the rows of the types with events at its cells.
+A type's rows at a run of cells are one run of its columns, so a copy-out
+is one gather and one slice assignment per type, with no per-chunk index
+arithmetic, and no array over all cells and channels is ever held.
 
 Everything here is independent of the causal graph and of the rate
 parameters, so one cache serves every candidate scored by the structure
@@ -168,8 +171,8 @@ def build_features(
     row_mass = powers.sum(axis=2)
 
     # sorted, and deduplicated by mask: np.unique would import numpy.ma
-    cell_keys = dataset.bins * n_nodes + dataset.nodes
-    cell_keys.sort()
+    row_keys = dataset.bins * n_nodes + dataset.nodes
+    cell_keys = np.sort(row_keys)
     cell_keys = cell_keys[np.diff(cell_keys, prepend=-1) != 0]  # keys are >= 0
     cell_bins = cell_keys // n_nodes
     cell_nodes = cell_keys % n_nodes
@@ -177,7 +180,6 @@ def build_features(
 
     counts = dataset.counts.astype(float)
     type_starts = np.searchsorted(dataset.types, np.arange(n_types + 1))
-    type_sizes = np.diff(type_starts)
     state_cols = dataset.types * n_nodes + dataset.nodes
     width = n_types * n_nodes
 
@@ -190,29 +192,56 @@ def build_features(
     summary = np.bincount(state_cols, weights=counts * tail, minlength=width)
     totals = summary.reshape(n_types, n_nodes) @ row_mass.T
 
-    # Dataset rows are sorted by (type, bin, node), so type v owns rows
-    # type_starts[v]:type_starts[v + 1]. Its (channels, type_sizes[v]) rows
-    # start at channels * type_starts[v] of one buffer, so channel r at the
-    # cell of row j sits at j + (channels - 1) * type_starts[v] + r *
-    # type_sizes[v]. by_cell lists the rows in cell order.
-    channels = n_types * (max_hops + 1)
-    buffer = np.empty(channels * dataset.types.shape[0])
-    row_cells = np.searchsorted(cell_keys, dataset.bins * n_nodes + dataset.nodes)
-    by_cell = np.argsort(row_cells, kind="stable")
-    row_cells = row_cells[by_cell]
-    channel_steps = np.arange(channels)[:, None]
-    occ_bins, cell_occ = np.unique(cell_bins, return_inverse=True)
+    # the occupied bins, and the index among them of each cell and event
+    new_bin = np.diff(cell_bins, prepend=-1) != 0  # bins are >= 0
+    occ_bins = cell_bins[new_bin]
+    cell_occ = np.cumsum(new_bin) - 1
     n_occ = occ_bins.shape[0]
     order = np.argsort(dataset.bins, kind="stable")
-    event_occ = np.searchsorted(occ_bins, dataset.bins[order])
-    event_cols = state_cols[order]
+    type_cells = np.searchsorted(cell_keys, row_keys)  # each row's cell; offset by type below
+    event_occ = cell_occ[type_cells[order]]
+    event_at = event_occ * width + state_cols[order]  # flat index into the state rows
     event_counts = counts[order]
+    del row_keys, tail, order  # rows-sized arrays the chunk loop does not read
+
+    # Dataset rows are sorted by (type, bin, node), so type v owns rows
+    # type_starts[v]:type_starts[v + 1], and its (channels, n_v) block of
+    # features starts at channels * type_starts[v] of one buffer. Within a
+    # type, rows follow the cell order: type_cells = type * n_cells + cell is
+    # sorted, and the rows of v at cells [a, b) are one run of its block's
+    # columns, found for every type by one searchsorted.
+    channels = n_types * (max_hops + 1)
+    buffer = np.empty(channels * dataset.types.shape[0])
+    bounds = type_starts.tolist()
+    blocks = [buffer[channels * lo : channels * hi].reshape(channels, hi - lo)
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    type_cells += dataset.types * n_cells
+    type_offsets = np.arange(n_types) * n_cells
+
+    def copy_out(staged: np.ndarray, first: int, starts: np.ndarray) -> np.ndarray:
+        """Copy ``staged``, the features of the cells from ``first`` on, into
+        the blocks. ``starts`` holds each type's first row at those cells;
+        returns each type's first row after them."""
+        offsets = type_offsets + first
+        ends = np.searchsorted(type_cells, offsets + staged.shape[1])
+        for block, start, at, lo, hi in zip(blocks, bounds, offsets.tolist(), starts.tolist(),
+                                            ends.tolist()):
+            if hi > lo:
+                block[:, lo - start : hi - start] = staged.take(type_cells[lo:hi] - at, axis=1)
+        return ends
+
     hop_cols = [p.T for p in powers]  # hop_cols[k][n] = P^k[:, n]
     span_bins = _MAX_SPAN_EXPONENT / rate
     chunk_cells = max(1, _CHUNK_ELEMENTS // width)
+    # Chunks write their features to stage, which holds cells held:c0, and
+    # it is copied out whenever the next chunk would overflow it. A chunk
+    # holds at most chunk_cells cells, or the cells of one bin.
+    stage_cells = min(n_cells, max(chunk_cells, n_nodes, _CHUNK_ELEMENTS // channels))
+    stage = np.empty((n_types, max_hops + 1, stage_cells))
+    held, held_rows = 0, type_starts[:-1]
 
     carry = np.zeros(width)  # state at the chunk's first occupied bin
-    s = c0 = e0 = r0 = 0  # first occupied bin, cell, event and row by cell of the chunk
+    s = c0 = e0 = 0  # first occupied bin, cell and event of the chunk
     while s < n_occ:
         e = int(np.searchsorted(occ_bins, occ_bins[s] + span_bins, side="right"))
         if c0 + chunk_cells < n_cells:
@@ -224,7 +253,7 @@ def build_features(
         offset = rate * (occ_bins[s:e] - occ_bins[s])
         rows = event_occ[e0:e1] - s
         rescaled = np.zeros((e - s, width))
-        rescaled[rows, event_cols[e0:e1]] = event_counts[e0:e1] * np.exp(offset[rows])
+        rescaled.reshape(-1)[event_at[e0:e1] - s * width] = event_counts[e0:e1] * np.exp(offset[rows])
         np.cumsum(rescaled, axis=0, out=rescaled)
         state = np.empty_like(rescaled)
         state[0] = carry
@@ -237,16 +266,14 @@ def build_features(
 
         at_cells = state.reshape(e - s, n_types, n_nodes)[cell_occ[c0:c1] - s]
         nodes = cell_nodes[c0:c1]
-        values = np.empty((n_types, max_hops + 1, c1 - c0))
+        if c1 - held > stage_cells:
+            held_rows = copy_out(stage[:, :, : c0 - held].reshape(channels, c0 - held), held, held_rows)
+            held = c0
+        values = stage[:, :, c0 - held : c1 - held]
         for k in range(max_hops + 1):
             values[:, k] = np.einsum("ctn,cn->tc", at_cells, hop_cols[k][nodes])
-        # scattered straight into the rows of every type with a cell here
-        r1 = int(np.searchsorted(row_cells, c1))
-        hits = by_cell[r0:r1]
-        owners = dataset.types[hits]
-        at = hits + (channels - 1) * type_starts[owners] + channel_steps * type_sizes[owners]
-        buffer[at] = values.reshape(channels, c1 - c0)[:, row_cells[r0:r1] - c0]
-        s, c0, e0, r0 = e, c1, e1, r1
+        s, c0, e0 = e, c1, e1
+    copy_out(stage[:, :, : n_cells - held].reshape(channels, n_cells - held), held, held_rows)
 
     return FeatureCache(
         node_count=n_nodes,
@@ -257,10 +284,7 @@ def build_features(
         total_events=dataset.total_events,
         cell_nodes=cell_nodes,
         cell_bins=cell_bins,
-        type_values=tuple(
-            buffer[channels * lo : channels * hi].reshape(channels, hi - lo)
-            for lo, hi in zip(type_starts[:-1], type_starts[1:])
-        ),
+        type_values=tuple(blocks),
         totals=totals,
         type_counts=tuple(counts[lo:hi].copy() for lo, hi in zip(type_starts[:-1], type_starts[1:])),
     )

@@ -9,7 +9,6 @@ different directories produce byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import NamedTuple
@@ -67,6 +66,8 @@ def read_json(path: str) -> dict:
 
 
 def sha256_file(path: str) -> str:
+    import hashlib  # loads OpenSSL: only commands that hash a file pay for it
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

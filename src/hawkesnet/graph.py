@@ -43,18 +43,6 @@ class CausalGraph(Frozen):
         """Cause types of ``event_type``, sorted ascending."""
         return tuple(sorted(c for (c, v) in self.edges if v == event_type))
 
-    def with_edge(self, edge: tuple[int, int]) -> "CausalGraph":
-        return CausalGraph(self.type_count, self.edges | {tuple(edge)})
-
-    def without_edge(self, edge: tuple[int, int]) -> "CausalGraph":
-        return CausalGraph(self.type_count, self.edges - {tuple(edge)})
-
-    def with_reversed(self, edge: tuple[int, int]) -> "CausalGraph":
-        a, b = edge
-        if (a, b) not in self.edges:
-            raise InvalidInputError(f"edge {edge} not present")
-        return CausalGraph(self.type_count, (self.edges - {(a, b)}) | {(b, a)})
-
 
 def as_rates(values, name: str) -> tuple[float, ...]:
     """``values`` (a list, tuple or 1-d array of numbers) as finite, nonnegative floats."""

@@ -61,20 +61,24 @@ class TypeBatch(NamedTuple):
     64-byte-aligned address. ``counts`` (shared) holds the events at those
     cells, ``grid_cells`` is ``node_count * bin_count``, ``totals[b]`` the
     grid-wide feature sums of set ``b`` in the same order, and ``charges[b]``
-    the EM update's denominators ``totals * bin_width``, 1 where a total
-    vanishes. ``cell_rows`` and ``width_rows`` are aligned work rows, one per
-    set, so a call scores at most as many points as the batch has sets.
+    the EM update's denominators ``totals * bin_width`` as Python floats,
+    ``None`` where a total vanishes. ``cell_rows`` and ``width_rows`` are
+    aligned work rows, one per set, so a call scores at most as many points
+    as the batch has sets. ``stacks`` memoizes the ``totals`` rows of the
+    sets that points are scored on, one entry per tuple of sets: a fit's
+    running rows change only when one of them finishes.
     """
 
     event_type: int
     flat: np.ndarray  # (sets, width, cells)
     counts: np.ndarray
     totals: np.ndarray  # (sets, width)
-    charges: np.ndarray  # (sets, width)
+    charges: list  # sets lists of width floats or None
     bin_width: float
     grid_cells: int
     cell_rows: np.ndarray  # (sets, cells)
     width_rows: np.ndarray  # (sets, width)
+    stacks: dict  # tuple of sets -> (points, width, 1) totals
 
 
 def type_batch(cache: FeatureCache, event_type: int, parent_sets) -> TypeBatch:
@@ -105,17 +109,17 @@ def type_batch(cache: FeatureCache, event_type: int, parent_sets) -> TypeBatch:
         flat=flat.reshape(sets, width, cells),
         counts=cache.type_counts[event_type],
         totals=totals,
-        charges=np.where(totals > 0, totals * cache.bin_width, 1.0),
+        charges=[[charge if total > 0 else None for total, charge in zip(row, charges)]
+                 for row, charges in zip(totals.tolist(), (totals * cache.bin_width).tolist())],
         bin_width=cache.bin_width,
         grid_cells=cache.node_count * cache.bin_count,
         cell_rows=_aligned_rows(sets, cells),
         width_rows=_aligned_rows(sets, width),
+        stacks={},
     )
 
 
-def batch_log_likelihood(
-    mu: np.ndarray, alpha: np.ndarray, batch: TypeBatch, blocks: list
-) -> tuple[np.ndarray, np.ndarray]:
+def batch_log_likelihood(mu, alpha, batch: TypeBatch, blocks) -> tuple[np.ndarray, list]:
     """Intensities and log-likelihood shares of the points ``(mu[j], alpha[j])``.
 
     Point ``j`` is scored on the parent set ``blocks[j]`` of ``batch``: its
@@ -125,26 +129,34 @@ def batch_log_likelihood(
     and dot products is a BLAS call of its own, and its matrix-vector
     product runs along the cells of a feature block and work rows whose
     every row starts at a 64-byte-aligned address, so its results do not
-    depend on the other points or on the batch size. Returns
-    ``lam`` (in the batch's work rows) and the shares; callers silence the
-    floating-point warnings of rows that score ``-inf`` or ``nan``.
+    depend on the other points or on the batch size. The products are the
+    only numpy calls per point; the rest of a share is Python float
+    arithmetic on the two dot products, in the order of the formula. Returns
+    ``lam`` (in the batch's work rows) and the shares as a list of floats;
+    callers silence the floating-point warnings of rows that score ``-inf``
+    or ``nan``.
     """
     lam = batch.cell_rows[: len(blocks)]
     point = batch.width_rows[: len(blocks)]
     point[...] = alpha
     for j, b in enumerate(blocks):
         np.matmul(point[j], batch.flat[b], out=lam[j])
-    lam += mu[:, None]
+    lam += np.array(mu)[:, None]
     # one dot product per point: matmul over stacks of row @ column
-    counted = np.matmul(np.log(lam)[:, None, :], batch.counts[:, None])[:, 0, 0]
-    charged = np.matmul(point[:, None, :], batch.totals.take(blocks, axis=0)[:, :, None])[:, 0, 0]
-    share = counted - batch.bin_width * (mu * batch.grid_cells + charged)
-    # lam <= 0 at a cell makes its log -inf or nan, so only such rows are checked
-    suspect = ~np.isfinite(counted)
-    if suspect.any():
-        suspect[suspect] = (lam[suspect] <= 0.0).any(axis=1)
-        share[suspect] = -np.inf
-    return lam, share
+    counted = np.matmul(np.log(lam)[:, None, :], batch.counts[:, None]).tolist()
+    stacked = batch.stacks.get(tuple(blocks))
+    if stacked is None:
+        stacked = batch.stacks[tuple(blocks)] = batch.totals[list(blocks)][:, :, None]
+    charged = np.matmul(point[:, None, :], stacked).tolist()
+    dt, grid = batch.bin_width, batch.grid_cells
+    shares = []
+    for j, (((log_sum,),), ((spent,),), rate) in enumerate(zip(counted, charged, mu)):
+        # lam <= 0 at a cell makes its log -inf or nan, so only such rows are checked
+        if not math.isfinite(log_sum) and (lam[j] <= 0.0).any():
+            shares.append(-math.inf)
+        else:
+            shares.append(log_sum - dt * (rate * grid + spent))
+    return lam, shares
 
 
 def bic_penalty(type_count: int, edge_count: int, per_edge: int, total_events: int) -> float:

@@ -44,6 +44,38 @@ def rows_to_table(rows) -> np.recarray:
     return event_table(*zip(*rows)) if rows else event_table([], [], [])
 
 
+def events_per_type(dataset: DiscreteDataset) -> np.ndarray:
+    """Total event count of each type, shape ``(type_count,)``."""
+    totals = np.zeros(dataset.type_count, dtype=np.int64)
+    np.add.at(totals, dataset.types, dataset.counts)
+    return totals
+
+
+def count_at(dataset: DiscreteDataset, node: int, event_type: int, time_bin: int) -> int:
+    """Events in one cell; 0 when the cell is unoccupied."""
+    rows = dataset.type_rows(event_type)
+    key = dataset.bins[rows] * dataset.node_count + dataset.nodes[rows]
+    idx = np.searchsorted(key, time_bin * dataset.node_count + node)
+    if idx < key.shape[0] and key[idx] == time_bin * dataset.node_count + node:
+        return int(dataset.counts[rows][idx])
+    return 0
+
+
+def with_edge(graph: CausalGraph, edge: tuple[int, int]) -> CausalGraph:
+    return CausalGraph(graph.type_count, graph.edges | {tuple(edge)})
+
+
+def without_edge(graph: CausalGraph, edge: tuple[int, int]) -> CausalGraph:
+    return CausalGraph(graph.type_count, graph.edges - {tuple(edge)})
+
+
+def with_reversed(graph: CausalGraph, edge: tuple[int, int]) -> CausalGraph:
+    a, b = edge
+    if (a, b) not in graph.edges:
+        raise InvalidInputError(f"edge {edge} not present")
+    return CausalGraph(graph.type_count, (graph.edges - {(a, b)}) | {(b, a)})
+
+
 def dense_to_records(dense: np.ndarray, bin_width: float) -> np.recarray:
     """Expand a count array into an event table at bin centers."""
     rows = []
@@ -217,7 +249,7 @@ def em_iteration(
         batch, mu_v, alpha_v = type_point(params, graph, cache, v)
         with np.errstate(divide="ignore", invalid="ignore"):
             _, mu_v, alpha_v = _em_iteration(mu_v, alpha_v, batch, [0])
-        mu[v], updated = mu_v[0], alpha_v[0]
+        mu[v], updated = mu_v[0], np.asarray(alpha_v[0], dtype=float)
         expected[v] = batch.bin_width * (mu[v] * batch.grid_cells + updated @ batch.totals[0])
         parents = graph.parents(v)
         for parent, row in zip(parents, updated.reshape(len(parents), cache.max_hops + 1)):

@@ -13,20 +13,27 @@ The last ones keep earlier designs of the package as references for the
 ones that replaced them, bit for bit: ``oracle_squarem`` runs SQUAREM as
 one generator per fit around the package's map and jump, where ``fit_batch``
 advances a batch's fits as rows; ``oracle_extrapolate`` is that jump in
-numpy arithmetic; and ``oracle_hill_climb`` lists, screens and scores every
+numpy arithmetic; ``oracle_hill_climb`` lists, screens and scores every
 legal move each round (``Move``, ``vicinity_moves``, ``apply_move``), where
-``hill_climb`` keeps each move's gain across rounds.
+``hill_climb`` keeps each move's gain across rounds;
+``oracle_chunked_features`` scatters each chunk's features through a
+destination index, where ``build_features`` stages them and copies out runs
+of columns; and ``oracle_load_events_csv`` filters every line before it
+parses, where ``load_events_csv`` parses the file directly.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
 import hawkesnet.em as em_mod
+import hawkesnet.features as features_mod
 from hawkesnet.em import EmConfig, TypeFit, _em_iteration
 from hawkesnet.errors import (
     DegenerateModelError,
@@ -34,7 +41,7 @@ from hawkesnet.errors import (
     SimulationExplosionError,
     UnsupportedKernelError,
 )
-from hawkesnet.events import DiscreteDataset, event_table
+from hawkesnet.events import EVENT_DTYPE, EVENTS_HEADER, DiscreteDataset, event_table
 from hawkesnet.features import FeatureCache
 from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import DecayKernel, ExponentialKernel
@@ -42,7 +49,7 @@ from hawkesnet.likelihood import batch_log_likelihood, bic_penalty, type_batch
 from hawkesnet.simulate import _window_weights
 from hawkesnet.topology import TopologyGraph
 
-from .helpers import alpha_tensor
+from .helpers import alpha_tensor, with_edge, with_reversed, without_edge
 
 
 def has_cycle(graph: CausalGraph) -> bool:
@@ -249,6 +256,152 @@ def oracle_blockwise_features(
         totals=totals,
         type_counts=tuple(type_counts),
     )
+
+
+def oracle_chunked_features(
+    dataset: DiscreteDataset,
+    topology: TopologyGraph,
+    kernel: DecayKernel,
+    max_hops: int,
+) -> FeatureCache:
+    """The previous production feature builder, kept as a reference.
+
+    The same chunks, cumulative sums and ``einsum`` as ``build_features``
+    (its ``_MAX_SPAN_EXPONENT`` and ``_CHUNK_ELEMENTS`` are read at each
+    call), but each chunk's features go straight into the type blocks through
+    a ``(channels, rows)`` destination index built per chunk.
+    """
+    if not isinstance(kernel, ExponentialKernel):
+        raise UnsupportedKernelError(
+            f"feature cache requires an exponential kernel, got {type(kernel).__name__}"
+        )
+    n_nodes = dataset.node_count
+    n_types = dataset.type_count
+    n_bins = dataset.bin_count
+    dt = dataset.bin_width
+    rate = kernel.decay * dt
+    powers = topology.hop_matrices(max_hops)
+    row_mass = powers.sum(axis=2)
+
+    cell_keys = dataset.bins * n_nodes + dataset.nodes
+    cell_keys.sort()
+    cell_keys = cell_keys[np.diff(cell_keys, prepend=-1) != 0]
+    cell_bins = cell_keys // n_nodes
+    cell_nodes = cell_keys % n_nodes
+    n_cells = cell_keys.shape[0]
+
+    counts = dataset.counts.astype(float)
+    type_starts = np.searchsorted(dataset.types, np.arange(n_types + 1))
+    type_sizes = np.diff(type_starts)
+    state_cols = dataset.types * n_nodes + dataset.nodes
+    width = n_types * n_nodes
+
+    tail = (
+        math.exp(-rate)
+        * -np.expm1(-rate * (n_bins - 1 - dataset.bins))
+        / -math.expm1(-rate)
+    )
+    summary = np.bincount(state_cols, weights=counts * tail, minlength=width)
+    totals = summary.reshape(n_types, n_nodes) @ row_mass.T
+
+    # channel r at the cell of row j of type v sits at
+    # j + (channels - 1) * type_starts[v] + r * type_sizes[v]
+    channels = n_types * (max_hops + 1)
+    buffer = np.empty(channels * dataset.types.shape[0])
+    row_cells = np.searchsorted(cell_keys, dataset.bins * n_nodes + dataset.nodes)
+    by_cell = np.argsort(row_cells, kind="stable")
+    row_cells = row_cells[by_cell]
+    channel_steps = np.arange(channels)[:, None]
+    occ_bins, cell_occ = np.unique(cell_bins, return_inverse=True)
+    n_occ = occ_bins.shape[0]
+    order = np.argsort(dataset.bins, kind="stable")
+    event_occ = np.searchsorted(occ_bins, dataset.bins[order])
+    event_cols = state_cols[order]
+    event_counts = counts[order]
+    hop_cols = [p.T for p in powers]
+    span_bins = features_mod._MAX_SPAN_EXPONENT / rate
+    chunk_cells = max(1, features_mod._CHUNK_ELEMENTS // width)
+
+    carry = np.zeros(width)
+    s = c0 = e0 = r0 = 0
+    while s < n_occ:
+        e = int(np.searchsorted(occ_bins, occ_bins[s] + span_bins, side="right"))
+        if c0 + chunk_cells < n_cells:
+            e = min(e, int(cell_occ[c0 + chunk_cells]))
+        e = max(e, s + 1)
+        c1 = int(np.searchsorted(cell_occ, e))
+        e1 = int(np.searchsorted(event_occ, e))
+
+        offset = rate * (occ_bins[s:e] - occ_bins[s])
+        rows = event_occ[e0:e1] - s
+        rescaled = np.zeros((e - s, width))
+        rescaled[rows, event_cols[e0:e1]] = event_counts[e0:e1] * np.exp(offset[rows])
+        np.cumsum(rescaled, axis=0, out=rescaled)
+        state = np.empty_like(rescaled)
+        state[0] = carry
+        np.add(rescaled[:-1], carry, out=state[1:])
+        decay_back = np.exp(-offset)
+        state *= decay_back[:, None]
+        if e < n_occ:
+            after_last = (carry + rescaled[-1]) * decay_back[-1]
+            carry = after_last * math.exp(-rate * (occ_bins[e] - occ_bins[e - 1]))
+
+        at_cells = state.reshape(e - s, n_types, n_nodes)[cell_occ[c0:c1] - s]
+        nodes = cell_nodes[c0:c1]
+        values = np.empty((n_types, max_hops + 1, c1 - c0))
+        for k in range(max_hops + 1):
+            values[:, k] = np.einsum("ctn,cn->tc", at_cells, hop_cols[k][nodes])
+        r1 = int(np.searchsorted(row_cells, c1))
+        hits = by_cell[r0:r1]
+        owners = dataset.types[hits]
+        at = hits + (channels - 1) * type_starts[owners] + channel_steps * type_sizes[owners]
+        buffer[at] = values.reshape(channels, c1 - c0)[:, row_cells[r0:r1] - c0]
+        s, c0, e0, r0 = e, c1, e1, r1
+
+    return FeatureCache(
+        node_count=n_nodes,
+        type_count=n_types,
+        bin_count=n_bins,
+        bin_width=dt,
+        max_hops=max_hops,
+        total_events=dataset.total_events,
+        cell_nodes=cell_nodes,
+        cell_bins=cell_bins,
+        type_values=tuple(
+            buffer[channels * lo : channels * hi].reshape(channels, hi - lo)
+            for lo, hi in zip(type_starts[:-1], type_starts[1:])
+        ),
+        totals=totals,
+        type_counts=tuple(counts[lo:hi].copy() for lo, hi in zip(type_starts[:-1], type_starts[1:])),
+    )
+
+
+def oracle_load_events_csv(path: str) -> np.recarray:
+    """The previous production event CSV reader, kept as a reference.
+
+    Every line that holds only whitespace is dropped before ``np.loadtxt``
+    sees it, and the first line left is the header.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (line for line in fh if line.strip())
+        header = next(lines, None)
+        if header is None:
+            return event_table([], [], [])
+        names = next(csv.reader([header]))
+        if tuple(name.strip() for name in names) != EVENTS_HEADER:
+            raise InvalidInputError(
+                f"{path}: expected header {','.join(EVENTS_HEADER)!r}, got {header.rstrip()!r}"
+            )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header, no rows
+                table = np.loadtxt(lines, dtype=EVENT_DTYPE, delimiter=",",
+                                   comments=None, quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: malformed event rows ({exc})") from exc
+    if not np.isfinite(table["timestamp"]).all():
+        raise InvalidInputError(f"{path}: non-finite timestamp")
+    return table.view(np.recarray)
 
 
 def oracle_intensity(
@@ -526,7 +679,7 @@ def oracle_plain_em(
         event_type=event_type,
         parents=parents,
         mu=float(mu[0]),
-        alpha=alpha[0].reshape(len(parents), cache.max_hops + 1),
+        alpha=np.asarray(alpha[0], dtype=float).reshape(len(parents), cache.max_hops + 1),
         log_lik=trajectory[-1],
         trajectory=tuple(trajectory),
         iterations=len(trajectory),
@@ -636,7 +789,7 @@ def oracle_squarem(event_type: int, parent_sets, cache: FeatureCache, config: Em
                 data,
                 live,
             )
-            for j, ll, mu_j, alpha_j in zip(live, log_lik.tolist(), mu.tolist(), alpha):
+            for j, ll, mu_j, alpha_j in zip(live, log_lik, mu, alpha):
                 try:
                     pending[j] = fits[j].send((ll, (mu_j, alpha_j)))
                 except StopIteration as stop:
@@ -650,7 +803,7 @@ def oracle_squarem(event_type: int, parent_sets, cache: FeatureCache, config: Em
                 data,
                 capped,
             )
-            for j, value in zip(capped, rescored.tolist()):
+            for j, value in zip(capped, rescored):
                 results[j][1].append(value)
     return [
         TypeFit(event_type, parents, float(mu), np.array(alpha, dtype=float).reshape(len(parents), hops),
@@ -696,14 +849,14 @@ def apply_move(graph: CausalGraph, move: Move) -> CausalGraph:
     if move.kind == "add":
         if (src, dst) in graph.edges:
             raise InvalidInputError(f"cannot add existing edge {move.edge}")
-        return graph.with_edge((src, dst))
+        return with_edge(graph, (src, dst))
     if move.kind == "delete":
         if (src, dst) not in graph.edges:
             raise InvalidInputError(f"cannot delete absent edge {move.edge}")
-        return graph.without_edge((src, dst))
+        return without_edge(graph, (src, dst))
     if (src, dst) not in graph.edges or src == dst or (dst, src) in graph.edges:
         raise InvalidInputError(f"cannot reverse edge {move.edge}")
-    return graph.with_reversed((src, dst))
+    return with_reversed(graph, (src, dst))
 
 
 def vicinity_moves(graph: CausalGraph, allow_cycles: bool = True) -> list:

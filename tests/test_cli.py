@@ -254,6 +254,9 @@ def test_learn_stdout_summary(sim_dir, tmp_path, capsys):
     # feature time has its own line, right before the search line
     assert re.search(r"^features took \d+\.\d\ds cells=[1-9]\d*\nsearch took ",
                      captured.err, re.MULTILINE)
+    # CSV parse and discretize have their own line, right before the feature line
+    assert re.search(r"^ingest took \d+\.\d\ds events=[1-9]\d*\nfeatures took ",
+                     captured.err, re.MULTILINE)
 
 
 def test_learn_warns_on_unconverged_fits(sim_dir, tmp_path, capsys):
@@ -860,42 +863,47 @@ if len(sys.argv) > 1:  # as python -m hawkesnet.cli <argv>
 else:
     import hawkesnet.cli
 print(json.dumps([code, [m.removeprefix("hawkesnet.") for m in sys.modules
-                         if m.startswith("hawkesnet.") or m in ("numpy", "numpy.ma", *GENERATED)]]))
+                         if m.startswith("hawkesnet.") or m in ("numpy", "numpy.ma", *WATCHED)]]))
 """
-# the standard library's dataclass code generation and the inspect module it
-# loads: no command needs either, and numpy alone loads inspect
-GENERATED = ("dataclasses", "inspect")
+# standard-library modules watched besides the layers: dataclass code
+# generation and the inspect module it loads, which no command needs (numpy
+# alone loads inspect), and hashlib, which loads OpenSSL and which only the
+# commands that hash a file need
+WATCHED = ("dataclasses", "inspect", "hashlib")
 
 
 def _loaded_layers(*argv) -> set:
-    probe = f"GENERATED = {GENERATED!r}\n{_LOADED_LAYERS}"
+    probe = f"WATCHED = {WATCHED!r}\n{_LOADED_LAYERS}"
     proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
-    return set(modules) & (LAYERS | {"numpy.ma", *GENERATED})
+    return set(modules) & (LAYERS | {"numpy.ma", *WATCHED})
 
 
 def test_each_subcommand_loads_only_the_layers_it_runs(sim_dir, learn_dir, tmp_path):
-    # neither import hawkesnet.cli nor evaluate loads numpy, dataclasses or inspect
+    # import hawkesnet.cli loads none of numpy, dataclasses, inspect and
+    # hashlib; evaluate hashes its inputs, so it loads hashlib alone
     assert _loaded_layers() == set()
     assert _loaded_layers(
         "evaluate",
         "--predicted", str(learn_dir / "learned_graph.json"),
         "--truth", str(sim_dir / "ground_truth.json"),
         "--out", str(tmp_path / "eval"),
-    ) == set()
+    ) == {"hashlib"}
+    # numpy.random loads hashlib (through secrets and hmac), so simulate
+    # loads it although it hashes nothing
     config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
     assert _loaded_layers(
         "simulate", "--config", config, "--out", str(tmp_path / "sim")
-    ) - {"inspect"} == {"events", "kernels", "topology", "simulate", "numpy"}
+    ) - {"inspect", "hashlib"} == {"events", "kernels", "topology", "simulate", "numpy"}
     assert _loaded_layers(
         "learn",
         "--events", str(sim_dir / "events.csv"),
         "--topology", str(sim_dir / "topology.txt"),
         "--k", "0",
         "--out", str(tmp_path / "fit"),
-    ) - {"inspect"} == LAYERS - {"simulate"}
+    ) - {"inspect"} == LAYERS - {"simulate"} | {"hashlib"}
     bench = {**SIM_SECTION, "target_event_count": 100, "em": {"max_iterations": 10}}
     bench.pop("seed")
     config = _write_config(tmp_path / "b.json", {"benchmark": bench})

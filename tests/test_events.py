@@ -14,7 +14,8 @@ from hawkesnet.events import (
     save_events_csv,
 )
 
-from .helpers import dataset_to_dense, rows_to_table
+from .helpers import count_at, dataset_to_dense, events_per_type, rows_to_table
+from .oracles import oracle_load_events_csv
 
 
 def test_floor_binning():
@@ -78,9 +79,9 @@ def test_duplicate_cells_collapse():
     records = rows_to_table([(1, 0, 2.2), (1, 0, 2.9), (1, 0, 2.5)])
     ds = discretize(records, 1.0, 5.0, node_count=2, type_count=1)
     assert ds.counts.tolist() == [3]
-    assert ds.count_at(1, 0, 2) == 3
-    assert ds.count_at(0, 0, 2) == 0
-    assert ds.count_at(1, 0, 3) == 0
+    assert count_at(ds, 1, 0, 2) == 3
+    assert count_at(ds, 0, 0, 2) == 0
+    assert count_at(ds, 1, 0, 3) == 0
 
 
 def test_rows_sorted_by_type_bin_node():
@@ -100,7 +101,7 @@ def test_rows_sorted_by_type_bin_node():
 def test_events_per_type_and_totals():
     records = rows_to_table([(0, 0, 0.5)] * 3 + [(0, 2, 1.5)])
     ds = discretize(records, 1.0, 2.0, node_count=1, type_count=3)
-    np.testing.assert_array_equal(ds.events_per_type(), [3, 0, 1])
+    np.testing.assert_array_equal(events_per_type(ds), [3, 0, 1])
     assert ds.total_events == 4
 
 
@@ -108,7 +109,7 @@ def test_empty_dataset():
     ds = discretize(rows_to_table([]), 1.0, 5.0, node_count=3, type_count=2)
     assert ds.total_events == 0
     assert ds.nodes.shape == (0,)
-    np.testing.assert_array_equal(ds.events_per_type(), [0, 0])
+    np.testing.assert_array_equal(events_per_type(ds), [0, 0])
 
 
 record_lists = st.lists(
@@ -238,3 +239,48 @@ def test_csv_rejects_bad_ids_and_non_finite_timestamps(tmp_path, row):
     path.write_text(f"node,event_type,timestamp\n0,0,0.5\n{row}\n")
     with pytest.raises(InvalidInputError):
         load_events_csv(path)
+
+
+HEADER = b"node,event_type,timestamp"
+BAD_ROWS = ["0,1", "0,one,2.0", "1_0,0,1.0", "99999999999999999999,0,1.0", "1.0,0,1.0",
+            "0,0,nan", "0,0,inf", "0,0,-inf", "0,0,1e400"]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\n\n" + HEADER + b"\n0,1,0.5\n",  # leading blank lines
+        HEADER + b"\n\n0,1,0.5\n\n\n3,0,2.0\n\n",  # empty lines
+        b"\r\n" + HEADER + b"\r\n0,1,0.5\r\n\r\n3,0,2.0\r\n",  # CRLF
+        HEADER + b"\n0,1,0.5\n   \n3,0,2.0\n",  # whitespace-only line
+        HEADER + b"\n0,1,0.5\n\t\n3,0,2.0\n\t",  # tab-only lines, the last unended
+        b'"node", event_type ,"timestamp"\n"1","0","2.5"\n0, 1,0.5\n',  # quoted fields
+        b'node,event_type,"timestamp\n0,1,0.5\n3,0,2.0\n',  # a header quote left open
+        HEADER + b"\n",  # a header with no rows
+        HEADER + b"\r\n \r\n",  # ... and a blank line
+        b"",
+        b" \n\t\n",
+        b"node,timestamp\n0,0.5\n",  # the wrong header
+        *(HEADER + b"\n0,0,0.5\n" + row.encode() + b"\n" for row in BAD_ROWS),
+        *(HEADER + b"\n\n0,0,0.5\n  \n" + row.encode() + b"\r\n" for row in BAD_ROWS),
+    ],
+)
+def test_csv_reader_equals_line_filter_oracle(tmp_path, data):
+    path = tmp_path / "events.csv"
+    path.write_bytes(data)
+    outcomes = []
+    for read in (load_events_csv, oracle_load_events_csv):
+        try:
+            table = read(path)
+        except InvalidInputError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((table.dtype, table.shape, table.tobytes()))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+def test_csv_named_like_an_archive_is_read_as_text(tmp_path, suffix):
+    path = tmp_path / f"events.csv{suffix}"
+    path.write_bytes(HEADER + b"\n0,1,0.5\n3,0,2.0\n")
+    assert load_events_csv(path).tobytes() == oracle_load_events_csv(path).tobytes()

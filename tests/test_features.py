@@ -26,7 +26,7 @@ from .helpers import (
     rows_to_table,
     type_cell_coords,
 )
-from .oracles import oracle_blockwise_features, oracle_features
+from .oracles import oracle_blockwise_features, oracle_chunked_features, oracle_features
 
 RNG = np.random.default_rng
 
@@ -174,6 +174,47 @@ def test_build_matches_blockwise_oracle(seed):
         for values, expected in zip(cache.type_values, ref.type_values, strict=True):
             np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-300)
         np.testing.assert_allclose(cache.totals, ref.totals, rtol=1e-12)
+
+
+def _assert_same_cache(cache, ref):
+    for got, want in zip(cache.type_values, ref.type_values, strict=True):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(cache.type_counts, ref.type_counts, strict=True):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(cache.totals, ref.totals)
+
+
+@settings(max_examples=25)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_build_equals_chunked_scatter_oracle(seed):
+    # the instances of test_build_matches_blockwise_oracle, bit for bit
+    rng = RNG(seed)
+    ds, kernel = _gapped_dataset(rng)
+    hops = int(rng.integers(0, 3))
+    topo = build_topology(ds.node_count, random_symmetric_edges(rng, ds.node_count))
+    for elements in (features._CHUNK_ELEMENTS, 3 * ds.type_count * ds.node_count):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "_CHUNK_ELEMENTS", elements)
+            cache = build_features(ds, topo, kernel, hops)
+            ref = oracle_chunked_features(ds, topo, kernel, hops)
+        _assert_same_cache(cache, ref)
+
+
+@pytest.mark.parametrize(
+    "nodes, types, bins, events, decay",
+    [
+        (40, 20, 4000, 300, 1.0),  # README-shaped: 40 nodes, 20 types, few bins occupied
+        (10, 5, 1500, 11_000, 0.2),  # dense-learn-shaped: every bin occupied
+    ],
+)
+def test_build_equals_chunked_scatter_oracle_on_benchmark_shapes(nodes, types, bins, events, decay):
+    rng = RNG(5)
+    records = event_table(rng.integers(0, nodes, events), rng.integers(0, types, events),
+                          rng.uniform(0.0, bins, events))
+    ds = discretize(records, 1.0, float(bins), node_count=nodes, type_count=types)
+    topo = build_topology(nodes, random_symmetric_edges(rng, nodes, 1.5 / nodes))
+    kernel = ExponentialKernel(decay)
+    _assert_same_cache(build_features(ds, topo, kernel, 2), oracle_chunked_features(ds, topo, kernel, 2))
 
 
 @pytest.mark.parametrize("decay", [1e-6, 50.0])

@@ -118,6 +118,35 @@ def test_bench_pairs_records_both_sides(tmp_path, monkeypatch):
             assert metrics["learn_s"]["change_vs_parent"] == -0.5
 
 
+def test_bench_pairs_runs_the_named_workload(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
+    monkeypatch.setenv("STUB_LOG", str(tmp_path / "calls.log"))
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    real_run, workloads = subprocess.run, []
+
+    def recording_run(argv, **kwargs):
+        if "--workload" in argv:
+            workloads.append(argv[argv.index("--workload") + 1])
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recording_run)
+    sides = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    common = ["--seeds", "3", "--pairs", "1", "--seconds", "0"]
+    assert bench_pairs.main([*sides, *common, "--out", str(tmp_path / "all.json")]) == 0
+    assert bench_pairs.main([*sides, *common, "--workload", "dense-learn",
+                             "--out", str(tmp_path / "dense.json")]) == 0
+    assert workloads == ["all", "all", "dense-learn", "dense-learn"]
+    every, dense = (json.loads((tmp_path / name).read_text()) for name in ("all.json", "dense.json"))
+    assert "--workload all " in every["description"]
+    assert "--workload dense-learn " in dense["description"]
+    # the record keeps its format: the same keys, workloads and metrics
+    assert sorted(every) == sorted(dense)
+    assert every["end_to_end"].keys() == dense["end_to_end"].keys()
+
+
 def test_readme_library_example_runs_as_written(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     example = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)

@@ -27,7 +27,7 @@ from hawkesnet.search import (
 )
 from hawkesnet.simulate import SimConfig, generate_benchmark
 
-from .helpers import random_instance
+from .helpers import random_instance, with_edge
 from .oracles import (
     Move,
     apply_move,
@@ -383,7 +383,7 @@ def test_score_candidate_consistency():
     s2 = score_candidate(None, state, inst.cache)
     assert s1 == s2
     # adding an edge only changes the target type's share
-    candidate = empty.with_edge((0, 0))
+    candidate = with_edge(empty, (0, 0))
     s3 = score_candidate(Move("add", (0, 0)), state, inst.cache)
     fits_before = dict(state.memo)
     assert (0, (0,)) in fits_before
