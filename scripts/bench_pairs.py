@@ -9,14 +9,14 @@ relative change of the medians. Even pairs run the parent first, odd pairs
 the change first, and the seeds are interleaved, because a run's position
 moves its timings by several percent.
 
-Each run gets ``PYTHONPYCACHEPREFIX`` set to a fresh, empty directory of its
-own, with bytecode writing on, so its first processes compile what the
-later ones read. Neither side reads bytecode left in its checkout (a side
-that did read every stage 2-10% faster), and nothing in either checkout is
-written or deleted. A prefix hides the standard library's own caches too,
-so with writing off (``PYTHONDONTWRITEBYTECODE``) every process would
-compile numpy and the standard library again: a bare ``import numpy`` took
-0.75 s instead of 0.21 s on a 2-core Xeon VM.
+Every run has ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``,
+as the benchmark itself runs: each CLI process compiles the package modules
+it imports and reads the installed bytecode of the standard library and
+numpy. Timings with a bytecode prefix differ from these, so the script has
+no such mode. A side that read bytecode left in its checkout would skip
+that compile (it read every stage 2-10% faster), so the script refuses to
+start, naming the directory, while either checkout holds a ``__pycache__``;
+it deletes nothing.
 
 Usage::
 
@@ -36,7 +36,6 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 
 # metrics where a larger value is better; every other metric is lower-better
 HIGHER_BETTER = {"f1"}
@@ -46,10 +45,9 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float, scale: fl
     """One perfbench run in ``checkout``: its environment line and result JSON."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", repr(seconds), "--scale", repr(scale)]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env["PYTHONPYCACHEPREFIX"] = cache
-        done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPYCACHEPREFIX"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"error: perfbench failed in {checkout}:\n{done.stderr}")
@@ -108,6 +106,10 @@ def main(argv=None) -> int:
         parser.error("the parent is not a git checkout; name the record with --out")
 
     sides = {"parent": args.parent, "change": args.change}
+    caches = [os.path.join(root, "__pycache__") for checkout in sides.values()
+              for root, dirs, _ in os.walk(checkout) if "__pycache__" in dirs]
+    if caches:  # the side holding it would skip the compile the other side pays
+        parser.error(f"{caches[0]} holds bytecode; remove it before measuring")
     runs = {(side, seed): [] for side in sides for seed in args.seeds}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -138,7 +140,8 @@ def main(argv=None) -> int:
             f"of `python3 perfbench/run.py --workload {args.workload} --seed S "
             f"--seconds {args.seconds:g}` per seed, even pairs parent first, odd pairs change first, "
             "seeds interleaved; *_runs list every run in pair order; change_better_pairs counts strict wins (ties count for neither); "
-            "each run with bytecode written to a fresh, empty PYTHONPYCACHEPREFIX of its own."
+            "each run with PYTHONDONTWRITEBYTECODE=1, no PYTHONPYCACHEPREFIX and no __pycache__ in either "
+            "checkout, so every CLI process compiles the package modules it imports."
         ),
         "machine": {key: env.get(key) for key in ("nproc", "python", "numpy", "blas", "threads")},
         "end_to_end": end_to_end,

@@ -15,11 +15,9 @@ import sys
 
 import numpy as np
 
-from hawkesnet.em import EmConfig
-from hawkesnet.features import build_features
+from hawkesnet.cli import pipeline
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel, UniformKernel
 from hawkesnet.metrics import structure_metrics
-from hawkesnet.search import hill_climb
 from hawkesnet.simulate import SimConfig, generate_benchmark
 
 
@@ -51,11 +49,9 @@ def run_family(family: str, args):
             seed=seed,
         )
         data = generate_benchmark(config)
-        cache = build_features(data.dataset(), data.topology, fit_kernel, config.max_hops)
-        full = hill_climb(cache, em_config=EmConfig())
-        flat = hill_climb(cache.truncated(0), em_config=EmConfig())
-        scores.append(structure_metrics(full.graph, data.causal_graph).f1)
-        flat_scores.append(structure_metrics(flat.graph, data.causal_graph).f1)
+        _, results, _, _ = pipeline(data.dataset(), data.topology, fit_kernel, (config.max_hops, 0))
+        scores.append(structure_metrics(results[config.max_hops].graph, data.causal_graph).f1)
+        flat_scores.append(structure_metrics(results[0].graph, data.causal_graph).f1)
     return scores, flat_scores
 
 

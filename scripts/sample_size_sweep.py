@@ -16,11 +16,9 @@ import time
 
 import numpy as np
 
-from hawkesnet.em import EmConfig
-from hawkesnet.features import build_features
+from hawkesnet.cli import pipeline
 from hawkesnet.kernels import ExponentialKernel
 from hawkesnet.metrics import structure_metrics
-from hawkesnet.search import hill_climb
 from hawkesnet.simulate import SimConfig, generate_benchmark
 
 
@@ -38,9 +36,8 @@ def run_one(size: int, seed: int, args) -> float:
         seed=seed,
     )
     data = generate_benchmark(config)
-    cache = build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
-    result = hill_climb(cache, em_config=EmConfig())
-    return structure_metrics(result.graph, data.causal_graph).f1
+    _, results, _, _ = pipeline(data.dataset(), data.topology, config.kernel, [config.max_hops])
+    return structure_metrics(results[config.max_hops].graph, data.causal_graph).f1
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, learn, evaluate, benchmark.
+"""Command-line interface (simulate, learn, evaluate, benchmark) and its ``pipeline``.
 
 Configuration comes from an optional JSON file (sections named after the
 subcommands) with command-line flags taking precedence. Exit codes: 0 on
@@ -47,7 +47,7 @@ if TYPE_CHECKING:
     from .em import EmConfig
     from .simulate import SimConfig
 
-__all__ = ["main", "run", "build_parser"]
+__all__ = ["main", "run", "build_parser", "pipeline"]
 
 DEFAULT_MAX_HOPS = 2
 DEFAULT_DELTA = 1.0
@@ -80,14 +80,23 @@ def _load_config(path: str | None) -> dict:
     return {} if path is None else read_json(path)
 
 
-def _section(config: dict, name: str) -> dict:
+def _known(section: dict, name: str, keys) -> dict:
+    """``section``, unless it holds a key outside ``keys``."""
+    unknown = set(section).difference(keys)
+    if unknown:
+        raise InvalidInputError(f"unknown {name} config keys {sorted(unknown)}")
+    return section
+
+
+def _section(config: dict, name: str, keys=None) -> dict:
+    """Section ``name`` with the top-level seed merged in; checked against ``keys`` if given."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise InvalidInputError(f"config section {name!r} must be an object")
     merged = dict(section)
     if "seed" in config and "seed" not in merged:
         merged["seed"] = config["seed"]
-    return merged
+    return merged if keys is None else _known(merged, name, {*keys, "seed"})
 
 
 def _pick(args_value, section: dict, key: str, default, kind):
@@ -115,10 +124,7 @@ def _em_config(section: dict) -> EmConfig:
     em = section.get("em", {})
     if not isinstance(em, dict):
         raise InvalidInputError("config key 'em' must be an object")
-    known = {"max_iterations", "rel_tolerance"}
-    unknown = set(em) - known
-    if unknown:
-        raise InvalidInputError(f"unknown em config keys {sorted(unknown)}")
+    _known(em, "em", ("max_iterations", "rel_tolerance"))
     return EmConfig(
         max_iterations=_pick(None, em, "max_iterations", 100, int),
         rel_tolerance=_pick(None, em, "rel_tolerance", 1e-6, float),
@@ -281,6 +287,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def pipeline(dataset, topology, kernel, hop_orders, *, em_config=None, allow_cycles=True,
+             progress=None):
+    """Features at the largest of ``hop_orders``, then one ``hill_climb`` per distinct order.
+
+    Each search runs on ``cache.truncated(order)``. Returns the cache, the
+    results keyed by hop order (in the order given) and the wall seconds of
+    the feature build and of the searches.
+    """
+    from .em import EmConfig
+
+    results = dict.fromkeys(hop_orders)
+    started = time.monotonic()
+    cache = build_features(dataset, topology, kernel, max(results))
+    features_s = time.monotonic() - started
+    started = time.monotonic()
+    for hops in results:
+        results[hops] = hill_climb(cache.truncated(hops), em_config=em_config or EmConfig(),
+                                   allow_cycles=allow_cycles, progress=progress)
+    return cache, results, features_s, time.monotonic() - started
+
+
 def _learn_inputs(args, section: dict):
     events_path = _pick(args.events, section, "events", None, str)
     if events_path is None:
@@ -298,7 +325,9 @@ def cmd_learn(args) -> int:
     from .kernels import ExponentialKernel
     from .topology import build_topology, load_edge_list
 
-    section = _section(_load_config(args.config), "learn")
+    section = _section(_load_config(args.config), "learn", (
+        "events", "topology", "no_topology", "k", "k_sweep", "delta", "dt", "allow_cycles",
+        "horizon_end", "nodes", "types", "em"))
     events_path, topology_path, no_topology = _learn_inputs(args, section)
 
     seed = _pick(args.seed, section, "seed", 0, int)
@@ -356,31 +385,19 @@ def cmd_learn(args) -> int:
         type_count=type_count,
     )
     ingest_elapsed += time.monotonic() - started
-    kernel = ExponentialKernel(delta)
 
-    started = time.monotonic()
-    cache = build_features(dataset, topology, kernel, max_hops)
-    features_elapsed = time.monotonic() - started
-
-    started = time.monotonic()
-    hop_orders = list(range(max_hops + 1)) if k_sweep else [max_hops]
-    best = None
-    best_hops = None
-    fits = maps = screened = nonconverged = 0
-    for hops in hop_orders:
-        result = hill_climb(
-            cache.truncated(hops),
-            em_config=em_config,
-            allow_cycles=allow_cycles,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-        fits += result.fit_evaluations
-        maps += result.em_maps
-        screened += result.screened_moves
-        nonconverged += result.nonconverged_fits
-        if best is None or result.score > best.score:
-            best, best_hops = result, hops
-    elapsed = time.monotonic() - started
+    cache, results, features_elapsed, elapsed = pipeline(
+        dataset, topology, ExponentialKernel(delta),
+        range(max_hops + 1) if k_sweep else [max_hops],
+        em_config=em_config,
+        allow_cycles=allow_cycles,
+        progress=lambda line: print(line, file=sys.stderr),
+    )
+    best_hops = max(results, key=lambda hops: results[hops].score)  # the lowest on a tie
+    best = results[best_hops]
+    fits, maps, screened, nonconverged = map(sum, zip(*(
+        (r.fit_evaluations, r.em_maps, r.screened_moves, r.nonconverged_fits)
+        for r in results.values())))
 
     if args.trace:  # first, so a bad path leaves no learned graph behind
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -442,7 +459,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    section = _section(_load_config(args.config), "evaluate")
+    section = _section(_load_config(args.config), "evaluate", ("predicted", "truth"))
     predicted_path = _pick(args.predicted, section, "predicted", None, str)
     truth_path = _pick(args.truth, section, "truth", None, str)
     if predicted_path is None or truth_path is None:
@@ -495,7 +512,7 @@ def cmd_benchmark(args) -> int:
     from .kernels import ExponentialKernel
     from .simulate import SimConfig
 
-    section = _section(_load_config(args.config), "benchmark")
+    section = _section(_load_config(args.config), "benchmark", ("runs", "em", *SimConfig.__slots__))
     runs = _pick(args.runs, section, "runs", 5, int)
     if runs < 1:
         raise InvalidInputError("--runs must be >= 1")
@@ -503,27 +520,19 @@ def cmd_benchmark(args) -> int:
     base = _sim_config(args, {k: v for k, v in section.items() if k not in
                               ("runs", "em", "seed")})
     base_seed = _pick(args.seed, section, "seed", 0, int)
-    delta = (
-        base.kernel.decay
-        if isinstance(base.kernel, ExponentialKernel)
-        else DEFAULT_DELTA
-    )
+    delta = base.kernel.decay if isinstance(base.kernel, ExponentialKernel) else DEFAULT_DELTA
 
     rows: dict[str, list] = {"full": [], "no_topology": []}
     for offset in range(runs):
         seed = base_seed + offset
         config = SimConfig.from_dict({**base.to_dict(), "seed": seed})
         data = _generate(config)
-        kernel = ExponentialKernel(delta)
-        cache = build_features(data.dataset(), data.topology, kernel, config.max_hops)
+        _, results, _, _ = pipeline(data.dataset(), data.topology, ExponentialKernel(delta),
+                                    (config.max_hops, 0), em_config=em_config)
         for label, hops in (("full", config.max_hops), ("no_topology", 0)):
-            result = hill_climb(cache.truncated(hops), em_config=em_config)
+            result = results[hops]  # one search at --k 0, where both rows are hop 0
             report = structure_metrics(result.graph, data.causal_graph)
-            mae = (
-                alpha_mae(result.params, data.params)
-                if hops == config.max_hops
-                else None
-            )
+            mae = alpha_mae(result.params, data.params) if hops == config.max_hops else None
             rows[label].append((report.precision, report.recall, report.f1, mae))
             print(
                 f"seed {seed} {label}: precision={report.precision:.3f} "

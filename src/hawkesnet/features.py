@@ -99,9 +99,10 @@ class FeatureCache(NamedTuple):
     def truncated(self, max_hops: int) -> "FeatureCache":
         """This cache restricted to hops ``0..max_hops``.
 
-        Hop features are independent across k, so dropping the higher hops
-        yields exactly the cache that a fresh build at the smaller order
-        would produce.
+        Hop features are independent across k, so the rows kept are exactly
+        those a fresh build at the smaller order would produce. The totals
+        are this build's columns, which can differ from a fresh build's
+        smaller product in the last bit.
         """
         if max_hops == self.max_hops:
             return self

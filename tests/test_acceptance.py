@@ -15,14 +15,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hawkesnet.cli import main as cli_main
+from hawkesnet.cli import main as cli_main, pipeline
 from hawkesnet.em import EmConfig, fit_type
-from hawkesnet.features import build_features
 from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel, UniformKernel
 from hawkesnet.likelihood import bic_penalty
 from hawkesnet.metrics import alpha_mae, structure_metrics
-from hawkesnet.search import hill_climb
 from hawkesnet.simulate import SimConfig, generate_benchmark, simulate
 from hawkesnet.topology import build_topology
 
@@ -56,15 +54,6 @@ def _desk_config(seed: int, **overrides) -> SimConfig:
     return SimConfig(**base)
 
 
-def _learn_run(config: SimConfig, fit_kernel: ExponentialKernel):
-    """Simulate one dataset, learn with and without propagation, fit truth."""
-    data = generate_benchmark(config)
-    cache = build_features(data.dataset(), data.topology, fit_kernel, config.max_hops)
-    full = hill_climb(cache, em_config=EmConfig())
-    flat = hill_climb(cache.truncated(0), em_config=EmConfig())
-    return data, cache, full, flat
-
-
 @pytest.fixture(scope="module")
 def desk_runs():
     """Five shared desk-scale datasets: 10 nodes, 5 types, ~6000 events."""
@@ -74,15 +63,16 @@ def desk_runs():
     recovery_seconds = 0.0
     for seed in range(5):
         t0 = time.monotonic()
-        config = _desk_config(seed)
-        data, cache, full, flat = _learn_run(config, fit_kernel)
+        data = generate_benchmark(_desk_config(seed))
+        # learn with and without propagation
+        cache, results, _, _ = pipeline(data.dataset(), data.topology, fit_kernel, (2, 0))
         recovery_seconds += time.monotonic() - t0
         truth_fit = fit(data.causal_graph, cache, EmConfig())
         runs.append(
             {
                 "seed": seed,
-                "f1": structure_metrics(full.graph, data.causal_graph).f1,
-                "f1_flat": structure_metrics(flat.graph, data.causal_graph).f1,
+                "f1": structure_metrics(results[2].graph, data.causal_graph).f1,
+                "f1_flat": structure_metrics(results[0].graph, data.causal_graph).f1,
                 "alpha_mae": alpha_mae(truth_fit.params, data.params),
                 "events": data.event_count,
             }
@@ -212,8 +202,8 @@ def test_criterion_04_hill_climb_matches_exhaustive():
         seed=11,
     )
     data = generate_benchmark(config)
-    cache = build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
-    greedy = hill_climb(cache, em_config=EmConfig())
+    cache, results, _, _ = pipeline(data.dataset(), data.topology, config.kernel, [1])
+    greedy = results[1]
 
     memo = {}
 
@@ -341,9 +331,10 @@ def test_criterion_09_kernel_robustness_direction():
                 mu_range=(2e-4, 4e-4),
                 bin_width=2.5,
             )
-            data, cache, full, flat = _learn_run(config, fit_kernel)
-            f1s.append(structure_metrics(full.graph, data.causal_graph).f1)
-            flats.append(structure_metrics(flat.graph, data.causal_graph).f1)
+            data = generate_benchmark(config)
+            _, results, _, _ = pipeline(data.dataset(), data.topology, fit_kernel, (2, 0))
+            f1s.append(structure_metrics(results[2].graph, data.causal_graph).f1)
+            flats.append(structure_metrics(results[0].graph, data.causal_graph).f1)
         means[family] = (float(np.mean(f1s)), float(np.mean(flats)))
     _verdict(
         "criterion 9 (kernel robustness)",

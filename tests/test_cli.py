@@ -13,9 +13,13 @@ import pytest
 
 import hawkesnet.cli as cli
 from hawkesnet.cli import main
+from hawkesnet.em import EmConfig
 from hawkesnet.errors import UnderGenerationWarning
 from hawkesnet.events import load_events_csv
+from hawkesnet.features import build_features
 from hawkesnet.fileio import load_graph_json, sha256_file
+from hawkesnet.kernels import ExponentialKernel
+from hawkesnet.search import hill_climb
 from hawkesnet.simulate import SimConfig, generate_benchmark
 from hawkesnet.topology import load_edge_list
 
@@ -505,6 +509,53 @@ def test_k_sweep_trace_describes_the_kept_order(tmp_path):
     assert entries[-1]["score"] == report["score"]
 
 
+@pytest.mark.parametrize("orders", [(2, 0), range(3)], ids=["full-and-flat", "sweep"])
+def test_pipeline_equals_a_fresh_build_per_order(orders):
+    data = generate_benchmark(SimConfig(**{**SIM_SECTION, "kernel": ExponentialKernel(0.2),
+                                           "mu_range": (0.005, 0.01), "max_hops": 2}))
+    kernel, em_config = ExponentialKernel(0.3), EmConfig(max_iterations=40)
+    cache, results, features_s, search_s = cli.pipeline(
+        data.dataset(), data.topology, kernel, orders, em_config=em_config)
+    assert cache.max_hops == 2 and list(results) == list(orders)
+    assert features_s >= 0 and search_s >= 0
+    for hops, result in results.items():
+        fresh = hill_climb(build_features(data.dataset(), data.topology, kernel, hops),
+                           em_config=em_config)
+        if hops == 2:  # the built order searches the cache itself
+            assert (result.graph, result.params, result.score, result.fit_gaps, result.trace) == (
+                fresh.graph, fresh.params, fresh.score, fresh.fit_gaps, fresh.trace)
+            continue
+        # a truncated cache's totals come from the product at the built order,
+        # which can round the last bit differently from a fresh build's
+        assert result.graph == fresh.graph
+        assert [e["edge"] for e in result.trace] == [e["edge"] for e in fresh.trace]
+        assert result.params.alpha.keys() == fresh.params.alpha.keys()
+        floats = [(r.score, *r.params.mu, *r.fit_gaps, *(a for edge in sorted(r.params.alpha)
+                                                        for a in r.params.alpha[edge]))
+                  for r in (result, fresh)]
+        assert floats[0] == pytest.approx(floats[1], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("k, searches", [(0, 1), (1, 2)])
+def test_benchmark_searches_each_hop_order_once(tmp_path, monkeypatch, capsys, k, searches):
+    calls, search = [], cli.hill_climb
+
+    def counting(cache, **kwargs):
+        calls.append(cache.max_hops)
+        return search(cache, **kwargs)
+
+    monkeypatch.setattr(cli, "hill_climb", counting)
+    section = {**SIM_SECTION, "target_event_count": 250, "em": {"max_iterations": 30}}
+    section.pop("seed")
+    config = _write_config(tmp_path / "c.json", {"benchmark": section})
+    assert main(["benchmark", "--config", config, "--k", str(k), "--runs", "1"]) == 0
+    assert sorted(calls) == sorted({k, 0})
+    assert len(calls) == searches
+    # both rows are still reported, the flat one from the one hop-0 search at --k 0
+    err = capsys.readouterr().err
+    assert "seed 0 full:" in err and "seed 0 no_topology:" in err
+
+
 def test_evaluate_against_truth(sim_dir, learn_dir, tmp_path, capsys):
     out = tmp_path / "eval"
     code = main(
@@ -615,6 +666,29 @@ def test_unknown_em_key_rejected(sim_dir, tmp_path, capsys):
         )
         assert code == 2
         assert f"unknown em config keys ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, unknown", [
+    ("learn", {"max_hop": 0, "dag_only": True}, "learn config keys ['dag_only', 'max_hop']"),
+    ("evaluate", {"predictd": "x"}, "evaluate config keys ['predictd']"),
+    ("benchmark", {"runs": 1, "runz": 1}, "benchmark config keys ['runz']"),
+])
+def test_unknown_config_keys_exit_two(sim_dir, learn_dir, tmp_path, capsys, command, section, unknown):
+    # a top-level seed, which _section merges into every section, is known
+    config = _write_config(tmp_path / "c.json", {"seed": 3, command: section})
+    paths = {
+        "learn": ["--events", str(sim_dir / "events.csv"), "--topology", str(sim_dir / "topology.txt"),
+                  "--out", str(tmp_path / "o")],
+        "evaluate": ["--predicted", str(learn_dir / "learned_graph.json"),
+                     "--truth", str(sim_dir / "ground_truth.json"), "--out", str(tmp_path / "o")],
+        "benchmark": ["--out", str(tmp_path / "o")],
+    }[command]
+    assert main([command, "--config", config, *paths]) == 2
+    assert capsys.readouterr().err == f"error: unknown {unknown}\n"
+    assert not (tmp_path / "o").exists()
+    if command == "evaluate":  # the same section without the unknown key runs
+        assert main([command, "--config", _write_config(tmp_path / "ok.json", {"seed": 3, command: {}}),
+                     *paths]) == 0
 
 
 @pytest.mark.parametrize(

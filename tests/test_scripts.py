@@ -43,7 +43,7 @@ def test_script_runs(script, args, rows):
 
 
 # a stand-in for ``perfbench/run.py``: logs its side, seed, bytecode prefix
-# and whether it may write bytecode, then prints the ``env:`` line and the
+# and whether bytecode writing is off, then prints the ``env:`` line and the
 # last-line result JSON that perfbench documents; the change side reads
 # faster and scores a higher F1 on every workload
 STUB_RUN = """
@@ -75,15 +75,8 @@ def test_bench_pairs_records_both_sides(tmp_path, monkeypatch):
     monkeypatch.setenv("STUB_LOG", str(log))
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     bench_pairs = importlib.import_module("bench_pairs")
-    real_run, prefixes = subprocess.run, []
-
-    def recording_run(argv, **kwargs):  # each run's bytecode prefix, as its run starts
-        prefix = kwargs.get("env", {}).get("PYTHONPYCACHEPREFIX")
-        if prefix is not None:
-            prefixes.append((prefix, os.listdir(prefix)))
-        return real_run(argv, **kwargs)
-
-    monkeypatch.setattr(subprocess, "run", recording_run)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     assert bench_pairs.main(
         [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "3", "4", "--pairs", "2",
          "--seconds", "0", "--out", str(out)]
@@ -94,12 +87,9 @@ def test_bench_pairs_records_both_sides(tmp_path, monkeypatch):
         "parent 3", "change 3", "parent 4", "change 4",
         "change 3", "parent 3", "change 4", "parent 4",
     ]
-    # every run writes bytecode to a fresh, empty prefix of its own, outside both checkouts
-    assert [(prefix, []) for _, _, prefix, _ in calls] == prefixes
-    assert len({prefix for prefix, _ in prefixes}) == len(calls)
-    assert not any(writes_off for _, _, _, writes_off in calls)
-    for prefix, _ in prefixes:
-        assert not os.path.exists(prefix) and not prefix.startswith(str(tmp_path))
+    # every run is as the benchmark runs: no bytecode prefix and no bytecode written
+    assert all(prefix is None and writes_off for _, _, prefix, writes_off in calls)
+    assert not any(path.name == "__pycache__" for path in tmp_path.rglob("*"))
     record = json.loads(out.read_text())
     assert record["machine"]["blas"] == "stub"
     for seed in (3, 4):
@@ -116,6 +106,26 @@ def test_bench_pairs_records_both_sides(tmp_path, monkeypatch):
                 assert entry["change_better_pairs"] == 2, name
             assert metrics["learn_s"]["parent_runs"] == [1.0 + seed] * 2
             assert metrics["learn_s"]["change_vs_parent"] == -0.5
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_bench_pairs_refuses_a_checkout_holding_bytecode(tmp_path, monkeypatch, capsys, side):
+    for name in ("parent", "change"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(STUB_RUN)
+    cache = tmp_path / side / "src" / "__pycache__"
+    cache.mkdir(parents=True)
+    log = tmp_path / "calls.log"
+    monkeypatch.setenv("STUB_LOG", str(log))
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "1",
+                          "--seconds", "0", "--out", str(tmp_path / "bench.json")])
+    assert exited.value.code == 2
+    assert str(cache) in capsys.readouterr().err
+    # nothing ran, nothing was written and the cache is left in place
+    assert not log.exists() and not (tmp_path / "bench.json").exists() and cache.is_dir()
 
 
 def test_bench_pairs_runs_the_named_workload(tmp_path, monkeypatch):
