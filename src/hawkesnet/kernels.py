@@ -33,8 +33,8 @@ class ExponentialKernel(Frozen):
     __slots__ = ("decay",)
 
     def __init__(self, decay: float):
-        if not (decay > 0):
-            raise InvalidInputError(f"decay must be positive, got {decay}")
+        if not (0 < decay < math.inf):
+            raise InvalidInputError(f"decay must be positive and finite, got {decay}")
         self._set(decay=decay)
 
 

@@ -118,6 +118,11 @@ class SimConfig(Frozen):
             raise InvalidInputError("max_hops must be >= 0")
         if not (0 < bin_width < math.inf):
             raise InvalidInputError("bin_width must be positive and finite")
+        if isinstance(kernel, ExponentialKernel):  # an event's children scale with 1/expm1(rate)
+            rate = kernel.decay * bin_width
+            if math.expm1(rate) == 0 or math.isinf(1 / math.expm1(rate)):
+                raise InvalidInputError(f"delta * bin_width = {rate:g} leaves the kernel's mass "
+                                        "1/expm1(delta * bin_width) infinite")
         if seed < 0:
             raise InvalidInputError("seed must be >= 0")
         if not (explosion_guard > 0):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -704,6 +706,26 @@ def test_non_finite_timestamps_exit_two(tmp_path, capsys, stamp, horizon):
     assert not (out / "learned_graph.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn", "--delta", "inf"],
+        ["learn", "--delta", "nan"],
+        ["simulate", "--delta", "inf"],
+        ["simulate", "--delta", "1e-310"],  # 1/expm1(delta * dt) overflows
+        ["simulate", "--delta", "1e-300", "--dt", "1e-30"],  # delta * dt underflows to 0
+    ],
+)
+def test_unusable_decay_exits_two(sim_dir, tmp_path, capsys, argv):
+    inputs = ["--events", str(sim_dir / "events.csv"), "--topology", str(sim_dir / "topology.txt")]
+    out = tmp_path / "o"
+    code = main([*argv, *(inputs if argv[0] == "learn" else []), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["events", "topology", "config"])
 def test_undecodable_input_exits_two(sim_dir, tmp_path, capsys, target):
     paths = {
@@ -751,6 +773,118 @@ def test_unallocatable_simulate_nodes_exit_two(tmp_path, capsys):
     code = main(["simulate", "--nodes", "10000000000", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "cannot allocate" in capsys.readouterr().err
+
+
+# The CLI's text at an 80-column terminal, as it was before the subcommands
+# moved into modules of their own: help, usage and argparse errors
+TOP_USAGE = "usage: hawkesnet [-h] {simulate,learn,evaluate,benchmark} ...\n"
+LEARN_USAGE = """\
+usage: hawkesnet learn [-h] [--config PATH] [--seed SEED] --out DIR
+                       [--events PATH] [--topology PATH] [--nodes NODES]
+                       [--types TYPES] [--k K] [--k-sweep] [--delta DELTA]
+                       [--dt DT] [--horizon-end HORIZON_END] [--no-topology]
+                       [--allow-cycles | --dag-only] [--trace PATH]
+"""
+CLI_TEXT = {
+    ("--help",): (0, TOP_USAGE + """
+Simulate, fit, and score networked Hawkes event data.
+
+positional arguments:
+  {simulate,learn,evaluate,benchmark}
+    simulate            generate a benchmark dataset
+    learn               fit a causal graph to event data
+    evaluate            compare a learned graph to a truth graph
+    benchmark           simulate+learn+evaluate over a batch of seeds
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("simulate", "--help"): (0, """\
+usage: hawkesnet simulate [-h] [--config PATH] [--seed SEED] --out DIR [--k K]
+                          [--delta DELTA] [--dt DT] [--nodes NODES]
+                          [--types TYPES] [--target-events TARGET_EVENTS]
+
+options:
+  -h, --help            show this help message and exit
+  --config PATH         JSON config file
+  --seed SEED           random seed (default 0)
+  --out DIR             output directory
+  --k K                 propagation hop order
+  --delta DELTA         exponential kernel decay rate
+  --dt DT               bin width
+  --nodes NODES         node count
+  --types TYPES         event type count
+  --target-events TARGET_EVENTS
+                        stop after this many events
+""", ""),
+    ("learn", "--help"): (0, LEARN_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --config PATH         JSON config file
+  --seed SEED           recorded in the outputs; the fit does not depend on it
+                        (default 0)
+  --out DIR             output directory
+  --events PATH         event CSV file
+  --topology PATH       topology edge list file
+  --nodes NODES         node count override
+  --types TYPES         event type count override
+  --k K                 propagation hop order (default 2)
+  --k-sweep             try every hop order 0..k and keep the best score
+  --delta DELTA         exponential kernel decay rate
+  --dt DT               bin width
+  --horizon-end HORIZON_END
+                        observation window end
+  --no-topology         ignore propagation: hop order forced to 0
+  --allow-cycles        search over cyclic graphs and self-loops (default)
+  --dag-only            restrict the search to acyclic graphs
+  --trace PATH          write a JSONL search trace
+""", ""),
+    ("evaluate", "--help"): (0, """\
+usage: hawkesnet evaluate [-h] [--config PATH] [--predicted PATH]
+                          [--truth PATH] [--out DIR]
+
+options:
+  -h, --help        show this help message and exit
+  --config PATH     JSON config file
+  --predicted PATH  learned graph JSON
+  --truth PATH      ground truth graph JSON
+  --out DIR         directory for report.json
+""", ""),
+    ("benchmark", "--help"): (0, """\
+usage: hawkesnet benchmark [-h] [--config PATH] [--seed SEED] [--out DIR]
+                           [--runs RUNS] [--k K] [--delta DELTA] [--dt DT]
+                           [--nodes NODES] [--types TYPES]
+                           [--target-events TARGET_EVENTS]
+
+options:
+  -h, --help            show this help message and exit
+  --config PATH         JSON config file
+  --seed SEED           random seed (default 0)
+  --out DIR             output directory
+  --runs RUNS           number of seeds (default 5)
+  --k K                 propagation hop order
+  --delta DELTA         exponential kernel decay rate
+  --dt DT               bin width
+  --nodes NODES         node count
+  --types TYPES         event type count
+  --target-events TARGET_EVENTS
+                        events per dataset
+""", ""),
+    (): (2, "", TOP_USAGE + "hawkesnet: error: the following arguments are required: command\n"),
+    ("bogus",): (2, "", TOP_USAGE + "hawkesnet: error: argument command: invalid choice: 'bogus' "
+                 "(choose from 'simulate', 'learn', 'evaluate', 'benchmark')\n"),
+    ("learn", "--k", "x"): (2, "", LEARN_USAGE + "hawkesnet learn: error: argument --k: invalid int value: 'x'\n"),
+}
+
+
+@pytest.mark.parametrize("argv", CLI_TEXT)
+def test_help_and_usage_text(argv):
+    env = {key: value for key, value in os.environ.items() if key != "FORCE_COLOR"}
+    env.update(COLUMNS="80", NO_COLOR="1")  # argparse wraps to the terminal width
+    proc = subprocess.run(
+        [sys.executable, "-m", "hawkesnet.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == CLI_TEXT[argv]
 
 
 def test_argparse_rejects_unknown_flags(capsys):
@@ -858,6 +992,10 @@ def test_module_entry_point_exit_codes(sim_dir, learn_dir, tmp_path):
     not_a_dir.write_text("")
     for code, argv in (
         (2, ["learn", "--events", str(malformed), "--no-topology", "--out", str(tmp_path / "fit")]),
+        # no numpy warning lines before the error
+        (2, ["learn", "--events", str(sim_dir / "events.csv"), "--no-topology", "--k", "1",
+             "--delta", "inf", "--out", str(tmp_path / "fit")]),
+        (2, ["simulate", "--delta", "1e-310", "--out", str(tmp_path / "sim")]),
         (3, ["simulate", "--config", explosive, "--out", str(tmp_path / "sim")]),
         (
             4,
@@ -904,6 +1042,51 @@ def test_run_exits_four_without_traceback_when_the_flush_fails(sim_dir, learn_di
     assert (tmp_path / "eval" / "report.json").exists()
 
 
+# python -m hawkesnet.cli --help, printing the last function that the body
+# of cli.py, run as __main__, called from its own module
+_MODULE_ENDS_IN = """
+import os, runpy, sys
+calls = []
+
+def profile(frame, event, arg):
+    caller = frame.f_back
+    if (event == "call" and caller is not None and caller.f_code.co_name == "<module>"
+            and caller.f_globals.get("__name__") == "__main__" and frame.f_globals is caller.f_globals):
+        calls.append(f"{frame.f_globals['__spec__'].name}:{frame.f_code.co_name}")
+
+def _exit(status):  # run() ends the process; end only the module run
+    raise SystemExit(status)
+
+os._exit = _exit
+sys.argv[1:] = ["--help"]
+sys.setprofile(profile)
+try:
+    runpy.run_module("hawkesnet.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+sys.setprofile(None)
+print(calls[-1])
+"""
+
+
+def _script_target(name):
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        return tomllib.loads(text)["project"]["scripts"][name]
+    return re.search(rf'^{name}\s*=\s*"([^"]+)"', text, re.MULTILINE).group(1)
+
+
+def test_installed_command_runs_what_the_module_entry_point_runs():
+    target = _script_target("hawkesnet")
+    proc = subprocess.run([sys.executable, "-c", _MODULE_ENDS_IN], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == target
+    module, _, name = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy.signal alone took about 1.2 s of every CLI start-up
     code = (
@@ -915,13 +1098,17 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# the layers beyond graph files and metrics; a CLI call imports only those
-# its subcommand runs, since each costs start-up time. numpy is listed as
-# a layer too: graph files and metrics do not need it. No layer needs
-# numpy.ma (about 15 ms), so no subcommand may load it.
-LAYERS = {"events", "kernels", "topology", "features", "em", "search", "simulate", "numpy"}
+# the layers beyond graph files; a CLI call imports only those its
+# subcommand runs, since each costs start-up time. numpy is listed as a
+# layer too: graph files do not need it. No layer needs numpy.ma (about
+# 15 ms), so no subcommand may load it.
+LAYERS = {"events", "kernels", "topology", "features", "em", "search", "simulate", "metrics", "numpy"}
+# one module per subcommand; a call imports only its own
+COMMAND_MODULES = {"cmd_simulate", "cmd_learn", "cmd_evaluate", "cmd_benchmark"}
 _LOADED_LAYERS = """
 import json, os, runpy, sys
+ran = []  # the file of each module body run, whether compiled or read as bytecode
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(getattr(args[0], "co_filename", "")))
 code = 0
 if len(sys.argv) > 1:  # as python -m hawkesnet.cli <argv>
     sys.argv[0] = "hawkesnet"
@@ -936,8 +1123,9 @@ if len(sys.argv) > 1:  # as python -m hawkesnet.cli <argv>
         code = exc.code
 else:
     import hawkesnet.cli
-print(json.dumps([code, [m.removeprefix("hawkesnet.") for m in sys.modules
-                         if m.startswith("hawkesnet.") or m in ("numpy", "numpy.ma", *WATCHED)]]))
+cli_runs = sum(path.endswith(os.path.join("hawkesnet", "cli.py")) for path in ran)
+print(json.dumps([code, cli_runs, [m.removeprefix("hawkesnet.") for m in sys.modules
+                                   if m.startswith("hawkesnet.") or m in ("numpy", "numpy.ma", *WATCHED)]]))
 """
 # standard-library modules watched besides the layers: dataclass code
 # generation and the inspect module it loads, which no command needs (numpy
@@ -950,34 +1138,38 @@ def _loaded_layers(*argv) -> set:
     probe = f"WATCHED = {WATCHED!r}\n{_LOADED_LAYERS}"
     proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    code, cli_runs, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
-    return set(modules) & (LAYERS | {"numpy.ma", *WATCHED})
+    # under python -m the body of cli.py runs once, as __main__: the command
+    # modules that import hawkesnet.cli find that run, not a second copy
+    assert cli_runs == 1
+    return set(modules) & (LAYERS | COMMAND_MODULES | {"numpy.ma", *WATCHED})
 
 
 def test_each_subcommand_loads_only_the_layers_it_runs(sim_dir, learn_dir, tmp_path):
-    # import hawkesnet.cli loads none of numpy, dataclasses, inspect and
-    # hashlib; evaluate hashes its inputs, so it loads hashlib alone
+    # import hawkesnet.cli loads no subcommand module and none of numpy,
+    # dataclasses, inspect and hashlib; evaluate hashes its inputs, so it
+    # loads hashlib, and metrics, which only it and benchmark run
     assert _loaded_layers() == set()
     assert _loaded_layers(
         "evaluate",
         "--predicted", str(learn_dir / "learned_graph.json"),
         "--truth", str(sim_dir / "ground_truth.json"),
         "--out", str(tmp_path / "eval"),
-    ) == {"hashlib"}
+    ) == {"cmd_evaluate", "metrics", "hashlib"}
     # numpy.random loads hashlib (through secrets and hmac), so simulate
     # loads it although it hashes nothing
     config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
     assert _loaded_layers(
         "simulate", "--config", config, "--out", str(tmp_path / "sim")
-    ) - {"inspect", "hashlib"} == {"events", "kernels", "topology", "simulate", "numpy"}
+    ) - {"inspect", "hashlib"} == {"cmd_simulate", "events", "kernels", "topology", "simulate", "numpy"}
     assert _loaded_layers(
         "learn",
         "--events", str(sim_dir / "events.csv"),
         "--topology", str(sim_dir / "topology.txt"),
         "--k", "0",
         "--out", str(tmp_path / "fit"),
-    ) - {"inspect"} == LAYERS - {"simulate"} | {"hashlib"}
+    ) - {"inspect"} == LAYERS - {"simulate", "metrics"} | {"cmd_learn", "hashlib"}
     bench = {**SIM_SECTION, "target_event_count": 100, "em": {"max_iterations": 10}}
     bench.pop("seed")
     config = _write_config(tmp_path / "b.json", {"benchmark": bench})

@@ -108,6 +108,9 @@ def test_kernel_parameter_validation():
         ExponentialKernel(0.0)
     with pytest.raises(InvalidInputError):
         ExponentialKernel(-1.0)
+    for decay in (math.inf, math.nan):
+        with pytest.raises(InvalidInputError):
+            ExponentialKernel(decay)
     with pytest.raises(InvalidInputError):
         GaussianKernel(10.0, 0.0)
     with pytest.raises(InvalidInputError):

@@ -324,6 +324,10 @@ def test_sim_config_round_trip_and_validation():
         SimConfig(mu_range=(2.0, 1.0))
     with pytest.raises(InvalidInputError):
         SimConfig(bin_width=0.0)
+    # 1/expm1(delta * dt) overflows, or delta * dt underflows to 0
+    for delta, dt in ((1e-310, 1.0), (1e-300, 1e-30)):
+        with pytest.raises(InvalidInputError, match="infinite"):
+            SimConfig(kernel=ExponentialKernel(delta), bin_width=dt)
     with pytest.raises(InvalidInputError):
         SimConfig(seed=-1)
     with pytest.raises(InvalidInputError):
