@@ -18,9 +18,17 @@ that compile (it read every stage 2-10% faster), so the script refuses to
 start, naming the directory, while either checkout holds a ``__pycache__``;
 it deletes nothing.
 
+Make both checkouts as git worktrees of this repository, so that each
+side's commit stays readable and goes into the record as
+``parent_commit`` and ``change_commit`` (a side that is not a git checkout
+is recorded as ``null``)::
+
+    git worktree add --detach ../parent PARENT_COMMIT
+    git worktree add --detach ../change CHANGE_COMMIT
+
 Usage::
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --seeds 23 5 --pairs 10
+    python3 scripts/bench_pairs.py ../parent ../change --seeds 23 5 --pairs 10
 
 ``--workload NAME`` runs one perfbench workload instead of ``all``, to
 iterate on one claim quickly; a final record runs ``all``. The record goes
@@ -135,6 +143,7 @@ def main(argv=None) -> int:
     env = runs["change", args.seeds[0]][0]["env"]
     record = {
         "parent_commit": parent_commit,
+        "change_commit": commit_of(args.change),
         "description": (
             f"end_to_end: medians and quartiles (inclusive method) over {args.pairs} alternating pairs "
             f"of `python3 perfbench/run.py --workload {args.workload} --seed S "

@@ -162,8 +162,9 @@ def main(args) -> int:
     )
     best_hops = max(results, key=lambda hops: results[hops].score)  # the lowest on a tie
     best = results[best_hops]
-    fits, maps, screened, nonconverged = map(sum, zip(*(
-        (r.fit_evaluations, r.em_maps, r.screened_moves, r.nonconverged_fits)
+    fits, maps, screened, nonconverged, paused, resumed = map(sum, zip(*(
+        (r.fit_evaluations, r.em_maps, r.screened_moves, r.nonconverged_fits, r.paused_fits,
+         r.resumed_fits)
         for r in results.values())))
 
     if args.trace:  # first, so a bad path leaves no learned graph behind
@@ -213,7 +214,7 @@ def main(args) -> int:
     print(f"ingest took {ingest_elapsed:.2f}s events={dataset.total_events}", file=sys.stderr)
     print(f"features took {features_elapsed:.2f}s cells={cache.cell_count}", file=sys.stderr)
     print(f"search took {elapsed:.2f}s fits={fits} maps={maps} screened={screened} "
-          f"nonconverged={nonconverged}", file=sys.stderr)
+          f"nonconverged={nonconverged} paused={paused} resumed={resumed}", file=sys.stderr)
     unconverged = ", ".join(str(f.event_type) for f in best.type_fits if not f.converged)
     if unconverged:
         print(f"warning: EM did not converge within {em_config.max_iterations} "

@@ -53,8 +53,8 @@ fit is a pure function of (data, type, parents).
 
 ``fit_batch`` fits several parent sets of one event type together. The
 running fits are rows of state lists (accepted point, its maps, their
-log-likelihoods, step bound, maps, phase of the cycle, trajectory), points
-held as Python floats: every pass maps the next point of each running row
+log-likelihoods, step bound, maps, phase of the cycle, trajectory, Cover
+bound), points held as Python floats: every pass maps the next point of each running row
 in one ``_em_iteration`` call, so the numpy call overhead of a map is paid
 once per pass instead of once per fit, then moves each row one step along
 its cycle; finished rows leave the pass. Past copying the points into
@@ -74,6 +74,21 @@ a point is a BLAS call or a row reduction of its own, so no float depends
 on the batch size or on the point's position in it. A memoized fit
 therefore equals a fresh one bit for bit.
 
+A fit can stop early (branch and bound over EM maps). After each map,
+Cover's bound at the mapped point, ``counts . log(lam) + N ln max(r) - N``
+(see :func:`duality_gap`), caps the share any fit of the parent set can
+reach, and so the share this fit ends with. It comes from that map's own
+ratios, ``r_mu = sum(ratio) / (grid_cells * dt)`` and ``r_alpha =
+weighted / charges``, at a few Python float operations per fit and no
+numpy call, and is computed only for fits whose share is still below their
+floor (it is never below the share). A fit whose
+least bound so far, raised by the rounding margin ``_SCREEN_MARGIN *
+(|share| + 1)``, falls below its floor leaves the pass between two maps and
+comes back as a :class:`PausedFit` holding its whole state row. Passed back
+to ``fit_batch``, it continues from that row: every map depends on the row
+alone, so the resumed fit ends bit for bit as the fit run straight through.
+Floors may rise during a batch, as fits in it converge.
+
 Event types are coupled only through shared features, never through shared
 parameters, so each type is fitted independently. The log-likelihood of
 accepted points is nondecreasing:
@@ -84,6 +99,7 @@ mixture) and a jump is only accepted above ``x1``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -96,6 +112,7 @@ from .values import Frozen
 
 __all__ = [
     "EmConfig",
+    "PausedFit",
     "TypeFit",
     "duality_gap",
     "fit_batch",
@@ -107,6 +124,10 @@ _ALPHA_START = 0.05
 # SQUAREM step bound: starts at 1 (plain EM), grows by this factor after an
 # accepted jump at the bound and shrinks by it after a rejected one
 _STEP_FACTOR = 4.0
+# Rounding margin on Cover's bound: a bound on a share s is raised by
+# _SCREEN_MARGIN * (|s| + 1) before anything is ruled out on it, far above
+# the rounding error of computing either the bound or the share.
+_SCREEN_MARGIN = 1e-9
 
 
 class EmConfig(Frozen):
@@ -135,8 +156,45 @@ class TypeFit(NamedTuple):
     converged: bool
 
 
-def _em_iteration(mu, alpha, data, blocks):
-    """One EM iteration of each point: ``(log_lik of (mu, alpha), mu', alpha')``.
+class _Row(NamedTuple):
+    """One fit's SQUAREM state between two maps (see :func:`_fit_points`)."""
+
+    x: tuple  # the accepted point
+    pending: tuple  # the point mapped next
+    x1: tuple
+    x2: tuple
+    ll_x: float
+    ll_1: float
+    step: float
+    step_max: float
+    maps: int
+    phase: int
+    trajectory: list
+    bound: float  # least Cover bound (plus margin) on the share, over the points mapped
+
+
+class PausedFit(NamedTuple):
+    """A fit :func:`fit_batch` stopped once its bound fell below its floor.
+
+    ``bound`` caps the share the fit can reach: its least Cover bound, raised
+    by the rounding margin. Passed back to :func:`fit_batch` in place of its
+    parent set, the fit continues from ``state`` and ends bit for bit as if
+    it had never stopped.
+    """
+
+    event_type: int
+    parents: tuple
+    bound: float
+    state: _Row
+
+    @property
+    def maps(self) -> int:
+        return self.state.maps
+
+
+def _em_iteration(mu, alpha, data, blocks, watched=None):
+    """One EM iteration of each point: ``(log_lik of (mu, alpha), mu', alpha',
+    bound)``.
 
     ``data`` is a :class:`TypeBatch` and ``(mu[j], alpha[j])`` a point on
     its parent set ``blocks[j]``; a point with zero intensity at an occupied
@@ -147,21 +205,39 @@ def _em_iteration(mu, alpha, data, blocks):
     the updates are Python float arithmetic in the order of
     ``mu * sum(ratio) / (grid_cells * dt)`` and ``alpha * weighted /
     charges``, so each coordinate is the float numpy would compute.
+
+    ``bound[j]``, for each ``(j, floor)`` in ``watched`` whose share is below
+    ``floor`` (the bound is never below the share), is Cover's
+    bound at point ``j`` (see :func:`duality_gap`) on the share its parent
+    set can reach, ``log_lik + N ln max(r) + c.x - N = counts . log(lam) + N
+    ln max(r) - N``, from the same ratios ``r_mu = sum(ratio) / (grid_cells
+    * dt)`` and ``r_alpha = weighted / charges``, raised by the rounding
+    margin; it is ``inf`` elsewhere, and where the share is not finite.
     """
-    lam, log_lik = batch_log_likelihood(mu, alpha, data, blocks)
+    lam, log_lik, log_sums = batch_log_likelihood(mu, alpha, data, blocks)
     ratio = np.divide(data.counts, lam, out=lam)
     weighted = data.width_rows[: len(blocks)]  # flat @ ratio, one row per point
     for j, b in enumerate(blocks):
         np.matmul(data.flat[b], ratio[j], out=weighted[j])
-    scale = data.grid_cells * data.bin_width
-    mu = [rate * total / scale for rate, total in zip(mu, ratio.sum(axis=1).tolist())]
+    scale, events = data.grid_cells * data.bin_width, data.events
+    sums, rows = ratio.sum(axis=1).tolist(), weighted.tolist()
+    mu = [rate * total / scale for rate, total in zip(mu, sums)]
     # a charge that underflowed to 0 gives numpy's inf or nan, not an error
     alpha = [
         [0.0 if c is None else a * w / c if c else a * w * math.inf
          for a, w, c in zip(point, row, data.charges[b])]
-        for point, row, b in zip(alpha, weighted.tolist(), blocks)
+        for point, row, b in zip(alpha, rows, blocks)
     ]
-    return log_lik, mu, alpha
+    bound = [math.inf] * len(blocks)
+    for j, floor in watched or ():
+        value = log_lik[j]
+        if value < floor and math.isfinite(value):
+            # a nan ratio (0 over an underflowed charge) loses every comparison, and so any bound
+            best = max(sums[j] / scale, max(map(operator.mul, rows[j], data.inverse[blocks[j]]), default=0.0))
+            if best > 0.0:
+                margin = _SCREEN_MARGIN * (abs(value) + 1.0)
+                bound[j] = log_sums[j] + events * math.log(best) - events + margin
+    return log_lik, mu, alpha, bound
 
 
 def duality_gap(fit: TypeFit, cache: FeatureCache) -> tuple[float, np.ndarray]:
@@ -239,29 +315,40 @@ def _small(gain: float, log_lik: float, rel_tolerance: float) -> bool:
 
 
 @np.errstate(all="ignore")  # a jump may overflow or leave the domain; it is then rejected
-def _fit_points(starts: list, data: TypeBatch, config: EmConfig) -> list:
-    """SQUAREM from each start ``(mu, alpha)``, start ``j`` on parent set ``j``.
+def _fit_points(rows: list, data: TypeBatch, config: EmConfig, floors) -> list:
+    """SQUAREM from each row in ``rows``, the fields of a :class:`_Row`, row
+    ``j`` on parent set ``j``.
 
     Fit ``j`` is row ``j`` of the state lists: its accepted point ``x``,
     ``x1 = F(x)``, ``x2 = F(x1)``, the point it needs mapped next, their
-    log-likelihoods, the step and its bound, its maps, phase and trajectory;
-    points are ``(mu, alpha)`` pairs of Python floats. Every pass maps the
-    next point of each running row in one :func:`_em_iteration` call, then
-    advances each row by one step of the cycle, so each row takes the path
-    it takes alone; a finished row leaves the running list. Returns
-    ``(point, trajectory, converged, evaluations)`` per start,
-    ``evaluations`` counting EM maps plus the rescore of a capped fit.
+    log-likelihoods, the step and its bound, its maps, phase, trajectory
+    and least Cover bound; points are ``(mu, alpha)`` pairs of Python
+    floats. Every pass maps the next point of each running row in one
+    :func:`_em_iteration` call, then advances each row by one step of the
+    cycle, so each row takes the path it takes alone; a finished row leaves
+    the running list, and so does a row whose bound has fallen below its
+    floor: it pauses between two maps. ``floors(converged)`` gives every
+    row's floor, given the shares of the rows converged so far; it is
+    asked again after each pass in which a row converged. Returns the
+    state lists, in the order of the fields of a :class:`_Row` (phase 3
+    once finished), and whether each row converged. A capped row ends with
+    one rescore of its last point, counted in ``maps``; a paused row,
+    passed back in, continues as if never stopped.
     """
-    n, cap, tol = len(starts), config.max_iterations, config.rel_tolerance
-    x, pending, x1, x2 = list(starts), list(starts), [None] * n, [None] * n
-    ll_x, ll_1, step, step_max, maps = [0.0] * n, [0.0] * n, [1.0] * n, [1.0] * n, [0] * n
-    phase = [0] * n  # 0 maps x, 1 maps x1, 2 maps the jump; 3 done, pending is the result
-    trajectories, converged = [[] for _ in range(n)], [False] * n
-    running = list(range(n))
+    n, cap, tol = len(rows), config.max_iterations, config.rel_tolerance
+    x, pending, x1, x2, ll_x, ll_1, step, step_max, maps, phase, trajectories, bound = map(list, zip(*rows))
+    converged = [False] * n  # phase: 0 maps x, 1 maps x1, 2 maps the jump; 3 done, pending is the result
+    running, shares, converging = list(range(n)), {}, []
+    level, watched = floors(shares), None
     while running:
-        log_lik, mu, alpha = _em_iteration(*zip(*(pending[j] for j in running)), data, running)
-        for j, value, image in zip(running, log_lik, zip(mu, alpha)):
+        if watched is None:  # the rows whose bound can stop them, by position among the running
+            watched = [(i, level[j]) for i, j in enumerate(running) if level[j] > -math.inf]
+        log_lik, mu, alpha, bounds = _em_iteration(*zip(*(pending[j] for j in running)), data, running,
+                                                   watched)
+        for j, value, image, cover in zip(running, log_lik, zip(mu, alpha), bounds):
             maps[j] += 1
+            if cover < bound[j]:
+                bound[j] = cover
             trajectory = trajectories[j]
             if phase[j] < 2 and value == -math.inf:
                 raise DegenerateModelError(f"zero intensity at an occupied cell of type {data.event_type}")
@@ -273,6 +360,7 @@ def _fit_points(starts: list, data: TypeBatch, config: EmConfig) -> list:
                 if _small(step[j] * (value - ll_x[j]), ll_x[j], tol):
                     trajectory.append(value)
                     pending[j], phase[j], converged[j] = x1[j], 3, True
+                    converging.append(j)
                 elif maps[j] == cap:
                     pending[j], phase[j] = image, 3
                 elif step[j] > 1.0 and maps[j] + 1 < cap:  # a rejected jump leaves a map for x2
@@ -301,15 +389,24 @@ def _fit_points(starts: list, data: TypeBatch, config: EmConfig) -> list:
             ll_x[j], x1[j] = value, image
             if done:
                 pending[j], phase[j], converged[j] = x[j], 3, True
+                converging.append(j)
             else:  # map x1 next; out of maps, x1 (the newest point) is the result
                 pending[j], phase[j] = image, 1 if maps[j] < cap else 3
-        running = [j for j in running if phase[j] < 3]
-    capped = [j for j in range(n) if not converged[j]]
+        if converging:
+            shares.update((j, trajectories[j][-1]) for j in converging)
+            converging.clear()
+            level, watched = floors(shares), None
+        kept = [j for j in running if phase[j] < 3 and not bound[j] < level[j]]
+        if len(kept) < len(running):
+            watched = None
+        running = kept
+    capped = [j for j in range(n) if phase[j] == 3 and not converged[j]]
     if capped:
-        _, rescored = batch_log_likelihood(*zip(*(pending[j] for j in capped)), data, capped)
+        _, rescored, _ = batch_log_likelihood(*zip(*(pending[j] for j in capped)), data, capped)
         for j, value in zip(capped, rescored):
             trajectories[j].append(value)
-    return [(pending[j], trajectories[j], converged[j], maps[j] + (not converged[j])) for j in range(n)]
+            maps[j] += 1
+    return (x, pending, x1, x2, ll_x, ll_1, step, step_max, maps, phase, trajectories, bound), converged
 
 
 def fit_batch(
@@ -317,14 +414,25 @@ def fit_batch(
     parent_sets,
     cache: FeatureCache,
     config: EmConfig = EmConfig(),
-) -> list[TypeFit]:
+    floors=None,
+) -> list:
     """Fit ``mu`` and the incoming ``alpha`` of one event type, per parent set.
 
     The parent sets all have the same number of parents. All sets are fitted
     together, and each fit is bit for bit the :func:`fit_type` of its set. A
     type id outside ``[0, type_count)`` raises :class:`InvalidInputError`.
+
+    ``floors``, if given, lets fits stop early. Called with the shares of
+    the fits converged so far (a dict by position; at first empty), it
+    returns a floor per fit, and is called again whenever more fits
+    converge. Once a fit's Cover bound falls below its floor, the fit cannot
+    reach a share of the floor, and it comes back as a :class:`PausedFit`
+    instead of a :class:`TypeFit`. An entry of ``parent_sets`` may be such a
+    :class:`PausedFit`, which continues where it stopped.
     """
-    parent_sets = [tuple(sorted(int(p) for p in parents)) for parents in parent_sets]
+    paused = [entry if isinstance(entry, PausedFit) else None for entry in parent_sets]
+    parent_sets = [tuple(sorted(int(p) for p in parents)) if was is None else was.parents
+                   for parents, was in zip(parent_sets, paused)]
     hops = cache.max_hops + 1
     data = type_batch(cache, event_type, parent_sets)
     if data.counts.shape[0] == 0:
@@ -337,7 +445,16 @@ def fit_batch(
         ]
 
     empirical_rate = float(data.counts.sum() / (data.grid_cells * data.bin_width))
-    starts = [(empirical_rate, np.where(totals > 0, _ALPHA_START, 0.0).tolist()) for totals in data.totals]
+    rows = []
+    for totals, was in zip(data.totals, paused):
+        if was is None:
+            start = (empirical_rate, np.where(totals > 0, _ALPHA_START, 0.0).tolist())
+            rows.append((start, start, None, None, 0.0, 0.0, 1.0, 1.0, 0, 0, [], math.inf))
+        else:  # a copy of its trajectory, so the paused fit stays as it was
+            rows.append(was.state._replace(trajectory=list(was.state.trajectory)))
+    state, converged = _fit_points(rows, data, config,
+                                   (lambda shares: [-math.inf] * len(rows)) if floors is None else floors)
+    _, points, *_, maps, phases, trajectories, bounds = state
     return [
         TypeFit(
             event_type=event_type,
@@ -347,10 +464,10 @@ def fit_batch(
             log_lik=trajectory[-1],
             trajectory=tuple(trajectory),
             iterations=evaluations,
-            converged=converged,
-        )
-        for parents, ((mu, alpha), trajectory, converged, evaluations) in zip(
-            parent_sets, _fit_points(starts, data, config))
+            converged=done,
+        ) if phase == 3 else PausedFit(event_type, parents, bound, _Row(*(field[j] for field in state)))
+        for j, (parents, (mu, alpha), trajectory, done, evaluations, phase, bound) in enumerate(
+            zip(parent_sets, points, trajectories, converged, maps, phases, bounds))
     ]
 
 

@@ -53,7 +53,19 @@ from .events import DiscreteDataset
 from .kernels import DecayKernel, ExponentialKernel
 from .topology import TopologyGraph
 
-__all__ = ["FeatureCache", "build_features"]
+__all__ = ["FeatureCache", "aligned_rows", "build_features"]
+
+
+def aligned_rows(rows: int, width: int) -> np.ndarray:
+    """An uninitialized ``(rows, width)`` float array, each row 64-byte aligned.
+
+    Rows are padded to a multiple of 64 bytes, so a row's address and
+    layout do not depend on how many rows the array holds, or where it sits.
+    """
+    stride = max(8, -(-width // 8) * 8)
+    buf = np.empty(rows * stride + 8)
+    start = (-buf.__array_interface__["data"][0] % 64) // 8
+    return buf[start : start + rows * stride].reshape(rows, stride)[:, :width]
 
 
 class FeatureCache(NamedTuple):
@@ -66,9 +78,10 @@ class FeatureCache(NamedTuple):
         1), n_v)`` over the ``n_v`` cells that hold events of ``v``, in the
         dataset's order (the cells of ``dataset.type_rows(v)``);
         ``type_values[v][c * (max_hops + 1) + k, i]`` is the k-hop feature of
-        cause type ``c`` at the i-th cell of ``v``. Rows are contiguous, so
-        the hops of one cause type are one run of rows; the likelihood of
-        ``v`` reads features nowhere else.
+        cause type ``c`` at the i-th cell of ``v``. Rows are
+        :func:`aligned_rows`, so the hops of consecutive cause types are
+        one run of rows that a batch reads in place; the likelihood of ``v``
+        reads features nowhere else.
     totals:
         ``(type_count, max_hops + 1)``; ``totals[c, k]`` sums the k-hop
         feature of cause type ``c`` over *all* cells of the grid.
@@ -120,16 +133,18 @@ class FeatureCache(NamedTuple):
             total_events=self.total_events,
             cell_nodes=self.cell_nodes,
             cell_bins=self.cell_bins,
-            # contiguous, so batches copy each parent's hops as one run of rows
-            type_values=tuple(
-                np.ascontiguousarray(
-                    values.reshape(self.type_count, hops, values.shape[1])[:, : max_hops + 1]
-                ).reshape(self.type_count * (max_hops + 1), values.shape[1])
-                for values in self.type_values
-            ),
+            type_values=tuple(self._kept_rows(values, max_hops) for values in self.type_values),
             totals=self.totals[:, : max_hops + 1],
             type_counts=self.type_counts,
         )
+
+
+    def _kept_rows(self, values: np.ndarray, max_hops: int) -> np.ndarray:
+        """The rows of hops ``0..max_hops`` of ``values``, in new aligned rows."""
+        hops = self.max_hops + 1
+        kept = aligned_rows(self.type_count * (max_hops + 1), values.shape[1])
+        kept[...] = values[[c * hops + k for c in range(self.type_count) for k in range(max_hops + 1)]]
+        return kept
 
 
 # Largest decay exponent decay*dt*(u_i - u_s) spanned by one chunk: counts
@@ -207,15 +222,13 @@ def build_features(
 
     # Dataset rows are sorted by (type, bin, node), so type v owns rows
     # type_starts[v]:type_starts[v + 1], and its (channels, n_v) block of
-    # features starts at channels * type_starts[v] of one buffer. Within a
+    # features is aligned rows of its own (see aligned_rows). Within a
     # type, rows follow the cell order: type_cells = type * n_cells + cell is
     # sorted, and the rows of v at cells [a, b) are one run of its block's
     # columns, found for every type by one searchsorted.
     channels = n_types * (max_hops + 1)
-    buffer = np.empty(channels * dataset.types.shape[0])
     bounds = type_starts.tolist()
-    blocks = [buffer[channels * lo : channels * hi].reshape(channels, hi - lo)
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    blocks = [aligned_rows(channels, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
     type_cells += dataset.types * n_cells
     type_offsets = np.arange(n_types) * n_cells
 
@@ -232,7 +245,10 @@ def build_features(
         return ends
 
     hop_cols = [p.T for p in powers]  # hop_cols[k][n] = P^k[:, n]
-    span_bins = _MAX_SPAN_EXPONENT / rate
+    # occ_bins are integers, so the floor of the span finds the same bin as
+    # the span does, without numpy converting occ_bins to float per chunk; a
+    # span past the last bin is cut to the bin count, which finds it too
+    span_bins = math.floor(min(_MAX_SPAN_EXPONENT / rate, n_bins))
     chunk_cells = max(1, _CHUNK_ELEMENTS // width)
     # Chunks write their features to stage, which holds cells held:c0, and
     # it is copied out whenever the next chunk would overflow it. A chunk

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .features import FeatureCache
+from .features import FeatureCache, aligned_rows
 
 __all__ = [
     "TypeBatch",
@@ -40,29 +40,22 @@ __all__ = [
 ]
 
 
-def _aligned_rows(rows: int, width: int) -> np.ndarray:
-    """An uninitialized ``(rows, width)`` float array, each row 64-byte aligned.
-
-    Rows are padded to a multiple of 64 bytes, so a row's address and
-    layout do not depend on how many rows the array holds, or where it sits.
-    """
-    stride = max(8, -(-width // 8) * 8)
-    buf = np.empty(rows * stride + 8)
-    start = (-buf.__array_interface__["data"][0] % 64) // 8
-    return buf[start : start + rows * stride].reshape(rows, stride)[:, :width]
-
-
 class TypeBatch(NamedTuple):
     """Several parent sets of one type, stacked for batched scoring.
 
-    ``flat[b, r]`` holds channel ``r`` of the ``b``-th parent set at the
+    ``flat[b][r]`` holds channel ``r`` of the ``b``-th parent set at the
     type's occupied cells, channels ``(parent, hop)`` in C order; every set
     has the same number of parents, and every row starts at a
-    64-byte-aligned address. ``counts`` (shared) holds the events at those
-    cells, ``grid_cells`` is ``node_count * bin_count``, ``totals[b]`` the
-    grid-wide feature sums of set ``b`` in the same order, and ``charges[b]``
-    the EM update's denominators ``totals * bin_width`` as Python floats,
-    ``None`` where a total vanishes. ``cell_rows`` and ``width_rows`` are
+    64-byte-aligned address, its stride padded to 64 bytes. A set whose
+    parents are consecutive types reads its rows as a view of the cache's
+    ``type_values``, which are laid out so; any other set's rows are copied
+    into such rows. ``counts`` (shared) holds the events at those cells,
+    ``events`` their sum, ``grid_cells`` is ``node_count * bin_count``,
+    ``totals[b]`` the grid-wide feature sums of set ``b`` in the same order,
+    ``charges[b]`` the EM update's denominators ``totals * bin_width`` as
+    Python floats, ``None`` where a total vanishes, and ``inverse[b]`` their
+    reciprocals (0 where a total vanishes, ``inf`` where the charge
+    underflowed). ``cell_rows`` and ``width_rows`` are
     aligned work rows, one per set, so a call scores at most as many points
     as the batch has sets. ``stacks`` memoizes the ``totals`` rows of the
     sets that points are scored on, one entry per tuple of sets: a fit's
@@ -70,10 +63,12 @@ class TypeBatch(NamedTuple):
     """
 
     event_type: int
-    flat: np.ndarray  # (sets, width, cells)
+    flat: list  # sets arrays of (width, cells)
     counts: np.ndarray
+    events: float
     totals: np.ndarray  # (sets, width)
     charges: list  # sets lists of width floats or None
+    inverse: list  # sets lists of width floats
     bin_width: float
     grid_cells: int
     cell_rows: np.ndarray  # (sets, cells)
@@ -96,30 +91,42 @@ def type_batch(cache: FeatureCache, event_type: int, parent_sets) -> TypeBatch:
     size, hops = sizes.pop(), cache.max_hops + 1
     values = cache.type_values[event_type]
     sets, width, cells = len(parent_sets), size * hops, values.shape[1]
-    flat = _aligned_rows(sets * width, cells)
-    totals = np.empty((sets, width))
-    for j, parents in enumerate(parent_sets):
-        # each parent's hops are one run of rows, copied into aligned rows
-        for i, c in enumerate(parents):
-            row = j * width + i * hops
-            flat[row : row + hops] = values[c * hops : (c + 1) * hops]
+    # consecutive parents are one run of the type's rows, read in place
+    runs = [parents == tuple(range(parents[0], parents[0] + size)) if parents else True
+            for parents in parent_sets]
+    copies = aligned_rows((sets - sum(runs)) * width, cells) if not all(runs) else None
+    flat, totals, copied = [], np.empty((sets, width)), 0
+    for j, (parents, run) in enumerate(zip(parent_sets, runs)):
+        if run:
+            first = parents[0] * hops if parents else 0
+            flat.append(values[first : first + width])
+        else:  # each parent's hops are one run of rows, copied into aligned rows
+            block = copies[copied : copied + width]
+            copied += width
+            for i, c in enumerate(parents):
+                block[i * hops : (i + 1) * hops] = values[c * hops : (c + 1) * hops]
+            flat.append(block)
         totals[j] = cache.totals[list(parents)].reshape(-1)
+    counts = cache.type_counts[event_type]
+    charges = [[charge if total > 0 else None for total, charge in zip(row, charges)]
+               for row, charges in zip(totals.tolist(), (totals * cache.bin_width).tolist())]
     return TypeBatch(
         event_type=event_type,
-        flat=flat.reshape(sets, width, cells),
-        counts=cache.type_counts[event_type],
+        flat=flat,
+        counts=counts,
+        events=float(counts.sum()),
         totals=totals,
-        charges=[[charge if total > 0 else None for total, charge in zip(row, charges)]
-                 for row, charges in zip(totals.tolist(), (totals * cache.bin_width).tolist())],
+        charges=charges,
+        inverse=[[0.0 if c is None else 1.0 / c if c else math.inf for c in row] for row in charges],
         bin_width=cache.bin_width,
         grid_cells=cache.node_count * cache.bin_count,
-        cell_rows=_aligned_rows(sets, cells),
-        width_rows=_aligned_rows(sets, width),
+        cell_rows=aligned_rows(sets, cells),
+        width_rows=aligned_rows(sets, width),
         stacks={},
     )
 
 
-def batch_log_likelihood(mu, alpha, batch: TypeBatch, blocks) -> tuple[np.ndarray, list]:
+def batch_log_likelihood(mu, alpha, batch: TypeBatch, blocks) -> tuple[np.ndarray, list, list]:
     """Intensities and log-likelihood shares of the points ``(mu[j], alpha[j])``.
 
     Point ``j`` is scored on the parent set ``blocks[j]`` of ``batch``: its
@@ -132,7 +139,8 @@ def batch_log_likelihood(mu, alpha, batch: TypeBatch, blocks) -> tuple[np.ndarra
     depend on the other points or on the batch size. The products are the
     only numpy calls per point; the rest of a share is Python float
     arithmetic on the two dot products, in the order of the formula. Returns
-    ``lam`` (in the batch's work rows) and the shares as a list of floats;
+    ``lam`` (in the batch's work rows), the shares as a list of floats and
+    each point's ``counts @ log(lam)``, the share before the integral term;
     callers silence the floating-point warnings of rows that score ``-inf``
     or ``nan``.
     """
@@ -149,14 +157,15 @@ def batch_log_likelihood(mu, alpha, batch: TypeBatch, blocks) -> tuple[np.ndarra
         stacked = batch.stacks[tuple(blocks)] = batch.totals[list(blocks)][:, :, None]
     charged = np.matmul(point[:, None, :], stacked).tolist()
     dt, grid = batch.bin_width, batch.grid_cells
-    shares = []
+    shares, log_sums = [], []
     for j, (((log_sum,),), ((spent,),), rate) in enumerate(zip(counted, charged, mu)):
+        log_sums.append(log_sum)
         # lam <= 0 at a cell makes its log -inf or nan, so only such rows are checked
         if not math.isfinite(log_sum) and (lam[j] <= 0.0).any():
             shares.append(-math.inf)
         else:
             shares.append(log_sum - dt * (rate * grid + spent))
-    return lam, shares
+    return lam, shares, log_sums
 
 
 def bic_penalty(type_count: int, edge_count: int, per_edge: int, total_events: int) -> float:

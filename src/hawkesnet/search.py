@@ -53,6 +53,30 @@ all rows in one ``cumsum``, the same float as summing the candidate graph's
 shares one by one. The exact best is among them, so the pick is that of
 scoring every move.
 
+Fits stop early where their move provably cannot win: branch and bound
+over EM maps, in the spirit of lazy greedy evaluation with upper bounds
+(Minoux 1978). A round runs its batches best first, by the screen's bound
+on the move's gain (deletions last), and gives each fit a floor: the share
+it must still be able to reach for its move to net more than zero, and to
+come within the rounding margin of ``top``, the best net known exactly of
+an add or delete into a type the move changes (kept from earlier rounds,
+or from fits converged earlier in the round, in its own batch too). A
+move's net does not change while it stays open, since penalty changes are
+the same in every round, and a move ``top`` counts stays open as long as
+the fit's move does: a change to that type's parents makes both stale. So
+a fit whose Cover bound (see :mod:`hawkesnet.em`) falls below its floor
+belongs to a move that is never picked while it stays open; it is kept in
+the memo as a :class:`~hawkesnet.em.PausedFit`, and the move has no net,
+only ``gains`` holding its bound. Before the pick, every paused move whose
+bound still reaches within the rounding margin of the round's best net (of
+zero, if no move raises the score) has its fits run to the end, which
+happens only when a move that bounded it closed, as an acyclic search's
+legal moves do. A paused move's net therefore lies below the best by more
+than the margin, so it is never among the moves scored exactly in a round
+that picks a move: the pick, every score, the trace, the fits counted and
+the gaps are those of running every fit to the end, and only the EM maps
+fall.
+
 The search starts from the empty graph and repeatedly applies the best
 strictly improving single move (add / delete / reverse); ties go to the
 first move in canonical (source, target, kind) order. It stops when no move
@@ -61,12 +85,22 @@ strictly improves the score.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 # fit_type stays importable here: the benchmark's tracer (perfbench/tracing.py) wraps it by name
-from .em import EmConfig, assemble_params, duality_gap, fit_batch, fit_type  # noqa: F401
+from .em import (  # noqa: F401
+    _SCREEN_MARGIN,
+    EmConfig,
+    PausedFit,
+    TypeFit,
+    assemble_params,
+    duality_gap,
+    fit_batch,
+    fit_type,
+)
 from .features import FeatureCache
 from .graph import CausalGraph, ThpParams
 from .likelihood import bic_penalty
@@ -87,13 +121,12 @@ _EDGE_DELTA = {"add": 1, "delete": -1, "reverse": 0}
 # working set near the L2 cache while letting README-shaped types (about
 # 100-200 cells) fit a whole round in one batch.
 _BATCH_CELLS = 1 << 15
-# Rounding margin of the screen: a move is screened only if its bound plus
-# _SCREEN_MARGIN * (|share| + 1), with the target type's current share,
+# Rounding margins (em._SCREEN_MARGIN): a move is screened only if its bound
+# plus _SCREEN_MARGIN * (|share| + 1), with the target type's current share,
 # stays below one edge's charge. A round scores exactly every move whose
 # approximate score is within _SCREEN_MARGIN * (sum |shares| + |best gain| +
-# penalty + 1) of the best, far above the 2^-53 * types relative error of
-# either way of summing.
-_SCREEN_MARGIN = 1e-9
+# penalty + 1) of the best (_near_margin), far above the 2^-53 * types
+# relative error of either way of summing.
 
 
 def _changed(parents: list, move) -> tuple:
@@ -107,16 +140,27 @@ def _changed(parents: list, move) -> tuple:
     return dropped, (src, tuple(sorted(parents[src] + (dst,))))
 
 
+def _near_margin(spread: float, best: float, penalty: float) -> float:
+    """How far below the best approximate score a round scores moves
+    exactly; ``spread`` sums the magnitudes of the current shares."""
+    return _SCREEN_MARGIN * (spread + abs(best) + penalty + 1.0)
+
+
 class SearchState:
     """The current graph as per-type parent tuples and fits, plus the fit memo.
 
     ``fits[v]`` is the memoized fit of type ``v`` with parents ``parents[v]``;
-    ``batches`` counts the batched fits made so far; ``gaps`` memoizes
-    :func:`hawkesnet.em.duality_gap` of the fits by (type, parents).
+    the memo holds a :class:`~hawkesnet.em.TypeFit` per finished fit and a
+    :class:`~hawkesnet.em.PausedFit` per fit stopped early. ``batches``
+    counts the batches that started new fits so far; ``paused`` and
+    ``resumed`` are the keys that ever paused and were ever resumed;
+    ``gaps`` memoizes :func:`hawkesnet.em.duality_gap` of the fits by
+    (type, parents).
     """
 
     def __init__(self, em_config: EmConfig, parents: list, fits: list, edge_count: int = 0,
-                 memo: dict | None = None, batches: int = 0, gaps: dict | None = None):
+                 memo: dict | None = None, batches: int = 0, gaps: dict | None = None,
+                 paused: set | None = None, resumed: set | None = None):
         self.em_config = em_config
         self.parents = parents
         self.fits = fits
@@ -124,6 +168,8 @@ class SearchState:
         self.memo = {} if memo is None else memo
         self.batches = batches
         self.gaps = {} if gaps is None else gaps
+        self.paused = set() if paused is None else paused
+        self.resumed = set() if resumed is None else resumed
 
     @classmethod
     def empty(cls, cache: FeatureCache, em_config: EmConfig) -> "SearchState":
@@ -134,26 +180,40 @@ class SearchState:
         state.fits = [state.memo[key] for key in keys]
         return state
 
-    def fit_missing(self, keys, cache: FeatureCache) -> None:
-        """Fit the ``(type, parents)`` keys the memo lacks, batch by batch.
+    def fit_missing(self, keys, cache: FeatureCache, floors=None) -> None:
+        """Fit the ``(type, parents)`` keys the memo lacks or holds paused, batch by batch.
 
         A batch holds parent sets of one type and one size, as many as fit
-        in ``_BATCH_CELLS`` occupied cells.
+        in ``_BATCH_CELLS`` occupied cells; batches run in the order of
+        their first keys in ``keys``, and a paused fit resumes where it
+        stopped. ``floors``, if given, is called with a batch's keys and the
+        shares of its fits converged so far, by position, and returns the
+        keys' floors (see :func:`hawkesnet.em.fit_batch`); without it every
+        fit finishes.
         """
-        groups: dict = {}
+        keys, groups = list(keys), {}
         for key in keys:
-            if key not in self.memo:
-                groups.setdefault((key[0], len(key[1])), {})[key[1]] = None
-        for (event_type, _), sets in groups.items():
-            cells = cache.type_counts[event_type].shape[0]
-            size = max(1, _BATCH_CELLS // max(cells, 1))
-            sets = list(sets)
-            for start in range(0, len(sets), size):
-                chunk = sets[start : start + size]
-                fits = fit_batch(event_type, chunk, cache, self.em_config)
-                self.batches += 1
-                for parents, fit in zip(chunk, fits):
-                    self.memo[(event_type, parents)] = fit
+            if not isinstance(self.memo.get(key), TypeFit):
+                groups.setdefault((key[0], len(key[1])), {})[key] = None
+        batches = []
+        for (event_type, _), group in groups.items():
+            size = max(1, _BATCH_CELLS // max(cache.type_counts[event_type].shape[0], 1))
+            group = list(group)
+            batches += [group[start : start + size] for start in range(0, len(group), size)]
+        first = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        for batch in sorted(batches, key=lambda batch: first[batch[0]]):
+            entries = [self.memo.get(key, key[1]) for key in batch]
+            fits = fit_batch(batch[0][0], entries, cache, self.em_config,
+                             None if floors is None else lambda shares, batch=batch: floors(batch, shares))
+            self.batches += any(not isinstance(entry, PausedFit) for entry in entries)
+            for key, entry, fit in zip(batch, entries, fits):
+                self.memo[key] = fit
+                if isinstance(entry, PausedFit):
+                    self.resumed.add(key)
+                if isinstance(fit, PausedFit):
+                    self.paused.add(key)
 
     def gap(self, event_type: int, cache: FeatureCache) -> tuple:
         """``duality_gap`` of the type's current fit: ``(gap, added)``."""
@@ -231,19 +291,60 @@ def _legal(edges: np.ndarray, allow_cycles: bool) -> np.ndarray:
     return np.stack((add, edges, reverse), axis=-1)
 
 
+def _keys(move: tuple, parents: list) -> tuple:
+    """The ``(type, parents)`` fits that ``move``, ``(source, target, kind)``, needs."""
+    return _changed(parents, (_KINDS[move[2]], move[:2]))
+
+
+def _gain(keys: tuple, state: SearchState) -> tuple:
+    """``(finished, gain)`` of a move that needs the fits ``keys``: its share
+    gain once they have all finished; until then a bound on it, with each
+    paused fit's bound in place of its share (``inf`` for a fit not made)."""
+    gain, finished = 0, True
+    for key in keys:
+        fit = state.memo.get(key)
+        if isinstance(fit, TypeFit):
+            share = fit.log_lik
+        else:
+            finished, share = False, math.inf if fit is None else fit.bound
+        gain += share - state.fits[key[0]].log_lik
+    return finished, gain
+
+
+def _floor(move: tuple, key: tuple, keys: tuple, state: SearchState, least: float, charges) -> float:
+    """The share ``key``'s fit must reach for ``move`` (``(source, target,
+    kind)``, needing the fits ``keys``) to gain at least ``least`` net of its
+    charge.
+
+    The move's other fit, if any, counts with its share, or its bound while
+    paused; while it is not fitted at all, no floor holds (``-inf``).
+    """
+    others = 0.0
+    for other in keys:
+        if other != key:
+            fit = state.memo.get(other)
+            if fit is None:
+                return -math.inf
+            others += (fit.log_lik if isinstance(fit, TypeFit) else fit.bound) - state.fits[other[0]].log_lik
+    return least + charges[move[2]] + state.fits[key[0]].log_lik - others
+
+
 class _Gains:
     """Each move's share gain, kept across rounds, and the screen's bounds.
 
     ``gains[c, v, k]`` is the new shares minus the current ones of the types
-    that move ``(kind k, (c, v))`` changes, current where ``known``;
-    ``bounds[v]`` is the screen's bound on giving ``v`` each new parent, plus
-    the rounding margin, current where ``bounded``.
+    that move ``(kind k, (c, v))`` changes, current where ``known``. Where
+    the move is ``paused`` it waits on a fit that stopped early, and
+    ``gains`` holds only a bound on its gain (see :func:`_gain`).
+    ``bounds[v]`` is the screen's bound on giving ``v`` each new parent,
+    plus the rounding margin, current where ``bounded``.
     """
 
     def __init__(self, type_count: int):
         n = type_count
         self.gains = np.zeros((n, n, len(_KINDS)))
         self.known = np.zeros((n, n, len(_KINDS)), dtype=bool)
+        self.paused = np.zeros((n, n, len(_KINDS)), dtype=bool)
         self.bounds = np.full((n, n), np.inf)
         self.bounded = np.zeros(n, dtype=bool)
 
@@ -252,10 +353,24 @@ class _Gains:
         for v in types:
             self.known[:, v] = self.known[v, :, 2] = self.bounded[v] = False
 
+    def _take(self, keys: dict, state: SearchState) -> None:
+        """Record the gain of each move in ``keys``, which maps it to its fits."""
+        if keys:
+            taken = [_gain(needed, state) for needed in keys.values()]
+            index = tuple(np.array(list(keys)).T)
+            self.gains[index] = [gain for _, gain in taken]
+            self.paused[index] = [not finished for finished, _ in taken]
+
     def net(self, state: SearchState, cache: FeatureCache, legal: np.ndarray) -> tuple:
         """``(net, screened, updated)``: each move's score change net of the
         penalty change, flat in canonical order and ``-inf`` where the move is
-        illegal or screened; the legal moves screened; the gains recomputed.
+        illegal, screened or paused; the legal moves screened; the gains
+        recomputed.
+
+        The stale moves' fits run best first and stop once their bound
+        shows the move cannot be picked while it stays open (see the module
+        notes); a paused move whose bound still reaches the round's best is
+        resumed, until none is.
         """
         n = cache.type_count
         current = bic_penalty(n, state.edge_count, cache.max_hops, cache.total_events)
@@ -275,15 +390,66 @@ class _Gains:
         # an add c -> v gives v the parent c, a reversal of c -> v gives c the parent v
         closed = np.stack((ruled.T, np.zeros_like(ruled), ruled), axis=-1) & legal
         open_ = legal & ~closed
-        stale = np.argwhere(open_ & ~self.known)
-        changed = [_changed(state.parents, (_KINDS[k], (c, v))) for c, v, k in stale.tolist()]
-        state.fit_missing([key for keys in changed for key in keys], cache)
-        index = tuple(stale.T)
-        self.gains[index] = [sum(state.memo[key].log_lik - state.fits[key[0]].log_lik for key in keys)
-                             for keys in changed]
-        self.known[index] = True
-        net = np.where(open_, self.gains - charges, -np.inf).reshape(-1)
-        return net, int(closed.sum()), len(stale)
+        stale = open_ & ~self.known
+        spread = sum(abs(f.log_lik) for f in state.fits)
+
+        def least(best: float) -> float:
+            # a net below this is never picked, and never scored exactly in a
+            # round that picks a move (there the best net is positive)
+            best = max(best, 0.0)
+            return best - _near_margin(spread, best, current)
+
+        keys = {tuple(m): None for m in np.argwhere(stale).tolist()}
+        users: dict = {}  # key -> the stale moves that need its fit
+        for m in keys:
+            keys[m] = _keys(m, state.parents)
+            for key in keys[m]:
+                users.setdefault(key, []).append(m)
+        # top[v]: the best net known of an add or delete into v, which stays
+        # open as long as every move that changes v's parents does
+        top = np.max((self.gains - charges)[:, :, :2], axis=(0, 2), initial=-np.inf,
+                     where=(open_ & self.known & ~self.paused)[:, :, :2]).tolist()
+        asked: dict = {}  # batch -> (top when its floors were last given, those floors)
+        charge, cur = charges.tolist(), [f.log_lik for f in state.fits]
+
+        def floors(batch: list, shares: dict) -> list:
+            t = batch[0][0]  # a batch holds fits of one type; only top[t] moves while it runs
+            for j, share in shares.items():  # a converged fit of an add or delete sets its move's net
+                for m in users[batch[j]]:
+                    if m[2] < 2:
+                        top[t] = max(top[t], share - cur[t] - charge[m[2]])
+            seen, given = asked.get(tuple(batch), (None, None))
+            if seen != top[t]:
+                level, given = least(top[t]), []
+                for key in batch:
+                    floor = math.inf
+                    for m in users[key]:  # an add or delete needs no other fit
+                        floor = min(floor, level + charge[m[2]] + cur[t] if m[2] < 2 else _floor(
+                            m, key, keys[m], state, least(max(top[v] for v, _ in keys[m])), charge))
+                    given.append(floor)
+                asked[tuple(batch)] = top[t], given
+            return given
+
+        bounds = self.bounds.tolist()
+
+        def priority(m: tuple) -> float:
+            c, v, k = m
+            return -math.inf if k == 1 else (bounds[v][c] if k == 0 else bounds[c][v]) - charge[k]
+
+        order = sorted(keys, key=priority, reverse=True)
+        state.fit_missing([key for m in order for key in keys[m] if key not in state.memo], cache, floors)
+        self._take(keys, state)
+        self.known |= stale
+        while True:  # resume the fits of paused moves that may still score near the best
+            nets, waiting = self.gains - charges, open_ & self.paused
+            net = np.where(open_ & ~waiting, nets, -np.inf)
+            reaching = np.argwhere(waiting & (nets >= least(net.max()))).tolist()
+            if not reaching:
+                break
+            # rare (a move that bounded them closed): they run to the end
+            state.fit_missing([key for m in reaching for key in _keys(tuple(m), state.parents)], cache)
+            self._take({m: _keys(m, state.parents) for m in map(tuple, np.argwhere(waiting).tolist())}, state)
+        return net.reshape(-1), int(closed.sum()), int(stale.sum())
 
 
 class SearchResult(NamedTuple):
@@ -295,11 +461,13 @@ class SearchResult(NamedTuple):
     trajectory: tuple
     fit_evaluations: int
     type_fits: tuple
-    em_maps: int  # EM maps of the memoized fits
-    nonconverged_fits: int  # memoized fits the map cap stopped
+    em_maps: int  # EM maps run by the memoized fits, paused ones included
+    nonconverged_fits: int  # finished memoized fits the map cap stopped
     screened_moves: int  # add moves the screen ruled out, summed over rounds
     fit_gaps: tuple  # duality_gap of each final type fit: how far below its optimum
     trace: tuple  # one dict per round, as ``learn --trace`` writes it
+    paused_fits: int  # memoized fits that stopped early at least once
+    resumed_fits: int  # of those, the fits a later round resumed
 
 
 def hill_climb(
@@ -333,8 +501,8 @@ def hill_climb(
         if best == -np.inf:
             break
         current = bic_penalty(n, state.edge_count, cache.max_hops, cache.total_events)
-        margin = _SCREEN_MARGIN * (sum(abs(f.log_lik) for f in state.fits) + abs(best) + current + 1.0)
-        near = np.flatnonzero(net >= best - margin)
+        spread = sum(abs(f.log_lik) for f in state.fits)
+        near = np.flatnonzero(net >= best - _near_margin(spread, best, current))
         moves = [(_KINDS[i % 3], divmod(i // 3, n)) for i in near.tolist()]
         exact = _exact_scores(moves, state, cache)
         better = np.flatnonzero(exact > score)
@@ -369,9 +537,12 @@ def hill_climb(
         trajectory=tuple(trajectory),
         fit_evaluations=len(state.memo),
         type_fits=fits,
-        em_maps=sum(f.iterations - (not f.converged) for f in state.memo.values()),
-        nonconverged_fits=sum(not f.converged for f in state.memo.values()),
+        em_maps=sum(f.iterations - (not f.converged) if isinstance(f, TypeFit) else f.maps
+                    for f in state.memo.values()),
+        nonconverged_fits=sum(isinstance(f, TypeFit) and not f.converged for f in state.memo.values()),
         screened_moves=screened,
         fit_gaps=tuple(state.gap(v, cache)[0] for v in range(cache.type_count)),
         trace=tuple(trace),
+        paused_fits=len(state.paused),
+        resumed_fits=len(state.resumed),
     )

@@ -216,7 +216,7 @@ def type_intensities(
     """The production intensity of one type at its cells, in ``type_cell_coords`` order."""
     batch, mu, alpha = type_point(params, graph, cache, event_type)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam, _ = batch_log_likelihood(mu, alpha, batch, [0])
+        lam, _, _ = batch_log_likelihood(mu, alpha, batch, [0])
     return lam[0].copy()
 
 
@@ -229,7 +229,7 @@ def log_likelihood(params: ThpParams, graph: CausalGraph, cache: FeatureCache) -
     for v in range(graph.type_count):
         batch, mu, alpha = type_point(params, graph, cache, v)
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, share = batch_log_likelihood(mu, alpha, batch, [0])
+            _, share, _ = batch_log_likelihood(mu, alpha, batch, [0])
         total += float(share[0])
     return total
 
@@ -248,7 +248,7 @@ def em_iteration(
     for v in range(graph.type_count):
         batch, mu_v, alpha_v = type_point(params, graph, cache, v)
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, mu_v, alpha_v = _em_iteration(mu_v, alpha_v, batch, [0])
+            _, mu_v, alpha_v, _ = _em_iteration(mu_v, alpha_v, batch, [0])
         mu[v], updated = mu_v[0], np.asarray(alpha_v[0], dtype=float)
         expected[v] = batch.bin_width * (mu[v] * batch.grid_cells + updated @ batch.totals[0])
         parents = graph.parents(v)
@@ -345,3 +345,10 @@ def fit(graph: CausalGraph, cache: FeatureCache, config: EmConfig = EmConfig()) 
         converged=all(f.converged for f in fits),
         type_fits=tuple(fits),
     )
+
+
+def assert_same_fit(a, b):
+    """Every field of two fits equal, floats bit for bit."""
+    assert (a.event_type, a.parents, a.mu, a.log_lik) == (b.event_type, b.parents, b.mu, b.log_lik)
+    assert a.alpha.shape == b.alpha.shape and np.array_equal(a.alpha, b.alpha)
+    assert (a.trajectory, a.iterations, a.converged) == (b.trajectory, b.iterations, b.converged)

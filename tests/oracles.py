@@ -660,7 +660,7 @@ def oracle_plain_em(
     trajectory = []
     for _ in range(config.max_iterations):
         with np.errstate(divide="ignore", invalid="ignore"):
-            current, next_mu, next_alpha = _em_iteration(mu, alpha, data, [0])
+            current, next_mu, next_alpha, _ = _em_iteration(mu, alpha, data, [0])
         current = float(current[0])
         if current == float("-inf"):
             raise DegenerateModelError(
@@ -783,7 +783,7 @@ def oracle_squarem(event_type: int, parent_sets, cache: FeatureCache, config: Em
     with np.errstate(all="ignore"):
         while pending:
             live = list(pending)
-            log_lik, mu, alpha = _em_iteration(
+            log_lik, mu, alpha, _ = _em_iteration(
                 np.array([pending[j][0] for j in live]),
                 np.array([np.asarray(pending[j][1], dtype=float) for j in live]),
                 data,
@@ -797,7 +797,7 @@ def oracle_squarem(event_type: int, parent_sets, cache: FeatureCache, config: Em
                     results[j] = stop.value
         capped = [j for j, result in enumerate(results) if not result[2]]
         if capped:
-            _, rescored = batch_log_likelihood(
+            _, rescored, _ = batch_log_likelihood(
                 np.array([results[j][0][0] for j in capped]),
                 np.array([np.asarray(results[j][0][1], dtype=float) for j in capped]),
                 data,
@@ -1015,4 +1015,6 @@ def oracle_hill_climb(cache: FeatureCache, *, em_config: EmConfig = EmConfig(), 
         screened_moves=screened,
         fit_gaps=tuple(state.gap(v, cache)[0] for v in range(cache.type_count)),
         trace=tuple(trace),
+        paused_fits=0,
+        resumed_fits=0,
     )

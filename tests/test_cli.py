@@ -254,7 +254,8 @@ def test_learn_stdout_summary(sim_dir, tmp_path, capsys):
     assert "search took" in captured.err
     # at K=0 an edge costs nothing, so the screen rules out no move
     assert re.search(
-        r"^search took \d+\.\d\ds fits=[1-9]\d* maps=[1-9]\d* screened=0 nonconverged=\d+$",
+        r"^search took \d+\.\d\ds fits=[1-9]\d* maps=[1-9]\d* screened=0 nonconverged=\d+ "
+        r"paused=\d+ resumed=\d+$",
         captured.err, re.MULTILINE,
     )
     # feature time has its own line, right before the search line

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import hawkesnet.em as em_mod
 from hawkesnet.em import (
     EmConfig,
+    PausedFit,
+    TypeFit,
     _em_iteration,
     assemble_params,
     duality_gap,
@@ -28,6 +30,7 @@ from hawkesnet.simulate import SimConfig, generate_benchmark
 from hawkesnet.topology import build_topology
 
 from .helpers import (
+    assert_same_fit,
     dense_to_dataset,
     em_iteration,
     fit,
@@ -63,7 +66,7 @@ def test_e_step_rejects_zero_intensity():
     params = ThpParams(mu=np.array([0.0]), alpha={}, max_hops=0)
     batch, mu, alpha = type_point(params, CausalGraph(1), cache, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_lik, _, _ = _em_iteration(mu, alpha, batch, [0])
+        log_lik, _, _, _ = _em_iteration(mu, alpha, batch, [0])
     assert log_lik[0] == float("-inf")
 
 
@@ -199,7 +202,7 @@ def test_fit_starts_at_the_empirical_rate():
     rate = cache.type_counts[v].sum() / (cache.node_count * cache.bin_count * cache.bin_width)
     alpha = np.where(cache.totals[list(parents)].reshape(1, -1) > 0, 0.05, 0.0)
     assert alpha[0].tolist() == [0.05, 0.05, 0.0, 0.0]
-    _, start = batch_log_likelihood(np.array([rate]), alpha, type_batch(cache, v, [parents]), [0])
+    _, start, _ = batch_log_likelihood(np.array([rate]), alpha, type_batch(cache, v, [parents]), [0])
     assert result.trajectory[0] == start[0]
 
 
@@ -276,10 +279,10 @@ def test_accelerated_fit_ends_at_a_fixed_point(dense):
         result = fit_type(v, truth, cache, EmConfig(max_iterations=10_000, rel_tolerance=tol))
         assert result.converged
         data = type_batch(cache, v, [truth])
-        log_lik, mu, alpha = _em_iteration(np.array([result.mu]), result.alpha.reshape(1, -1),
+        log_lik, mu, alpha, _ = _em_iteration(np.array([result.mu]), result.alpha.reshape(1, -1),
                                            data, [0])
         assert log_lik[0] == result.log_lik
-        again, _, _ = _em_iteration(mu, alpha, data, [0])
+        again, _, _, _ = _em_iteration(mu, alpha, data, [0])
         assert abs(again[0] - log_lik[0]) <= tol * (abs(log_lik[0]) + 1.0)
 
 
@@ -372,13 +375,6 @@ def test_duality_gap_bounds_the_distance_to_the_optimum(dense):
     assert checked >= 2
 
 
-def _assert_same_fit(a, b):
-    """Every field of two fits equal, floats bit for bit."""
-    assert (a.event_type, a.parents, a.mu, a.log_lik) == (b.event_type, b.parents, b.mu, b.log_lik)
-    assert a.alpha.shape == b.alpha.shape and np.array_equal(a.alpha, b.alpha)
-    assert (a.trajectory, a.iterations, a.converged) == (b.trajectory, b.iterations, b.converged)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batched_fits_equal_lone_fits(dense, data):
@@ -418,23 +414,82 @@ def test_batched_fits_equal_lone_fits(dense, data):
             patch.setattr(em_mod, "_extrapolate", leaving)
         batched = fit_batch(v, chosen, cache, config)
         for parents, fit_ in zip(chosen, batched):
-            _assert_same_fit(fit_, fit_type(v, parents, cache, config))
+            assert_same_fit(fit_, fit_type(v, parents, cache, config))
 
 
-def test_batch_blocks_are_aligned_copies_of_type_data(dense):
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_paused_fits_resume_bit_for_bit(dense, data):
+    """A fit stopped between any two maps and resumed, as often as the
+    floors say, ends as the fit run straight through, bit for bit."""
+    if data.draw(st.booleans(), label="dense-learn-shaped instance"):
+        cache = dense[0]
+    else:
+        cache = random_instance(RNG(data.draw(st.integers(0, 10_000))), max_nodes=4, max_types=4,
+                                max_bins=30, min_events=3).cache
+    types = cache.type_count
+    v = data.draw(st.integers(0, types - 1))
+    sets = list(itertools.combinations(range(types), data.draw(st.integers(0, types))))
+    chosen = data.draw(st.lists(st.sampled_from(sets), min_size=1, max_size=4))
+    config = EmConfig(max_iterations=data.draw(st.integers(1, 40)))
+    want = fit_batch(v, chosen, cache, config)
+    got, entries = {}, dict(enumerate(chosen))
+    while entries:
+        # inf stops a fit after its next map, -inf runs it to the end
+        floors = [data.draw(st.sampled_from([np.inf, -np.inf, want[j].log_lik + 1.0,
+                                             want[j].log_lik - 1.0])) for j in entries]
+        for j, fit_ in zip(list(entries), fit_batch(v, list(entries.values()), cache, config,
+                                                    lambda shares, floors=floors: floors)):
+            if isinstance(fit_, PausedFit):
+                # the bound caps the share the finished fit reaches
+                assert fit_.maps < config.max_iterations and fit_.bound >= want[j].log_lik
+                entries[j] = fit_
+            else:
+                got[j] = fit_
+                del entries[j]
+    for j, fit_ in got.items():
+        assert_same_fit(fit_, want[j])
+
+
+@pytest.mark.parametrize("cap", [3, 4, 100])
+def test_a_fit_paused_after_every_map_ends_as_one_run_straight_through(dense, cap):
+    cache, parent_sets = dense
+    config = EmConfig(max_iterations=cap)
+    phases, capped = set(), 0
+    for v, *sets in parent_sets:
+        for parents in sets:
+            entry, maps = parents, 0
+            while not isinstance(entry, TypeFit):
+                entry = fit_batch(v, [entry], cache, config, lambda shares: [np.inf])[0]
+                maps += 1
+                if isinstance(entry, PausedFit):
+                    phases.add(entry.state.phase)
+                    assert entry.maps == maps
+            assert_same_fit(entry, fit_type(v, parents, cache, config))
+            capped += not entry.converged
+    if cap == 100:  # stops fall on every phase of the cycle: x, x1 and a jump mapped next
+        assert phases == {0, 1, 2}
+    else:  # and on the last map before the cap
+        assert capped > 0
+
+
+def test_batch_blocks_are_aligned_rows_equal_to_the_type_data(dense):
     cache, _ = dense
-    sets = [(0, 4), (2, 3), (1, 2)]
+    sets = [(0, 4), (2, 3), (1, 2), (0, 3)]
     batch = type_batch(cache, 1, sets)
     hops = cache.max_hops + 1
     values = cache.type_values[1]
-    assert batch.flat.shape == (3, 2 * hops, values.shape[1])
+    assert len(batch.flat) == 4
     for block, totals, parents in zip(batch.flat, batch.totals, sets):
-        assert all(row.ctypes.data % 64 == 0 for row in block)
+        assert block.shape == (2 * hops, values.shape[1])
+        assert all(row.ctypes.data % 64 == 0 for row in block) and block.strides[0] % 64 == 0
+        # consecutive parents are read in place, any other set is a copy
+        assert np.shares_memory(block, values) == (parents[1] == parents[0] + 1)
         # row (i, k) holds the hop-k features of parent i at the type's cells
         want = np.concatenate([values[c * hops : (c + 1) * hops] for c in parents])
         np.testing.assert_array_equal(block, want)
         np.testing.assert_array_equal(totals, cache.totals[list(parents)].reshape(-1))
-    assert batch.cell_rows.shape[0] == batch.width_rows.shape[0] == 3
+    assert batch.cell_rows.shape[0] == batch.width_rows.shape[0] == 4
     for rows in (batch.cell_rows, batch.width_rows):
         assert all(row.ctypes.data % 64 == 0 for row in rows)
     with pytest.raises(InvalidInputError):
@@ -468,7 +523,7 @@ def test_fit_batch_equals_oracle_squarem(dense, data):
 
             patch.setattr(em_mod, "_extrapolate", leaving)
         for fit_, want in zip(fit_batch(v, chosen, cache, config), oracle_squarem(v, chosen, cache, config)):
-            _assert_same_fit(fit_, want)
+            assert_same_fit(fit_, want)
 
 
 @settings(max_examples=200, deadline=None)

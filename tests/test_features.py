@@ -88,7 +88,7 @@ def test_cell_bookkeeping():
 
 
 def test_features_for_slices_match_values():
-    # a type's likelihood batch copies its rows straight from the cache
+    # a type's likelihood batch reads a single parent's rows in place
     rng = RNG(7)
     inst = random_instance(rng, max_nodes=4, max_types=3, max_bins=12, min_events=5)
     cache = inst.cache
@@ -99,8 +99,11 @@ def test_features_for_slices_match_values():
         assert cache.type_values[v].shape == (cache.type_count * hops, cells)
         np.testing.assert_array_equal(batch.counts, cache.type_counts[v])
         np.testing.assert_array_equal(batch.flat[0], cache.type_values[v][:hops])
-        assert all(row.ctypes.data % 64 == 0 for row in batch.flat[0])
-        assert type_batch(cache, v, [()]).flat.shape == (1, 0, cells)
+        assert np.shares_memory(batch.flat[0], cache.type_values[v])
+        assert all(row.ctypes.data % 64 == 0 for row in cache.type_values[v])
+        assert cache.type_values[v].strides[0] % 64 == 0
+        empty = type_batch(cache, v, [()]).flat
+        assert len(empty) == 1 and empty[0].shape == (0, cells)
     last = cache.type_count - 1
     batch = type_batch(cache, 0, [(last, 0)])
     np.testing.assert_array_equal(batch.totals[0], cache.totals[[last, 0]].reshape(-1))
@@ -273,9 +276,9 @@ def test_truncated_cache_equals_fresh_build():
         fresh = build_features(ds, topo, kernel, hops)
         view = full.truncated(hops)
         assert view.max_hops == hops
-        # contiguous, and byte for byte the fresh build's rows
+        # aligned rows laid out as the fresh build's, and byte for byte its rows
         for got, want in zip(view.type_values, fresh.type_values, strict=True):
-            assert got.flags.c_contiguous
+            assert got.strides == want.strides and all(row.ctypes.data % 64 == 0 for row in got)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
         # the totals contraction is shape-dependent inside BLAS; one ulp slack
         np.testing.assert_allclose(view.totals, fresh.totals, rtol=1e-13)
@@ -294,7 +297,7 @@ def test_empty_dataset_builds_empty_cache():
     np.testing.assert_array_equal(cache.totals, np.zeros((2, 3)))
     assert [values.shape for values in cache.type_values] == [(6, 0), (6, 0)]
     batch = type_batch(cache, 0, [(0, 1)])
-    assert batch.flat.shape == (1, 6, 0)
+    assert len(batch.flat) == 1 and batch.flat[0].shape == (6, 0)
     assert batch.counts.shape == (0,)
 
 

@@ -207,7 +207,7 @@ def test_zero_intensity_on_occupied_cell_is_neg_inf():
     assert log_likelihood(params, graph, cache) == float("-inf")
     batch, mu, alpha = type_point(params, graph, cache, 0)
     with np.errstate(divide="ignore"):
-        lam, share = batch_log_likelihood(mu, alpha, batch, [0])
+        lam, share, _ = batch_log_likelihood(mu, alpha, batch, [0])
     np.testing.assert_array_equal(lam[0], [0.0])
     assert share[0] == float("-inf")
 

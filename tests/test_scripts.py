@@ -157,6 +157,36 @@ def test_bench_pairs_runs_the_named_workload(tmp_path, monkeypatch):
     assert every["end_to_end"].keys() == dense["end_to_end"].keys()
 
 
+def test_bench_pairs_records_both_commits(tmp_path, monkeypatch):
+    # two git checkouts, as worktrees give them: each side's commit is recorded
+    commits = {}
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(STUB_RUN + f"# {side}\n")
+        git = ["git", "-C", str(root), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+        for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", side]):
+            subprocess.run([*git, *argv], check=True, capture_output=True)
+        commits[side] = subprocess.run([*git, "rev-parse", "--short=7", "HEAD"], check=True,
+                                       capture_output=True, text=True).stdout.strip()
+    assert commits["parent"] != commits["change"]
+    monkeypatch.setenv("STUB_LOG", str(tmp_path / "calls.log"))
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    out = tmp_path / "bench.json"
+    sides = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    common = ["--seeds", "3", "--pairs", "1", "--seconds", "0", "--out", str(out)]
+    assert bench_pairs.main([*sides, *common]) == 0
+    record = json.loads(out.read_text())
+    assert (record["parent_commit"], record["change_commit"]) == (commits["parent"], commits["change"])
+    # a side that is not a git checkout is recorded as null
+    (tmp_path / "plain" / "perfbench").mkdir(parents=True)
+    (tmp_path / "plain" / "perfbench" / "run.py").write_text(STUB_RUN)
+    assert bench_pairs.main([sides[0], str(tmp_path / "plain"), *common]) == 0
+    record = json.loads(out.read_text())
+    assert (record["parent_commit"], record["change_commit"]) == (commits["parent"], None)
+
+
 def test_readme_library_example_runs_as_written(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     example = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkesnet.em import EmConfig, duality_gap, fit_type
+from hawkesnet.em import EmConfig, PausedFit, duality_gap, fit_type
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.features import build_features
 from hawkesnet.graph import CausalGraph
@@ -27,7 +27,7 @@ from hawkesnet.search import (
 )
 from hawkesnet.simulate import SimConfig, generate_benchmark
 
-from .helpers import random_instance, with_edge
+from .helpers import assert_same_fit, random_instance, with_edge
 from .oracles import (
     Move,
     apply_move,
@@ -294,28 +294,40 @@ def test_memoization_avoids_repeat_fits(monkeypatch):
 
     original = search_mod.fit_batch
 
+    resumed = []
+
     def counting_fit_batch(event_type, parent_sets, *args, **kwargs):
         batches.append(len(parent_sets))
-        calls.extend((event_type, tuple(parents)) for parents in parent_sets)
+        for entry in parent_sets:  # a paused fit resumes; it does not start again
+            if isinstance(entry, PausedFit):
+                assert (event_type, entry.parents) in calls
+                resumed.append((event_type, entry.parents))
+            else:
+                calls.append((event_type, tuple(entry)))
         return original(event_type, parent_sets, *args, **kwargs)
 
     monkeypatch.setattr(search_mod, "fit_batch", counting_fit_batch)
     result = hill_climb(cache, em_config=EmConfig(max_iterations=20))
-    assert len(calls) == len(set(calls))  # no key is ever fitted twice
+    assert len(calls) == len(set(calls))  # no key is ever started twice
     assert result.fit_evaluations == len(calls)
+    assert result.resumed_fits == len(set(resumed)) <= result.paused_fits
     assert max(batches) > 1  # a round's moves are fitted together
 
 
 def _state_copy(state: SearchState) -> SearchState:
     return SearchState(state.em_config, list(state.parents), list(state.fits), state.edge_count,
-                       dict(state.memo), state.batches, dict(state.gaps))
+                       dict(state.memo), state.batches, dict(state.gaps), set(state.paused),
+                       set(state.resumed))
 
 
+@pytest.mark.parametrize("setup", ["tiny", "desk"])
 @pytest.mark.parametrize("allow_cycles", [True, False])
-def test_each_round_keeps_the_gain_of_every_legal_move(monkeypatch, allow_cycles):
+def test_each_round_keeps_the_gain_of_every_legal_move(monkeypatch, allow_cycles, setup):
     # a round recomputes only the gains the last move made stale, yet every
-    # legal move must carry its current gain or be one the screen rules out
-    _, cache = _tiny_search_setup(seed=17)
+    # legal move must carry its current gain, be one the screen rules out, or
+    # wait on a paused fit while it scores too far below the round's best to
+    # be scored exactly
+    cache = _tiny_search_setup(seed=17)[1] if setup == "tiny" else _desk_cache()
     rounds = []
     original = search_mod._Gains.net
 
@@ -328,17 +340,29 @@ def test_each_round_keeps_the_gain_of_every_legal_move(monkeypatch, allow_cycles
     result = hill_climb(cache, em_config=EmConfig(max_iterations=20), allow_cycles=allow_cycles)
     assert len(rounds) == result.rounds + 1 >= 2  # the last round finds no improving move
     graph = CausalGraph(cache.type_count)
-    n = cache.type_count
+    n, paused = cache.type_count, 0
     for i, (net, state, screened) in enumerate(rounds):
         moves = vicinity_moves(graph, allow_cycles)
         kept = set(oracle_unscreened(moves, state, cache))
         score = result.trajectory[i]
         flat = [(m.edge[0] * n + m.edge[1]) * 3 + ("add", "delete", "reverse").index(m.kind) for m in moves]
-        for j, (move, index) in enumerate(zip(moves, flat)):
+        # a paused move nets less than the best by more than the margin, or,
+        # where no move improves (the last round), less than zero
+        best = max(net.max(), 0.0)
+        near = best - search_mod._near_margin(sum(abs(f.log_lik) for f in state.fits), best, bic_penalty(
+            n, state.edge_count, cache.max_hops, cache.total_events))
+        # scoring resumes paused fits, so find the moves waiting on one first
+        waiting = [any(isinstance(state.memo.get((v, parents_after(state.parents, move, v))), PausedFit)
+                       for v in move.changed_types()) for move in moves]
+        for j, (move, index, waits) in enumerate(zip(moves, flat, waiting)):
             if j not in kept:  # skipped: the screen rules it out
                 assert net[index] == -np.inf, move
                 continue
             fresh = score_candidate(move, state, cache)
+            if waits:
+                paused += 1
+                assert net[index] == -np.inf and fresh - score < near, move
+                continue
             margin = _SCREEN_MARGIN * (sum(abs(f.log_lik) for f in state.fits) + abs(fresh) + 1.0)
             assert abs(net[index] - (fresh - score)) <= margin, move
         assert screened == len(moves) - len(kept)
@@ -347,6 +371,7 @@ def test_each_round_keeps_the_gain_of_every_legal_move(monkeypatch, allow_cycles
             entry = result.trace[i]
             graph = apply_move(graph, Move(entry["move"], tuple(entry["edge"])))
     assert graph.edges == result.graph.edges
+    assert paused > 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -521,31 +546,69 @@ def test_nothing_is_screened_when_an_edge_costs_nothing():
     assert result.rounds >= 1 and result.screened_moves == 0
 
 
-def _assert_same_climb(a, b):
-    """Every field of two search results equal, floats bit for bit."""
+def _with_state(climb, cache, **kwargs):
+    """``climb(cache, **kwargs)`` and the :class:`SearchState` it searched with."""
+    states = []
+    empty = SearchState.empty.__func__
+
+    def recording(cls, *args):
+        states.append(empty(cls, *args))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SearchState, "empty", classmethod(recording))
+        result = climb(cache, **kwargs)
+    return result, states[0]
+
+
+def _assert_same_climb(cache, **kwargs):
+    """``hill_climb`` against ``oracle_hill_climb``, which runs every fit to
+    the end: every field equal, floats bit for bit, but the EM maps (and the
+    capped fits among them) of the fits that stopped early. Resumed to the
+    end, those fits are the oracle's, bit for bit. Returns the climb."""
+    a, state = _with_state(hill_climb, cache, **kwargs)
+    b, oracle = _with_state(oracle_hill_climb, cache, **kwargs)
     assert a.graph.edges == b.graph.edges
     assert (a.score, a.log_lik, a.rounds, a.trajectory, a.trace) == (
         b.score, b.log_lik, b.rounds, b.trajectory, b.trace)
-    assert (a.fit_evaluations, a.em_maps, a.nonconverged_fits, a.screened_moves, a.fit_gaps) == (
-        b.fit_evaluations, b.em_maps, b.nonconverged_fits, b.screened_moves, b.fit_gaps)
+    assert (a.fit_evaluations, a.screened_moves, a.fit_gaps) == (
+        b.fit_evaluations, b.screened_moves, b.fit_gaps)
+    assert a.em_maps <= b.em_maps and a.nonconverged_fits <= b.nonconverged_fits
+    paused = [key for key, fit in state.memo.items() if isinstance(fit, PausedFit)]
+    assert a.resumed_fits <= a.paused_fits and len(paused) <= a.paused_fits
+    assert (a.em_maps < b.em_maps) == bool(paused)
+    state.fit_missing(paused, cache)
+    assert state.memo.keys() == oracle.memo.keys()
+    for key, fit in state.memo.items():
+        assert_same_fit(fit, oracle.memo[key])
+    assert sum(f.iterations - (not f.converged) for f in state.memo.values()) == b.em_maps
+    return a
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.booleans(), st.booleans(), st.integers(1, 40))
 def test_hill_climb_equals_oracle_hill_climb(seed, allow_cycles, flat, cap):
     # the incremental climb against the one that scores every legal move each
-    # round: same graph, scores, trace, fits, maps, screen and gaps
+    # round: same graph, scores, trace, fits, screen and gaps
     inst = random_instance(RNG(seed), max_nodes=4, max_types=4, max_bins=30, min_events=8,
                            event_rate=0.5)
     cache = inst.cache.truncated(0) if flat else inst.cache
-    em = EmConfig(max_iterations=cap)
-    _assert_same_climb(hill_climb(cache, em_config=em, allow_cycles=allow_cycles),
-                       oracle_hill_climb(cache, em_config=em, allow_cycles=allow_cycles))
+    _assert_same_climb(cache, em_config=EmConfig(max_iterations=cap), allow_cycles=allow_cycles)
+
+
+@pytest.mark.parametrize("seed", [4, 41])
+def test_paused_fits_resume_when_the_move_that_bounded_them_closes(seed):
+    # in an acyclic search an add that bounded a paused fit can become
+    # illegal while the paused move stays open; its fit is then resumed
+    inst = random_instance(RNG(seed), max_nodes=4, max_types=4, max_bins=30, min_events=8,
+                           event_rate=0.5)
+    result = _assert_same_climb(inst.cache.truncated(0), allow_cycles=False)
+    assert result.resumed_fits > 0
 
 
 @pytest.mark.parametrize("allow_cycles", [True, False])
 @pytest.mark.parametrize("hops", [2, 0])
 def test_desk_climb_equals_oracle_hill_climb(allow_cycles, hops):
-    cache = _desk_cache().truncated(hops)
-    _assert_same_climb(hill_climb(cache, allow_cycles=allow_cycles),
-                       oracle_hill_climb(cache, allow_cycles=allow_cycles))
+    # fits stop early at K=2 and at K=0, where nothing is screened
+    result = _assert_same_climb(_desk_cache().truncated(hops), allow_cycles=allow_cycles)
+    assert result.paused_fits > 0
