@@ -4,10 +4,14 @@ Runs ``python3 perfbench/run.py --workload W --seed S --seconds N`` in two
 checkouts, a parent and a change, and writes one JSON record of every
 end-to-end metric: per seed and workload, the median and quartiles
 (inclusive method) of each side, every run in pair order, the number of
-pairs the change won (strictly; ties count for neither side) and the
-relative change of the medians. Even pairs run the parent first, odd pairs
-the change first, and the seeds are interleaved, because a run's position
-moves its timings by several percent.
+pairs the change won (strictly; ties count for neither side), the
+relative change of the medians and ``claim_rule_met``, the rule for
+claiming a gain: the change won at least 9 of every 10 pairs and its median
+beats the parent's by more than the parent's interquartile range. One
+stderr line per workload names the metrics that meet it, with their seeds.
+Even pairs run the parent first, odd pairs the change first, and the seeds
+are interleaved, because a run's position moves its timings by several
+percent.
 
 Every run has ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``,
 as the benchmark itself runs: each CLI process compiles the package modules
@@ -71,10 +75,12 @@ def summary(values: list) -> dict:
 
 
 def compare(name: str, parent: list, change: list) -> dict:
-    """Both sides' summaries, the pairs the change won and the median's relative move."""
+    """Both sides' summaries, the pairs the change won, the median's relative
+    move and whether the change meets the claim rule."""
     higher = name in HIGHER_BETTER
     won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     before, after = summary(parent), summary(change)
+    gain = (after["median"] - before["median"]) * (1 if higher else -1)
     return {
         "parent": before,
         "change": after,
@@ -83,6 +89,7 @@ def compare(name: str, parent: list, change: list) -> dict:
         "pairs": len(parent),
         "change_better_pairs": won,
         "change_vs_parent": after["median"] / before["median"] - 1.0 if before["median"] else 0.0,
+        "claim_rule_met": 10 * won >= 9 * len(parent) and gain > before["q3"] - before["q1"],
     }
 
 
@@ -126,7 +133,7 @@ def main(argv=None) -> int:
                 runs[side, seed].append(run_bench(sides[side], args.workload, seed, args.seconds, args.scale))
                 print(f"pair {pair + 1}/{args.pairs} seed {seed} {side} done", file=sys.stderr)
 
-    end_to_end, checks = {}, {}
+    end_to_end, checks, claims = {}, {}, {}
     for seed in args.seeds:
         results = {side: [run["result"] for run in runs[side, seed]] for side in sides}
         per_workload = {}
@@ -135,6 +142,9 @@ def main(argv=None) -> int:
             values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in sides}
             per_workload.setdefault(workload, {})[metric] = compare(metric, values["parent"], values["change"])
         end_to_end[f"seed {seed}"] = per_workload
+        for workload, metrics in per_workload.items():
+            claims.setdefault(workload, []).extend(
+                f"{metric} (seed {seed})" for metric, entry in metrics.items() if entry["claim_rule_met"])
         checks[f"seed {seed}"] = {
             "attempted": {side: sum(r["attempted"] for r in results[side]) for side in sides},
             "failed": {side: sum(r["failed"] for r in results[side]) for side in sides},
@@ -149,6 +159,8 @@ def main(argv=None) -> int:
             f"of `python3 perfbench/run.py --workload {args.workload} --seed S "
             f"--seconds {args.seconds:g}` per seed, even pairs parent first, odd pairs change first, "
             "seeds interleaved; *_runs list every run in pair order; change_better_pairs counts strict wins (ties count for neither); "
+            "claim_rule_met: the change won at least 9 of every 10 pairs and its median beats the parent's by more "
+            "than the parent's interquartile range; "
             "each run with PYTHONDONTWRITEBYTECODE=1, no PYTHONPYCACHEPREFIX and no __pycache__ in either "
             "checkout, so every CLI process compiles the package modules it imports."
         ),
@@ -159,6 +171,8 @@ def main(argv=None) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    for workload, met in claims.items():
+        print(f"{workload}: claim rule met by {', '.join(met) or 'no metric'}", file=sys.stderr)
     print(out)
     return 0
 

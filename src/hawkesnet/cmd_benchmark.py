@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import sys
+import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,37 @@ def add_arguments(parser) -> None:
     parser.add_argument("--target-events", type=int, help="events per dataset")
 
 
+class SeedRun(NamedTuple):
+    """One simulated dataset learned at hop orders K and 0 and scored."""
+
+    seed: int
+    reports: dict  # hop order -> StructureReport against the generating graph
+    fits: dict  # hop order -> EM fits the search ran
+    alpha_mae: float  # of the fit at hop order K
+    seconds: float  # wall time of simulate, learn and score
+
+
+def study(configs, kernel, em_config=None):
+    """Simulate each config and learn it with ``kernel`` at hop orders (K, 0).
+
+    Both searches run through ``cli.pipeline`` on one feature build. Yields
+    one :class:`SeedRun` per config as it finishes, so simulator warnings
+    and a caller's per-seed lines keep their order.
+    """
+    for config in configs:
+        started = time.monotonic()
+        data = generate(config)
+        _, results, _, _ = cli.pipeline(data.dataset(), data.topology, kernel,
+                                        (config.max_hops, 0), em_config=em_config)
+        yield SeedRun(
+            config.seed,
+            {hops: structure_metrics(result.graph, data.causal_graph) for hops, result in results.items()},
+            {hops: result.fit_evaluations for hops, result in results.items()},
+            alpha_mae(results[config.max_hops].params, data.params),
+            time.monotonic() - started,
+        )
+
+
 def main(args) -> int:
     section = config_section(args.config, "benchmark", ("runs", "em", *SimConfig.__slots__))
     runs = pick(args.runs, section, "runs", 5, int)
@@ -37,60 +70,33 @@ def main(args) -> int:
     base_seed = pick(args.seed, section, "seed", 0, int)
     delta = base.kernel.decay if isinstance(base.kernel, ExponentialKernel) else DEFAULT_DELTA
 
-    rows: dict[str, list] = {"full": [], "no_topology": []}
-    for offset in range(runs):
-        seed = base_seed + offset
-        config = SimConfig.from_dict({**base.to_dict(), "seed": seed})
-        data = generate(config)
-        _, results, _, _ = cli.pipeline(data.dataset(), data.topology, ExponentialKernel(delta),
-                                        (config.max_hops, 0), em_config=em_config)
-        for label, hops in (("full", config.max_hops), ("no_topology", 0)):
-            result = results[hops]  # one search at --k 0, where both rows are hop 0
-            report = structure_metrics(result.graph, data.causal_graph)
-            mae = alpha_mae(result.params, data.params) if hops == config.max_hops else None
-            rows[label].append((report.precision, report.recall, report.f1, mae))
+    configs = (SimConfig.from_dict({**base.to_dict(), "seed": base_seed + offset})
+               for offset in range(runs))
+    rows = {"full": base.max_hops, "no_topology": 0}  # one search at --k 0, where both are hop 0
+    done = []
+    for run in study(configs, ExponentialKernel(delta), em_config):
+        done.append(run)
+        for label, hops in rows.items():
+            report = run.reports[hops]
             print(
-                f"seed {seed} {label}: precision={report.precision:.3f} "
+                f"seed {run.seed} {label}: precision={report.precision:.3f} "
                 f"recall={report.recall:.3f} f1={report.f1:.3f}",
                 file=sys.stderr,
             )
 
-    def stats(values):
-        arr = np.array(values, dtype=float)
-        return arr.mean(), arr.std()
-
     print(f"{'configuration':<14} {'precision':>16} {'recall':>16} {'f1':>16} {'alpha_mae':>12}")
     summary = {}
-    for label in ("full", "no_topology"):
-        triples = rows[label]
-        p_m, p_s = stats([r[0] for r in triples])
-        r_m, r_s = stats([r[1] for r in triples])
-        f_m, f_s = stats([r[2] for r in triples])
-        maes = [r[3] for r in triples if r[3] is not None]
-        mae_text = f"{np.mean(maes):.5f}" if maes else "-"
-        print(
-            f"{label:<14} {p_m:>8.3f}±{p_s:<7.3f} {r_m:>8.3f}±{r_s:<7.3f} "
-            f"{f_m:>8.3f}±{f_s:<7.3f} {mae_text:>12}"
-        )
-        summary[label] = {
-            "precision_mean": p_m,
-            "precision_std": p_s,
-            "recall_mean": r_m,
-            "recall_std": r_s,
-            "f1_mean": f_m,
-            "f1_std": f_s,
-            "alpha_mae_mean": float(np.mean(maes)) if maes else None,
-            "runs": runs,
-        }
+    for label, hops in rows.items():
+        stats = {}
+        for name in ("precision", "recall", "f1"):
+            values = np.array([getattr(run.reports[hops], name) for run in done], dtype=float)
+            stats[f"{name}_mean"], stats[f"{name}_std"] = values.mean(), values.std()
+        mae = float(np.mean([run.alpha_mae for run in done])) if hops == base.max_hops else None
+        columns = " ".join(f"{stats[name + '_mean']:>8.3f}±{stats[name + '_std']:<7.3f}"
+                           for name in ("precision", "recall", "f1"))
+        print(f"{label:<14} {columns} {'-' if mae is None else f'{mae:.5f}':>12}")
+        summary[label] = {**stats, "alpha_mae_mean": mae, "runs": runs}
     if args.out:
-        out = ensure_out(args.out)
-        cli.write_json(
-            os.path.join(out, "benchmark.json"),
-            {
-                "format_version": 1,
-                "seed": base_seed,
-                "config": base.to_dict(),
-                "results": summary,
-            },
-        )
+        cli.write_json(os.path.join(ensure_out(args.out), "benchmark.json"), {
+            "format_version": 1, "seed": base_seed, "config": base.to_dict(), "results": summary})
     return 0

@@ -16,6 +16,7 @@ import pytest
 from scipy import stats
 
 from hawkesnet.cli import main as cli_main, pipeline
+from hawkesnet.cmd_benchmark import study
 from hawkesnet.em import EmConfig, fit_type
 from hawkesnet.graph import CausalGraph, ThpParams
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel, UniformKernel
@@ -313,29 +314,15 @@ def test_criterion_08_simulator_poisson_statistics():
 
 
 def test_criterion_09_kernel_robustness_direction():
-    fit_kernel = ExponentialKernel(0.2)
     means = {}
-    for family in ("gaussian", "uniform"):
-        f1s, flats = [], []
-        for seed in range(5):
-            center = RNG((9000, seed)).uniform(5.0, 15.0)
-            kernel = (
-                GaussianKernel(center, 4.0)
-                if family == "gaussian"
-                else UniformKernel(center, 4.0)
-            )
-            config = _desk_config(
-                seed,
-                kernel=kernel,
-                target_event_count=4000,
-                mu_range=(2e-4, 4e-4),
-                bin_width=2.5,
-            )
-            data = generate_benchmark(config)
-            _, results, _, _ = pipeline(data.dataset(), data.topology, fit_kernel, (2, 0))
-            f1s.append(structure_metrics(results[2].graph, data.causal_graph).f1)
-            flats.append(structure_metrics(results[0].graph, data.causal_graph).f1)
-        means[family] = (float(np.mean(f1s)), float(np.mean(flats)))
+    for family, shape in (("gaussian", GaussianKernel), ("uniform", UniformKernel)):
+        configs = (
+            _desk_config(seed, kernel=shape(RNG((9000, seed)).uniform(5.0, 15.0), 4.0),
+                         target_event_count=4000, mu_range=(2e-4, 4e-4), bin_width=2.5)
+            for seed in range(5)
+        )
+        runs = list(study(configs, ExponentialKernel(0.2)))
+        means[family] = tuple(float(np.mean([run.reports[hops].f1 for run in runs])) for hops in (2, 0))
     _verdict(
         "criterion 9 (kernel robustness)",
         all(full >= flat for full, flat in means.values()),

@@ -73,10 +73,12 @@ def test_read_json_rejects_garbage(tmp_path):
         read_json(path)
 
 
-def test_sha256_file_matches_hashlib(tmp_path):
+@pytest.mark.parametrize("size", [0, 12, (1 << 20) + 1])  # the last crosses a 1 MiB read chunk
+def test_sha256_file_matches_hashlib(tmp_path, size):
+    blob = (b"hello events" * (size // 12 + 1))[:size]
     path = tmp_path / "blob.bin"
-    path.write_bytes(b"hello events")
-    assert sha256_file(path) == hashlib.sha256(b"hello events").hexdigest()
+    path.write_bytes(blob)
+    assert sha256_file(path) == hashlib.sha256(blob).hexdigest()
 
 
 def test_graph_json_round_trip(tmp_path):

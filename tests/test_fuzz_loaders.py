@@ -9,6 +9,7 @@ not a parse error. EM iteration caps stay small for the same reason.
 
 from __future__ import annotations
 
+import copy
 import json
 import tempfile
 
@@ -36,7 +37,9 @@ HOSTILE_JSON = [
     None, True, False, -1, 0, 1, 2.5, float("nan"), float("inf"), "", "x", "1",
     ".", [], [1], [1, 2], [[0.1, 0.2]], {}, {"a": 1}, [None, "x"],
 ]
-small_values = st.one_of(st.sampled_from(HOSTILE_JSON), st.integers(-2, 4))
+# a fresh copy per draw: a drawn list or dict is mutated in place below, and
+# a shared one could end up holding itself
+small_values = st.one_of(st.sampled_from(HOSTILE_JSON).map(copy.deepcopy), st.integers(-2, 4))
 json_values = st.one_of(small_values, st.just(2**64))
 
 

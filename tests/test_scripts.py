@@ -1,5 +1,5 @@
-"""Smoke runs of the experiment scripts under ``scripts/`` at tiny sizes, and
-of the README's library example."""
+"""Smoke runs of every script under ``scripts/`` at tiny sizes (a script
+without a case in ``SMOKE`` fails), and of the README's library example."""
 
 from __future__ import annotations
 
@@ -17,17 +17,24 @@ import hawkesnet
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(hawkesnet.__file__).resolve().parents[1])
-TINY = ["--runs", "1", "--nodes", "4", "--types", "2", "--k", "1"]
+# each script's smoke runs: (arguments, first column of the rows it prints)
+SMOKE = {
+    "study.py": {
+        "size": (["--axis", "size", "--values", "300", "600", "--runs", "1"], ["300", "600"]),
+        "kernel": (["--axis", "kernel", "--values", "gaussian", "uniform", "--runs", "1"],
+                   ["gaussian", "uniform"]),
+    },
+}
+STUBBED = {"bench_pairs.py"}  # runs perfbench: exercised on stub checkouts below
+SCRIPTS = sorted(path.name for path in (ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize(
-    "script, args, rows",
-    [
-        ("sample_size_sweep.py", ["--sizes", "300", *TINY], ["300"]),
-        ("kernel_robustness.py", ["--events", "300", *TINY], ["exponential", "gaussian", "uniform"]),
-    ],
-)
-def test_script_runs(script, args, rows):
+@pytest.mark.parametrize("script, case", [
+    (script, case) for script in SCRIPTS if script not in STUBBED for case in SMOKE.get(script, [None])
+])
+def test_script_runs(script, case):
+    assert case is not None, f"scripts/{script} has no smoke case in SMOKE"
+    args, rows = SMOKE[script][case]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
@@ -45,7 +52,7 @@ def test_script_runs(script, args, rows):
 # a stand-in for ``perfbench/run.py``: logs its side, seed, bytecode prefix
 # and whether bytecode writing is off, then prints the ``env:`` line and the
 # last-line result JSON that perfbench documents; the change side reads
-# faster and scores a higher F1 on every workload
+# faster and scores a higher F1 on every workload, at the same peak memory
 STUB_RUN = """
 import argparse, json, os, sys
 parser = argparse.ArgumentParser()
@@ -59,14 +66,15 @@ print("env:", json.dumps({"nproc": 1, "python": "3", "numpy": "2", "blas": "stub
 scale = 1.0 if side == "parent" else 0.5
 metrics = {}
 for workload in ("desk-pipeline", "readme-learn", "dense-learn"):
-    for name in ("setup_s", "pipeline_s", "learn_s", "evaluate_s", "peak_rss_mb"):
+    for name in ("setup_s", "pipeline_s", "learn_s", "evaluate_s"):
         metrics[f"{workload}.{name}"] = {"value": scale * (1.0 + int(args.seed)), "unit": "s"}
+    metrics[f"{workload}.peak_rss_mb"] = {"value": 100.0, "unit": "MB"}
     metrics[f"{workload}.f1"] = {"value": 1.0 - scale / 4, "unit": "ratio"}
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
 """
 
 
-def test_bench_pairs_records_both_sides(tmp_path, monkeypatch):
+def test_bench_pairs_records_both_sides(tmp_path, monkeypatch, capsys):
     # two stub checkouts, two pairs at two seeds
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
@@ -103,9 +111,33 @@ def test_bench_pairs_records_both_sides(tmp_path, monkeypatch):
             for name, entry in metrics.items():
                 assert entry["pairs"] == 2 and len(entry["parent_runs"]) == len(entry["change_runs"]) == 2
                 assert entry["parent"]["q1"] <= entry["parent"]["median"] <= entry["parent"]["q3"]
-                assert entry["change_better_pairs"] == 2, name
+                # equal peaks tie every pair, so only they miss the claim rule
+                assert entry["change_better_pairs"] == (0 if name == "peak_rss_mb" else 2), name
+                assert entry["claim_rule_met"] == (name != "peak_rss_mb"), name
             assert metrics["learn_s"]["parent_runs"] == [1.0 + seed] * 2
             assert metrics["learn_s"]["change_vs_parent"] == -0.5
+    # one line per workload names the metrics meeting the rule, seed by seed
+    met = ", ".join(f"{name} (seed {seed})" for seed in (3, 4)
+                    for name in ("setup_s", "pipeline_s", "learn_s", "evaluate_s", "f1"))
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "claim rule" in line] == [
+        f"{workload}: claim rule met by {met}" for workload in ("desk-pipeline", "readme-learn", "dense-learn")
+    ]
+
+
+@pytest.mark.parametrize("parent, change, met", [
+    ([10.0] * 10, [9.0] * 9 + [10.0], True),  # 9 of 10 won, the tie counts for neither
+    ([10.0] * 10, [9.0] * 8 + [10.0, 11.0], False),  # 8 of 10
+    ([9.0, 9.5, 10.0, 10.5, 11.0] * 2, [x - 0.9 for x in [9.0, 9.5, 10.0, 10.5, 11.0] * 2], False),
+    ([9.0, 9.5, 10.0, 10.5, 11.0] * 2, [x - 1.1 for x in [9.0, 9.5, 10.0, 10.5, 11.0] * 2], True),
+])
+def test_bench_pairs_claim_rule(monkeypatch, parent, change, met):
+    # the last two win every pair; the parent's interquartile range is 1.0
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    assert bench_pairs.compare("learn_s", parent, change)["claim_rule_met"] is met
+    # a higher-better metric reads the same runs the other way round
+    assert bench_pairs.compare("f1", change, parent)["claim_rule_met"] is met
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])
