@@ -62,17 +62,15 @@ work rows, a pass calls numpy for its cell-sized work only: per point the
 two matrix-vector products, and over all points ``+ mu``, ``log``, the
 stacked dot products, the divide and the row sums. Each share, ``mu'`` and
 ``alpha'`` is then Python float arithmetic on those results, in the order
-of the numpy expressions it stands for, and the totals the dot products
-read are stacked once per set of running rows, not once per pass. The
-jump's step norm is ``math.hypot`` over a row's coordinates, so every step,
-jump, acceptance and stop is the float of a fit run alone. ``fit_type`` is
-a batch of one. A fit
-does not depend on its batch: each parent set's feature block is ``width x
-cells``, one row per channel, with every row at a 64-byte-aligned address
-(see :class:`hawkesnet.likelihood.TypeBatch`); and every product and sum of
-a point is a BLAS call or a row reduction of its own, so no float depends
-on the batch size or on the point's position in it. A memoized fit
-therefore equals a fresh one bit for bit.
+of the numpy expressions it stands for. The jump's step norm is
+``math.hypot`` over a row's coordinates, so every step, jump, acceptance
+and stop is the float of a fit run alone. ``fit_type`` is a batch of one.
+A fit does not depend on its batch: each parent set's feature block is
+``width x cells``, one row per channel, with every row at a 64-byte-aligned
+address (see :class:`hawkesnet.likelihood.TypeBatch`); and every product
+and sum of a point is a BLAS call or a row reduction of its own, so no
+float depends on the batch size or on the point's position in it. A
+memoized fit therefore equals a fresh one bit for bit.
 
 A fit can stop early (branch and bound over EM maps). After each map,
 Cover's bound at the mapped point, ``counts . log(lam) + N ln max(r) - N``
@@ -81,13 +79,13 @@ reach, and so the share this fit ends with. It comes from that map's own
 ratios, ``r_mu = sum(ratio) / (grid_cells * dt)`` and ``r_alpha =
 weighted / charges``, at a few Python float operations per fit and no
 numpy call, and is computed only for fits whose share is still below their
-floor (it is never below the share). A fit whose
-least bound so far, raised by the rounding margin ``_SCREEN_MARGIN *
-(|share| + 1)``, falls below its floor leaves the pass between two maps and
-comes back as a :class:`PausedFit` holding its whole state row. Passed back
-to ``fit_batch``, it continues from that row: every map depends on the row
-alone, so the resumed fit ends bit for bit as the fit run straight through.
-Floors may rise during a batch, as fits in it converge.
+floor (it is never below the share). A fit whose least bound so far, raised
+by the rounding margin ``_SCREEN_MARGIN * (|share| + 1)``, falls below its
+floor leaves the pass between two maps and comes back as a
+:class:`PausedFit` holding that bound and its maps, and no state: a fit
+that is needed after all is fitted again from the start, and, being a pure
+function of (data, type, parents), ends bit for bit as the fit run straight
+through. Floors may rise during a batch, as fits in it converge.
 
 Event types are coupled only through shared features, never through shared
 parameters, so each type is fitted independently. The log-likelihood of
@@ -156,40 +154,19 @@ class TypeFit(NamedTuple):
     converged: bool
 
 
-class _Row(NamedTuple):
-    """One fit's SQUAREM state between two maps (see :func:`_fit_points`)."""
-
-    x: tuple  # the accepted point
-    pending: tuple  # the point mapped next
-    x1: tuple
-    x2: tuple
-    ll_x: float
-    ll_1: float
-    step: float
-    step_max: float
-    maps: int
-    phase: int
-    trajectory: list
-    bound: float  # least Cover bound (plus margin) on the share, over the points mapped
-
-
 class PausedFit(NamedTuple):
     """A fit :func:`fit_batch` stopped once its bound fell below its floor.
 
     ``bound`` caps the share the fit can reach: its least Cover bound, raised
-    by the rounding margin. Passed back to :func:`fit_batch` in place of its
-    parent set, the fit continues from ``state`` and ends bit for bit as if
-    it had never stopped.
+    by the rounding margin; ``maps`` counts the EM maps it ran. A fit is a
+    pure function of (data, type, parents), so fitting its parent set again
+    gives the fit run straight through.
     """
 
     event_type: int
     parents: tuple
     bound: float
-    state: _Row
-
-    @property
-    def maps(self) -> int:
-        return self.state.maps
+    maps: int
 
 
 def _em_iteration(mu, alpha, data, blocks, watched=None):
@@ -315,9 +292,8 @@ def _small(gain: float, log_lik: float, rel_tolerance: float) -> bool:
 
 
 @np.errstate(all="ignore")  # a jump may overflow or leave the domain; it is then rejected
-def _fit_points(rows: list, data: TypeBatch, config: EmConfig, floors) -> list:
-    """SQUAREM from each row in ``rows``, the fields of a :class:`_Row`, row
-    ``j`` on parent set ``j``.
+def _fit_points(starts: list, data: TypeBatch, config: EmConfig, floors) -> tuple:
+    """SQUAREM from each point in ``starts``, point ``j`` on parent set ``j``.
 
     Fit ``j`` is row ``j`` of the state lists: its accepted point ``x``,
     ``x1 = F(x)``, ``x2 = F(x1)``, the point it needs mapped next, their
@@ -327,16 +303,17 @@ def _fit_points(rows: list, data: TypeBatch, config: EmConfig, floors) -> list:
     :func:`_em_iteration` call, then advances each row by one step of the
     cycle, so each row takes the path it takes alone; a finished row leaves
     the running list, and so does a row whose bound has fallen below its
-    floor: it pauses between two maps. ``floors(converged)`` gives every
+    floor: it stops between two maps. ``floors(converged)`` gives every
     row's floor, given the shares of the rows converged so far; it is
-    asked again after each pass in which a row converged. Returns the
-    state lists, in the order of the fields of a :class:`_Row` (phase 3
-    once finished), and whether each row converged. A capped row ends with
-    one rescore of its last point, counted in ``maps``; a paused row,
-    passed back in, continues as if never stopped.
+    asked again after each pass in which a row converged. Returns per row
+    its result point (``None`` for a stopped row), trajectory, maps,
+    whether it converged, and least Cover bound. A capped row ends with one
+    rescore of its last point, counted in its maps.
     """
-    n, cap, tol = len(rows), config.max_iterations, config.rel_tolerance
-    x, pending, x1, x2, ll_x, ll_1, step, step_max, maps, phase, trajectories, bound = map(list, zip(*rows))
+    n, cap, tol = len(starts), config.max_iterations, config.rel_tolerance
+    x, pending, x1, x2 = list(starts), list(starts), [None] * n, [None] * n
+    ll_x, ll_1, step, step_max = [0.0] * n, [0.0] * n, [1.0] * n, [1.0] * n
+    maps, phase, trajectories, bound = [0] * n, [0] * n, [[] for _ in starts], [math.inf] * n
     converged = [False] * n  # phase: 0 maps x, 1 maps x1, 2 maps the jump; 3 done, pending is the result
     running, shares, converging = list(range(n)), {}, []
     level, watched = floors(shares), None
@@ -406,7 +383,7 @@ def _fit_points(rows: list, data: TypeBatch, config: EmConfig, floors) -> list:
         for j, value in zip(capped, rescored):
             trajectories[j].append(value)
             maps[j] += 1
-    return (x, pending, x1, x2, ll_x, ll_1, step, step_max, maps, phase, trajectories, bound), converged
+    return [pending[j] if phase[j] == 3 else None for j in range(n)], trajectories, maps, converged, bound
 
 
 def fit_batch(
@@ -427,12 +404,9 @@ def fit_batch(
     returns a floor per fit, and is called again whenever more fits
     converge. Once a fit's Cover bound falls below its floor, the fit cannot
     reach a share of the floor, and it comes back as a :class:`PausedFit`
-    instead of a :class:`TypeFit`. An entry of ``parent_sets`` may be such a
-    :class:`PausedFit`, which continues where it stopped.
+    instead of a :class:`TypeFit`.
     """
-    paused = [entry if isinstance(entry, PausedFit) else None for entry in parent_sets]
-    parent_sets = [tuple(sorted(int(p) for p in parents)) if was is None else was.parents
-                   for parents, was in zip(parent_sets, paused)]
+    parent_sets = [tuple(sorted(int(p) for p in parents)) for parents in parent_sets]
     hops = cache.max_hops + 1
     data = type_batch(cache, event_type, parent_sets)
     if data.counts.shape[0] == 0:
@@ -445,29 +419,22 @@ def fit_batch(
         ]
 
     empirical_rate = float(data.counts.sum() / (data.grid_cells * data.bin_width))
-    rows = []
-    for totals, was in zip(data.totals, paused):
-        if was is None:
-            start = (empirical_rate, np.where(totals > 0, _ALPHA_START, 0.0).tolist())
-            rows.append((start, start, None, None, 0.0, 0.0, 1.0, 1.0, 0, 0, [], math.inf))
-        else:  # a copy of its trajectory, so the paused fit stays as it was
-            rows.append(was.state._replace(trajectory=list(was.state.trajectory)))
-    state, converged = _fit_points(rows, data, config,
-                                   (lambda shares: [-math.inf] * len(rows)) if floors is None else floors)
-    _, points, *_, maps, phases, trajectories, bounds = state
+    starts = [(empirical_rate, np.where(totals > 0, _ALPHA_START, 0.0).tolist()) for totals in data.totals]
+    points, trajectories, maps, converged, bounds = _fit_points(
+        starts, data, config, (lambda shares: [-math.inf] * len(starts)) if floors is None else floors)
     return [
-        TypeFit(
+        PausedFit(event_type, parents, bound, evaluations) if point is None else TypeFit(
             event_type=event_type,
             parents=parents,
-            mu=float(mu),
-            alpha=np.array(alpha, dtype=float).reshape(len(parents), hops),
+            mu=float(point[0]),
+            alpha=np.array(point[1], dtype=float).reshape(len(parents), hops),
             log_lik=trajectory[-1],
             trajectory=tuple(trajectory),
             iterations=evaluations,
             converged=done,
-        ) if phase == 3 else PausedFit(event_type, parents, bound, _Row(*(field[j] for field in state)))
-        for j, (parents, (mu, alpha), trajectory, done, evaluations, phase, bound) in enumerate(
-            zip(parent_sets, points, trajectories, converged, maps, phases, bounds))
+        )
+        for parents, point, trajectory, evaluations, done, bound in zip(
+            parent_sets, points, trajectories, maps, converged, bounds)
     ]
 
 

@@ -79,9 +79,10 @@ class FeatureCache(NamedTuple):
         dataset's order (the cells of ``dataset.type_rows(v)``);
         ``type_values[v][c * (max_hops + 1) + k, i]`` is the k-hop feature of
         cause type ``c`` at the i-th cell of ``v``. Rows are
-        :func:`aligned_rows`, so the hops of consecutive cause types are
-        one run of rows that a batch reads in place; the likelihood of ``v``
-        reads features nowhere else.
+        :func:`aligned_rows`: a likelihood batch copies each parent's hops,
+        one run of rows, into rows laid out the same way, and
+        :func:`hawkesnet.em.duality_gap` reads all rows in place; the
+        likelihood of ``v`` reads features nowhere else.
     totals:
         ``(type_count, max_hops + 1)``; ``totals[c, k]`` sums the k-hop
         feature of cause type ``c`` over *all* cells of the grid.

@@ -45,21 +45,17 @@ class TypeBatch(NamedTuple):
 
     ``flat[b][r]`` holds channel ``r`` of the ``b``-th parent set at the
     type's occupied cells, channels ``(parent, hop)`` in C order; every set
-    has the same number of parents, and every row starts at a
-    64-byte-aligned address, its stride padded to 64 bytes. A set whose
-    parents are consecutive types reads its rows as a view of the cache's
-    ``type_values``, which are laid out so; any other set's rows are copied
-    into such rows. ``counts`` (shared) holds the events at those cells,
-    ``events`` their sum, ``grid_cells`` is ``node_count * bin_count``,
-    ``totals[b]`` the grid-wide feature sums of set ``b`` in the same order,
-    ``charges[b]`` the EM update's denominators ``totals * bin_width`` as
-    Python floats, ``None`` where a total vanishes, and ``inverse[b]`` their
-    reciprocals (0 where a total vanishes, ``inf`` where the charge
-    underflowed). ``cell_rows`` and ``width_rows`` are
-    aligned work rows, one per set, so a call scores at most as many points
-    as the batch has sets. ``stacks`` memoizes the ``totals`` rows of the
-    sets that points are scored on, one entry per tuple of sets: a fit's
-    running rows change only when one of them finishes.
+    has the same number of parents, and its rows are copied from the
+    cache's ``type_values`` into rows that each start at a 64-byte-aligned
+    address, the stride padded to 64 bytes. ``counts`` (shared) holds the
+    events at those cells, ``events`` their sum, ``grid_cells`` is
+    ``node_count * bin_count``, ``totals[b]`` the grid-wide feature sums of
+    set ``b`` in the same order, ``charges[b]`` the EM update's denominators
+    ``totals * bin_width`` as Python floats, ``None`` where a total
+    vanishes, and ``inverse[b]`` their reciprocals (0 where a total
+    vanishes, ``inf`` where the charge underflowed). ``cell_rows`` and
+    ``width_rows`` are aligned work rows, one per set, so a call scores at
+    most as many points as the batch has sets.
     """
 
     event_type: int
@@ -73,7 +69,6 @@ class TypeBatch(NamedTuple):
     grid_cells: int
     cell_rows: np.ndarray  # (sets, cells)
     width_rows: np.ndarray  # (sets, width)
-    stacks: dict  # tuple of sets -> (points, width, 1) totals
 
 
 def type_batch(cache: FeatureCache, event_type: int, parent_sets) -> TypeBatch:
@@ -91,21 +86,13 @@ def type_batch(cache: FeatureCache, event_type: int, parent_sets) -> TypeBatch:
     size, hops = sizes.pop(), cache.max_hops + 1
     values = cache.type_values[event_type]
     sets, width, cells = len(parent_sets), size * hops, values.shape[1]
-    # consecutive parents are one run of the type's rows, read in place
-    runs = [parents == tuple(range(parents[0], parents[0] + size)) if parents else True
-            for parents in parent_sets]
-    copies = aligned_rows((sets - sum(runs)) * width, cells) if not all(runs) else None
-    flat, totals, copied = [], np.empty((sets, width)), 0
-    for j, (parents, run) in enumerate(zip(parent_sets, runs)):
-        if run:
-            first = parents[0] * hops if parents else 0
-            flat.append(values[first : first + width])
-        else:  # each parent's hops are one run of rows, copied into aligned rows
-            block = copies[copied : copied + width]
-            copied += width
-            for i, c in enumerate(parents):
-                block[i * hops : (i + 1) * hops] = values[c * hops : (c + 1) * hops]
-            flat.append(block)
+    copies = aligned_rows(sets * width, cells)
+    flat, totals = [], np.empty((sets, width))
+    for j, parents in enumerate(parent_sets):
+        block = copies[j * width : (j + 1) * width]
+        for i, c in enumerate(parents):  # each parent's hops are one run of rows
+            block[i * hops : (i + 1) * hops] = values[c * hops : (c + 1) * hops]
+        flat.append(block)
         totals[j] = cache.totals[list(parents)].reshape(-1)
     counts = cache.type_counts[event_type]
     charges = [[charge if total > 0 else None for total, charge in zip(row, charges)]
@@ -122,7 +109,6 @@ def type_batch(cache: FeatureCache, event_type: int, parent_sets) -> TypeBatch:
         grid_cells=cache.node_count * cache.bin_count,
         cell_rows=aligned_rows(sets, cells),
         width_rows=aligned_rows(sets, width),
-        stacks={},
     )
 
 
@@ -152,10 +138,7 @@ def batch_log_likelihood(mu, alpha, batch: TypeBatch, blocks) -> tuple[np.ndarra
     lam += np.array(mu)[:, None]
     # one dot product per point: matmul over stacks of row @ column
     counted = np.matmul(np.log(lam)[:, None, :], batch.counts[:, None]).tolist()
-    stacked = batch.stacks.get(tuple(blocks))
-    if stacked is None:
-        stacked = batch.stacks[tuple(blocks)] = batch.totals[list(blocks)][:, :, None]
-    charged = np.matmul(point[:, None, :], stacked).tolist()
+    charged = np.matmul(point[:, None, :], batch.totals[list(blocks)][:, :, None]).tolist()
     dt, grid = batch.bin_width, batch.grid_cells
     shares, log_sums = [], []
     for j, (((log_sum,),), ((spent,),), rate) in enumerate(zip(counted, charged, mu)):

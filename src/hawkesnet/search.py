@@ -69,9 +69,9 @@ belongs to a move that is never picked while it stays open; it is kept in
 the memo as a :class:`~hawkesnet.em.PausedFit`, and the move has no net,
 only ``gains`` holding its bound. Before the pick, every paused move whose
 bound still reaches within the rounding margin of the round's best net (of
-zero, if no move raises the score) has its fits run to the end, which
-happens only when a move that bounded it closed, as an acyclic search's
-legal moves do. A paused move's net therefore lies below the best by more
+zero, if no move raises the score) has its fits fitted again from the
+start and run to the end, which happens only when a move that bounded it
+closed, as an acyclic search's legal moves do. A paused move's net therefore lies below the best by more
 than the margin, so it is never among the moves scored exactly in a round
 that picks a move: the pick, every score, the trace, the fits counted and
 the gaps are those of running every fit to the end, and only the EM maps
@@ -153,7 +153,8 @@ class SearchState:
     the memo holds a :class:`~hawkesnet.em.TypeFit` per finished fit and a
     :class:`~hawkesnet.em.PausedFit` per fit stopped early. ``batches``
     counts the batches that started new fits so far; ``paused`` and
-    ``resumed`` are the keys that ever paused and were ever resumed;
+    ``resumed`` are the keys that ever stopped early and were ever fitted
+    again;
     ``gaps`` memoizes :func:`hawkesnet.em.duality_gap` of the fits by
     (type, parents).
     """
@@ -185,11 +186,12 @@ class SearchState:
 
         A batch holds parent sets of one type and one size, as many as fit
         in ``_BATCH_CELLS`` occupied cells; batches run in the order of
-        their first keys in ``keys``, and a paused fit resumes where it
-        stopped. ``floors``, if given, is called with a batch's keys and the
-        shares of its fits converged so far, by position, and returns the
-        keys' floors (see :func:`hawkesnet.em.fit_batch`); without it every
-        fit finishes.
+        their first keys in ``keys``, and a paused fit is fitted again from
+        the start (a fit is a pure function of its key, so it ends as if
+        never stopped). ``floors``, if given, is called with a batch's keys
+        and the shares of its fits converged so far, by position, and
+        returns the keys' floors (see :func:`hawkesnet.em.fit_batch`);
+        without it every fit finishes.
         """
         keys, groups = list(keys), {}
         for key in keys:
@@ -204,14 +206,13 @@ class SearchState:
         for i, key in enumerate(keys):
             first.setdefault(key, i)
         for batch in sorted(batches, key=lambda batch: first[batch[0]]):
-            entries = [self.memo.get(key, key[1]) for key in batch]
-            fits = fit_batch(batch[0][0], entries, cache, self.em_config,
+            fits = fit_batch(batch[0][0], [parents for _, parents in batch], cache, self.em_config,
                              None if floors is None else lambda shares, batch=batch: floors(batch, shares))
-            self.batches += any(not isinstance(entry, PausedFit) for entry in entries)
-            for key, entry, fit in zip(batch, entries, fits):
-                self.memo[key] = fit
-                if isinstance(entry, PausedFit):
+            self.batches += any(key not in self.memo for key in batch)
+            for key, fit in zip(batch, fits):
+                if key in self.memo:
                     self.resumed.add(key)
+                self.memo[key] = fit
                 if isinstance(fit, PausedFit):
                     self.paused.add(key)
 
@@ -369,8 +370,8 @@ class _Gains:
 
         The stale moves' fits run best first and stop once their bound
         shows the move cannot be picked while it stays open (see the module
-        notes); a paused move whose bound still reaches the round's best is
-        resumed, until none is.
+        notes); a paused move whose bound still reaches the round's best has
+        its paused fits fitted again to the end, until none is left.
         """
         n = cache.type_count
         current = bic_penalty(n, state.edge_count, cache.max_hops, cache.total_events)
@@ -409,7 +410,6 @@ class _Gains:
         # open as long as every move that changes v's parents does
         top = np.max((self.gains - charges)[:, :, :2], axis=(0, 2), initial=-np.inf,
                      where=(open_ & self.known & ~self.paused)[:, :, :2]).tolist()
-        asked: dict = {}  # batch -> (top when its floors were last given, those floors)
         charge, cur = charges.tolist(), [f.log_lik for f in state.fits]
 
         def floors(batch: list, shares: dict) -> list:
@@ -418,16 +418,13 @@ class _Gains:
                 for m in users[batch[j]]:
                     if m[2] < 2:
                         top[t] = max(top[t], share - cur[t] - charge[m[2]])
-            seen, given = asked.get(tuple(batch), (None, None))
-            if seen != top[t]:
-                level, given = least(top[t]), []
-                for key in batch:
-                    floor = math.inf
-                    for m in users[key]:  # an add or delete needs no other fit
-                        floor = min(floor, level + charge[m[2]] + cur[t] if m[2] < 2 else _floor(
-                            m, key, keys[m], state, least(max(top[v] for v, _ in keys[m])), charge))
-                    given.append(floor)
-                asked[tuple(batch)] = top[t], given
+            level, given = least(top[t]), []
+            for key in batch:
+                floor = math.inf
+                for m in users[key]:  # an add or delete needs no other fit
+                    floor = min(floor, level + charge[m[2]] + cur[t] if m[2] < 2 else _floor(
+                        m, key, keys[m], state, least(max(top[v] for v, _ in keys[m])), charge))
+                given.append(floor)
             return given
 
         bounds = self.bounds.tolist()
@@ -440,13 +437,13 @@ class _Gains:
         state.fit_missing([key for m in order for key in keys[m] if key not in state.memo], cache, floors)
         self._take(keys, state)
         self.known |= stale
-        while True:  # resume the fits of paused moves that may still score near the best
+        while True:  # refit the paused fits of moves that may still score near the best
             nets, waiting = self.gains - charges, open_ & self.paused
             net = np.where(open_ & ~waiting, nets, -np.inf)
             reaching = np.argwhere(waiting & (nets >= least(net.max()))).tolist()
             if not reaching:
                 break
-            # rare (a move that bounded them closed): they run to the end
+            # rare (a move that bounded them closed)
             state.fit_missing([key for m in reaching for key in _keys(tuple(m), state.parents)], cache)
             self._take({m: _keys(m, state.parents) for m in map(tuple, np.argwhere(waiting).tolist())}, state)
         return net.reshape(-1), int(closed.sum()), int(stale.sum())
@@ -461,13 +458,13 @@ class SearchResult(NamedTuple):
     trajectory: tuple
     fit_evaluations: int
     type_fits: tuple
-    em_maps: int  # EM maps run by the memoized fits, paused ones included
+    em_maps: int  # EM maps of the memoized fits, paused ones included; a fit fitted again counts once
     nonconverged_fits: int  # finished memoized fits the map cap stopped
     screened_moves: int  # add moves the screen ruled out, summed over rounds
     fit_gaps: tuple  # duality_gap of each final type fit: how far below its optimum
     trace: tuple  # one dict per round, as ``learn --trace`` writes it
     paused_fits: int  # memoized fits that stopped early at least once
-    resumed_fits: int  # of those, the fits a later round resumed
+    resumed_fits: int  # of those, the fits a later round fitted again from the start
 
 
 def hill_climb(

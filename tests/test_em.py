@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import numpy as np
@@ -13,7 +14,6 @@ import hawkesnet.em as em_mod
 from hawkesnet.em import (
     EmConfig,
     PausedFit,
-    TypeFit,
     _em_iteration,
     assemble_params,
     duality_gap,
@@ -417,11 +417,41 @@ def test_batched_fits_equal_lone_fits(dense, data):
             assert_same_fit(fit_, fit_type(v, parents, cache, config))
 
 
+def _stopped_fits(v, chosen, cache, config, floors):
+    """``fit_batch`` under fixed ``floors``, checked against lone fits: a
+    finished fit is its ``fit_type`` bit for bit; a stopped one bounds that
+    fit's share, ran ``maps`` maps, fewer than the cap, and fitted again
+    from its set is that fit bit for bit. Returns the fits."""
+    want = [fit_type(v, parents, cache, config) for parents in chosen]
+    ran = collections.Counter()  # maps per position in the batch
+    original = em_mod._em_iteration
+
+    def counting(mu, alpha, data, blocks, watched=None):
+        ran.update(blocks)
+        return original(mu, alpha, data, blocks, watched)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(em_mod, "_em_iteration", counting)
+        got = fit_batch(v, chosen, cache, config, lambda shares: floors)
+    stopped = [j for j, fit_ in enumerate(got) if isinstance(fit_, PausedFit)]
+    for j, fit_ in enumerate(got):
+        if j in stopped:
+            assert (fit_.event_type, fit_.parents) == (v, want[j].parents)
+            assert fit_.bound >= want[j].log_lik  # the bound caps the share the finished fit reaches
+            assert fit_.maps == ran[j] < config.max_iterations
+        else:
+            assert_same_fit(fit_, want[j])
+    again = fit_batch(v, [got[j].parents for j in stopped], cache, config) if stopped else []
+    for j, fit_ in zip(stopped, again):
+        assert_same_fit(fit_, want[j])
+    return got
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_paused_fits_resume_bit_for_bit(dense, data):
-    """A fit stopped between any two maps and resumed, as often as the
-    floors say, ends as the fit run straight through, bit for bit."""
+def test_stopped_fits_bound_their_share_and_refit_bit_for_bit(dense, data):
+    """A fit stopped between any two maps keeps only its bound and maps;
+    fitting its set again gives the fit run straight through."""
     if data.draw(st.booleans(), label="dense-learn-shaped instance"):
         cache = dense[0]
     else:
@@ -432,45 +462,20 @@ def test_paused_fits_resume_bit_for_bit(dense, data):
     sets = list(itertools.combinations(range(types), data.draw(st.integers(0, types))))
     chosen = data.draw(st.lists(st.sampled_from(sets), min_size=1, max_size=4))
     config = EmConfig(max_iterations=data.draw(st.integers(1, 40)))
-    want = fit_batch(v, chosen, cache, config)
-    got, entries = {}, dict(enumerate(chosen))
-    while entries:
-        # inf stops a fit after its next map, -inf runs it to the end
-        floors = [data.draw(st.sampled_from([np.inf, -np.inf, want[j].log_lik + 1.0,
-                                             want[j].log_lik - 1.0])) for j in entries]
-        for j, fit_ in zip(list(entries), fit_batch(v, list(entries.values()), cache, config,
-                                                    lambda shares, floors=floors: floors)):
-            if isinstance(fit_, PausedFit):
-                # the bound caps the share the finished fit reaches
-                assert fit_.maps < config.max_iterations and fit_.bound >= want[j].log_lik
-                entries[j] = fit_
-            else:
-                got[j] = fit_
-                del entries[j]
-    for j, fit_ in got.items():
-        assert_same_fit(fit_, want[j])
+    shares = [fit_type(v, parents, cache, config).log_lik for parents in chosen]
+    # inf stops a fit after its first map, -inf runs it to the end
+    floors = [data.draw(st.sampled_from([np.inf, -np.inf, share + 1.0, share - 1.0])) for share in shares]
+    _stopped_fits(v, chosen, cache, config, floors)
 
 
 @pytest.mark.parametrize("cap", [3, 4, 100])
-def test_a_fit_paused_after_every_map_ends_as_one_run_straight_through(dense, cap):
+def test_a_fit_under_an_infinite_floor_stops_after_one_map(dense, cap):
     cache, parent_sets = dense
     config = EmConfig(max_iterations=cap)
-    phases, capped = set(), 0
     for v, *sets in parent_sets:
         for parents in sets:
-            entry, maps = parents, 0
-            while not isinstance(entry, TypeFit):
-                entry = fit_batch(v, [entry], cache, config, lambda shares: [np.inf])[0]
-                maps += 1
-                if isinstance(entry, PausedFit):
-                    phases.add(entry.state.phase)
-                    assert entry.maps == maps
-            assert_same_fit(entry, fit_type(v, parents, cache, config))
-            capped += not entry.converged
-    if cap == 100:  # stops fall on every phase of the cycle: x, x1 and a jump mapped next
-        assert phases == {0, 1, 2}
-    else:  # and on the last map before the cap
-        assert capped > 0
+            (got,) = _stopped_fits(v, [parents], cache, config, [np.inf])
+            assert isinstance(got, PausedFit) and got.maps == 1
 
 
 def test_batch_blocks_are_aligned_rows_equal_to_the_type_data(dense):
@@ -483,8 +488,6 @@ def test_batch_blocks_are_aligned_rows_equal_to_the_type_data(dense):
     for block, totals, parents in zip(batch.flat, batch.totals, sets):
         assert block.shape == (2 * hops, values.shape[1])
         assert all(row.ctypes.data % 64 == 0 for row in block) and block.strides[0] % 64 == 0
-        # consecutive parents are read in place, any other set is a copy
-        assert np.shares_memory(block, values) == (parents[1] == parents[0] + 1)
         # row (i, k) holds the hop-k features of parent i at the type's cells
         want = np.concatenate([values[c * hops : (c + 1) * hops] for c in parents])
         np.testing.assert_array_equal(block, want)
