@@ -51,19 +51,18 @@ is ``_ALPHA_START`` on every channel whose feature total is positive and 0
 elsewhere. The objective is concave, so the start only sets the path, and a
 fit is a pure function of (data, type, parents).
 
-``fit_batch`` fits several parent sets of one event type together. The
-running fits are rows of state lists (accepted point, its maps, their
-log-likelihoods, step bound, maps, phase of the cycle, trajectory, Cover
-bound), points held as Python floats: every pass maps the next point of each running row
-in one ``_em_iteration`` call, so the numpy call overhead of a map is paid
-once per pass instead of once per fit, then moves each row one step along
-its cycle; finished rows leave the pass. Past copying the points into
-work rows, a pass calls numpy for its cell-sized work only: per point the
+``fit_batch`` fits several parent sets of one event type together. Each
+fit is one generator, ``_squarem``, that yields the next point it needs
+mapped, held as Python floats, and holds its own path. Every pass maps the
+point of each running fit in one ``_em_iteration`` call, so the numpy call
+overhead of a map is paid once per pass instead of once per fit, and sends
+each fit its result; finished fits leave the pass. Past copying the points
+into work rows, a pass calls numpy for its cell-sized work only: per point the
 two matrix-vector products, and over all points ``+ mu``, ``log``, the
 stacked dot products, the divide and the row sums. Each share, ``mu'`` and
 ``alpha'`` is then Python float arithmetic on those results, in the order
 of the numpy expressions it stands for. The jump's step norm is
-``math.hypot`` over a row's coordinates, so every step, jump, acceptance
+``math.hypot`` over a point's coordinates, so every step, jump, acceptance
 and stop is the float of a fit run alone. ``fit_type`` is a batch of one.
 A fit does not depend on its batch: each parent set's feature block is
 ``width x cells``, one row per channel, with every row at a 64-byte-aligned
@@ -81,7 +80,7 @@ weighted / charges``, at a few Python float operations per fit and no
 numpy call, and is computed only for fits whose share is still below their
 floor (it is never below the share). A fit whose least bound so far, raised
 by the rounding margin ``_SCREEN_MARGIN * (|share| + 1)``, falls below its
-floor leaves the pass between two maps and comes back as a
+floor by a map that did not finish it stops there and comes back as a
 :class:`PausedFit` holding that bound and its maps, and no state: a fit
 that is needed after all is fitted again from the start, and, being a pure
 function of (data, type, parents), ends bit for bit as the fit run straight
@@ -105,7 +104,7 @@ import numpy as np
 from .errors import DegenerateModelError, InvalidInputError
 from .features import FeatureCache
 from .graph import ThpParams
-from .likelihood import TypeBatch, batch_log_likelihood, type_batch
+from .likelihood import batch_log_likelihood, type_batch
 from .values import Frozen
 
 __all__ = [
@@ -173,11 +172,11 @@ def _em_iteration(mu, alpha, data, blocks, watched=None):
     """One EM iteration of each point: ``(log_lik of (mu, alpha), mu', alpha',
     bound)``.
 
-    ``data`` is a :class:`TypeBatch` and ``(mu[j], alpha[j])`` a point on
-    its parent set ``blocks[j]``; a point with zero intensity at an occupied
-    cell scores ``-inf``. Channels whose feature totals vanish keep
-    ``alpha = 0``. Points may come in as any sequences of numbers and go out
-    as lists of Python floats. Past the cell-sized products of
+    ``data`` is a :class:`~hawkesnet.likelihood.TypeBatch` and ``(mu[j],
+    alpha[j])`` a point on its parent set ``blocks[j]``; a point with zero
+    intensity at an occupied cell scores ``-inf``. Channels whose feature
+    totals vanish keep ``alpha = 0``. Points may come in as any sequences
+    of numbers and go out as lists of Python floats. Past the cell-sized products of
     :func:`~hawkesnet.likelihood.batch_log_likelihood` and ``flat @ ratio``,
     the updates are Python float arithmetic in the order of
     ``mu * sum(ratio) / (grid_cells * dt)`` and ``alpha * weighted /
@@ -286,104 +285,53 @@ def _extrapolate(p0: tuple, p1: tuple, p2: tuple, step_max: float) -> tuple[tupl
     return (jump[0], jump[1:]), step
 
 
-def _small(gain: float, log_lik: float, rel_tolerance: float) -> bool:
-    """The stopping test: a log-likelihood ``gain`` from ``log_lik`` within tolerance."""
-    return abs(gain) <= rel_tolerance * (abs(log_lik) + 1.0)
+def _squarem(x: tuple, config: EmConfig, event_type: int):
+    """SQUAREM from the start ``x``, one EM map at a time.
 
-
-@np.errstate(all="ignore")  # a jump may overflow or leave the domain; it is then rejected
-def _fit_points(starts: list, data: TypeBatch, config: EmConfig, floors) -> tuple:
-    """SQUAREM from each point in ``starts``, point ``j`` on parent set ``j``.
-
-    Fit ``j`` is row ``j`` of the state lists: its accepted point ``x``,
-    ``x1 = F(x)``, ``x2 = F(x1)``, the point it needs mapped next, their
-    log-likelihoods, the step and its bound, its maps, phase, trajectory
-    and least Cover bound; points are ``(mu, alpha)`` pairs of Python
-    floats. Every pass maps the next point of each running row in one
-    :func:`_em_iteration` call, then advances each row by one step of the
-    cycle, so each row takes the path it takes alone; a finished row leaves
-    the running list, and so does a row whose bound has fallen below its
-    floor: it stops between two maps. ``floors(converged)`` gives every
-    row's floor, given the shares of the rows converged so far; it is
-    asked again after each pass in which a row converged. Returns per row
-    its result point (``None`` for a stopped row), trajectory, maps,
-    whether it converged, and least Cover bound. A capped row ends with one
-    rescore of its last point, counted in its maps.
+    A generator: it yields each point it needs mapped and is sent back
+    ``(log_lik of the point, F(point))``; points are ``(mu, alpha)`` pairs
+    of Python floats. It returns ``(point, trajectory, converged)``. When
+    the map cap ends the fit, the point is the newest one, not yet scored.
     """
-    n, cap, tol = len(starts), config.max_iterations, config.rel_tolerance
-    x, pending, x1, x2 = list(starts), list(starts), [None] * n, [None] * n
-    ll_x, ll_1, step, step_max = [0.0] * n, [0.0] * n, [1.0] * n, [1.0] * n
-    maps, phase, trajectories, bound = [0] * n, [0] * n, [[] for _ in starts], [math.inf] * n
-    converged = [False] * n  # phase: 0 maps x, 1 maps x1, 2 maps the jump; 3 done, pending is the result
-    running, shares, converging = list(range(n)), {}, []
-    level, watched = floors(shares), None
-    while running:
-        if watched is None:  # the rows whose bound can stop them, by position among the running
-            watched = [(i, level[j]) for i, j in enumerate(running) if level[j] > -math.inf]
-        log_lik, mu, alpha, bounds = _em_iteration(*zip(*(pending[j] for j in running)), data, running,
-                                                   watched)
-        for j, value, image, cover in zip(running, log_lik, zip(mu, alpha), bounds):
-            maps[j] += 1
-            if cover < bound[j]:
-                bound[j] = cover
-            trajectory = trajectories[j]
-            if phase[j] < 2 and value == -math.inf:
-                raise DegenerateModelError(f"zero intensity at an occupied cell of type {data.event_type}")
-            if phase[j] == 1:  # x1 scored: stop, jump, or step on to x2
-                x2[j], ll_1[j] = image, value
-                jump, step[j] = _extrapolate(x[j], x1[j], image, step_max[j])
-                # the map from x gained value - ll_x; with EM's linear rate rho
-                # the path still holds about that gain times 1 / (1 - rho) ~ step
-                if _small(step[j] * (value - ll_x[j]), ll_x[j], tol):
-                    trajectory.append(value)
-                    pending[j], phase[j], converged[j] = x1[j], 3, True
-                    converging.append(j)
-                elif maps[j] == cap:
-                    pending[j], phase[j] = image, 3
-                elif step[j] > 1.0 and maps[j] + 1 < cap:  # a rejected jump leaves a map for x2
-                    pending[j], phase[j] = jump, 2
-                else:
-                    if step[j] == step_max[j]:  # a unit step is x2, which EM always accepts
-                        step_max[j] = step_max[j] * _STEP_FACTOR if step[j] == 1.0 else max(
-                            1.0, step_max[j] / _STEP_FACTOR)
-                    x[j] = pending[j] = image
-                    phase[j] = 0
-                continue
-            if phase[j] == 2:  # the jump scored: keep it if finite and at least x1's
-                accepted = math.isfinite(value) and value >= ll_1[j]
-                if step[j] == step_max[j]:
-                    step_max[j] = step_max[j] * _STEP_FACTOR if accepted else max(
-                        1.0, step_max[j] / _STEP_FACTOR)
-                if not accepted:  # fall back to x2, which is not yet scored
-                    x[j] = pending[j] = x2[j]
-                    phase[j] = 0
-                    continue
-                x[j] = pending[j]
-                done = False
-            else:  # x scored: the start, or x2 after a rejected or skipped jump
-                done = bool(trajectory) and _small(value - trajectory[-1], trajectory[-1], tol)
-            trajectory.append(value)
-            ll_x[j], x1[j] = value, image
-            if done:
-                pending[j], phase[j], converged[j] = x[j], 3, True
-                converging.append(j)
-            else:  # map x1 next; out of maps, x1 (the newest point) is the result
-                pending[j], phase[j] = image, 1 if maps[j] < cap else 3
-        if converging:
-            shares.update((j, trajectories[j][-1]) for j in converging)
-            converging.clear()
-            level, watched = floors(shares), None
-        kept = [j for j in running if phase[j] < 3 and not bound[j] < level[j]]
-        if len(kept) < len(running):
-            watched = None
-        running = kept
-    capped = [j for j in range(n) if phase[j] == 3 and not converged[j]]
-    if capped:
-        _, rescored, _ = batch_log_likelihood(*zip(*(pending[j] for j in capped)), data, capped)
-        for j, value in zip(capped, rescored):
-            trajectories[j].append(value)
-            maps[j] += 1
-    return [pending[j] if phase[j] == 3 else None for j in range(n)], trajectories, maps, converged, bound
+    cap, tol = config.max_iterations, config.rel_tolerance
+
+    def scored(mapped):  # x and x1 must score; a jump that scores -inf is rejected
+        if mapped[0] == -math.inf:
+            raise DegenerateModelError(f"zero intensity at an occupied cell of type {event_type}")
+        return mapped
+
+    def small(gain, log_lik):  # the stopping test: a gain within tolerance
+        return abs(gain) <= tol * (abs(log_lik) + 1.0)
+
+    log_lik, x1 = scored((yield x))
+    maps, trajectory, step_max = 1, [log_lik], 1.0
+    while maps < cap:
+        ll_1, x2 = scored((yield x1))
+        maps += 1
+        jump, step = _extrapolate(x, x1, x2, step_max)
+        # the map from x gained ll_1 - log_lik; with EM's linear rate rho
+        # the path still holds about that gain times 1 / (1 - rho) ~ step
+        if small(step * (ll_1 - log_lik), log_lik):
+            return x1, trajectory + [ll_1], True
+        if maps == cap:
+            return x2, trajectory, False
+        accepted = False
+        if step > 1.0 and maps + 1 < cap:  # a rejected jump leaves a map for x2
+            ll_jump, after_jump = yield jump
+            maps += 1
+            accepted = math.isfinite(ll_jump) and ll_jump >= ll_1
+        if step == step_max:  # a unit step is x2, which EM always accepts
+            grow = accepted or step == 1.0
+            step_max = step_max * _STEP_FACTOR if grow else max(1.0, step_max / _STEP_FACTOR)
+        if accepted:
+            x, log_lik, x1 = jump, ll_jump, after_jump
+        else:
+            x, (log_lik, x1) = x2, scored((yield x2))
+            maps += 1
+        trajectory.append(log_lik)
+        if not accepted and small(log_lik - trajectory[-2], trajectory[-2]):
+            return x, trajectory, True
+    return x1, trajectory, False
 
 
 def fit_batch(
@@ -403,8 +351,8 @@ def fit_batch(
     the fits converged so far (a dict by position; at first empty), it
     returns a floor per fit, and is called again whenever more fits
     converge. Once a fit's Cover bound falls below its floor, the fit cannot
-    reach a share of the floor, and it comes back as a :class:`PausedFit`
-    instead of a :class:`TypeFit`.
+    reach a share of the floor; unless the map that showed it also ended the
+    fit, it comes back as a :class:`PausedFit` instead of a :class:`TypeFit`.
     """
     parent_sets = [tuple(sorted(int(p) for p in parents)) for parents in parent_sets]
     hops = cache.max_hops + 1
@@ -419,23 +367,49 @@ def fit_batch(
         ]
 
     empirical_rate = float(data.counts.sum() / (data.grid_cells * data.bin_width))
-    starts = [(empirical_rate, np.where(totals > 0, _ALPHA_START, 0.0).tolist()) for totals in data.totals]
-    points, trajectories, maps, converged, bounds = _fit_points(
-        starts, data, config, (lambda shares: [-math.inf] * len(starts)) if floors is None else floors)
-    return [
-        PausedFit(event_type, parents, bound, evaluations) if point is None else TypeFit(
-            event_type=event_type,
-            parents=parents,
-            mu=float(point[0]),
-            alpha=np.array(point[1], dtype=float).reshape(len(parents), hops),
-            log_lik=trajectory[-1],
-            trajectory=tuple(trajectory),
-            iterations=evaluations,
-            converged=done,
-        )
-        for parents, point, trajectory, evaluations, done, bound in zip(
-            parent_sets, points, trajectories, maps, converged, bounds)
-    ]
+    fits = [_squarem((empirical_rate, np.where(totals > 0, _ALPHA_START, 0.0).tolist()), config, event_type)
+            for totals in data.totals]
+    n = len(fits)
+    pending, results = [next(fit) for fit in fits], [None] * n
+    maps, bounds = [0] * n, [math.inf] * n
+    running, shares = list(range(n)), {}
+    floors = floors or (lambda shares: [-math.inf] * n)
+    level = floors(shares)
+    with np.errstate(all="ignore"):  # a jump may overflow or leave the domain; it is then rejected
+        while running:
+            known = len(shares)
+            watched = [(i, level[j]) for i, j in enumerate(running) if level[j] > -math.inf]
+            log_lik, mu, alpha, cover = _em_iteration(*zip(*(pending[j] for j in running)), data, running,
+                                                      watched)
+            for j, value, image, bound in zip(running, log_lik, zip(mu, alpha), cover):
+                maps[j] += 1
+                if bound < bounds[j]:
+                    bounds[j] = bound
+                try:
+                    pending[j] = fits[j].send((value, image))
+                except StopIteration as stop:
+                    results[j] = stop.value
+                    if stop.value[2]:
+                        shares[j] = stop.value[1][-1]
+            if len(shares) > known:  # a fit converged: floors may rise
+                level = floors(shares)
+            running = [j for j in running if results[j] is None and not bounds[j] < level[j]]
+        capped = [j for j, result in enumerate(results) if result is not None and not result[2]]
+        if capped:  # one rescore of the newest point, counted as a map
+            _, rescored, _ = batch_log_likelihood(*zip(*(results[j][0] for j in capped)), data, capped)
+            for j, value in zip(capped, rescored):
+                results[j][1].append(value)
+                maps[j] += 1
+    fitted = []
+    for parents, result, evaluations, bound in zip(parent_sets, results, maps, bounds):
+        if result is None:
+            fitted.append(PausedFit(event_type, parents, bound, evaluations))
+            continue
+        (rate, point), trajectory, converged = result
+        alpha = np.array(point, dtype=float).reshape(len(parents), hops)
+        fitted.append(TypeFit(event_type, parents, float(rate), alpha, trajectory[-1], tuple(trajectory),
+                              evaluations, converged))
+    return fitted
 
 
 def fit_type(

@@ -90,13 +90,6 @@ def evaluate(kernel: DecayKernel, t) -> np.ndarray | float:
     return out
 
 
-_KERNEL_TYPES = {
-    "exponential": (ExponentialKernel, ("delta", "decay")),
-    "gaussian": (GaussianKernel, ("mean", "std")),
-    "uniform": (UniformKernel, ("start", "scale")),
-}
-
-
 def kernel_from_config(config: dict) -> DecayKernel:
     """Build a kernel from a ``{"type": ..., <params>}`` mapping."""
     if "type" not in config:

@@ -33,7 +33,6 @@ from .errors import InvalidInputError
 from .features import FeatureCache, aligned_rows
 
 __all__ = [
-    "TypeBatch",
     "type_batch",
     "batch_log_likelihood",
     "bic_penalty",

@@ -59,8 +59,8 @@ over EM maps, in the spirit of lazy greedy evaluation with upper bounds
 on the move's gain (deletions last), and gives each fit a floor: the share
 it must still be able to reach for its move to net more than zero, and to
 come within the rounding margin of ``top``, the best net known exactly of
-an add or delete into a type the move changes (kept from earlier rounds,
-or from fits converged earlier in the round, in its own batch too). A
+an add or delete into a type the move changes (from fits converged earlier
+in this round, in its own batch too; never from earlier rounds). A
 move's net does not change while it stays open, since penalty changes are
 the same in every round, and a move ``top`` counts stays open as long as
 the fit's move does: a change to that type's parents makes both stale. So
@@ -406,10 +406,9 @@ class _Gains:
             keys[m] = _keys(m, state.parents)
             for key in keys[m]:
                 users.setdefault(key, []).append(m)
-        # top[v]: the best net known of an add or delete into v, which stays
-        # open as long as every move that changes v's parents does
-        top = np.max((self.gains - charges)[:, :, :2], axis=(0, 2), initial=-np.inf,
-                     where=(open_ & self.known & ~self.paused)[:, :, :2]).tolist()
+        # top[v]: the best net known this round of an add or delete into v,
+        # which stays open as long as every move that changes v's parents does
+        top = [-math.inf] * n
         charge, cur = charges.tolist(), [f.log_lik for f in state.fits]
 
         def floors(batch: list, shares: dict) -> list:

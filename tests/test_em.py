@@ -14,6 +14,7 @@ import hawkesnet.em as em_mod
 from hawkesnet.em import (
     EmConfig,
     PausedFit,
+    TypeFit,
     _em_iteration,
     assemble_params,
     duality_gap,
@@ -468,14 +469,19 @@ def test_stopped_fits_bound_their_share_and_refit_bit_for_bit(dense, data):
     _stopped_fits(v, chosen, cache, config, floors)
 
 
-@pytest.mark.parametrize("cap", [3, 4, 100])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 100])
 def test_a_fit_under_an_infinite_floor_stops_after_one_map(dense, cap):
+    """Every fit stops after its first map; at cap 1 that map also ends the
+    fit, which then comes back finished, with its rescore, not paused."""
     cache, parent_sets = dense
     config = EmConfig(max_iterations=cap)
     for v, *sets in parent_sets:
         for parents in sets:
             (got,) = _stopped_fits(v, [parents], cache, config, [np.inf])
-            assert isinstance(got, PausedFit) and got.maps == 1
+            if cap == 1:
+                assert isinstance(got, TypeFit) and not got.converged and got.iterations == 2
+            else:
+                assert isinstance(got, PausedFit) and got.maps == 1
 
 
 def test_batch_blocks_are_aligned_rows_equal_to_the_type_data(dense):
@@ -502,7 +508,7 @@ def test_batch_blocks_are_aligned_rows_equal_to_the_type_data(dense):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_fit_batch_equals_oracle_squarem(dense, data):
-    """The batch's rows take the generator route's path: point, trajectory,
+    """The batch's fits take the oracle route's path: point, trajectory,
     convergence and evaluations, bit for bit, at any batch size and position."""
     if data.draw(st.booleans(), label="dense-learn-shaped instance"):
         cache = dense[0]
