@@ -331,14 +331,12 @@ def _floor(move: tuple, key: tuple, keys: tuple, state: SearchState, least: floa
 
 
 class _Gains:
-    """Each move's share gain, kept across rounds, and the screen's bounds.
+    """Each move's share gain, kept across rounds.
 
     ``gains[c, v, k]`` is the new shares minus the current ones of the types
     that move ``(kind k, (c, v))`` changes, current where ``known``. Where
     the move is ``paused`` it waits on a fit that stopped early, and
     ``gains`` holds only a bound on its gain (see :func:`_gain`).
-    ``bounds[v]`` is the screen's bound on giving ``v`` each new parent,
-    plus the rounding margin, current where ``bounded``.
     """
 
     def __init__(self, type_count: int):
@@ -346,13 +344,11 @@ class _Gains:
         self.gains = np.zeros((n, n, len(_KINDS)))
         self.known = np.zeros((n, n, len(_KINDS)), dtype=bool)
         self.paused = np.zeros((n, n, len(_KINDS)), dtype=bool)
-        self.bounds = np.full((n, n), np.inf)
-        self.bounded = np.zeros(n, dtype=bool)
 
     def forget(self, types) -> None:
         """Mark stale what depends on the parents of ``types``."""
         for v in types:
-            self.known[:, v] = self.known[v, :, 2] = self.bounded[v] = False
+            self.known[:, v] = self.known[v, :, 2] = False
 
     def _take(self, keys: dict, state: SearchState) -> None:
         """Record the gain of each move in ``keys``, which maps it to its fits."""
@@ -379,15 +375,15 @@ class _Gains:
             bic_penalty(n, state.edge_count + _EDGE_DELTA[kind], cache.max_hops, cache.total_events)
             for kind in _KINDS
         ]) - current
-        ruled = np.zeros((n, n), dtype=bool)  # ruled[v, c]: no fit of v with the parent c can pay
+        # bounds[v, c]: the screen's bound on giving v the parent c, plus the rounding margin
+        bounds = np.full((n, n), np.inf)
         if charges[0] > 0.0:  # an edge that costs nothing screens nothing
             gainers = legal[:, :, 0].any(axis=0) | legal[:, :, 2].any(axis=1)
-            for v in np.flatnonzero(gainers & ~self.bounded).tolist():
+            for v in np.flatnonzero(gainers).tolist():
                 if cache.type_counts[v].shape[0] > 0:
                     margin = _SCREEN_MARGIN * (abs(state.fits[v].log_lik) + 1.0)
-                    self.bounds[v] = state.gap(v, cache)[1] + margin
-                self.bounded[v] = True
-            ruled = self.bounds < charges[0]
+                    bounds[v] = state.gap(v, cache)[1] + margin
+        ruled = bounds < charges[0]  # ruled[v, c]: no fit of v with the parent c can pay
         # an add c -> v gives v the parent c, a reversal of c -> v gives c the parent v
         closed = np.stack((ruled.T, np.zeros_like(ruled), ruled), axis=-1) & legal
         open_ = legal & ~closed
@@ -426,7 +422,7 @@ class _Gains:
                 given.append(floor)
             return given
 
-        bounds = self.bounds.tolist()
+        bounds = bounds.tolist()
 
         def priority(m: tuple) -> float:
             c, v, k = m

@@ -72,6 +72,15 @@ _INT_FIELDS = frozenset(
 )
 
 
+def _geometric_mass(rate: float) -> float:
+    """``sum_{j >= 1} exp(-j * rate)``, the exponential kernel's lag weights summed, as
+    ``1 / expm1(rate)``: ``exp(-rate)``, the same to the last bit, where expm1 overflows."""
+    try:
+        return 1.0 / math.expm1(rate) if rate else math.inf
+    except OverflowError:
+        return math.exp(-rate)
+
+
 class SimConfig(Frozen):
     """Benchmark generation settings.
 
@@ -118,9 +127,9 @@ class SimConfig(Frozen):
             raise InvalidInputError("max_hops must be >= 0")
         if not (0 < bin_width < math.inf):
             raise InvalidInputError("bin_width must be positive and finite")
-        if isinstance(kernel, ExponentialKernel):  # an event's children scale with 1/expm1(rate)
+        if isinstance(kernel, ExponentialKernel):  # an event's children scale with its mass
             rate = kernel.decay * bin_width
-            if math.expm1(rate) == 0 or math.isinf(1 / math.expm1(rate)):
+            if math.isinf(_geometric_mass(rate)):
                 raise InvalidInputError(f"delta * bin_width = {rate:g} leaves the kernel's mass "
                                         "1/expm1(delta * bin_width) infinite")
         if seed < 0:
@@ -139,19 +148,10 @@ class SimConfig(Frozen):
 
     def to_dict(self) -> dict:
         return {
-            "node_count": self.node_count,
-            "avg_topology_degree": self.avg_topology_degree,
-            "type_count": self.type_count,
-            "causal_avg_indegree": self.causal_avg_indegree,
-            "target_event_count": self.target_event_count,
+            **self._asdict(),
             "mu_range": list(self.mu_range),
             "alpha_range": list(self.alpha_range),
             "kernel": kernel_to_config(self.kernel),
-            "max_hops": self.max_hops,
-            "bin_width": self.bin_width,
-            "seed": self.seed,
-            "explosion_guard": self.explosion_guard,
-            "max_bins": self.max_bins,
         }
 
     @classmethod
@@ -199,19 +199,13 @@ class BenchmarkData(NamedTuple):
         )
 
 
-def _rng_of(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_topology(node_count: int, avg_degree: float, seed) -> TopologyGraph:
     """Erdos-Renyi undirected topology with expected degree ``avg_degree``."""
     if node_count < 1:
         raise InvalidInputError("node_count must be >= 1")
     if avg_degree < 0:
         raise InvalidInputError("avg_degree must be >= 0")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     edges = []
     if node_count > 1:
         prob = min(1.0, avg_degree / (node_count - 1))
@@ -236,16 +230,15 @@ def random_causal_graph(type_count: int, avg_indegree: float, seed) -> CausalGra
         raise InvalidInputError("type_count must be >= 1")
     if avg_indegree < 0:
         raise InvalidInputError("avg_indegree must be >= 0")
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(type_count)
-    edges = set()
+    edges = ()
     if type_count > 1:
         prob = min(1.0, avg_indegree / ((type_count - 1) / 2.0))
-        for i in range(type_count):
-            for j in range(i + 1, type_count):
-                if rng.random() < prob:
-                    edges.add((int(order[i]), int(order[j])))
-    return CausalGraph(type_count, frozenset(edges))
+        first, second = np.triu_indices(type_count, 1)
+        keep = rng.random(first.shape[0]) < prob
+        edges = zip(order[first[keep]], order[second[keep]])
+    return CausalGraph(type_count, edges)
 
 
 def draw_params(
@@ -256,7 +249,7 @@ def draw_params(
     seed,
 ) -> ThpParams:
     """Uniform parameter draws: one mu per type, one alpha per (edge, hop)."""
-    rng = _rng_of(seed)
+    rng = np.random.default_rng(seed)
     mu = rng.uniform(mu_range[0], mu_range[1], size=graph.type_count)
     alpha = {
         edge: rng.uniform(alpha_range[0], alpha_range[1], size=max_hops + 1)
@@ -288,6 +281,7 @@ def _window_weights(kernel: DecayKernel, dt: float) -> np.ndarray:
 # the children of one generation of a block, and those drawn one by one at a
 # time, stay near this many, so a supercritical run meets the guard in bounded memory
 _BUDGET = 1 << 16
+_POISSON_MAX = 9.2e18  # Generator.poisson refuses means above about 9.22e18
 _NONE = (np.empty(0, np.int64), np.empty(0, np.int64))  # no (keys, counts) rows
 
 
@@ -327,7 +321,7 @@ class _Offspring:
             # r = exp(-rate): lags are Geometric(1 - r) and the weights r^j
             # sum to r / (1 - r); the expm1 forms stay exact as r -> 1 or 0
             self.rate, self.weights = kernel.decay * dt, None
-            self.top, weight = math.exp(-self.rate), 1.0 / math.expm1(self.rate)
+            self.top, weight = math.exp(-self.rate), _geometric_mass(self.rate)
         else:
             self.weights = _window_weights(kernel, dt)
             self.cdf = np.cumsum(self.weights)  # of the lags, unnormalized
@@ -398,21 +392,33 @@ def _join(*parts):
     return np.concatenate([keys for keys, _ in parts]), np.concatenate([counts for _, counts in parts])
 
 
-def _event_loop(
+def simulate(
     causal_graph: CausalGraph,
     topology: TopologyGraph,
     params: ThpParams,
     kernel: DecayKernel,
     bin_width: float,
-    rng: np.random.Generator,
+    seed,
     *,
     max_bins: int,
-    stop_at_count: int | None,
-    explosion_guard: float,
+    stop_at_count: int | None = None,
+    explosion_guard: float = 1e6,
 ) -> tuple[np.recarray, int]:
-    """Draw the cluster process block by block, holding events as (key,
-    count) rows; returns the event table and the bins run."""
+    """Draw the cluster process block by block, holding events as (key, count) rows, for
+    ``max_bins`` bins or up to the bin where the count reaches ``stop_at_count``; returns
+    the event table and the bins run."""
+    params.validate_for(causal_graph)
+    if max_bins < 0:
+        raise InvalidInputError("max_bins must be >= 0")
+    if not (bin_width > 0):
+        raise InvalidInputError("bin_width must be positive")
+    if not (explosion_guard > 0):
+        raise InvalidInputError("explosion_guard must be positive")
+    rng = np.random.default_rng(seed)
     offspring = _Offspring(causal_graph, topology, params, kernel, bin_width)
+    most = float(offspring.mean.max(initial=0.0))  # nan where the kernel's mass is infinite
+    if not most <= _POISSON_MAX:
+        raise InvalidInputError(f"one event expects {most:g} children, more than a Poisson draw takes")
     cells = offspring.cells
     mu_dt = np.tile(params.mu, topology.node_count) * bin_width
     mu_peak, background = float(mu_dt.max()), float(mu_dt.sum())
@@ -479,39 +485,6 @@ def _event_loop(
     return event_table(found // n_types, found % n_types, (keys // cells + 0.5) * bin_width), start
 
 
-def simulate(
-    causal_graph: CausalGraph,
-    topology: TopologyGraph,
-    params: ThpParams,
-    kernel: DecayKernel,
-    bin_width: float,
-    horizon_bins: int,
-    seed,
-    *,
-    explosion_guard: float = 1e6,
-) -> np.recarray:
-    """Simulate a fixed number of bins; returns the event table."""
-    params.validate_for(causal_graph)
-    if horizon_bins < 0:
-        raise InvalidInputError("horizon_bins must be >= 0")
-    if not (bin_width > 0):
-        raise InvalidInputError("bin_width must be positive")
-    if not (explosion_guard > 0):
-        raise InvalidInputError("explosion_guard must be positive")
-    records, _ = _event_loop(
-        causal_graph,
-        topology,
-        params,
-        kernel,
-        bin_width,
-        _rng_of(seed),
-        max_bins=horizon_bins,
-        stop_at_count=None,
-        explosion_guard=explosion_guard,
-    )
-    return records
-
-
 def generate_benchmark(config: SimConfig) -> BenchmarkData:
     """Draw topology, causal DAG, and parameters, then simulate to target.
 
@@ -533,15 +506,9 @@ def generate_benchmark(config: SimConfig) -> BenchmarkData:
         config.alpha_range,
         np.random.default_rng(par_seed),
     )
-    records, bins_run = _event_loop(
-        causal_graph,
-        topology,
-        params,
-        config.kernel,
-        config.bin_width,
-        np.random.default_rng(sim_seed),
-        max_bins=config.max_bins,
-        stop_at_count=config.target_event_count,
+    records, bins_run = simulate(
+        causal_graph, topology, params, config.kernel, config.bin_width, sim_seed,
+        max_bins=config.max_bins, stop_at_count=config.target_event_count,
         explosion_guard=config.explosion_guard,
     )
     if len(records) < config.target_event_count:

@@ -571,9 +571,10 @@ def oracle_sweep(
 ) -> tuple[np.recarray, int]:
     """Dense per-bin sweep: every cell of every bin drawn in turn.
 
-    The reference for the event-driven loop ``hawkesnet.simulate._event_loop``,
-    with the same signature and return value. It shares only the kernel's lag
-    grid (``_window_weights``) with the package.
+    The reference for the event-driven loop ``hawkesnet.simulate.simulate``:
+    called the same way (with a Generator as the seed) and with the same return
+    value. It shares only the kernel's lag grid (``_window_weights``) with the
+    package.
     """
     n_nodes = topology.node_count
     n_types = causal_graph.type_count

@@ -275,8 +275,8 @@ def test_criterion_08_simulator_poisson_statistics():
     totals = np.zeros(type_count)
     for seed in range(5):
         for record in simulate(
-            graph, topology, params, kernel, 1.0, horizon, (81, seed)
-        ):
+            graph, topology, params, kernel, 1.0, (81, seed), max_bins=horizon
+        )[0]:
             totals[record.event_type] += 1
     mean = 5 * 1e-4 * node_count * horizon
     z = (totals - mean) / np.sqrt(mean)
@@ -295,8 +295,8 @@ def test_criterion_08_simulator_poisson_statistics():
     for seed in range(5):
         counts = np.zeros((type_count, node_count, bins), dtype=int)
         for record in simulate(
-            cells_graph, cells_topology, cells_params, kernel, 1.0, bins, (82, seed)
-        ):
+            cells_graph, cells_topology, cells_params, kernel, 1.0, (82, seed), max_bins=bins
+        )[0]:
             counts[record.event_type, record.node, int(record.timestamp)] += 1
         flat = counts.ravel()
         observed = np.array(

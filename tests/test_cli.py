@@ -715,6 +715,9 @@ def test_non_finite_timestamps_exit_two(tmp_path, capsys, stamp, horizon):
         ["simulate", "--delta", "inf"],
         ["simulate", "--delta", "1e-310"],  # 1/expm1(delta * dt) overflows
         ["simulate", "--delta", "1e-300", "--dt", "1e-30"],  # delta * dt underflows to 0
+        # an event's expected children pass what numpy's Poisson draw takes
+        ["simulate", "--delta", "1e-20"],
+        ["simulate", "--delta", "1e-300"],
     ],
 )
 def test_unusable_decay_exits_two(sim_dir, tmp_path, capsys, argv):
@@ -725,6 +728,21 @@ def test_unusable_decay_exits_two(sim_dir, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["--delta", "710"], 0), (["--delta", "1e300"], 0), (["--dt", "1e300"], 3)]
+)
+def test_decay_past_the_range_of_expm1_simulates(tmp_path, capsys, argv, code):
+    # expm1(delta * dt) overflows: each event expects exp(-delta * dt), about 0, children;
+    # at dt = 1e300 the background alone passes the explosion guard in bin 0
+    out = tmp_path / "o"
+    assert main(["simulate", *argv, "--target-events", "500", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and (out / "events.csv").exists()
+    else:
+        assert err.startswith("error: expected count") and "in bin 0" in err and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("target", ["events", "topology", "config"])

@@ -26,7 +26,6 @@ import hawkesnet.simulate as simulate_module
 from hawkesnet.simulate import (
     BenchmarkData,
     SimConfig,
-    _event_loop,
     _window_weights,
     draw_params,
     generate_benchmark,
@@ -147,7 +146,7 @@ def test_poisson_sweep_matches_stationary_rates():
     c = r / (1.0 - r)
     expected = np.linalg.solve(np.eye(6) - c * operator, mu_dt)
 
-    records = simulate(graph, topo, params, kernel, dt, bins, seed=123)
+    records = simulate(graph, topo, params, kernel, dt, 123, max_bins=bins)[0]
     ds = discretize(
         records, dt, bins * dt, node_count=n_nodes, type_count=n_types
     )
@@ -163,7 +162,7 @@ def test_pure_background_is_poisson():
     mu = np.array([0.02, 0.04])
     params = ThpParams(mu=mu, alpha={}, max_hops=0)
     bins = 30_000
-    records = simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, bins, seed=9)
+    records = simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, 9, max_bins=bins)[0]
     expected = mu.sum() * 4 * bins
     assert abs(len(records) - expected) <= 3.0 * math.sqrt(expected)
 
@@ -171,17 +170,17 @@ def test_pure_background_is_poisson():
 def test_simulation_is_deterministic():
     topo, graph, params = _fixed_point_setup()
     kernel = ExponentialKernel(0.5)
-    a = simulate(graph, topo, params, kernel, 1.0, 500, seed=42)
-    b = simulate(graph, topo, params, kernel, 1.0, 500, seed=42)
+    a = simulate(graph, topo, params, kernel, 1.0, 42, max_bins=500)[0]
+    b = simulate(graph, topo, params, kernel, 1.0, 42, max_bins=500)[0]
     assert np.array_equal(a, b)
-    c = simulate(graph, topo, params, kernel, 1.0, 500, seed=43)
+    c = simulate(graph, topo, params, kernel, 1.0, 43, max_bins=500)[0]
     assert not np.array_equal(a, c)
 
 
 def test_timestamps_sit_at_bin_centers():
     topo, graph, params = _fixed_point_setup()
     dt = 0.25
-    records = simulate(graph, topo, params, ExponentialKernel(0.5), dt, 400, seed=7)
+    records = simulate(graph, topo, params, ExponentialKernel(0.5), dt, 7, max_bins=400)[0]
     assert len(records)
     stamps = np.array([r.timestamp for r in records])
     assert np.all(stamps < 400 * dt)
@@ -199,8 +198,7 @@ def test_explosion_guard_trips():
     )
     with pytest.raises(SimulationExplosionError) as exc:
         simulate(
-            graph, topo, params, ExponentialKernel(1.0), 1.0, 1000, seed=0,
-            explosion_guard=100.0,
+            graph, topo, params, ExponentialKernel(1.0), 1.0, 0, max_bins=1000, explosion_guard=100.0
         )
     assert exc.value.guard == 100.0
     assert exc.value.expected_count > 100.0
@@ -211,19 +209,25 @@ def test_zero_rates_produce_no_events():
     topo = build_topology(2, [])
     graph = CausalGraph(1)
     params = ThpParams(mu=np.array([0.0]), alpha={}, max_hops=0)
-    assert len(simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, 100, seed=0)) == 0
-    assert len(simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, 0, seed=0)) == 0
+    assert len(simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, 0, max_bins=100)[0]) == 0
+    assert len(simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, 0, max_bins=0)[0]) == 0
 
 
-def test_simulate_validates_inputs():
+@pytest.mark.parametrize("stop_at_count", [None, 5])
+def test_simulate_validates_inputs(stop_at_count):
     topo, graph, params = _fixed_point_setup()
     bad = ThpParams(mu=np.array([0.1, 0.1]), alpha={}, max_hops=1)
-    with pytest.raises(InvalidInputError):
-        simulate(graph, topo, bad, ExponentialKernel(1.0), 1.0, 10, seed=0)
-    with pytest.raises(InvalidInputError):
-        simulate(graph, topo, params, ExponentialKernel(1.0), -1.0, 10, seed=0)
-    with pytest.raises(InvalidInputError):
-        simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, -1, seed=0)
+    kernel = ExponentialKernel(1.0)
+    for args, options in (
+        ((bad, kernel, 1.0), {}),
+        ((params, kernel, -1.0), {}),
+        ((params, kernel, 1.0), {"max_bins": -1}),
+        ((params, kernel, 1.0), {"explosion_guard": 0.0}),
+        # one event's ~1e19 expected children, which numpy's Poisson draw refuses
+        ((params, ExponentialKernel(1e-20), 1.0), {}),
+    ):
+        with pytest.raises(InvalidInputError):
+            simulate(graph, topo, *args, 0, **{"max_bins": 10, "stop_at_count": stop_at_count, **options})
 
 
 def test_uniform_kernel_ring_buffer_path():
@@ -235,14 +239,14 @@ def test_uniform_kernel_ring_buffer_path():
     )
     dt, bins = 0.5, 20_000
     kernel = UniformKernel(2.0, 1.0)  # weight lands on the lag-2.5 bin only
-    records = simulate(graph, topo, params, kernel, dt, bins, seed=3)
+    records = simulate(graph, topo, params, kernel, dt, 3, max_bins=bins)[0]
     expected = 0.05 * 2 * dt * bins
     assert abs(len(records) - expected) <= 3.0 * math.sqrt(expected)
     # with excitation on, the rate amplifies well above background
     excited = ThpParams(
         mu=np.array([0.05]), alpha={(0, 0): np.array([0.6, 0.2])}, max_hops=1
     )
-    more = simulate(graph, topo, excited, kernel, dt, bins, seed=3)
+    more = simulate(graph, topo, excited, kernel, dt, 3, max_bins=bins)[0]
     assert len(more) > len(records) * 1.3
 
 
@@ -254,11 +258,9 @@ def test_gaussian_kernel_sweep_runs():
         alpha={(0, 1): np.array([0.2, 0.2])},
         max_hops=1,
     )
-    records = simulate(
-        graph, topo, params, GaussianKernel(10.0, 4.0), 1.0, 5000, seed=11
-    )
+    records = simulate(graph, topo, params, GaussianKernel(10.0, 4.0), 1.0, 11, max_bins=5000)[0]
     assert len(records)
-    a = simulate(graph, topo, params, GaussianKernel(10.0, 4.0), 1.0, 5000, seed=11)
+    a = simulate(graph, topo, params, GaussianKernel(10.0, 4.0), 1.0, 11, max_bins=5000)[0]
     assert np.array_equal(a, records)
 
 
@@ -370,7 +372,7 @@ def _cell_counts(records, n_types, n_nodes, bins, dt):
 def _run_both(kernel, dt, bins, stop_at_count=None):
     topo, graph, params = _excited_setup()
     sides = []
-    for draw in (_event_loop, oracle_sweep):
+    for draw in (simulate, oracle_sweep):
         runs = []
         for i in range(RUNS):
             runs.append(
@@ -439,9 +441,10 @@ def test_stop_at_count_horizon_matches_dense_oracle():
     np.testing.assert_allclose(np.array(last_new) + 0.5, bins_new)
 
 
-@pytest.mark.parametrize("decay, alpha", [(1e-6, 4e-7), (50.0, 0.5)])
+@pytest.mark.parametrize("decay, alpha", [(1e-6, 4e-7), (50.0, 0.5), (710.0, 0.5)])
 def test_long_horizon_is_numerically_safe(decay, alpha):
-    # 1e7 bins: r = exp(-decay) is within 1e-6 of 1, or r^j underflows to 0
+    # 1e7 bins: r = exp(-decay) is within 1e-6 of 1, or r^j underflows to 0,
+    # or past 709.78 expm1(decay) overflows and the kernel's mass is exp(-decay)
     topo = build_topology(2, [(0, 1)])
     graph = CausalGraph(2, [(0, 0), (0, 1)])
     params = ThpParams(
@@ -456,7 +459,7 @@ def test_long_horizon_is_numerically_safe(decay, alpha):
     started = time.perf_counter()
     with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
         warnings.simplefilter("error")
-        records = simulate(graph, topo, params, ExponentialKernel(decay), 1.0, bins, seed=5)
+        records = simulate(graph, topo, params, ExponentialKernel(decay), 1.0, 5, max_bins=bins)[0]
     elapsed = time.perf_counter() - started
     stamps = np.array([r.timestamp for r in records])
     assert np.isfinite(stamps).all()
@@ -464,7 +467,7 @@ def test_long_horizon_is_numerically_safe(decay, alpha):
     background = 2 * 2 * 1e-5 * bins
     # excitation only adds to the Poisson(400) background
     assert len(records) >= background - 5 * math.sqrt(background)
-    if decay == 50.0:  # r = e^-50: excitation is negligible
+    if decay >= 50.0:  # r <= e^-50: excitation is negligible
         assert len(records) <= background + 5 * math.sqrt(background)
     assert elapsed < 10.0
 
@@ -481,7 +484,7 @@ def test_explosion_guard_reports_first_breaching_bin(kernel, lag):
     params = ThpParams(mu=np.array([50.0]), alpha={(0, 0): np.array([10.0])}, max_hops=0)
     step = 10.0 * evaluate(kernel, float(lag))
     for guard, expected in ((50.0 + 0.5 * step, lag), (40.0, 0)):
-        for draw in (_event_loop, oracle_sweep):
+        for draw in (simulate, oracle_sweep):
             with pytest.raises(SimulationExplosionError) as exc:
                 draw(
                     graph, topo, params, kernel, 1.0, RNG(0),
@@ -528,7 +531,7 @@ def test_rows_come_out_sorted_at_bin_centers_and_rebin_to_the_drawn_counts(seed,
     join = simulate_module._join
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate_module, "_join", recording)
-        records, _ = _event_loop(
+        records, _ = simulate(
             graph, topo, params, kernel, dt, RNG(seed),
             max_bins=bins, stop_at_count=None, explosion_guard=1e6,
         )
@@ -562,7 +565,7 @@ def test_wide_topology_simulates_in_little_memory():
     params = draw_params(graph, 2, (5e-4, 1e-3), (0.03, 0.05), seed=3)
     drawn = []
     peak = _peak_bytes(
-        lambda: drawn.append(simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, 300, seed=4))
+        lambda: drawn.append(simulate(graph, topo, params, ExponentialKernel(1.0), 1.0, 4, max_bins=300)[0])
     )
     assert len(drawn[0]) > 1000
     assert peak < 64 * 2**20
