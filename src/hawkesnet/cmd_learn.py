@@ -212,7 +212,8 @@ def main(args) -> int:
         },
     )
     print(f"ingest took {ingest_elapsed:.2f}s events={dataset.total_events}", file=sys.stderr)
-    print(f"features took {features_elapsed:.2f}s cells={cache.cell_count}", file=sys.stderr)
+    print(f"features took {features_elapsed:.2f}s cells={cache.cell_count} build={cache.build}",
+          file=sys.stderr)
     print(f"search took {elapsed:.2f}s fits={fits} maps={maps} screened={screened} "
           f"nonconverged={nonconverged} paused={paused} resumed={resumed}", file=sys.stderr)
     unconverged = ", ".join(str(f.event_type) for f in best.type_fits if not f.converged)

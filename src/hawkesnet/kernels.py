@@ -97,7 +97,9 @@ def kernel_from_config(config: dict) -> DecayKernel:
     name = str(config["type"]).lower()
     params = {k: v for k, v in config.items() if k != "type"}
     if name == "exponential":
-        # accept either spelling of the decay rate
+        # accept either spelling of the decay rate, but not both
+        if "delta" in params and "decay" in params:
+            raise InvalidInputError("exponential kernel takes 'delta' or 'decay', not both")
         if "delta" in params:
             params["decay"] = params.pop("delta")
         if set(params) != {"decay"}:

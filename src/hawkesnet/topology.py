@@ -5,12 +5,21 @@ Influence between nodes is propagated through powers of the symmetrically
 normalized adjacency matrix ``P = D^{-1/2} A D^{-1/2}``; hop ``k`` uses
 ``P^k``, and ``P^0`` is the identity (no propagation, every node only sees
 itself). Isolated nodes get zero rows/columns: they neither send nor receive.
-:meth:`TopologyGraph.hop_matrices` forms the dense stack ``P^0..P^K`` on
-request; nothing is cached.
+Nothing is cached; each hop order is formed on request, in one of two forms:
+
+- :meth:`TopologyGraph.hop_matrices`, the dense stack ``P^0..P^K``: the
+  chunk build of the features and the simulator contract it with dense
+  per-node state.
+- :meth:`TopologyGraph.hop_lists`, the nonzeros of each ``P^k`` as
+  ``(source, target, weight)`` arrays sorted by source: the event build of
+  the features pushes each event along them. They come from the edge list by
+  ``K`` sparse products (repeat, sort, ``np.add.reduceat``), so their memory
+  follows the nonzeros, never ``n * n``.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from typing import NamedTuple
 
@@ -65,6 +74,73 @@ class TopologyGraph(NamedTuple):
         for k in range(1, max_hops + 1):
             powers[k] = powers[k - 1] @ propagation
         return powers
+
+    def hop_lists(self, max_hops: int) -> list:
+        """The nonzeros of ``P**k`` for ``k = 0..max_hops``, as one
+        ``(sources, targets, weights)`` triple of arrays per hop, sorted by
+        (source, target).
+
+        ``P**0`` lists every node, isolated ones included; ``P**1`` carries
+        the same weights as :meth:`hop_matrices`, and each further hop is the
+        sparse product of the previous one with ``P``, its terms summed in
+        the order of the middle node.
+        """
+        if max_hops < 0:
+            raise InvalidInputError("max_hops must be >= 0")
+        n = self.node_count
+        memory = _physical_memory()
+        try:
+            if memory is not None and 48 * n > memory:  # six 8-byte entries per node
+                raise MemoryError
+            nodes = np.arange(n)
+            lists = [(nodes, nodes, np.ones(n))]
+        except (ValueError, MemoryError) as exc:
+            raise InvalidInputError(
+                f"cannot allocate {max_hops} propagation hops over {n} nodes"
+            ) from exc
+        pairs = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        pairs = np.concatenate([pairs, pairs[:, ::-1]])  # each edge both ways
+        sources, targets = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+        starts = np.searchsorted(sources, nodes)
+        degrees = np.diff(starts, append=sources.shape[0])
+        inv_sqrt = np.zeros(n)
+        inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
+        step = (sources, targets, inv_sqrt[sources] * inv_sqrt[targets])
+        for _ in range(max_hops):
+            lists.append(_times(lists[-1], step, starts, degrees))
+        return lists
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _times(left: tuple, step: tuple, starts: np.ndarray, degrees: np.ndarray) -> tuple:
+    """The nonzeros of ``left @ P``: each entry ``(s, m, w)`` of ``left``
+    meets the ``degrees[m]`` entries of row ``m`` of ``P``, which start at
+    ``starts[m]`` in ``step``; equal ``(s, t)`` pairs are summed."""
+    sources, middles, weights = left
+    fan = degrees[middles]
+    at = spread(starts[middles], fan)
+    sources = np.repeat(sources, fan)
+    targets = step[1][at]
+    weights = np.repeat(weights, fan) * step[2][at]
+    order = np.lexsort((targets, sources))  # stable: terms stay in middle-node order
+    sources, targets, weights = sources[order], targets[order], weights[order]
+    first = np.flatnonzero((np.diff(sources, prepend=-1) != 0)
+                           | (np.diff(targets, prepend=-1) != 0))
+    return sources[first], targets[first], np.add.reduceat(weights, first)
+
+
+def spread(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i] .. starts[i] + lengths[i] - 1`` for each ``i``,
+    concatenated in order."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 def _validate_edges(

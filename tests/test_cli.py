@@ -259,8 +259,9 @@ def test_learn_stdout_summary(sim_dir, tmp_path, capsys):
         captured.err, re.MULTILINE,
     )
     # feature time has its own line, right before the search line
-    assert re.search(r"^features took \d+\.\d\ds cells=[1-9]\d*\nsearch took ",
-                     captured.err, re.MULTILINE)
+    assert re.search(
+        r"^features took \d+\.\d\ds cells=[1-9]\d* build=(chunks|events)\nsearch took ",
+        captured.err, re.MULTILINE)
     # CSV parse and discretize have their own line, right before the feature line
     assert re.search(r"^ingest took \d+\.\d\ds events=[1-9]\d*\nfeatures took ",
                      captured.err, re.MULTILINE)

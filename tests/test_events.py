@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -284,3 +287,16 @@ def test_csv_named_like_an_archive_is_read_as_text(tmp_path, suffix):
     path = tmp_path / f"events.csv{suffix}"
     path.write_bytes(HEADER + b"\n0,1,0.5\n3,0,2.0\n")
     assert load_events_csv(path).tobytes() == oracle_load_events_csv(path).tobytes()
+
+
+def test_csv_reader_leaves_gzip_unimported(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(HEADER + b"\n0,1,0.5\n3,0,2.0\n")
+    code = (
+        "import sys\n"
+        "from hawkesnet.events import load_events_csv\n"
+        f"assert load_events_csv({str(path)!r}).shape == (2,)\n"
+        "print('gzip' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr

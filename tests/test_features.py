@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import importlib.util
 import math
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkesnet import features
-from hawkesnet.errors import InvalidInputError, UnsupportedKernelError
+from hawkesnet.errors import InvalidInputError, UnderGenerationWarning, UnsupportedKernelError
 from hawkesnet.events import discretize, event_table
 from hawkesnet.features import build_features
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel
 from hawkesnet.likelihood import type_batch
+from hawkesnet.simulate import SimConfig, generate_benchmark
 from hawkesnet.topology import build_topology
 
 from .helpers import (
@@ -29,6 +34,7 @@ from .helpers import (
 from .oracles import oracle_blockwise_features, oracle_chunked_features, oracle_features
 
 RNG = np.random.default_rng
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _two_node_cache(max_hops=1):
@@ -156,7 +162,16 @@ def _gapped_dataset(rng):
     return ds, ExponentialKernel(rate)
 
 
-@settings(max_examples=25)
+def _builds(ds):
+    """``(build, chunk budget)``: each build by name, the chunk loop also in
+    chunks of about three cells."""
+    return [
+        (features.chunk_build, features._CHUNK_ELEMENTS),
+        (features.chunk_build, 3 * ds.type_count * ds.node_count),
+        (features.event_build, features._CHUNK_ELEMENTS),
+    ]
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_build_matches_blockwise_oracle(seed):
     rng = RNG(seed)
@@ -164,11 +179,10 @@ def test_build_matches_blockwise_oracle(seed):
     hops = int(rng.integers(0, 3))
     topo = build_topology(ds.node_count, random_symmetric_edges(rng, ds.node_count))
     ref = oracle_blockwise_features(ds, topo, kernel, hops)
-    # the default chunk budget, then chunks of about three cells each
-    for elements in (features._CHUNK_ELEMENTS, 3 * ds.type_count * ds.node_count):
+    for build, elements in _builds(ds):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(features, "_CHUNK_ELEMENTS", elements)
-            cache = build_features(ds, topo, kernel, hops)
+            cache = build(ds, topo, kernel, hops)
         np.testing.assert_array_equal(cache.cell_bins, ref.cell_bins)
         np.testing.assert_array_equal(cache.cell_nodes, ref.cell_nodes)
         # values deep in the gaps leave the normal range; below 1e-300 only
@@ -186,10 +200,10 @@ def _assert_same_cache(cache, ref):
     np.testing.assert_array_equal(cache.totals, ref.totals)
 
 
-@settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_build_equals_chunked_scatter_oracle(seed):
-    # the instances of test_build_matches_blockwise_oracle, bit for bit
+    # the chunk loop on the instances of test_build_matches_blockwise_oracle,
+    # bit for bit: the event build sums in another order
     rng = RNG(seed)
     ds, kernel = _gapped_dataset(rng)
     hops = int(rng.integers(0, 3))
@@ -197,7 +211,7 @@ def test_build_equals_chunked_scatter_oracle(seed):
     for elements in (features._CHUNK_ELEMENTS, 3 * ds.type_count * ds.node_count):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(features, "_CHUNK_ELEMENTS", elements)
-            cache = build_features(ds, topo, kernel, hops)
+            cache = features.chunk_build(ds, topo, kernel, hops)
             ref = oracle_chunked_features(ds, topo, kernel, hops)
         _assert_same_cache(cache, ref)
 
@@ -216,7 +230,14 @@ def test_build_equals_chunked_scatter_oracle_on_benchmark_shapes(nodes, types, b
     ds = discretize(records, 1.0, float(bins), node_count=nodes, type_count=types)
     topo = build_topology(nodes, random_symmetric_edges(rng, nodes, 1.5 / nodes))
     kernel = ExponentialKernel(decay)
-    _assert_same_cache(build_features(ds, topo, kernel, 2), oracle_chunked_features(ds, topo, kernel, 2))
+    _assert_same_cache(features.chunk_build(ds, topo, kernel, 2),
+                       oracle_chunked_features(ds, topo, kernel, 2))
+    # and whichever build build_features picks, against the sweep of every bin
+    cache = build_features(ds, topo, kernel, 2)
+    ref = oracle_blockwise_features(ds, topo, kernel, 2)
+    for values, expected in zip(cache.type_values, ref.type_values, strict=True):
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(cache.totals, ref.totals, rtol=1e-12)
 
 
 @pytest.mark.parametrize("decay", [1e-6, 50.0])
@@ -230,14 +251,6 @@ def test_long_horizon_is_numerically_safe(decay):
     event_types = rng.integers(0, 2, size=5000)
     records = event_table(event_nodes, event_types, event_bins + 0.5)
     ds = discretize(records, 1.0, float(bins), node_count=3, type_count=2)
-    started = time.perf_counter()
-    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
-        warnings.simplefilter("error")
-        cache = build_features(ds, topo, ExponentialKernel(decay), 2)
-    elapsed = time.perf_counter() - started
-    assert all(np.isfinite(values).all() for values in cache.type_values)
-    assert np.isfinite(cache.totals).all()
-
     # closed-form geometric tail of each event over the rest of the horizon
     r = math.exp(-decay)
     tail = [
@@ -249,19 +262,28 @@ def test_long_horizon_is_numerically_safe(decay):
             mine = (event_types == v) & (event_nodes == n)
             summary[v, n] = math.fsum(t for t, m in zip(tail, mine) if m)
     expected = summary @ topo.hop_matrices(2).sum(axis=2).T
-    np.testing.assert_allclose(cache.totals, expected, rtol=1e-10)
 
-    # hop 0 is the node's own decayed history, summed directly
-    for w in range(2):
-        cell_nodes, cell_bins = type_cell_coords(ds, w)
-        for i in rng.choice(cell_nodes.shape[0], size=10, replace=False):
-            node, t = int(cell_nodes[i]), int(cell_bins[i])
-            for v in range(2):
-                before = (event_types == v) & (event_nodes == node) & (event_bins < t)
-                direct = math.fsum(math.exp(-decay * (t - b)) for b in event_bins[before])
-                got = cache.type_values[w][v * (cache.max_hops + 1), i]
-                assert got == pytest.approx(direct, rel=1e-10, abs=1e-300)
-    assert elapsed < 10.0
+    for build in (features.chunk_build, features.event_build):
+        started = time.perf_counter()
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            cache = build(ds, topo, ExponentialKernel(decay), 2)
+        elapsed = time.perf_counter() - started
+        assert all(np.isfinite(values).all() for values in cache.type_values)
+        assert np.isfinite(cache.totals).all()
+        np.testing.assert_allclose(cache.totals, expected, rtol=1e-10)
+
+        # hop 0 is the node's own decayed history, summed directly
+        for w in range(2):
+            cell_nodes, cell_bins = type_cell_coords(ds, w)
+            for i in rng.choice(cell_nodes.shape[0], size=10, replace=False):
+                node, t = int(cell_nodes[i]), int(cell_bins[i])
+                for v in range(2):
+                    before = (event_types == v) & (event_nodes == node) & (event_bins < t)
+                    direct = math.fsum(math.exp(-decay * (t - b)) for b in event_bins[before])
+                    got = cache.type_values[w][v * (cache.max_hops + 1), i]
+                    assert got == pytest.approx(direct, rel=1e-10, abs=1e-300)
+        assert elapsed < 10.0
 
 
 def test_truncated_cache_equals_fresh_build():
@@ -270,16 +292,24 @@ def test_truncated_cache_equals_fresh_build():
     ds = dense_to_dataset(dense, 1.0)
     topo = build_topology(4, [(0, 1), (1, 2), (2, 3)])
     kernel = ExponentialKernel(0.2)
-    full = build_features(ds, topo, kernel, 3)
+    for build in (features.chunk_build, features.event_build):
+        _assert_truncation_exact(build, ds, topo, kernel)
+
+
+def _assert_truncation_exact(build, ds, topo, kernel):
+    full = build(ds, topo, kernel, 3)
     for hops in (0, 1, 2):
-        fresh = build_features(ds, topo, kernel, hops)
+        fresh = build(ds, topo, kernel, hops)
         view = full.truncated(hops)
         assert view.max_hops == hops
         # aligned rows laid out as the fresh build's, and byte for byte its rows
         for got, want in zip(view.type_values, fresh.type_values, strict=True):
             assert got.strides == want.strides and all(row.ctypes.data % 64 == 0 for row in got)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
-        # the totals contraction is shape-dependent inside BLAS; one ulp slack
+        if build is features.event_build:  # each hop's total is its own product
+            assert view.totals.tobytes() == fresh.totals.tobytes()
+        # the chunk loop's totals contraction is shape-dependent inside BLAS;
+        # one ulp slack
         np.testing.assert_allclose(view.totals, fresh.totals, rtol=1e-13)
     assert full.truncated(3) is full
     with pytest.raises(InvalidInputError):
@@ -331,3 +361,65 @@ def test_totals_cover_all_cells_not_just_occupied():
     expected = r * (1 - r**99) / (1 - r)  # geometric tail over bins 1..99
     assert cache.totals[0, 0] == pytest.approx(expected, rel=1e-10)
     assert cache.totals[0, 1] == pytest.approx(expected, rel=1e-10)
+
+
+def test_event_build_without_rows_or_neighbours():
+    kernel = ExponentialKernel(1.0)
+    topo = build_topology(3, [(0, 1)])
+    empty = discretize(rows_to_table([]), 1.0, 10.0, node_count=3, type_count=2)
+    cache = features.event_build(empty, topo, kernel, 2)
+    assert cache.cell_count == 0
+    np.testing.assert_array_equal(cache.totals, np.zeros((2, 3)))
+    assert [values.shape for values in cache.type_values] == [(6, 0), (6, 0)]
+    # events only at the isolated node: hops 1 and 2 push no row at all
+    ds = discretize(rows_to_table([(2, 0, 0.5), (2, 1, 3.5), (2, 0, 7.5)]), 1.0, 10.0,
+                    node_count=3, type_count=2)
+    ref = oracle_blockwise_features(ds, topo, kernel, 2)
+    cache = features.event_build(ds, topo, kernel, 2)
+    for values, expected in zip(cache.type_values, ref.type_values, strict=True):
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cache.totals, ref.totals, rtol=1e-12, atol=0)
+
+
+def _perfbench_value(name):
+    """The literal assigned to ``name`` in perfbench/run.py, read without
+    running it; a ``gen.Shape(...)`` call as the dict of its arguments."""
+    for node in ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]:
+            if isinstance(node.value, ast.Call):
+                return {kw.arg: ast.literal_eval(kw.value) for kw in node.value.keywords}
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def _perfbench_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [23, 5])
+def test_build_choice_on_benchmark_inputs(seed):
+    gen = _perfbench_gen()
+    for name, expected in (("README", "events"), ("DENSE", "chunks")):
+        shape = gen.Shape(**_perfbench_value(name))
+        inst = gen.generate(shape, seed)
+        records = event_table(inst.nodes, inst.types, (inst.bins + 0.5) * shape.dt)
+        ds = discretize(records, shape.dt, shape.bins * shape.dt, node_count=shape.nodes,
+                        type_count=shape.types)
+        assert features.choose_build(ds, build_topology(shape.nodes, inst.topology)) == expected
+    # desk-pipeline simulates the desk config for 60,000 bins
+    config = SimConfig.from_dict({**_perfbench_value("DESK"), "max_bins": 60_000,
+                                  "target_event_count": 10**9, "seed": seed})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderGenerationWarning)
+        data = generate_benchmark(config)
+    assert features.choose_build(data.dataset(), data.topology) == "events"
+
+
+@pytest.mark.parametrize("nodes", [40, 400, 2000])
+def test_build_choice_at_readme_scale(nodes):
+    data = generate_benchmark(SimConfig(seed=7, node_count=nodes))
+    assert features.choose_build(data.dataset(), data.topology) == "events"

@@ -140,3 +140,5 @@ def test_config_rejects_unknown_fields():
         kernel_from_config({"type": "sine"})
     with pytest.raises(InvalidInputError):
         kernel_from_config({"delta": 1.0})
+    with pytest.raises(InvalidInputError):  # two spellings of one rate
+        kernel_from_config({"type": "exponential", "delta": 0.2, "decay": 5})

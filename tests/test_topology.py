@@ -116,6 +116,35 @@ def test_powers_match_dense_matrix_power(case, max_hops):
         np.testing.assert_allclose(powers[k], expected[k], atol=1e-10)
 
 
+@given(edge_sets(), st.integers(min_value=0, max_value=4))
+def test_hop_lists_are_the_nonzeros_of_the_hop_matrices(case, max_hops):
+    n, edges = case
+    topo = build_topology(n, edges)
+    powers = topo.hop_matrices(max_hops)
+    lists = topo.hop_lists(max_hops)
+    assert len(lists) == max_hops + 1
+    for power, (sources, targets, weights) in zip(powers, lists):
+        # sorted by (source, target), each pair once
+        assert np.all(np.diff(sources * n + targets) > 0)
+        np.testing.assert_array_equal(np.stack([sources, targets], axis=1), np.argwhere(power))
+        np.testing.assert_allclose(weights, power[sources, targets], rtol=1e-12, atol=0)
+    # P**0 lists every node, isolated ones included, and P**1 is P itself
+    np.testing.assert_array_equal(lists[0][0], np.arange(n))
+    np.testing.assert_array_equal(lists[0][2], np.ones(n))
+    if max_hops:
+        np.testing.assert_array_equal(lists[1][2], powers[1][lists[1][0], lists[1][1]])
+
+
+def test_hop_lists_of_isolated_nodes_and_negative_order():
+    topo = build_topology(4, [(0, 1)])
+    sources, targets, weights = topo.hop_lists(2)[2]
+    np.testing.assert_array_equal(sources, [0, 1])
+    np.testing.assert_array_equal(targets, [0, 1])
+    np.testing.assert_array_equal(weights, [1.0, 1.0])
+    with pytest.raises(InvalidInputError):
+        topo.hop_lists(-1)
+
+
 @given(edge_sets())
 def test_propagation_symmetric_with_bounded_spectrum(case):
     n, edges = case
