@@ -63,7 +63,10 @@ hop.
 The chunk build wins when most bins are occupied and ``type_count *
 node_count`` is narrow (every bin of ``dense-learn``); the event build when
 bins are sparse or the topology wide (the README scale from 40 to 2,000
-nodes), where the chunk loop's dense state is mostly empty columns.
+nodes), where the chunk loop's dense state is mostly empty columns. A dense
+topology goes to the chunk build whatever the events: the event build's
+hop lists and pushed rows grow with the walks of each length, and past
+``LIST_ENTRIES`` entries in one array it is not taken.
 
 Everything here is independent of the causal graph and of the rate
 parameters, so one cache serves every candidate scored by the structure
@@ -80,11 +83,9 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedKernelError
 from .events import DiscreteDataset
 from .kernels import DecayKernel, ExponentialKernel
-from .topology import TopologyGraph, spread
+from .topology import LIST_ENTRIES, TopologyGraph, spread
 
-__all__ = [
-    "FeatureCache", "aligned_rows", "build_features", "choose_build", "chunk_build", "event_build",
-]
+__all__ = ["FeatureCache", "aligned_rows", "build_features"]
 
 
 def aligned_rows(rows: int, width: int) -> np.ndarray:
@@ -191,12 +192,6 @@ class FeatureCache(NamedTuple):
 _MAX_SPAN_EXPONENT = 512.0
 # Largest cells * type_count * node_count state entries held by one chunk.
 _CHUNK_ELEMENTS = 1 << 16
-# The event build's cost per pushed row and scan level, in the chunk loop's
-# state entries. The chunk loop's state was 0.21-0.24 times the event
-# build's work on dense-learn, which builds 2.5-3x faster by chunks, and
-# 1.65-1,673 times it on readme-learn, desk-pipeline and the README scale
-# from 40 to 2,000 nodes, which build 1.4-134x faster by events.
-_EVENT_COST = 1.0
 # Largest queries (cells * causes) the event build holds at once.
 _QUERY_ELEMENTS = 1 << 16
 # The event build's least decay exponent: a factor below e^-707 ~ 1e-307 is
@@ -227,30 +222,58 @@ def build_features(
         raise InvalidInputError(
             f"dataset has {dataset.node_count} nodes, topology {topology.node_count}"
         )
-    build = chunk_build if choose_build(dataset, topology) == "chunks" else event_build
-    return build(dataset, topology, kernel, max_hops)
+    cells = _cells(dataset)
+    chunks = choose_build(dataset, topology, max_hops, cells[0]) == "chunks"
+    return (chunk_build if chunks else event_build)(dataset, topology, kernel, max_hops, cells=cells)
 
 
-def choose_build(dataset: DiscreteDataset, topology: TopologyGraph) -> str:
+def choose_build(dataset: DiscreteDataset, topology: TopologyGraph, max_hops: int,
+                 cell_keys: np.ndarray | None = None) -> str:
     """``"chunks"`` or ``"events"``: the build expected to cost less.
 
     The chunk loop sweeps ``occupied bins * type_count * node_count`` state
     entries. The event build pushes each row to its node and its neighbours
-    and scans each series in about ``log2`` of its length levels; its cost is
-    taken as ``rows * (1 + mean degree) * ceil(log2(longest (type, node)
-    run))`` times ``_EVENT_COST``. Neither depends on ``max_hops``, and
-    nothing here is sized by the grid.
+    and scans each series in about ``log2`` of its length levels; its work
+    is taken as ``rows * (1 + mean degree) * ceil(log2(longest (type, node)
+    run))``. Compared one to one, the chunk loop's state was 0.21-0.24 times
+    that work on ``dense-learn``, which builds 2.5-3 times faster by chunks,
+    and 1.65-1,673 times it on ``readme-learn``, ``desk-pipeline`` and the
+    README scale from 40 to 2,000 nodes, which build 1.4-134 times faster
+    by events. That comparison does not look at ``max_hops``, and nothing in
+    it is sized by the grid.
+
+    The event build is also taken only where each of its lists stays within
+    ``LIST_ENTRIES``: the node count, each hop list's product and the rows
+    pushed along each hop, all bounded by :meth:`TopologyGraph.walks` before
+    anything is built. A dense topology fails this (its second hop's product
+    meets ``n**3`` terms) and takes the chunk build, whose hop matrices hold
+    ``n**2`` entries each. ``cell_keys`` are :func:`_cells`' when at hand.
     """
     rows = dataset.nodes.shape[0]
     if rows == 0:
         return "chunks"
-    occupied = 1 + int(np.count_nonzero(np.diff(np.sort(dataset.bins))))
-    columns = np.sort(dataset.types * dataset.node_count + dataset.nodes)
-    runs = np.flatnonzero(np.diff(columns, prepend=-1))  # each column's first row
-    longest = int(np.diff(runs, append=rows).max())
-    fan_out = 1 + 2 * len(topology.edges) / topology.node_count
-    event_cost = _EVENT_COST * rows * fan_out * max(1, math.ceil(math.log2(longest)))
-    return "events" if event_cost < occupied * dataset.type_count * dataset.node_count else "chunks"
+    n_nodes = dataset.node_count
+    if cell_keys is None:
+        cell_keys = _cells(dataset)[0]
+    occupied = 1 + int(np.count_nonzero(np.diff(cell_keys // n_nodes)))  # keys sort by bin
+    columns = dataset.types * n_nodes + dataset.nodes
+    if dataset.type_count * n_nodes <= rows:  # few columns: count the rows of each
+        longest = int(np.bincount(columns).max())
+    else:
+        columns.sort()
+        runs = np.flatnonzero(np.diff(columns, prepend=-1))  # each column's first row
+        longest = int(np.diff(runs, append=rows).max())
+    fan_out = 1 + 2 * len(topology.edges) / n_nodes
+    event_work = rows * fan_out * max(1, math.ceil(math.log2(longest)))
+    if event_work >= occupied * dataset.type_count * n_nodes:
+        return "chunks"
+    nodes, walks = topology.walks(max_hops)
+    at = np.searchsorted(nodes, dataset.nodes)
+    linked = at < nodes.shape[0]
+    linked[linked] = nodes[at[linked]] == dataset.nodes[linked]
+    pushed = walks[1:, at[linked]].sum(axis=1)
+    largest = max(n_nodes, walks[1:].sum(axis=1).max(initial=0), pushed.max(initial=0))
+    return "events" if largest <= LIST_ENTRIES else "chunks"
 
 
 def _cells(dataset: DiscreteDataset) -> tuple:
@@ -299,8 +322,11 @@ def chunk_build(
     topology: TopologyGraph,
     kernel: ExponentialKernel,
     max_hops: int,
+    *,
+    cells: tuple | None = None,
 ) -> FeatureCache:
-    """The features by the chunk loop over occupied bins (module docstring)."""
+    """The features by the chunk loop over occupied bins (module docstring);
+    ``cells`` are :func:`_cells`' when at hand."""
     n_nodes = dataset.node_count
     n_types = dataset.type_count
     n_bins = dataset.bin_count
@@ -309,7 +335,7 @@ def chunk_build(
     # row_mass[k][n'] = sum_n P^k[n', n]; contracts the totals to one product
     row_mass = powers.sum(axis=2)
 
-    cell_keys, row_keys = _cells(dataset)
+    cell_keys, row_keys = _cells(dataset) if cells is None else cells
     cell_bins = cell_keys // n_nodes
     cell_nodes = cell_keys % n_nodes
     n_cells = cell_keys.shape[0]
@@ -414,15 +440,18 @@ def event_build(
     topology: TopologyGraph,
     kernel: ExponentialKernel,
     max_hops: int,
+    *,
+    cells: tuple | None = None,
 ) -> FeatureCache:
-    """The features by pushing each row along the hop lists (module docstring)."""
+    """The features by pushing each row along the hop lists (module
+    docstring); ``cells`` are :func:`_cells`' when at hand."""
     hop_lists = topology.hop_lists(max_hops)  # first: it refuses a node count it cannot list
     n_nodes = dataset.node_count
     n_types = dataset.type_count
     rate = kernel.decay * dataset.bin_width
     hops = max_hops + 1
 
-    cell_keys, row_keys = _cells(dataset)
+    cell_keys, row_keys = _cells(dataset) if cells is None else cells
     cell_bins = cell_keys // n_nodes
     cell_nodes = cell_keys % n_nodes
     n_cells = cell_keys.shape[0]

@@ -14,12 +14,14 @@ Nothing is cached; each hop order is formed on request, in one of two forms:
   ``(source, target, weight)`` arrays sorted by source: the event build of
   the features pushes each event along them. They come from the edge list by
   ``K`` sparse products (repeat, sort, ``np.add.reduceat``), so their memory
-  follows the nonzeros, never ``n * n``.
+  follows the nonzeros, never ``n * n``. The product making hop ``k`` meets
+  one term per walk of length ``k`` at most; :meth:`TopologyGraph.walks`
+  counts them from the edge list, and lists past ``LIST_ENTRIES`` are
+  refused before they are made.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from typing import NamedTuple
 
@@ -30,6 +32,9 @@ from .errors import InvalidInputError
 __all__ = ["TopologyGraph", "build_topology", "load_edge_list", "save_edge_list"]
 
 _NODES_HINT = re.compile(r"#\s*nodes\s*[:=]\s*(\d+)")
+# Most entries one array of TopologyGraph.hop_lists may take: 2**22, 32 MiB
+# of float64, about what the dense hop matrices of 2,000 nodes take each.
+LIST_ENTRIES = 1 << 22
 
 
 class TopologyGraph(NamedTuple):
@@ -83,40 +88,66 @@ class TopologyGraph(NamedTuple):
         ``P**0`` lists every node, isolated ones included; ``P**1`` carries
         the same weights as :meth:`hop_matrices`, and each further hop is the
         sparse product of the previous one with ``P``, its terms summed in
-        the order of the middle node.
+        the order of the middle node. The product making hop ``k`` meets one
+        term per walk of length ``k`` at most (:meth:`walks`); a node count or
+        a product past ``LIST_ENTRIES`` terms is refused before anything of
+        its size is allocated, and so is a list numpy cannot allocate.
         """
         if max_hops < 0:
             raise InvalidInputError("max_hops must be >= 0")
         n = self.node_count
-        memory = _physical_memory()
         try:
-            if memory is not None and 48 * n > memory:  # six 8-byte entries per node
+            sources, targets = self._arcs()
+            _, walks = _walks(sources, targets, max_hops)
+            if n > LIST_ENTRIES or walks[1:].sum(axis=1, initial=0).max(initial=0) > LIST_ENTRIES:
                 raise MemoryError
             nodes = np.arange(n)
             lists = [(nodes, nodes, np.ones(n))]
+            starts = np.searchsorted(sources, nodes)
+            degrees = np.diff(starts, append=sources.shape[0])
+            inv_sqrt = np.zeros(n)
+            inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
+            step = (sources, targets, inv_sqrt[sources] * inv_sqrt[targets])
+            for _ in range(max_hops):
+                lists.append(_times(lists[-1], step, starts, degrees))
         except (ValueError, MemoryError) as exc:
             raise InvalidInputError(
                 f"cannot allocate {max_hops} propagation hops over {n} nodes"
             ) from exc
-        pairs = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
-        pairs = np.concatenate([pairs, pairs[:, ::-1]])  # each edge both ways
-        sources, targets = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
-        starts = np.searchsorted(sources, nodes)
-        degrees = np.diff(starts, append=sources.shape[0])
-        inv_sqrt = np.zeros(n)
-        inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
-        step = (sources, targets, inv_sqrt[sources] * inv_sqrt[targets])
-        for _ in range(max_hops):
-            lists.append(_times(lists[-1], step, starts, degrees))
         return lists
 
+    def walks(self, max_hops: int) -> tuple:
+        """``(nodes, counts)``: the nodes that have edges, ascending, and
+        ``counts[k, i]``, the number of walks of length ``k = 0..max_hops``
+        from ``nodes[i]``, as floats. A node without edges has one walk, of
+        length 0.
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
+        Nothing here is sized by the node count, and both bounds the lists
+        need are known before any list is made: the product making hop
+        ``k`` meets at most ``counts[k].sum()`` terms, and a row at a node
+        pushed along ``P**k`` reaches at most its ``counts[k]`` targets.
+        """
+        return _walks(*self._arcs(), max_hops)
+
+    def _arcs(self) -> tuple:
+        """Each edge both ways, as ``(sources, targets)`` sorted by (source,
+        target)."""
+        pairs = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        pairs = np.concatenate([pairs, pairs[:, ::-1]])
+        return tuple(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T)
+
+
+def _walks(sources: np.ndarray, targets: np.ndarray, max_hops: int) -> tuple:
+    """:meth:`TopologyGraph.walks` of the arcs ``(sources, targets)``."""
+    first = np.flatnonzero(np.diff(sources, prepend=-1) != 0)  # sources are sorted
+    nodes = sources[first]
+    at_sources = np.repeat(np.arange(nodes.shape[0]), np.diff(first, append=sources.shape[0]))
+    at_targets = np.searchsorted(nodes, targets)
+    counts = np.ones((max_hops + 1, nodes.shape[0]))
+    for k in range(1, max_hops + 1):
+        counts[k] = np.bincount(at_sources, weights=counts[k - 1][at_targets],
+                                minlength=nodes.shape[0])
+    return nodes, counts
 
 
 def _times(left: tuple, step: tuple, starts: np.ndarray, degrees: np.ndarray) -> tuple:

@@ -9,8 +9,10 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hawkesnet.cli as cli
@@ -23,7 +25,7 @@ from hawkesnet.fileio import load_graph_json, sha256_file
 from hawkesnet.kernels import ExponentialKernel
 from hawkesnet.search import hill_climb
 from hawkesnet.simulate import SimConfig, generate_benchmark
-from hawkesnet.topology import load_edge_list
+from hawkesnet.topology import build_topology, load_edge_list, save_edge_list
 
 from .oracles import has_cycle
 
@@ -786,6 +788,23 @@ def test_unallocatable_topology_exits_two(sim_dir, tmp_path, capsys, topology):
     )
     assert code == 2
     assert "cannot allocate" in capsys.readouterr().err
+
+
+def test_learn_on_a_complete_topology_takes_the_chunk_build(tmp_path, capsys):
+    # few events on a complete topology: the event build's second hop would
+    # meet n**3 terms, so learn takes the chunk build and finishes
+    n, rows = 300, 200
+    rng = np.random.default_rng(0)
+    lines = [f"{node},{etype},{stamp!r}" for node, etype, stamp in
+             zip(rng.integers(0, n, rows).tolist(), rng.integers(0, 5, rows).tolist(),
+                 (rng.random(rows) * 1000.0).tolist())]
+    (tmp_path / "events.csv").write_text("node,event_type,timestamp\n" + "\n".join(lines) + "\n")
+    save_edge_list(str(tmp_path / "topology.txt"), build_topology(n, combinations(range(n), 2)))
+    code = main(["learn", "--events", str(tmp_path / "events.csv"),
+                 "--topology", str(tmp_path / "topology.txt"), "--k", "2",
+                 "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert re.search(r"^features took \S+ cells=\d+ build=chunks$", capsys.readouterr().err, re.M)
 
 
 def test_unallocatable_simulate_nodes_exit_two(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import itertools
 import math
 import sys
 import time
@@ -409,17 +410,32 @@ def test_build_choice_on_benchmark_inputs(seed):
         records = event_table(inst.nodes, inst.types, (inst.bins + 0.5) * shape.dt)
         ds = discretize(records, shape.dt, shape.bins * shape.dt, node_count=shape.nodes,
                         type_count=shape.types)
-        assert features.choose_build(ds, build_topology(shape.nodes, inst.topology)) == expected
+        topo = build_topology(shape.nodes, inst.topology)
+        assert features.choose_build(ds, topo, shape.k) == expected
     # desk-pipeline simulates the desk config for 60,000 bins
     config = SimConfig.from_dict({**_perfbench_value("DESK"), "max_bins": 60_000,
                                   "target_event_count": 10**9, "seed": seed})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderGenerationWarning)
         data = generate_benchmark(config)
-    assert features.choose_build(data.dataset(), data.topology) == "events"
+    assert features.choose_build(data.dataset(), data.topology, config.max_hops) == "events"
 
 
 @pytest.mark.parametrize("nodes", [40, 400, 2000])
 def test_build_choice_at_readme_scale(nodes):
     data = generate_benchmark(SimConfig(seed=7, node_count=nodes))
-    assert features.choose_build(data.dataset(), data.topology) == "events"
+    assert features.choose_build(data.dataset(), data.topology, 2) == "events"
+
+
+def test_dense_topology_takes_the_chunk_build():
+    # Few events on a complete topology: the work comparison favours the
+    # event build, but its second hop's product would meet n**3 terms.
+    n = 300
+    topo = build_topology(n, itertools.combinations(range(n), 2))
+    rng = np.random.default_rng(0)
+    records = event_table(rng.integers(0, n, 200), rng.integers(0, 5, 200),
+                          rng.random(200) * 1000.0)
+    ds = discretize(records, 1.0, 1000.0, node_count=n, type_count=5)
+    assert features.choose_build(ds, topo, 1) == "events"
+    assert features.choose_build(ds, topo, 2) == "chunks"
+    assert build_features(ds, topo, ExponentialKernel(1.0), 2).build == "chunks"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tokenize
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hawkesnet import topology
 from hawkesnet.errors import InvalidInputError
 from hawkesnet.topology import (
+    LIST_ENTRIES,
     TopologyGraph,
     build_topology,
     load_edge_list,
@@ -143,6 +145,28 @@ def test_hop_lists_of_isolated_nodes_and_negative_order():
     np.testing.assert_array_equal(weights, [1.0, 1.0])
     with pytest.raises(InvalidInputError):
         topo.hop_lists(-1)
+
+
+def test_hop_lists_refuse_lists_past_their_bound():
+    # refused from the edge list alone, the same on every host: a complete
+    # topology's second product meets n * (n - 1)**2 terms, and a node count
+    # past LIST_ENTRIES makes P**0 too long
+    complete = build_topology(200, itertools.combinations(range(200), 2))
+    assert complete.walks(2)[1][2].sum() == 200 * 199**2 > LIST_ENTRIES
+    assert len(complete.hop_lists(1)) == 2
+    with pytest.raises(InvalidInputError, match="cannot allocate"):
+        complete.hop_lists(2)
+    with pytest.raises(InvalidInputError, match="cannot allocate"):
+        build_topology(LIST_ENTRIES + 1, [(0, 1)]).hop_lists(0)
+
+
+def test_walks_count_walks_from_each_node_with_edges():
+    topo = build_topology(5, [(0, 1), (1, 2)])  # a path, and two isolated nodes
+    nodes, counts = topo.walks(3)
+    np.testing.assert_array_equal(nodes, [0, 1, 2])
+    adjacency = _dense_adjacency(topo)[np.ix_([0, 1, 2], [0, 1, 2])]
+    expected = [np.linalg.matrix_power(adjacency, k).sum(axis=1) for k in range(4)]
+    np.testing.assert_array_equal(counts, expected)
 
 
 @given(edge_sets())
