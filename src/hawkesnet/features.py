@@ -64,9 +64,9 @@ The chunk build wins when most bins are occupied and ``type_count *
 node_count`` is narrow (every bin of ``dense-learn``); the event build when
 bins are sparse or the topology wide (the README scale from 40 to 2,000
 nodes), where the chunk loop's dense state is mostly empty columns. A dense
-topology goes to the chunk build whatever the events: the event build's
-hop lists and pushed rows grow with the walks of each length, and past
-``LIST_ENTRIES`` entries in one array it is not taken.
+topology goes to the chunk build whatever the events: the event build is
+not taken where a hop list's product, or the rows pushed along a hop,
+would pass ``LIST_ENTRIES`` entries in one array.
 
 Everything here is independent of the causal graph and of the rate
 parameters, so one cache serves every candidate scored by the structure
@@ -223,13 +223,17 @@ def build_features(
             f"dataset has {dataset.node_count} nodes, topology {topology.node_count}"
         )
     cells = _cells(dataset)
-    chunks = choose_build(dataset, topology, max_hops, cells[0]) == "chunks"
-    return (chunk_build if chunks else event_build)(dataset, topology, kernel, max_hops, cells=cells)
+    build, hop_lists = choose_build(dataset, topology, max_hops, cells[0])
+    if build == "chunks":
+        return chunk_build(dataset, topology, kernel, max_hops, cells=cells)
+    return event_build(dataset, topology, kernel, max_hops, cells=cells, hop_lists=hop_lists)
 
 
 def choose_build(dataset: DiscreteDataset, topology: TopologyGraph, max_hops: int,
-                 cell_keys: np.ndarray | None = None) -> str:
-    """``"chunks"`` or ``"events"``: the build expected to cost less.
+                 cell_keys: np.ndarray | None = None) -> tuple:
+    """``("chunks", None)`` or ``("events", hop_lists)``: the build expected
+    to cost less, and for the event build the
+    :meth:`TopologyGraph.hop_lists` it reads.
 
     The chunk loop sweeps ``occupied bins * type_count * node_count`` state
     entries. The event build pushes each row to its node and its neighbours
@@ -242,16 +246,18 @@ def choose_build(dataset: DiscreteDataset, topology: TopologyGraph, max_hops: in
     by events. That comparison does not look at ``max_hops``, and nothing in
     it is sized by the grid.
 
-    The event build is also taken only where each of its lists stays within
-    ``LIST_ENTRIES``: the node count, each hop list's product and the rows
-    pushed along each hop, all bounded by :meth:`TopologyGraph.walks` before
-    anything is built. A dense topology fails this (its second hop's product
-    meets ``n**3`` terms) and takes the chunk build, whose hop matrices hold
-    ``n**2`` entries each. ``cell_keys`` are :func:`_cells`' when at hand.
+    Only where that comparison prefers the event build are its hop lists
+    made, and it is taken only where each of its arrays stays within
+    ``LIST_ENTRIES``: the hop lists refuse a node count or a product past
+    it, and the rows pushed along each hop, one per row and entry of the
+    hop list at the row's node, are counted from the lists. A dense topology
+    fails this (its second hop's product meets ``n**3`` terms) and takes the
+    chunk build, whose hop matrices hold ``n**2`` entries each.
+    ``cell_keys`` are :func:`_cells`' when at hand.
     """
     rows = dataset.nodes.shape[0]
     if rows == 0:
-        return "chunks"
+        return "chunks", None
     n_nodes = dataset.node_count
     if cell_keys is None:
         cell_keys = _cells(dataset)[0]
@@ -266,14 +272,16 @@ def choose_build(dataset: DiscreteDataset, topology: TopologyGraph, max_hops: in
     fan_out = 1 + 2 * len(topology.edges) / n_nodes
     event_work = rows * fan_out * max(1, math.ceil(math.log2(longest)))
     if event_work >= occupied * dataset.type_count * n_nodes:
-        return "chunks"
-    nodes, walks = topology.walks(max_hops)
-    at = np.searchsorted(nodes, dataset.nodes)
-    linked = at < nodes.shape[0]
-    linked[linked] = nodes[at[linked]] == dataset.nodes[linked]
-    pushed = walks[1:, at[linked]].sum(axis=1)
-    largest = max(n_nodes, walks[1:].sum(axis=1).max(initial=0), pushed.max(initial=0))
-    return "events" if largest <= LIST_ENTRIES else "chunks"
+        return "chunks", None
+    try:
+        hop_lists = topology.hop_lists(max_hops)
+    except InvalidInputError:
+        return "chunks", None
+    node_rows = np.bincount(dataset.nodes, minlength=n_nodes)
+    for sources, _, _ in hop_lists[1:]:
+        if node_rows @ np.bincount(sources, minlength=n_nodes) > LIST_ENTRIES:
+            return "chunks", None
+    return "events", hop_lists
 
 
 def _cells(dataset: DiscreteDataset) -> tuple:
@@ -442,10 +450,13 @@ def event_build(
     max_hops: int,
     *,
     cells: tuple | None = None,
+    hop_lists: list | None = None,
 ) -> FeatureCache:
     """The features by pushing each row along the hop lists (module
-    docstring); ``cells`` are :func:`_cells`' when at hand."""
-    hop_lists = topology.hop_lists(max_hops)  # first: it refuses a node count it cannot list
+    docstring); ``cells`` are :func:`_cells`' and ``hop_lists`` are
+    :meth:`TopologyGraph.hop_lists`' when at hand."""
+    if hop_lists is None:  # first: it refuses a node count it cannot list
+        hop_lists = topology.hop_lists(max_hops)
     n_nodes = dataset.node_count
     n_types = dataset.type_count
     rate = kernel.decay * dataset.bin_width

@@ -15,9 +15,12 @@ Nothing is cached; each hop order is formed on request, in one of two forms:
   the features pushes each event along them. They come from the edge list by
   ``K`` sparse products (repeat, sort, ``np.add.reduceat``), so their memory
   follows the nonzeros, never ``n * n``. The product making hop ``k`` meets
-  one term per walk of length ``k`` at most; :meth:`TopologyGraph.walks`
-  counts them from the edge list, and lists past ``LIST_ENTRIES`` are
-  refused before they are made.
+  one term per entry ``(s, m)`` of hop ``k - 1`` and neighbour of ``m``; that
+  count is known before the product allocates, and one past
+  ``LIST_ENTRIES`` is refused there.
+
+Both forms take ``P`` from the same sorted arcs and ``D^{-1/2}`` weights, so
+``P**1`` is the same in each bit for bit.
 """
 
 from __future__ import annotations
@@ -61,20 +64,14 @@ class TopologyGraph(NamedTuple):
             raise InvalidInputError("max_hops must be >= 0")
         n = self.node_count
         try:
-            adjacency = np.zeros((n, n))
+            propagation = np.zeros((n, n))
             powers = np.empty((max_hops + 1, n, n))
         except (ValueError, MemoryError, OverflowError) as exc:  # numpy refuses the size outright
             raise InvalidInputError(
                 f"cannot allocate {max_hops} propagation hops over {n} nodes"
             ) from exc
-        for a, b in self.edges:
-            adjacency[a, b] = 1.0
-            adjacency[b, a] = 1.0
-        degrees = adjacency.sum(axis=1)
-        inv_sqrt = np.zeros_like(degrees)
-        nonzero = degrees > 0
-        inv_sqrt[nonzero] = 1.0 / np.sqrt(degrees[nonzero])
-        propagation = inv_sqrt[:, None] * adjacency * inv_sqrt[None, :]
+        (sources, targets, weights), _ = self._step()
+        propagation[sources, targets] = weights
         powers[0] = np.eye(n)
         for k in range(1, max_hops + 1):
             powers[k] = powers[k - 1] @ propagation
@@ -88,26 +85,20 @@ class TopologyGraph(NamedTuple):
         ``P**0`` lists every node, isolated ones included; ``P**1`` carries
         the same weights as :meth:`hop_matrices`, and each further hop is the
         sparse product of the previous one with ``P``, its terms summed in
-        the order of the middle node. The product making hop ``k`` meets one
-        term per walk of length ``k`` at most (:meth:`walks`); a node count or
-        a product past ``LIST_ENTRIES`` terms is refused before anything of
-        its size is allocated, and so is a list numpy cannot allocate.
+        the order of the middle node. A node count or a product past
+        ``LIST_ENTRIES`` terms is refused before anything of its size is
+        allocated, and so is a list numpy cannot allocate.
         """
         if max_hops < 0:
             raise InvalidInputError("max_hops must be >= 0")
         n = self.node_count
         try:
-            sources, targets = self._arcs()
-            _, walks = _walks(sources, targets, max_hops)
-            if n > LIST_ENTRIES or walks[1:].sum(axis=1, initial=0).max(initial=0) > LIST_ENTRIES:
+            if n > LIST_ENTRIES:
                 raise MemoryError
+            step, degrees = self._step()
+            starts = np.cumsum(degrees) - degrees
             nodes = np.arange(n)
             lists = [(nodes, nodes, np.ones(n))]
-            starts = np.searchsorted(sources, nodes)
-            degrees = np.diff(starts, append=sources.shape[0])
-            inv_sqrt = np.zeros(n)
-            inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
-            step = (sources, targets, inv_sqrt[sources] * inv_sqrt[targets])
             for _ in range(max_hops):
                 lists.append(_times(lists[-1], step, starts, degrees))
         except (ValueError, MemoryError) as exc:
@@ -116,46 +107,28 @@ class TopologyGraph(NamedTuple):
             ) from exc
         return lists
 
-    def walks(self, max_hops: int) -> tuple:
-        """``(nodes, counts)``: the nodes that have edges, ascending, and
-        ``counts[k, i]``, the number of walks of length ``k = 0..max_hops``
-        from ``nodes[i]``, as floats. A node without edges has one walk, of
-        length 0.
-
-        Nothing here is sized by the node count, and both bounds the lists
-        need are known before any list is made: the product making hop
-        ``k`` meets at most ``counts[k].sum()`` terms, and a row at a node
-        pushed along ``P**k`` reaches at most its ``counts[k]`` targets.
-        """
-        return _walks(*self._arcs(), max_hops)
-
-    def _arcs(self) -> tuple:
-        """Each edge both ways, as ``(sources, targets)`` sorted by (source,
-        target)."""
+    def _step(self) -> tuple:
+        """The nonzeros of ``P`` as ``(sources, targets, weights)``, each
+        edge both ways, sorted by (source, target); and each node's degree."""
         pairs = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
         pairs = np.concatenate([pairs, pairs[:, ::-1]])
-        return tuple(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T)
-
-
-def _walks(sources: np.ndarray, targets: np.ndarray, max_hops: int) -> tuple:
-    """:meth:`TopologyGraph.walks` of the arcs ``(sources, targets)``."""
-    first = np.flatnonzero(np.diff(sources, prepend=-1) != 0)  # sources are sorted
-    nodes = sources[first]
-    at_sources = np.repeat(np.arange(nodes.shape[0]), np.diff(first, append=sources.shape[0]))
-    at_targets = np.searchsorted(nodes, targets)
-    counts = np.ones((max_hops + 1, nodes.shape[0]))
-    for k in range(1, max_hops + 1):
-        counts[k] = np.bincount(at_sources, weights=counts[k - 1][at_targets],
-                                minlength=nodes.shape[0])
-    return nodes, counts
+        sources, targets = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+        degrees = np.bincount(sources, minlength=self.node_count)
+        inv_sqrt = np.zeros(self.node_count)
+        inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
+        return (sources, targets, inv_sqrt[sources] * inv_sqrt[targets]), degrees
 
 
 def _times(left: tuple, step: tuple, starts: np.ndarray, degrees: np.ndarray) -> tuple:
     """The nonzeros of ``left @ P``: each entry ``(s, m, w)`` of ``left``
     meets the ``degrees[m]`` entries of row ``m`` of ``P``, which start at
-    ``starts[m]`` in ``step``; equal ``(s, t)`` pairs are summed."""
+    ``starts[m]`` in ``step``; equal ``(s, t)`` pairs are summed. A product
+    of more than ``LIST_ENTRIES`` terms raises ``MemoryError`` before any
+    array of its terms is made."""
     sources, middles, weights = left
     fan = degrees[middles]
+    if fan.sum() > LIST_ENTRIES:
+        raise MemoryError
     at = spread(starts[middles], fan)
     sources = np.repeat(sources, fan)
     targets = step[1][at]

@@ -411,20 +411,21 @@ def test_build_choice_on_benchmark_inputs(seed):
         ds = discretize(records, shape.dt, shape.bins * shape.dt, node_count=shape.nodes,
                         type_count=shape.types)
         topo = build_topology(shape.nodes, inst.topology)
-        assert features.choose_build(ds, topo, shape.k) == expected
+        assert features.choose_build(ds, topo, shape.k)[0] == expected
     # desk-pipeline simulates the desk config for 60,000 bins
     config = SimConfig.from_dict({**_perfbench_value("DESK"), "max_bins": 60_000,
                                   "target_event_count": 10**9, "seed": seed})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderGenerationWarning)
         data = generate_benchmark(config)
-    assert features.choose_build(data.dataset(), data.topology, config.max_hops) == "events"
+    assert features.choose_build(data.dataset(), data.topology, config.max_hops)[0] == "events"
 
 
+@pytest.mark.parametrize("max_hops", [2, 8])
 @pytest.mark.parametrize("nodes", [40, 400, 2000])
-def test_build_choice_at_readme_scale(nodes):
+def test_build_choice_at_readme_scale(nodes, max_hops):
     data = generate_benchmark(SimConfig(seed=7, node_count=nodes))
-    assert features.choose_build(data.dataset(), data.topology, 2) == "events"
+    assert features.choose_build(data.dataset(), data.topology, max_hops)[0] == "events"
 
 
 def test_dense_topology_takes_the_chunk_build():
@@ -436,6 +437,24 @@ def test_dense_topology_takes_the_chunk_build():
     records = event_table(rng.integers(0, n, 200), rng.integers(0, 5, 200),
                           rng.random(200) * 1000.0)
     ds = discretize(records, 1.0, 1000.0, node_count=n, type_count=5)
-    assert features.choose_build(ds, topo, 1) == "events"
-    assert features.choose_build(ds, topo, 2) == "chunks"
+    assert features.choose_build(ds, topo, 1)[0] == "events"
+    assert features.choose_build(ds, topo, 2)[0] == "chunks"
     assert build_features(ds, topo, ExponentialKernel(1.0), 2).build == "chunks"
+
+
+def test_many_hops_on_a_ring_take_the_event_build():
+    # a ring's 20th hop has 2**20 walks from each node but at most 10
+    # entries per source: the lists stay small, and the event build runs
+    n = 10
+    topo = build_topology(n, [(i, (i + 1) % n) for i in range(n)])
+    rng = np.random.default_rng(3)
+    records = event_table(rng.integers(0, n, 200), rng.integers(0, 3, 200),
+                          rng.random(200) * 1000.0)
+    ds = discretize(records, 1.0, 1000.0, node_count=n, type_count=3)
+    kernel = ExponentialKernel(0.1)
+    cache = build_features(ds, topo, kernel, 20)
+    assert cache.build == "events"
+    ref = features.chunk_build(ds, topo, kernel, 20)
+    for values, expected in zip(cache.type_values, ref.type_values, strict=True):
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cache.totals, ref.totals, rtol=1e-12, atol=0)

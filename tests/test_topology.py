@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hawkesnet import topology
@@ -148,11 +148,12 @@ def test_hop_lists_of_isolated_nodes_and_negative_order():
 
 
 def test_hop_lists_refuse_lists_past_their_bound():
-    # refused from the edge list alone, the same on every host: a complete
-    # topology's second product meets n * (n - 1)**2 terms, and a node count
-    # past LIST_ENTRIES makes P**0 too long
+    # refused before the product allocates, the same on every host: a
+    # complete topology's second product meets each of the n * (n - 1)
+    # entries of P once per neighbour of its target, and a node count past
+    # LIST_ENTRIES makes P**0 too long
     complete = build_topology(200, itertools.combinations(range(200), 2))
-    assert complete.walks(2)[1][2].sum() == 200 * 199**2 > LIST_ENTRIES
+    assert np.count_nonzero(complete.hop_matrices(1)[1]) * 199 == 200 * 199**2 > LIST_ENTRIES
     assert len(complete.hop_lists(1)) == 2
     with pytest.raises(InvalidInputError, match="cannot allocate"):
         complete.hop_lists(2)
@@ -160,13 +161,24 @@ def test_hop_lists_refuse_lists_past_their_bound():
         build_topology(LIST_ENTRIES + 1, [(0, 1)]).hop_lists(0)
 
 
-def test_walks_count_walks_from_each_node_with_edges():
-    topo = build_topology(5, [(0, 1), (1, 2)])  # a path, and two isolated nodes
-    nodes, counts = topo.walks(3)
-    np.testing.assert_array_equal(nodes, [0, 1, 2])
-    adjacency = _dense_adjacency(topo)[np.ix_([0, 1, 2], [0, 1, 2])]
-    expected = [np.linalg.matrix_power(adjacency, k).sum(axis=1) for k in range(4)]
-    np.testing.assert_array_equal(counts, expected)
+@given(edge_sets(max_nodes=12), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=1, max_value=200))
+@example((3, [(0, 1), (1, 2)]), 3, 7)  # 6 terms at most, from 8 walks of length 3
+def test_hop_lists_refuse_exactly_past_their_bound(case, max_hops, bound):
+    # the product making hop k meets, for each nonzero P**(k-1)[s, m], the
+    # deg(m) entries of row m of P
+    n, edges = case
+    topo = build_topology(n, edges)
+    powers = topo.hop_matrices(max_hops)
+    degrees = np.count_nonzero(_dense_adjacency(topo), axis=1)
+    terms = [degrees[np.nonzero(power)[1]].sum() for power in powers[:-1]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology, "LIST_ENTRIES", bound)
+        if n > bound or max(terms, default=0) > bound:
+            with pytest.raises(InvalidInputError, match="cannot allocate"):
+                topo.hop_lists(max_hops)
+        else:
+            assert len(topo.hop_lists(max_hops)) == max_hops + 1
 
 
 @given(edge_sets())
