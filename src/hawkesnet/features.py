@@ -15,7 +15,11 @@ else, so its EM maps run on rows that need no gather. The totals
 ``sum_{n,t} features[c, k]`` over the whole grid, which the likelihood's
 integral term needs, come from a closed form per event: an event at bin
 ``b`` adds ``r (1 - r^(B-1-b)) / (1 - r)`` to its node's summary summed
-over all ``B`` bins.
+over all ``B`` bins, which hop ``k`` carries to ``sum_n P^k[n', n]`` times
+that at its node ``n'``. Both builds form them the same way, one sum per hop
+(:func:`_totals`), so hop ``k`` does not depend on ``max_hops`` and
+:meth:`FeatureCache.truncated` keeps exactly a fresh build's values and
+totals.
 
 Two builds give the same features, up to rounding in the last bits, and
 :func:`choose_build` picks one from the input alone.
@@ -53,10 +57,7 @@ span limit is needed. A cause's feature at a cell ``(n, t)`` is the last
 row of series ``(c, n)`` before ``t``, decayed to ``t``; one
 ``searchsorted`` of the rows into the queries, sorted by series, finds it
 for every cell and cause. Factors below ``e^_EXP_FLOOR`` are taken as 0.
-Each hop's totals are a product of their own over the row masses of that
-hop's list, so hop ``k`` does not depend on ``max_hops`` and
-:meth:`FeatureCache.truncated` keeps exactly a fresh build's values and
-totals. The cost follows the pushed rows, ``rows * (1 + mean degree)`` per
+The cost follows the pushed rows, ``rows * (1 + mean degree)`` per
 hop, times the scan's levels, plus the ``type_count * cells`` queries per
 hop.
 
@@ -149,11 +150,9 @@ class FeatureCache(NamedTuple):
     def truncated(self, max_hops: int) -> "FeatureCache":
         """This cache restricted to hops ``0..max_hops``.
 
-        Hop features are independent across k, so the rows kept are exactly
-        those a fresh build at the smaller order would produce. The totals
-        are this build's columns: the event build's equal a fresh build's,
-        and the chunk build's can differ from its smaller product in the
-        last bit.
+        Hop features and totals are independent across k, so the rows and
+        totals kept are exactly those a fresh build at the smaller order
+        would produce, when that build is the same build.
         """
         if max_hops == self.max_hops:
             return self
@@ -161,7 +160,6 @@ class FeatureCache(NamedTuple):
             raise InvalidInputError(
                 f"cannot truncate a max_hops={self.max_hops} cache to {max_hops}"
             )
-        hops = self.max_hops + 1
         return FeatureCache(
             node_count=self.node_count,
             type_count=self.type_count,
@@ -176,7 +174,6 @@ class FeatureCache(NamedTuple):
             type_counts=self.type_counts,
             build=self.build,
         )
-
 
     def _kept_rows(self, values: np.ndarray, max_hops: int) -> np.ndarray:
         """The rows of hops ``0..max_hops`` of ``values``, in new aligned rows."""
@@ -294,15 +291,23 @@ def _cells(dataset: DiscreteDataset) -> tuple:
     return cell_keys, row_keys
 
 
-def _tail_mass(dataset: DiscreteDataset, rate: float, counts: np.ndarray) -> np.ndarray:
-    """Each row's decayed history summed over all bins after its own: its
-    count times ``sum_{t=b+1}^{B-1} r^(t-b)``."""
+def _totals(dataset: DiscreteDataset, rate: float, counts: np.ndarray, type_starts: np.ndarray,
+            row_masses) -> np.ndarray:
+    """``totals[c, k]`` (module docstring), one sum per hop ``k`` over each
+    type's rows; ``row_masses`` yields ``sum_n P^k[n', n]`` per node ``n'``
+    for each hop in turn."""
     tail = (
         math.exp(-rate)
         * -np.expm1(-rate * (dataset.bin_count - 1 - dataset.bins))
         / -math.expm1(-rate)
     )
-    return counts * tail
+    tail_mass = counts * tail
+    # each type's rows, then the type's sum: a trailing 0 keeps every start
+    # in range, and an empty type's row is set to 0 below
+    totals = np.stack([np.add.reduceat(np.append(tail_mass * row_mass[dataset.nodes], 0.0),
+                                       type_starts[:-1]) for row_mass in row_masses], axis=1)
+    totals[type_starts[:-1] == type_starts[1:]] = 0.0
+    return totals
 
 
 def _cache(build: str, dataset: DiscreteDataset, max_hops: int, cell_nodes: np.ndarray,
@@ -340,8 +345,6 @@ def chunk_build(
     n_bins = dataset.bin_count
     rate = kernel.decay * dataset.bin_width
     powers = topology.hop_matrices(max_hops)
-    # row_mass[k][n'] = sum_n P^k[n', n]; contracts the totals to one product
-    row_mass = powers.sum(axis=2)
 
     cell_keys, row_keys = _cells(dataset) if cells is None else cells
     cell_bins = cell_keys // n_nodes
@@ -352,8 +355,7 @@ def chunk_build(
     type_starts = np.searchsorted(dataset.types, np.arange(n_types + 1))
     state_cols = dataset.types * n_nodes + dataset.nodes
     width = n_types * n_nodes
-    summary = np.bincount(state_cols, weights=_tail_mass(dataset, rate, counts), minlength=width)
-    totals = summary.reshape(n_types, n_nodes) @ row_mass.T
+    totals = _totals(dataset, rate, counts, type_starts, (p.sum(axis=1) for p in powers))
 
     # the occupied bins, and the index among them of each cell and event
     new_bin = np.diff(cell_bins, prepend=-1) != 0  # bins are >= 0
@@ -468,7 +470,6 @@ def event_build(
     n_cells = cell_keys.shape[0]
     counts = dataset.counts.astype(float)
     type_starts = np.searchsorted(dataset.types, np.arange(n_types + 1))
-    tail_mass = _tail_mass(dataset, rate, counts)
 
     # The queries: every cell once per cause, cause by cause, the cells in
     # (node, bin) order, so sorted by series (cause, node) and then bin.
@@ -484,7 +485,6 @@ def event_build(
 
     bounds = type_starts.tolist()
     blocks = [aligned_rows(n_types * hops, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    totals = np.empty((n_types, hops))
     group = max(1, _QUERY_ELEMENTS // max(n_cells, 1))  # causes whose queries are held at once
     for k, (sources, targets, weights) in enumerate(hop_lists):
         starts = np.searchsorted(sources, np.arange(n_nodes + 1))  # each node's first entry
@@ -512,12 +512,9 @@ def event_build(
             for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
                 channels = block.reshape(n_types, hops, hi - lo)
                 channels[c0:c1, k] = found.take(row_cells[lo:hi], axis=1)
-        # each type's rows, then the type's sum: a trailing 0 keeps every
-        # start in range, and an empty type sums to 0
-        row_mass = np.bincount(sources, weights=weights, minlength=n_nodes)
-        totals[:, k] = np.add.reduceat(np.append(tail_mass * row_mass[dataset.nodes], 0.0),
-                                       type_starts[:-1])
-    totals[type_starts[:-1] == type_starts[1:]] = 0.0
+    totals = _totals(dataset, rate, counts, type_starts,
+                     (np.bincount(sources, weights=weights, minlength=n_nodes)
+                      for sources, _, weights in hop_lists))
     return _cache("events", dataset, max_hops, cell_nodes, cell_bins, blocks, totals, counts,
                   type_starts)
 

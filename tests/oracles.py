@@ -281,7 +281,6 @@ def oracle_chunked_features(
     dt = dataset.bin_width
     rate = kernel.decay * dt
     powers = topology.hop_matrices(max_hops)
-    row_mass = powers.sum(axis=2)
 
     cell_keys = dataset.bins * n_nodes + dataset.nodes
     cell_keys.sort()
@@ -301,8 +300,14 @@ def oracle_chunked_features(
         * -np.expm1(-rate * (n_bins - 1 - dataset.bins))
         / -math.expm1(-rate)
     )
-    summary = np.bincount(state_cols, weights=counts * tail, minlength=width)
-    totals = summary.reshape(n_types, n_nodes) @ row_mass.T
+    # one sum per hop over each type's rows, as build_features forms them:
+    # the features are compared bit for bit, totals included
+    tail_mass = counts * tail
+    totals = np.zeros((n_types, max_hops + 1))
+    for k, power in enumerate(powers):
+        masses = np.append(tail_mass * power.sum(axis=1)[dataset.nodes], 0.0)
+        totals[:, k] = np.add.reduceat(masses, type_starts[:-1])
+    totals[type_sizes == 0] = 0.0
 
     # channel r at the cell of row j of type v sits at
     # j + (channels - 1) * type_starts[v] + r * type_sizes[v]

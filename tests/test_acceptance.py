@@ -264,6 +264,14 @@ def test_criterion_07_parameter_recovery(desk_runs):
 
 
 def test_criterion_08_simulator_poisson_statistics():
+    """The simulator's background counts are Poisson, per type and per cell.
+
+    The per-type gate, max |z| <= 3 over 20 independent totals, is passed by
+    a correct simulator only about 95% of the time (1 - 0.9973**20 ~ 5.3%
+    misses); on these seeds it reads 2.83. A change to the simulator's
+    random stream that trips it is reported, and checked on other seeds
+    outside this test; the gate and its seeds stay as they are.
+    """
     # Background-only process: per-type totals over 5 seeds are Poisson.
     node_count, type_count, horizon = 10, 20, 10_000
     graph = CausalGraph(type_count, [])

@@ -527,19 +527,8 @@ def test_pipeline_equals_a_fresh_build_per_order(orders):
     for hops, result in results.items():
         fresh = hill_climb(build_features(data.dataset(), data.topology, kernel, hops),
                            em_config=em_config)
-        if hops == 2:  # the built order searches the cache itself
-            assert (result.graph, result.params, result.score, result.fit_gaps, result.trace) == (
-                fresh.graph, fresh.params, fresh.score, fresh.fit_gaps, fresh.trace)
-            continue
-        # a truncated cache's totals come from the product at the built order,
-        # which can round the last bit differently from a fresh build's
-        assert result.graph == fresh.graph
-        assert [e["edge"] for e in result.trace] == [e["edge"] for e in fresh.trace]
-        assert result.params.alpha.keys() == fresh.params.alpha.keys()
-        floats = [(r.score, *r.params.mu, *r.fit_gaps, *(a for edge in sorted(r.params.alpha)
-                                                        for a in r.params.alpha[edge]))
-                  for r in (result, fresh)]
-        assert floats[0] == pytest.approx(floats[1], rel=1e-12, abs=1e-12)
+        assert (result.graph, result.params, result.score, result.fit_gaps, result.trace) == (
+            fresh.graph, fresh.params, fresh.score, fresh.fit_gaps, fresh.trace)
 
 
 @pytest.mark.parametrize("k, searches", [(0, 1), (1, 2)])

@@ -290,15 +290,22 @@ def test_long_horizon_is_numerically_safe(decay):
 def test_truncated_cache_equals_fresh_build():
     rng = RNG(3)
     dense = rng.poisson(0.3, size=(4, 3, 20))
-    ds = dense_to_dataset(dense, 1.0)
+    silent = dense.copy()
+    silent[:, 1] = 0  # type 1 has no events
     topo = build_topology(4, [(0, 1), (1, 2), (2, 3)])
     kernel = ExponentialKernel(0.2)
-    for build in (features.chunk_build, features.event_build):
-        _assert_truncation_exact(build, ds, topo, kernel)
+    for counts in (dense, silent):
+        ds = dense_to_dataset(counts, 1.0)
+        # each build, the chunk loop also across many chunks of about three cells
+        for build, elements in _builds(ds):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(features, "_CHUNK_ELEMENTS", elements)
+                _assert_truncation_exact(build, ds, topo, kernel)
 
 
 def _assert_truncation_exact(build, ds, topo, kernel):
     full = build(ds, topo, kernel, 3)
+    silent = np.bincount(ds.types, minlength=ds.type_count) == 0
     for hops in (0, 1, 2):
         fresh = build(ds, topo, kernel, hops)
         view = full.truncated(hops)
@@ -307,11 +314,8 @@ def _assert_truncation_exact(build, ds, topo, kernel):
         for got, want in zip(view.type_values, fresh.type_values, strict=True):
             assert got.strides == want.strides and all(row.ctypes.data % 64 == 0 for row in got)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
-        if build is features.event_build:  # each hop's total is its own product
-            assert view.totals.tobytes() == fresh.totals.tobytes()
-        # the chunk loop's totals contraction is shape-dependent inside BLAS;
-        # one ulp slack
-        np.testing.assert_allclose(view.totals, fresh.totals, rtol=1e-13)
+        assert view.totals.tobytes() == fresh.totals.tobytes()
+        assert not view.totals[silent].any()
     assert full.truncated(3) is full
     with pytest.raises(InvalidInputError):
         full.truncated(4)
