@@ -11,7 +11,7 @@ import numpy as np
 
 from . import cli
 from .cli import DEFAULT_DELTA, add_common, config_section, em_config_of, ensure_out, pick
-from .cmd_simulate import generate, sim_config
+from .cmd_simulate import add_sim_arguments, generate, sim_config
 from .errors import InvalidInputError
 from .kernels import ExponentialKernel
 from .metrics import alpha_mae, structure_metrics
@@ -21,12 +21,7 @@ from .simulate import SimConfig
 def add_arguments(parser) -> None:
     add_common(parser, out_required=False)
     parser.add_argument("--runs", type=int, help="number of seeds (default 5)")
-    parser.add_argument("--k", type=int, help="propagation hop order")
-    parser.add_argument("--delta", type=float, help="exponential kernel decay rate")
-    parser.add_argument("--dt", type=float, help="bin width")
-    parser.add_argument("--nodes", type=int, help="node count")
-    parser.add_argument("--types", type=int, help="event type count")
-    parser.add_argument("--target-events", type=int, help="events per dataset")
+    add_sim_arguments(parser, "events per dataset")
 
 
 class SeedRun(NamedTuple):

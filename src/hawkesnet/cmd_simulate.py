@@ -14,12 +14,17 @@ from .simulate import SimConfig
 
 def add_arguments(parser) -> None:
     add_common(parser, out_required=True)
+    add_sim_arguments(parser, "stop after this many events")
+
+
+def add_sim_arguments(parser, target_events_help: str) -> None:
+    """The flags :func:`sim_config` reads over a config section."""
     parser.add_argument("--k", type=int, help="propagation hop order")
     parser.add_argument("--delta", type=float, help="exponential kernel decay rate")
     parser.add_argument("--dt", type=float, help="bin width")
     parser.add_argument("--nodes", type=int, help="node count")
     parser.add_argument("--types", type=int, help="event type count")
-    parser.add_argument("--target-events", type=int, help="stop after this many events")
+    parser.add_argument("--target-events", type=int, help=target_events_help)
 
 
 def sim_config(args, section: dict) -> SimConfig:

@@ -67,7 +67,10 @@ bins are sparse or the topology wide (the README scale from 40 to 2,000
 nodes), where the chunk loop's dense state is mostly empty columns. A dense
 topology goes to the chunk build whatever the events: the event build is
 not taken where a hop list's product, or the rows pushed along a hop,
-would pass ``LIST_ENTRIES`` entries in one array.
+would pass ``LIST_ENTRIES`` entries in one array. The chunk build in turn
+refuses a dense hop stack of more than ``_DENSE_ENTRIES`` entries before
+making it, so an input past both forms ends in an
+:class:`InvalidInputError`, never in an array past either bound.
 
 Everything here is independent of the causal graph and of the rate
 parameters, so one cache serves every candidate scored by the structure
@@ -189,6 +192,9 @@ class FeatureCache(NamedTuple):
 _MAX_SPAN_EXPONENT = 512.0
 # Largest cells * type_count * node_count state entries held by one chunk.
 _CHUNK_ELEMENTS = 1 << 16
+# Most entries of the dense hop stack the chunk build may take: 2**28, 2 GiB
+# of float64, 9,459 nodes at max_hops 2.
+_DENSE_ENTRIES = 1 << 28
 # Largest queries (cells * causes) the event build holds at once.
 _QUERY_ELEMENTS = 1 << 16
 # The event build's least decay exponent: a factor below e^-707 ~ 1e-307 is
@@ -344,6 +350,8 @@ def chunk_build(
     n_types = dataset.type_count
     n_bins = dataset.bin_count
     rate = kernel.decay * dataset.bin_width
+    if (max_hops + 1) * n_nodes * n_nodes > _DENSE_ENTRIES:  # checked before hop_matrices allocates
+        raise InvalidInputError(f"cannot allocate {max_hops} propagation hops over {n_nodes} nodes")
     powers = topology.hop_matrices(max_hops)
 
     cell_keys, row_keys = _cells(dataset) if cells is None else cells

@@ -19,7 +19,6 @@ from .values import as_number
 
 __all__ = [
     "GraphDocument",
-    "jsonable",
     "write_json",
     "sha256_file",
     "save_graph_json",
@@ -30,26 +29,15 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def jsonable(obj):
-    """Recursively convert tuples, and numpy scalars and arrays, for json.dump.
-
-    Anything with a ``tolist`` method (every numpy scalar and array) becomes
-    its Python value, so this module never imports numpy.
-    """
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return jsonable(obj.tolist())
-    return obj
-
-
 def write_json(path: str, payload: dict) -> None:
-    """Deterministic JSON dump: sorted keys, two-space indent, newline EOF."""
-    text = json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON dump: sorted keys, two-space indent, newline EOF.
+
+    A numpy scalar or array is written as its ``tolist()`` value, so this
+    module never imports numpy.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda value: value.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(text + "\n")
 
 
 def read_json(path: str) -> dict:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -796,6 +797,33 @@ def test_learn_on_a_complete_topology_takes_the_chunk_build(tmp_path, capsys):
     assert re.search(r"^features took \S+ cells=\d+ build=chunks$", capsys.readouterr().err, re.M)
 
 
+def test_learn_past_both_hop_forms_exits_two_before_allocating(tmp_path, capsys, monkeypatch):
+    # with both bounds patched small, a complete 30-node topology is past the
+    # hop lists' product bound and the dense stack's budget: learn refuses it
+    # before either form is made
+    n, rows = 30, 200
+    rng = np.random.default_rng(0)
+    lines = [f"{node},{etype},{stamp!r}" for node, etype, stamp in
+             zip(rng.integers(0, n, rows).tolist(), rng.integers(0, 5, rows).tolist(),
+                 (rng.random(rows) * 1000.0).tolist())]
+    (tmp_path / "events.csv").write_text("node,event_type,timestamp\n" + "\n".join(lines) + "\n")
+    save_edge_list(str(tmp_path / "topology.txt"), build_topology(n, combinations(range(n), 2)))
+    monkeypatch.setattr("hawkesnet.topology.LIST_ENTRIES", n)
+    monkeypatch.setattr("hawkesnet.features._DENSE_ENTRIES", 3 * n * n - 1, raising=False)
+    argv = ["learn", "--events", str(tmp_path / "events.csv"),
+            "--topology", str(tmp_path / "topology.txt"), "--k", "2", "--out", str(tmp_path / "o")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "cannot allocate 2 propagation hops over 30 nodes" in capsys.readouterr().err
+    assert peak < 4 << 20
+    assert not (tmp_path / "o").exists()
+
+
 def test_unallocatable_simulate_nodes_exit_two(tmp_path, capsys):
     # numpy refuses the 10**10-node pair arrays at once
     code = main(["simulate", "--nodes", "10000000000", "--out", str(tmp_path / "o")])
@@ -1010,6 +1038,24 @@ def test_module_entry_point(tmp_path, capsys):
         assert _masked_lines(captured.out) == out
         assert _masked_lines(captured.err) == err
     assert _files(work) == written
+
+
+def test_pipeline_is_byte_identical_across_hash_seeds(tmp_path):
+    # each command in its own interpreter, under two string hash seeds: every
+    # file and every stdout byte the same (criterion 10 runs in one process)
+    config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
+    work = tmp_path / "work"
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        printed = []
+        for argv in _pipeline(work, config):
+            proc = subprocess.run([sys.executable, "-m", "hawkesnet.cli", *argv], capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout)
+        runs.append((printed, _files(work)))
+        work.rename(tmp_path / f"hash_seed_{hash_seed}")
+    assert runs[0] == runs[1]
 
 
 def test_module_entry_point_exit_codes(sim_dir, learn_dir, tmp_path):

@@ -13,7 +13,6 @@ from hawkesnet.errors import InvalidInputError
 from hawkesnet.fileio import (
     FORMAT_VERSION,
     GraphDocument,
-    jsonable,
     load_graph_json,
     read_json,
     save_graph_json,
@@ -37,24 +36,46 @@ def _sample():
     return graph, params
 
 
-def test_jsonable_handles_numpy_types():
-    value = jsonable(
-        {
-            "a": np.int64(3),
-            "b": np.float64(0.5),
-            "c": np.array([1.0, 2.0]),
-            "d": (np.bool_(True), [np.int32(7)]),
-            5: "key becomes str",
-        }
-    )
-    assert value == {
-        "a": 3,
-        "b": 0.5,
-        "c": [1.0, 2.0],
-        "d": [True, [7]],
-        "5": "key becomes str",
-    }
-    json.dumps(value)
+# what the writer wrote when it first copied the payload into Python values
+NUMPY_PAYLOAD_JSON = """\
+{
+  "array": [
+    [
+      1.0,
+      2.5e-300
+    ],
+    [
+      Infinity,
+      3.0
+    ]
+  ],
+  "bool": true,
+  "float": 0.1,
+  "int": 3,
+  "nested": [
+    0.3333333333333333,
+    [
+      7,
+      [
+        false,
+        "x"
+      ]
+    ]
+  ]
+}
+"""
+
+
+def test_write_json_handles_numpy_types(tmp_path):
+    path = tmp_path / "a.json"
+    write_json(path, {
+        "int": np.int64(3),
+        "float": np.float64(0.1),
+        "bool": np.bool_(True),
+        "array": np.array([[1.0, 2.5e-300], [np.inf, 3.0]]),
+        "nested": (np.float64(1 / 3), (np.int32(7), [np.bool_(False), "x"])),
+    })
+    assert path.read_bytes() == NUMPY_PAYLOAD_JSON.encode("utf-8")
 
 
 def test_write_json_is_deterministic(tmp_path):
