@@ -350,7 +350,7 @@ def chunk_build(
     n_types = dataset.type_count
     n_bins = dataset.bin_count
     rate = kernel.decay * dataset.bin_width
-    if (max_hops + 1) * n_nodes * n_nodes > _DENSE_ENTRIES:  # checked before hop_matrices allocates
+    if (max_hops + 1) * n_nodes * n_nodes > _DENSE_ENTRIES:
         raise InvalidInputError(f"cannot allocate {max_hops} propagation hops over {n_nodes} nodes")
     powers = topology.hop_matrices(max_hops)
 
