@@ -67,10 +67,10 @@ bins are sparse or the topology wide (the README scale from 40 to 2,000
 nodes), where the chunk loop's dense state is mostly empty columns. A dense
 topology goes to the chunk build whatever the events: the event build is
 not taken where a hop list's product, or the rows pushed along a hop,
-would pass ``LIST_ENTRIES`` entries in one array. The chunk build in turn
-refuses a dense hop stack of more than ``_DENSE_ENTRIES`` entries before
-making it, so an input past both forms ends in an
-:class:`InvalidInputError`, never in an array past either bound.
+would pass ``LIST_ENTRIES`` entries in one array. Nor is the chunk build
+taken where its dense hop stack would pass ``DENSE_ENTRIES`` entries, so an
+input past both forms ends in an :class:`InvalidInputError`, never in an
+array past either bound.
 
 Everything here is independent of the causal graph and of the rate
 parameters, so one cache serves every candidate scored by the structure
@@ -87,7 +87,7 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedKernelError
 from .events import DiscreteDataset
 from .kernels import DecayKernel, ExponentialKernel
-from .topology import LIST_ENTRIES, TopologyGraph, spread
+from .topology import DENSE_ENTRIES, LIST_ENTRIES, TopologyGraph, hops_refused, spread
 
 __all__ = ["FeatureCache", "aligned_rows", "build_features"]
 
@@ -192,9 +192,6 @@ class FeatureCache(NamedTuple):
 _MAX_SPAN_EXPONENT = 512.0
 # Largest cells * type_count * node_count state entries held by one chunk.
 _CHUNK_ELEMENTS = 1 << 16
-# Most entries of the dense hop stack the chunk build may take: 2**28, 2 GiB
-# of float64, 9,459 nodes at max_hops 2.
-_DENSE_ENTRIES = 1 << 28
 # Largest queries (cells * causes) the event build holds at once.
 _QUERY_ELEMENTS = 1 << 16
 # The event build's least decay exponent: a factor below e^-707 ~ 1e-307 is
@@ -256,11 +253,36 @@ def choose_build(dataset: DiscreteDataset, topology: TopologyGraph, max_hops: in
     hop list at the row's node, are counted from the lists. A dense topology
     fails this (its second hop's product meets ``n**3`` terms) and takes the
     chunk build, whose hop matrices hold ``n**2`` entries each.
-    ``cell_keys`` are :func:`_cells`' when at hand.
+
+    Where the ``(max_hops + 1) * n**2`` entries of those matrices would pass
+    ``DENSE_ENTRIES``, the chunk build is out whatever the work: the event
+    build is tried, and an input past its bounds too is refused with the
+    hop lists' :class:`InvalidInputError`. ``cell_keys`` are
+    :func:`_cells`' when at hand.
     """
     rows = dataset.nodes.shape[0]
-    if rows == 0:
+    n_nodes = dataset.node_count
+    dense_fits = (max_hops + 1) * n_nodes * n_nodes <= DENSE_ENTRIES
+    if dense_fits and (rows == 0 or _chunks_cost_less(dataset, topology, cell_keys)):
         return "chunks", None
+    try:
+        hop_lists = topology.hop_lists(max_hops)
+        node_rows = np.bincount(dataset.nodes, minlength=n_nodes)
+        for sources, _, _ in hop_lists[1:]:
+            if node_rows @ np.bincount(sources, minlength=n_nodes) > LIST_ENTRIES:
+                raise hops_refused(max_hops, n_nodes)
+    except InvalidInputError:
+        if dense_fits:
+            return "chunks", None
+        raise
+    return "events", hop_lists
+
+
+def _chunks_cost_less(dataset: DiscreteDataset, topology: TopologyGraph,
+                      cell_keys: np.ndarray | None) -> bool:
+    """Whether the chunk loop's state is no smaller than the event build's
+    work (:func:`choose_build`); the dataset has rows."""
+    rows = dataset.nodes.shape[0]
     n_nodes = dataset.node_count
     if cell_keys is None:
         cell_keys = _cells(dataset)[0]
@@ -274,17 +296,7 @@ def choose_build(dataset: DiscreteDataset, topology: TopologyGraph, max_hops: in
         longest = int(np.diff(runs, append=rows).max())
     fan_out = 1 + 2 * len(topology.edges) / n_nodes
     event_work = rows * fan_out * max(1, math.ceil(math.log2(longest)))
-    if event_work >= occupied * dataset.type_count * n_nodes:
-        return "chunks", None
-    try:
-        hop_lists = topology.hop_lists(max_hops)
-    except InvalidInputError:
-        return "chunks", None
-    node_rows = np.bincount(dataset.nodes, minlength=n_nodes)
-    for sources, _, _ in hop_lists[1:]:
-        if node_rows @ np.bincount(sources, minlength=n_nodes) > LIST_ENTRIES:
-            return "chunks", None
-    return "events", hop_lists
+    return event_work >= occupied * dataset.type_count * n_nodes
 
 
 def _cells(dataset: DiscreteDataset) -> tuple:
@@ -350,8 +362,6 @@ def chunk_build(
     n_types = dataset.type_count
     n_bins = dataset.bin_count
     rate = kernel.decay * dataset.bin_width
-    if (max_hops + 1) * n_nodes * n_nodes > _DENSE_ENTRIES:
-        raise InvalidInputError(f"cannot allocate {max_hops} propagation hops over {n_nodes} nodes")
     powers = topology.hop_matrices(max_hops)
 
     cell_keys, row_keys = _cells(dataset) if cells is None else cells

@@ -38,6 +38,10 @@ _NODES_HINT = re.compile(r"#\s*nodes\s*[:=]\s*(\d+)")
 # Most entries one array of TopologyGraph.hop_lists may take: 2**22, 32 MiB
 # of float64, about what the dense hop matrices of 2,000 nodes take each.
 LIST_ENTRIES = 1 << 22
+# Most entries of the dense hop stack the feature build may take: 2**28,
+# 2 GiB of float64, 9,459 nodes at max_hops 2. The simulator takes the stack
+# unbounded: it has no other form.
+DENSE_ENTRIES = 1 << 28
 
 
 class TopologyGraph(NamedTuple):
@@ -67,9 +71,7 @@ class TopologyGraph(NamedTuple):
             propagation = np.zeros((n, n))
             powers = np.empty((max_hops + 1, n, n))
         except (ValueError, MemoryError, OverflowError) as exc:  # numpy refuses the size outright
-            raise InvalidInputError(
-                f"cannot allocate {max_hops} propagation hops over {n} nodes"
-            ) from exc
+            raise hops_refused(max_hops, n) from exc
         (sources, targets, weights), _ = self._step()
         propagation[sources, targets] = weights
         powers[0] = np.eye(n)
@@ -102,9 +104,7 @@ class TopologyGraph(NamedTuple):
             for _ in range(max_hops):
                 lists.append(_times(lists[-1], step, starts, degrees))
         except (ValueError, MemoryError) as exc:
-            raise InvalidInputError(
-                f"cannot allocate {max_hops} propagation hops over {n} nodes"
-            ) from exc
+            raise hops_refused(max_hops, n) from exc
         return lists
 
     def _step(self) -> tuple:
@@ -117,6 +117,11 @@ class TopologyGraph(NamedTuple):
         inv_sqrt = np.zeros(self.node_count)
         inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
         return (sources, targets, inv_sqrt[sources] * inv_sqrt[targets]), degrees
+
+
+def hops_refused(max_hops: int, node_count: int) -> InvalidInputError:
+    """The error for hop forms too large to make."""
+    return InvalidInputError(f"cannot allocate {max_hops} propagation hops over {node_count} nodes")
 
 
 def _times(left: tuple, step: tuple, starts: np.ndarray, degrees: np.ndarray) -> tuple:

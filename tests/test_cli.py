@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -26,7 +25,7 @@ from hawkesnet.fileio import load_graph_json, sha256_file
 from hawkesnet.kernels import ExponentialKernel
 from hawkesnet.search import hill_climb
 from hawkesnet.simulate import SimConfig, generate_benchmark
-from hawkesnet.topology import build_topology, load_edge_list, save_edge_list
+from hawkesnet.topology import TopologyGraph, build_topology, load_edge_list, save_edge_list
 
 from .oracles import has_cycle
 
@@ -783,45 +782,66 @@ def test_unallocatable_topology_exits_two(sim_dir, tmp_path, capsys, topology):
 def test_learn_on_a_complete_topology_takes_the_chunk_build(tmp_path, capsys):
     # few events on a complete topology: the event build's second hop would
     # meet n**3 terms, so learn takes the chunk build and finishes
-    n, rows = 300, 200
-    rng = np.random.default_rng(0)
-    lines = [f"{node},{etype},{stamp!r}" for node, etype, stamp in
-             zip(rng.integers(0, n, rows).tolist(), rng.integers(0, 5, rows).tolist(),
-                 (rng.random(rows) * 1000.0).tolist())]
-    (tmp_path / "events.csv").write_text("node,event_type,timestamp\n" + "\n".join(lines) + "\n")
-    save_edge_list(str(tmp_path / "topology.txt"), build_topology(n, combinations(range(n), 2)))
-    code = main(["learn", "--events", str(tmp_path / "events.csv"),
-                 "--topology", str(tmp_path / "topology.txt"), "--k", "2",
-                 "--out", str(tmp_path / "o")])
-    assert code == 0
+    assert main(_ring_or_complete_input(tmp_path, 300, complete=True)) == 0
     assert re.search(r"^features took \S+ cells=\d+ build=chunks$", capsys.readouterr().err, re.M)
 
 
-def test_learn_past_both_hop_forms_exits_two_before_allocating(tmp_path, capsys, monkeypatch):
-    # with both bounds patched small, a complete 30-node topology is past the
-    # hop lists' product bound and the dense stack's budget: learn refuses it
-    # before either form is made
-    n, rows = 30, 200
+def _ring_or_complete_input(tmp_path, n, complete):
+    """200 events at random over 5 types on ``n`` nodes, a ring or a
+    complete topology; the ``learn`` argv at K=2 on them."""
     rng = np.random.default_rng(0)
-    lines = [f"{node},{etype},{stamp!r}" for node, etype, stamp in
-             zip(rng.integers(0, n, rows).tolist(), rng.integers(0, 5, rows).tolist(),
-                 (rng.random(rows) * 1000.0).tolist())]
-    (tmp_path / "events.csv").write_text("node,event_type,timestamp\n" + "\n".join(lines) + "\n")
-    save_edge_list(str(tmp_path / "topology.txt"), build_topology(n, combinations(range(n), 2)))
-    monkeypatch.setattr("hawkesnet.topology.LIST_ENTRIES", n)
-    monkeypatch.setattr("hawkesnet.features._DENSE_ENTRIES", 3 * n * n - 1, raising=False)
-    argv = ["learn", "--events", str(tmp_path / "events.csv"),
+    _write_events(tmp_path / "events.csv", rng.integers(0, n, 200), rng.integers(0, 5, 200),
+                  rng.random(200) * 1000.0)
+    edges = combinations(range(n), 2) if complete else [(i, (i + 1) % n) for i in range(n)]
+    save_edge_list(str(tmp_path / "topology.txt"), build_topology(n, edges))
+    return ["learn", "--events", str(tmp_path / "events.csv"),
             "--topology", str(tmp_path / "topology.txt"), "--k", "2", "--out", str(tmp_path / "o")]
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
+
+
+def _write_events(path, nodes, types, stamps):
+    lines = [f"{node},{etype},{stamp!r}" for node, etype, stamp in
+             zip(nodes.tolist(), types.tolist(), stamps.tolist())]
+    path.write_text("node,event_type,timestamp\n" + "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("complete, list_entries", [(True, 30), (False, 150)])
+def test_learn_past_both_hop_forms_exits_two_before_allocating(tmp_path, capsys, monkeypatch,
+                                                               complete, list_entries):
+    # 30 nodes at K=2 with the dense budget one entry short: on the complete
+    # topology the second hop list's product passes the patched list bound,
+    # on the ring (120 product terms) the ~400 rows pushed along its first hop
+    # do. learn refuses either input without making the dense stack.
+    n = 30
+    argv = _ring_or_complete_input(tmp_path, n, complete)
+    monkeypatch.setattr("hawkesnet.topology.LIST_ENTRIES", list_entries)
+    monkeypatch.setattr("hawkesnet.features.LIST_ENTRIES", list_entries)
+    monkeypatch.setattr("hawkesnet.features.DENSE_ENTRIES", 3 * n * n - 1)
+    monkeypatch.setattr(TopologyGraph, "hop_matrices",
+                        lambda *_: pytest.fail("the dense hop stack was made"))
+    assert main(argv) == 2
     assert "cannot allocate 2 propagation hops over 30 nodes" in capsys.readouterr().err
-    assert peak < 4 << 20
     assert not (tmp_path / "o").exists()
+
+
+def test_learn_past_the_dense_budget_takes_the_event_build(tmp_path, capsys, monkeypatch):
+    # every node has events of both types in each of 20 occupied bins, so the
+    # work test prefers the chunk loop; past the dense budget learn takes
+    # the ring's hop lists instead
+    n, bins = 30, 20
+    cells = np.arange(bins * n * 2)
+    _write_events(tmp_path / "events.csv", cells % n, cells // n % 2, cells // (2 * n) * 50.0 + 0.5)
+    save_edge_list(str(tmp_path / "topology.txt"),
+                   build_topology(n, [(i, (i + 1) % n) for i in range(n)]))
+    builds = []
+    for dense_entries in (3 * n * n, 3 * n * n - 1):
+        monkeypatch.setattr("hawkesnet.features.DENSE_ENTRIES", dense_entries)
+        out = tmp_path / f"o{dense_entries}"
+        assert main(["learn", "--events", str(tmp_path / "events.csv"),
+                     "--topology", str(tmp_path / "topology.txt"), "--k", "2",
+                     "--out", str(out)]) == 0
+        assert (out / "learned_graph.json").exists()
+        builds += re.findall(r"^features took \S+ cells=\d+ build=(\w+)$", capsys.readouterr().err, re.M)
+    assert builds == ["chunks", "events"]
 
 
 def test_unallocatable_simulate_nodes_exit_two(tmp_path, capsys):
@@ -980,10 +1000,12 @@ def test_explosive_config_exits_three(tmp_path, capsys):
     assert "exploding" in capsys.readouterr().err
 
 
-def _module_entry(*argv):
+def _module_entry(*argv, **extra_env):
     """``python -m hawkesnet.cli <argv>`` with stdout and stderr piped and
-    block-buffered, where an exit that skipped the flush would lose text."""
+    block-buffered, where an exit that skipped the flush would lose text;
+    ``extra_env`` is set over the environment."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(extra_env)
     return subprocess.run(
         [sys.executable, "-m", "hawkesnet.cli", *argv], capture_output=True, text=True, env=env
     )
@@ -1022,40 +1044,28 @@ def _pipeline(root, config):
 def test_module_entry_point(tmp_path, capsys):
     config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
     work = tmp_path / "work"
-    printed = []
-    for argv in _pipeline(work, config):
-        proc = _module_entry(*argv)
-        assert proc.returncode == 0, proc.stderr
-        printed.append((_masked_lines(proc.stdout), _masked_lines(proc.stderr)))
-    written = _files(work)
+    # each command in its own interpreter, under two string hash seeds:
+    # every file and every stdout byte the same
+    passes = []
+    for hash_seed in ("0", "1"):
+        printed = []
+        for argv in _pipeline(work, config):
+            proc = _module_entry(*argv, PYTHONHASHSEED=hash_seed)
+            assert proc.returncode == 0, proc.stderr
+            printed.append((proc.stdout, _masked_lines(proc.stderr)))
+        passes.append((printed, _files(work)))
+        work.rename(tmp_path / f"hash_seed_{hash_seed}")
+    assert passes[0] == passes[1]
+    printed, written = passes[0]
     assert {"data/events.csv", "fit/learned_graph.json", "trace.jsonl", "eval/report.json"} <= set(written)
     assert all(out for out, _ in printed) and any(err for _, err in printed)
     # the same argv in process, writing to the same paths
-    work.rename(tmp_path / "through_module")
     for argv, (out, err) in zip(_pipeline(work, config), printed):
         assert main(argv) == 0
         captured = capsys.readouterr()
-        assert _masked_lines(captured.out) == out
+        assert captured.out == out
         assert _masked_lines(captured.err) == err
     assert _files(work) == written
-
-
-def test_pipeline_is_byte_identical_across_hash_seeds(tmp_path):
-    # each command in its own interpreter, under two string hash seeds: every
-    # file and every stdout byte the same (criterion 10 runs in one process)
-    config = _write_config(tmp_path / "c.json", {"simulate": SIM_SECTION})
-    work = tmp_path / "work"
-    runs = []
-    for hash_seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
-        printed = []
-        for argv in _pipeline(work, config):
-            proc = subprocess.run([sys.executable, "-m", "hawkesnet.cli", *argv], capture_output=True, env=env)
-            assert proc.returncode == 0, proc.stderr
-            printed.append(proc.stdout)
-        runs.append((printed, _files(work)))
-        work.rename(tmp_path / f"hash_seed_{hash_seed}")
-    assert runs[0] == runs[1]
 
 
 def test_module_entry_point_exit_codes(sim_dir, learn_dir, tmp_path):
