@@ -70,7 +70,8 @@ not taken where a hop list's product, or the rows pushed along a hop,
 would pass ``LIST_ENTRIES`` entries in one array. Nor is the chunk build
 taken where its dense hop stack would pass ``DENSE_ENTRIES`` entries, so an
 input past both forms ends in an :class:`InvalidInputError`, never in an
-array past either bound.
+array past either bound. So does a cache whose per-type blocks would pass
+``DENSE_ENTRIES`` entries, before either build starts.
 
 Everything here is independent of the causal graph and of the rate
 parameters, so one cache serves every candidate scored by the structure
@@ -210,7 +211,9 @@ def build_features(
 
     Only exponential kernels are supported here: the cache relies on the
     semigroup property ``r^a r^b = r^(a+b)`` to skip empty bins. The build
-    that runs is the one :func:`choose_build` names.
+    that runs is the one :func:`choose_build` names. A cache whose blocks
+    would pass ``DENSE_ENTRIES`` entries, padding included, is refused
+    before either build starts.
     """
     if not isinstance(kernel, ExponentialKernel):
         raise UnsupportedKernelError(
@@ -222,6 +225,14 @@ def build_features(
         raise InvalidInputError(
             f"dataset has {dataset.node_count} nodes, topology {topology.node_count}"
         )
+    # each type's block: type_count * (max_hops + 1) rows over its cells,
+    # padded as aligned_rows pads them; the types after the last with events
+    # have no cells
+    widths = np.bincount(dataset.types)
+    padded = int(np.maximum(8, -(-widths // 8) * 8).sum()) + 8 * (dataset.type_count - widths.shape[0])
+    if dataset.type_count * (max_hops + 1) * padded > DENSE_ENTRIES:
+        raise InvalidInputError(f"cannot allocate the features of {dataset.type_count} types at "
+                                f"{max_hops} propagation hops over {dataset.nodes.shape[0]} cells")
     cells = _cells(dataset)
     build, hop_lists = choose_build(dataset, topology, max_hops, cells[0])
     if build == "chunks":
@@ -254,15 +265,15 @@ def choose_build(dataset: DiscreteDataset, topology: TopologyGraph, max_hops: in
     fails this (its second hop's product meets ``n**3`` terms) and takes the
     chunk build, whose hop matrices hold ``n**2`` entries each.
 
-    Where the ``(max_hops + 1) * n**2`` entries of those matrices would pass
-    ``DENSE_ENTRIES``, the chunk build is out whatever the work: the event
-    build is tried, and an input past its bounds too is refused with the
-    hop lists' :class:`InvalidInputError`. ``cell_keys`` are
-    :func:`_cells`' when at hand.
+    Where those matrices would pass ``DENSE_ENTRIES`` entries
+    (:meth:`TopologyGraph.dense_fits`), the chunk build is out whatever the
+    work: the event build is tried, and an input past its bounds too is
+    refused with the hop lists' :class:`InvalidInputError`. ``cell_keys``
+    are :func:`_cells`' when at hand.
     """
     rows = dataset.nodes.shape[0]
     n_nodes = dataset.node_count
-    dense_fits = (max_hops + 1) * n_nodes * n_nodes <= DENSE_ENTRIES
+    dense_fits = topology.dense_fits(max_hops)
     if dense_fits and (rows == 0 or _chunks_cost_less(dataset, topology, cell_keys)):
         return "chunks", None
     try:

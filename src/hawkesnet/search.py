@@ -31,8 +31,15 @@ certify the final fits at no extra cost. Reversing ``v -> c`` gives ``v``
 the same new parent ``c`` on top of deleting ``v -> c``, at the deletion's
 edge count, so the same bound screens it: it then scores below that
 deletion, which the round scores, and cannot be the best move either.
-Deletions, types without events, and every move when an edge costs nothing
-(K=0) are never screened. ``score_candidate`` always fits.
+Deletions, and every move when an edge costs nothing (K=0), are never
+screened. ``score_candidate`` always fits.
+
+Moves that touch a type without events take no part in the search: each
+climb drops them from the legal moves once. Such a type's share is 0.0
+whatever its parents, and as a parent it has no feature mass, so the move
+nets minus one edge's charge at K >= 1, and at K=0 only EM rounding could
+make it look like a gain. They are never fitted, screened or counted; such
+a type is fitted only without parents, in the empty graph.
 
 Rounds are incremental, after the score-delta cache of greedy network
 search (Chickering 2002, *JMLR* 3:507). The search keeps every move's share
@@ -380,9 +387,8 @@ class _Gains:
         if charges[0] > 0.0:  # an edge that costs nothing screens nothing
             gainers = legal[:, :, 0].any(axis=0) | legal[:, :, 2].any(axis=1)
             for v in np.flatnonzero(gainers).tolist():
-                if cache.type_counts[v].shape[0] > 0:
-                    margin = _SCREEN_MARGIN * (abs(state.fits[v].log_lik) + 1.0)
-                    bounds[v] = state.gap(v, cache)[1] + margin
+                margin = _SCREEN_MARGIN * (abs(state.fits[v].log_lik) + 1.0)
+                bounds[v] = state.gap(v, cache)[1] + margin
         ruled = bounds < charges[0]  # ruled[v, c]: no fit of v with the parent c can pay
         # an add c -> v gives v the parent c, a reversal of c -> v gives c the parent v
         closed = np.stack((ruled.T, np.zeros_like(ruled), ruled), axis=-1) & legal
@@ -422,11 +428,9 @@ class _Gains:
                 given.append(floor)
             return given
 
-        bounds = bounds.tolist()
-
         def priority(m: tuple) -> float:
             c, v, k = m
-            return -math.inf if k == 1 else (bounds[v][c] if k == 0 else bounds[c][v]) - charge[k]
+            return -math.inf if k == 1 else (bounds[v, c] if k == 0 else bounds[c, v]) - charge[k]
 
         order = sorted(keys, key=priority, reverse=True)
         state.fit_missing([key for m in order for key in keys[m] if key not in state.memo], cache, floors)
@@ -482,12 +486,14 @@ def hill_climb(
     score = score_candidate(None, state, cache)
     gains = _Gains(n)
     edges = np.zeros((n, n), dtype=bool)  # edges[c, v]: the edge c -> v
+    fired = np.array([counts.shape[0] > 0 for counts in cache.type_counts])
+    between = (fired[:, None] & fired)[:, :, None]  # moves between types with events
     trajectory = [score]
     trace = []
     rounds = screened = 0
     while True:
         fits, batches = len(state.memo), state.batches
-        net, ruled_out, updated = gains.net(state, cache, _legal(edges, allow_cycles))
+        net, ruled_out, updated = gains.net(state, cache, _legal(edges, allow_cycles) & between)
         screened += ruled_out
         best = net.max(initial=-np.inf)
         if best == -np.inf:

@@ -38,9 +38,10 @@ _NODES_HINT = re.compile(r"#\s*nodes\s*[:=]\s*(\d+)")
 # Most entries one array of TopologyGraph.hop_lists may take: 2**22, 32 MiB
 # of float64, about what the dense hop matrices of 2,000 nodes take each.
 LIST_ENTRIES = 1 << 22
-# Most entries of the dense hop stack the feature build may take: 2**28,
-# 2 GiB of float64, 9,459 nodes at max_hops 2. The simulator takes the stack
-# unbounded: it has no other form.
+# Most entries of the dense hop stack TopologyGraph.hop_matrices makes:
+# 2**28, 2 GiB of float64, 9,459 nodes at max_hops 2. The feature build
+# takes the hop lists past it; the simulator, which has no other form,
+# refuses the input.
 DENSE_ENTRIES = 1 << 28
 
 
@@ -63,14 +64,18 @@ class TopologyGraph(NamedTuple):
 
         ``P = D^{-1/2} A D^{-1/2}``; a degree-zero node has a zero row and
         column rather than a division by zero. Each call returns a new array.
+        A stack past ``DENSE_ENTRIES`` entries is refused before anything of
+        its size is allocated, and so is one numpy cannot allocate.
         """
         if max_hops < 0:
             raise InvalidInputError("max_hops must be >= 0")
         n = self.node_count
         try:
+            if not self.dense_fits(max_hops):
+                raise MemoryError
             propagation = np.zeros((n, n))
             powers = np.empty((max_hops + 1, n, n))
-        except (ValueError, MemoryError, OverflowError) as exc:  # numpy refuses the size outright
+        except MemoryError as exc:
             raise hops_refused(max_hops, n) from exc
         (sources, targets, weights), _ = self._step()
         propagation[sources, targets] = weights
@@ -78,6 +83,11 @@ class TopologyGraph(NamedTuple):
         for k in range(1, max_hops + 1):
             powers[k] = powers[k - 1] @ propagation
         return powers
+
+    def dense_fits(self, max_hops: int) -> bool:
+        """Whether :meth:`hop_matrices`' ``(max_hops + 1) * n * n`` entries
+        stay within ``DENSE_ENTRIES``."""
+        return (max_hops + 1) * self.node_count * self.node_count <= DENSE_ENTRIES
 
     def hop_lists(self, max_hops: int) -> list:
         """The nonzeros of ``P**k`` for ``k = 0..max_hops``, as one

@@ -949,7 +949,7 @@ def oracle_move_scores(moves: list, state, cache: FeatureCache) -> np.ndarray:
 def oracle_unscreened(moves: list, state, cache: FeatureCache) -> list:
     """Indices of the ``moves`` the safe screen keeps: every move but the adds
     (and reversals) whose new parent's Cover bound, plus the rounding margin,
-    stays below one edge's charge at a target type with events."""
+    stays below one edge's charge."""
     penalty = [
         bic_penalty(cache.type_count, state.edge_count + d, cache.max_hops, cache.total_events)
         for d in (0, 1)
@@ -963,8 +963,7 @@ def oracle_unscreened(moves: list, state, cache: FeatureCache) -> list:
             if gains not in ruled_out:
                 _, added = state.gap(gains, cache)
                 margin = 1e-9 * (abs(state.fits[gains].log_lik) + 1.0)
-                screens = cache.type_counts[gains].shape[0] > 0
-                ruled_out[gains] = (screens & (added + margin < charge)).tolist()
+                ruled_out[gains] = (added + margin < charge).tolist()
             if ruled_out[gains][parent]:
                 continue
         kept.append(i)
@@ -975,10 +974,10 @@ def oracle_hill_climb(cache: FeatureCache, *, em_config: EmConfig = EmConfig(), 
                       screen=oracle_unscreened):
     """The full-round greedy climb, as a ``hawkesnet.search.SearchResult``.
 
-    Every round lists every legal move, screens them with ``screen`` and
-    scores the rest, then applies the best strictly improving one (ties to
-    the first in canonical order). Fits go through the package's
-    ``SearchState`` memo.
+    Every round lists every legal move between types with events, screens
+    them with ``screen`` and scores the rest, then applies the best strictly
+    improving one (ties to the first in canonical order). Fits go through
+    the package's ``SearchState`` memo.
     """
     from hawkesnet.search import SearchResult, SearchState
 
@@ -988,7 +987,8 @@ def oracle_hill_climb(cache: FeatureCache, *, em_config: EmConfig = EmConfig(), 
     trajectory, trace = [score], []
     screened = 0
     while True:
-        moves = vicinity_moves(graph, allow_cycles)
+        moves = [m for m in vicinity_moves(graph, allow_cycles)
+                 if all(cache.type_counts[v].shape[0] > 0 for v in m.edge)]
         kept = screen(moves, state, cache)
         screened += len(moves) - len(kept)
         scores = np.full(len(moves), -np.inf)

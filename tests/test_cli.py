@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -815,12 +816,30 @@ def test_learn_past_both_hop_forms_exits_two_before_allocating(tmp_path, capsys,
     argv = _ring_or_complete_input(tmp_path, n, complete)
     monkeypatch.setattr("hawkesnet.topology.LIST_ENTRIES", list_entries)
     monkeypatch.setattr("hawkesnet.features.LIST_ENTRIES", list_entries)
-    monkeypatch.setattr("hawkesnet.features.DENSE_ENTRIES", 3 * n * n - 1)
+    monkeypatch.setattr("hawkesnet.topology.DENSE_ENTRIES", 3 * n * n - 1)
     monkeypatch.setattr(TopologyGraph, "hop_matrices",
                         lambda *_: pytest.fail("the dense hop stack was made"))
     assert main(argv) == 2
     assert "cannot allocate 2 propagation hops over 30 nodes" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_learn_past_the_feature_budget_exits_two_before_allocating(tmp_path, capsys, monkeypatch):
+    # at a budget of 2**20 entries the blocks of the 5 types with events fit,
+    # and those of 1,000 declared types (3 * 1,000 rows over at least 8
+    # padded cells each) do not: learn refuses before any block is made
+    argv = _ring_or_complete_input(tmp_path, 30, complete=False)
+    monkeypatch.setattr("hawkesnet.features.DENSE_ENTRIES", 1 << 20)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("hawkesnet.features.aligned_rows",
+                        lambda *_: pytest.fail("a feature block was made"))
+    argv[-1] = str(tmp_path / "refused")
+    assert main(argv + ["--types", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: cannot allocate the features of 1000 types at 2 propagation hops "
+                        r"over \d+ cells\n", err)
+    assert not (tmp_path / "refused").exists()
 
 
 def test_learn_past_the_dense_budget_takes_the_event_build(tmp_path, capsys, monkeypatch):
@@ -834,7 +853,7 @@ def test_learn_past_the_dense_budget_takes_the_event_build(tmp_path, capsys, mon
                    build_topology(n, [(i, (i + 1) % n) for i in range(n)]))
     builds = []
     for dense_entries in (3 * n * n, 3 * n * n - 1):
-        monkeypatch.setattr("hawkesnet.features.DENSE_ENTRIES", dense_entries)
+        monkeypatch.setattr("hawkesnet.topology.DENSE_ENTRIES", dense_entries)
         out = tmp_path / f"o{dense_entries}"
         assert main(["learn", "--events", str(tmp_path / "events.csv"),
                      "--topology", str(tmp_path / "topology.txt"), "--k", "2",
@@ -849,6 +868,24 @@ def test_unallocatable_simulate_nodes_exit_two(tmp_path, capsys):
     code = main(["simulate", "--nodes", "10000000000", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "cannot allocate" in capsys.readouterr().err
+
+
+def test_simulate_past_the_dense_budget_exits_two_before_allocating(tmp_path, capsys, monkeypatch):
+    # 10 nodes at K=2 take 300 dense entries: at that budget simulate runs,
+    # and one entry short it exits 2 before topology makes any array
+    argv = ["simulate", "--nodes", "10", "--k", "2", "--types", "2", "--target-events", "100"]
+    monkeypatch.setattr("hawkesnet.topology.DENSE_ENTRIES", 3 * 10 * 10)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+
+    def made(*_args, **_kwargs):
+        pytest.fail("topology made an array")
+
+    monkeypatch.setattr("hawkesnet.topology.DENSE_ENTRIES", 3 * 10 * 10 - 1)
+    monkeypatch.setattr("hawkesnet.topology.np", SimpleNamespace(**{**vars(np), "zeros": made, "empty": made}))
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "refused")]) == 2
+    assert capsys.readouterr().err == "error: cannot allocate 2 propagation hops over 10 nodes\n"
+    assert not (tmp_path / "refused").exists()
 
 
 # The CLI's text at an 80-column terminal, as it was before the subcommands

@@ -335,6 +335,24 @@ def test_empty_dataset_builds_empty_cache():
     assert batch.counts.shape == (0,)
 
 
+def test_a_cache_past_the_budget_is_refused_before_a_block_is_made(monkeypatch):
+    # types 0 and 2 of 4 have events, at 10 and 9 cells: the blocks hold
+    # 4 * 3 rows over 16, 8, 16 and 8 padded cells, and the budget is exact
+    rows = [(0, 0, b + 0.5) for b in range(10)] + [(1, 2, b + 0.5) for b in range(9)]
+    ds = discretize(rows_to_table(rows), 1.0, 10.0, node_count=3, type_count=4)
+    topo = build_topology(3, [(0, 1)])
+    cache = build_features(ds, topo, ExponentialKernel(1.0), 2)
+    entries = sum(values.shape[0] * values.strides[0] // values.itemsize for values in cache.type_values)
+    assert entries == 4 * 3 * (16 + 8 + 16 + 8)
+    monkeypatch.setattr(features, "DENSE_ENTRIES", entries)
+    build_features(ds, topo, ExponentialKernel(1.0), 2)
+    monkeypatch.setattr(features, "DENSE_ENTRIES", entries - 1)
+    monkeypatch.setattr(features, "aligned_rows", lambda *_: pytest.fail("a feature block was made"))
+    with pytest.raises(InvalidInputError, match="cannot allocate the features of 4 types at 2 "
+                                                "propagation hops over 19 cells"):
+        build_features(ds, topo, ExponentialKernel(1.0), 2)
+
+
 def test_rejects_non_exponential_kernel():
     ds = discretize(rows_to_table([(0, 0, 0.5)]), 1.0, 2.0)
     topo = build_topology(1, [])

@@ -461,8 +461,9 @@ def test_recovers_planted_edge():
     )
 
 
-def _desk_cache():
-    """The acceptance desk config at seed 0: 10 nodes, 5 types, ~6000 events, K=2."""
+def _desk_cache(extra_types=0):
+    """The acceptance desk config at seed 0: 10 nodes, 5 types, ~6000 events,
+    K=2; ``extra_types`` more types declared after them, without events."""
     config = SimConfig(
         node_count=10,
         avg_topology_degree=1.5,
@@ -477,7 +478,9 @@ def _desk_cache():
         seed=0,
     )
     data = generate_benchmark(config)
-    return build_features(data.dataset(), data.topology, config.kernel, config.max_hops)
+    dataset = data.dataset()
+    dataset = dataset._replace(type_count=dataset.type_count + extra_types)
+    return build_features(dataset, data.topology, config.kernel, config.max_hops)
 
 
 def _climb_recording_screen(cache, em):
@@ -544,6 +547,21 @@ def test_nothing_is_screened_when_an_edge_costs_nothing():
     # at K=0 the paper's penalty charges nothing per edge
     result = hill_climb(_desk_cache().truncated(0))
     assert result.rounds >= 1 and result.screened_moves == 0
+
+
+@pytest.mark.parametrize("hops", [2, 0])
+def test_types_without_events_take_no_part_in_the_search(hops):
+    # the two highest type ids have no events: no move touches them, so the
+    # climb is the one without them, plus one empty-graph fit per extra type
+    extra = 2
+    alone = hill_climb(_desk_cache().truncated(hops))
+    result, state = _with_state(hill_climb, _desk_cache(extra).truncated(hops))
+    fired = alone.graph.type_count
+    for v, parents in state.memo:
+        assert parents == () if v >= fired else all(c < fired for c in parents), (v, parents)
+    assert result.fit_evaluations == alone.fit_evaluations + extra
+    assert result.graph.edges == alone.graph.edges
+    assert [(e["move"], e["edge"]) for e in result.trace] == [(e["move"], e["edge"]) for e in alone.trace]
 
 
 def _with_state(climb, cache, **kwargs):
