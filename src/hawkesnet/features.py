@@ -16,15 +16,18 @@ else, so its EM maps run on rows that need no gather. The totals
 integral term needs, come from a closed form per event: an event at bin
 ``b`` adds ``r (1 - r^(B-1-b)) / (1 - r)`` to its node's summary summed
 over all ``B`` bins, which hop ``k`` carries to ``sum_n P^k[n', n]`` times
-that at its node ``n'``. Both builds form them the same way, one sum per hop
-(:func:`_totals`), so hop ``k`` does not depend on ``max_hops`` and
-:meth:`FeatureCache.truncated` keeps exactly a fresh build's values and
-totals.
+that at its node ``n'``. One sum per hop forms them (:func:`_totals`), so
+hop ``k`` does not depend on ``max_hops`` and :meth:`FeatureCache.truncated`
+keeps exactly a fresh build's values and totals.
 
 Two builds give the same features, up to rounding in the last bits, and
-:func:`choose_build` picks one from the input alone.
+:func:`choose_build` picks one from the input alone, with the hop form it
+reads. Both share one frame (:func:`_framed`): it lays out each type's block
+of aligned rows, forms the totals from the row masses of each hop and
+makes the cache. A build is only the fill that writes every entry of the
+blocks.
 
-The chunk build (:func:`chunk_build`) visits occupied bins only. The
+The chunk build (:func:`_chunk_fill`) visits occupied bins only. The
 ``(type, node)`` state ``S`` is computed at every occupied bin at once,
 chunk by chunk: inside a chunk that starts at occupied bin ``u_s``,
 ``S(u_i) = r^(u_i - u_s) (S(u_s) + sum_{u_s <= u_j < u_i} r^(u_s - u_j)
@@ -44,7 +47,7 @@ so a copy-out is one gather and one slice assignment per type, with no
 per-chunk index arithmetic, and no array over all cells and channels is
 ever held.
 
-The event build (:func:`event_build`) costs what the events push, not what
+The event build (:func:`_event_fill`) costs what the events push, not what
 the grid holds. For each hop ``k`` it pushes every dataset row of cause
 ``c`` at node ``n'`` along the nonzeros of ``P^k``
 (:meth:`TopologyGraph.hop_lists`) into a series per ``(c, n)``, weighted by
@@ -99,10 +102,16 @@ def aligned_rows(rows: int, width: int) -> np.ndarray:
     Rows are padded to a multiple of 64 bytes, so a row's address and
     layout do not depend on how many rows the array holds, or where it sits.
     """
-    stride = max(8, -(-width // 8) * 8)
+    stride = int(_stride(width))
     buf = np.empty(rows * stride + 8)
     start = (-buf.__array_interface__["data"][0] % 64) // 8
     return buf[start : start + rows * stride].reshape(rows, stride)[:, :width]
+
+
+def _stride(width):
+    """The entries an aligned row of ``width`` entries takes, padding
+    included: a multiple of 8, at least 8; elementwise for an array."""
+    return np.maximum(8, -(-width // 8) * 8)
 
 
 class FeatureCache(NamedTuple):
@@ -164,19 +173,10 @@ class FeatureCache(NamedTuple):
             raise InvalidInputError(
                 f"cannot truncate a max_hops={self.max_hops} cache to {max_hops}"
             )
-        return FeatureCache(
-            node_count=self.node_count,
-            type_count=self.type_count,
-            bin_count=self.bin_count,
-            bin_width=self.bin_width,
+        return self._replace(
             max_hops=max_hops,
-            total_events=self.total_events,
-            cell_nodes=self.cell_nodes,
-            cell_bins=self.cell_bins,
             type_values=tuple(self._kept_rows(values, max_hops) for values in self.type_values),
             totals=self.totals[:, : max_hops + 1],
-            type_counts=self.type_counts,
-            build=self.build,
         )
 
     def _kept_rows(self, values: np.ndarray, max_hops: int) -> np.ndarray:
@@ -229,22 +229,20 @@ def build_features(
     # padded as aligned_rows pads them; the types after the last with events
     # have no cells
     widths = np.bincount(dataset.types)
-    padded = int(np.maximum(8, -(-widths // 8) * 8).sum()) + 8 * (dataset.type_count - widths.shape[0])
+    padded = int(_stride(widths).sum()) + int(_stride(0)) * (dataset.type_count - widths.shape[0])
     if dataset.type_count * (max_hops + 1) * padded > DENSE_ENTRIES:
         raise InvalidInputError(f"cannot allocate the features of {dataset.type_count} types at "
                                 f"{max_hops} propagation hops over {dataset.nodes.shape[0]} cells")
     cells = _cells(dataset)
-    build, hop_lists = choose_build(dataset, topology, max_hops, cells[0])
-    if build == "chunks":
-        return chunk_build(dataset, topology, kernel, max_hops, cells=cells)
-    return event_build(dataset, topology, kernel, max_hops, cells=cells, hop_lists=hop_lists)
+    build, form = choose_build(dataset, topology, max_hops, cells[0])
+    return _framed(build, form, dataset, kernel, cells)
 
 
 def choose_build(dataset: DiscreteDataset, topology: TopologyGraph, max_hops: int,
-                 cell_keys: np.ndarray | None = None) -> tuple:
-    """``("chunks", None)`` or ``("events", hop_lists)``: the build expected
-    to cost less, and for the event build the
-    :meth:`TopologyGraph.hop_lists` it reads.
+                 cell_bins: np.ndarray) -> tuple:
+    """``("chunks", hop_matrices)`` or ``("events", hop_lists)``: the build
+    expected to cost less, and the hop form it reads
+    (:meth:`TopologyGraph.hop_matrices` or :meth:`TopologyGraph.hop_lists`).
 
     The chunk loop sweeps ``occupied bins * type_count * node_count`` state
     entries. The event build pushes each row to its node and its neighbours
@@ -268,14 +266,14 @@ def choose_build(dataset: DiscreteDataset, topology: TopologyGraph, max_hops: in
     Where those matrices would pass ``DENSE_ENTRIES`` entries
     (:meth:`TopologyGraph.dense_fits`), the chunk build is out whatever the
     work: the event build is tried, and an input past its bounds too is
-    refused with the hop lists' :class:`InvalidInputError`. ``cell_keys``
-    are :func:`_cells`' when at hand.
+    refused with the hop lists' :class:`InvalidInputError`. ``cell_bins``
+    are the occupied cells' bins (:func:`_cells`).
     """
     rows = dataset.nodes.shape[0]
     n_nodes = dataset.node_count
     dense_fits = topology.dense_fits(max_hops)
-    if dense_fits and (rows == 0 or _chunks_cost_less(dataset, topology, cell_keys)):
-        return "chunks", None
+    if dense_fits and (rows == 0 or _chunks_cost_less(dataset, topology, cell_bins)):
+        return "chunks", topology.hop_matrices(max_hops)
     try:
         hop_lists = topology.hop_lists(max_hops)
         node_rows = np.bincount(dataset.nodes, minlength=n_nodes)
@@ -284,20 +282,18 @@ def choose_build(dataset: DiscreteDataset, topology: TopologyGraph, max_hops: in
                 raise hops_refused(max_hops, n_nodes)
     except InvalidInputError:
         if dense_fits:
-            return "chunks", None
+            return "chunks", topology.hop_matrices(max_hops)
         raise
     return "events", hop_lists
 
 
 def _chunks_cost_less(dataset: DiscreteDataset, topology: TopologyGraph,
-                      cell_keys: np.ndarray | None) -> bool:
+                      cell_bins: np.ndarray) -> bool:
     """Whether the chunk loop's state is no smaller than the event build's
     work (:func:`choose_build`); the dataset has rows."""
     rows = dataset.nodes.shape[0]
     n_nodes = dataset.node_count
-    if cell_keys is None:
-        cell_keys = _cells(dataset)[0]
-    occupied = 1 + int(np.count_nonzero(np.diff(cell_keys // n_nodes)))  # keys sort by bin
+    occupied = 1 + int(np.count_nonzero(np.diff(cell_bins)))  # cells sort by bin
     columns = dataset.types * n_nodes + dataset.nodes
     if dataset.type_count * n_nodes <= rows:  # few columns: count the rows of each
         longest = int(np.bincount(columns).max())
@@ -311,13 +307,50 @@ def _chunks_cost_less(dataset: DiscreteDataset, topology: TopologyGraph,
 
 
 def _cells(dataset: DiscreteDataset) -> tuple:
-    """The occupied cells' keys ``bin * node_count + node``, sorted, and
-    each row's key."""
+    """``(cell_bins, cell_nodes, row_cells)``: the occupied cells' bins and
+    nodes, sorted by (bin, node), and each dataset row's cell."""
     # sorted, and deduplicated by mask: np.unique would import numpy.ma
     row_keys = dataset.bins * dataset.node_count + dataset.nodes
     cell_keys = np.sort(row_keys)
     cell_keys = cell_keys[np.diff(cell_keys, prepend=-1) != 0]  # keys are >= 0
-    return cell_keys, row_keys
+    return (cell_keys // dataset.node_count, cell_keys % dataset.node_count,
+            np.searchsorted(cell_keys, row_keys))
+
+
+def _framed(build: str, form, dataset: DiscreteDataset, kernel: ExponentialKernel,
+            cells: tuple) -> FeatureCache:
+    """The cache of ``build`` on its hop ``form`` (:func:`choose_build`) at
+    the :func:`_cells` ``cells``: the frame both builds share, its blocks
+    written by :func:`_chunk_fill` or :func:`_event_fill`.
+
+    Dataset rows are sorted by (type, bin, node), so type ``v`` owns rows
+    ``type_starts[v]:type_starts[v + 1]``, and its ``(channels, n_v)`` block
+    of features is aligned rows of its own (see :func:`aligned_rows`), left
+    for the fill to write.
+    """
+    cell_bins, cell_nodes, _ = cells
+    rate = kernel.decay * dataset.bin_width
+    counts = dataset.counts.astype(float)
+    type_starts = np.searchsorted(dataset.types, np.arange(dataset.type_count + 1))
+    bounds = type_starts.tolist()
+    blocks = [aligned_rows(dataset.type_count * len(form), hi - lo)
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    fill = _chunk_fill if build == "chunks" else _event_fill
+    row_masses = fill(form, dataset, rate, counts, type_starts, cells, blocks)
+    return FeatureCache(
+        node_count=dataset.node_count,
+        type_count=dataset.type_count,
+        bin_count=dataset.bin_count,
+        bin_width=dataset.bin_width,
+        max_hops=len(form) - 1,
+        total_events=dataset.total_events,
+        cell_nodes=cell_nodes,
+        cell_bins=cell_bins,
+        type_values=tuple(blocks),
+        totals=_totals(dataset, rate, counts, type_starts, row_masses),
+        type_counts=tuple(counts[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])),
+        build=build,
+    )
 
 
 def _totals(dataset: DiscreteDataset, rate: float, counts: np.ndarray, type_starts: np.ndarray,
@@ -339,52 +372,18 @@ def _totals(dataset: DiscreteDataset, rate: float, counts: np.ndarray, type_star
     return totals
 
 
-def _cache(build: str, dataset: DiscreteDataset, max_hops: int, cell_nodes: np.ndarray,
-           cell_bins: np.ndarray, blocks: list, totals: np.ndarray, counts: np.ndarray,
-           type_starts: np.ndarray) -> FeatureCache:
-    bounds = type_starts.tolist()
-    return FeatureCache(
-        node_count=dataset.node_count,
-        type_count=dataset.type_count,
-        bin_count=dataset.bin_count,
-        bin_width=dataset.bin_width,
-        max_hops=max_hops,
-        total_events=dataset.total_events,
-        cell_nodes=cell_nodes,
-        cell_bins=cell_bins,
-        type_values=tuple(blocks),
-        totals=totals,
-        type_counts=tuple(counts[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])),
-        build=build,
-    )
-
-
-def chunk_build(
-    dataset: DiscreteDataset,
-    topology: TopologyGraph,
-    kernel: ExponentialKernel,
-    max_hops: int,
-    *,
-    cells: tuple | None = None,
-) -> FeatureCache:
-    """The features by the chunk loop over occupied bins (module docstring);
-    ``cells`` are :func:`_cells`' when at hand."""
+def _chunk_fill(powers: np.ndarray, dataset: DiscreteDataset, rate: float, counts: np.ndarray,
+                type_starts: np.ndarray, cells: tuple, blocks: list):
+    """Write the blocks by the chunk loop over occupied bins (module
+    docstring) on the dense hop stack ``powers``; returns each hop's row
+    masses."""
     n_nodes = dataset.node_count
     n_types = dataset.type_count
-    n_bins = dataset.bin_count
-    rate = kernel.decay * dataset.bin_width
-    powers = topology.hop_matrices(max_hops)
-
-    cell_keys, row_keys = _cells(dataset) if cells is None else cells
-    cell_bins = cell_keys // n_nodes
-    cell_nodes = cell_keys % n_nodes
-    n_cells = cell_keys.shape[0]
-
-    counts = dataset.counts.astype(float)
-    type_starts = np.searchsorted(dataset.types, np.arange(n_types + 1))
+    hops = len(powers)
+    cell_bins, cell_nodes, type_cells = cells
+    n_cells = cell_bins.shape[0]
     state_cols = dataset.types * n_nodes + dataset.nodes
     width = n_types * n_nodes
-    totals = _totals(dataset, rate, counts, type_starts, (p.sum(axis=1) for p in powers))
 
     # the occupied bins, and the index among them of each cell and event
     new_bin = np.diff(cell_bins, prepend=-1) != 0  # bins are >= 0
@@ -392,22 +391,17 @@ def chunk_build(
     cell_occ = np.cumsum(new_bin) - 1
     n_occ = occ_bins.shape[0]
     order = np.argsort(dataset.bins, kind="stable")
-    type_cells = np.searchsorted(cell_keys, row_keys)  # each row's cell; offset by type below
     event_occ = cell_occ[type_cells[order]]
     event_at = event_occ * width + state_cols[order]  # flat index into the state rows
     event_counts = counts[order]
-    del row_keys, order  # rows-sized arrays the chunk loop does not read
+    del order  # a rows-sized array the chunk loop does not read
 
-    # Dataset rows are sorted by (type, bin, node), so type v owns rows
-    # type_starts[v]:type_starts[v + 1], and its (channels, n_v) block of
-    # features is aligned rows of its own (see aligned_rows). Within a
-    # type, rows follow the cell order: type_cells = type * n_cells + cell is
-    # sorted, and the rows of v at cells [a, b) are one run of its block's
-    # columns, found for every type by one searchsorted.
-    channels = n_types * (max_hops + 1)
+    # Within a type, rows follow the cell order: type_cells = type * n_cells
+    # + cell is sorted, and the rows of v at cells [a, b) are one run of its
+    # block's columns, found for every type by one searchsorted.
+    channels = n_types * hops
     bounds = type_starts.tolist()
-    blocks = [aligned_rows(channels, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    type_cells += dataset.types * n_cells
+    type_cells = type_cells + dataset.types * n_cells
     type_offsets = np.arange(n_types) * n_cells
 
     def copy_out(staged: np.ndarray, first: int, starts: np.ndarray) -> np.ndarray:
@@ -426,13 +420,13 @@ def chunk_build(
     # occ_bins are integers, so the floor of the span finds the same bin as
     # the span does, without numpy converting occ_bins to float per chunk; a
     # span past the last bin is cut to the bin count, which finds it too
-    span_bins = math.floor(min(_MAX_SPAN_EXPONENT / rate, n_bins))
+    span_bins = math.floor(min(_MAX_SPAN_EXPONENT / rate, dataset.bin_count))
     chunk_cells = max(1, _CHUNK_ELEMENTS // width)
     # Chunks write their features to stage, which holds cells held:c0, and
     # it is copied out whenever the next chunk would overflow it. A chunk
     # holds at most chunk_cells cells, or the cells of one bin.
     stage_cells = min(n_cells, max(chunk_cells, n_nodes, _CHUNK_ELEMENTS // channels))
-    stage = np.empty((n_types, max_hops + 1, stage_cells))
+    stage = np.empty((n_types, hops, stage_cells))
     held, held_rows = 0, type_starts[:-1]
 
     carry = np.zeros(width)  # state at the chunk's first occupied bin
@@ -465,40 +459,22 @@ def chunk_build(
             held_rows = copy_out(stage[:, :, : c0 - held].reshape(channels, c0 - held), held, held_rows)
             held = c0
         values = stage[:, :, c0 - held : c1 - held]
-        for k in range(max_hops + 1):
+        for k in range(hops):
             values[:, k] = np.einsum("ctn,cn->tc", at_cells, hop_cols[k][nodes])
         s, c0, e0 = e, c1, e1
     copy_out(stage[:, :, : n_cells - held].reshape(channels, n_cells - held), held, held_rows)
-
-    return _cache("chunks", dataset, max_hops, cell_nodes, cell_bins, blocks, totals, counts,
-                  type_starts)
+    return [p.sum(axis=1) for p in powers]
 
 
-def event_build(
-    dataset: DiscreteDataset,
-    topology: TopologyGraph,
-    kernel: ExponentialKernel,
-    max_hops: int,
-    *,
-    cells: tuple | None = None,
-    hop_lists: list | None = None,
-) -> FeatureCache:
-    """The features by pushing each row along the hop lists (module
-    docstring); ``cells`` are :func:`_cells`' and ``hop_lists`` are
-    :meth:`TopologyGraph.hop_lists`' when at hand."""
-    if hop_lists is None:  # first: it refuses a node count it cannot list
-        hop_lists = topology.hop_lists(max_hops)
+def _event_fill(hop_lists: list, dataset: DiscreteDataset, rate: float, counts: np.ndarray,
+                type_starts: np.ndarray, cells: tuple, blocks: list):
+    """Write the blocks by pushing each row along the hop lists (module
+    docstring); returns each hop's row masses."""
     n_nodes = dataset.node_count
     n_types = dataset.type_count
-    rate = kernel.decay * dataset.bin_width
-    hops = max_hops + 1
-
-    cell_keys, row_keys = _cells(dataset) if cells is None else cells
-    cell_bins = cell_keys // n_nodes
-    cell_nodes = cell_keys % n_nodes
-    n_cells = cell_keys.shape[0]
-    counts = dataset.counts.astype(float)
-    type_starts = np.searchsorted(dataset.types, np.arange(n_types + 1))
+    hops = len(hop_lists)
+    cell_bins, cell_nodes, row_cells = cells
+    n_cells = cell_bins.shape[0]
 
     # The queries: every cell once per cause, cause by cause, the cells in
     # (node, bin) order, so sorted by series (cause, node) and then bin.
@@ -510,10 +486,9 @@ def event_build(
     query_bins = cell_bins[by_node].astype(float)  # differences of floats below 2**53 are exact
     rank = np.empty(n_cells, dtype=np.int64)
     rank[by_node] = np.arange(n_cells)
-    row_cells = rank[np.searchsorted(cell_keys, row_keys)]  # each row's query column
+    row_cells = rank[row_cells]  # each row's query column
 
     bounds = type_starts.tolist()
-    blocks = [aligned_rows(n_types * hops, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
     group = max(1, _QUERY_ELEMENTS // max(n_cells, 1))  # causes whose queries are held at once
     for k, (sources, targets, weights) in enumerate(hop_lists):
         starts = np.searchsorted(sources, np.arange(n_nodes + 1))  # each node's first entry
@@ -541,11 +516,7 @@ def event_build(
             for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
                 channels = block.reshape(n_types, hops, hi - lo)
                 channels[c0:c1, k] = found.take(row_cells[lo:hi], axis=1)
-    totals = _totals(dataset, rate, counts, type_starts,
-                     (np.bincount(sources, weights=weights, minlength=n_nodes)
-                      for sources, _, weights in hop_lists))
-    return _cache("events", dataset, max_hops, cell_nodes, cell_bins, blocks, totals, counts,
-                  type_starts)
+    return [np.bincount(sources, weights=weights, minlength=n_nodes) for sources, _, weights in hop_lists]
 
 
 def _decay(lags: np.ndarray, rate: float, where: np.ndarray) -> np.ndarray:

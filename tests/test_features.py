@@ -163,13 +163,20 @@ def _gapped_dataset(rng):
     return ds, ExponentialKernel(rate)
 
 
+def _built(build, ds, topo, kernel, hops):
+    """The cache of ``build``, ``"chunks"`` or ``"events"``, whichever build
+    ``build_features`` would pick."""
+    form = topo.hop_matrices(hops) if build == "chunks" else topo.hop_lists(hops)
+    return features._framed(build, form, ds, kernel, features._cells(ds))
+
+
 def _builds(ds):
     """``(build, chunk budget)``: each build by name, the chunk loop also in
     chunks of about three cells."""
     return [
-        (features.chunk_build, features._CHUNK_ELEMENTS),
-        (features.chunk_build, 3 * ds.type_count * ds.node_count),
-        (features.event_build, features._CHUNK_ELEMENTS),
+        ("chunks", features._CHUNK_ELEMENTS),
+        ("chunks", 3 * ds.type_count * ds.node_count),
+        ("events", features._CHUNK_ELEMENTS),
     ]
 
 
@@ -183,7 +190,7 @@ def test_build_matches_blockwise_oracle(seed):
     for build, elements in _builds(ds):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(features, "_CHUNK_ELEMENTS", elements)
-            cache = build(ds, topo, kernel, hops)
+            cache = _built(build, ds, topo, kernel, hops)
         np.testing.assert_array_equal(cache.cell_bins, ref.cell_bins)
         np.testing.assert_array_equal(cache.cell_nodes, ref.cell_nodes)
         # values deep in the gaps leave the normal range; below 1e-300 only
@@ -212,7 +219,7 @@ def test_build_equals_chunked_scatter_oracle(seed):
     for elements in (features._CHUNK_ELEMENTS, 3 * ds.type_count * ds.node_count):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(features, "_CHUNK_ELEMENTS", elements)
-            cache = features.chunk_build(ds, topo, kernel, hops)
+            cache = _built("chunks", ds, topo, kernel, hops)
             ref = oracle_chunked_features(ds, topo, kernel, hops)
         _assert_same_cache(cache, ref)
 
@@ -231,7 +238,7 @@ def test_build_equals_chunked_scatter_oracle_on_benchmark_shapes(nodes, types, b
     ds = discretize(records, 1.0, float(bins), node_count=nodes, type_count=types)
     topo = build_topology(nodes, random_symmetric_edges(rng, nodes, 1.5 / nodes))
     kernel = ExponentialKernel(decay)
-    _assert_same_cache(features.chunk_build(ds, topo, kernel, 2),
+    _assert_same_cache(_built("chunks", ds, topo, kernel, 2),
                        oracle_chunked_features(ds, topo, kernel, 2))
     # and whichever build build_features picks, against the sweep of every bin
     cache = build_features(ds, topo, kernel, 2)
@@ -264,11 +271,11 @@ def test_long_horizon_is_numerically_safe(decay):
             summary[v, n] = math.fsum(t for t, m in zip(tail, mine) if m)
     expected = summary @ topo.hop_matrices(2).sum(axis=2).T
 
-    for build in (features.chunk_build, features.event_build):
+    for build in ("chunks", "events"):
         started = time.perf_counter()
         with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
             warnings.simplefilter("error")
-            cache = build(ds, topo, ExponentialKernel(decay), 2)
+            cache = _built(build, ds, topo, ExponentialKernel(decay), 2)
         elapsed = time.perf_counter() - started
         assert all(np.isfinite(values).all() for values in cache.type_values)
         assert np.isfinite(cache.totals).all()
@@ -304,12 +311,14 @@ def test_truncated_cache_equals_fresh_build():
 
 
 def _assert_truncation_exact(build, ds, topo, kernel):
-    full = build(ds, topo, kernel, 3)
+    full = _built(build, ds, topo, kernel, 3)
     silent = np.bincount(ds.types, minlength=ds.type_count) == 0
+    assert not any(np.isnan(values).any() for values in full.type_values)
     for hops in (0, 1, 2):
-        fresh = build(ds, topo, kernel, hops)
+        fresh = _built(build, ds, topo, kernel, hops)
         view = full.truncated(hops)
         assert view.max_hops == hops
+        assert not any(np.isnan(values).any() for values in view.type_values + fresh.type_values)
         # aligned rows laid out as the fresh build's, and byte for byte its rows
         for got, want in zip(view.type_values, fresh.type_values, strict=True):
             assert got.strides == want.strides and all(row.ctypes.data % 64 == 0 for row in got)
@@ -390,7 +399,7 @@ def test_event_build_without_rows_or_neighbours():
     kernel = ExponentialKernel(1.0)
     topo = build_topology(3, [(0, 1)])
     empty = discretize(rows_to_table([]), 1.0, 10.0, node_count=3, type_count=2)
-    cache = features.event_build(empty, topo, kernel, 2)
+    cache = _built("events", empty, topo, kernel, 2)
     assert cache.cell_count == 0
     np.testing.assert_array_equal(cache.totals, np.zeros((2, 3)))
     assert [values.shape for values in cache.type_values] == [(6, 0), (6, 0)]
@@ -398,7 +407,7 @@ def test_event_build_without_rows_or_neighbours():
     ds = discretize(rows_to_table([(2, 0, 0.5), (2, 1, 3.5), (2, 0, 7.5)]), 1.0, 10.0,
                     node_count=3, type_count=2)
     ref = oracle_blockwise_features(ds, topo, kernel, 2)
-    cache = features.event_build(ds, topo, kernel, 2)
+    cache = _built("events", ds, topo, kernel, 2)
     for values, expected in zip(cache.type_values, ref.type_values, strict=True):
         np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
     np.testing.assert_allclose(cache.totals, ref.totals, rtol=1e-12, atol=0)
@@ -423,6 +432,10 @@ def _perfbench_gen():
     return module
 
 
+def _choice(ds, topo, max_hops):
+    return features.choose_build(ds, topo, max_hops, features._cells(ds)[0])[0]
+
+
 @pytest.mark.parametrize("seed", [23, 5])
 def test_build_choice_on_benchmark_inputs(seed):
     gen = _perfbench_gen()
@@ -433,21 +446,21 @@ def test_build_choice_on_benchmark_inputs(seed):
         ds = discretize(records, shape.dt, shape.bins * shape.dt, node_count=shape.nodes,
                         type_count=shape.types)
         topo = build_topology(shape.nodes, inst.topology)
-        assert features.choose_build(ds, topo, shape.k)[0] == expected
+        assert _choice(ds, topo, shape.k) == expected
     # desk-pipeline simulates the desk config for 60,000 bins
     config = SimConfig.from_dict({**_perfbench_value("DESK"), "max_bins": 60_000,
                                   "target_event_count": 10**9, "seed": seed})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderGenerationWarning)
         data = generate_benchmark(config)
-    assert features.choose_build(data.dataset(), data.topology, config.max_hops)[0] == "events"
+    assert _choice(data.dataset(), data.topology, config.max_hops) == "events"
 
 
 @pytest.mark.parametrize("max_hops", [2, 8])
 @pytest.mark.parametrize("nodes", [40, 400, 2000])
 def test_build_choice_at_readme_scale(nodes, max_hops):
     data = generate_benchmark(SimConfig(seed=7, node_count=nodes))
-    assert features.choose_build(data.dataset(), data.topology, max_hops)[0] == "events"
+    assert _choice(data.dataset(), data.topology, max_hops) == "events"
 
 
 def test_dense_topology_takes_the_chunk_build():
@@ -459,8 +472,8 @@ def test_dense_topology_takes_the_chunk_build():
     records = event_table(rng.integers(0, n, 200), rng.integers(0, 5, 200),
                           rng.random(200) * 1000.0)
     ds = discretize(records, 1.0, 1000.0, node_count=n, type_count=5)
-    assert features.choose_build(ds, topo, 1)[0] == "events"
-    assert features.choose_build(ds, topo, 2)[0] == "chunks"
+    assert _choice(ds, topo, 1) == "events"
+    assert _choice(ds, topo, 2) == "chunks"
     assert build_features(ds, topo, ExponentialKernel(1.0), 2).build == "chunks"
 
 
@@ -476,7 +489,7 @@ def test_many_hops_on_a_ring_take_the_event_build():
     kernel = ExponentialKernel(0.1)
     cache = build_features(ds, topo, kernel, 20)
     assert cache.build == "events"
-    ref = features.chunk_build(ds, topo, kernel, 20)
+    ref = _built("chunks", ds, topo, kernel, 20)
     for values, expected in zip(cache.type_values, ref.type_values, strict=True):
         np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
     np.testing.assert_allclose(cache.totals, ref.totals, rtol=1e-12, atol=0)
