@@ -25,7 +25,8 @@ Two builds give the same features, up to rounding in the last bits, and
 reads. Both share one frame (:func:`_framed`): it lays out each type's block
 of aligned rows, forms the totals from the row masses of each hop and
 makes the cache. A build is only the fill that writes every entry of the
-blocks.
+blocks. Products of the rate whose overflow to ``-inf`` stands for a
+factor of 0 are taken as such, without a warning.
 
 The chunk build (:func:`_chunk_fill`) visits occupied bins only. The
 ``(type, node)`` state ``S`` is computed at every occupied bin at once,
@@ -210,10 +211,10 @@ def build_features(
     """Build the :class:`FeatureCache` for a dataset on a topology.
 
     Only exponential kernels are supported here: the cache relies on the
-    semigroup property ``r^a r^b = r^(a+b)`` to skip empty bins. The build
-    that runs is the one :func:`choose_build` names. A cache whose blocks
-    would pass ``DENSE_ENTRIES`` entries, padding included, is refused
-    before either build starts.
+    semigroup property ``r^a r^b = r^(a+b)`` to skip empty bins. A decay
+    whose ``decay * dt`` overflows is refused, and so is a cache whose blocks
+    would pass ``DENSE_ENTRIES`` entries, padding included, before either
+    build starts. The build that runs is the one :func:`choose_build` names.
     """
     if not isinstance(kernel, ExponentialKernel):
         raise UnsupportedKernelError(
@@ -225,6 +226,8 @@ def build_features(
         raise InvalidInputError(
             f"dataset has {dataset.node_count} nodes, topology {topology.node_count}"
         )
+    if not math.isfinite(kernel.decay * dataset.bin_width):
+        raise InvalidInputError(f"delta * dt = {kernel.decay:g} * {dataset.bin_width:g} overflows")
     # each type's block: type_count * (max_hops + 1) rows over its cells,
     # padded as aligned_rows pads them; the types after the last with events
     # have no cells
@@ -358,11 +361,9 @@ def _totals(dataset: DiscreteDataset, rate: float, counts: np.ndarray, type_star
     """``totals[c, k]`` (module docstring), one sum per hop ``k`` over each
     type's rows; ``row_masses`` yields ``sum_n P^k[n', n]`` per node ``n'``
     for each hop in turn."""
-    tail = (
-        math.exp(-rate)
-        * -np.expm1(-rate * (dataset.bin_count - 1 - dataset.bins))
-        / -math.expm1(-rate)
-    )
+    with np.errstate(over="ignore"):  # a lag past 1e308 / rate is -inf: its tail is 1
+        lags = -rate * (dataset.bin_count - 1 - dataset.bins)
+    tail = math.exp(-rate) * -np.expm1(lags) / -math.expm1(-rate)
     tail_mass = counts * tail
     # each type's rows, then the type's sum: a trailing 0 keeps every start
     # in range, and an empty type's row is set to 0 below
@@ -451,7 +452,8 @@ def _chunk_fill(powers: np.ndarray, dataset: DiscreteDataset, rate: float, count
         state *= decay_back[:, None]
         if e < n_occ:
             after_last = (carry + rescaled[-1]) * decay_back[-1]
-            carry = after_last * math.exp(-rate * (occ_bins[e] - occ_bins[e - 1]))
+            with np.errstate(over="ignore"):  # a gap past 1e308 / rate decays all
+                carry = after_last * math.exp(-rate * (occ_bins[e] - occ_bins[e - 1]))
 
         at_cells = state.reshape(e - s, n_types, n_nodes)[cell_occ[c0:c1] - s]
         nodes = cell_nodes[c0:c1]
@@ -524,7 +526,8 @@ def _decay(lags: np.ndarray, rate: float, where: np.ndarray) -> np.ndarray:
     holds; 0 where ``where`` fails or the exponent is below ``_EXP_FLOOR``.
     The exponent is clipped into ``[_EXP_FLOOR, 0]`` before ``exp``, so
     nothing overflows. Overwrites both arrays and returns ``lags``."""
-    lags *= rate
+    with np.errstate(over="ignore"):  # a lag past 1e308 / rate is -inf: its factor is 0
+        lags *= rate
     where &= lags >= _EXP_FLOOR
     np.clip(lags, _EXP_FLOOR, 0.0, out=lags)
     np.exp(lags, out=lags)

@@ -259,15 +259,21 @@ def draw_params(
 
 
 def _window_weights(kernel: DecayKernel, dt: float) -> np.ndarray:
-    """Kernel values at lags ``dt, 2dt, ...`` out to where they vanish."""
+    """Kernel values at lags ``dt, 2dt, ...`` out to where they vanish. A
+    window past ``_WINDOW_LAGS`` lags, or without a finite end, is refused
+    before any array of lags is made."""
     if isinstance(kernel, ExponentialKernel):
-        horizon = max(1, math.ceil(37.0 / (kernel.decay * dt)))
+        end = 37.0 / (kernel.decay * dt)
     elif isinstance(kernel, GaussianKernel):
-        horizon = max(1, math.ceil((kernel.mean + 8.5 * kernel.std) / dt))
+        end = (kernel.mean + 8.5 * kernel.std) / dt
     elif isinstance(kernel, UniformKernel):
-        horizon = max(1, math.ceil((kernel.start + kernel.scale) / dt))
+        end = (kernel.start + kernel.scale) / dt
     else:
         raise InvalidInputError(f"unknown kernel {kernel!r}")
+    if not end <= _WINDOW_LAGS:
+        raise InvalidInputError(f"cannot allocate the window of {kernel!r} at dt={dt:g}: "
+                                f"{end:g} lags, more than {_WINDOW_LAGS}")
+    horizon = max(1, math.ceil(end))
     lags = dt * np.arange(1, horizon + 1)
     weights = np.asarray(evaluate(kernel, lags), dtype=float)
     nonzero = np.flatnonzero(weights)
@@ -281,6 +287,9 @@ def _window_weights(kernel: DecayKernel, dt: float) -> np.ndarray:
 # the children of one generation of a block, and those drawn one by one at a
 # time, stay near this many, so a supercritical run meets the guard in bounded memory
 _BUDGET = 1 << 16
+# the most lags a windowed kernel's table holds: its lag, weight and cdf
+# arrays stay near 32 MB each
+_WINDOW_LAGS = 1 << 22
 _POISSON_MAX = 9.2e18  # Generator.poisson refuses means above about 9.22e18
 _NONE = (np.empty(0, np.int64), np.empty(0, np.int64))  # no (keys, counts) rows
 

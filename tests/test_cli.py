@@ -705,6 +705,7 @@ def test_non_finite_timestamps_exit_two(tmp_path, capsys, stamp, horizon):
     [
         ["learn", "--delta", "inf"],
         ["learn", "--delta", "nan"],
+        ["learn", "--delta", "1e308", "--dt", "2"],  # delta * dt overflows
         ["simulate", "--delta", "inf"],
         ["simulate", "--delta", "1e-310"],  # 1/expm1(delta * dt) overflows
         ["simulate", "--delta", "1e-300", "--dt", "1e-30"],  # delta * dt underflows to 0
@@ -886,6 +887,33 @@ def test_simulate_past_the_dense_budget_exits_two_before_allocating(tmp_path, ca
     assert main(argv + ["--out", str(tmp_path / "refused")]) == 2
     assert capsys.readouterr().err == "error: cannot allocate 2 propagation hops over 10 nodes\n"
     assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("kernel", [
+    {"type": "uniform", "start": 1e300},
+    {"type": "gaussian", "mean": 1e308, "std": 1e308},  # the window's end is inf
+    {"type": "gaussian", "mean": 3e8},  # 2.2 GiB of lags at dt = 1
+])
+def test_simulate_refuses_a_kernel_window_past_the_lag_bound(tmp_path, capsys, kernel):
+    config = _write_config(tmp_path / "config.json", {"simulate": {**SIM_SECTION, "kernel": kernel}})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: cannot allocate the window of \w+Kernel\(.*\) at dt=1: "
+                        r"\S+ lags, more than 4194304\n", err), err
+    assert not out.exists()
+
+
+def test_simulate_kernel_window_bound_is_exact(tmp_path, capsys, monkeypatch):
+    # a Gaussian window ends 8.5 std past its mean: 66 + 34 = 100 lags fit a
+    # bound of 100, and 101 lags do not
+    monkeypatch.setattr("hawkesnet.simulate._WINDOW_LAGS", 100)
+    for mean, code in ((66.0, 0), (67.0, 2)):
+        section = {**SIM_SECTION, "kernel": {"type": "gaussian", "mean": mean}, "target_event_count": 50}
+        config = _write_config(tmp_path / "config.json", {"simulate": section})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / f"o{mean:g}")]) == code
+    assert capsys.readouterr().err.endswith("101 lags, more than 100\n")
+    assert not (tmp_path / "o67").exists()
 
 
 # The CLI's text at an 80-column terminal, as it was before the subcommands

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hawkesnet import features
 from hawkesnet.errors import InvalidInputError, UnderGenerationWarning, UnsupportedKernelError
 from hawkesnet.events import discretize, event_table
-from hawkesnet.features import build_features
+from hawkesnet.features import aligned_rows, build_features
 from hawkesnet.kernels import ExponentialKernel, GaussianKernel
 from hawkesnet.likelihood import type_batch
 from hawkesnet.simulate import SimConfig, generate_benchmark
@@ -294,6 +294,21 @@ def test_long_horizon_is_numerically_safe(decay):
         assert elapsed < 10.0
 
 
+@pytest.mark.parametrize("build", ["chunks", "events"])
+def test_a_decay_near_the_float_limit_gives_zero_features_without_a_warning(build):
+    # decay * dt = 1e308: r = 0, so every feature and total is 0; a lag of
+    # two bins or more times the rate overflows to -inf, as it may
+    rows = [(n, v, b + 0.5) for b in (0, 1, 3, 9) for n in range(3) for v in range(2)]
+    ds = discretize(rows_to_table(rows), 1.0, 12.0, node_count=3, type_count=3)
+    topo = build_topology(3, [(0, 1), (1, 2)])
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        cache = _built(build, ds, topo, ExponentialKernel(1e308), 2)
+    assert [values.shape for values in cache.type_values] == [(9, 12), (9, 12), (9, 0)]
+    assert not any(values.any() for values in cache.type_values)
+    assert not cache.totals.any()
+
+
 def test_truncated_cache_equals_fresh_build():
     rng = RNG(3)
     dense = rng.poisson(0.3, size=(4, 3, 20))
@@ -308,6 +323,21 @@ def test_truncated_cache_equals_fresh_build():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(features, "_CHUNK_ELEMENTS", elements)
                 _assert_truncation_exact(build, ds, topo, kernel)
+
+
+def _nan_rows(rows, width):
+    block = aligned_rows(rows, width)
+    block.fill(np.nan)
+    return block
+
+
+def test_each_fill_writes_every_block_entry(monkeypatch):
+    # the blocks start NaN-filled, and the event build's queries take one
+    # cause per group: a NaN left by a fill, or by truncated, fails the
+    # comparisons of test_truncated_cache_equals_fresh_build
+    monkeypatch.setattr(features, "aligned_rows", _nan_rows)
+    monkeypatch.setattr(features, "_QUERY_ELEMENTS", 1)
+    test_truncated_cache_equals_fresh_build()
 
 
 def _assert_truncation_exact(build, ds, topo, kernel):
