@@ -7,6 +7,7 @@ import importlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,9 @@ SMOKE = {
                    ["gaussian", "uniform"]),
     },
 }
-STUBBED = {"bench_pairs.py"}  # runs perfbench: exercised on stub checkouts below
+# exercised by their own tests below: bench_pairs on stub checkouts, identity
+# on copies of the package
+STUBBED = {"bench_pairs.py", "identity.py"}
 SCRIPTS = sorted(path.name for path in (ROOT / "scripts").glob("*.py"))
 
 
@@ -217,6 +220,31 @@ def test_bench_pairs_records_both_commits(tmp_path, monkeypatch):
     assert bench_pairs.main([sides[0], str(tmp_path / "plain"), *common]) == 0
     record = json.loads(out.read_text())
     assert (record["parent_commit"], record["change_commit"]) == (commits["parent"], None)
+
+
+def test_identity_reports_copies_identical_and_names_a_perturbed_constant(tmp_path):
+    # two copies of the package on a tiny matrix, then one with a looser EM
+    # tolerance: every fit's config and most of its numbers move
+    package = Path(hawkesnet.__file__).resolve().parent
+    for side in ("parent", "change"):
+        shutil.copytree(package, tmp_path / side / "src" / "hawkesnet",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    argv = [sys.executable, str(ROOT / "scripts" / "identity.py"), str(tmp_path / "parent"),
+            str(tmp_path / "change"), "--seeds", "3", "--scale", "0.02"]
+    same = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert same.returncode == 0, same.stderr
+    assert re.fullmatch(r"identical: 33 exit codes and stdouts, \d+ files\n", same.stdout)
+    assert "parent: 33 runs (33 exit 0)" in same.stderr
+    cli = tmp_path / "change" / "src" / "hawkesnet" / "cli.py"
+    source = cli.read_text(encoding="utf-8")
+    assert source.count('"rel_tolerance", 1e-6') == 1
+    cli.write_text(source.replace('"rel_tolerance", 1e-6', '"rel_tolerance", 1e-3'), encoding="utf-8")
+    moved = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert moved.returncode == 1, moved.stderr
+    lines = moved.stdout.splitlines()
+    assert lines[-1].startswith("differences found over 33 runs")
+    at = lines.index("readme-learn-3/fit-plain/report.json: differs")
+    assert "  config.em.rel_tolerance: largest change +0.000999 (relative +999), 1 of 1 values moved" in lines[at:]
 
 
 def test_readme_library_example_runs_as_written(capsys):
